@@ -12,8 +12,8 @@
 ///   perfbench --workload corpus|gen-racy|large|search --seed N
 ///             --seconds S --trace 0|1 [--fixtures DIR] [--trace-out FILE]
 ///
-/// --trace 0 prints the end-to-end metrics; --trace 1 splits the seconds
-/// into an untraced and a traced phase and prints the per-layer metrics.
+/// --trace 0 prints the end-to-end metrics; --trace 1 alternates service
+/// passes with traced-replica passes and prints the per-layer metrics.
 /// The last line of stdout is the JSON result; a human-readable report
 /// goes to stderr.
 ///
