@@ -7,9 +7,9 @@
 ///   - corpus:   the built-in 17-program differential corpus, checked
 ///               against the golden weak-outcome verdicts and the files'
 ///               allow/forbid lines;
-///   - gen-racy: seeded, generated, racy mixed-size programs, each as an
-///               `original` and a `revised` job, checked against the
-///               exhaustive engine configuration;
+///   - gen-racy: seeded, generated, racy mixed-size programs and a fixed
+///               memory anchor, each as an `original` and a `revised` job,
+///               checked against the exhaustive engine configuration;
 ///   - large:    the 65+-event corpus plus seeded racy wide programs (a
 ///               racy core padded with filler writer threads), checked
 ///               against golden verdicts and the exhaustive table of the

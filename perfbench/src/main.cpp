@@ -110,6 +110,8 @@ struct Options {
 };
 
 constexpr unsigned SetupRepeats = 3;
+/// Calibrations timed after each set-up, for the set-up's own speed.
+constexpr unsigned SetupCalibrations = 3;
 
 /// Clients of the closed loop: two for the service workloads (the box has
 /// four cores and is shared), one for the searches, which the sweep runs
@@ -377,7 +379,10 @@ double calibrationOf(const Phase &P) {
   return median(All);
 }
 
-int runEndToEnd(const Options &O, WorkloadInputs &In, double SetupS) {
+/// \p SetupRawS is the median set-up time, \p SetupCalMs the median
+/// calibration time taken between the set-ups.
+int runEndToEnd(const Options &O, WorkloadInputs &In, double SetupRawS,
+                double SetupCalMs) {
   Phase P = runPhase(O, In, O.Seconds, /*Traced=*/false);
   double RssMb = peakRssMb(); // before the references add their own memory
   Verdict V = checkPhase(P, In.Jobs);
@@ -388,8 +393,10 @@ int runEndToEnd(const Options &O, WorkloadInputs &In, double SetupS) {
     return 1;
   }
   // Rates and latencies at the reference speed (see calibrationMs); the
-  // raw figures are in the report line.
+  // raw figures are in the report line. Set-up is scaled by the speed
+  // measured next to it, since the box's speed drifts between the two.
   double Speed = RefCalibrationMs / CalMs;
+  double SetupS = SetupRawS * RefCalibrationMs / SetupCalMs;
   double RawRate = jobsPerSecond(P, V);
   double Rate = RawRate / Speed;
   for (double &L : Lat)
@@ -410,7 +417,7 @@ int runEndToEnd(const Options &O, WorkloadInputs &In, double SetupS) {
             << " jobs in " << P.WallS << " s wall; calibration " << CalMs
             << " ms (reference " << RefCalibrationMs << ")\n"
             << "  setup_s      " << SetupS << " (median of " << SetupRepeats
-            << ")\n"
+            << "; raw " << SetupRawS << ")\n"
             << "  jobs_per_s   " << Rate << " (raw " << RawRate << ")\n";
   // The searches of a run are a few dozen runs of seven fixed sizes: a
   // tail of them would be one search's time, so only the median is given.
@@ -433,6 +440,8 @@ int runEndToEnd(const Options &O, WorkloadInputs &In, double SetupS) {
   Report.set("peak_rss_mb", JsonValue(RssMb));
   Report.set("fail_rate", JsonValue(FailRate));
   Report.set("calibration_ms", JsonValue(CalMs));
+  Report.set("setup_raw_s", JsonValue(SetupRawS));
+  Report.set("setup_calibration_ms", JsonValue(SetupCalMs));
   Report.set("jobs_per_s_raw", JsonValue(RawRate));
   std::cerr << "  job_max_ms   " << Lat.back() << "\n"
             << "  cpu_s        " << P.CpuS << "\n"
@@ -629,14 +638,17 @@ int main(int Argc, char **Argv) {
   if (!parseOptions(Argc, Argv, O))
     return 2;
   try {
-    std::vector<double> SetupS;
+    std::vector<double> SetupS, SetupCalMs;
     WorkloadInputs In;
     for (unsigned R = 0; R < SetupRepeats; ++R) {
       Clock::time_point T0 = R == 0 ? ProcessStart : Clock::now();
       In = setUp(O);
       SetupS.push_back(secondsSince(T0));
+      for (unsigned K = 0; K < SetupCalibrations; ++K)
+        SetupCalMs.push_back(calibrationMs());
     }
-    return O.Trace ? runTraced(O, In) : runEndToEnd(O, In, median(SetupS));
+    return O.Trace ? runTraced(O, In)
+                   : runEndToEnd(O, In, median(SetupS), median(SetupCalMs));
   } catch (const std::exception &E) {
     std::cerr << "perfbench: " << E.what() << "\n";
     return 1;
