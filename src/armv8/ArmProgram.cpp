@@ -121,6 +121,14 @@ ArmThreadBuilder &ArmThreadBuilder::ctrlDep(Reg R) {
 
 namespace {
 
+/// \returns true if a load already on \p Path assigns register \p Reg.
+bool armAssignsReg(const ArmThreadPath &Path, unsigned Reg) {
+  for (const ArmPathElem &E : Path.Elems)
+    if (E.I->K == ArmInstr::Kind::Load && E.I->Dst == Reg)
+      return true;
+  return false;
+}
+
 void walkArm(const std::vector<ArmInstr> &Body, size_t Pos,
              ArmThreadPath &Current, uint64_t CtrlRegs,
              const std::function<void(ArmThreadPath &, uint64_t)> &Continue) {
@@ -144,12 +152,24 @@ void walkArm(const std::vector<ArmInstr> &Body, size_t Pos,
   case ArmInstr::Kind::IfNe: {
     bool TakenMeansEqual = I.K == ArmInstr::Kind::IfEq;
     uint64_t NewCtrl = CtrlRegs | (uint64_t(1) << I.CondReg);
+    auto Taken = [&] {
+      walkArm(I.Body, 0, Current, NewCtrl,
+              [&](ArmThreadPath &Path, uint64_t Ctrl) {
+                walkArm(Body, Pos + 1, Path, Ctrl, Continue);
+              });
+    };
+    // An unassigned register holds 0: decide the branch now, as
+    // enumeratePaths does (a constraint on it would be vacuous).
+    if (!armAssignsReg(Current, I.CondReg)) {
+      if ((I.Value == 0) == TakenMeansEqual)
+        Taken();
+      else
+        walkArm(Body, Pos + 1, Current, NewCtrl, Continue);
+      return;
+    }
     // Taken branch.
     Current.Constraints.push_back({I.CondReg, I.Value, TakenMeansEqual});
-    walkArm(I.Body, 0, Current, NewCtrl,
-            [&](ArmThreadPath &Path, uint64_t Ctrl) {
-              walkArm(Body, Pos + 1, Path, Ctrl, Continue);
-            });
+    Taken();
     Current.Constraints.pop_back();
     // Skipped branch: later instructions remain control-dependent on the
     // scrutinised register.

@@ -152,7 +152,9 @@ struct ArmThreadPath {
   std::vector<RegConstraint> Constraints;
 };
 
-/// \returns every control-flow path of \p Body.
+/// \returns every control-flow path of \p Body. As in enumeratePaths, a
+/// conditional on a register no earlier load on the path assigns is
+/// decided by the value 0.
 std::vector<ArmThreadPath> enumerateArmPaths(const std::vector<ArmInstr> &Body);
 
 /// \returns the largest number of events any control-flow path of \p Body

@@ -6,6 +6,14 @@ using namespace jsmm;
 
 namespace {
 
+/// \returns true if an access already on \p Path assigns register \p Reg.
+bool assignsReg(const ThreadPath &Path, unsigned Reg) {
+  for (const Instr *I : Path.Accesses)
+    if (I->K != Instr::Kind::Store && I->Dst == Reg)
+      return true;
+  return false;
+}
+
 void walk(const std::vector<Instr> &Body, size_t Pos, ThreadPath &Current,
           std::vector<ThreadPath> &Out,
           const std::function<void(ThreadPath &)> &Continue) {
@@ -25,12 +33,26 @@ void walk(const std::vector<Instr> &Body, size_t Pos, ThreadPath &Current,
   case Instr::Kind::IfEq:
   case Instr::Kind::IfNe: {
     bool TakenMeansEqual = I.K == Instr::Kind::IfEq;
+    auto Taken = [&] {
+      walk(I.Body, 0, Current, Out, [&](ThreadPath &Path) {
+        walk(Body, Pos + 1, Path, Out, Continue);
+      });
+    };
+    // A register nothing on the path has assigned yet holds 0 (as in the
+    // interleaving semantics), so the branch is decided here: unfold only
+    // the side 0 satisfies, with no constraint. A constraint would be
+    // vacuous, since only an assigning read discharges one.
+    if (!assignsReg(Current, I.CondReg)) {
+      if ((I.Value == 0) == TakenMeansEqual)
+        Taken();
+      else
+        walk(Body, Pos + 1, Current, Out, Continue);
+      return;
+    }
     // Taken branch: constrain the register, unfold the nested body, then
     // continue with the rest of this body.
     Current.Constraints.push_back({I.CondReg, I.Value, TakenMeansEqual});
-    walk(I.Body, 0, Current, Out, [&](ThreadPath &Path) {
-      walk(Body, Pos + 1, Path, Out, Continue);
-    });
+    Taken();
     Current.Constraints.pop_back();
     // Skipped branch: the negated constraint.
     Current.Constraints.push_back({I.CondReg, I.Value, !TakenMeansEqual});

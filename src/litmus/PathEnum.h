@@ -34,7 +34,9 @@ struct ThreadPath {
   std::vector<RegConstraint> Constraints;
 };
 
-/// \returns every control-flow path of \p Body.
+/// \returns every control-flow path of \p Body. A conditional on a
+/// register that no earlier access on the path assigns reads it as 0, so
+/// it contributes only the side 0 satisfies, unconstrained.
 std::vector<ThreadPath> enumeratePaths(const std::vector<Instr> &Body);
 
 /// \returns the largest number of memory accesses any control-flow path of

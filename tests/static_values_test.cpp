@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticValues.h"
+#include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
 #include "engine/MemoryModel.h"
 #include "engine/TargetModel.h"
@@ -30,6 +31,7 @@
 #include "service/LitmusService.h"
 #include "targets/TargetCompile.h"
 #include "targets/UniProgram.h"
+#include "tools/LitmusParser.h"
 
 #include "TestUtil.h"
 
@@ -173,12 +175,11 @@ TEST(StaticValues, PathFeasibility) {
     EXPECT_EQ(SV.pathFeasible(Path), Path.Accesses.size() == 2u);
 }
 
-TEST(StaticValues, VacuousConstraintDoesNotRefuteThePath) {
-  // The engine discharges a register constraint only when an assigning
-  // read completes on the path. A path that carries a constraint on a
-  // register whose assigning read sits inside a *skipped* branch runs
-  // unconstrained dynamically, so pathFeasible must not refute it even
-  // when the (off-path) read is a contradicting constant.
+TEST(StaticValues, UnassignedBranchRegisterIsDecidedAtUnfolding) {
+  // A branch on a register whose assigning read sits inside a *skipped*
+  // branch reads the register as 0. enumeratePaths decides such a branch
+  // while unfolding: only the side 0 satisfies survives, unconstrained,
+  // so pathFeasible never sees a constraint without an on-path read.
   Program P(8);
   {
     ThreadBuilder T = P.thread();
@@ -192,18 +193,77 @@ TEST(StaticValues, VacuousConstraintDoesNotRefuteThePath) {
   }
   analysis::StaticValues SV = analysis::analyzeValues(P);
   std::vector<ThreadPath> Paths = enumeratePaths(P.threadBody(0));
-  ASSERT_EQ(Paths.size(), 4u);
+  ASSERT_EQ(Paths.size(), 3u);
   for (const ThreadPath &Path : Paths) {
     // Paths through the first branch carry two loads and are infeasible
-    // (r0 is the constant 5, never 0). Paths skipping it carry one load;
-    // their `Inner == 7` / `Inner != 7` constraints have no on-path
-    // assigning read, are dynamically vacuous, and must not refute.
+    // (r0 is the constant 5, never 0). The path skipping it carries one
+    // load and skips `if Inner == 7` (Inner reads as 0) with no
+    // constraint, so it stays feasible.
     unsigned Loads = 0;
     for (const Instr *I : Path.Accesses)
       Loads += I->K == Instr::Kind::Load;
     EXPECT_EQ(SV.pathFeasible(Path), Loads == 1u)
         << "path with " << Path.Accesses.size() << " accesses";
   }
+}
+
+TEST(StaticValues, UnassignedBranchRegisterTablesAgree) {
+  // T1 branches on r1, which only the taken side of `if r0 == 1` assigns.
+  // Where r0 != 1, r1 reads as 0, so the store to 8 must run and r2 = 0 is
+  // impossible. The full walk once let that path run unconstrained and
+  // allowed 1:r0=0 1:r2=0, which the static fast path (and SC) forbid.
+  const std::string Src = "name unassigned-branch\n"
+                          "buffer 12\n"
+                          "thread\n"
+                          "  store.sc u32 0 = 1\n"
+                          "thread\n"
+                          "  r0 = load.sc u32 0\n"
+                          "  if r0 == 1\n"
+                          "    r1 = load.sc u32 4\n"
+                          "  end\n"
+                          "  if r1 == 0\n"
+                          "    store.sc u32 8 = 1\n"
+                          "  end\n"
+                          "  r2 = load.sc u32 8\n";
+  std::optional<LitmusFile> File = parseLitmus(Src);
+  ASSERT_TRUE(File.has_value());
+  const std::vector<std::string> Expected = {"1:r0=0 1:r2=1",
+                                             "1:r0=1 1:r1=0 1:r2=1"};
+  for (ModelSpec Spec : {ModelSpec::original(), ModelSpec::revised()}) {
+    EXPECT_EQ(ExecutionEngine(EngineConfig::seedCompatible())
+                  .enumerateOutcomes(File->P,
+                                     JsModel(Spec, SolverConfig::brute()))
+                  .outcomeStrings(),
+              Expected);
+    for (bool Static : {false, true})
+      for (bool Reduce : {false, true}) {
+        EngineConfig Cfg;
+        Cfg.StaticFastPath = Static;
+        Cfg.Reduction = Reduce;
+        EXPECT_EQ(ExecutionEngine(Cfg)
+                      .enumerateOutcomes(File->P, JsModel(Spec))
+                      .outcomeStrings(),
+                  Expected)
+            << "static=" << Static << " reduce=" << Reduce;
+      }
+  }
+  EXPECT_EQ(ExecutionEngine()
+                .enumerate(compileToArm(File->P).Arm, Armv8Model())
+                .outcomeStrings(),
+            Expected);
+  for (bool Static : {false, true})
+    for (bool Reduce : {false, true}) {
+      LitmusJob J;
+      J.Litmus = Src;
+      J.Model = "differential";
+      J.Static = Static;
+      J.Reduce = Reduce;
+      LitmusJobResult R = LitmusService(ServiceConfig{1, false}).run({J})[0];
+      ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+      for (const char *Column : {"js-original", "js-revised", "armv8"})
+        EXPECT_EQ(R.AllowedByBackend[Column], Expected)
+            << Column << " static=" << Static << " reduce=" << Reduce;
+    }
 }
 
 //===--------------------------------------------------------------------===//
