@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <string_view>
 #include <thread>
 
 using namespace jsmm;
@@ -46,6 +47,20 @@ std::vector<std::string> OutcomeSummary::outcomeStrings() const {
 
 namespace {
 
+/// Emits the trace event \p Name with \p Fields, in order, when a trace
+/// sink is installed.
+void traceEvent(
+    const char *Name,
+    std::initializer_list<std::pair<const char *, JsonValue>> Fields) {
+  obs::TraceSink *T = obs::trace();
+  if (!T)
+    return;
+  JsonValue F = JsonValue::object();
+  for (const auto &[Key, Value] : Fields)
+    F.set(Key, Value);
+  T->event(Name, std::move(F));
+}
+
 std::optional<std::string> capacityErrorFor(unsigned Bound, unsigned Cap) {
   if (Bound <= Cap)
     return std::nullopt;
@@ -66,11 +81,7 @@ unsigned targetEventBound(const CompiledTarget &CT) {
 /// relation-level one.
 template <typename ProgramT> void checkCapacity(const ProgramT &P) {
   if (std::optional<std::string> Error = ExecutionEngine::capacityError(P)) {
-    if (obs::TraceSink *T = obs::trace()) {
-      JsonValue F = JsonValue::object();
-      F.set("error", JsonValue(*Error));
-      T->event("capacity-reject", std::move(F));
-    }
+    traceEvent("capacity-reject", {{"error", *Error}});
     if (obs::metricsEnabled())
       obs::registry().counter("engine.capacity_rejects").add(1);
     throw CapacityError(*Error);
@@ -113,12 +124,12 @@ ExecutionEngine::fixedCapacityError(const CompiledTarget &CT) {
 
 namespace {
 
-/// One unit of sharded work: a control-flow combination, optionally
-/// restricted to the K-th eligible writer for the first byte of the first
-/// read (so a single combination with a large justification tree still
-/// splits across workers).
+/// One unit of sharded work: the base of one control-flow combination,
+/// optionally restricted to the K-th eligible writer for the first byte of
+/// the first read (so a single combination with a large justification
+/// tree still splits across workers).
 struct WorkItem {
-  size_t Combo = 0;
+  size_t Base = 0;
   int Writer = -1; ///< -1: all writers
 };
 
@@ -153,34 +164,26 @@ void runSharded(size_t NumItems, unsigned Threads,
 }
 
 //===----------------------------------------------------------------------===//
-// JavaScript candidate space
+// The shared enumeration driver
 //===----------------------------------------------------------------------===//
 
 /// The per-thread control-flow paths of a program, with mixed-radix
 /// indexing of their combinations (last thread fastest, matching the
-/// seed's recursion order).
-struct JsSpace {
-  std::vector<std::vector<ThreadPath>> PerThread;
+/// seed's recursion order). One template serves the JavaScript and ARMv8
+/// event languages; compiled targets are straight-line.
+template <typename PathT> struct PathSpace {
+  std::vector<std::vector<PathT>> PerThread;
   size_t Combos = 1;
 
-  explicit JsSpace(const Program &P) {
+  template <typename ProgramT, typename UnfoldFn>
+  PathSpace(const ProgramT &P, UnfoldFn Unfold) {
     for (unsigned T = 0; T < P.numThreads(); ++T)
-      PerThread.push_back(enumeratePaths(P.threadBody(T)));
-    for (const std::vector<ThreadPath> &Paths : PerThread)
+      PerThread.push_back(Unfold(P.threadBody(T)));
+    for (const std::vector<PathT> &Paths : PerThread)
       Combos *= Paths.size();
   }
 
-  std::vector<const ThreadPath *> chosen(size_t Idx) const {
-    std::vector<const ThreadPath *> C(PerThread.size());
-    for (size_t T = PerThread.size(); T-- > 0;) {
-      C[T] = &PerThread[T][Idx % PerThread[T].size()];
-      Idx /= PerThread[T].size();
-    }
-    return C;
-  }
-
-  /// Decomposes \p Idx into per-thread path indices (same mixed radix as
-  /// chosen()).
+  /// Decomposes \p Idx into per-thread path indices.
   std::vector<size_t> indices(size_t Idx) const {
     std::vector<size_t> C(PerThread.size());
     for (size_t T = PerThread.size(); T-- > 0;) {
@@ -189,7 +192,230 @@ struct JsSpace {
     }
     return C;
   }
+
+  std::vector<const PathT *> chosen(const std::vector<size_t> &Idx) const {
+    std::vector<const PathT *> C(PerThread.size());
+    for (size_t T = 0; T < C.size(); ++T)
+      C[T] = &PerThread[T][Idx[T]];
+    return C;
+  }
 };
+
+/// The valid (JS) or consistent (ARMv8, target) candidate count of an
+/// enumeration result.
+template <typename ResultT> uint64_t &validCount(ResultT &R) {
+  if constexpr (requires { R.ValidCandidates; })
+    return R.ValidCandidates;
+  else
+    return R.ConsistentCandidates;
+}
+
+/// Counts candidate \p X into \p Into and keeps it as its outcome's
+/// witness when \p M admits it. Outcomes that already have a witness skip
+/// the model check.
+template <typename ResultT, typename ModelT, typename ExecT>
+void accumulate(ResultT &Into, const ModelT &M, const ExecT &X,
+                const Outcome &O) {
+  ++Into.CandidatesConsidered;
+  if (Into.Allowed.count(O))
+    return;
+  if constexpr (std::is_same_v<ModelT, JsModel>) {
+    decltype(X.Tot) Tot;
+    if (!M.allows(X, &Tot))
+      return;
+    ExecT Witness = X;
+    Witness.Tot = Tot;
+    Into.Allowed.emplace(O, std::move(Witness));
+  } else {
+    if (!M.allows(X))
+      return;
+    Into.Allowed.emplace(O, X);
+  }
+  ++validCount(Into);
+}
+
+/// Visits every candidate of \p Core in order, one base at a time.
+template <typename CoreT>
+bool walkCore(const CoreT &Core, EngineStats *St,
+              const typename CoreT::VisitFn &Visit) {
+  return Core.forEachBase(St, [&](typename CoreT::BaseT &B) {
+    return Core.justify(B, /*FirstWriter=*/-1, Visit, St);
+  });
+}
+
+/// The one enumeration driver behind the JavaScript, ARMv8 and target
+/// cores. A core supplies its bases (one per explored control-flow
+/// combination), the first read's writer count of a base, and a justifier
+/// walk; \p M decides which candidates count as valid.
+///
+/// Sequential runs walk one base at a time with global outcome
+/// deduplication; WorkItems is the number of path combinations. Sharded
+/// runs split every base across its first read's writer choices into work
+/// items (WorkItems of them) with item-local results and counters, merged
+/// in item order. So the outcome set, CandidatesConsidered and the
+/// pruning counters are identical for every thread count; ValidCandidates
+/// may differ, because outcome deduplication is per item. A base whose
+/// first read has at most one writer is a single item. Under reduction,
+/// slept first-writer items simply produce nothing: the sleep rules are a
+/// function of the justification stack alone, so sharding cannot change
+/// what is explored.
+template <typename CoreT, typename ModelT>
+typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
+                                      unsigned Threads, EngineStats &Stats) {
+  using ExecT = typename CoreT::ExecT;
+  using BaseT = typename CoreT::BaseT;
+  using ResultT = typename CoreT::ResultT;
+  if (Threads <= 1) {
+    ResultT Result;
+    Stats.WorkItems = Core.Combos;
+    walkCore(Core, &Stats, [&](const ExecT &X, const Outcome &O) {
+      accumulate(Result, M, X, O);
+      return true;
+    });
+    return Result;
+  }
+
+  std::vector<BaseT> Bases;
+  std::vector<WorkItem> Items;
+  Core.forEachBase(&Stats, [&](BaseT &B) {
+    unsigned Writers = Core.firstWriters(B);
+    if (!Writers)
+      Items.push_back({Bases.size(), -1});
+    for (unsigned K = 0; K < Writers; ++K)
+      Items.push_back({Bases.size(), static_cast<int>(K)});
+    Bases.push_back(std::move(B));
+    return true;
+  });
+  Stats.WorkItems = Items.size();
+
+  std::vector<ResultT> PerItem(Items.size());
+  std::vector<EngineStats> PerItemStats(Items.size());
+  runSharded(Items.size(), Threads, [&](size_t I) {
+    BaseT B = Bases[Items[I].Base]; // worker-private: justifiers mutate it
+    Core.justify(
+        B, Items[I].Writer,
+        [&](const ExecT &X, const Outcome &O) {
+          accumulate(PerItem[I], M, X, O);
+          return true;
+        },
+        &PerItemStats[I]);
+  });
+
+  ResultT Result;
+  for (size_t I = 0; I < Items.size(); ++I) {
+    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
+    validCount(Result) += validCount(PerItem[I]);
+    // The base builder counted WorkItems and StaticPathsPruned already.
+    Stats.PrunedSubtrees += PerItemStats[I].PrunedSubtrees;
+    Stats.SleptBranches += PerItemStats[I].SleptBranches;
+    Stats.StaticRfPruned += PerItemStats[I].StaticRfPruned;
+    for (auto &[O, Witness] : PerItem[I].Allowed)
+      Result.Allowed.emplace(O, std::move(Witness));
+  }
+  return Result;
+}
+
+/// \returns the outcome-level summary of an enumeration result.
+template <typename ResultT> OutcomeSummary summarize(ResultT R) {
+  OutcomeSummary S;
+  S.CandidatesConsidered = R.CandidatesConsidered;
+  S.ValidCandidates = validCount(R);
+  S.Allowed.reserve(R.Allowed.size());
+  for (const auto &[O, Witness] : R.Allowed) {
+    (void)Witness;
+    S.Allowed.push_back(O);
+  }
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// Twin sleep sets (EngineConfig::Reduction)
+//===----------------------------------------------------------------------===//
+
+/// Twin sleep sets over the exact thread-symmetry classes, shared by the
+/// JavaScript and target justifiers. Two events are twins when they sit at
+/// the same body position in consecutive members of an exact class that
+/// chose the same control-flow path. Exact twins have byte-identical
+/// attributes, so swapping their two threads wholesale is an automorphism
+/// of the base.
+class TwinSleep {
+public:
+  /// Links the twins among \p Events (Thread -1: init). \p PathIdx holds
+  /// the combination's per-thread path indices, or is empty for a
+  /// straight-line program. A no-op for an empty symmetry.
+  template <typename EventT>
+  void setup(const ThreadSymmetry &Sym, const std::vector<EventT> &Events,
+             const std::vector<size_t> &PathIdx) {
+    if (Sym.empty())
+      return;
+    Active = true;
+    size_t NumThreads = Sym.ClassOf.size();
+    TwinPrev.assign(Events.size(), -1);
+    TwinThreadOf.assign(Events.size(), -1);
+    ThreadRefs.assign(NumThreads, 0);
+    std::vector<std::vector<EventId>> ThreadEvents(NumThreads);
+    for (const EventT &E : Events)
+      if (E.Thread >= 0)
+        ThreadEvents[E.Thread].push_back(E.Id);
+    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
+      if (!Sym.Exact[Ci])
+        continue;
+      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
+      for (size_t K = 1; K < Cls.size(); ++K) {
+        unsigned T1 = Cls[K - 1], T2 = Cls[K];
+        if (!PathIdx.empty() && PathIdx[T1] != PathIdx[T2])
+          continue; // different paths: no positional twin pairing
+        assert(ThreadEvents[T1].size() == ThreadEvents[T2].size());
+        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
+          TwinPrev[ThreadEvents[T2][I]] =
+              static_cast<int>(ThreadEvents[T1][I]);
+          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
+        }
+      }
+    }
+  }
+
+  /// \returns true if the subtree justifying \p R from \p W is asleep: W
+  /// is the twin of an earlier class member's writer, neither thread of
+  /// the pair is referenced by an rf choice yet, and the reading thread is
+  /// outside the pair. The explored sibling's subtree is then isomorphic,
+  /// and the orbit closure recovers its outcomes.
+  template <typename EventT>
+  bool asleep(const EventT &W, const EventT &R) const {
+    if (!Active || TwinPrev[W.Id] < 0)
+      return false;
+    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
+    if (R.Thread == T1 || R.Thread == T2)
+      return false;
+    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
+  }
+
+  /// Records an rf choice of \p W for \p R (retain) or undoes it (release).
+  template <typename EventT> void retain(const EventT &W, const EventT &R) {
+    if (!Active)
+      return;
+    for (int T : {W.Thread, R.Thread})
+      if (T >= 0)
+        ++ThreadRefs[T];
+  }
+  template <typename EventT> void release(const EventT &W, const EventT &R) {
+    if (!Active)
+      return;
+    for (int T : {W.Thread, R.Thread})
+      if (T >= 0)
+        --ThreadRefs[T];
+  }
+
+private:
+  bool Active = false;
+  std::vector<int> TwinPrev;        ///< per event: earlier twin event or -1
+  std::vector<int> TwinThreadOf;    ///< per event: thread of that twin or -1
+  std::vector<unsigned> ThreadRefs; ///< rf references per thread
+};
+
+//===----------------------------------------------------------------------===//
+// JavaScript candidate space
+//===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
 // Equivalence-aware enumeration (EngineConfig::Reduction)
@@ -203,16 +429,13 @@ struct JsReductionCtx {
   ModelSpec Spec;
 };
 
-/// \returns true if \p C is the canonical representative of its orbit
-/// under the symmetry classes: within each class, path indices must be
-/// non-decreasing by thread index. Skipped combinations are thread
-/// permutations of a canonical one; the orbit closure of the outcome set
-/// restores their outcomes.
-bool canonicalCombo(const JsSpace &Space, const ThreadSymmetry &Sym,
-                    size_t C) {
-  if (Sym.empty())
-    return true;
-  std::vector<size_t> Idx = Space.indices(C);
+/// \returns true if the combination with path indices \p Idx is the
+/// canonical representative of its orbit under the symmetry classes:
+/// within each class, path indices must be non-decreasing by thread index.
+/// Skipped combinations are thread permutations of a canonical one; the
+/// orbit closure of the outcome set restores their outcomes.
+bool canonicalCombo(const std::vector<size_t> &Idx,
+                    const ThreadSymmetry &Sym) {
   for (const std::vector<unsigned> &Cls : Sym.Classes)
     for (size_t K = 1; K < Cls.size(); ++K)
       if (Idx[Cls[K - 1]] > Idx[Cls[K]])
@@ -237,7 +460,8 @@ using StaticAllowMask = std::vector<std::vector<std::vector<uint8_t>>>;
 /// multiset, so they are infeasible too and the orbit closure of the
 /// empty set stays empty.
 std::vector<std::vector<uint8_t>>
-feasiblePaths(const JsSpace &Space, const analysis::StaticValues &SV) {
+feasiblePaths(const PathSpace<ThreadPath> &Space,
+              const analysis::StaticValues &SV) {
   std::vector<std::vector<uint8_t>> F(Space.PerThread.size());
   for (size_t T = 0; T < Space.PerThread.size(); ++T) {
     F[T].reserve(Space.PerThread[T].size());
@@ -247,10 +471,8 @@ feasiblePaths(const JsSpace &Space, const analysis::StaticValues &SV) {
   return F;
 }
 
-bool comboFeasible(const JsSpace &Space,
-                   const std::vector<std::vector<uint8_t>> &Feasible,
-                   size_t C) {
-  std::vector<size_t> Idx = Space.indices(C);
+bool comboFeasible(const std::vector<size_t> &Idx,
+                   const std::vector<std::vector<uint8_t>> &Feasible) {
   for (size_t T = 0; T < Idx.size(); ++T)
     if (!Feasible[T][Idx[T]])
       return false;
@@ -264,10 +486,11 @@ template <typename RelT> struct JsBase {
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
   std::vector<const ThreadPath *> Paths;
-  /// Per-thread path indices of this combination (filled by the walkers
-  /// when reduction is active; twin sleeps need to know that two threads
-  /// of an exact class chose the same path).
+  /// Per-thread path indices of this combination (twin sleeps need to
+  /// know that two threads of an exact class chose the same path).
   std::vector<size_t> PathIdx;
+  /// The static writer-allow mask; empty unless static pruning is on.
+  StaticAllowMask Allow;
 };
 
 template <typename RelT>
@@ -323,19 +546,6 @@ JsBase<RelT> buildJsBase(const Program &P,
     if (E.isRead())
       B.Reads.push_back(E.Id);
   return B;
-}
-
-/// \returns the writers eligible to justify byte \p Loc of read \p R, in
-/// event order (the order the justifier explores them in — work items
-/// index into this list).
-template <typename RelT>
-unsigned countJsWriters(const BasicCandidateExecution<RelT> &CE, EventId R,
-                        unsigned Loc) {
-  unsigned Count = 0;
-  for (const Event &W : CE.Events)
-    if (W.Id != R && W.Block == CE.Events[R].Block && W.writesByte(Loc))
-      ++Count;
-  return Count;
 }
 
 /// Builds the static writer-allow mask of one JS base from the value
@@ -424,21 +634,18 @@ template <typename RelT> class JsJustifier {
   using ExecT = BasicCandidateExecution<RelT>;
 
 public:
-  JsJustifier(JsBase<RelT> &B, const JsModel *Prune, uint64_t *PrunedSubtrees,
-              int FirstWriterOnly,
+  /// \p St, when non-null, receives the PrunedSubtrees, SleptBranches and
+  /// StaticRfPruned counts.
+  JsJustifier(JsBase<RelT> &B, const JsModel *Prune, int FirstWriterOnly,
               const std::function<bool(const ExecT &, const Outcome &)>
                   &Visit,
-              const JsReductionCtx *Red = nullptr,
-              uint64_t *SleptBranches = nullptr,
-              const StaticAllowMask *StaticAllow = nullptr,
-              uint64_t *StaticRfPruned = nullptr)
-      : B(B), Prune(Prune), PrunedSubtrees(PrunedSubtrees),
-        FirstWriterOnly(FirstWriterOnly), Visit(Visit), Red(Red),
-        SleptBranches(SleptBranches), StaticAllow(StaticAllow),
-        StaticRfPruned(StaticRfPruned) {
+              const JsReductionCtx *Red, EngineStats *St)
+      : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
+        Red(Red), St(St),
+        StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {
     if (Red) {
       B.CE.Rbf.clear();
-      setupTwins();
+      Twins.setup(Red->Sym, B.CE.Events, B.PathIdx);
       setupRfKeys();
     }
   }
@@ -450,45 +657,7 @@ public:
   }
 
 private:
-  //===--------------------------------------------------------------------===//
-  // Sleep-set precomputation (per base)
-  //===--------------------------------------------------------------------===//
-
-  /// Twin links for the exact symmetry classes: TwinPrev[Id] is the event
-  /// at the same body position in the previous class member that chose the
-  /// same control-flow path, or -1. Exact twins have byte-identical
-  /// attributes, so swapping their two threads wholesale is an
-  /// automorphism of the base.
-  void setupTwins() {
-    const ThreadSymmetry &Sym = Red->Sym;
-    TwinPrev.assign(B.CE.numEvents(), -1);
-    TwinThreadOf.assign(B.CE.numEvents(), -1);
-    ThreadRefs.assign(B.Paths.size(), 0);
-    if (Sym.empty() || B.PathIdx.empty())
-      return;
-    std::vector<std::vector<EventId>> ThreadEvents(B.Paths.size());
-    for (const Event &E : B.CE.Events)
-      if (E.Ord != Mode::Init)
-        ThreadEvents[E.Thread].push_back(E.Id);
-    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
-      if (!Sym.Exact[Ci])
-        continue;
-      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        unsigned T1 = Cls[K - 1], T2 = Cls[K];
-        if (B.PathIdx[T1] != B.PathIdx[T2])
-          continue; // different paths: no positional twin pairing
-        assert(ThreadEvents[T1].size() == ThreadEvents[T2].size());
-        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
-          TwinPrev[ThreadEvents[T2][I]] =
-              static_cast<int>(ThreadEvents[T1][I]);
-          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
-        }
-      }
-    }
-  }
-
-  /// rf sleep-set keys: two writer choices for the same read byte are
+  /// rf sleep-set keys (precomputed per base): two writer choices for the same read byte are
   /// interchangeable when every input the model's verdict can depend on is
   /// equal. The derived hb is static — equal for every rbf choice — iff sw
   /// is forced empty, i.e. there is no SeqCst event at all (sw requires a
@@ -581,30 +750,6 @@ private:
     return justifyByte(ReadIdx, B.CE.Events[B.Reads[ReadIdx]].readBegin());
   }
 
-  /// \returns true if the subtree choosing \p W for the current byte is
-  /// asleep: W is the positional twin of an as-yet unreferenced exact
-  /// class member's writer (same attributes, swappable threads), and the
-  /// reading thread is outside the pair, so the explored sibling's
-  /// subtree is isomorphic and the orbit closure recovers its outcomes.
-  bool twinAsleep(const Event &W, const Event &R) const {
-    int Prev = TwinPrev[W.Id];
-    if (Prev < 0)
-      return false;
-    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
-    if (R.Thread == T1 || R.Thread == T2)
-      return false;
-    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
-  }
-
-  void retain(const Event &E) {
-    if (E.Thread >= 0)
-      ++ThreadRefs[E.Thread];
-  }
-  void release(const Event &E) {
-    if (E.Thread >= 0)
-      --ThreadRefs[E.Thread];
-  }
-
   bool justifyByte(size_t ReadIdx, unsigned Loc) {
     Event &R = B.CE.Events[B.Reads[ReadIdx]];
     if (Loc == R.readEnd()) {
@@ -618,8 +763,8 @@ private:
         return true;
       if (Prune && ReadIdx + 1 < B.Reads.size() &&
           !Prune->admitsPartial(B.CE)) {
-        if (PrunedSubtrees)
-          ++*PrunedSubtrees;
+        if (St)
+          ++St->PrunedSubtrees;
         return true;
       }
       return justifyRead(ReadIdx + 1);
@@ -641,32 +786,26 @@ private:
       // so sleeping siblings never rely on a skipped representative.
       if (StaticAllow &&
           !(*StaticAllow)[ReadIdx][Loc - R.readBegin()][ThisPos]) {
-        if (StaticRfPruned)
-          ++*StaticRfPruned;
+        if (St)
+          ++St->StaticRfPruned;
         continue;
       }
       if (Red) {
         bool Asleep =
             (KeysActive &&
              !Explore[ReadIdx][Loc - R.readBegin()][ThisPos]) ||
-            twinAsleep(W, R);
+            Twins.asleep(W, R);
         if (Asleep) {
-          if (SleptBranches)
-            ++*SleptBranches;
+          if (St)
+            ++St->SleptBranches;
           continue;
         }
       }
       B.CE.Rbf.push_back({Loc, W.Id, R.Id});
       R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
-      if (Red) {
-        retain(W);
-        retain(R);
-      }
+      Twins.retain(W, R);
       bool Continue = justifyByte(ReadIdx, Loc + 1);
-      if (Red) {
-        release(W);
-        release(R);
-      }
+      Twins.release(W, R);
       B.CE.Rbf.pop_back();
       if (!Continue)
         return false;
@@ -684,209 +823,84 @@ private:
 
   JsBase<RelT> &B;
   const JsModel *Prune;
-  uint64_t *PrunedSubtrees;
   int FirstWriterOnly;
   const std::function<bool(const ExecT &, const Outcome &)> &Visit;
   const JsReductionCtx *Red;
-  uint64_t *SleptBranches;
+  EngineStats *St;
   const StaticAllowMask *StaticAllow;
-  uint64_t *StaticRfPruned;
 
   // Reduction state (set up iff Red).
   bool KeysActive = false;
   /// [read idx][byte offset][eligible-writer position] -> explore flag.
   std::vector<std::vector<std::vector<uint8_t>>> Explore;
-  std::vector<int> TwinPrev;     ///< per event: earlier twin event or -1
-  std::vector<int> TwinThreadOf; ///< per event: thread of that twin or -1
-  std::vector<unsigned> ThreadRefs; ///< rbf references per thread
+  TwinSleep Twins;
 };
 
-/// Sequential walk of the whole JS candidate space (canonical
-/// representatives only when a reduction context is supplied).
-template <typename RelT>
-bool walkJs(const Program &P, const JsModel *Prune, uint64_t *PrunedSubtrees,
-            const std::function<bool(const BasicCandidateExecution<RelT> &,
-                                     const Outcome &)> &Visit,
-            const JsReductionCtx *Red = nullptr,
-            uint64_t *SleptBranches = nullptr,
-            const analysis::StaticValues *SV = nullptr,
-            uint64_t *StaticRfPruned = nullptr,
-            uint64_t *StaticPathsPruned = nullptr) {
-  JsSpace Space(P);
-  std::vector<std::vector<uint8_t>> Feasible;
-  if (SV)
-    Feasible = feasiblePaths(Space, *SV);
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    if (Red && !canonicalCombo(Space, Red->Sym, C))
-      continue;
-    if (SV && !comboFeasible(Space, Feasible, C)) {
-      if (StaticPathsPruned)
-        ++*StaticPathsPruned;
-      continue;
-    }
-    JsBase<RelT> B = buildJsBase<RelT>(P, Space.chosen(C));
-    if (Red)
-      B.PathIdx = Space.indices(C);
-    StaticAllowMask Allow;
-    if (SV)
-      Allow = buildJsStaticAllow(*SV, B);
-    JsJustifier<RelT> J(B, Prune, PrunedSubtrees, /*FirstWriterOnly=*/-1,
-                        Visit, Red, SleptBranches, SV ? &Allow : nullptr,
-                        StaticRfPruned);
-    if (!J.run())
-      return false;
-  }
-  return true;
-}
-
-/// The shared JS enumeration core: identical structure for both relation
-/// tiers, so the fast path and the dynamic path cannot diverge.
-template <typename RelT>
-BasicEnumerationResult<RelT>
-enumerateJsCore(const Program &P, const JsModel &M, const EngineConfig &Cfg,
-                unsigned Threads, EngineStats &Stats,
-                const JsReductionCtx *Red = nullptr,
-                const analysis::StaticValues *SV = nullptr) {
+/// The JavaScript core of the enumeration driver: one base per explored
+/// path combination. The combo filter keeps canonical combinations only
+/// under a reduction context, and drops (and counts) statically
+/// infeasible ones under a value analysis.
+template <typename RelT> struct JsCore {
   using ExecT = BasicCandidateExecution<RelT>;
+  using BaseT = JsBase<RelT>;
   using ResultT = BasicEnumerationResult<RelT>;
-  const JsModel *Prune = Cfg.Prune ? &M : nullptr;
-  JsSpace Space(P);
+  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
 
-  auto Accumulate = [&M](ResultT &Into, const ExecT &CE, const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true; // outcome already justified
-    RelT Tot;
-    if (M.allows(CE, &Tot)) {
-      ++Into.ValidCandidates;
-      ExecT Witness = CE;
-      Witness.Tot = Tot;
-      Into.Allowed.emplace(O, std::move(Witness));
+  const Program &P;
+  const JsModel *Prune;
+  const JsReductionCtx *Red;
+  const analysis::StaticValues *SV;
+  PathSpace<ThreadPath> Space;
+  size_t Combos;
+
+  JsCore(const Program &P, const JsModel *Prune,
+         const JsReductionCtx *Red = nullptr,
+         const analysis::StaticValues *SV = nullptr)
+      : P(P), Prune(Prune), Red(Red), SV(SV), Space(P, enumeratePaths),
+        Combos(Space.Combos) {}
+
+  template <typename FnT> bool forEachBase(EngineStats *St, FnT &&Fn) const {
+    std::vector<std::vector<uint8_t>> Feasible;
+    if (SV)
+      Feasible = feasiblePaths(Space, *SV);
+    for (size_t C = 0; C < Space.Combos; ++C) {
+      std::vector<size_t> Idx = Space.indices(C);
+      if (Red && !canonicalCombo(Idx, Red->Sym))
+        continue;
+      if (SV && !comboFeasible(Idx, Feasible)) {
+        // Counted by the thread that builds bases, so the counter is
+        // deterministic across Threads.
+        if (St)
+          ++St->StaticPathsPruned;
+        continue;
+      }
+      BaseT B = buildJsBase<RelT>(P, Space.chosen(Idx));
+      B.PathIdx = std::move(Idx);
+      if (SV)
+        B.Allow = buildJsStaticAllow(*SV, B);
+      if (!Fn(B))
+        return false;
     }
     return true;
-  };
-
-  if (Threads <= 1) {
-    // Sequential: one shared result, with global outcome deduplication —
-    // exactly the seed's behaviour (modulo pruning and reduction).
-    ResultT Result;
-    Stats.WorkItems = Space.Combos;
-    walkJs<RelT>(P, Prune, &Stats.PrunedSubtrees,
-                 [&](const ExecT &CE, const Outcome &O) {
-                   return Accumulate(Result, CE, O);
-                 },
-                 Red, &Stats.SleptBranches, SV, &Stats.StaticRfPruned,
-                 &Stats.StaticPathsPruned);
-    return Result;
   }
 
-  // Sharded: split combinations — and, within each, the first read's
-  // writer choices — into work items with item-local results, merged in
-  // item order for determinism. Under reduction, non-canonical
-  // combinations are dropped up front and slept first-writer items simply
-  // produce nothing: the sleep rules are a function of the justification
-  // stack alone, so sharding cannot change what is explored.
-  std::vector<WorkItem> Items;
-  std::vector<JsBase<RelT>> Bases;
-  std::vector<StaticAllowMask> BaseAllow;
-  std::vector<size_t> ComboOfBase(Space.Combos, 0);
-  std::vector<std::vector<uint8_t>> Feasible;
-  if (SV)
-    Feasible = feasiblePaths(Space, *SV);
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    if (Red && !canonicalCombo(Space, Red->Sym, C))
-      continue;
-    if (SV && !comboFeasible(Space, Feasible, C)) {
-      // Counted here on the building thread, mirroring the sequential
-      // walk exactly, so the counter is deterministic across Threads.
-      ++Stats.StaticPathsPruned;
-      continue;
-    }
-    ComboOfBase[C] = Bases.size();
-    Bases.push_back(buildJsBase<RelT>(P, Space.chosen(C)));
-    JsBase<RelT> &B = Bases.back();
-    if (Red)
-      B.PathIdx = Space.indices(C);
-    if (SV)
-      BaseAllow.push_back(buildJsStaticAllow(*SV, B));
-    if (B.Reads.empty()) {
-      Items.push_back({C, -1});
-      continue;
-    }
-    const Event &R0 = B.CE.Events[B.Reads[0]];
-    unsigned NW = countJsWriters(B.CE, R0.Id, R0.readBegin());
-    for (unsigned K = 0; K < NW; ++K)
-      Items.push_back({C, static_cast<int>(K)});
-  }
-  Stats.WorkItems = Items.size();
-
-  std::vector<ResultT> PerItem(Items.size());
-  std::vector<uint64_t> PerItemPruned(Items.size(), 0);
-  std::vector<uint64_t> PerItemSlept(Items.size(), 0);
-  std::vector<uint64_t> PerItemStatic(Items.size(), 0);
-  runSharded(Items.size(), Threads, [&](size_t I) {
-    // worker-private copy (the justifier mutates it)
-    JsBase<RelT> B = Bases[ComboOfBase[Items[I].Combo]];
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &CE, const Outcome &O) {
-          return Accumulate(PerItem[I], CE, O);
-        };
-    JsJustifier<RelT> J(B, Prune, &PerItemPruned[I], Items[I].Writer, Into,
-                        Red, &PerItemSlept[I],
-                        SV ? &BaseAllow[ComboOfBase[Items[I].Combo]]
-                           : nullptr,
-                        &PerItemStatic[I]);
-    J.run();
-  });
-
-  ResultT Result;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ValidCandidates += PerItem[I].ValidCandidates;
-    Stats.PrunedSubtrees += PerItemPruned[I];
-    Stats.SleptBranches += PerItemSlept[I];
-    Stats.StaticRfPruned += PerItemStatic[I];
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
-  }
-  return Result;
-}
-
-template <typename ResultT>
-OutcomeSummary summarize(const ResultT &R) {
-  OutcomeSummary S;
-  S.CandidatesConsidered = R.CandidatesConsidered;
-  S.ValidCandidates = R.ValidCandidates;
-  S.Allowed.reserve(R.Allowed.size());
-  for (const auto &[O, Witness] : R.Allowed) {
-    (void)Witness;
-    S.Allowed.push_back(O);
-  }
-  return S;
-}
-
-//===----------------------------------------------------------------------===//
-// ARMv8 candidate space
-//===----------------------------------------------------------------------===//
-
-struct ArmSpace {
-  std::vector<std::vector<ArmThreadPath>> PerThread;
-  size_t Combos = 1;
-
-  explicit ArmSpace(const ArmProgram &P) {
-    for (unsigned T = 0; T < P.numThreads(); ++T)
-      PerThread.push_back(enumerateArmPaths(P.threadBody(T)));
-    for (const std::vector<ArmThreadPath> &Paths : PerThread)
-      Combos *= Paths.size();
+  /// \returns the number of writers eligible for the first byte of the
+  /// first read (work items index into them in event order, the order the
+  /// justifier explores them in).
+  unsigned firstWriters(const BaseT &B) const {
+    if (B.Reads.empty())
+      return 0;
+    const Event &R = B.CE.Events[B.Reads[0]];
+    unsigned Count = 0;
+    for (const Event &W : B.CE.Events)
+      Count += W.Id != R.Id && W.Block == R.Block &&
+               W.writesByte(R.readBegin());
+    return Count;
   }
 
-  std::vector<const ArmThreadPath *> chosen(size_t Idx) const {
-    std::vector<const ArmThreadPath *> C(PerThread.size());
-    for (size_t T = PerThread.size(); T-- > 0;) {
-      C[T] = &PerThread[T][Idx % PerThread[T].size()];
-      Idx /= PerThread[T].size();
-    }
-    return C;
+  bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
+               EngineStats *St) const {
+    return JsJustifier<RelT>(B, Prune, FirstWriter, Visit, Red, St).run();
   }
 };
 
@@ -1001,15 +1015,6 @@ ArmSkeleton buildArmSkeleton(const ArmProgram &P,
   return S;
 }
 
-unsigned countArmWriters(const ArmExecution &X, EventId R, unsigned Loc) {
-  unsigned Count = 0;
-  for (const ArmEvent &W : X.Events)
-    if (W.isWrite() && W.Id != R && W.Block == X.Events[R].Block &&
-        W.touchesByte(Loc))
-      ++Count;
-  return Count;
-}
-
 /// Enumerates rbf justifications and coherence orders on top of an ARM
 /// skeleton.
 class ArmJustifier {
@@ -1080,6 +1085,50 @@ private:
   const std::function<bool(const ArmExecution &, const Outcome &)> &Visit;
 };
 
+/// The ARMv8 core of the enumeration driver: one skeleton per path
+/// combination, justified without pruning, sleep sets or static analysis
+/// (the one remaining unpruned walk).
+struct ArmCore {
+  using ExecT = ArmExecution;
+  using BaseT = ArmSkeleton;
+  using ResultT = ArmEnumerationResult;
+  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
+
+  const ArmProgram &P;
+  PathSpace<ArmThreadPath> Space;
+  size_t Combos;
+
+  explicit ArmCore(const ArmProgram &P)
+      : P(P), Space(P, enumerateArmPaths), Combos(Space.Combos) {}
+
+  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
+    for (size_t C = 0; C < Space.Combos; ++C) {
+      ArmSkeleton S = buildArmSkeleton(P, Space.chosen(Space.indices(C)));
+      if (!Fn(S))
+        return false;
+    }
+    return true;
+  }
+
+  unsigned firstWriters(const BaseT &S) const {
+    for (const ArmEvent &R : S.Exec.Events) {
+      if (!R.isRead())
+        continue;
+      unsigned Count = 0;
+      for (const ArmEvent &W : S.Exec.Events)
+        Count += W.isWrite() && W.Id != R.Id && W.Block == R.Block &&
+                 W.touchesByte(R.begin());
+      return Count;
+    }
+    return 0;
+  }
+
+  bool justify(BaseT &S, int FirstWriter, const VisitFn &Visit,
+               EngineStats *) const {
+    return ArmJustifier(S, FirstWriter, Visit).run();
+  }
+};
+
 //===----------------------------------------------------------------------===//
 // Target-architecture candidate space
 //===----------------------------------------------------------------------===//
@@ -1092,6 +1141,9 @@ template <typename RelT> struct TargetBase {
   BasicTargetExecution<RelT> X;
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
+  /// [read idx][eligible-writer position] -> allowed flag; empty unless
+  /// static pruning is on (see buildTargetStaticAllow).
+  std::vector<std::vector<uint8_t>> Allow;
 };
 
 template <typename RelT>
@@ -1137,15 +1189,6 @@ TargetBase<RelT> buildTargetBase(const CompiledTarget &CT) {
     if (E.isRead())
       B.Reads.push_back(E.Id);
   return B;
-}
-
-template <typename RelT>
-unsigned countTargetWriters(const BasicTargetExecution<RelT> &X, EventId R) {
-  unsigned Count = 0;
-  for (const TargetEvent &W : X.Events)
-    if (W.isWrite() && W.Id != R && W.Loc == X.Events[R].Loc)
-      ++Count;
-  return Count;
 }
 
 /// The target flavour of the static writer-allow mask: [read idx]
@@ -1198,63 +1241,22 @@ template <typename RelT> class TargetJustifier {
   using ExecT = BasicTargetExecution<RelT>;
 
 public:
+  /// \p St, when non-null, receives the PrunedSubtrees, SleptBranches and
+  /// StaticRfPruned counts.
   TargetJustifier(TargetBase<RelT> &B, const TargetModel *Prune,
-                  uint64_t *PrunedSubtrees, int FirstWriterOnly,
+                  int FirstWriterOnly,
                   const std::function<bool(const ExecT &, const Outcome &)>
                       &Visit,
-                  const ThreadSymmetry *Sym = nullptr,
-                  uint64_t *SleptBranches = nullptr,
-                  const std::vector<std::vector<uint8_t>> *StaticAllow =
-                      nullptr,
-                  uint64_t *StaticRfPruned = nullptr)
-      : B(B), Prune(Prune), PrunedSubtrees(PrunedSubtrees),
-        FirstWriterOnly(FirstWriterOnly), Visit(Visit),
-        SleptBranches(SleptBranches), StaticAllow(StaticAllow),
-        StaticRfPruned(StaticRfPruned) {
-    if (Sym && !Sym->empty())
-      setupTwins(*Sym);
+                  const ThreadSymmetry *Sym, EngineStats *St)
+      : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
+        St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {
+    if (Sym)
+      Twins.setup(*Sym, B.X.Events, /*PathIdx=*/{});
   }
 
   bool run() { return justify(0); }
 
 private:
-  void setupTwins(const ThreadSymmetry &Sym) {
-    unsigned NumThreads = 0;
-    for (const TargetEvent &E : B.X.Events)
-      if (E.Thread >= 0)
-        NumThreads = std::max(NumThreads, static_cast<unsigned>(E.Thread) + 1);
-    TwinPrev.assign(B.X.Events.size(), -1);
-    TwinThreadOf.assign(B.X.Events.size(), -1);
-    ThreadRefs.assign(NumThreads, 0);
-    Sleeping = true;
-    std::vector<std::vector<EventId>> ThreadEvents(NumThreads);
-    for (const TargetEvent &E : B.X.Events)
-      if (E.Thread >= 0)
-        ThreadEvents[E.Thread].push_back(E.Id);
-    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
-      if (!Sym.Exact[Ci])
-        continue;
-      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        unsigned T1 = Cls[K - 1], T2 = Cls[K];
-        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
-          TwinPrev[ThreadEvents[T2][I]] =
-              static_cast<int>(ThreadEvents[T1][I]);
-          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
-        }
-      }
-    }
-  }
-
-  bool twinAsleep(const TargetEvent &W, const TargetEvent &R) const {
-    if (!Sleeping || TwinPrev[W.Id] < 0)
-      return false;
-    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
-    if (R.Thread == T1 || R.Thread == T2)
-      return false;
-    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
-  }
-
   bool justify(size_t ReadIdx) {
     if (ReadIdx == B.Reads.size())
       return chooseCo(0);
@@ -1271,36 +1273,26 @@ private:
       // same-thread-as-reader or shadowed-init choices, which the twin
       // sleep rule never sleeps, so the two filters cannot interact.
       if (StaticAllow && !(*StaticAllow)[ReadIdx][ThisPos]) {
-        if (StaticRfPruned)
-          ++*StaticRfPruned;
+        if (St)
+          ++St->StaticRfPruned;
         continue;
       }
-      if (twinAsleep(W, B.X.Events[R])) {
-        if (SleptBranches)
-          ++*SleptBranches;
+      if (Twins.asleep(W, B.X.Events[R])) {
+        if (St)
+          ++St->SleptBranches;
         continue;
       }
       B.X.Rf.set(W.Id, R);
       B.X.Events[R].ReadVal = W.WriteVal;
-      if (Sleeping) {
-        if (W.Thread >= 0)
-          ++ThreadRefs[W.Thread];
-        if (B.X.Events[R].Thread >= 0)
-          ++ThreadRefs[B.X.Events[R].Thread];
-      }
+      Twins.retain(W, B.X.Events[R]);
       bool Continue = true;
       if (Prune && !Prune->admitsPartial(B.X)) {
-        if (PrunedSubtrees)
-          ++*PrunedSubtrees;
+        if (St)
+          ++St->PrunedSubtrees;
       } else {
         Continue = justify(ReadIdx + 1);
       }
-      if (Sleeping) {
-        if (W.Thread >= 0)
-          --ThreadRefs[W.Thread];
-        if (B.X.Events[R].Thread >= 0)
-          --ThreadRefs[B.X.Events[R].Thread];
-      }
+      Twins.release(W, B.X.Events[R]);
       B.X.Rf.clear(W.Id, R);
       if (!Continue)
         return false;
@@ -1344,194 +1336,86 @@ private:
 
   TargetBase<RelT> &B;
   const TargetModel *Prune;
-  uint64_t *PrunedSubtrees;
   int FirstWriterOnly;
   const std::function<bool(const ExecT &, const Outcome &)> &Visit;
-  uint64_t *SleptBranches;
+  EngineStats *St;
   const std::vector<std::vector<uint8_t>> *StaticAllow;
-  uint64_t *StaticRfPruned;
-
-  // Twin sleep-set state (set up iff a non-empty symmetry was supplied).
-  bool Sleeping = false;
-  std::vector<int> TwinPrev;     ///< per event: earlier twin event or -1
-  std::vector<int> TwinThreadOf; ///< per event: thread of that twin or -1
-  std::vector<unsigned> ThreadRefs; ///< rf references per thread
+  TwinSleep Twins;
 };
 
-/// The shared target enumeration core for both relation tiers.
-template <typename RelT>
-BasicTargetEnumerationResult<RelT>
-enumerateTargetCore(const CompiledTarget &CT, const TargetModel &M,
-                    const EngineConfig &Cfg, unsigned Threads,
-                    EngineStats &Stats,
-                    const ThreadSymmetry *Sym = nullptr,
-                    const analysis::StaticValues *SV = nullptr) {
+/// The target core of the enumeration driver. Target programs are
+/// straight-line, so the space has exactly one base.
+template <typename RelT> struct TargetCore {
   using ExecT = BasicTargetExecution<RelT>;
+  using BaseT = TargetBase<RelT>;
   using ResultT = BasicTargetEnumerationResult<RelT>;
-  const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
+  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
 
-  auto Accumulate = [&M](ResultT &Into, const ExecT &X, const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true; // outcome already witnessed
-    if (M.allows(X)) {
-      ++Into.ConsistentCandidates;
-      Into.Allowed.emplace(O, X);
-    }
-    return true;
-  };
+  const CompiledTarget &CT;
+  const TargetModel *Prune;
+  const ThreadSymmetry *Sym = nullptr;
+  const analysis::StaticValues *SV = nullptr;
+  size_t Combos = 1;
 
-  TargetBase<RelT> Base = buildTargetBase<RelT>(CT);
-  std::vector<std::vector<uint8_t>> Allow;
-  if (SV)
-    Allow = buildTargetStaticAllow(*SV, Base, CT);
-  unsigned FirstWriters =
-      Base.Reads.empty() ? 0 : countTargetWriters(Base.X, Base.Reads[0]);
-  if (Threads <= 1 || FirstWriters <= 1) {
-    ResultT Result;
-    Stats.WorkItems = 1;
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &X, const Outcome &O) {
-          return Accumulate(Result, X, O);
-        };
-    TargetJustifier<RelT> J(Base, Prune, &Stats.PrunedSubtrees,
-                            /*FirstWriterOnly=*/-1, Into, Sym,
-                            &Stats.SleptBranches, SV ? &Allow : nullptr,
-                            &Stats.StaticRfPruned);
-    J.run();
-    return Result;
+  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
+    BaseT B = buildTargetBase<RelT>(CT);
+    if (SV)
+      B.Allow = buildTargetStaticAllow(*SV, B, CT);
+    return Fn(B);
   }
 
-  // Sharded: the single straight-line combination splits across the first
-  // read's writer choices; item-local results merge in item order. Slept
-  // first-writer items produce nothing — the sleep rule is a function of
-  // the justification stack alone, so sharding cannot change coverage.
-  Stats.WorkItems = FirstWriters;
-  std::vector<ResultT> PerItem(FirstWriters);
-  std::vector<uint64_t> PerItemPruned(FirstWriters, 0);
-  std::vector<uint64_t> PerItemSlept(FirstWriters, 0);
-  std::vector<uint64_t> PerItemStatic(FirstWriters, 0);
-  runSharded(FirstWriters, Threads, [&](size_t I) {
-    TargetBase<RelT> B = Base; // worker-private copy (the justifier mutates it)
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &X, const Outcome &O) {
-          return Accumulate(PerItem[I], X, O);
-        };
-    TargetJustifier<RelT> J(B, Prune, &PerItemPruned[I],
-                            static_cast<int>(I), Into, Sym,
-                            &PerItemSlept[I], SV ? &Allow : nullptr,
-                            &PerItemStatic[I]);
-    J.run();
-  });
-
-  ResultT Result;
-  for (size_t I = 0; I < FirstWriters; ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ConsistentCandidates += PerItem[I].ConsistentCandidates;
-    Stats.PrunedSubtrees += PerItemPruned[I];
-    Stats.SleptBranches += PerItemSlept[I];
-    Stats.StaticRfPruned += PerItemStatic[I];
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
+  unsigned firstWriters(const BaseT &B) const {
+    if (B.Reads.empty())
+      return 0;
+    const TargetEvent &R = B.X.Events[B.Reads[0]];
+    unsigned Count = 0;
+    for (const TargetEvent &W : B.X.Events)
+      Count += W.isWrite() && W.Id != R.Id && W.Loc == R.Loc;
+    return Count;
   }
-  return Result;
-}
 
-template <typename RelT>
-OutcomeSummary summarizeTarget(const BasicTargetEnumerationResult<RelT> &R) {
-  OutcomeSummary S;
-  S.CandidatesConsidered = R.CandidatesConsidered;
-  S.ValidCandidates = R.ConsistentCandidates;
-  S.Allowed.reserve(R.Allowed.size());
-  for (const auto &[O, Witness] : R.Allowed) {
-    (void)Witness;
-    S.Allowed.push_back(O);
+  bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
+               EngineStats *St) const {
+    return TargetJustifier<RelT>(B, Prune, FirstWriter, Visit, Sym, St).run();
   }
-  return S;
-}
-
-} // namespace
+};
 
 //===----------------------------------------------------------------------===//
-// JavaScript entry points
+// Observability and the shared enumerateOutcomes tail
 //===----------------------------------------------------------------------===//
 
-bool ExecutionEngine::forEachCandidate(
-    const Program &P,
-    const std::function<bool(const CandidateExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(P);
-  return walkJs<Relation>(P, /*Prune=*/nullptr, /*PrunedSubtrees=*/nullptr,
-                          Visit);
+/// Picks the relation tier of an enumerateOutcomes door — "inline" up to
+/// 64 events unless \p ForceDyn, else the heap "dyn" tier — and traces
+/// the choice.
+const char *selectTier(const char *Entry, unsigned Events, bool ForceDyn,
+                       SolverKind Kind) {
+  const char *Tier =
+      Events <= Relation::MaxSize && !ForceDyn ? "inline" : "dyn";
+  traceEvent("tier-select", {{"entry", Entry},
+                             {"events", static_cast<double>(Events)},
+                             {"tier", Tier},
+                             {"solver", solverKindName(Kind)}});
+  return Tier;
 }
 
-bool ExecutionEngine::forEachAdmittedCandidate(
-    const Program &P, const JsModel &M,
-    const std::function<bool(const CandidateExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(P);
-  EngineStats Local;
-  bool Completed = walkJs<Relation>(P, Cfg.Prune ? &M : nullptr,
-                                    &Local.PrunedSubtrees, Visit);
-  Stats = Local;
-  return Completed;
-}
-
-EnumerationResult ExecutionEngine::enumerate(const Program &P,
-                                             const JsModel &M) const {
-  checkFixedCapacity(P);
-  EngineStats Local;
-  EnumerationResult R =
-      enumerateJsCore<Relation>(P, M, Cfg, effectiveThreads(), Local);
-  Stats = Local;
-  return R;
-}
-
-namespace {
-
-/// Emits the tier-select trace event for an enumerateOutcomes door.
-void traceTierSelect(const char *Entry, unsigned Events, const char *Tier,
-                     SolverKind Solver) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
+/// Re-exports an enumeration's effort counters into the obs registry.
+/// Every value is a deterministic function of the enumerated space, so
+/// all of these land in the golden-comparable Deterministic class.
+void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
+                     uint64_t ValidCandidates, const std::string &Tier) {
+  if (!obs::metricsEnabled())
     return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("events", JsonValue(static_cast<double>(Events)));
-  F.set("tier", JsonValue(Tier));
-  F.set("solver", JsonValue(solverKindName(Solver)));
-  T->event("tier-select", std::move(F));
-}
-
-/// Emits the drf-fastpath trace event: the static certificate served this
-/// enumeration with the SC interleaving table.
-void traceDrfFastPath(const char *Entry, unsigned Events, uint64_t States,
-                      size_t Outcomes) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
-    return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("events", JsonValue(static_cast<double>(Events)));
-  F.set("states", JsonValue(static_cast<double>(States)));
-  F.set("outcomes", JsonValue(static_cast<double>(Outcomes)));
-  T->event("drf-fastpath", std::move(F));
-}
-
-/// Emits the static-prune trace event: how much the value-aware static
-/// tier cut from this full enumeration (rf writer choices skipped and
-/// path combinations dropped).
-void traceStaticPrune(const char *Entry, uint64_t RfPruned,
-                      uint64_t PathsPruned, uint64_t MayRfExcluded) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
-    return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("rf_pruned", JsonValue(static_cast<double>(RfPruned)));
-  F.set("paths_pruned", JsonValue(static_cast<double>(PathsPruned)));
-  F.set("may_rf_excluded", JsonValue(static_cast<double>(MayRfExcluded)));
-  T->event("static-prune", std::move(F));
+  obs::MetricsRegistry &R = obs::registry();
+  R.counter("engine.enumerations").add(1);
+  R.counter("engine.work_items").add(St.WorkItems);
+  R.counter("engine.pruned_subtrees").add(St.PrunedSubtrees);
+  R.counter("engine.slept_branches").add(St.SleptBranches);
+  R.counter("engine.candidates_considered").add(CandidatesConsidered);
+  R.counter("engine.valid_candidates").add(ValidCandidates);
+  R.counter("engine.static_rf_pruned").add(St.StaticRfPruned);
+  R.counter("engine.static_paths_pruned").add(St.StaticPathsPruned);
+  if (!Tier.empty())
+    R.counter("engine.tier." + Tier).add(1);
 }
 
 /// The static DRF-SC fast path shared by both enumerateOutcomes doors:
@@ -1555,37 +1439,84 @@ tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
   S.ValidCandidates = S.Allowed.size();
   S.Tier = "static";
   S.SolverUsed = Kind;
-  traceDrfFastPath(Entry, Events, States, S.Allowed.size());
+  traceEvent("drf-fastpath", {{"entry", Entry},
+                              {"events", static_cast<double>(Events)},
+                              {"states", static_cast<double>(States)},
+                              {"outcomes",
+                               static_cast<double>(S.Allowed.size())}});
   if (obs::metricsEnabled())
     obs::registry().counter("engine.drf_fastpath").add(1);
+  recordEngineObs(EngineStats(), S.CandidatesConsidered, S.ValidCandidates,
+                  S.Tier);
   return S;
 }
 
-/// Re-exports an enumeration's effort counters into the obs registry.
-/// Every value is a deterministic function of the enumerated space, so
-/// all of these land in the golden-comparable Deterministic class.
-void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
-                     uint64_t ValidCandidates, const std::string &Tier) {
-  if (!obs::metricsEnabled())
-    return;
-  obs::MetricsRegistry &R = obs::registry();
-  R.counter("engine.enumerations").add(1);
-  R.counter("engine.work_items").add(St.WorkItems);
-  R.counter("engine.pruned_subtrees").add(St.PrunedSubtrees);
-  R.counter("engine.slept_branches").add(St.SleptBranches);
-  R.counter("engine.candidates_considered").add(CandidatesConsidered);
-  R.counter("engine.valid_candidates").add(ValidCandidates);
-  R.counter("engine.static_rf_pruned").add(St.StaticRfPruned);
-  R.counter("engine.static_paths_pruned").add(St.StaticPathsPruned);
-  if (!Tier.empty())
-    R.counter("engine.tier." + Tier).add(1);
+/// The shared tail of both enumerateOutcomes doors: under reduction
+/// (\p Sym non-null), closes the outcome set under the symmetry orbits to
+/// restore the outcomes of slept and non-canonical subtrees; then stamps
+/// the tier and solver and reports the effort \p St.
+OutcomeSummary finishOutcomes(OutcomeSummary S, const char *Entry,
+                              const ThreadSymmetry *Sym, const char *Tier,
+                              SolverKind Kind,
+                              const analysis::StaticValues *SV,
+                              const EngineStats &St) {
+  if (Sym && !Sym->empty())
+    S.Allowed = closeOutcomes(std::move(S.Allowed), *Sym);
+  S.Tier = Tier;
+  S.SolverUsed = Kind;
+  // How much the value-aware static tier cut from this full enumeration.
+  if (SV)
+    traceEvent("static-prune",
+               {{"entry", Entry},
+                {"rf_pruned", static_cast<double>(St.StaticRfPruned)},
+                {"paths_pruned", static_cast<double>(St.StaticPathsPruned)},
+                {"may_rf_excluded", static_cast<double>(SV->MayRfExcluded)}});
+  recordEngineObs(St, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
+  return S;
 }
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// JavaScript entry points
+//===----------------------------------------------------------------------===//
+
+bool ExecutionEngine::forEachCandidate(
+    const Program &P,
+    const std::function<bool(const CandidateExecution &, const Outcome &)>
+        &Visit) const {
+  checkFixedCapacity(P);
+  return walkCore(JsCore<Relation>(P, /*Prune=*/nullptr), nullptr, Visit);
+}
+
+bool ExecutionEngine::forEachAdmittedCandidate(
+    const Program &P, const JsModel &M,
+    const std::function<bool(const CandidateExecution &, const Outcome &)>
+        &Visit) const {
+  checkFixedCapacity(P);
+  EngineStats Local;
+  bool Completed =
+      walkCore(JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), &Local, Visit);
+  Stats = Local;
+  return Completed;
+}
+
+EnumerationResult ExecutionEngine::enumerate(const Program &P,
+                                             const JsModel &M) const {
+  checkFixedCapacity(P);
+  EngineStats Local;
+  EnumerationResult R = enumerateCore(
+      JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), M, effectiveThreads(),
+      Local);
+  Stats = Local;
+  return R;
+}
+
 OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
                                                   const JsModel &M) const {
   checkCapacity(P);
+  unsigned Events = programEventUpperBound(P);
+  SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
   std::optional<analysis::StaticValues> SV;
   if (Cfg.StaticFastPath) {
     // The fast path sits after the capacity gate (too-large programs keep
@@ -1593,99 +1524,71 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
     // runs on a statically-DRF program). When the DRF certificate does
     // not hold, the same analysis prunes the full walk below.
     SV.emplace(analysis::analyzeValues(P));
-    SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
-    if (std::optional<OutcomeSummary> S = tryStaticFastPath(
-            P, SV->C, "js", programEventUpperBound(P), Kind)) {
+    if (std::optional<OutcomeSummary> S =
+            tryStaticFastPath(P, SV->C, "js", Events, Kind)) {
       Stats = EngineStats();
-      recordEngineObs(Stats, S->CandidatesConsidered, S->ValidCandidates,
-                      S->Tier);
       return *S;
     }
   }
   // Tier selection for the tot decider: past Cfg.SatThreshold events the
   // order-search solvers give way to the SAT/CDCL tier. Only the solver
   // changes — the spec, and therefore the verdict table, is the model's.
-  SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
-  if (programEventUpperBound(P) > Cfg.SatThreshold &&
-      Kind != SolverKind::Sat) {
-    if (obs::TraceSink *T = obs::trace()) {
-      JsonValue F = JsonValue::object();
-      F.set("entry", JsonValue("js"));
-      F.set("events",
-            JsonValue(static_cast<double>(programEventUpperBound(P))));
-      F.set("from", JsonValue(solverKindName(Kind)));
-      F.set("to", JsonValue(solverKindName(SolverKind::Sat)));
-      T->event("solver-dispatch", std::move(F));
-    }
+  if (Events > Cfg.SatThreshold && Kind != SolverKind::Sat) {
+    traceEvent("solver-dispatch",
+               {{"entry", "js"},
+                {"events", static_cast<double>(Events)},
+                {"from", solverKindName(Kind)},
+                {"to", solverKindName(SolverKind::Sat)}});
     if (obs::metricsEnabled())
       obs::registry().counter("engine.sat_reroutes").add(1);
     JsModel SatModel(M.spec(), SolverConfig::sat());
     return enumerateOutcomes(P, SatModel);
   }
-  bool SmallTier =
-      programEventUpperBound(P) <= Relation::MaxSize && !Cfg.ForceDynRelation;
-  const char *Tier = SmallTier ? "inline" : "dyn";
-  traceTierSelect("js", programEventUpperBound(P), Tier, Kind);
+  const char *Tier = selectTier("js", Events, Cfg.ForceDynRelation, Kind);
+  bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  EngineStats Local;
+  // Equivalence-aware enumeration: canonical path combinations and rf
+  // sleep sets inside the justifier; finishOutcomes closes the orbits.
+  std::optional<JsReductionCtx> Red;
+  if (Cfg.Reduction)
+    Red.emplace(JsReductionCtx{threadSymmetry(P), M.spec()});
+  const JsReductionCtx *RedP = Red ? &*Red : nullptr;
   const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
-  if (!Cfg.Reduction) {
-    OutcomeSummary S =
-        SmallTier ? summarize(enumerateJsCore<Relation>(
-                        P, M, Cfg, effectiveThreads(), Local, nullptr, SVP))
-                  : summarize(enumerateJsCore<DynRelation>(
-                        P, M, Cfg, effectiveThreads(), Local, nullptr, SVP));
-    Stats = Local;
-    S.Tier = Tier;
-    S.SolverUsed = Kind;
-    if (SVP)
-      traceStaticPrune("js", Local.StaticRfPruned, Local.StaticPathsPruned,
-                       SV->MayRfExcluded);
-    recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-    return S;
-  }
-  // Equivalence-aware enumeration: canonical path combinations, rf sleep
-  // sets inside the justifier, and the outcome orbit closure to restore
-  // the outcomes of the slept (isomorphic) subtrees.
-  JsReductionCtx Red{threadSymmetry(P), M.spec()};
+  const JsModel *Prune = Cfg.Prune ? &M : nullptr;
+  EngineStats Local;
   OutcomeSummary S =
-      SmallTier ? summarize(enumerateJsCore<Relation>(
-                      P, M, Cfg, effectiveThreads(), Local, &Red, SVP))
-                : summarize(enumerateJsCore<DynRelation>(
-                      P, M, Cfg, effectiveThreads(), Local, &Red, SVP));
-  if (!Red.Sym.empty())
-    S.Allowed = closeOutcomes(std::move(S.Allowed), Red.Sym);
+      SmallTier ? summarize(enumerateCore(
+                      JsCore<Relation>(P, Prune, RedP, SVP), M,
+                      effectiveThreads(), Local))
+                : summarize(enumerateCore(
+                      JsCore<DynRelation>(P, Prune, RedP, SVP), M,
+                      effectiveThreads(), Local));
   Stats = Local;
-  S.Tier = Tier;
-  S.SolverUsed = Kind;
-  if (SVP)
-    traceStaticPrune("js", Local.StaticRfPruned, Local.StaticPathsPruned,
-                     SV->MayRfExcluded);
-  recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-  return S;
+  return finishOutcomes(std::move(S), "js", RedP ? &RedP->Sym : nullptr,
+                        Tier, Kind, SVP, Local);
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
   checkFixedCapacity(P);
   EngineStats Local;
   ScDrfReport Report;
-  walkJs<Relation>(
-      P, Cfg.Prune ? &M : nullptr, &Local.PrunedSubtrees,
-      [&](const CandidateExecution &CE, const Outcome &O) {
-        (void)O;
-        if (!M.allows(CE))
-          return true;
-        if (Report.DataRaceFree && !isRaceFree(CE, M.spec())) {
-          Report.DataRaceFree = false;
-          Report.RaceWitness = CE;
-        }
-        if (Report.AllValidExecutionsSC && !isSequentiallyConsistent(CE)) {
-          Report.AllValidExecutionsSC = false;
-          Report.NonScWitness = CE;
-        }
-        // Keep scanning until both facets are resolved.
-        return Report.DataRaceFree || Report.AllValidExecutionsSC;
-      });
+  walkCore(JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), &Local,
+           [&](const CandidateExecution &CE, const Outcome &O) {
+             (void)O;
+             if (!M.allows(CE))
+               return true;
+             if (Report.DataRaceFree && !isRaceFree(CE, M.spec())) {
+               Report.DataRaceFree = false;
+               Report.RaceWitness = CE;
+             }
+             if (Report.AllValidExecutionsSC &&
+                 !isSequentiallyConsistent(CE)) {
+               Report.AllValidExecutionsSC = false;
+               Report.NonScWitness = CE;
+             }
+             // Keep scanning until both facets are resolved.
+             return Report.DataRaceFree || Report.AllValidExecutionsSC;
+           });
   Stats = Local;
   return Report;
 }
@@ -1698,97 +1601,27 @@ bool ExecutionEngine::forEachSkeleton(
     const ArmProgram &P,
     const std::function<bool(const ArmSkeleton &)> &Visit) const {
   checkCapacity(P);
-  ArmSpace Space(P);
-  for (size_t C = 0; C < Space.Combos; ++C)
-    if (!Visit(buildArmSkeleton(P, Space.chosen(C))))
-      return false;
-  return true;
+  return ArmCore(P).forEachBase(nullptr, Visit);
 }
 
 bool ExecutionEngine::forEachArmCandidate(
     const ArmProgram &P,
     const std::function<bool(const ArmExecution &, const Outcome &)> &Visit)
     const {
-  return forEachSkeleton(P, [&](const ArmSkeleton &S) {
-    ArmJustifier J(S, /*FirstWriterOnly=*/-1, Visit);
-    return J.run();
-  });
+  checkCapacity(P);
+  return walkCore(ArmCore(P), nullptr, Visit);
 }
 
 ArmEnumerationResult ExecutionEngine::enumerate(const ArmProgram &P,
                                                 const Armv8Model &M) const {
   checkCapacity(P);
   EngineStats Local;
-  unsigned Threads = effectiveThreads();
-  ArmSpace Space(P);
-
-  auto Accumulate = [&M](ArmEnumerationResult &Into, const ArmExecution &X,
-                         const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true;
-    if (M.allows(X)) {
-      ++Into.ConsistentCandidates;
-      Into.Allowed.emplace(O, X);
-    }
-    return true;
-  };
-
-  if (Threads <= 1) {
-    ArmEnumerationResult Result;
-    Local.WorkItems = Space.Combos;
-    forEachArmCandidate(P, [&](const ArmExecution &X, const Outcome &O) {
-      return Accumulate(Result, X, O);
-    });
-    Stats = Local;
-    recordEngineObs(Local, Result.CandidatesConsidered,
-                    Result.ConsistentCandidates, "inline");
-    return Result;
-  }
-
-  std::vector<WorkItem> Items;
-  std::vector<ArmSkeleton> Skeletons;
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    Skeletons.push_back(buildArmSkeleton(P, Space.chosen(C)));
-    const ArmSkeleton &S = Skeletons.back();
-    EventId FirstRead = ~0u;
-    for (const ArmEvent &E : S.Exec.Events)
-      if (E.isRead()) {
-        FirstRead = E.Id;
-        break;
-      }
-    if (FirstRead == ~0u) {
-      Items.push_back({C, -1});
-      continue;
-    }
-    unsigned NW = countArmWriters(S.Exec, FirstRead,
-                                  S.Exec.Events[FirstRead].begin());
-    for (unsigned K = 0; K < NW; ++K)
-      Items.push_back({C, static_cast<int>(K)});
-  }
-  Local.WorkItems = Items.size();
-
-  std::vector<ArmEnumerationResult> PerItem(Items.size());
-  runSharded(Items.size(), Threads, [&](size_t I) {
-    std::function<bool(const ArmExecution &, const Outcome &)> Into =
-        [&](const ArmExecution &X, const Outcome &O) {
-          return Accumulate(PerItem[I], X, O);
-        };
-    ArmJustifier J(Skeletons[Items[I].Combo], Items[I].Writer, Into);
-    J.run();
-  });
-
-  ArmEnumerationResult Result;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ConsistentCandidates += PerItem[I].ConsistentCandidates;
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
-  }
+  ArmEnumerationResult R =
+      enumerateCore(ArmCore(P), M, effectiveThreads(), Local);
   Stats = Local;
-  recordEngineObs(Local, Result.CandidatesConsidered,
-                  Result.ConsistentCandidates, "inline");
-  return Result;
+  recordEngineObs(Local, R.CandidatesConsidered, R.ConsistentCandidates,
+                  "inline");
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1800,26 +1633,8 @@ bool ExecutionEngine::forEachTargetCandidate(
     const std::function<bool(const TargetExecution &, const Outcome &)>
         &Visit) const {
   checkFixedCapacity(CT);
-  TargetBase<Relation> B = buildTargetBase<Relation>(CT);
-  TargetJustifier<Relation> J(B, /*Prune=*/nullptr,
-                              /*PrunedSubtrees=*/nullptr,
-                              /*FirstWriterOnly=*/-1, Visit);
-  return J.run();
-}
-
-bool ExecutionEngine::forEachAdmittedTargetCandidate(
-    const CompiledTarget &CT, const TargetModel &M,
-    const std::function<bool(const TargetExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(CT);
-  EngineStats Local;
-  TargetBase<Relation> B = buildTargetBase<Relation>(CT);
-  TargetJustifier<Relation> J(B, Cfg.Prune ? &M : nullptr,
-                              &Local.PrunedSubtrees,
-                              /*FirstWriterOnly=*/-1, Visit);
-  bool Completed = J.run();
-  Stats = Local;
-  return Completed;
+  return walkCore(TargetCore<Relation>{CT, /*Prune=*/nullptr}, nullptr,
+                  Visit);
 }
 
 TargetEnumerationResult
@@ -1828,7 +1643,8 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
   checkFixedCapacity(CT);
   EngineStats Local;
   TargetEnumerationResult R =
-      enumerateTargetCore<Relation>(CT, M, Cfg, effectiveThreads(), Local);
+      enumerateCore(TargetCore<Relation>{CT, Cfg.Prune ? &M : nullptr}, M,
+                    effectiveThreads(), Local);
   Stats = Local;
   return R;
 }
@@ -1836,57 +1652,36 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
 OutcomeSummary ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
                                                   const TargetModel &M) const {
   checkCapacity(CT);
+  unsigned Events = targetEventBound(CT);
+  SolverKind Kind = defaultSolverKind();
   std::optional<analysis::StaticValues> SV;
   if (Cfg.StaticFastPath) {
     SV.emplace(analysis::analyzeValues(CT));
-    if (std::optional<OutcomeSummary> S = tryStaticFastPath(
-            CT, SV->C, "target", targetEventBound(CT), defaultSolverKind())) {
+    if (std::optional<OutcomeSummary> S =
+            tryStaticFastPath(CT, SV->C, "target", Events, Kind)) {
       Stats = EngineStats();
-      recordEngineObs(Stats, S->CandidatesConsidered, S->ValidCandidates,
-                      S->Tier);
       return *S;
     }
   }
-  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
-  bool SmallTier =
-      targetEventBound(CT) <= Relation::MaxSize && !Cfg.ForceDynRelation;
-  const char *Tier = SmallTier ? "inline" : "dyn";
-  SolverKind Kind = defaultSolverKind();
-  traceTierSelect("target", targetEventBound(CT), Tier, Kind);
+  const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
+  bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
+  std::optional<ThreadSymmetry> Sym;
+  if (Cfg.Reduction)
+    Sym.emplace(threadSymmetry(CT));
+  const ThreadSymmetry *SymP = Sym ? &*Sym : nullptr;
+  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
+  const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
-  if (!Cfg.Reduction) {
-    OutcomeSummary S =
-        SmallTier
-            ? summarizeTarget(enumerateTargetCore<Relation>(
-                  CT, M, Cfg, effectiveThreads(), Local, nullptr, SVP))
-            : summarizeTarget(enumerateTargetCore<DynRelation>(
-                  CT, M, Cfg, effectiveThreads(), Local, nullptr, SVP));
-    Stats = Local;
-    S.Tier = Tier;
-    S.SolverUsed = Kind;
-    if (SVP)
-      traceStaticPrune("target", Local.StaticRfPruned,
-                       Local.StaticPathsPruned, SV->MayRfExcluded);
-    recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-    return S;
-  }
-  ThreadSymmetry Sym = threadSymmetry(CT);
   OutcomeSummary S =
-      SmallTier ? summarizeTarget(enumerateTargetCore<Relation>(
-                      CT, M, Cfg, effectiveThreads(), Local, &Sym, SVP))
-                : summarizeTarget(enumerateTargetCore<DynRelation>(
-                      CT, M, Cfg, effectiveThreads(), Local, &Sym, SVP));
-  if (!Sym.empty())
-    S.Allowed = closeOutcomes(std::move(S.Allowed), Sym);
+      SmallTier ? summarize(enumerateCore(
+                      TargetCore<Relation>{CT, Prune, SymP, SVP}, M,
+                      effectiveThreads(), Local))
+                : summarize(enumerateCore(
+                      TargetCore<DynRelation>{CT, Prune, SymP, SVP}, M,
+                      effectiveThreads(), Local));
   Stats = Local;
-  S.Tier = Tier;
-  S.SolverUsed = Kind;
-  if (SVP)
-    traceStaticPrune("target", Local.StaticRfPruned, Local.StaticPathsPruned,
-                     SV->MayRfExcluded);
-  recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-  return S;
+  return finishOutcomes(std::move(S), "target", SymP, Tier, Kind, SVP, Local);
 }
 
 //===----------------------------------------------------------------------===//

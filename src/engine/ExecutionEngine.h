@@ -277,13 +277,6 @@ public:
       const std::function<bool(const TargetExecution &, const Outcome &)>
           &Visit) const;
 
-  /// As forEachTargetCandidate, but prunes rf subtrees \p M cannot admit
-  /// (every visited candidate is still complete and well-formed).
-  bool forEachAdmittedTargetCandidate(
-      const CompiledTarget &CT, const TargetModel &M,
-      const std::function<bool(const TargetExecution &, const Outcome &)>
-          &Visit) const;
-
   // --- Skeleton-search support -------------------------------------------
 
   /// Joint single-byte rbf justification of a JS/ARM twin pair sharing
