@@ -2,6 +2,8 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
+
 using namespace jsmm;
 using namespace jsmm::obs;
 
@@ -46,13 +48,15 @@ uint64_t LatencyHistogram::percentileMicros(double P) const {
     Rank = 1;
   if (Rank > N)
     Rank = N;
+  // A bucket's upper bound can exceed every recorded sample; no
+  // percentile may report more than the maximum.
   uint64_t Cumulative = 0;
   for (unsigned B = 0; B < NumBuckets; ++B) {
     Cumulative += Buckets[B].load(std::memory_order_relaxed);
     if (Cumulative >= Rank)
-      return bucketUpperBoundMicros(B);
+      return std::min(bucketUpperBoundMicros(B), maxMicros());
   }
-  return bucketUpperBoundMicros(NumBuckets - 1);
+  return std::min(bucketUpperBoundMicros(NumBuckets - 1), maxMicros());
 }
 
 JsonValue LatencyHistogram::toJson() const {

@@ -98,7 +98,8 @@ public:
   uint64_t maxMicros() const { return Max.load(std::memory_order_relaxed); }
   double meanMicros() const;
   /// \returns the upper bound of the bucket holding the \p P-th percentile
-  /// sample (P in (0, 100]); 0 when the histogram is empty.
+  /// sample (P in (0, 100]), clamped to maxMicros(); 0 when the histogram
+  /// is empty.
   uint64_t percentileMicros(double P) const;
 
   /// {"count", "mean_us", "p50_us", "p90_us", "p99_us", "max_us"} — all

@@ -11,14 +11,13 @@
 /// uint64_t words, which caps the event universe at 64. The relation layer
 /// is now generic over the set representation:
 ///
-///   - uint64_t            — the classic single-word set (Relation's SetT);
-///   - WideBits<W>         — a fixed W-word inline set (BasicRelation<W>);
+///   - uint64_t            — the single-word set (Relation's SetT);
 ///   - DynSet              — a heap-backed set of runtime width (DynRelation,
 ///                           see support/DynRelation.h).
 ///
 /// Templated model code uses the jsmm::bits free functions (test / set /
 /// clear / any / count / forEach / forEachWhile) plus the ordinary bitwise
-/// operators, which all three representations provide with identical
+/// operators, which both representations provide with identical
 /// semantics. For uint64_t the helpers compile to the exact single-word
 /// instructions the pre-generic code used.
 ///
@@ -27,45 +26,9 @@
 #ifndef JSMM_SUPPORT_BITS_H
 #define JSMM_SUPPORT_BITS_H
 
-#include <array>
-#include <cassert>
 #include <cstdint>
 
 namespace jsmm {
-
-/// A fixed-width inline bit set of W 64-bit words. Value type: cheap to
-/// copy, no allocation, usable as the mask type of BasicRelation<W>.
-template <unsigned W> struct WideBits {
-  std::array<uint64_t, W> Words{};
-
-  friend WideBits operator|(WideBits A, const WideBits &B) {
-    for (unsigned K = 0; K < W; ++K)
-      A.Words[K] |= B.Words[K];
-    return A;
-  }
-  friend WideBits operator&(WideBits A, const WideBits &B) {
-    for (unsigned K = 0; K < W; ++K)
-      A.Words[K] &= B.Words[K];
-    return A;
-  }
-  friend WideBits operator~(WideBits A) {
-    for (unsigned K = 0; K < W; ++K)
-      A.Words[K] = ~A.Words[K];
-    return A;
-  }
-  WideBits &operator|=(const WideBits &B) {
-    for (unsigned K = 0; K < W; ++K)
-      Words[K] |= B.Words[K];
-    return *this;
-  }
-  WideBits &operator&=(const WideBits &B) {
-    for (unsigned K = 0; K < W; ++K)
-      Words[K] &= B.Words[K];
-    return *this;
-  }
-  bool operator==(const WideBits &B) const { return Words == B.Words; }
-  bool operator!=(const WideBits &B) const { return !(*this == B); }
-};
 
 namespace bits {
 
@@ -96,50 +59,6 @@ template <typename FnT> inline bool forEachWhile(uint64_t S, FnT Fn) {
     if (!Fn(I))
       return false;
   }
-  return true;
-}
-
-// --- WideBits<W> ---------------------------------------------------------
-
-template <unsigned W> inline bool test(const WideBits<W> &S, unsigned I) {
-  return (S.Words[I / 64] >> (I % 64)) & 1;
-}
-template <unsigned W> inline void set(WideBits<W> &S, unsigned I) {
-  S.Words[I / 64] |= uint64_t(1) << (I % 64);
-}
-template <unsigned W> inline void clear(WideBits<W> &S, unsigned I) {
-  S.Words[I / 64] &= ~(uint64_t(1) << (I % 64));
-}
-template <unsigned W> inline bool any(const WideBits<W> &S) {
-  for (unsigned K = 0; K < W; ++K)
-    if (S.Words[K])
-      return true;
-  return false;
-}
-template <unsigned W> inline unsigned count(const WideBits<W> &S) {
-  unsigned Total = 0;
-  for (unsigned K = 0; K < W; ++K)
-    Total += static_cast<unsigned>(__builtin_popcountll(S.Words[K]));
-  return Total;
-}
-template <unsigned W, typename FnT>
-inline void forEach(const WideBits<W> &S, FnT Fn) {
-  for (unsigned K = 0; K < W; ++K)
-    for (uint64_t Word = S.Words[K]; Word;) {
-      unsigned I = static_cast<unsigned>(__builtin_ctzll(Word));
-      Word &= Word - 1;
-      Fn(K * 64 + I);
-    }
-}
-template <unsigned W, typename FnT>
-inline bool forEachWhile(const WideBits<W> &S, FnT Fn) {
-  for (unsigned K = 0; K < W; ++K)
-    for (uint64_t Word = S.Words[K]; Word;) {
-      unsigned I = static_cast<unsigned>(__builtin_ctzll(Word));
-      Word &= Word - 1;
-      if (!Fn(K * 64 + I))
-        return false;
-    }
   return true;
 }
 

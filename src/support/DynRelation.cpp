@@ -1,7 +1,7 @@
 //===- support/DynRelation.cpp --------------------------------------------===//
 ///
 /// \file
-/// Heap-backed relation algebra: the same algorithms as BasicRelation<W>
+/// Heap-backed relation algebra: the same algorithms as Relation
 /// (support/Relation.h), over a word count chosen at construction.
 ///
 //===----------------------------------------------------------------------===//

@@ -10,7 +10,7 @@
 /// universe size is chosen at construction time (up to DynRelation::MaxSize
 /// events) with heap-backed rows, plus DynSet, the matching runtime-width
 /// event-set type. DynRelation implements the exact interface of
-/// BasicRelation<W> (support/Relation.h), so the templated model code —
+/// Relation (support/Relation.h), so the templated model code —
 /// candidate executions, validity, the tot solvers, the target models, the
 /// engine's justifiers — instantiates identically over either flavour. The
 /// engine selects this tier automatically when a program's event upper
@@ -132,7 +132,7 @@ template <typename FnT> inline bool forEachWhile(const DynSet &S, FnT Fn) {
 } // namespace bits
 
 /// A binary relation over a dynamic universe, heap-backed. Same interface
-/// and semantics as BasicRelation<W>; see the file comment for when the
+/// and semantics as Relation; see the file comment for when the
 /// engine selects it.
 class DynRelation {
 public:

@@ -37,8 +37,3 @@ Relation jsmm::totalOrderFromSequence(const std::vector<unsigned> &Order,
                                       unsigned Size) {
   return totalOrderOver<Relation>(Order, Size);
 }
-
-// Anchor the two relation widths the library actually instantiates, so
-// their code is emitted once here rather than in every including TU.
-template class jsmm::BasicRelation<1>;
-template class jsmm::BasicRelation<2>;

@@ -12,13 +12,10 @@
 /// happens-before, ordered-before, ...) is represented with this type and
 /// manipulated with standard relational algebra.
 ///
-/// The storage is generic over the row width: BasicRelation<W> keeps N×W
-/// inline words per relation and supports universes up to 64·W elements,
-/// with a set type (SetT) of matching width for event classes. The classic
-/// `Relation` is the W = 1 alias — single-word rows, uint64_t masks — so
-/// the hot enumeration paths keep exactly their pre-template codegen. For
-/// programs beyond 64 events the engine switches to the heap-backed
-/// DynRelation (support/DynRelation.h), which shares this interface.
+/// `Relation` keeps one inline word per row, so universes are capped at 64
+/// elements and event sets (SetT) are uint64_t masks. For programs beyond
+/// 64 events the engine switches to the heap-backed DynRelation
+/// (support/DynRelation.h), which shares this interface.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +30,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace jsmm {
@@ -52,27 +48,24 @@ std::string renderRelation(
 /// Row A holds the successor set of A: bit B of row A is set iff <A,B> is in
 /// the relation.
 ///
-/// Storage is a fixed inline array of W words per row, so constructing,
+/// Storage is a fixed inline array of one word per row, so constructing,
 /// copying and returning relations never allocates — the derived-relation
 /// pipelines create tens of temporaries per candidate execution, millions
 /// of times per sweep, and heap traffic dominated their cost with
 /// heap-backed rows. Only the first size() rows are meaningful; every
-/// operation is bounded by size().
-template <unsigned W> class BasicRelation {
-  static_assert(W >= 1, "at least one word per row");
-
+/// operation is bounded by size(). Every ≤64-event fast path in the
+/// engine, the searches and the solvers runs on this type.
+class Relation {
 public:
-  static constexpr unsigned MaxSize = 64 * W;
-  static constexpr unsigned WordsPerRow = W;
+  static constexpr unsigned MaxSize = 64;
 
-  /// The matching event-set type: raw uint64_t masks for the single-word
-  /// relation (source compatibility + codegen), WideBits<W> otherwise.
-  using SetT = std::conditional_t<W == 1, uint64_t, WideBits<W>>;
+  /// The event-set type: a raw uint64_t mask.
+  using SetT = uint64_t;
   /// Mask-array type sized for this relation flavour (the propagation
   /// solver keeps one successor/predecessor set per element).
   using SetArray = std::array<SetT, MaxSize>;
 
-  BasicRelation() : N(0) {}
+  Relation() : N(0) {}
 
   /// Creates the empty relation over a universe of \p Size elements. The
   /// universe cap is enforced in every build mode: a Size above MaxSize
@@ -81,19 +74,19 @@ public:
   /// validate event counts up front — see ExecutionEngine::capacityError —
   /// so a throwing construction marks a caller that skipped the check,
   /// never a user-input condition.
-  explicit BasicRelation(unsigned Size) : N(Size) {
+  explicit Relation(unsigned Size) : N(Size) {
     if (Size > MaxSize)
       detail::relationUniverseTooLarge(Size, MaxSize);
-    std::fill_n(Rows.begin(), size_t(N) * W, 0);
+    std::fill_n(Rows.begin(), N, 0);
   }
 
-  BasicRelation(const BasicRelation &Other) : N(Other.N) {
-    std::copy_n(Other.Rows.begin(), size_t(N) * W, Rows.begin());
+  Relation(const Relation &Other) : N(Other.N) {
+    std::copy_n(Other.Rows.begin(), N, Rows.begin());
   }
 
-  BasicRelation &operator=(const BasicRelation &Other) {
+  Relation &operator=(const Relation &Other) {
     N = Other.N;
-    std::copy_n(Other.Rows.begin(), size_t(N) * W, Rows.begin());
+    std::copy_n(Other.Rows.begin(), N, Rows.begin());
     return *this;
   }
 
@@ -101,67 +94,41 @@ public:
 
   bool get(unsigned A, unsigned B) const {
     assert(A < N && B < N && "element out of range");
-    if constexpr (W == 1)
-      return (Rows[A] >> B) & 1;
-    else
-      return (Rows[size_t(A) * W + B / 64] >> (B % 64)) & 1;
+    return (Rows[A] >> B) & 1;
   }
 
   void set(unsigned A, unsigned B) {
     assert(A < N && B < N && "element out of range");
-    if constexpr (W == 1)
-      Rows[A] |= uint64_t(1) << B;
-    else
-      Rows[size_t(A) * W + B / 64] |= uint64_t(1) << (B % 64);
+    Rows[A] |= uint64_t(1) << B;
   }
 
   void clear(unsigned A, unsigned B) {
     assert(A < N && B < N && "element out of range");
-    if constexpr (W == 1)
-      Rows[A] &= ~(uint64_t(1) << B);
-    else
-      Rows[size_t(A) * W + B / 64] &= ~(uint64_t(1) << (B % 64));
+    Rows[A] &= ~(uint64_t(1) << B);
   }
 
   /// \returns the empty set over a universe of \p Size elements.
   static SetT emptySet(unsigned Size) {
     (void)Size;
-    return SetT{};
+    return 0;
   }
 
   /// \returns the set of all elements {0, ..., Size-1}.
   static SetT fullSet(unsigned Size) {
     assert(Size <= MaxSize && "universe too large for this relation type");
-    SetT S{};
-    uint64_t *Ws = setWords(S);
-    for (unsigned K = 0; K < W; ++K) {
-      unsigned Lo = K * 64;
-      if (Size >= Lo + 64)
-        Ws[K] = ~uint64_t(0);
-      else if (Size > Lo)
-        Ws[K] = (uint64_t(1) << (Size - Lo)) - 1;
-      else
-        Ws[K] = 0;
-    }
-    return S;
+    return Size >= 64 ? ~uint64_t(0) : (uint64_t(1) << Size) - 1;
   }
 
   /// \returns the successor set of \p A.
   SetT row(unsigned A) const {
     assert(A < N && "element out of range");
-    if constexpr (W == 1) {
-      return Rows[A];
-    } else {
-      SetT S{};
-      std::copy_n(Rows.begin() + size_t(A) * W, W, S.Words.begin());
-      return S;
-    }
+    return Rows[A];
   }
 
   /// \returns the predecessor set of \p B.
   SetT column(unsigned B) const {
     assert(B < N && "element out of range");
-    SetT Col{};
+    SetT Col = 0;
     for (unsigned A = 0; A < N; ++A)
       if (get(A, B))
         bits::set(Col, A);
@@ -169,7 +136,7 @@ public:
   }
 
   bool empty() const {
-    for (size_t I = 0; I < size_t(N) * W; ++I)
+    for (unsigned I = 0; I < N; ++I)
       if (Rows[I])
         return false;
     return true;
@@ -178,95 +145,88 @@ public:
   /// \returns the number of pairs in the relation.
   unsigned count() const {
     unsigned Count = 0;
-    for (size_t I = 0; I < size_t(N) * W; ++I)
-      Count += static_cast<unsigned>(__builtin_popcountll(Rows[I]));
+    for (unsigned I = 0; I < N; ++I)
+      Count += bits::count(Rows[I]);
     return Count;
   }
 
-  BasicRelation &unionWith(const BasicRelation &Other) {
+  Relation &unionWith(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (size_t I = 0; I < size_t(N) * W; ++I)
+    for (unsigned I = 0; I < N; ++I)
       Rows[I] |= Other.Rows[I];
     return *this;
   }
 
-  BasicRelation &intersectWith(const BasicRelation &Other) {
+  Relation &intersectWith(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (size_t I = 0; I < size_t(N) * W; ++I)
+    for (unsigned I = 0; I < N; ++I)
       Rows[I] &= Other.Rows[I];
     return *this;
   }
 
-  BasicRelation &subtract(const BasicRelation &Other) {
+  Relation &subtract(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (size_t I = 0; I < size_t(N) * W; ++I)
+    for (unsigned I = 0; I < N; ++I)
       Rows[I] &= ~Other.Rows[I];
     return *this;
   }
 
   /// \returns the union of this relation and \p Other.
-  BasicRelation unioned(const BasicRelation &Other) const {
-    BasicRelation R = *this;
+  Relation unioned(const Relation &Other) const {
+    Relation R = *this;
     R.unionWith(Other);
     return R;
   }
 
   /// \returns the intersection of this relation and \p Other.
-  BasicRelation intersected(const BasicRelation &Other) const {
-    BasicRelation R = *this;
+  Relation intersected(const Relation &Other) const {
+    Relation R = *this;
     R.intersectWith(Other);
     return R;
   }
 
   /// \returns this relation minus \p Other.
-  BasicRelation subtracted(const BasicRelation &Other) const {
-    BasicRelation R = *this;
+  Relation subtracted(const Relation &Other) const {
+    Relation R = *this;
     R.subtract(Other);
     return R;
   }
 
   /// \returns the inverse relation {<B,A> | <A,B> in this}.
-  BasicRelation inverse() const {
-    BasicRelation Inv(N);
+  Relation inverse() const {
+    Relation Inv(N);
     forEachPair([&](unsigned A, unsigned B) { Inv.set(B, A); });
     return Inv;
   }
 
   /// \returns the relational composition this ; Other.
-  BasicRelation compose(const BasicRelation &Other) const {
+  Relation compose(const Relation &Other) const {
     assert(N == Other.N && "universe mismatch");
-    BasicRelation Result(N);
-    for (unsigned A = 0; A < N; ++A) {
-      for (unsigned K = 0; K < W; ++K) {
-        for (uint64_t Word = Rows[size_t(A) * W + K]; Word;) {
-          unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(Word));
-          Word &= Word - 1;
-          for (unsigned J = 0; J < W; ++J)
-            Result.Rows[size_t(A) * W + J] |= Other.Rows[size_t(B) * W + J];
-        }
-      }
-    }
+    Relation Result(N);
+    for (unsigned A = 0; A < N; ++A)
+      bits::forEach(Rows[A],
+                    [&](unsigned B) { Result.Rows[A] |= Other.Rows[B]; });
     return Result;
   }
 
   /// \returns the transitive closure (this)+.
-  BasicRelation transitiveClosure() const {
+  Relation transitiveClosure() const {
     // Warshall's algorithm on bit rows: if <A,K> then A reaches everything
-    // K reaches.
-    BasicRelation Closure = *this;
+    // K reaches. Branch-free: the bit test is data-dependent, and the
+    // branching loop ran up to 2x slower in the per-byte ARMv8 coherence
+    // check. Row K is fixed during step K (it only ORs itself in).
+    Relation Closure = *this;
     for (unsigned K = 0; K < N; ++K) {
+      uint64_t Reach = Closure.Rows[K];
       for (unsigned A = 0; A < N; ++A)
-        if (Closure.get(A, K))
-          for (unsigned J = 0; J < W; ++J)
-            Closure.Rows[size_t(A) * W + J] |=
-                Closure.Rows[size_t(K) * W + J];
+        Closure.Rows[A] |= Reach & (0 - ((Closure.Rows[A] >> K) & 1));
     }
     return Closure;
   }
 
   /// \returns the reflexive transitive closure (this)*.
-  BasicRelation reflexiveTransitiveClosure() const {
-    BasicRelation Closure = transitiveClosure();
+  Relation reflexiveTransitiveClosure() const {
+    Relation Closure = transitiveClosure();
     for (unsigned A = 0; A < N; ++A)
       Closure.set(A, A);
     return Closure;
@@ -287,17 +247,12 @@ public:
   /// of \p Universe, i.e. irreflexive, transitive, and total on Universe,
   /// and empty outside it.
   bool isStrictTotalOrderOn(const SetT &Universe) const {
-    const uint64_t *UWs = setWords(Universe);
     // Empty outside the universe.
     for (unsigned A = 0; A < N; ++A) {
-      bool InUniverse = bits::test(Universe, A);
-      for (unsigned K = 0; K < W; ++K) {
-        uint64_t RowWord = Rows[size_t(A) * W + K];
-        if (!InUniverse && RowWord)
-          return false;
-        if (RowWord & ~UWs[K])
-          return false;
-      }
+      if (!bits::test(Universe, A) && Rows[A])
+        return false;
+      if (Rows[A] & ~Universe)
+        return false;
     }
     if (!isIrreflexive())
       return false;
@@ -318,9 +273,9 @@ public:
   }
 
   /// \returns true if every pair of \p Other is also in this relation.
-  bool contains(const BasicRelation &Other) const {
+  bool contains(const Relation &Other) const {
     assert(N == Other.N && "universe mismatch");
-    for (size_t I = 0; I < size_t(N) * W; ++I)
+    for (unsigned I = 0; I < N; ++I)
       if (Other.Rows[I] & ~Rows[I])
         return false;
     return true;
@@ -328,61 +283,44 @@ public:
 
   /// \returns the full product relation SetA x SetB over a universe of
   /// \p Size elements.
-  static BasicRelation product(const SetT &SetA, const SetT &SetB,
-                               unsigned Size) {
-    BasicRelation R(Size);
+  static Relation product(const SetT &SetA, const SetT &SetB,
+                          unsigned Size) {
+    Relation R(Size);
     SetT Mask = fullSet(Size);
-    SetT A = SetA;
-    A &= Mask;
-    SetT B = SetB;
-    B &= Mask;
-    const uint64_t *BWs = setWords(B);
-    bits::forEach(A, [&](unsigned I) {
-      for (unsigned K = 0; K < W; ++K)
-        R.Rows[size_t(I) * W + K] = BWs[K];
-    });
+    SetT B = SetB & Mask;
+    bits::forEach(SetA & Mask, [&](unsigned I) { R.Rows[I] = B; });
     return R;
   }
 
   /// \returns [SetA] ; this ; [SetB]: the pairs <A,B> with A in SetA and B
   /// in SetB.
-  BasicRelation restricted(const SetT &SetA, const SetT &SetB) const {
-    BasicRelation R(N);
-    const uint64_t *BWs = setWords(SetB);
+  Relation restricted(const SetT &SetA, const SetT &SetB) const {
+    Relation R(N);
     for (unsigned A = 0; A < N; ++A)
       if (bits::test(SetA, A))
-        for (unsigned K = 0; K < W; ++K)
-          R.Rows[size_t(A) * W + K] = Rows[size_t(A) * W + K] & BWs[K];
+        R.Rows[A] = Rows[A] & SetB;
     return R;
   }
 
   /// \returns the identity relation on \p Universe over \p Size elements.
-  static BasicRelation identity(const SetT &Universe, unsigned Size) {
-    BasicRelation R(Size);
+  static Relation identity(const SetT &Universe, unsigned Size) {
+    Relation R(Size);
     for (unsigned A = 0; A < Size; ++A)
       if (bits::test(Universe, A))
         R.set(A, A);
     return R;
   }
 
-  bool operator==(const BasicRelation &Other) const {
+  bool operator==(const Relation &Other) const {
     return N == Other.N &&
-           std::equal(Rows.begin(), Rows.begin() + size_t(N) * W,
-                      Other.Rows.begin());
+           std::equal(Rows.begin(), Rows.begin() + N, Other.Rows.begin());
   }
-  bool operator!=(const BasicRelation &Other) const {
-    return !(*this == Other);
-  }
+  bool operator!=(const Relation &Other) const { return !(*this == Other); }
 
   /// Invokes \p Fn(A, B) for every pair <A,B> in the relation.
   template <typename FnT> void forEachPair(FnT Fn) const {
     for (unsigned A = 0; A < N; ++A)
-      for (unsigned K = 0; K < W; ++K)
-        for (uint64_t Word = Rows[size_t(A) * W + K]; Word;) {
-          unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(Word));
-          Word &= Word - 1;
-          Fn(A, B);
-        }
+      bits::forEach(Rows[A], [&](unsigned B) { Fn(A, B); });
   }
 
   /// \returns all pairs of the relation in row-major order.
@@ -411,13 +349,10 @@ public:
       unsigned A = *MinIt;
       Ready.erase(MinIt);
       Order.push_back(A);
-      for (unsigned K = 0; K < W; ++K)
-        for (uint64_t Word = Rows[size_t(A) * W + K]; Word;) {
-          unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(Word));
-          Word &= Word - 1;
-          if (--InDegree[B] == 0)
-            Ready.push_back(B);
-        }
+      bits::forEach(Rows[A], [&](unsigned B) {
+        if (--InDegree[B] == 0)
+          Ready.push_back(B);
+      });
     }
     if (Order.size() != N)
       return std::nullopt; // a cycle kept some element's in-degree positive
@@ -428,27 +363,9 @@ public:
   std::string toString() const { return detail::renderRelation(pairs()); }
 
 private:
-  static const uint64_t *setWords(const SetT &S) {
-    if constexpr (W == 1)
-      return &S;
-    else
-      return S.Words.data();
-  }
-  static uint64_t *setWords(SetT &S) {
-    if constexpr (W == 1)
-      return &S;
-    else
-      return S.Words.data();
-  }
-
   unsigned N;
-  std::array<uint64_t, size_t(MaxSize) * W> Rows;
+  std::array<uint64_t, MaxSize> Rows;
 };
-
-/// The classic single-word relation: universes of at most 64 elements,
-/// uint64_t event masks, allocation-free everywhere. Every ≤64-event fast
-/// path in the engine, the searches and the solvers runs on this alias.
-using Relation = BasicRelation<1>;
 
 /// Builds the relation {<Order[i], Order[j]> | i < j} over \p Size elements
 /// of relation type \p RelT: the strict total order corresponding to the

@@ -51,13 +51,13 @@ TEST(Histogram, PercentilesReportBucketUpperBounds) {
   for (int I = 0; I < 90; ++I)
     H.recordMicros(10); // bucket 4, upper bound 16
   for (int I = 0; I < 10; ++I)
-    H.recordMicros(1000); // bucket 10, upper bound 1024
+    H.recordMicros(1000); // bucket 10, upper bound 1024, clamped to max
   EXPECT_EQ(H.count(), 100u);
   EXPECT_EQ(H.maxMicros(), 1000u);
   EXPECT_EQ(H.percentileMicros(50), 16u);
   EXPECT_EQ(H.percentileMicros(90), 16u);
-  EXPECT_EQ(H.percentileMicros(99), 1024u);
-  EXPECT_EQ(H.percentileMicros(100), 1024u);
+  EXPECT_EQ(H.percentileMicros(99), 1000u);
+  EXPECT_EQ(H.percentileMicros(100), 1000u);
   EXPECT_DOUBLE_EQ(H.meanMicros(), (90 * 10 + 10 * 1000) / 100.0);
 }
 

@@ -36,10 +36,12 @@
 #include "support/Str.h"
 #include "tools/LitmusParser.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -370,20 +372,24 @@ int main(int Argc, char **Argv) {
     // is enabled (--no-static disables the *use* of the analysis, not the
     // footer) — so a user can see why a program wasn't served statically.
     analysis::StaticValues SV = analysis::analyzeValues(File->P);
-    unsigned Racy = 0;
-    for (const auto &[Key, F] : SV.Bytes) {
-      (void)Key;
-      if (F.Class == analysis::ByteClass::MultiWriter && F.Read)
-        ++Racy;
+    // Racy bytes: the (block, byte) cells both accesses of some may-race
+    // pair cover.
+    std::set<std::pair<unsigned, unsigned>> RacyBytes;
+    for (const analysis::MayRacePair &MR : SV.C.MayRaces) {
+      const Acc &A = SV.C.Accesses[MR.A].Access;
+      const Acc &B = SV.C.Accesses[MR.B].Access;
+      for (unsigned Byte = std::max(A.Offset, B.Offset);
+           Byte < std::min(A.Offset + A.Width, B.Offset + B.Width); ++Byte)
+        RacyBytes.insert({A.Block, Byte});
     }
     std::cout << "stats: tier " << (Tier.empty() ? "-" : Tier) << ", solver "
               << (SolverName.empty() ? "-" : SolverName) << "\n"
               << "stats: candidates considered " << Considered << ", valid "
               << Valid << "\n"
               << "stats: static bytes " << SV.Bytes.size() << ", racy bytes "
-              << Racy << ", may-races " << SV.C.MayRaces.size() << ", drf "
-              << (SV.C.StaticallyDrf ? "yes" : "no") << ", fast path "
-              << (Cfg.StaticFastPath ? "on" : "off") << "\n"
+              << RacyBytes.size() << ", may-races " << SV.C.MayRaces.size()
+              << ", drf " << (SV.C.StaticallyDrf ? "yes" : "no")
+              << ", fast path " << (Cfg.StaticFastPath ? "on" : "off") << "\n"
               << "stats: static rf pruned " << ES.StaticRfPruned
               << ", paths pruned " << ES.StaticPathsPruned
               << ", may-rf excluded " << SV.MayRfExcluded << "\n"
