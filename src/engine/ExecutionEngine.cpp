@@ -414,11 +414,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// JavaScript candidate space
-//===----------------------------------------------------------------------===//
-
-//===----------------------------------------------------------------------===//
-// Equivalence-aware enumeration (EngineConfig::Reduction)
+// JavaScript candidate space and its reduction (EngineConfig::Reduction)
 //===----------------------------------------------------------------------===//
 
 /// Program-level reduction context for one JS enumeration: the symmetry
@@ -657,11 +653,12 @@ public:
   }
 
 private:
-  /// rf sleep-set keys (precomputed per base): two writer choices for the same read byte are
-  /// interchangeable when every input the model's verdict can depend on is
-  /// equal. The derived hb is static — equal for every rbf choice — iff sw
-  /// is forced empty, i.e. there is no SeqCst event at all (sw requires a
-  /// SeqCst reader; RMWs are SeqCst by construction) and asw is empty.
+  /// rf sleep-set keys, precomputed per base: two writer choices for the
+  /// same read byte are interchangeable when every input the model's
+  /// verdict can depend on is equal. The derived hb is static — equal for
+  /// every rbf choice — iff sw is forced empty, i.e. there is no SeqCst
+  /// event at all (sw requires a SeqCst reader; RMWs are SeqCst by
+  /// construction) and asw is empty.
   /// Under that precondition every SC rule is vacuous (each needs an sw
   /// pair or a SeqCst intervening event) and the solver's tot problem
   /// carries no constraints, so a candidate's verdict is a function of,

@@ -8,18 +8,20 @@
 /// engine owns that kernel once:
 ///
 ///   - the candidate space: control-flow paths × reads-byte-from
-///     justifications (× coherence orders on the ARMv8 side), enumerated
-///     by one sharded recursive builder for both the JavaScript and ARMv8
-///     event languages;
-///   - incremental pruning: JsModel's tot-independent axioms are checked
+///     justifications (× coherence orders on the ARMv8 and target sides),
+///     enumerated by one driver for the JavaScript, ARMv8 and target event
+///     languages. Each language supplies its bases and its justifier; one
+///     twin sleep-set helper serves the JS and target justifiers, and the
+///     ARMv8 justifier is the one remaining unpruned walk;
+///   - incremental pruning: the model's tot-independent axioms are checked
 ///     on partial candidates the moment each read's justification
 ///     completes, cutting whole subtrees before the expensive
 ///     linear-extension search (derived relations are memoized on the
 ///     CandidateExecution, so the partial checks share closures);
 ///   - sharded multi-threaded enumeration: the path × first-justification
 ///     space is split into work items executed by a small thread pool;
-///     per-item results are merged in item order, so the outcome of an
-///     enumeration is deterministic regardless of scheduling.
+///     per-item results and counters are merged in item order, so the
+///     outcome of an enumeration is deterministic regardless of scheduling.
 ///
 /// Frontends are thin adapters: exec/Enumerator, armv8/ArmEnumerator,
 /// search/SkeletonSearch, flatsim/FlatSim and unisize/Reduction all route
