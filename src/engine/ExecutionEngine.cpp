@@ -1417,7 +1417,8 @@ void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
 
 /// The static DRF-SC fast path shared by both enumerateOutcomes doors:
 /// when the precomputed classification certifies DRF, answer with the SC
-/// interleaving table under Tier "static". \returns std::nullopt for
+/// interleaving table under Tier "static" and report that effort to the
+/// trace and the obs registry. \returns std::nullopt for
 /// programs the certificate does not cover (the caller runs the full
 /// enumeration, with the same analysis pruning it).
 template <typename ProgT>
