@@ -264,6 +264,18 @@ TEST(LitmusParser, MalformedInputsProduceLineDiagnostics) {
       {"thread\n  store u32 0 = 1\nallow 1:bad\n", "bad outcome token"},
       {"thread\n  store u32 0\n", "expected 'store"},
       {"", "no threads declared"},
+      // Accesses must stay inside the buffer, whichever statement kind and
+      // wherever the `buffer` directive sits (the default is 16 bytes).
+      {"buffer 8\nthread\n  r0 = load u32 99\n",
+       "load range [99..102] is outside the 8-byte buffer"},
+      {"buffer 8\nthread\n  store u32 6 = 1\n",
+       "store range [6..9] is outside the 8-byte buffer"},
+      {"thread\n  r0 = exchange u64 12 = 1\nbuffer 16\n",
+       "exchange range [12..19] is outside the 16-byte buffer"},
+      {"thread\n  r0 = load u8 0\n  if r0 == 1\n    r1 = load u8 16\n"
+       "  end\n",
+       "line 4: load range [16..16] is outside the 16-byte buffer"},
+      {"thread\n  store u8 4294967295 = 1\n", "is outside the 16-byte"},
   };
   for (const auto &[Source, Expected] : Cases) {
     std::string Error;

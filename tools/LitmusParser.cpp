@@ -109,11 +109,24 @@ bool parseOutcomeToken(const std::string &Tok, Outcome &O) {
 }
 
 /// Recursively replays a parsed statement list through the builder,
-/// checking that the file's register names match the builder's automatic
+/// checking that every access stays inside the \p BufferSize-byte buffer
+/// and that the file's register names match the builder's automatic
 /// assignment order.
 bool emitBody(ThreadBuilder &B, const std::vector<ParsedInstr> &Body,
-              std::string *Error) {
+              unsigned BufferSize, std::string *Error) {
+  static const char *const KindName[] = {"load", "store", "exchange"};
   for (const ParsedInstr &I : Body) {
+    if (I.K != ParsedInstr::Kind::If &&
+        (I.A.Offset >= BufferSize || I.A.Width > BufferSize - I.A.Offset)) {
+      if (Error)
+        *Error = "line " + std::to_string(I.Line) + ": " +
+                 KindName[static_cast<int>(I.K)] + " range [" +
+                 std::to_string(I.A.Offset) + ".." +
+                 std::to_string(I.A.Offset + I.A.Width - 1) +
+                 "] is outside the " + std::to_string(BufferSize) +
+                 "-byte buffer";
+      return false;
+    }
     switch (I.K) {
     case ParsedInstr::Kind::Load: {
       Reg R = B.load(I.A);
@@ -144,7 +157,7 @@ bool emitBody(ThreadBuilder &B, const std::vector<ParsedInstr> &Body,
       bool Ok = true;
       Reg Cond{static_cast<int>(B.thread()), I.CondReg};
       auto Nest = [&](ThreadBuilder &Inner) {
-        Ok = emitBody(Inner, I.Body, Error);
+        Ok = emitBody(Inner, I.Body, BufferSize, Error);
       };
       if (I.CondEqual)
         B.ifEq(Cond, I.Value, Nest);
@@ -478,9 +491,12 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
   for (size_t B = 0; B < S.InitBytes.size(); ++B)
     for (const auto &[Offset, Byte] : S.InitBytes[B])
       Out.P.setInitByte(static_cast<unsigned>(B), Offset, Byte);
+  // Accesses address buffer 0. Their ranges are checked here, after the
+  // whole file, because a `buffer` directive may follow the threads (and
+  // an undeclared buffer defaults to 16 bytes).
   for (const std::vector<ParsedInstr> &Body : S.Threads) {
     ThreadBuilder TB = Out.P.thread();
-    if (!emitBody(TB, Body, Error))
+    if (!emitBody(TB, Body, S.BufferSizes[0], Error))
       return std::nullopt;
     Out.InstrLines.emplace_back();
     collectLines(Body, Out.InstrLines.back());
