@@ -15,28 +15,27 @@
 /// the worker pool, and the verdict cells are read off the per-backend
 /// allowed sets of the results — the same path `jsmm-batch` serves.
 ///
-/// Run:  build/example_litmus_explorer [--solver=brute|propagate|sat]
-///                                     [--workers=N] [--reduce=on|off]
+/// Run:  build/example_litmus_explorer [--workers=N] [shared flags]
 ///
-/// The solver flag selects the tot-order decider behind every JavaScript
-/// verdict (default: the constraint-propagation solver); the brute
-/// linear-extension oracle is kept for differential runs. --workers sizes
-/// the service pool (0 = one per hardware thread); the table is identical
-/// for every worker count. --reduce toggles the equivalence-aware
-/// enumeration (default on; the table is identical either way — it only
-/// changes how much of the candidate space is walked).
+/// --workers sizes the service pool (0 = one per hardware thread); the
+/// table is identical for every worker count. The shared flags are those
+/// of every front door (tools/CliFlags.h): --solver selects the tot-order
+/// decider behind every JavaScript verdict (default: the
+/// constraint-propagation solver; the brute linear-extension oracle is
+/// kept for differential runs), --reduce and --no-static toggle the
+/// equivalence-aware enumeration and the static fast path (the table is
+/// identical either way — they only change how much of the candidate
+/// space is walked), --threads shards each job, and --stats / --trace
+/// report the service and solver telemetry.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/TargetModel.h"
-#include "obs/Obs.h"
 #include "paper/Figures.h"
 #include "service/LitmusService.h"
-#include "solver/TotSolver.h"
-#include "support/Str.h"
+#include "tools/CliFlags.h"
 
 #include <iostream>
-#include <memory>
 
 using namespace jsmm;
 
@@ -136,51 +135,22 @@ std::string mark(const LitmusJobResult &R, const std::string &Backend,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  CliFlags Flags("litmus_explorer");
+  std::vector<std::string> Args;
+  if (!Flags.parse(Argc, Argv, Args))
+    return 2;
   unsigned Workers = 1;
-  bool Reduce = true;
-  bool Stats = false;
-  std::string TracePath;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--stats") {
-      Stats = true;
-    } else if (Arg.rfind("--trace=", 0) == 0) {
-      TracePath = Arg.substr(8);
-      if (TracePath.empty()) {
-        std::cerr << "litmus_explorer: --trace needs a file path\n";
-        return 2;
-      }
-    } else if (Arg.rfind("--reduce=", 0) == 0) {
-      std::string Val = Arg.substr(9);
-      if (Val != "on" && Val != "off") {
-        std::cerr << "litmus_explorer: --reduce takes 'on' or 'off', not '"
-                  << Val << "'\n";
-        return 2;
-      }
-      Reduce = Val == "on";
-    } else if (Arg.rfind("--solver=", 0) == 0) {
-      std::optional<SolverKind> Kind = solverKindByName(Arg.substr(9));
-      if (!Kind) {
-        std::cerr << "litmus_explorer: unknown solver '" << Arg.substr(9)
-                  << "'; pick 'brute', 'propagate' or 'sat'\n";
-        return 2;
-      }
-      setDefaultSolverKind(*Kind);
-    } else if (Arg.rfind("--workers=", 0) == 0) {
-      std::optional<unsigned> N =
-          parseCliUnsigned("litmus_explorer", "--workers", Arg.substr(10));
-      if (!N)
-        return 2;
-      Workers = *N;
-    } else {
-      std::cerr << "usage: litmus_explorer [--solver=brute|propagate|sat] "
-                   "[--workers=N] [--reduce=on|off] [--stats] "
-                   "[--trace=FILE]\n"
-                   "  --stats       service/solver telemetry summary after "
-                   "the table\n"
-                   "  --trace=FILE  append JSONL trace events to FILE\n";
+  for (const std::string &Arg : Args) {
+    if (Arg.rfind("--workers=", 0) != 0) {
+      std::cerr << "usage: litmus_explorer [--workers=N] [shared flags]\n"
+                << CliFlags::Help;
       return 2;
     }
+    std::optional<unsigned> N =
+        parseCliUnsigned("litmus_explorer", "--workers", Arg.substr(10));
+    if (!N)
+      return 2;
+    Workers = *N;
   }
 
   // One differential job per shape, batched through the service.
@@ -193,34 +163,23 @@ int main(int Argc, char **Argv) {
     F.P = C.P;
     J.Litmus = emitLitmus(F);
     J.Model = "differential";
-    J.Reduce = Reduce;
+    J.Threads = Flags.Threads;
+    J.Reduce = Flags.Reduce;
+    J.Static = Flags.Static;
     Jobs.push_back(std::move(J));
   }
   ServiceConfig Cfg;
   Cfg.Workers = Workers;
   LitmusService Service(Cfg);
-
-  if (Stats)
-    obs::setMetricsEnabled(true);
-  std::unique_ptr<obs::TraceSink> Trace;
-  if (!TracePath.empty()) {
-    std::string TraceError;
-    Trace = obs::TraceSink::open(TracePath, &TraceError);
-    if (!Trace) {
-      std::cerr << "litmus_explorer: " << TraceError << "\n";
-      return 2;
-    }
-    obs::setTrace(Trace.get());
-  }
-
+  if (!Flags.start())
+    return 2;
   std::vector<LitmusJobResult> Results = Service.run(Jobs);
-  obs::setTrace(nullptr);
 
   std::cout << "Verdicts computed with the '"
             << solverKindName(defaultSolverKind())
             << "' tot-order solver, through the batch service ("
             << Service.effectiveWorkers() << " workers, reduce "
-            << (Reduce ? "on" : "off") << ").\n";
+            << (Flags.Reduce ? "on" : "off") << ").\n";
   std::cout << "Verdict of each test's weak outcome per backend:\n"
             << "  A = allowed, - = forbidden, . = not expressible uni-size\n"
             << "  (target backends compile the uni-size fragment: "
@@ -256,20 +215,19 @@ int main(int Argc, char **Argv) {
                "\xC2\xA7" "3.1 discovery (repaired by the revised column). "
                "The differential suite\n(tests/differential_test.cpp) pins "
                "this table across the full corpus.\n";
-  if (Stats) {
+  if (Flags.StatsJson) {
+    std::cout << obs::runSummary("litmus_explorer").toString() << "\n";
+  } else if (Flags.Stats) {
     LitmusService::CacheStats CS = Service.cacheStats();
     obs::MetricsRegistry &Reg = obs::registry();
-    obs::LatencyHistogram &H = Reg.histogram("service.job_wall_us");
     uint64_t Lookups = CS.Hits + CS.Misses;
     std::cout << "\nstats: cache " << CS.Hits << " hits / " << CS.Misses
               << " misses";
     if (Lookups)
       std::cout << " (" << (100 * CS.Hits / Lookups) << "% hit rate)";
-    std::cout << "\nstats: job wall p50 " << H.percentileMicros(50)
-              << " us, p90 " << H.percentileMicros(90) << " us, p99 "
-              << H.percentileMicros(99) << " us, max " << H.maxMicros()
-              << " us\n"
-              << "stats: solver queries "
+    std::cout << "\nstats: ";
+    CliFlags::printJobWall(std::cout);
+    std::cout << "\nstats: solver queries "
               << Reg.counter("solver.queries").value()
               << ", candidates considered "
               << Reg.counter("engine.candidates_considered").value() << "\n";

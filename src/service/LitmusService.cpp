@@ -54,27 +54,45 @@ bool LitmusJobResult::expectationsOk() const {
   return true;
 }
 
-namespace {
+const std::vector<BackendInfo> &jsmm::backends() {
+  static const std::vector<BackendInfo> Table = [] {
+    const char *Js = "JavaScript (mixed-size litmus program as written)";
+    std::vector<BackendInfo> T = {
+        {"original", Js, "JavaScript model as specified (pre-repair)",
+         ModelSpec::original()},
+        {"armfix", Js, "original + the ARMv8 compilation fix only",
+         ModelSpec::armFixOnly()},
+        {"revised", Js, "the paper's repaired model (default)",
+         ModelSpec::revised()},
+        {"strong", Js, "revised + strong tear-free reads",
+         ModelSpec::revisedStrongTearFree()},
+        {"armv8", "compiled ARMv8 (mixed-size, \xC2\xA7" "4 model)",
+         "the litmus program under the \xC2\xA7" "5.1 scheme"},
+    };
+    for (const TargetModel &M : TargetModel::all())
+      T.push_back({M.name(),
+                   "compiled Thm 6.3 targets (uni-size fragment only)",
+                   std::string(targetArchName(M.arch())) + " axiomatic model",
+                   std::nullopt, &M});
+    return T;
+  }();
+  return Table;
+}
 
-/// The JavaScript model variants by jsmm-run name.
-const ModelSpec *jsSpecByName(const std::string &Name) {
-  static const std::vector<std::pair<std::string, ModelSpec>> Variants = {
-      {"original", ModelSpec::original()},
-      {"armfix", ModelSpec::armFixOnly()},
-      {"revised", ModelSpec::revised()},
-      {"strong", ModelSpec::revisedStrongTearFree()},
-  };
-  for (const auto &[N, Spec] : Variants)
-    if (N == Name)
-      return &Spec;
+const BackendInfo *jsmm::backendByName(const std::string &Name) {
+  for (const BackendInfo &B : backends())
+    if (B.Name == Name)
+      return &B;
   return nullptr;
 }
 
-std::string knownModelList() {
-  std::string Out = "original, armfix, revised, strong, armv8";
-  for (const TargetModel &M : TargetModel::all())
-    Out += std::string(", ") + M.name();
-  return Out + ", differential";
+namespace {
+
+/// Adds the value-aware pruning effort of \p E's last enumeration to the
+/// job's Static* counters (each enumerateOutcomes call resets E.Stats).
+void foldStaticStats(const ExecutionEngine &E, LitmusJobResult &R) {
+  R.StaticRfPruned += E.Stats.StaticRfPruned;
+  R.StaticPathsPruned += E.Stats.StaticPathsPruned;
 }
 
 /// Sorted allowed-outcome strings of any enumeration result (its Allowed
@@ -162,20 +180,14 @@ void runDifferentialTable(const LitmusFile &File, const ExecutionEngine &E,
     return;
   }
 
-  // Per-column pruning effort folds into the job's Static* counters
-  // (each enumerateOutcomes call resets the engine's Stats).
-  auto FoldStats = [&R, &E]() {
-    R.StaticRfPruned += E.Stats.StaticRfPruned;
-    R.StaticPathsPruned += E.Stats.StaticPathsPruned;
-  };
   R.AllowedByBackend["js-original"] =
       E.enumerateOutcomes(File.P, JsModel(ModelSpec::original()))
           .outcomeStrings();
-  FoldStats();
+  foldStaticStats(E, R);
   R.AllowedByBackend["js-revised"] =
       E.enumerateOutcomes(File.P, JsModel(ModelSpec::revised()))
           .outcomeStrings();
-  FoldStats();
+  foldStaticStats(E, R);
   // The ARM lowering assumes zero-initialised buffers: programs with a
   // litmus `init` directive omit the armv8 column (like too-large ones).
   if (!File.P.hasNonZeroInit()) {
@@ -202,7 +214,7 @@ void runDifferentialTable(const LitmusFile &File, const ExecutionEngine &E,
     CompiledTarget CT = compileUni(*Uni, M.arch());
     std::vector<std::string> Allowed =
         E.enumerateOutcomes(CT, M).outcomeStrings();
-    FoldStats();
+    foldStaticStats(E, R);
     for (const std::string &O : Allowed) {
       if (!UniSet.count(O))
         R.SoundnessViolations.push_back(std::string(M.name()) + ": " + O);
@@ -279,17 +291,27 @@ LitmusService::computeResult(const LitmusJob &Job,
     R.StaticLints = static_cast<unsigned>(C.Lints.size());
   }
 
-  const ModelSpec *JsSpec = jsSpecByName(Job.Model);
-  const TargetModel *Target = TargetModel::byName(Job.Model);
-  bool MixedArm = Job.Model == "armv8";
+  const BackendInfo *B = backendByName(Job.Model);
   bool Differential = Job.Model == "differential";
-  if (!JsSpec && !Target && !MixedArm && !Differential) {
+  if (!B && !Differential) {
+    std::string Known;
+    for (const BackendInfo &K : backends())
+      Known += K.Name + ", ";
     R.Status = JobStatus::Unsupported;
-    R.Error = "unknown model '" + Job.Model + "' (known: " +
-              knownModelList() + ")";
+    R.Error = "unknown model '" + Job.Model + "' (known: " + Known +
+              "differential)";
     return R;
   }
 
+  // A job the engine throws on keeps only its name, model and error.
+  auto Failed = [&R, &Job](JobStatus Status, std::string Error) {
+    LitmusJobResult F;
+    F.Name = R.Name;
+    F.Model = Job.Model;
+    F.Status = Status;
+    F.Error = std::move(Error);
+    return F;
+  };
   ExecutionEngine Engine(EngineConfig{Job.Threads, true,
                                       /*ForceDynRelation=*/false,
                                       /*Reduction=*/Job.Reduce,
@@ -311,7 +333,7 @@ LitmusService::computeResult(const LitmusJob &Job,
       return R;
     }
 
-    if (Target) {
+    if (const TargetModel *Target = B->Target) {
       std::string Why;
       std::optional<UniProgram> Uni = uniFromProgram(File->P, &Why);
       if (!Uni) {
@@ -329,13 +351,15 @@ LitmusService::computeResult(const LitmusJob &Job,
         return R;
       }
       OutcomeSummary TR = Engine.enumerateOutcomes(CT, *Target);
+      foldStaticStats(Engine, R);
       R.AllowedByBackend[Job.Model] = TR.outcomeStrings();
       R.Expectations = checkExpectations(TR, File->Expectations);
+      R.SolverUsed = solverKindName(TR.SolverUsed);
       R.DrfFastPath = TR.Tier == "static";
       return R;
     }
 
-    if (MixedArm) {
+    if (!B->Js) {
       if (File->P.hasNonZeroInit()) {
         R.Status = JobStatus::Unsupported;
         R.Error = "the armv8 backend assumes zero-initialised buffers; "
@@ -355,9 +379,11 @@ LitmusService::computeResult(const LitmusJob &Job,
       return R;
     }
 
-    OutcomeSummary ER = Engine.enumerateOutcomes(File->P, JsModel(*JsSpec));
+    OutcomeSummary ER = Engine.enumerateOutcomes(File->P, JsModel(*B->Js));
+    foldStaticStats(Engine, R);
     R.AllowedByBackend[Job.Model] = ER.outcomeStrings();
     R.Expectations = checkExpectations(ER, File->Expectations);
+    R.SolverUsed = solverKindName(ER.SolverUsed);
     R.DrfFastPath = ER.Tier == "static";
     return R;
   } catch (const CapacityError &E) {
@@ -366,19 +392,10 @@ LitmusService::computeResult(const LitmusJob &Job,
     // batch does not. Classification is on the exception *type*: an
     // unrelated std::length_error (below) is an internal error, not a
     // too-large program.
-    R = LitmusJobResult();
-    R.Name = Job.Name.empty() ? File->P.Name : Job.Name;
-    R.Model = Job.Model;
-    R.Status = JobStatus::TooLarge;
-    R.Error = E.what();
-    return R;
+    return Failed(JobStatus::TooLarge, E.what());
   } catch (const std::exception &E) {
-    R = LitmusJobResult();
-    R.Name = Job.Name.empty() ? File->P.Name : Job.Name;
-    R.Model = Job.Model;
-    R.Status = JobStatus::Unsupported;
-    R.Error = std::string("internal error: ") + E.what();
-    return R;
+    return Failed(JobStatus::Unsupported,
+                  std::string("internal error: ") + E.what());
   }
 }
 
@@ -435,6 +452,17 @@ LitmusJobResult LitmusService::lookupOrCompute(const LitmusJob &Job,
   return R;
 }
 
+namespace {
+
+uint64_t microsSince(std::chrono::steady_clock::time_point Since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Since)
+          .count());
+}
+
+} // namespace
+
 LitmusJobResult LitmusService::runOne(const LitmusJob &Job) {
   bool Metrics = obs::metricsEnabled();
   obs::TraceSink *T = obs::trace();
@@ -455,11 +483,7 @@ LitmusJobResult LitmusService::runOne(const LitmusJob &Job) {
     Reg.counter(Hit ? "service.cache.hits" : "service.cache.misses",
                 obs::MetricClass::Runtime)
         .add(1);
-    Reg.histogram("service.job_wall_us")
-        .recordMicros(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - Start)
-                .count()));
+    Reg.histogram("service.job_wall_us").recordMicros(microsSince(Start));
   }
   return R;
 }
@@ -475,12 +499,6 @@ LitmusService::run(const std::vector<LitmusJob> &Jobs) {
   if (Metrics || Trace)
     RunStart = std::chrono::steady_clock::now();
   std::atomic<uint64_t> BusyUs{0};
-  auto MicrosSince = [](std::chrono::steady_clock::time_point Since) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - Since)
-            .count());
-  };
   // One job through runOne, bracketed by the telemetry: queue wait (claim
   // time minus run start), job-start/job-end trace events, and per-job
   // wall time accumulated into the busy total for the utilization gauge.
@@ -506,7 +524,7 @@ LitmusService::run(const std::vector<LitmusJob> &Jobs) {
       Trace->event("job-start", std::move(F));
     }
     Results[I] = runOne(Jobs[I]);
-    uint64_t WallUs = MicrosSince(JobStart);
+    uint64_t WallUs = microsSince(JobStart);
     BusyUs.fetch_add(WallUs, std::memory_order_relaxed);
     if (Trace) {
       JsonValue F = JsonValue::object();
@@ -541,7 +559,7 @@ LitmusService::run(const std::vector<LitmusJob> &Jobs) {
   if (Metrics) {
     obs::MetricsRegistry &Reg = obs::registry();
     Reg.counter("service.jobs").add(Jobs.size());
-    uint64_t ElapsedUs = MicrosSince(RunStart);
+    uint64_t ElapsedUs = microsSince(RunStart);
     if (ElapsedUs && Workers)
       Reg.gauge("service.worker_utilization")
           .set(static_cast<double>(

@@ -38,24 +38,49 @@
 /// capacity checks, parser numeric hardening).
 ///
 /// Front doors: the `jsmm-batch` tool (JSONL job files / litmus
-/// directories in, a JSONL verdict stream out) and the C++ API used by
-/// examples/litmus_explorer.
+/// directories in, a JSONL verdict stream out), the `jsmm-run` tool (one
+/// job, printed for a human), and the C++ API used by
+/// examples/litmus_explorer. The service is the only code that maps a
+/// model name to an engine call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_SERVICE_LITMUSSERVICE_H
 #define JSMM_SERVICE_LITMUSSERVICE_H
 
+#include "core/Validity.h"
 #include "solver/TotSolver.h"
 #include "tools/LitmusParser.h"
 
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace jsmm {
+
+class TargetModel;
+
+/// One single-model backend a job may name. Exactly one of the three
+/// kinds: a JavaScript variant (Js set), the compiled mixed-size ARMv8
+/// model (neither set), or a compiled Thm 6.3 target (Target set).
+struct BackendInfo {
+  std::string Name;
+  std::string Group; ///< the --list-models heading it is listed under
+  std::string Desc;  ///< its one-line --list-models description
+  std::optional<ModelSpec> Js;
+  const TargetModel *Target = nullptr;
+};
+
+/// Every single-model backend, in --list-models order: the JavaScript
+/// variants, "armv8", then the six targets. The one table that maps a
+/// model name to an engine configuration; "differential" (the cross-model
+/// table) is not in it.
+const std::vector<BackendInfo> &backends();
+/// \returns the backend named \p Name, or nullptr.
+const BackendInfo *backendByName(const std::string &Name);
 
 /// Structured per-job status. One bad program fails its job, never the
 /// batch.
@@ -71,9 +96,10 @@ struct LitmusJob {
   std::string Name;
   /// Litmus source text (tools/LitmusParser format).
   std::string Litmus;
-  /// Backend: any jsmm-run model name ("original", "armfix", "revised",
-  /// "strong", "armv8", "x86-tso", "armv8-uni", "armv7", "power", "riscv",
-  /// "immlite"), or "differential" for the cross-model verdict table.
+  /// Backend: the name of any backends() entry ("original", "armfix",
+  /// "revised", "strong", "armv8", "x86-tso", "armv8-uni", "armv7",
+  /// "power", "riscv", "immlite"), or "differential" for the cross-model
+  /// verdict table.
   std::string Model = "revised";
   /// Engine threads for this job's enumerations (sharding within the job;
   /// the pool's workers parallelise across jobs). 0 means one per
@@ -124,6 +150,10 @@ struct LitmusJobResult {
   /// The file's allow/forbid lines checked against the job's model
   /// (single-model jobs only; differential jobs leave it empty).
   std::vector<ExpectationResult> Expectations;
+  /// JavaScript and target jobs: the tot solver their enumeration
+  /// dispatched to (after any SAT rerouting). Empty for the solver-free
+  /// armv8 backend and for differential jobs.
+  std::string SolverUsed;
 
   /// True when this result came from the verdict cache. Depends on
   /// scheduling under concurrent workers, so it is excluded from the
@@ -147,11 +177,12 @@ struct LitmusJobResult {
   unsigned StaticMayRaces = 0;    ///< may-race pairs in the program
   unsigned StaticLints = 0;       ///< lint diagnostics (jsmm-lint's vocabulary)
   bool DrfFastPath = false;       ///< verdicts served by the SC fast path
-  /// Value-aware pruning effort summed over the job's enumerations
-  /// (EngineStats::StaticRfPruned / StaticPathsPruned): writer choices
-  /// outside a read's static may-rf set and path combinations with
-  /// contradicted branch constraints. 0 when the fast path served the
-  /// job, or when Static is off. Deterministic across worker counts.
+  /// Value-aware pruning effort summed over the job's JavaScript and
+  /// target enumerations (EngineStats::StaticRfPruned /
+  /// StaticPathsPruned): writer choices outside a read's static may-rf set
+  /// and path combinations with contradicted branch constraints. 0 when
+  /// the fast path served the job, or when Static is off. Deterministic
+  /// across worker counts.
   uint64_t StaticRfPruned = 0;
   uint64_t StaticPathsPruned = 0;
 

@@ -633,12 +633,16 @@ TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {
   // corpora: per-job verdict tables with Static on must be byte-identical
   // to Static off, across workers 1/4 and reduce on|off — and the
   // pruning counters must be deterministic across worker counts and
-  // nonzero somewhere (the corpora contain racy, prunable programs).
-  // Verdict caching is off so per-job counters never depend on
-  // scheduling-sensitive cache hits.
+  // nonzero somewhere (the corpora contain racy, prunable programs) —
+  // for the differential tables and for single-model JavaScript and
+  // target jobs alike. Verdict caching is off so per-job counters never
+  // depend on scheduling-sensitive cache hits.
   std::vector<LitmusJob> Base = differentialCorpusJobs();
   for (const LitmusJob &J : largeCorpusJobs())
     Base.push_back(J);
+  for (const char *Model : {"revised", "x86-tso"})
+    for (const LitmusJob &J : differentialCorpusJobs(Model))
+      Base.push_back(J);
   for (bool Reduce : {false, true}) {
     std::vector<LitmusJob> OffJobs = Base, OnJobs = Base;
     for (LitmusJob &J : OffJobs) {
@@ -654,7 +658,7 @@ TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {
       LitmusService Svc(ServiceConfig{Workers, false});
       std::vector<LitmusJobResult> Got = Svc.run(OnJobs);
       ASSERT_EQ(Got.size(), Ref.size());
-      uint64_t RfPruned = 0;
+      uint64_t RfPruned = 0, SingleModelRfPruned = 0;
       for (size_t I = 0; I < Got.size(); ++I) {
         std::string Where = "job " + Got[I].Name +
                             " reduce=" + (Reduce ? "on" : "off") +
@@ -667,6 +671,8 @@ TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {
             << Where;
         EXPECT_EQ(Ref[I].StaticRfPruned, 0u) << Where; // off: no pruning
         RfPruned += Got[I].StaticRfPruned;
+        if (Got[I].Model != "differential")
+          SingleModelRfPruned += Got[I].StaticRfPruned;
         if (FirstOn) {
           EXPECT_EQ(Got[I].StaticRfPruned, (*FirstOn)[I].StaticRfPruned)
               << Where;
@@ -676,10 +682,46 @@ TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {
         }
       }
       EXPECT_GT(RfPruned, 0u) << "pruning never fired on the corpus";
+      EXPECT_GT(SingleModelRfPruned, 0u)
+          << "single-model jobs never reported pruning";
       if (!FirstOn)
         FirstOn = std::move(Got);
     }
   }
+}
+
+TEST(StaticValues, SingleModelServiceJobsReportTheEnginePruning) {
+  // A single-model job reports exactly the pruning effort of its one
+  // engine enumeration, like each column of a differential table does.
+  const char *Src = "name fig6-shape\n"
+                    "buffer 8\n"
+                    "thread\n"
+                    "  store.sc u32 0 = 1\n"
+                    "  r0 = load.sc u32 4\n"
+                    "thread\n"
+                    "  store.sc u32 4 = 1\n"
+                    "  store.sc u32 4 = 2\n"
+                    "  store u32 0 = 2\n"
+                    "  r0 = load.sc u32 0\n";
+  std::optional<LitmusFile> File = parseLitmus(Src);
+  ASSERT_TRUE(File.has_value());
+  EngineConfig Cfg;
+  Cfg.Reduction = true;
+  Cfg.StaticFastPath = true;
+  ExecutionEngine Engine(Cfg);
+  Engine.enumerateOutcomes(File->P, JsModel(ModelSpec::revised()));
+  EXPECT_GT(Engine.Stats.StaticRfPruned, 0u);
+
+  LitmusJob J;
+  J.Litmus = Src;
+  J.Model = "revised";
+  LitmusJobResult R = LitmusService(ServiceConfig{1, false}).runOne(J);
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  EXPECT_EQ(R.StaticRfPruned, Engine.Stats.StaticRfPruned);
+  EXPECT_EQ(R.StaticPathsPruned, Engine.Stats.StaticPathsPruned);
+  J.Static = false;
+  R = LitmusService(ServiceConfig{1, false}).runOne(J);
+  EXPECT_EQ(R.StaticRfPruned, 0u);
 }
 
 } // namespace

@@ -33,11 +33,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "obs/Obs.h"
 #include "service/LitmusService.h"
-#include "solver/TotSolver.h"
 #include "support/Json.h"
-#include "support/Str.h"
+#include "tools/CliFlags.h"
 
 #include <algorithm>
 #include <chrono>
@@ -63,28 +61,13 @@ int usage() {
          "differential)\n"
          "  --workers=N    worker pool size (default 1; 0 = one per "
          "hardware thread)\n"
-         "  --threads=N    engine threads per job (default 1; 0 = "
-         "hardware)\n"
-         "  --solver=brute|propagate|sat   tot-order solver (default: "
-         "propagate)\n"
-         "  --reduce=on|off   equivalence-aware enumeration (default: on; "
-         "identical verdicts either way)\n"
-         "  --no-static    disable the static pre-analysis and DRF-SC fast "
-         "path\n"
-         "                 (default: on; identical verdicts either way)\n"
          "  --no-cache     disable the verdict cache\n"
          "  --output=PATH  write the JSONL stream to PATH instead of "
          "stdout\n"
-         "  --stats        per-job solver counters in the JSONL stream, "
-         "plus a human\n"
-         "                 summary (latency percentiles, cache hit rate) on "
-         "stderr\n"
-         "  --stats=json   same, ending the stream with one machine-"
-         "readable\n"
-         "                 'run-summary' JSON record\n"
-         "  --trace=PATH   append JSONL trace events (job-start/job-end, "
-         "tier-select,\n"
-         "                 solver-dispatch, cache-hit/miss) to PATH\n";
+         "shared flags (--stats adds per-job solver counters to the JSONL "
+         "stream and a\nlatency/cache summary on stderr; --stats=json ends "
+         "the stream with the record):\n"
+      << CliFlags::Help;
   return 2;
 }
 
@@ -105,11 +88,11 @@ LitmusJobResult inputFailure(const std::string &Name, const std::string &Model,
   return R;
 }
 
-/// Parses one JSONL job line into \p Out. \returns false with \p Error on
-/// a malformed line.
+/// Parses one JSONL job line into \p Out; members the line omits keep
+/// their \p Defaults value. \returns false with \p Error on a malformed
+/// line.
 bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
-                     const std::string &DefaultModel, unsigned DefaultThreads,
-                     bool DefaultReduce, bool DefaultStatic, LitmusJob &Out,
+                     const LitmusJob &Defaults, LitmusJob &Out,
                      std::string &Error) {
   std::string JsonError;
   std::optional<JsonValue> V = parseJson(Line, &JsonError);
@@ -121,69 +104,45 @@ bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
     Error = "job line must be a JSON object";
     return false;
   }
-  Out.Model = DefaultModel;
-  Out.Threads = DefaultThreads;
-  Out.Reduce = DefaultReduce;
-  Out.Static = DefaultStatic;
-  const JsonValue *Name = V->find("name");
-  if (Name) {
-    if (!Name->isString()) {
-      Error = "\"name\" must be a string";
-      return false;
-    }
-    Out.Name = Name->asString();
-  }
-  const JsonValue *Model = V->find("model");
-  if (Model) {
-    if (!Model->isString()) {
-      Error = "\"model\" must be a string";
-      return false;
-    }
-    Out.Model = Model->asString();
-  }
-  const JsonValue *Threads = V->find("threads");
-  if (Threads) {
+  Out = Defaults;
+  // Optional members: the first one of the wrong type fails the line.
+  auto Typed = [&Error](const char *Key, bool Ok, const char *Type) {
+    if (!Ok && Error.empty())
+      Error = std::string("\"") + Key + "\" must be " + Type;
+    return Ok;
+  };
+  auto String = [&](const char *Key, std::string &Into) {
+    if (const JsonValue *M = V->find(Key))
+      if (Typed(Key, M->isString(), "a string"))
+        Into = M->asString();
+  };
+  auto Bool = [&](const char *Key, bool &Into) {
+    if (const JsonValue *M = V->find(Key))
+      if (Typed(Key, M->isBool(), "a boolean"))
+        Into = M->asBool();
+  };
+  String("name", Out.Name);
+  String("model", Out.Model);
+  if (const JsonValue *Threads = V->find("threads")) {
     // Range-check before the cast: converting an out-of-range double to
     // unsigned is undefined behaviour, not a wrapped value.
     double N = Threads->isNumber() ? Threads->asNumber() : -1;
-    if (N < 0 || N > 4294967295.0 || N != std::floor(N)) {
-      Error = "\"threads\" must be a non-negative integer";
-      return false;
-    }
-    Out.Threads = static_cast<unsigned>(N);
+    if (Typed("threads", N >= 0 && N <= 4294967295.0 && N == std::floor(N),
+              "a non-negative integer"))
+      Out.Threads = static_cast<unsigned>(N);
   }
-  const JsonValue *Reduce = V->find("reduce");
-  if (Reduce) {
-    if (!Reduce->isBool()) {
-      Error = "\"reduce\" must be a boolean";
-      return false;
-    }
-    Out.Reduce = Reduce->asBool();
+  Bool("reduce", Out.Reduce);
+  Bool("static", Out.Static);
+  if (V->find("litmus")) {
+    String("litmus", Out.Litmus);
+    return Error.empty();
   }
-  const JsonValue *Static = V->find("static");
-  if (Static) {
-    if (!Static->isBool()) {
-      Error = "\"static\" must be a boolean";
-      return false;
-    }
-    Out.Static = Static->asBool();
-  }
-  const JsonValue *Litmus = V->find("litmus");
-  const JsonValue *File = V->find("file");
-  if (Litmus) {
-    if (!Litmus->isString()) {
-      Error = "\"litmus\" must be a string";
-      return false;
-    }
-    Out.Litmus = Litmus->asString();
-    return true;
-  }
-  if (File && !File->isString()) {
-    Error = "\"file\" must be a string";
+  std::string File;
+  String("file", File);
+  if (!Error.empty())
     return false;
-  }
-  if (File) {
-    std::filesystem::path P(File->asString());
+  if (V->find("file")) {
+    std::filesystem::path P(File);
     if (P.is_relative() && !BaseDir.empty())
       P = std::filesystem::path(BaseDir) / P;
     std::optional<std::string> Text = readFileText(P.string());
@@ -285,40 +244,25 @@ std::string renderResult(size_t Index, const LitmusJobResult &R,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  CliFlags Flags("jsmm-batch");
+  std::vector<std::string> Args;
+  if (!Flags.parse(Argc, Argv, Args))
+    return 2;
   std::vector<std::string> Inputs;
   std::string Model = "differential";
   std::string OutputPath;
-  std::string TracePath;
   unsigned Workers = 1;
-  unsigned JobThreads = 1;
   bool UseCorpus = false;
   bool UseLargeCorpus = false;
   bool NoCache = false;
-  bool Reduce = true;
-  bool Static = true;
-  bool Stats = false;
-  bool StatsJson = false;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
+  for (const std::string &Arg : Args) {
     if (Arg == "--corpus") {
       UseCorpus = true;
     } else if (Arg == "--corpus=large") {
       UseLargeCorpus = true;
     } else if (Arg == "--no-cache") {
       NoCache = true;
-    } else if (Arg == "--no-static") {
-      Static = false;
-    } else if (Arg == "--stats") {
-      Stats = true;
-    } else if (Arg == "--stats=json") {
-      Stats = StatsJson = true;
-    } else if (Arg.rfind("--trace=", 0) == 0) {
-      TracePath = Arg.substr(8);
-      if (TracePath.empty()) {
-        std::cerr << "jsmm-batch: --trace needs a file path\n";
-        return 2;
-      }
     } else if (Arg.rfind("--model=", 0) == 0) {
       Model = Arg.substr(8);
     } else if (Arg.rfind("--output=", 0) == 0) {
@@ -328,27 +272,6 @@ int main(int Argc, char **Argv) {
       if (!N)
         return 2;
       Workers = *N;
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      std::optional<unsigned> N = parseCliUnsigned("jsmm-batch", "--threads", Arg.substr(10));
-      if (!N)
-        return 2;
-      JobThreads = *N;
-    } else if (Arg.rfind("--reduce=", 0) == 0) {
-      std::string Val = Arg.substr(9);
-      if (Val != "on" && Val != "off") {
-        std::cerr << "jsmm-batch: --reduce takes 'on' or 'off', not '" << Val
-                  << "'\n";
-        return 2;
-      }
-      Reduce = Val == "on";
-    } else if (Arg.rfind("--solver=", 0) == 0) {
-      std::optional<SolverKind> Kind = solverKindByName(Arg.substr(9));
-      if (!Kind) {
-        std::cerr << "jsmm-batch: unknown solver '" << Arg.substr(9)
-                  << "'; pick 'brute', 'propagate' or 'sat'\n";
-        return 2;
-      }
-      setDefaultSolverKind(*Kind);
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage();
     } else {
@@ -360,19 +283,34 @@ int main(int Argc, char **Argv) {
 
   // Collect jobs in submission order. Input-layer failures (unreadable
   // files, malformed JSONL lines) keep their slot as pre-failed results.
+  LitmusJob Defaults;
+  Defaults.Model = Model;
+  Defaults.Threads = Flags.Threads;
+  Defaults.Reduce = Flags.Reduce;
+  Defaults.Static = Flags.Static;
   std::vector<PendingJob> Pending;
+  auto AddCorpus = [&](std::vector<LitmusJob> Corpus) {
+    for (LitmusJob &J : Corpus) {
+      J.Reduce = Defaults.Reduce;
+      J.Static = Defaults.Static;
+      Pending.push_back({std::move(J), std::nullopt});
+    }
+  };
   if (UseCorpus)
-    for (LitmusJob &J : differentialCorpusJobs(Model, JobThreads)) {
-      J.Reduce = Reduce;
-      J.Static = Static;
-      Pending.push_back({std::move(J), std::nullopt});
-    }
+    AddCorpus(differentialCorpusJobs(Model, Flags.Threads));
   if (UseLargeCorpus)
-    for (LitmusJob &J : largeCorpusJobs(Model, JobThreads)) {
-      J.Reduce = Reduce;
-      J.Static = Static;
-      Pending.push_back({std::move(J), std::nullopt});
-    }
+    AddCorpus(largeCorpusJobs(Model, Flags.Threads));
+  // A litmus file as a job named after it; pre-failed when unreadable.
+  auto AddFile = [&](const std::string &Path) {
+    PendingJob P{Defaults, std::nullopt};
+    P.Job.Name = std::filesystem::path(Path).stem().string();
+    if (std::optional<std::string> Text = readFileText(Path))
+      P.Job.Litmus = *Text;
+    else
+      P.PreFailed = inputFailure(P.Job.Name, Model, JobStatus::ParseError,
+                                 "cannot read '" + Path + "'");
+    Pending.push_back(std::move(P));
+  };
   for (const std::string &Input : Inputs) {
     std::error_code Ec;
     if (std::filesystem::is_directory(Input, Ec)) {
@@ -398,20 +336,8 @@ int main(int Argc, char **Argv) {
         std::cerr << "jsmm-batch: no .litmus files in '" << Input << "'\n";
         return 2;
       }
-      for (const std::string &Path : Files) {
-        PendingJob P;
-        P.Job.Name = std::filesystem::path(Path).stem().string();
-        P.Job.Model = Model;
-        P.Job.Threads = JobThreads;
-        P.Job.Reduce = Reduce;
-        P.Job.Static = Static;
-        if (std::optional<std::string> Text = readFileText(Path))
-          P.Job.Litmus = *Text;
-        else
-          P.PreFailed = inputFailure(P.Job.Name, Model, JobStatus::ParseError,
-                                     "cannot read '" + Path + "'");
-        Pending.push_back(std::move(P));
-      }
+      for (const std::string &Path : Files)
+        AddFile(Path);
     } else if (Input.size() > 6 &&
                Input.compare(Input.size() - 6, 6, ".jsonl") == 0) {
       std::optional<std::string> Text = readFileText(Input);
@@ -433,26 +359,14 @@ int main(int Argc, char **Argv) {
           continue;
         PendingJob P;
         std::string Error;
-        if (!jobFromJsonLine(Line, BaseDir, Model, JobThreads, Reduce, Static,
-                             P.Job, Error))
+        if (!jobFromJsonLine(Line, BaseDir, Defaults, P.Job, Error))
           P.PreFailed = inputFailure(
               "line-" + std::to_string(LineNo), Model, JobStatus::ParseError,
               Input + ":" + std::to_string(LineNo) + ": " + Error);
         Pending.push_back(std::move(P));
       }
     } else {
-      PendingJob P;
-      P.Job.Name = std::filesystem::path(Input).stem().string();
-      P.Job.Model = Model;
-      P.Job.Threads = JobThreads;
-      P.Job.Reduce = Reduce;
-      P.Job.Static = Static;
-      if (std::optional<std::string> Text = readFileText(Input))
-        P.Job.Litmus = *Text;
-      else
-        P.PreFailed = inputFailure(P.Job.Name, Model, JobStatus::ParseError,
-                                   "cannot read '" + Input + "'");
-      Pending.push_back(std::move(P));
+      AddFile(Input);
     }
   }
   if (Pending.empty()) {
@@ -475,26 +389,14 @@ int main(int Argc, char **Argv) {
   Cfg.Workers = Workers;
   Cfg.CacheVerdicts = !NoCache;
   LitmusService Service(Cfg);
-
-  if (Stats)
-    obs::setMetricsEnabled(true);
-  std::unique_ptr<obs::TraceSink> Trace;
-  if (!TracePath.empty()) {
-    std::string TraceError;
-    Trace = obs::TraceSink::open(TracePath, &TraceError);
-    if (!Trace) {
-      std::cerr << "jsmm-batch: " << TraceError << "\n";
-      return 2;
-    }
-    obs::setTrace(Trace.get());
-  }
+  if (!Flags.start())
+    return 2;
 
   auto Start = std::chrono::steady_clock::now();
   std::vector<LitmusJobResult> RunResults = Service.run(Jobs);
   double Seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
                        .count();
-  obs::setTrace(nullptr);
 
   std::vector<LitmusJobResult> Results(Pending.size());
   for (size_t I = 0; I < Pending.size(); ++I)
@@ -515,7 +417,7 @@ int main(int Argc, char **Argv) {
 
   size_t OkJobs = 0, FailedExpectations = 0;
   for (size_t I = 0; I < Results.size(); ++I) {
-    Out << renderResult(I, Results[I], Stats) << "\n";
+    Out << renderResult(I, Results[I], Flags.Stats) << "\n";
     if (Results[I].ok()) {
       ++OkJobs;
       if (!Results[I].expectationsOk())
@@ -524,7 +426,7 @@ int main(int Argc, char **Argv) {
   }
 
   LitmusService::CacheStats CS = Service.cacheStats();
-  if (StatsJson) {
+  if (Flags.StatsJson) {
     // One machine-readable run-summary record closes the stream: the
     // registry's deterministic "counters" section plus the run's job,
     // cache and throughput numbers. tools/perf_trend.py ingests this.
@@ -565,13 +467,10 @@ int main(int Argc, char **Argv) {
     std::cerr << " (" << (static_cast<double>(Jobs.size()) / Seconds)
               << " jobs/s)";
   std::cerr << "\n";
-  if (Stats && !StatsJson) {
-    obs::LatencyHistogram &H =
-        obs::registry().histogram("service.job_wall_us");
-    std::cerr << "jsmm-batch: job wall p50 " << H.percentileMicros(50)
-              << " us, p90 " << H.percentileMicros(90) << " us, p99 "
-              << H.percentileMicros(99) << " us, max " << H.maxMicros()
-              << " us; solver queries "
+  if (Flags.Stats && !Flags.StatsJson) {
+    std::cerr << "jsmm-batch: ";
+    CliFlags::printJobWall(std::cerr);
+    std::cerr << "; solver queries "
               << obs::registry().counter("solver.queries").value() << "\n";
   }
 
