@@ -67,7 +67,7 @@ const std::vector<BackendInfo> &jsmm::backends() {
         {"strong", Js, "revised + strong tear-free reads",
          ModelSpec::revisedStrongTearFree()},
         {"armv8", "compiled ARMv8 (mixed-size, \xC2\xA7" "4 model)",
-         "the litmus program under the \xC2\xA7" "5.1 scheme"},
+         "the litmus program under the \xC2\xA7" "5.1 scheme", std::nullopt},
     };
     for (const TargetModel &M : TargetModel::all())
       T.push_back({M.name(),

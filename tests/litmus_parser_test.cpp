@@ -275,7 +275,8 @@ TEST(LitmusParser, MalformedInputsProduceLineDiagnostics) {
       {"thread\n  r0 = load u8 0\n  if r0 == 1\n    r1 = load u8 16\n"
        "  end\n",
        "line 4: load range [16..16] is outside the 16-byte buffer"},
-      {"thread\n  store u8 4294967295 = 1\n", "is outside the 16-byte"},
+      {"thread\n  store u32 4294967295 = 1\n",
+       "store range [4294967295..4294967298] is outside the 16-byte buffer"},
   };
   for (const auto &[Source, Expected] : Cases) {
     std::string Error;

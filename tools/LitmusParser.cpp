@@ -122,7 +122,7 @@ bool emitBody(ThreadBuilder &B, const std::vector<ParsedInstr> &Body,
         *Error = "line " + std::to_string(I.Line) + ": " +
                  KindName[static_cast<int>(I.K)] + " range [" +
                  std::to_string(I.A.Offset) + ".." +
-                 std::to_string(I.A.Offset + I.A.Width - 1) +
+                 std::to_string(uint64_t{I.A.Offset} + I.A.Width - 1) +
                  "] is outside the " + std::to_string(BufferSize) +
                  "-byte buffer";
       return false;

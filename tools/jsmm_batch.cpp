@@ -193,23 +193,19 @@ std::string renderResult(size_t Index, const LitmusJobResult &R,
     Obj.set("error", JsonValue(R.Error));
     return Obj.toString();
   }
-  JsonValue Allowed = JsonValue::object();
-  for (const auto &[Backend, Outcomes] : R.AllowedByBackend) {
+  auto Strings = [](const std::vector<std::string> &Items) {
     JsonValue Arr = JsonValue::array();
-    for (const std::string &O : Outcomes)
-      Arr.push(JsonValue(O));
-    Allowed.set(Backend, std::move(Arr));
-  }
+    for (const std::string &S : Items)
+      Arr.push(JsonValue(S));
+    return Arr;
+  };
+  JsonValue Allowed = JsonValue::object();
+  for (const auto &[Backend, Outcomes] : R.AllowedByBackend)
+    Allowed.set(Backend, Strings(Outcomes));
   Obj.set("allowed", std::move(Allowed));
   if (R.Model == "differential") {
-    JsonValue Sound = JsonValue::array();
-    for (const std::string &S : R.SoundnessViolations)
-      Sound.push(JsonValue(S));
-    Obj.set("soundness_violations", std::move(Sound));
-    JsonValue Weak = JsonValue::array();
-    for (const std::string &S : R.ObservableWeakenings)
-      Weak.push(JsonValue(S));
-    Obj.set("observable_weakenings", std::move(Weak));
+    Obj.set("soundness_violations", Strings(R.SoundnessViolations));
+    Obj.set("observable_weakenings", Strings(R.ObservableWeakenings));
   }
   if (!R.Expectations.empty()) {
     JsonValue Exp = JsonValue::array();

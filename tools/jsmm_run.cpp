@@ -145,7 +145,7 @@ int main(int Argc, char **Argv) {
   LitmusJobResult R = Service.runOne(Job);
   // The --stats footer describes this job alone: snapshot the registry
   // before the --arm job and the SC-DRF walk add their effort.
-  JsonValue Summary = obs::runSummary("jsmm-run");
+  JsonValue Summary = Flags.Stats ? obs::runSummary("jsmm-run") : JsonValue();
 
   // R.Name is the parsed program's name; a file that did not parse gets
   // no header.
