@@ -112,7 +112,8 @@ int main(int Argc, char **Argv) {
     return unknownModel(ModelName);
   if (Path.empty())
     return usage();
-  if ((WithArm || WithScDrf) && !Backend->Js) {
+  const ModelSpec *JsSpec = Backend->Js ? &*Backend->Js : nullptr;
+  if ((WithArm || WithScDrf) && !JsSpec) {
     std::cerr << "jsmm-run: --arm/--scdrf apply to the JavaScript backends "
                  "only (model '" << ModelName << "' is a compiled backend)\n";
     return 2;
@@ -190,13 +191,11 @@ int main(int Argc, char **Argv) {
 
   // The job parsed, so the file does; the SC-DRF report and the footer's
   // static block need the program itself.
-  std::optional<LitmusFile> File;
-  if (WithScDrf || Flags.Stats)
-    File = parseLitmus(*Text);
+  LitmusFile File = parseLitmus(*Text).value_or(LitmusFile());
   if (WithScDrf) {
     ScDrfReport Rep;
     try {
-      Rep = Engine.scDrf(File->P, JsModel(*Backend->Js));
+      Rep = Engine.scDrf(File.P, JsModel(*JsSpec));
     } catch (const CapacityError &E) {
       // The witness-carrying walk serves the fixed 64-event tier only.
       return Fail(E.what());
@@ -223,8 +222,7 @@ int main(int Argc, char **Argv) {
   for (const char *T : {"static", "inline", "dyn"})
     if (Count(std::string("tier.") + T))
       Tier = T;
-  std::string Solver = R.SolverUsed.empty() ? "-" : R.SolverUsed;
-  analysis::StaticValues SV = analysis::analyzeValues(File->P);
+  analysis::StaticValues SV = analysis::analyzeValues(File.P);
   if (Flags.StatsJson) {
     Summary.set("test", JsonValue(R.Name));
     Summary.set("model", JsonValue(ModelName));
@@ -256,7 +254,8 @@ int main(int Argc, char **Argv) {
          Byte < std::min(A.Offset + A.Width, B.Offset + B.Width); ++Byte)
       RacyBytes.insert({A.Block, Byte});
   }
-  std::cout << "stats: tier " << Tier << ", solver " << Solver << "\n"
+  std::cout << "stats: tier " << Tier << ", solver "
+            << (R.SolverUsed.empty() ? "-" : R.SolverUsed) << "\n"
             << "stats: candidates considered "
             << Count("candidates_considered") << ", valid "
             << Count("valid_candidates") << "\n"
