@@ -1013,16 +1013,44 @@ ArmSkeleton buildArmSkeleton(const ArmProgram &P,
 }
 
 /// Enumerates rbf justifications and coherence orders on top of an ARM
-/// skeleton.
+/// skeleton. With a model to prune by, two sound cuts apply, both a
+/// function of the justification stack alone:
+///
+///   - granule-atomic reads: a read takes every byte of one coherence
+///     granule from one writer. Tearing a granule across writers W1
+///     co-before W2 gives fr R->W2 on one byte and rbf W2->R on the other:
+///     an rfe/fre cycle in ob when W2 is external, a per-byte po-loc cycle
+///     when it is on R's thread — inconsistent under every co;
+///   - monotone admission: once a read's bytes are complete, the subtree
+///     is cut when armRefutedForEveryCo refutes the rbf prefix. The three
+///     §4 axioms only gain edges as rbf grows, as they do as co grows.
 class ArmJustifier {
 public:
-  ArmJustifier(const ArmSkeleton &S, int FirstWriterOnly,
+  /// \p St, when non-null, receives the PrunedSubtrees count.
+  ArmJustifier(const ArmSkeleton &S, const Armv8Model *Prune,
+               int FirstWriterOnly,
                const std::function<bool(const ArmExecution &,
-                                        const Outcome &)> &Visit)
-      : S(S), X(S.Exec), FirstWriterOnly(FirstWriterOnly), Visit(Visit) {
-    for (const ArmEvent &E : X.Events)
-      if (E.isRead())
-        Reads.push_back(E.Id);
+                                        const Outcome &)> &Visit,
+               EngineStats *St)
+      : S(S), X(S.Exec), Prune(Prune), FirstWriterOnly(FirstWriterOnly),
+        Visit(Visit), St(St) {
+    // The granules depend on the writes alone; seed them (Init first)
+    // once. forEachCoherenceCompletion restores the seeds after each walk.
+    X.Co = X.computeGranules();
+    for (const ArmEvent &E : X.Events) {
+      if (!E.isRead())
+        continue;
+      Reads.push_back(E.Id);
+      // SameGranule[K]: byte K of the read shares a granule with byte K-1.
+      std::vector<uint8_t> Same(E.end() - E.begin(), 0);
+      if (Prune)
+        for (const CoGranule &G : X.Co)
+          if (G.Block == E.Block)
+            for (unsigned Loc = std::max(G.Begin + 1, E.begin() + 1);
+                 Loc < std::min(G.End, E.end()); ++Loc)
+              Same[Loc - E.begin()] = 1;
+      SameGranule.push_back(std::move(Same));
+    }
   }
 
   bool run() { return justifyRead(0); }
@@ -1030,7 +1058,7 @@ public:
 private:
   bool justifyRead(size_t ReadIdx) {
     if (ReadIdx == Reads.size())
-      return chooseCoherence();
+      return forEachCoherenceCompletion(X, [this] { return emit(); });
     return justifyByte(ReadIdx, X.Events[Reads[ReadIdx]].begin());
   }
 
@@ -1042,8 +1070,16 @@ private:
       uint64_t Value = valueOfBytes(R.Bytes);
       if (!armConstraintsAllow(*S.Paths[R.Thread], RegIt->second, Value))
         return true;
+      if (Prune && armRefutedForEveryCo(X)) {
+        if (St)
+          ++St->PrunedSubtrees;
+        return true;
+      }
       return justifyRead(ReadIdx + 1);
     }
+    // A byte sharing the previous byte's granule takes its writer.
+    bool Tied = SameGranule[ReadIdx][Loc - R.begin()];
+    EventId PrevWriter = Tied ? X.Rbf.back().Writer : 0;
     unsigned WriterPos = 0;
     for (const ArmEvent &W : X.Events) {
       if (!W.isWrite() || W.Id == R.Id || W.Block != R.Block ||
@@ -1053,6 +1089,11 @@ private:
       if (FirstWriterOnly >= 0 && ReadIdx == 0 && Loc == R.begin() &&
           ThisPos != static_cast<unsigned>(FirstWriterOnly))
         continue;
+      if (Tied && W.Id != PrevWriter) {
+        if (St)
+          ++St->PrunedSubtrees;
+        continue;
+      }
       X.Rbf.push_back({Loc, W.Id, R.Id});
       R.Bytes[Loc - R.Index] = W.byteAt(Loc);
       bool Continue = justifyByte(ReadIdx, Loc + 1);
@@ -1061,11 +1102,6 @@ private:
         return false;
     }
     return true;
-  }
-
-  bool chooseCoherence() {
-    X.Co = X.computeGranules();
-    return forEachCoherenceCompletion(X, [this] { return emit(); });
   }
 
   bool emit() {
@@ -1077,14 +1113,19 @@ private:
 
   const ArmSkeleton &S;
   ArmExecution X;
+  const Armv8Model *Prune;
   std::vector<EventId> Reads;
+  /// [read idx][byte offset] -> 1 when the byte must take the previous
+  /// byte's writer; all zero unless pruning.
+  std::vector<std::vector<uint8_t>> SameGranule;
   int FirstWriterOnly;
   const std::function<bool(const ArmExecution &, const Outcome &)> &Visit;
+  EngineStats *St;
 };
 
 /// The ARMv8 core of the enumeration driver: one skeleton per path
-/// combination, justified without pruning, sleep sets or static analysis
-/// (the one remaining unpruned walk).
+/// combination, justified with the granule and admission cuts when a
+/// model is supplied (no sleep sets or static analysis).
 struct ArmCore {
   using ExecT = ArmExecution;
   using BaseT = ArmSkeleton;
@@ -1092,11 +1133,13 @@ struct ArmCore {
   using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
 
   const ArmProgram &P;
+  const Armv8Model *Prune;
   PathSpace<ArmThreadPath> Space;
   size_t Combos;
 
-  explicit ArmCore(const ArmProgram &P)
-      : P(P), Space(P, enumerateArmPaths), Combos(Space.Combos) {}
+  ArmCore(const ArmProgram &P, const Armv8Model *Prune)
+      : P(P), Prune(Prune), Space(P, enumerateArmPaths),
+        Combos(Space.Combos) {}
 
   template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
     for (size_t C = 0; C < Space.Combos; ++C) {
@@ -1121,8 +1164,8 @@ struct ArmCore {
   }
 
   bool justify(BaseT &S, int FirstWriter, const VisitFn &Visit,
-               EngineStats *) const {
-    return ArmJustifier(S, FirstWriter, Visit).run();
+               EngineStats *St) const {
+    return ArmJustifier(S, Prune, FirstWriter, Visit, St).run();
   }
 };
 
@@ -1599,7 +1642,7 @@ bool ExecutionEngine::forEachSkeleton(
     const ArmProgram &P,
     const std::function<bool(const ArmSkeleton &)> &Visit) const {
   checkCapacity(P);
-  return ArmCore(P).forEachBase(nullptr, Visit);
+  return ArmCore(P, /*Prune=*/nullptr).forEachBase(nullptr, Visit);
 }
 
 bool ExecutionEngine::forEachArmCandidate(
@@ -1607,15 +1650,16 @@ bool ExecutionEngine::forEachArmCandidate(
     const std::function<bool(const ArmExecution &, const Outcome &)> &Visit)
     const {
   checkCapacity(P);
-  return walkCore(ArmCore(P), nullptr, Visit);
+  return walkCore(ArmCore(P, /*Prune=*/nullptr), nullptr, Visit);
 }
 
 ArmEnumerationResult ExecutionEngine::enumerate(const ArmProgram &P,
                                                 const Armv8Model &M) const {
   checkCapacity(P);
+  obs::PhaseTimer Phase("engine.phase.enumerate_us");
   EngineStats Local;
-  ArmEnumerationResult R =
-      enumerateCore(ArmCore(P), M, effectiveThreads(), Local);
+  ArmEnumerationResult R = enumerateCore(ArmCore(P, Cfg.Prune ? &M : nullptr),
+                                         M, effectiveThreads(), Local);
   Stats = Local;
   recordEngineObs(Local, R.CandidatesConsidered, R.ConsistentCandidates,
                   "inline");

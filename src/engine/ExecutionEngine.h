@@ -11,13 +11,14 @@
 ///     justifications (× coherence orders on the ARMv8 and target sides),
 ///     enumerated by one driver for the JavaScript, ARMv8 and target event
 ///     languages. Each language supplies its bases and its justifier; one
-///     twin sleep-set helper serves the JS and target justifiers, and the
-///     ARMv8 justifier is the one remaining unpruned walk;
+///     twin sleep-set helper serves the JS and target justifiers;
 ///   - incremental pruning: the model's tot-independent axioms are checked
 ///     on partial candidates the moment each read's justification
 ///     completes, cutting whole subtrees before the expensive
 ///     linear-extension search (derived relations are memoized on the
-///     CandidateExecution, so the partial checks share closures);
+///     CandidateExecution, so the partial checks share closures). The
+///     ARMv8 justifier checks armRefutedForEveryCo the same way and reads
+///     each coherence granule from one writer;
 ///   - sharded multi-threaded enumeration: the path × first-justification
 ///     space is split into work items executed by a small thread pool;
 ///     per-item results and counters are merged in item order, so the
@@ -235,7 +236,10 @@ public:
   // --- ARMv8 frontend ----------------------------------------------------
 
   /// Enumerates the outcomes of \p P consistent under \p M, sharded across
-  /// the configured threads.
+  /// the configured threads. With EngineConfig::Prune, reads that tear a
+  /// coherence granule and rbf prefixes armRefutedForEveryCo refutes are
+  /// cut; both are inconsistent under every co, so the outcomes, their
+  /// first witnesses and ConsistentCandidates equal the unpruned walk.
   ArmEnumerationResult enumerate(const ArmProgram &P,
                                  const Armv8Model &M) const;
 

@@ -4,16 +4,25 @@
 /// Deeper coverage of the mixed-size ARMv8 model: each barrier flavour,
 /// each dependency flavour (addr / data / ctrl / ctrl+isb), acquire/release
 /// ordering fine points, multi-copy atomicity (IRIW, WRC), and the R and S
-/// shapes the §3.3 discussion leans on.
+/// shapes the §3.3 discussion leans on. Ends with the oracle that pins
+/// the engine's pruned ARMv8 walk to the unpruned one.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "armv8/ArmEnumerator.h"
+#include "compile/Compile.h"
+#include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
+#include "targets/Differential.h"
+#include "tools/LitmusParser.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace jsmm;
 using namespace jsmm::testutil;
@@ -300,4 +309,173 @@ TEST(ArmFlat, IriwSoundness) {
     EXPECT_TRUE(Ax.count(O.toString())) << O.toString();
     return true;
   });
+}
+
+//===----------------------------------------------------------------------===//
+// Pruned ARMv8 enumeration against the unpruned walk
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Hand-written mixed-size overlaps: u16 halves under a u32, unaligned
+/// DataView reads across u16 writers, and same-thread writers on both
+/// sides of a tearing read.
+std::vector<std::pair<std::string, Program>> overlapShapes() {
+  std::vector<std::pair<std::string, Program>> Out;
+  {
+    Program P(8);
+    P.thread().store(Acc::u16(0), 0x0101).store(Acc::u16(2), 0x0101);
+    P.thread().store(Acc::u32(0), 0x02020202);
+    ThreadBuilder R = P.thread();
+    R.load(Acc::u32(0));
+    R.load(Acc::u16(2));
+    Out.push_back({"u16-halves-under-u32", P});
+  }
+  {
+    Program P(8);
+    P.thread().store(Acc::u16(0), 0x0101);
+    P.thread().store(Acc::u16(2), 0x0202);
+    ThreadBuilder R = P.thread();
+    R.load(Acc::dataView(1, 2));
+    R.load(Acc::dataView(0, 4));
+    Out.push_back({"dv2-dv4-across-u16", P});
+  }
+  {
+    Program P(8);
+    ThreadBuilder T0 = P.thread();
+    T0.store(Acc::u16(0), 0x0101);
+    T0.load(Acc::u16(0));
+    T0.store(Acc::u16(0), 0x0303);
+    P.thread().store(Acc::u16(0), 0x0202);
+    Out.push_back({"u16-same-thread-both-sides", P});
+  }
+  {
+    Program P(8);
+    P.thread().exchange(Acc::u16(0).sc(), 0x0101);
+    P.thread().store(Acc::dataView(0, 4), 0x02020202);
+    ThreadBuilder R = P.thread();
+    R.load(Acc::dataView(0, 2));
+    R.load(Acc::u32(0));
+    Out.push_back({"xchg-u16-under-dv4", P});
+  }
+  return Out;
+}
+
+/// An upper bound on the unpruned walk's candidate count: per skeleton,
+/// the product of every read byte's writer count and of every granule's
+/// coherence completions.
+uint64_t unprunedSpaceBound(const ArmProgram &P) {
+  uint64_t Total = 0;
+  ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
+    const ArmExecution &X = S.Exec;
+    auto Count = [&](auto Pred) {
+      return static_cast<unsigned>(__builtin_popcountll(X.eventsWhere(Pred)));
+    };
+    uint64_t N = 1;
+    for (const ArmEvent &R : X.Events)
+      if (R.isRead())
+        for (unsigned Loc = R.begin(); Loc < R.end(); ++Loc)
+          N *= Count([&](const ArmEvent &W) {
+            return W.isWrite() && W.Id != R.Id && W.Block == R.Block &&
+                   W.touchesByte(Loc);
+          });
+    for (const CoGranule &G : X.computeGranules()) {
+      unsigned Writers = Count([&](const ArmEvent &W) {
+        return W.isWrite() && !W.IsInit && W.Block == G.Block &&
+               W.touchesByte(G.Begin);
+      });
+      for (unsigned F = 2; F <= Writers; ++F)
+        N *= F;
+    }
+    Total += N;
+    return true;
+  });
+  return Total;
+}
+
+/// The ARMv8 programs the pruning oracle covers: the compiled
+/// differential corpus, the zero-initialised example litmus files that fit
+/// the fixed tier, 200 seeded random small programs and the overlap
+/// shapes. Random programs whose unpruned space may exceed a million
+/// candidates are passed over (about one in sixteen: a u8 byte under
+/// three u32 writers and three u8 writers alone has 6! coherence orders),
+/// so the reference walk stays quick.
+std::vector<std::pair<std::string, ArmProgram>> pruningOraclePrograms() {
+  std::vector<std::pair<std::string, ArmProgram>> Out;
+  auto Add = [&](const std::string &Name, const Program &P) {
+    CompiledProgram CP = compileToArm(P);
+    if (!ExecutionEngine::capacityError(CP.Arm))
+      Out.push_back({Name, std::move(CP.Arm)});
+  };
+  for (const DiffCase &C : differentialCorpus()) {
+    if (C.Litmus.empty()) {
+      Add(C.Name, mixedFromUni(C.Uni));
+      continue;
+    }
+    std::optional<LitmusFile> File = parseLitmus(C.Litmus);
+    EXPECT_TRUE(File.has_value()) << C.Name;
+    if (File)
+      Add(C.Name, File->P);
+  }
+  std::filesystem::path Examples =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "examples" / "litmus";
+  for (const auto &Entry : std::filesystem::directory_iterator(Examples)) {
+    if (Entry.path().extension() != ".litmus")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Text;
+    Text << In.rdbuf();
+    std::optional<LitmusFile> File = parseLitmus(Text.str());
+    EXPECT_TRUE(File.has_value()) << Entry.path();
+    if (File && !File->P.hasNonZeroInit())
+      Add(Entry.path().filename().string(), File->P);
+  }
+  std::mt19937 Rng(20261017);
+  for (unsigned Kept = 0, I = 0; Kept < 200; ++I) {
+    CompiledProgram CP = compileToArm(randomSmallProgram(Rng));
+    if (ExecutionEngine::capacityError(CP.Arm) ||
+        unprunedSpaceBound(CP.Arm) > 1000000)
+      continue;
+    Out.push_back({"random-" + std::to_string(I), std::move(CP.Arm)});
+    ++Kept;
+  }
+  for (const auto &[Name, P] : overlapShapes())
+    Add(Name, P);
+  return Out;
+}
+
+} // namespace
+
+TEST(ArmPruning, MatchesUnprunedWalk) {
+  // The granule and admission cuts only drop candidates that are
+  // inconsistent under every co, and keep the walk order of the rest. So
+  // the outcomes, the first witness of each outcome and the consistent
+  // count match the unpruned walk at every thread count, from no more
+  // candidates.
+  std::vector<std::pair<std::string, ArmProgram>> Programs =
+      pruningOraclePrograms();
+  ASSERT_GE(Programs.size(), 17u + 200u);
+  uint64_t ConsideredOn = 0, ConsideredOff = 0;
+  for (const auto &[Name, P] : Programs) {
+    for (unsigned Threads : {1u, 4u}) {
+      EngineConfig Off = EngineConfig::seedCompatible();
+      Off.Threads = Threads;
+      EngineConfig On = Off;
+      On.Prune = true;
+      ArmEnumerationResult A = ExecutionEngine(On).enumerate(P, Armv8Model());
+      ArmEnumerationResult B =
+          ExecutionEngine(Off).enumerate(P, Armv8Model());
+      std::string Where = Name + " t" + std::to_string(Threads);
+      ASSERT_EQ(A.outcomeStrings(), B.outcomeStrings()) << Where;
+      for (const auto &[O, Witness] : A.Allowed)
+        EXPECT_EQ(Witness.toString(), B.Allowed.at(O).toString())
+            << Where << " " << O.toString();
+      EXPECT_EQ(A.ConsistentCandidates, B.ConsistentCandidates) << Where;
+      EXPECT_LE(A.CandidatesConsidered, B.CandidatesConsidered) << Where;
+      ConsideredOn += A.CandidatesConsidered;
+      ConsideredOff += B.CandidatesConsidered;
+    }
+  }
+  EXPECT_LT(ConsideredOn, ConsideredOff);
 }

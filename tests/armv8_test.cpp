@@ -297,3 +297,90 @@ TEST(ArmModel, WellFormednessChecks) {
   }
   EXPECT_TRUE(X.checkWellFormed(&Err)) << Err;
 }
+
+namespace {
+
+/// Where the second of two same-footprint u16 writers sits relative to the
+/// 2-byte read.
+enum class SecondWriter { OtherThread, PoBeforeRead, PoAfterRead };
+
+/// Init (0), W1 (1) on thread 0, and a 2-byte read on thread 1 with W2 on
+/// thread 2 or on the read's thread, po-before or po-after it. Returns the
+/// execution with po set and no rbf; \p ReadId receives the read's id.
+ArmExecution tornReadSkeleton(SecondWriter Where, EventId &ReadId) {
+  std::vector<ArmEvent> Evs;
+  Evs.push_back(makeArmInit(0, 2));
+  Evs.push_back(makeArmWrite(1, 0, 0, 2, 0x0101));
+  switch (Where) {
+  case SecondWriter::OtherThread:
+    Evs.push_back(makeArmWrite(2, 2, 0, 2, 0x0202));
+    Evs.push_back(makeArmRead(3, 1, 0, 2));
+    ReadId = 3;
+    break;
+  case SecondWriter::PoBeforeRead:
+    Evs.push_back(makeArmWrite(2, 1, 0, 2, 0x0202));
+    Evs.push_back(makeArmRead(3, 1, 0, 2));
+    ReadId = 3;
+    break;
+  case SecondWriter::PoAfterRead:
+    Evs.push_back(makeArmRead(2, 1, 0, 2));
+    Evs.push_back(makeArmWrite(3, 1, 0, 2, 0x0202));
+    ReadId = 2;
+    break;
+  }
+  ArmExecution X(std::move(Evs));
+  if (Where != SecondWriter::OtherThread)
+    X.Po.set(2, 3);
+  return X;
+}
+
+/// \returns true if some coherence completion of \p X, with the read
+/// \p R taking byte 0 from \p W0 and byte 1 from \p W1, is consistent.
+bool someCompletionConsistent(ArmExecution X, EventId R, EventId W0,
+                              EventId W1) {
+  for (unsigned Loc : {0u, 1u}) {
+    EventId W = Loc == 0 ? W0 : W1;
+    X.Rbf.push_back({Loc, W, R});
+    X.Events[R].Bytes[Loc] = X.Events[W].byteAt(Loc);
+  }
+  X.Co = X.computeGranules();
+  bool Consistent = false;
+  forEachCoherenceCompletion(X, [&] {
+    Consistent = Consistent || isArmConsistent(X);
+    return !Consistent;
+  });
+  return Consistent;
+}
+
+} // namespace
+
+TEST(ArmModel, ReadsNeverTearAcrossOneGranule) {
+  // The invariant behind the engine's granule-atomic reads: bytes of one
+  // granule share one writer set and one co order, so a read taking them
+  // from two writers W co-before W' has fr R->W' on one byte and rbf
+  // W'->R on the other. That is an rfe/fre cycle in ob when W' is
+  // external, and a per-byte po-loc cycle when W' is on the read's thread
+  // (po-before or po-after it). Every co completion is inconsistent.
+  for (SecondWriter Where :
+       {SecondWriter::OtherThread, SecondWriter::PoBeforeRead,
+        SecondWriter::PoAfterRead}) {
+    EventId R = 0;
+    ArmExecution X = tornReadSkeleton(Where, R);
+    ASSERT_EQ(X.computeGranules().size(), 1u) << "one granule expected";
+    std::vector<EventId> Writers;
+    for (const ArmEvent &E : X.Events)
+      if (E.isWrite())
+        Writers.push_back(E.Id);
+    ASSERT_EQ(Writers.size(), 3u);
+    for (EventId W0 : Writers)
+      for (EventId W1 : Writers)
+        if (W0 != W1)
+          EXPECT_FALSE(someCompletionConsistent(X, R, W0, W1))
+              << "case " << static_cast<int>(Where) << ": byte 0 from "
+              << W0 << ", byte 1 from " << W1;
+    // Not vacuous: the untorn read of the other thread's W1 is
+    // consistent in every case.
+    EXPECT_TRUE(someCompletionConsistent(X, R, 1, 1))
+        << "case " << static_cast<int>(Where);
+  }
+}

@@ -11,7 +11,10 @@
 
 #include "targets/Differential.h"
 
+#include "compile/Compile.h"
+#include "engine/ExecutionEngine.h"
 #include "litmus/PathEnum.h"
+#include "tools/LitmusParser.h"
 #include "support/DynRelation.h"
 
 #include <gtest/gtest.h>
@@ -123,6 +126,27 @@ TEST(Differential, Fig6ShapeIsTheObservableWeakening) {
   FAIL() << "fig6-shape missing from the corpus";
 }
 
+namespace {
+
+/// The armv8 column of the batch service's differential table for \p C:
+/// the program as the JavaScript columns read it, compiled by the §4
+/// scheme and enumerated under \p Cfg.
+std::vector<std::string> armv8Outcomes(const DiffCase &C,
+                                       const EngineConfig &Cfg) {
+  Program Js = mixedFromUni(C.Uni);
+  if (!C.Litmus.empty()) {
+    std::optional<LitmusFile> File = parseLitmus(C.Litmus);
+    EXPECT_TRUE(File.has_value()) << C.Name;
+    if (File)
+      Js = File->P;
+  }
+  return ExecutionEngine(Cfg)
+      .enumerate(compileToArm(Js).Arm, Armv8Model())
+      .outcomeStrings();
+}
+
+} // namespace
+
 TEST(Differential, UniSizeModelMatchesMixedRevised) {
   // The §6.3 reduction on the whole corpus: the uni-size model and the
   // revised mixed-size model agree on full outcome sets for the aligned
@@ -137,17 +161,17 @@ TEST(Differential, UniSizeModelMatchesMixedRevised) {
 
 TEST(Differential, ReportsAreStableAcrossEngineConfigs) {
   // The differential verdicts are engine-config independent: sharded and
-  // unpruned runs produce the identical report.
+  // unpruned runs produce the identical report, and the compiled program's
+  // mixed-size ARMv8 outcomes match the unpruned ARMv8 walk.
   for (const DiffCase &C : differentialCorpus()) {
-    if (C.Name != "fig6-shape" && C.Name != "mp-plain" &&
-        C.Name != "xchg-race")
-      continue;
     DiffReport Seq = runDifferential(C, EngineConfig{1, true});
+    std::vector<std::string> Arm = armv8Outcomes(C, EngineConfig{1, true});
     for (EngineConfig Cfg : {EngineConfig{4, true}, EngineConfig{1, false}}) {
       DiffReport R = runDifferential(C, Cfg);
       EXPECT_EQ(Seq.AllowedByBackend, R.AllowedByBackend) << C.Name;
       EXPECT_EQ(Seq.SoundnessViolations, R.SoundnessViolations) << C.Name;
       EXPECT_EQ(Seq.ObservableWeakenings, R.ObservableWeakenings) << C.Name;
+      EXPECT_EQ(Arm, armv8Outcomes(C, Cfg)) << C.Name;
     }
   }
 }

@@ -92,16 +92,23 @@ TEST(Engine, ArmEnumerationMatchesAcrossThreadCounts) {
                                       armSB(true), armSB(false),
                                       armLB(true), armLB(false)};
   for (const ArmProgram &P : Programs) {
-    ArmEnumerationResult Golden =
+    ArmEnumerationResult Unpruned =
         ExecutionEngine(EngineConfig{1, false}).enumerate(P, Armv8Model());
-    for (unsigned Threads : {2u, 4u}) {
-      ArmEnumerationResult Sharded =
-          ExecutionEngine(EngineConfig{Threads, true})
-              .enumerate(P, Armv8Model());
-      EXPECT_EQ(Golden.outcomeStrings(), Sharded.outcomeStrings())
-          << P.Name << " with threads=" << Threads;
-      EXPECT_EQ(Golden.CandidatesConsidered, Sharded.CandidatesConsidered)
-          << "sharding must cover the exact same candidate space";
+    // Pruning cuts ARM subtrees too, so each sharded run's candidate count
+    // is compared with the sequential run of the same pruning setting.
+    for (bool Prune : {false, true}) {
+      ArmEnumerationResult Golden =
+          ExecutionEngine(EngineConfig{1, Prune}).enumerate(P, Armv8Model());
+      EXPECT_EQ(Unpruned.outcomeStrings(), Golden.outcomeStrings()) << P.Name;
+      for (unsigned Threads : {2u, 4u}) {
+        ArmEnumerationResult Sharded =
+            ExecutionEngine(EngineConfig{Threads, Prune})
+                .enumerate(P, Armv8Model());
+        EXPECT_EQ(Golden.outcomeStrings(), Sharded.outcomeStrings())
+            << P.Name << " with threads=" << Threads;
+        EXPECT_EQ(Golden.CandidatesConsidered, Sharded.CandidatesConsidered)
+            << "sharding must cover the exact same candidate space";
+      }
     }
   }
 }
