@@ -113,6 +113,11 @@ ExecutionEngine::capacityError(const CompiledTarget &CT) {
 }
 
 std::optional<std::string>
+ExecutionEngine::capacityError(const UniProgram &P) {
+  return capacityErrorFor(uniProgramEventBound(P), DynRelation::MaxSize);
+}
+
+std::optional<std::string>
 ExecutionEngine::fixedCapacityError(const Program &P) {
   return capacityErrorFor(programEventUpperBound(P), Relation::MaxSize);
 }

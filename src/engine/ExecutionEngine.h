@@ -183,10 +183,12 @@ public:
   /// \returns the diagnostic for \p P against the dynamic serving cap
   /// (DynRelation::MaxSize), or std::nullopt if some tier fits it. The
   /// ArmProgram overload still checks the fixed 64-event tier: the
-  /// mixed-size ARMv8 model has no dynamic backend yet (see ROADMAP).
+  /// mixed-size ARMv8 model has no dynamic backend yet (see ROADMAP). The
+  /// UniProgram overload bounds uniAllowedOutcomes, the uni-js reference.
   static std::optional<std::string> capacityError(const Program &P);
   static std::optional<std::string> capacityError(const ArmProgram &P);
   static std::optional<std::string> capacityError(const CompiledTarget &CT);
+  static std::optional<std::string> capacityError(const UniProgram &P);
 
   /// \returns the fixed-tier (64-event) diagnostic for \p P, or
   /// std::nullopt if the witness-carrying entry points can serve it.

@@ -5,18 +5,16 @@
 #include "analysis/ScEnumeration.h"
 #include "analysis/StaticAnalysis.h"
 #include "compile/Compile.h"
-#include "engine/ExecutionEngine.h"
 #include "litmus/PathEnum.h"
 #include "obs/Obs.h"
-#include "solver/TotSolver.h"
 #include "support/CapacityError.h"
 #include "support/Str.h"
 #include "targets/Differential.h"
 #include "targets/TargetCompile.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -39,12 +37,9 @@ const char *jsmm::jobStatusName(JobStatus S) {
 bool LitmusJobResult::allows(const std::string &Backend,
                              const std::string &O) const {
   auto It = AllowedByBackend.find(Backend);
-  if (It == AllowedByBackend.end())
-    return false;
-  for (const std::string &S : It->second)
-    if (S == O)
-      return true;
-  return false;
+  return It != AllowedByBackend.end() &&
+         std::find(It->second.begin(), It->second.end(), O) !=
+             It->second.end();
 }
 
 bool LitmusJobResult::expectationsOk() const {
@@ -54,26 +49,28 @@ bool LitmusJobResult::expectationsOk() const {
   return true;
 }
 
+using Kind = BackendInfo::Kind;
+
 const std::vector<BackendInfo> &jsmm::backends() {
   static const std::vector<BackendInfo> Table = [] {
     const char *Js = "JavaScript (mixed-size litmus program as written)";
     std::vector<BackendInfo> T = {
-        {"original", Js, "JavaScript model as specified (pre-repair)",
-         ModelSpec::original()},
-        {"armfix", Js, "original + the ARMv8 compilation fix only",
-         ModelSpec::armFixOnly()},
-        {"revised", Js, "the paper's repaired model (default)",
-         ModelSpec::revised()},
-        {"strong", Js, "revised + strong tear-free reads",
-         ModelSpec::revisedStrongTearFree()},
-        {"armv8", "compiled ARMv8 (mixed-size, \xC2\xA7" "4 model)",
-         "the litmus program under the \xC2\xA7" "5.1 scheme", std::nullopt},
+        {"original", Kind::Js, ModelSpec::original(), nullptr, Js,
+         "JavaScript model as specified (pre-repair)"},
+        {"armfix", Kind::Js, ModelSpec::armFixOnly(), nullptr, Js,
+         "original + the ARMv8 compilation fix only"},
+        {"revised", Kind::Js, ModelSpec::revised(), nullptr, Js,
+         "the paper's repaired model (default)"},
+        {"strong", Kind::Js, ModelSpec::revisedStrongTearFree(), nullptr, Js,
+         "revised + strong tear-free reads"},
+        {"armv8", Kind::Armv8, ModelSpec::revised(), nullptr,
+         "compiled ARMv8 (mixed-size, \xC2\xA7" "4 model)",
+         "the litmus program under the \xC2\xA7" "5.1 scheme"},
     };
     for (const TargetModel &M : TargetModel::all())
-      T.push_back({M.name(),
+      T.push_back({M.name(), Kind::Target, ModelSpec::revised(), &M,
                    "compiled Thm 6.3 targets (uni-size fragment only)",
-                   std::string(targetArchName(M.arch())) + " axiomatic model",
-                   std::nullopt, &M});
+                   std::string(targetArchName(M.arch())) + " axiomatic model"});
     return T;
   }();
   return Table;
@@ -88,144 +85,174 @@ const BackendInfo *jsmm::backendByName(const std::string &Name) {
 
 namespace {
 
-/// Adds the value-aware pruning effort of \p E's last enumeration to the
-/// job's Static* counters (each enumerateOutcomes call resets E.Stats).
-void foldStaticStats(const ExecutionEngine &E, LitmusJobResult &R) {
-  R.StaticRfPruned += E.Stats.StaticRfPruned;
-  R.StaticPathsPruned += E.Stats.StaticPathsPruned;
-}
+/// One backend's column: sorted outcome strings, plus how the engine got
+/// them (solver, OutcomeSummary::Tier and value-aware pruning; empty and 0
+/// for the solver-free armv8 and uni-js columns). A status other than Ok
+/// says why the backend does not apply: TooLarge for a compiled form past
+/// its event cap, Unsupported for a program outside its fragment.
+struct VerdictColumn {
+  JobStatus Status = JobStatus::Ok;
+  std::string Error;
+  std::vector<std::string> Allowed;
+  std::string Solver;
+  std::string Tier;
+  uint64_t StaticRfPruned = 0;
+  uint64_t StaticPathsPruned = 0;
+};
 
-/// Sorted allowed-outcome strings of any enumeration result (its Allowed
-/// member is a std::map keyed by Outcome, so iteration order is already
-/// the sorted order).
-template <typename ResultT>
-std::vector<std::string> allowedStrings(const ResultT &R) {
-  std::vector<std::string> Out;
-  for (const auto &[O, W] : R.Allowed) {
-    (void)W;
-    Out.push_back(O.toString());
+/// A program and its uni-size form, converted on first use and shared by
+/// the uni-js and target columns of one table.
+struct ColumnSource {
+  const Program &P;
+  std::optional<std::optional<UniProgram>> Uni;
+  std::string Why;
+
+  const UniProgram *uni() {
+    if (!Uni)
+      Uni = uniFromProgram(P, &Why);
+    return *Uni ? &**Uni : nullptr;
   }
-  return Out;
+};
+
+/// An engine enumeration as a column (each enumerateOutcomes call resets
+/// E.Stats, so it holds this enumeration's pruning effort).
+VerdictColumn engineColumn(const OutcomeSummary &S, const ExecutionEngine &E) {
+  return {JobStatus::Ok,     "",
+          S.outcomeStrings(), solverKindName(S.SolverUsed),
+          S.Tier,             E.Stats.StaticRfPruned,
+          E.Stats.StaticPathsPruned};
 }
 
-/// Checks the file's expectations against one enumeration result.
-template <typename ResultT>
+/// The one column path. Decides whether \p B applies to the program —
+/// armv8 needs zero init and a compiled form within 64 events, uni-js and
+/// the targets the uni-size fragment within DynRelation::MaxSize events, a
+/// target also a compiled form within that cap — and, given an engine,
+/// computes the column. With \p E null only applicability is decided (an
+/// empty Ok column means it applies), as the DRF shortcut needs.
+VerdictColumn column(ColumnSource &S, const BackendInfo &B,
+                     const ExecutionEngine *E) {
+  VerdictColumn C;
+  if (B.K == Kind::Js) {
+    if (E)
+      C = engineColumn(E->enumerateOutcomes(S.P, JsModel(B.Js)), *E);
+    return C;
+  }
+  if (B.K == Kind::Armv8) {
+    // The ARM lowering assumes zero-initialised buffers.
+    if (S.P.hasNonZeroInit())
+      return {JobStatus::Unsupported,
+              "the armv8 backend assumes zero-initialised buffers; litmus "
+              "'init' directives are not supported there"};
+    CompiledProgram CP = compileToArm(S.P);
+    if (std::optional<std::string> Cap =
+            ExecutionEngine::capacityError(CP.Arm))
+      return {JobStatus::TooLarge, *Cap + " (after compilation for armv8)"};
+    if (E)
+      C.Allowed = E->enumerate(CP.Arm, Armv8Model()).outcomeStrings();
+    return C;
+  }
+  const UniProgram *Uni = S.uni();
+  if (!Uni)
+    return {JobStatus::Unsupported,
+            "not in the uni-size fragment required by target backends: " +
+                S.Why};
+  if (B.K == Kind::UniJs) {
+    if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
+      return {JobStatus::TooLarge, *Cap + " (in the uni-size fragment)"};
+    if (E)
+      for (const Outcome &O : uniAllowedOutcomes(*Uni))
+        C.Allowed.push_back(O.toString());
+    return C;
+  }
+  CompiledTarget CT = compileUni(*Uni, B.Target->arch());
+  if (std::optional<std::string> Cap = ExecutionEngine::capacityError(CT))
+    return {JobStatus::TooLarge,
+            *Cap + " (after compilation for " + B.Name + ")"};
+  if (E)
+    C = engineColumn(E->enumerateOutcomes(CT, *B.Target), *E);
+  return C;
+}
+
+/// The differential table's columns, in report order.
+const std::vector<BackendInfo> &tableColumns() {
+  static const std::vector<BackendInfo> Columns = [] {
+    std::vector<BackendInfo> C = {
+        {"js-original", Kind::Js, ModelSpec::original()},
+        {"js-revised", Kind::Js, ModelSpec::revised()},
+        *backendByName("armv8"),
+        {"uni-js", Kind::UniJs},
+    };
+    for (const BackendInfo &B : backends())
+      if (B.K == Kind::Target)
+        C.push_back(B);
+    return C;
+  }();
+  return Columns;
+}
+
+/// The DRF shortcut's one SC table, traced like the engine's fast path.
+std::vector<std::string> scTable(const Program &P) {
+  uint64_t States = 0;
+  std::vector<std::string> Allowed;
+  for (const Outcome &O : analysis::enumerateScOutcomes(P, &States))
+    Allowed.push_back(O.toString());
+  if (obs::TraceSink *T = obs::trace()) {
+    JsonValue F = JsonValue::object();
+    F.set("entry", JsonValue("differential"));
+    F.set("events", JsonValue(static_cast<double>(programEventUpperBound(P))));
+    F.set("states", JsonValue(static_cast<double>(States)));
+    F.set("outcomes", JsonValue(static_cast<double>(Allowed.size())));
+    T->event("drf-fastpath", std::move(F));
+  }
+  if (obs::metricsEnabled())
+    obs::registry().counter("engine.drf_fastpath").add(1);
+  return Allowed;
+}
+
+/// Checks the file's expectations against \p R's column \p Model.
 std::vector<ExpectationResult>
-checkExpectations(const ResultT &R,
+checkExpectations(const LitmusJobResult &R, const std::string &Model,
                   const std::vector<LitmusExpectation> &Expectations) {
   std::vector<ExpectationResult> Out;
   for (const LitmusExpectation &E : Expectations) {
-    ExpectationResult C;
-    C.Allowed = E.Allowed;
-    C.Outcome = E.O.toString();
-    C.Observed = R.allows(E.O);
-    C.Ok = C.Observed == E.Allowed;
-    Out.push_back(std::move(C));
+    std::string O = E.O.toString();
+    bool Observed = R.allows(Model, O);
+    Out.push_back({E.Allowed, O, Observed, Observed == E.Allowed});
   }
   return Out;
 }
 
-/// The cross-model verdict table of one parsed program: the JavaScript
-/// columns on the program as written, the mixed-size ARMv8 column when the
-/// compiled form fits the fixed 64-event tier (the §4 model has no dynamic
-/// backend yet — large programs simply omit that column), plus — when the
-/// program is expressible in the uni-size fragment — the uni-js reference
-/// column and the six Thm 6.3 targets, with the soundness /
-/// observable-weakening diffs of targets/Differential.h. The JavaScript
-/// and target columns go through the size-agnostic enumerateOutcomes entry
-/// points, so programs beyond 64 events get real verdicts.
-///
-/// When the statically-DRF certificate holds (\p StaticallyDrf — the
-/// caller's analysis::classify verdict, false whenever the job's Static
-/// flag is off), the whole table collapses to one SC interleaving
-/// enumeration: by the SC-DRF theorem every JavaScript variant admits
-/// exactly the SC outcomes on a race-free program, and the Thm 6.3
-/// compilation schemes preserve them, so the single table is replicated
-/// across exactly the columns the full path would emit. The soundness /
-/// weakening diffs are empty by construction. The static-vs-dynamic
-/// differential tests pin byte-identical tables for both paths.
-void runDifferentialTable(const LitmusFile &File, const ExecutionEngine &E,
-                          bool StaticallyDrf, LitmusJobResult &R) {
-  if (StaticallyDrf) {
-    uint64_t States = 0;
-    std::vector<std::string> Allowed;
-    for (const Outcome &O : analysis::enumerateScOutcomes(File.P, &States))
-      Allowed.push_back(O.toString());
-    R.AllowedByBackend["js-original"] = Allowed;
-    R.AllowedByBackend["js-revised"] = Allowed;
-    // Same column conditions as the full path below: the armv8 column
-    // needs a zero-initialised buffer and a compiled form inside the
-    // fixed tier; the uni-js and target columns need the uni-size
-    // fragment.
-    if (!File.P.hasNonZeroInit() &&
-        !ExecutionEngine::capacityError(compileToArm(File.P).Arm))
-      R.AllowedByBackend["armv8"] = Allowed;
-    if (uniFromProgram(File.P)) {
-      R.AllowedByBackend["uni-js"] = Allowed;
-      for (const TargetModel &M : TargetModel::all())
-        R.AllowedByBackend[M.name()] = Allowed;
-    }
-    R.DrfFastPath = true;
-    if (obs::TraceSink *T = obs::trace()) {
-      JsonValue F = JsonValue::object();
-      F.set("entry", JsonValue("differential"));
-      F.set("events",
-            JsonValue(static_cast<double>(programEventUpperBound(File.P))));
-      F.set("states", JsonValue(static_cast<double>(States)));
-      F.set("outcomes", JsonValue(static_cast<double>(Allowed.size())));
-      T->event("drf-fastpath", std::move(F));
-    }
-    if (obs::metricsEnabled())
-      obs::registry().counter("engine.drf_fastpath").add(1);
-    return;
-  }
-
-  R.AllowedByBackend["js-original"] =
-      E.enumerateOutcomes(File.P, JsModel(ModelSpec::original()))
-          .outcomeStrings();
-  foldStaticStats(E, R);
-  R.AllowedByBackend["js-revised"] =
-      E.enumerateOutcomes(File.P, JsModel(ModelSpec::revised()))
-          .outcomeStrings();
-  foldStaticStats(E, R);
-  // The ARM lowering assumes zero-initialised buffers: programs with a
-  // litmus `init` directive omit the armv8 column (like too-large ones).
-  if (!File.P.hasNonZeroInit()) {
-    CompiledProgram CP = compileToArm(File.P);
-    if (!ExecutionEngine::capacityError(CP.Arm))
-      R.AllowedByBackend["armv8"] =
-          allowedStrings(E.enumerate(CP.Arm, Armv8Model()));
-  }
-
-  std::string Why;
-  std::optional<UniProgram> Uni = uniFromProgram(File.P, &Why);
-  if (!Uni)
-    return; // mixed-size columns only; target columns are inexpressible
-
-  std::vector<std::string> UniAllowed;
-  for (const Outcome &O : uniAllowedOutcomes(*Uni))
-    UniAllowed.push_back(O.toString());
-  std::set<std::string> UniSet(UniAllowed.begin(), UniAllowed.end());
-  const std::vector<std::string> &Orig = R.AllowedByBackend["js-original"];
-  std::set<std::string> OrigSet(Orig.begin(), Orig.end());
-  R.AllowedByBackend["uni-js"] = std::move(UniAllowed);
-
-  for (const TargetModel &M : TargetModel::all()) {
-    CompiledTarget CT = compileUni(*Uni, M.arch());
-    std::vector<std::string> Allowed =
-        E.enumerateOutcomes(CT, M).outcomeStrings();
-    foldStaticStats(E, R);
-    for (const std::string &O : Allowed) {
-      if (!UniSet.count(O))
-        R.SoundnessViolations.push_back(std::string(M.name()) + ": " + O);
-      if (!OrigSet.count(O))
-        R.ObservableWeakenings.push_back(std::string(M.name()) + ": " + O);
-    }
-    R.AllowedByBackend[M.name()] = std::move(Allowed);
-  }
-}
-
 } // namespace
+
+LitmusJobResult jsmm::differentialTable(const Program &P,
+                                        const ExecutionEngine &E,
+                                        LitmusJobResult R) {
+  ColumnSource S{P};
+  std::vector<std::string> Sc;
+  if (R.StaticallyDrf)
+    Sc = scTable(P);
+  R.DrfFastPath = R.StaticallyDrf;
+  for (const BackendInfo &B : tableColumns()) {
+    VerdictColumn C = column(S, B, R.StaticallyDrf ? nullptr : &E);
+    if (C.Status != JobStatus::Ok)
+      continue;
+    std::vector<std::string> &Col = R.AllowedByBackend[B.Name] =
+        R.StaticallyDrf ? Sc : std::move(C.Allowed);
+    R.StaticRfPruned += C.StaticRfPruned;
+    R.StaticPathsPruned += C.StaticPathsPruned;
+    if (B.K != Kind::Target)
+      continue;
+    // A target applies only where uni-js does, and both JavaScript columns
+    // precede it.
+    for (const std::string &O : Col) {
+      if (!R.allows("uni-js", O))
+        R.SoundnessViolations.push_back(B.Name + ": " + O);
+      if (!R.allows("js-original", O))
+        R.ObservableWeakenings.push_back(B.Name + ": " + O);
+    }
+  }
+  return R;
+}
 
 unsigned LitmusService::effectiveWorkers() const {
   if (Cfg.Workers)
@@ -319,8 +346,7 @@ LitmusService::computeResult(const LitmusJob &Job,
   try {
     // The parser already rejects source programs beyond the dynamic cap
     // (DynRelation::MaxSize); compiled forms can still exceed it (schemes
-    // insert fences), so the engine checks are re-surfaced per compiled
-    // program below.
+    // insert fences), which column() reports per backend.
     if (std::optional<std::string> Cap =
             ExecutionEngine::capacityError(File->P)) {
       R.Status = JobStatus::TooLarge;
@@ -328,63 +354,21 @@ LitmusService::computeResult(const LitmusJob &Job,
       return R;
     }
 
-    if (Differential) {
-      runDifferentialTable(*File, Engine, R.StaticallyDrf, R);
-      return R;
-    }
+    if (Differential)
+      return differentialTable(File->P, Engine, R);
 
-    if (const TargetModel *Target = B->Target) {
-      std::string Why;
-      std::optional<UniProgram> Uni = uniFromProgram(File->P, &Why);
-      if (!Uni) {
-        R.Status = JobStatus::Unsupported;
-        R.Error = "not in the uni-size fragment required by target "
-                  "backends: " +
-                  Why;
-        return R;
-      }
-      CompiledTarget CT = compileUni(*Uni, Target->arch());
-      if (std::optional<std::string> Cap =
-              ExecutionEngine::capacityError(CT)) {
-        R.Status = JobStatus::TooLarge;
-        R.Error = *Cap + " (after compilation for " + Job.Model + ")";
-        return R;
-      }
-      OutcomeSummary TR = Engine.enumerateOutcomes(CT, *Target);
-      foldStaticStats(Engine, R);
-      R.AllowedByBackend[Job.Model] = TR.outcomeStrings();
-      R.Expectations = checkExpectations(TR, File->Expectations);
-      R.SolverUsed = solverKindName(TR.SolverUsed);
-      R.DrfFastPath = TR.Tier == "static";
+    ColumnSource S{File->P};
+    VerdictColumn C = column(S, *B, &Engine);
+    R.Status = C.Status;
+    R.Error = C.Error;
+    if (!R.ok())
       return R;
-    }
-
-    if (!B->Js) {
-      if (File->P.hasNonZeroInit()) {
-        R.Status = JobStatus::Unsupported;
-        R.Error = "the armv8 backend assumes zero-initialised buffers; "
-                  "litmus 'init' directives are not supported there";
-        return R;
-      }
-      CompiledProgram CP = compileToArm(File->P);
-      if (std::optional<std::string> Cap =
-              ExecutionEngine::capacityError(CP.Arm)) {
-        R.Status = JobStatus::TooLarge;
-        R.Error = *Cap + " (after compilation for armv8)";
-        return R;
-      }
-      ArmEnumerationResult AR = Engine.enumerate(CP.Arm, Armv8Model());
-      R.AllowedByBackend[Job.Model] = allowedStrings(AR);
-      R.Expectations = checkExpectations(AR, File->Expectations);
-      return R;
-    }
-
-    OutcomeSummary ER = Engine.enumerateOutcomes(File->P, JsModel(*B->Js));
-    foldStaticStats(Engine, R);
-    R.AllowedByBackend[Job.Model] = ER.outcomeStrings();
-    R.Expectations = checkExpectations(ER, File->Expectations);
-    R.SolverUsed = solverKindName(ER.SolverUsed);
-    R.DrfFastPath = ER.Tier == "static";
+    R.AllowedByBackend[Job.Model] = std::move(C.Allowed);
+    R.Expectations = checkExpectations(R, Job.Model, File->Expectations);
+    R.SolverUsed = C.Solver;
+    R.DrfFastPath = C.Tier == "static";
+    R.StaticRfPruned = C.StaticRfPruned;
+    R.StaticPathsPruned = C.StaticPathsPruned;
     return R;
   } catch (const CapacityError &E) {
     // Backstop for any capacity path the up-front checks missed (e.g. a
@@ -586,18 +570,9 @@ std::vector<LitmusJob> jobsOfCorpus(const std::vector<DiffCase> &Corpus,
                                     unsigned Threads) {
   std::vector<LitmusJob> Jobs;
   for (const DiffCase &C : Corpus) {
-    LitmusJob J;
-    J.Name = C.Name;
-    J.Model = Model;
-    J.Threads = Threads;
-    if (!C.Litmus.empty()) {
-      J.Litmus = C.Litmus;
-    } else {
-      LitmusFile F;
-      F.P = mixedFromUni(C.Uni);
-      J.Litmus = emitLitmus(F);
-    }
-    Jobs.push_back(std::move(J));
+    std::string Litmus =
+        C.Litmus.empty() ? emitLitmus(LitmusFile{C.program()}) : C.Litmus;
+    Jobs.push_back({C.Name, std::move(Litmus), Model, Threads});
   }
   return Jobs;
 }

@@ -49,6 +49,7 @@
 #define JSMM_SERVICE_LITMUSSERVICE_H
 
 #include "core/Validity.h"
+#include "engine/ExecutionEngine.h"
 #include "solver/TotSolver.h"
 #include "tools/LitmusParser.h"
 
@@ -61,17 +62,17 @@
 
 namespace jsmm {
 
-class TargetModel;
-
-/// One single-model backend a job may name. Exactly one of the three
-/// kinds: a JavaScript variant (Js set), the compiled mixed-size ARMv8
-/// model (neither set), or a compiled Thm 6.3 target (Target set).
+/// A backend a verdict column runs under: a JavaScript variant, the
+/// compiled mixed-size ARMv8 model, the uni-size JavaScript model (the
+/// differential table's "uni-js", not a job backend), or a Thm 6.3 target.
 struct BackendInfo {
+  enum class Kind : uint8_t { Js, Armv8, UniJs, Target };
   std::string Name;
+  Kind K = Kind::Js;
+  ModelSpec Js = ModelSpec::revised(); ///< Kind::Js only
+  const TargetModel *Target = nullptr; ///< Kind::Target only
   std::string Group; ///< the --list-models heading it is listed under
   std::string Desc;  ///< its one-line --list-models description
-  std::optional<ModelSpec> Js;
-  const TargetModel *Target = nullptr;
 };
 
 /// Every single-model backend, in --list-models order: the JavaScript
@@ -138,9 +139,7 @@ struct LitmusJobResult {
 
   /// Sorted allowed-outcome strings per backend. Single-model jobs have
   /// exactly one entry (the job's model); "differential" jobs carry the
-  /// full table — "js-original", "js-revised" and "armv8" on the program
-  /// as written, plus "uni-js" and the six Thm 6.3 targets when the
-  /// program is expressible in the uni-size fragment.
+  /// differentialTable() columns.
   std::map<std::string, std::vector<std::string>> AllowedByBackend;
   /// Differential jobs: Thm 6.3 soundness violations ("arch: outcome"
   /// strings for target outcomes uni-js forbids) and §3.1-style observable
@@ -252,6 +251,18 @@ private:
   std::map<std::string, LitmusJobResult> Cache;
   CacheStats Stats;
 };
+
+/// The cross-model verdict table of \p P on \p E, filled into \p R (the
+/// job's result so far): "js-original", "js-revised", "armv8", "uni-js"
+/// (uniAllowedOutcomes, the uni-size model's own enumerator) and the six
+/// targets, each by the path of single-model jobs and omitted where its
+/// backend does not apply, plus the Thm 6.3 soundness diff (target
+/// outcomes uni-js forbids) and the §3.1 weakening diff (target outcomes
+/// js-original forbids). When R.StaticallyDrf holds, one SC enumeration
+/// fills every applicable column (the DRF-SC theorem; see ARCHITECTURE.md).
+LitmusJobResult differentialTable(const Program &P,
+                                  const ExecutionEngine &E = ExecutionEngine(),
+                                  LitmusJobResult R = LitmusJobResult());
 
 /// The built-in differential corpus (targets/Differential.h) as service
 /// jobs: parser-loaded entries keep their source text, programmatic

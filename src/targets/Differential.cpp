@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 using namespace jsmm;
 
@@ -45,10 +44,10 @@ UniProgram sb(Mode M, const char *Name) {
   return P;
 }
 
-/// Parser-loaded entry: litmus text -> Program -> uni-size fragment. A
-/// corpus entry that stops parsing (or leaves the uni-size fragment) is a
-/// hard error even under NDEBUG — every differential test depends on it.
-DiffCase parsedCase(const char *Src, Outcome Weak) {
+/// A corpus entry's litmus text, parsed. A corpus entry that stops parsing
+/// (or leaves the uni-size fragment) is a hard error even under NDEBUG —
+/// every differential test depends on it.
+LitmusFile parsedFile(const char *Src) {
   std::string Error;
   std::optional<LitmusFile> File = parseLitmus(Src, &Error);
   if (!File) {
@@ -56,16 +55,23 @@ DiffCase parsedCase(const char *Src, Outcome Weak) {
                  Error.c_str());
     std::abort();
   }
-  std::optional<UniProgram> Uni = uniFromProgram(File->P, &Error);
+  return *File;
+}
+
+/// Parser-loaded entry: litmus text -> Program -> uni-size fragment.
+DiffCase parsedCase(const char *Src, Outcome Weak) {
+  LitmusFile File = parsedFile(Src);
+  std::string Error;
+  std::optional<UniProgram> Uni = uniFromProgram(File.P, &Error);
   if (!Uni) {
     std::fprintf(stderr,
                  "differential corpus entry '%s' must be uni-size "
                  "expressible: %s\n",
-                 File->P.Name.c_str(), Error.c_str());
+                 File.P.Name.c_str(), Error.c_str());
     std::abort();
   }
   DiffCase C;
-  C.Name = File->P.Name;
+  C.Name = File.P.Name;
   C.Uni = *Uni;
   C.Weak = Weak;
   C.Litmus = Src;
@@ -236,24 +242,6 @@ std::vector<DiffCase> jsmm::differentialCorpus() {
   return Corpus;
 }
 
-std::vector<std::string> jsmm::differentialBackends() {
-  std::vector<std::string> Out = {"js-original", "js-revised", "uni-js"};
-  for (const TargetModel &M : TargetModel::all())
-    Out.push_back(M.name());
-  return Out;
-}
-
-bool DiffReport::allows(const std::string &Backend, const Outcome &O) const {
-  auto It = AllowedByBackend.find(Backend);
-  if (It == AllowedByBackend.end())
-    return false;
-  std::string Want = O.toString();
-  for (const std::string &S : It->second)
-    if (S == Want)
-      return true;
-  return false;
-}
-
 std::vector<DiffCase> jsmm::largeDifferentialCorpus() {
   std::vector<DiffCase> Corpus;
   auto Add = [&](UniProgram P, Outcome Weak) {
@@ -322,53 +310,6 @@ std::vector<DiffCase> jsmm::largeDifferentialCorpus() {
   return Corpus;
 }
 
-DiffReport jsmm::runDifferential(const DiffCase &C, const EngineConfig &Cfg) {
-  DiffReport R;
-  R.Case = C.Name;
-  ExecutionEngine Engine(Cfg);
-
-  // Parser-loaded entries run the JavaScript columns on the program as
-  // written (matching the batch service's differential table); for the
-  // existing u32 corpus entries this is event-for-event the u32 rendering
-  // below. Programmatic entries use that rendering directly.
-  Program Mixed(4);
-  if (C.Litmus.empty()) {
-    Mixed = mixedFromUni(C.Uni);
-  } else {
-    std::optional<LitmusFile> File = parseLitmus(C.Litmus);
-    if (!File) {
-      std::fprintf(stderr, "differential corpus litmus text must parse\n");
-      std::abort();
-    }
-    Mixed = File->P;
-  }
-  R.AllowedByBackend["js-original"] =
-      Engine.enumerateOutcomes(Mixed, JsModel(ModelSpec::original()))
-          .outcomeStrings();
-  R.AllowedByBackend["js-revised"] =
-      Engine.enumerateOutcomes(Mixed, JsModel(ModelSpec::revised()))
-          .outcomeStrings();
-
-  std::vector<std::string> UniAllowed;
-  for (const Outcome &O : uniAllowedOutcomes(C.Uni))
-    UniAllowed.push_back(O.toString());
-  R.AllowedByBackend["uni-js"] = UniAllowed;
-
-  std::set<std::string> UniSet(UniAllowed.begin(), UniAllowed.end());
-  const std::vector<std::string> &Orig = R.AllowedByBackend["js-original"];
-  std::set<std::string> OrigSet(Orig.begin(), Orig.end());
-
-  for (const TargetModel &M : TargetModel::all()) {
-    CompiledTarget CT = compileUni(C.Uni, M.arch());
-    std::vector<std::string> Allowed =
-        Engine.enumerateOutcomes(CT, M).outcomeStrings();
-    for (const std::string &O : Allowed) {
-      if (!UniSet.count(O))
-        R.SoundnessViolations.push_back(std::string(M.name()) + ": " + O);
-      if (!OrigSet.count(O))
-        R.ObservableWeakenings.push_back(std::string(M.name()) + ": " + O);
-    }
-    R.AllowedByBackend[M.name()] = std::move(Allowed);
-  }
-  return R;
+Program DiffCase::program() const {
+  return Litmus.empty() ? mixedFromUni(Uni) : parsedFile(Litmus.c_str()).P;
 }

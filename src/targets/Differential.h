@@ -18,17 +18,16 @@
 ///
 /// This is the EMME/PrideMM-style model-evaluation workflow: run one
 /// corpus under many models and diff the outcome sets, instead of trusting
-/// any single model's verdicts.
+/// any single model's verdicts. The table itself is the batch service's
+/// differentialTable() (service/LitmusService.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_TARGETS_DIFFERENTIAL_H
 #define JSMM_TARGETS_DIFFERENTIAL_H
 
-#include "engine/ExecutionEngine.h"
 #include "targets/UniProgram.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,10 @@ struct DiffCase {
   UniProgram Uni{0};
   Outcome Weak;
   std::string Litmus; ///< source text for parser-loaded entries, else empty
+
+  /// The program the table runs on: the parsed Litmus text, else the u32
+  /// rendering of Uni.
+  Program program() const;
 };
 
 /// The shared corpus of the differential suite (≥ 12 programs): MP, SB,
@@ -56,36 +59,6 @@ std::vector<DiffCase> differentialCorpus();
 /// the candidate spaces stay enumerable (few reads, single-writer filler
 /// locations).
 std::vector<DiffCase> largeDifferentialCorpus();
-
-/// The table columns of the suite, in report order: "js-original" and
-/// "js-revised" (mixed-size model on the u32 rendering of the program),
-/// "uni-js" (the revised uni-size model), then the six target backends by
-/// TargetModel name.
-std::vector<std::string> differentialBackends();
-
-/// Outcome sets and cross-model comparisons for one corpus entry.
-struct DiffReport {
-  std::string Case;
-  /// Backend name -> sorted allowed-outcome strings.
-  std::map<std::string, std::vector<std::string>> AllowedByBackend;
-  /// Thm 6.3 soundness violations: "arch: outcome" strings for target
-  /// outcomes the revised uni-size JavaScript model forbids. Empty on a
-  /// sound compilation scheme.
-  std::vector<std::string> SoundnessViolations;
-  /// Observable weakenings: "arch: outcome" strings for target outcomes
-  /// the *original* JavaScript model forbids.
-  std::vector<std::string> ObservableWeakenings;
-
-  bool allows(const std::string &Backend, const Outcome &O) const;
-};
-
-/// Enumerates \p C under every backend and diffs the sets. \p Cfg drives
-/// the engine-backed columns (the JavaScript variants and the six
-/// targets); the uni-js baseline always uses the engine-independent
-/// reference enumerator (enumerateUniOutcomes), so the soundness verdicts
-/// are never compared against the machinery under test.
-DiffReport runDifferential(const DiffCase &C,
-                           const EngineConfig &Cfg = EngineConfig());
 
 } // namespace jsmm
 

@@ -11,10 +11,8 @@
 
 #include "targets/Differential.h"
 
-#include "compile/Compile.h"
-#include "engine/ExecutionEngine.h"
 #include "litmus/PathEnum.h"
-#include "tools/LitmusParser.h"
+#include "service/LitmusService.h"
 #include "support/DynRelation.h"
 
 #include <gtest/gtest.h>
@@ -25,11 +23,13 @@ using namespace jsmm;
 
 namespace {
 
-/// The golden verdict table: per corpus case, whether each backend allows
-/// the designated weak outcome. Column order is differentialBackends():
-///   js-original, js-revised, uni-js,
-///   x86-tso, armv8-uni, armv7, power, riscv, immlite
-/// A = allow, F = forbid.
+/// The golden tables' columns, in order.
+const std::vector<std::string> Backends = {
+    "js-original", "js-revised", "uni-js", "x86-tso", "armv8-uni",
+    "armv7",       "power",      "riscv",  "immlite"};
+
+/// The golden verdict table: per corpus case, whether each backend in
+/// Backends allows the designated weak outcome. A = allow, F = forbid.
 const std::map<std::string, std::string> GoldenVerdicts = {
     {"mp-plain",          "AAA FAAAAA"},
     {"mp-sc-flag",        "FFF FFFFFF"},
@@ -63,7 +63,6 @@ std::vector<bool> verdictsOf(const std::string &Encoded) {
 TEST(Differential, CorpusMeetsTheBar) {
   std::vector<DiffCase> Corpus = differentialCorpus();
   EXPECT_GE(Corpus.size(), 12u) << "the suite must pin >= 12 programs";
-  EXPECT_GE(differentialBackends().size(), 8u);
   unsigned ParserLoaded = 0;
   for (const DiffCase &C : Corpus) {
     EXPECT_GT(C.Uni.numThreads(), 1u) << C.Name;
@@ -76,7 +75,6 @@ TEST(Differential, CorpusMeetsTheBar) {
 }
 
 TEST(Differential, GoldenVerdictTable) {
-  std::vector<std::string> Backends = differentialBackends();
   unsigned Pinned = 0;
   for (const DiffCase &C : differentialCorpus()) {
     auto It = GoldenVerdicts.find(C.Name);
@@ -84,9 +82,9 @@ TEST(Differential, GoldenVerdictTable) {
         << C.Name << " has no golden verdict row";
     std::vector<bool> Want = verdictsOf(It->second);
     ASSERT_EQ(Want.size(), Backends.size()) << C.Name;
-    DiffReport R = runDifferential(C);
+    LitmusJobResult R = differentialTable(C.program());
     for (size_t B = 0; B < Backends.size(); ++B)
-      EXPECT_EQ(R.allows(Backends[B], C.Weak), Want[B])
+      EXPECT_EQ(R.allows(Backends[B], C.Weak.toString()), Want[B])
           << C.Name << " / " << Backends[B] << " on " << C.Weak.toString();
     ++Pinned;
   }
@@ -97,7 +95,7 @@ TEST(Differential, CompilationSoundnessHolds) {
   // The Thm 6.3 weakening direction on outcome sets: everything a compiled
   // target allows, the revised uni-size JavaScript source allows too.
   for (const DiffCase &C : differentialCorpus()) {
-    DiffReport R = runDifferential(C);
+    LitmusJobResult R = differentialTable(C.program());
     EXPECT_TRUE(R.SoundnessViolations.empty())
         << C.Name << ": " << R.SoundnessViolations.front();
   }
@@ -110,11 +108,11 @@ TEST(Differential, Fig6ShapeIsTheObservableWeakening) {
   for (const DiffCase &C : differentialCorpus()) {
     if (C.Name != "fig6-shape")
       continue;
-    DiffReport R = runDifferential(C);
-    EXPECT_FALSE(R.allows("js-original", C.Weak));
-    EXPECT_TRUE(R.allows("js-revised", C.Weak));
-    EXPECT_TRUE(R.allows("uni-js", C.Weak));
-    EXPECT_TRUE(R.allows("armv8-uni", C.Weak));
+    LitmusJobResult R = differentialTable(C.program());
+    EXPECT_FALSE(R.allows("js-original", C.Weak.toString()));
+    EXPECT_TRUE(R.allows("js-revised", C.Weak.toString()));
+    EXPECT_TRUE(R.allows("uni-js", C.Weak.toString()));
+    EXPECT_TRUE(R.allows("armv8-uni", C.Weak.toString()));
     std::string Expected = "armv8-uni: " + C.Weak.toString();
     bool Found = false;
     for (const std::string &W : R.ObservableWeakenings)
@@ -126,33 +124,12 @@ TEST(Differential, Fig6ShapeIsTheObservableWeakening) {
   FAIL() << "fig6-shape missing from the corpus";
 }
 
-namespace {
-
-/// The armv8 column of the batch service's differential table for \p C:
-/// the program as the JavaScript columns read it, compiled by the §4
-/// scheme and enumerated under \p Cfg.
-std::vector<std::string> armv8Outcomes(const DiffCase &C,
-                                       const EngineConfig &Cfg) {
-  Program Js = mixedFromUni(C.Uni);
-  if (!C.Litmus.empty()) {
-    std::optional<LitmusFile> File = parseLitmus(C.Litmus);
-    EXPECT_TRUE(File.has_value()) << C.Name;
-    if (File)
-      Js = File->P;
-  }
-  return ExecutionEngine(Cfg)
-      .enumerate(compileToArm(Js).Arm, Armv8Model())
-      .outcomeStrings();
-}
-
-} // namespace
-
 TEST(Differential, UniSizeModelMatchesMixedRevised) {
   // The §6.3 reduction on the whole corpus: the uni-size model and the
   // revised mixed-size model agree on full outcome sets for the aligned
   // u32 rendering.
   for (const DiffCase &C : differentialCorpus()) {
-    DiffReport R = runDifferential(C);
+    LitmusJobResult R = differentialTable(C.program());
     EXPECT_EQ(R.AllowedByBackend.at("uni-js"),
               R.AllowedByBackend.at("js-revised"))
         << C.Name;
@@ -161,17 +138,18 @@ TEST(Differential, UniSizeModelMatchesMixedRevised) {
 
 TEST(Differential, ReportsAreStableAcrossEngineConfigs) {
   // The differential verdicts are engine-config independent: sharded and
-  // unpruned runs produce the identical report, and the compiled program's
-  // mixed-size ARMv8 outcomes match the unpruned ARMv8 walk.
+  // unpruned runs produce the identical report, the mixed-size ARMv8
+  // column included.
   for (const DiffCase &C : differentialCorpus()) {
-    DiffReport Seq = runDifferential(C, EngineConfig{1, true});
-    std::vector<std::string> Arm = armv8Outcomes(C, EngineConfig{1, true});
+    Program P = C.program();
+    LitmusJobResult Seq =
+        differentialTable(P, ExecutionEngine(EngineConfig{1, true}));
+    ASSERT_TRUE(Seq.AllowedByBackend.count("armv8")) << C.Name;
     for (EngineConfig Cfg : {EngineConfig{4, true}, EngineConfig{1, false}}) {
-      DiffReport R = runDifferential(C, Cfg);
+      LitmusJobResult R = differentialTable(P, ExecutionEngine(Cfg));
       EXPECT_EQ(Seq.AllowedByBackend, R.AllowedByBackend) << C.Name;
       EXPECT_EQ(Seq.SoundnessViolations, R.SoundnessViolations) << C.Name;
       EXPECT_EQ(Seq.ObservableWeakenings, R.ObservableWeakenings) << C.Name;
-      EXPECT_EQ(Arm, armv8Outcomes(C, Cfg)) << C.Name;
     }
   }
 }
@@ -217,7 +195,6 @@ TEST(DifferentialLarge, CorpusCrossesTheOldCeiling) {
 TEST(DifferentialLarge, GoldenVerdictTable) {
   // Pinned verdicts for every backend on every 65+-event corpus program —
   // the "real verdicts for large programs" acceptance gate.
-  std::vector<std::string> Backends = differentialBackends();
   unsigned Pinned = 0;
   for (const DiffCase &C : largeDifferentialCorpus()) {
     auto It = LargeGoldenVerdicts.find(C.Name);
@@ -225,11 +202,11 @@ TEST(DifferentialLarge, GoldenVerdictTable) {
         << C.Name << " has no golden verdict row";
     std::vector<bool> Want = verdictsOf(It->second);
     ASSERT_EQ(Want.size(), Backends.size()) << C.Name;
-    DiffReport R = runDifferential(C);
+    LitmusJobResult R = differentialTable(C.program());
     for (size_t B = 0; B < Backends.size(); ++B) {
       ASSERT_TRUE(R.AllowedByBackend.count(Backends[B]))
           << C.Name << " missing column " << Backends[B];
-      EXPECT_EQ(R.allows(Backends[B], C.Weak), Want[B])
+      EXPECT_EQ(R.allows(Backends[B], C.Weak.toString()), Want[B])
           << C.Name << " / " << Backends[B] << " on " << C.Weak.toString();
     }
     EXPECT_TRUE(R.SoundnessViolations.empty())
@@ -245,9 +222,12 @@ TEST(DifferentialLarge, ReportsAreStableAcrossEngineConfigs) {
   for (const DiffCase &C : largeDifferentialCorpus()) {
     if (C.Name == "sb-wide-126")
       continue; // one skip keeps the test quick; the others cover both shapes
-    DiffReport Base = runDifferential(C);
-    DiffReport Sharded = runDifferential(C, EngineConfig{4, true, false});
-    DiffReport Unpruned = runDifferential(C, EngineConfig{1, false, false});
+    Program P = C.program();
+    LitmusJobResult Base = differentialTable(P);
+    LitmusJobResult Sharded =
+        differentialTable(P, ExecutionEngine(EngineConfig{4, true, false}));
+    LitmusJobResult Unpruned =
+        differentialTable(P, ExecutionEngine(EngineConfig{1, false, false}));
     EXPECT_EQ(Base.AllowedByBackend, Sharded.AllowedByBackend) << C.Name;
     EXPECT_EQ(Base.AllowedByBackend, Unpruned.AllowedByBackend) << C.Name;
   }
@@ -259,13 +239,13 @@ TEST(DifferentialLarge, PaddingPreservesTheCoreVerdicts) {
   std::map<std::string, std::vector<std::string>> Core;
   for (const DiffCase &C : differentialCorpus())
     if (C.Name == "sb-plain")
-      Core = runDifferential(C).AllowedByBackend;
+      Core = differentialTable(C.program()).AllowedByBackend;
   ASSERT_FALSE(Core.empty());
   for (const DiffCase &C : largeDifferentialCorpus()) {
     if (C.Name != "sb-wide-66" && C.Name != "sb-wide-126")
       continue;
-    DiffReport R = runDifferential(C);
-    for (const std::string &Backend : differentialBackends())
+    LitmusJobResult R = differentialTable(C.program());
+    for (const std::string &Backend : Backends)
       EXPECT_EQ(R.AllowedByBackend.at(Backend), Core.at(Backend))
           << C.Name << " / " << Backend;
   }

@@ -5,7 +5,7 @@
 /// EngineConfig::Reduction (engine/Symmetry + the justifier sleep sets):
 ///
 ///   - reduced enumeration must produce byte-identical differential
-///     verdict tables (all nine backends) on the small and large corpora,
+///     verdict tables (every column) on the small and large corpora,
 ///     across thread counts and both tot-order solvers;
 ///   - the symmetry pass must find exact and renamed thread classes, and
 ///     must NOT merge near-symmetric threads (differing stored values,
@@ -19,6 +19,7 @@
 
 #include "engine/Symmetry.h"
 #include "solver/TotSolver.h"
+#include "service/LitmusService.h"
 #include "targets/Differential.h"
 #include "targets/TargetCompile.h"
 
@@ -42,7 +43,11 @@ EngineConfig cfg(unsigned Threads, bool Reduce, bool ForceDyn = false) {
   return C;
 }
 
-void expectSameReport(const DiffReport &Base, const DiffReport &Red,
+LitmusJobResult tableOf(const DiffCase &C, const EngineConfig &Cfg) {
+  return differentialTable(C.program(), ExecutionEngine(Cfg));
+}
+
+void expectSameReport(const LitmusJobResult &Base, const LitmusJobResult &Red,
                       const std::string &Context) {
   EXPECT_EQ(Base.AllowedByBackend, Red.AllowedByBackend) << Context;
   EXPECT_EQ(Base.SoundnessViolations, Red.SoundnessViolations) << Context;
@@ -55,9 +60,9 @@ void expectSameReport(const DiffReport &Base, const DiffReport &Red,
 
 TEST(Reduction, SmallCorpusMatchesUnreducedAcrossThreads) {
   for (const DiffCase &C : differentialCorpus()) {
-    DiffReport Base = runDifferential(C, cfg(1, false));
+    LitmusJobResult Base = tableOf(C, cfg(1, false));
     for (unsigned T : {1u, 2u, 4u}) {
-      DiffReport Red = runDifferential(C, cfg(T, true));
+      LitmusJobResult Red = tableOf(C, cfg(T, true));
       expectSameReport(Base, Red,
                        C.Name + " reduced, threads=" + std::to_string(T));
     }
@@ -68,9 +73,9 @@ TEST(Reduction, SmallCorpusMatchesUnreducedWithBruteSolver) {
   SolverKind Saved = defaultSolverKind();
   setDefaultSolverKind(SolverKind::Brute);
   for (const DiffCase &C : differentialCorpus()) {
-    DiffReport Base = runDifferential(C, cfg(1, false));
+    LitmusJobResult Base = tableOf(C, cfg(1, false));
     for (unsigned T : {1u, 2u}) {
-      DiffReport Red = runDifferential(C, cfg(T, true));
+      LitmusJobResult Red = tableOf(C, cfg(T, true));
       expectSameReport(Base, Red,
                        C.Name + " brute, threads=" + std::to_string(T));
     }
@@ -82,9 +87,9 @@ TEST(ReductionLarge, LargeCorpusMatchesUnreducedAcrossThreads) {
   for (const DiffCase &C : largeDifferentialCorpus()) {
     // One unreduced pass per case keeps this test's cost close to the
     // existing large-corpus golden test; the reduced passes are cheap.
-    DiffReport Base = runDifferential(C, cfg(4, false));
+    LitmusJobResult Base = tableOf(C, cfg(4, false));
     for (unsigned T : {1u, 2u, 4u}) {
-      DiffReport Red = runDifferential(C, cfg(T, true));
+      LitmusJobResult Red = tableOf(C, cfg(T, true));
       expectSameReport(Base, Red,
                        C.Name + " reduced, threads=" + std::to_string(T));
     }

@@ -254,6 +254,7 @@ TEST(Search, BoundedCompilationFailsForOriginalModel) {
   Cfg.MaxEvents = 6;
   Cfg.NumLocs = 2;
   Cfg.Js = ModelSpec::original();
+  Cfg.Threads = 0; // the full 6-event space: shard it across every core
   BoundedCompilationReport R = boundedCompilationCheck(Cfg);
   EXPECT_FALSE(R.holds());
 }

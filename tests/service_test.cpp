@@ -254,28 +254,6 @@ TEST(LitmusService, LargeCorpusIsDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(LitmusService, LargeDifferentialTableMatchesRunDifferential) {
-  // The service's large-program verdict tables agree with the
-  // targets/Differential reference on every one of the nine backends.
-  LitmusService Service;
-  std::vector<DiffCase> Corpus = largeDifferentialCorpus();
-  std::vector<LitmusJob> Jobs = largeCorpusJobs();
-  ASSERT_EQ(Corpus.size(), Jobs.size());
-  for (size_t I = 0; I < Corpus.size(); ++I) {
-    LitmusJobResult R = Service.runOne(Jobs[I]);
-    ASSERT_EQ(R.Status, JobStatus::Ok) << Jobs[I].Name << ": " << R.Error;
-    DiffReport Ref = runDifferential(Corpus[I]);
-    for (const std::string &Backend : differentialBackends()) {
-      ASSERT_TRUE(R.AllowedByBackend.count(Backend))
-          << Jobs[I].Name << " missing " << Backend;
-      EXPECT_EQ(R.AllowedByBackend.at(Backend),
-                Ref.AllowedByBackend.at(Backend))
-          << Jobs[I].Name << " / " << Backend;
-    }
-    EXPECT_EQ(R.SoundnessViolations, Ref.SoundnessViolations) << Jobs[I].Name;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Verdict cache
 //===----------------------------------------------------------------------===//
@@ -354,33 +332,105 @@ TEST(LitmusService, CacheKeyCanonicalises) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential jobs agree with the differential suite
+// Differential jobs agree with the exhaustive table
 //===----------------------------------------------------------------------===//
 
-TEST(LitmusService, DifferentialTableMatchesRunDifferential) {
+namespace {
+
+/// Runs every job of \p Jobs as the production service does (reduction,
+/// static tier, DRF shortcut) and compares its table with the exhaustive
+/// walk's: no reduction, no static tier, no shortcut.
+void expectServiceMatchesExhaustive(const std::vector<LitmusJob> &Jobs) {
   LitmusService Service;
-  unsigned Seen = 0;
-  for (const DiffCase &C : differentialCorpus()) {
-    if (C.Litmus.empty())
-      continue;
-    ++Seen;
-    LitmusJobResult R =
-        Service.runOne({C.Name, C.Litmus, "differential", 1});
-    ASSERT_EQ(R.Status, JobStatus::Ok) << C.Name << ": " << R.Error;
-    DiffReport Ref = runDifferential(C);
-    for (const std::string &Backend : differentialBackends()) {
-      ASSERT_TRUE(R.AllowedByBackend.count(Backend))
-          << C.Name << " missing " << Backend;
-      EXPECT_EQ(R.AllowedByBackend.at(Backend),
-                Ref.AllowedByBackend.at(Backend))
-          << C.Name << " / " << Backend;
-    }
-    EXPECT_EQ(R.SoundnessViolations, Ref.SoundnessViolations) << C.Name;
-    EXPECT_EQ(R.ObservableWeakenings, Ref.ObservableWeakenings) << C.Name;
-    // The service's table additionally carries the mixed-size ARMv8 column.
-    EXPECT_TRUE(R.AllowedByBackend.count("armv8")) << C.Name;
+  for (const LitmusJob &J : Jobs) {
+    LitmusJobResult R = Service.runOne(J);
+    ASSERT_EQ(R.Status, JobStatus::Ok) << J.Name << ": " << R.Error;
+    std::optional<LitmusFile> File = parseLitmus(J.Litmus);
+    ASSERT_TRUE(File.has_value()) << J.Name;
+    LitmusJobResult Ref =
+        differentialTable(File->P, ExecutionEngine(EngineConfig{1, true}));
+    EXPECT_EQ(R.AllowedByBackend, Ref.AllowedByBackend) << J.Name;
+    EXPECT_EQ(R.SoundnessViolations, Ref.SoundnessViolations) << J.Name;
+    EXPECT_EQ(R.ObservableWeakenings, Ref.ObservableWeakenings) << J.Name;
   }
-  EXPECT_GE(Seen, 2u);
+}
+
+} // namespace
+
+TEST(LitmusService, DifferentialTableMatchesExhaustiveTable) {
+  std::vector<LitmusJob> Jobs = differentialCorpusJobs();
+  ASSERT_GE(Jobs.size(), 17u);
+  expectServiceMatchesExhaustive(Jobs);
+}
+
+TEST(LitmusService, LargeDifferentialTableMatchesExhaustiveTable) {
+  std::vector<LitmusJob> Jobs = largeCorpusJobs();
+  ASSERT_GE(Jobs.size(), 3u);
+  expectServiceMatchesExhaustive(Jobs);
+}
+
+namespace {
+
+/// One thread of \p N stores to distinct cells (N + 1 events as written,
+/// 2N in the uni-size fragment).
+std::string distinctStores(unsigned N, const char *Store) {
+  std::string Out = "name stores\nbuffer " + std::to_string(4 * N) +
+                    "\nthread\n";
+  for (unsigned I = 0; I < N; ++I)
+    Out += std::string("  ") + Store + " u32 " + std::to_string(4 * I) +
+           " = 1\n";
+  return Out;
+}
+
+/// 600 events in the uni-size fragment, 1200 once armv7 and riscv fence
+/// every store.
+std::string scStores300() { return distinctStores(300, "store.sc"); }
+
+} // namespace
+
+TEST(LitmusService, DifferentialTableOmitsTargetsCompiledPastTheCap) {
+  // A compiled target past DynRelation::MaxSize has no column, as armv8
+  // has none past 64 events — with or without the static DRF shortcut.
+  LitmusService Service;
+  for (bool Static : {true, false}) {
+    LitmusJob Job{"", scStores300(), "differential", 1};
+    Job.Static = Static;
+    LitmusJobResult R = Service.runOne(Job);
+    ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+    EXPECT_EQ(R.DrfFastPath, Static);
+    for (const char *Omitted : {"armv8", "armv7", "riscv"})
+      EXPECT_FALSE(R.AllowedByBackend.count(Omitted))
+          << Omitted << " static=" << Static;
+    for (const char *Kept : {"js-original", "js-revised", "uni-js",
+                             "x86-tso", "armv8-uni", "power", "immlite"})
+      EXPECT_TRUE(R.allows(Kept, "empty")) << Kept << " static=" << Static;
+  }
+}
+
+TEST(LitmusService, DifferentialTableOmitsUniColumnsPastTheCap) {
+  // 601 events as written, 1200 in the uni-size fragment: only the
+  // JavaScript columns apply, under either static flag.
+  LitmusService Service;
+  for (bool Static : {true, false}) {
+    LitmusJob Job{"", distinctStores(600, "store"), "differential", 1};
+    Job.Static = Static;
+    LitmusJobResult R = Service.runOne(Job);
+    ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+    std::vector<std::string> Columns;
+    for (const auto &[Backend, Allowed] : R.AllowedByBackend)
+      Columns.push_back(Backend);
+    EXPECT_EQ(Columns, (std::vector<std::string>{"js-original",
+                                                 "js-revised"}))
+        << "static=" << Static;
+  }
+}
+
+TEST(LitmusService, SingleModelTargetCompiledPastTheCapIsTooLarge) {
+  LitmusService Service;
+  LitmusJobResult R = Service.runOne({"", scStores300(), "armv7", 1});
+  EXPECT_EQ(R.Status, JobStatus::TooLarge);
+  EXPECT_EQ(R.Error, "program too large (1200 events > 1024) "
+                     "(after compilation for armv7)");
 }
 
 TEST(LitmusService, SingleModelJobMatchesDirectEnumeration) {

@@ -16,6 +16,7 @@
 #include "search/SkeletonSearch.h"
 #include "solver/ScConstraints.h"
 #include "support/LinearExtensions.h"
+#include "service/LitmusService.h"
 #include "targets/Differential.h"
 #include "unisize/Reduction.h"
 
@@ -222,7 +223,7 @@ TEST(Solver, DifferentialCorpusVerdictsIdenticalUnderBothSolvers) {
   for (SolverKind K : allSolverKinds()) {
     setDefaultSolverKind(K);
     for (const DiffCase &C : Corpus) {
-      DiffReport R = runDifferential(C);
+      LitmusJobResult R = differentialTable(C.program());
       EXPECT_TRUE(R.SoundnessViolations.empty())
           << C.Name << " under " << solverKindName(K);
       Tables[K == SolverKind::Brute ? 0 : 1][C.Name] = R.AllowedByBackend;

@@ -112,7 +112,8 @@ int main(int Argc, char **Argv) {
     return unknownModel(ModelName);
   if (Path.empty())
     return usage();
-  const ModelSpec *JsSpec = Backend->Js ? &*Backend->Js : nullptr;
+  const ModelSpec *JsSpec =
+      Backend->K == BackendInfo::Kind::Js ? &Backend->Js : nullptr;
   if ((WithArm || WithScDrf) && !JsSpec) {
     std::cerr << "jsmm-run: --arm/--scdrf apply to the JavaScript backends "
                  "only (model '" << ModelName << "' is a compiled backend)\n";
