@@ -153,7 +153,7 @@ int main(int Argc, char **Argv) {
   // means beyond the *dynamic* cap (DynRelation::MaxSize events) — the
   // former 71-event flavour of this job is served with real verdicts
   // since the dynamic relation tier landed, and the 301-event flavour
-  // since the SAT consistency tier raised the cap to 1024.
+  // since the dynamic cap was raised to 1024.
   {
     std::string TooLarge = "name big\nbuffer 64\nthread\n";
     for (unsigned I = 0; I < 1100; ++I)

@@ -1429,6 +1429,11 @@ template <typename RelT> struct TargetCore {
 // Observability and the shared enumerateOutcomes tail
 //===----------------------------------------------------------------------===//
 
+/// Past this many events the brute oracle's linear-extension walk does not
+/// finish in useful time, so the JS door answers a Brute request with
+/// propagation instead. A Propagate request is never rerouted.
+constexpr unsigned BruteMaxEvents = 256;
+
 /// Picks the relation tier of an enumerateOutcomes door — "inline" up to
 /// 64 events unless \p ForceDyn, else the heap "dyn" tier — and traces
 /// the choice.
@@ -1576,19 +1581,16 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
       return *S;
     }
   }
-  // Tier selection for the tot decider: past Cfg.SatThreshold events the
-  // order-search solvers give way to the SAT/CDCL tier. Only the solver
-  // changes — the spec, and therefore the verdict table, is the model's.
-  if (Events > Cfg.SatThreshold && Kind != SolverKind::Sat) {
+  // A large Brute request goes to propagation. Only the solver changes:
+  // the spec, and therefore the verdict table, is the model's.
+  if (Events > BruteMaxEvents && Kind == SolverKind::Brute) {
     traceEvent("solver-dispatch",
                {{"entry", "js"},
                 {"events", static_cast<double>(Events)},
                 {"from", solverKindName(Kind)},
-                {"to", solverKindName(SolverKind::Sat)}});
-    if (obs::metricsEnabled())
-      obs::registry().counter("engine.sat_reroutes").add(1);
-    JsModel SatModel(M.spec(), SolverConfig::sat());
-    return enumerateOutcomes(P, SatModel);
+                {"to", solverKindName(SolverKind::Propagate)}});
+    return enumerateOutcomes(P,
+                             JsModel(M.spec(), SolverConfig::propagate()));
   }
   const char *Tier = selectTier("js", Events, Cfg.ForceDynRelation, Kind);
   bool SmallTier = std::string_view(Tier) == "inline";

@@ -92,17 +92,6 @@ struct EngineConfig {
   /// --no-static restores the full walk. The witness-carrying entry
   /// points (enumerate / scDrf / forEach*) never use the analysis.
   bool StaticFastPath = false;
-  /// Event bound above which the outcome-level entry points answer tot
-  /// questions through the SAT/CDCL tier (SolverKind::Sat) instead of the
-  /// model's configured order-search solver. The default matches the old
-  /// dynamic-tier serving cap, so every program the enumeration tiers used
-  /// to serve keeps its solver and the 257..DynRelation::MaxSize range the
-  /// cap raise opened is SAT-only. Lower it to force small programs
-  /// through the SAT tier (differential tests); raise it past
-  /// DynRelation::MaxSize to disable the forcing entirely. An explicit
-  /// --solver=sat choice routes through the SAT tier at every size
-  /// regardless.
-  unsigned SatThreshold = 256;
 
   static EngineConfig sequential() { return {1, true}; }
   static EngineConfig seedCompatible() { return {1, false}; }
@@ -140,8 +129,8 @@ struct OutcomeSummary {
   /// The relation tier that served the program: "inline" (≤64 events) or
   /// "dyn" (heap DynRelation). Filled by the enumerateOutcomes() doors.
   std::string Tier;
-  /// The tot solver the run dispatched to (after any SAT rerouting past
-  /// EngineConfig::SatThreshold).
+  /// The tot solver the run dispatched to (a brute request past 256
+  /// events is answered by propagation).
   SolverKind SolverUsed = SolverKind::Propagate;
 
   bool allows(const Outcome &O) const;
@@ -166,13 +155,12 @@ public:
   // select automatically per program. capacityError() reports against the
   // dynamic cap — the largest program the engine can serve at all — with a
   // "program too large (N events > 1024)" diagnostic naming
-  // DynRelation::MaxSize. Within that cap, programs past
-  // EngineConfig::SatThreshold events are answered by the SAT consistency
-  // tier (the CDCL tot solver) rather than the order search. The witness-carrying
-  // entry points (enumerate / scDrf / forEach*Candidate) return
-  // Relation-typed executions and therefore stay on the fixed tier; they
-  // throw a CapacityError naming the 64-event bound for larger programs,
-  // and enumerateOutcomes() is the size-agnostic door. Every enumeration
+  // DynRelation::MaxSize. The propagation tot solver answers every size
+  // within that cap. The witness-carrying entry points (enumerate / scDrf /
+  // forEach*Candidate) return Relation-typed executions and therefore stay
+  // on the fixed tier; they throw a CapacityError naming the 64-event
+  // bound for larger programs, and enumerateOutcomes() is the size-agnostic
+  // door. Every enumeration
   // entry point performs its own check and throws CapacityError (a
   // std::length_error) on failure — in release builds a too-large program
   // is a loud error, never the silent out-of-range bit-shifts the

@@ -8,10 +8,11 @@
 /// \file
 /// The metrics half of the observability layer: named counters, gauges and
 /// fixed-bucket latency histograms behind a thread-safe registry. The
-/// existing ad-hoc telemetry structs (EngineStats, SatStats, the service's
-/// CacheStats) stay the per-call API; the registry is where their values
-/// accumulate process-wide so the front doors can render one machine-
-/// readable `run-summary` record (tools/jsmm_batch.cpp --stats=json).
+/// existing ad-hoc telemetry structs (EngineStats, SolverActivity, the
+/// service's CacheStats) stay the per-call API; the registry is where
+/// their values accumulate process-wide so the front doors can render one
+/// machine-readable `run-summary` record (tools/jsmm_batch.cpp
+/// --stats=json).
 ///
 /// Determinism contract. Metrics come in two classes:
 ///

@@ -150,7 +150,8 @@ struct LitmusJobResult {
   /// (single-model jobs only; differential jobs leave it empty).
   std::vector<ExpectationResult> Expectations;
   /// JavaScript and target jobs: the tot solver their enumeration
-  /// dispatched to (after any SAT rerouting). Empty for the solver-free
+  /// dispatched to (a brute request past 256 events is answered by
+  /// propagation). Empty for the solver-free
   /// armv8 backend and for differential jobs.
   std::string SolverUsed;
 

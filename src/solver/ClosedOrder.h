@@ -2,11 +2,10 @@
 ///
 /// \file
 /// A transitively closed strict partial order with O(1) entailment probes
-/// and incremental closure on edge insertion, shared by the
-/// constraint-propagation search (solver/PropagationSolver.cpp) and the
-/// SAT tier's theory side (solver/SatSolver.cpp). Succ/Pred storage is the
-/// relation flavour's SetArray: a fixed inline array on the fast tier, a
-/// vector of heap sets on the dynamic tier.
+/// and incremental closure on edge insertion, the must-order of the
+/// constraint-propagation search (solver/PropagationSolver.cpp). Succ/Pred
+/// storage is the relation flavour's SetArray: a fixed inline array on
+/// the fast tier, a vector of heap sets on the dynamic tier.
 ///
 //===----------------------------------------------------------------------===//
 

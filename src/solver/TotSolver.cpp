@@ -3,7 +3,6 @@
 #include "solver/TotSolver.h"
 
 #include "obs/Obs.h"
-#include "solver/SatSolver.h"
 #include "support/LinearExtensions.h"
 
 #include <atomic>
@@ -19,17 +18,11 @@ void SolverActivity::add(const SolverActivity &O) {
   PropagateBranches += O.PropagateBranches;
   PropagateForcedEdges += O.PropagateForcedEdges;
   BruteExtensions += O.BruteExtensions;
-  SatDecisions += O.SatDecisions;
-  SatPropagations += O.SatPropagations;
-  SatConflicts += O.SatConflicts;
-  SatLearned += O.SatLearned;
-  SatCycleClauses += O.SatCycleClauses;
 }
 
 bool SolverActivity::any() const {
   return Queries || PropagateBranches || PropagateForcedEdges ||
-         BruteExtensions || SatDecisions || SatPropagations || SatConflicts ||
-         SatLearned || SatCycleClauses;
+         BruteExtensions;
 }
 
 void SolverActivitySink::add(const SolverActivity &A) {
@@ -38,11 +31,6 @@ void SolverActivitySink::add(const SolverActivity &A) {
   PropagateForcedEdges.fetch_add(A.PropagateForcedEdges,
                                  std::memory_order_relaxed);
   BruteExtensions.fetch_add(A.BruteExtensions, std::memory_order_relaxed);
-  SatDecisions.fetch_add(A.SatDecisions, std::memory_order_relaxed);
-  SatPropagations.fetch_add(A.SatPropagations, std::memory_order_relaxed);
-  SatConflicts.fetch_add(A.SatConflicts, std::memory_order_relaxed);
-  SatLearned.fetch_add(A.SatLearned, std::memory_order_relaxed);
-  SatCycleClauses.fetch_add(A.SatCycleClauses, std::memory_order_relaxed);
 }
 
 SolverActivity SolverActivitySink::snapshot() const {
@@ -52,11 +40,6 @@ SolverActivity SolverActivitySink::snapshot() const {
   A.PropagateForcedEdges =
       PropagateForcedEdges.load(std::memory_order_relaxed);
   A.BruteExtensions = BruteExtensions.load(std::memory_order_relaxed);
-  A.SatDecisions = SatDecisions.load(std::memory_order_relaxed);
-  A.SatPropagations = SatPropagations.load(std::memory_order_relaxed);
-  A.SatConflicts = SatConflicts.load(std::memory_order_relaxed);
-  A.SatLearned = SatLearned.load(std::memory_order_relaxed);
-  A.SatCycleClauses = SatCycleClauses.load(std::memory_order_relaxed);
   return A;
 }
 
@@ -98,16 +81,6 @@ SolverQueryScope::~SolverQueryScope() {
     R.counter("solver.propagate.forced_edges").add(Act.PropagateForcedEdges);
   if (Act.BruteExtensions)
     R.counter("solver.brute.extensions").add(Act.BruteExtensions);
-  if (Act.SatDecisions)
-    R.counter("solver.sat.decisions").add(Act.SatDecisions);
-  if (Act.SatPropagations)
-    R.counter("solver.sat.propagations").add(Act.SatPropagations);
-  if (Act.SatConflicts)
-    R.counter("solver.sat.conflicts").add(Act.SatConflicts);
-  if (Act.SatLearned)
-    R.counter("solver.sat.learned").add(Act.SatLearned);
-  if (Act.SatCycleClauses)
-    R.counter("solver.sat.cycle_clauses").add(Act.SatCycleClauses);
   R.histogram("solver.query_us")
       .recordMicros(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -261,15 +234,8 @@ bool BruteForceSolver::existsViolatingExtension(const DynTotProblem &P,
 const TotSolver &jsmm::totSolver(SolverKind Kind) {
   static const BruteForceSolver Brute;
   static const PropagationSolver Propagate;
-  static const SatSolver Sat;
-  switch (Kind) {
-  case SolverKind::Brute:
+  if (Kind == SolverKind::Brute)
     return Brute;
-  case SolverKind::Sat:
-    return Sat;
-  case SolverKind::Propagate:
-    break;
-  }
   return Propagate;
 }
 
@@ -296,15 +262,7 @@ const TotSolver &jsmm::defaultTotSolver() {
 }
 
 const char *jsmm::solverKindName(SolverKind Kind) {
-  switch (Kind) {
-  case SolverKind::Brute:
-    return "brute";
-  case SolverKind::Sat:
-    return "sat";
-  case SolverKind::Propagate:
-    break;
-  }
-  return "propagate";
+  return Kind == SolverKind::Brute ? "brute" : "propagate";
 }
 
 std::optional<SolverKind> jsmm::solverKindByName(const std::string &Name) {
@@ -315,5 +273,5 @@ std::optional<SolverKind> jsmm::solverKindByName(const std::string &Name) {
 }
 
 std::vector<SolverKind> jsmm::allSolverKinds() {
-  return {SolverKind::Brute, SolverKind::Propagate, SolverKind::Sat};
+  return {SolverKind::Brute, SolverKind::Propagate};
 }

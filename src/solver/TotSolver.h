@@ -25,7 +25,7 @@
 /// programs. Both solvers decide both tiers through the same templated
 /// cores.
 ///
-/// Three interchangeable deciders implement the interface:
+/// Two interchangeable deciders implement the interface:
 ///
 ///   - BruteForceSolver: the seed's linear-extension enumeration (now with
 ///     a mid-prefix early exit), kept as the differential oracle;
@@ -33,10 +33,6 @@
 ///     transitively closed must-order, unit propagation of forced edges,
 ///     early cycle detection, and backtracking only on genuinely
 ///     unconstrained choices. See solver/PropagationSolver.cpp.
-///   - SatSolver: a CDCL core over boolean order variables with lazy
-///     transitivity (acyclicity learned on demand), the tier the engine
-///     selects past EngineConfig::SatThreshold events. See
-///     solver/SatSolver.h / solver/SatSolver.cpp.
 ///
 /// Callers pick a solver through SolverConfig; an unset config resolves to
 /// the process-wide default (settable from the CLI via --solver=...).
@@ -87,7 +83,13 @@ using TotProblem = BasicTotProblem<Relation>;
 using DynTotProblem = BasicTotProblem<DynRelation>;
 
 /// The available solver implementations.
-enum class SolverKind : uint8_t { Brute, Propagate, Sat };
+enum class SolverKind : uint8_t {
+  Brute,
+  Propagate,
+  /// Never produced: no solver answers to it. Stays only until the next
+  /// benchmark change, because perfbench/src/Tracing.cpp still names it.
+  Sat
+};
 
 /// Pluggable solver selection carried by models and search/enumeration
 /// configurations. An empty Kind resolves to the process-wide default.
@@ -96,7 +98,6 @@ struct SolverConfig {
 
   static SolverConfig brute() { return {SolverKind::Brute}; }
   static SolverConfig propagate() { return {SolverKind::Propagate}; }
-  static SolverConfig sat() { return {SolverKind::Sat}; }
 };
 
 /// Interface of a tot-order decider. Each question has a fast-path
@@ -174,7 +175,7 @@ SolverKind defaultSolverKind();
 void setDefaultSolverKind(SolverKind Kind);
 const TotSolver &defaultTotSolver();
 
-/// Name <-> kind mapping for CLI flags ("brute", "propagate", "sat").
+/// Name <-> kind mapping for CLI flags ("brute", "propagate").
 const char *solverKindName(SolverKind Kind);
 std::optional<SolverKind> solverKindByName(const std::string &Name);
 
@@ -191,11 +192,12 @@ struct SolverActivity {
   uint64_t PropagateBranches = 0;    ///< two-way branch openings (backtracks)
   uint64_t PropagateForcedEdges = 0; ///< unit-propagated forced must-edges
   uint64_t BruteExtensions = 0;      ///< linear extensions enumerated
-  uint64_t SatDecisions = 0;         ///< CDCL decision-level openings
-  uint64_t SatPropagations = 0;      ///< CDCL implied literals
-  uint64_t SatConflicts = 0;         ///< CDCL conflicts analyzed
-  uint64_t SatLearned = 0;           ///< CDCL learned clauses
-  uint64_t SatCycleClauses = 0;      ///< acyclicity (theory) conflict clauses
+  /// Never produced (always 0): stays only until the next benchmark
+  /// change, because perfbench/src/Tracing.cpp still reads it.
+  uint64_t SatDecisions = 0;
+  /// Never produced (always 0): stays only until the next benchmark
+  /// change, because perfbench/src/Tracing.cpp still reads it.
+  uint64_t SatConflicts = 0;
 
   void add(const SolverActivity &O);
   bool any() const;
@@ -216,11 +218,6 @@ private:
   std::atomic<uint64_t> PropagateBranches{0};
   std::atomic<uint64_t> PropagateForcedEdges{0};
   std::atomic<uint64_t> BruteExtensions{0};
-  std::atomic<uint64_t> SatDecisions{0};
-  std::atomic<uint64_t> SatPropagations{0};
-  std::atomic<uint64_t> SatConflicts{0};
-  std::atomic<uint64_t> SatLearned{0};
-  std::atomic<uint64_t> SatCycleClauses{0};
 };
 
 /// This thread's activity sink (nullptr when none is installed).

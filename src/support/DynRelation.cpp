@@ -83,7 +83,12 @@ DynRelation DynRelation::compose(const DynRelation &Other) const {
   return Result;
 }
 
-DynRelation DynRelation::transitiveClosure() const {
+// The heap tier's hottest loop (most of a large differential job's target
+// columns). Starting it on a cache line keeps its speed independent of
+// how much unrelated code the linker places before it: unaligned
+// placements measured up to 20% slower on the perfbench `large` workload
+// (4-core Xeon, Release build).
+[[gnu::aligned(64)]] DynRelation DynRelation::transitiveClosure() const {
   DynRelation Closure = *this;
   for (unsigned K = 0; K < N; ++K)
     for (unsigned A = 0; A < N; ++A)

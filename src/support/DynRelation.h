@@ -140,12 +140,10 @@ public:
   /// `too-large`: the cap bounds worst-case memory (a relation is
   /// N·ceil(N/64) words) and keeps enumeration latency inside what a batch
   /// service can reasonably serve. Raise deliberately, with benchmarks.
-  /// Raised 256 -> 1024 with the SAT consistency tier: past
-  /// EngineConfig::SatThreshold (default 256) events the engine answers
-  /// tot questions through the CDCL solver instead of order search, and
-  /// the bench floor `sat_events_max` pins the served program size. A
-  /// 1024-event relation is 16 KiB — still cheap enough to memoize per
-  /// candidate.
+  /// Raised 256 -> 1024; the propagation tot solver answers every size
+  /// up to it, and the bench floor `dyn_events_max` pins the served
+  /// program size. A 1024-event relation is 16 KiB — still cheap enough
+  /// to memoize per candidate.
   static constexpr unsigned MaxSize = 1024;
 
   using SetT = DynSet;

@@ -275,7 +275,7 @@ TEST(StaticDynamic, ServiceFastPathTablesByteIdenticalToFull) {
   std::vector<LitmusJob> Base = allCorpusJobs();
   SolverKind Saved = defaultSolverKind();
   unsigned FastPathHits = 0;
-  for (SolverKind Kind : {SolverKind::Propagate, SolverKind::Sat}) {
+  for (SolverKind Kind : {SolverKind::Brute, SolverKind::Propagate}) {
     setDefaultSolverKind(Kind);
     for (bool Reduce : {true, false}) {
       std::vector<LitmusJob> FullJobs = Base;
@@ -296,8 +296,7 @@ TEST(StaticDynamic, ServiceFastPathTablesByteIdenticalToFull) {
         ASSERT_EQ(Got.size(), Ref.size());
         for (size_t I = 0; I < Got.size(); ++I) {
           const std::string Where = Got[I].Name + " solver=" +
-                                    (Kind == SolverKind::Sat ? "sat"
-                                                             : "propagate") +
+                                    solverKindName(Kind) +
                                     " reduce=" + (Reduce ? "on" : "off") +
                                     " workers=" + std::to_string(Workers);
           EXPECT_EQ(Got[I].Status, Ref[I].Status) << Where;

@@ -389,9 +389,8 @@ allow 0:r0=010
 }
 
 TEST(LitmusParser, RejectsProgramsBeyondTheDynamicEventCap) {
-  // The SAT tier raised the parser's cap to the new DynRelation::MaxSize
-  // (1024). A program beyond the *raised* cap is still rejected with the
-  // typed TooLarge diagnostic...
+  // The parser's cap is DynRelation::MaxSize (1024). A program beyond
+  // the cap is still rejected with the typed TooLarge diagnostic...
   std::string Src = "name big\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 1200; ++I)
     Src += "  store u32 " + std::to_string(4 * (I % 8)) + " = 1\n";
@@ -419,11 +418,11 @@ TEST(LitmusParser, RejectsProgramsBeyondTheDynamicEventCap) {
   EXPECT_EQ(programEventUpperBound(File->P), 71u);
 
   // The former dynamic-tier rejection (257..1024 events) now parses too:
-  // these programs are served by the SAT consistency tier.
-  std::string SatSized = "name sat-sized\nbuffer 64\nthread\n";
+  // the heap tier with the propagation solver serves these programs.
+  std::string Wide = "name wide\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 300; ++I)
-    SatSized += "  store u32 " + std::to_string(4 * (I % 8)) + " = 1\n";
-  File = parseLitmus(SatSized, &Error);
+    Wide += "  store u32 " + std::to_string(4 * (I % 8)) + " = 1\n";
+  File = parseLitmus(Wide, &Error);
   ASSERT_TRUE(File.has_value()) << Error;
   EXPECT_EQ(programEventUpperBound(File->P), 301u);
 

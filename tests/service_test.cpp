@@ -37,8 +37,8 @@ forbid 1:r0=1 1:r1=0
 )";
 
 /// A straight-line program whose event universe exceeds the *dynamic*
-/// relation cap (DynRelation::MaxSize, 1024 since the SAT tier raised
-/// it) — the only size that still reports too-large.
+/// relation cap (DynRelation::MaxSize, 1024) — the only size that still
+/// reports too-large.
 std::string tooLargeLitmus() {
   std::string Out = "name too-big\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 1200; ++I)

@@ -18,6 +18,7 @@
 #include "support/LinearExtensions.h"
 #include "service/LitmusService.h"
 #include "targets/Differential.h"
+#include "targets/UniProgram.h"
 #include "unisize/Reduction.h"
 
 #include "TestUtil.h"
@@ -76,6 +77,26 @@ CandidateExecution randomCandidate(std::mt19937 &Rng) {
     R.ReadBytes[0] = CE.Events[W].writtenByteAt(Loc);
   }
   return CE;
+}
+
+/// An SB core padded with \p Fillers private three-store writer threads
+/// (event bound 5 + 3*Fillers). The fillers never read and own their
+/// cells, so every width has the verdict table of the bare SB core.
+Program wideSbProgram(unsigned Fillers) {
+  UniProgram P(2 + 3 * Fillers);
+  P.Name = "wide-sb-" + std::to_string(5 + 3 * Fillers);
+  unsigned T0 = P.thread();
+  P.store(T0, 0, 1, Mode::Unordered);
+  P.load(T0, 1, Mode::Unordered);
+  unsigned T1 = P.thread();
+  P.store(T1, 1, 1, Mode::Unordered);
+  P.load(T1, 0, Mode::Unordered);
+  for (unsigned F = 0; F < Fillers; ++F) {
+    unsigned T = P.thread();
+    for (unsigned L = 0; L < 3; ++L)
+      P.store(T, 2 + 3 * F + L, 1 + L, Mode::Unordered);
+  }
+  return mixedFromUni(P);
 }
 
 } // namespace
@@ -233,6 +254,32 @@ TEST(Solver, DifferentialCorpusVerdictsIdenticalUnderBothSolvers) {
   EXPECT_EQ(Tables[0], Tables[1]);
 }
 
+TEST(Solver, PropagationServesProgramsPastTheBruteBound) {
+  // 305 events, on the heap relation tier: propagation answers at 1 and 4
+  // engine threads with the table of the 2-thread SB core, and a brute
+  // request at this size is answered by propagation too.
+  Program Wide = wideSbProgram(100);
+  ASSERT_EQ(programEventUpperBound(Wide), 305u);
+  JsModel Prop(ModelSpec::revised(), SolverConfig::propagate());
+  std::vector<std::string> Core = ExecutionEngine(EngineConfig{1, true})
+                                      .enumerateOutcomes(wideSbProgram(0), Prop)
+                                      .outcomeStrings();
+  EXPECT_FALSE(Core.empty());
+  for (unsigned Threads : {1u, 4u}) {
+    OutcomeSummary S = ExecutionEngine(EngineConfig{Threads, true})
+                           .enumerateOutcomes(Wide, Prop);
+    EXPECT_EQ(S.outcomeStrings(), Core) << "threads " << Threads;
+    EXPECT_EQ(S.Tier, "dyn");
+    EXPECT_EQ(S.SolverUsed, SolverKind::Propagate);
+  }
+  OutcomeSummary Brute =
+      ExecutionEngine(EngineConfig{1, true})
+          .enumerateOutcomes(
+              Wide, JsModel(ModelSpec::revised(), SolverConfig::brute()));
+  EXPECT_EQ(Brute.outcomeStrings(), Core);
+  EXPECT_EQ(Brute.SolverUsed, SolverKind::Propagate);
+}
+
 //===----------------------------------------------------------------------===//
 // Witness determinism
 //===----------------------------------------------------------------------===//
@@ -284,6 +331,7 @@ TEST(Solver, KindRegistry) {
   EXPECT_EQ(solverKindByName("brute"), SolverKind::Brute);
   EXPECT_EQ(solverKindByName("propagate"), SolverKind::Propagate);
   EXPECT_FALSE(solverKindByName("alloy").has_value());
+  EXPECT_FALSE(solverKindByName("sat").has_value());
   EXPECT_STREQ(totSolver(SolverKind::Brute).name(), "brute");
   EXPECT_STREQ(totSolver(SolverKind::Propagate).name(), "propagate");
   // An unset SolverConfig resolves to the process default.

@@ -26,8 +26,7 @@ namespace jsmm {
 struct CliFlags {
   static constexpr const char *Help =
       "  --threads=N    engine threads per job (default 1; 0 = hardware)\n"
-      "  --solver=brute|propagate|sat   tot-order solver (default: "
-      "propagate)\n"
+      "  --solver=brute|propagate   tot-order solver (default: propagate)\n"
       "  --reduce=on|off   equivalence-aware enumeration (default: on)\n"
       "  --no-static    disable the static pre-analysis and DRF-SC fast "
       "path\n"
@@ -70,7 +69,7 @@ struct CliFlags {
         std::optional<SolverKind> Kind = solverKindByName(Arg.substr(9));
         if (!Kind)
           return fail("unknown solver '" + Arg.substr(9) +
-                      "'; pick 'brute', 'propagate' or 'sat'");
+                      "'; pick 'brute' or 'propagate'");
         setDefaultSolverKind(*Kind);
       } else if (Arg.rfind("--reduce=", 0) == 0) {
         std::string Val = Arg.substr(9);

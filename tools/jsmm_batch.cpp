@@ -170,13 +170,6 @@ JsonValue solverJson(const SolverActivity &A) {
         JsonValue(static_cast<uint64_t>(A.PropagateForcedEdges)));
   O.set("brute_extensions",
         JsonValue(static_cast<uint64_t>(A.BruteExtensions)));
-  O.set("sat_decisions", JsonValue(static_cast<uint64_t>(A.SatDecisions)));
-  O.set("sat_propagations",
-        JsonValue(static_cast<uint64_t>(A.SatPropagations)));
-  O.set("sat_conflicts", JsonValue(static_cast<uint64_t>(A.SatConflicts)));
-  O.set("sat_learned", JsonValue(static_cast<uint64_t>(A.SatLearned)));
-  O.set("sat_cycle_clauses",
-        JsonValue(static_cast<uint64_t>(A.SatCycleClauses)));
   return O;
 }
 

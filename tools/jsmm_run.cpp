@@ -52,10 +52,8 @@ void listModels(std::ostream &Out) {
   Out << "capacity tiers (selected per program by event count):\n"
       << "  <= " << Relation::MaxSize
       << " events    inline relations, order-search solver\n"
-      << "  <= " << EngineConfig().SatThreshold
-      << " events   heap-backed relations, order-search solver\n"
       << "  <= " << DynRelation::MaxSize
-      << " events  heap-backed relations, SAT/CDCL consistency tier\n";
+      << " events  heap-backed relations, order-search solver\n";
 }
 
 int usage() {
@@ -272,8 +270,6 @@ int main(int Argc, char **Argv) {
             << ", slept branches " << Count("slept_branches") << "\n"
             << "stats: solver queries " << R.Solver.Queries
             << ", propagate branches " << R.Solver.PropagateBranches
-            << ", forced edges " << R.Solver.PropagateForcedEdges
-            << ", sat decisions " << R.Solver.SatDecisions
-            << ", sat conflicts " << R.Solver.SatConflicts << "\n";
+            << ", forced edges " << R.Solver.PropagateForcedEdges << "\n";
   return Status;
 }

@@ -9,7 +9,10 @@ Runs `jsmm-batch --corpus --stats=json --trace=...` and checks:
      numeric "t_us" timestamp;
   2. the stream ends with a run-summary record carrying the cache hit
      rate, per-job latency percentiles (p50/p90/p99) and solver counters;
-  3. the deterministic "counters" section is byte-identical across
+  3. every per-job line carries a "solver" object with exactly the
+     activity counters of the two tot solvers, and every "solver.*"
+     counter of the run-summary belongs to one of them;
+  4. the deterministic "counters" section is byte-identical across
      --workers=1/2/4 (the per-job JSONL lines must match byte-for-byte
      too).
 
@@ -35,6 +38,16 @@ KNOWN_EVENTS = {
     "cache-miss",
     "capacity-reject",
 }
+
+# The per-job solver object of the --stats JSONL, and the solver counter
+# families of the registry (solver.queries plus solver.<kind>.*).
+SOLVER_KEYS = {
+    "queries",
+    "propagate_branches",
+    "propagate_forced_edges",
+    "brute_extensions",
+}
+SOLVER_COUNTER_PREFIXES = ("solver.brute.", "solver.propagate.")
 
 
 def fail(msg):
@@ -84,6 +97,13 @@ def check_trace(trace_lines, workers):
                  % (workers, line))
 
 
+def check_job(line, workers):
+    solver = json.loads(line).get("solver")
+    if not isinstance(solver, dict) or set(solver) != SOLVER_KEYS:
+        fail("workers=%d: per-job solver object %r, want keys %s"
+             % (workers, solver, sorted(SOLVER_KEYS)))
+
+
 def check_summary(summary):
     cache = summary.get("cache")
     if not isinstance(cache, dict) or "hit_rate" not in cache:
@@ -98,6 +118,10 @@ def check_summary(summary):
     counters = summary.get("counters")
     if not isinstance(counters, dict) or "solver.queries" not in counters:
         fail("run-summary counters without solver.queries")
+    for name in counters:
+        if (name.startswith("solver.") and name != "solver.queries"
+                and not name.startswith(SOLVER_COUNTER_PREFIXES)):
+            fail("run-summary counter %r names no tot solver" % name)
     jobs = summary.get("jobs")
     if not isinstance(jobs, dict) or jobs.get("failed") != 0:
         fail("run-summary reports failed jobs: %r" % (jobs,))
@@ -121,6 +145,8 @@ def main():
             check_summary(summaries[0])
             job_lines = [l for l in lines
                          if '"record":"run-summary"' not in l]
+            for line in job_lines:
+                check_job(line, workers)
             per_worker[workers] = {
                 "counters": json.dumps(summaries[0]["counters"],
                                        sort_keys=True),
@@ -136,8 +162,8 @@ def main():
         if per_worker[workers]["jobs"] != base["jobs"]:
             fail("per-job JSONL differs between workers=1 and workers=%d"
                  % workers)
-    print("obs_check: OK (trace parsed, run-summary shape valid, counters "
-          "byte-identical across workers 1/2/4)")
+    print("obs_check: OK (trace parsed, run-summary and solver shapes "
+          "valid, counters byte-identical across workers 1/2/4)")
     return 0
 
 

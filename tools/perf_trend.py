@@ -27,9 +27,9 @@ regressions wall clock can hide), plus the batch service's
 ``*_jobs_per_sec`` floors (``service_jobs_per_sec`` for the ≤64-event
 differential corpus, ``large_program_jobs_per_sec`` for the 65+-event
 corpus served by the dynamic relation tier), plus the ``*_events_max``
-capacity floors (``sat_events_max``: the largest program size the SAT
-consistency tier served in the headline run — a capacity regression,
-e.g. an accidental threshold or relation-cap change, shows up as this
+capacity floors (``dyn_events_max``: the size of the largest program
+the capacity headline served through the default door — a capacity
+regression, e.g. an accidental relation-cap change, shows up as this
 number dropping), plus the ``*_hits`` coverage floors
 (``drf_fastpath_hits``: how many jobs of the statically-DRF headline
 family the DRF-SC fast path actually served — a deterministic counter
