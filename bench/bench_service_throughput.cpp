@@ -52,7 +52,7 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--workers=", 0) == 0) {
-      std::optional<unsigned> N = parseCliUnsigned(
+      std::optional<unsigned> N = parseThreadCount(
           "bench_service_throughput", "--workers", Arg.substr(10));
       if (!N)
         return 2;

@@ -147,7 +147,7 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     std::optional<unsigned> N =
-        parseCliUnsigned("litmus_explorer", "--workers", Arg.substr(10));
+        parseThreadCount("litmus_explorer", "--workers", Arg.substr(10));
     if (!N)
       return 2;
     Workers = *N;

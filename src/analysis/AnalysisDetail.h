@@ -12,7 +12,7 @@
 #define JSMM_ANALYSIS_ANALYSISDETAIL_H
 
 #include "analysis/StaticAnalysis.h"
-#include "engine/Symmetry.h"
+#include "analysis/Symmetry.h"
 
 #include <functional>
 #include <map>

@@ -83,7 +83,7 @@ enum class LintKind : uint8_t {
   /// satisfy (IfEq) or refute (IfNe): the branch body is dead / the guard
   /// is vacuous.
   DeadBranch,
-  /// Threads with interchangeable bodies (engine/Symmetry exact or
+  /// Threads with interchangeable bodies (analysis/Symmetry exact or
   /// private-byte-renamed classes): duplicated litmus threads add
   /// enumeration cost without adding behaviours.
   DuplicateThread,

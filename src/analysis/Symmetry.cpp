@@ -1,10 +1,9 @@
-//===- engine/Symmetry.cpp ------------------------------------------------===//
+//===- analysis/Symmetry.cpp ----------------------------------------------===//
 
-#include "engine/Symmetry.h"
+#include "analysis/Symmetry.h"
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 using namespace jsmm;
 
@@ -139,7 +138,6 @@ bool renamingIsPrivate(const std::map<ByteKey, unsigned> &Fwd,
 template <typename MatchFn>
 ThreadSymmetry assembleClasses(unsigned NumThreads, MatchFn Matches) {
   ThreadSymmetry S;
-  S.ClassOf.assign(NumThreads, -1);
   std::vector<std::vector<unsigned>> Groups;
   std::vector<char> GroupExact;
   for (unsigned T = 0; T < NumThreads; ++T) {
@@ -160,9 +158,6 @@ ThreadSymmetry assembleClasses(unsigned NumThreads, MatchFn Matches) {
   for (size_t G = 0; G < Groups.size(); ++G) {
     if (Groups[G].size() < 2)
       continue;
-    int Idx = static_cast<int>(S.Classes.size());
-    for (unsigned T : Groups[G])
-      S.ClassOf[T] = Idx;
     S.Classes.push_back(std::move(Groups[G]));
     S.Exact.push_back(GroupExact[G]);
   }
@@ -211,41 +206,4 @@ ThreadSymmetry jsmm::threadSymmetry(const CompiledTarget &CT) {
         return A.size() == B.size() &&
                std::equal(A.begin(), A.end(), B.begin(), InstrsEqual);
       });
-}
-
-std::vector<Outcome> jsmm::closeOutcomes(std::vector<Outcome> Allowed,
-                                         const ThreadSymmetry &S) {
-  if (S.empty()) {
-    std::sort(Allowed.begin(), Allowed.end());
-    return Allowed;
-  }
-  std::set<Outcome> Seen(Allowed.begin(), Allowed.end());
-  std::vector<Outcome> Queue(Seen.begin(), Seen.end());
-  auto SwapThreads = [](const Outcome &O, int T1, int T2) {
-    Outcome Out = O;
-    for (auto &[Thread, Reg, Value] : Out.Regs) {
-      (void)Reg;
-      (void)Value;
-      if (Thread == T1)
-        Thread = T2;
-      else if (Thread == T2)
-        Thread = T1;
-    }
-    std::sort(Out.Regs.begin(), Out.Regs.end());
-    return Out;
-  };
-  // Breadth-first closure under adjacent class transpositions; adjacent
-  // transpositions generate the full symmetric group of each class.
-  while (!Queue.empty()) {
-    Outcome O = std::move(Queue.back());
-    Queue.pop_back();
-    for (const std::vector<unsigned> &Cls : S.Classes)
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        Outcome Swapped = SwapThreads(O, static_cast<int>(Cls[K - 1]),
-                                      static_cast<int>(Cls[K]));
-        if (Seen.insert(Swapped).second)
-          Queue.push_back(Swapped);
-      }
-  }
-  return std::vector<Outcome>(Seen.begin(), Seen.end());
 }

@@ -7,7 +7,6 @@
 #include "analysis/StaticValues.h"
 #include "core/DataRace.h"
 #include "core/SeqConsistency.h"
-#include "engine/Symmetry.h"
 #include "litmus/PathEnum.h"
 #include "obs/Obs.h"
 #include "solver/TotSolver.h"
@@ -162,8 +161,16 @@ void runSharded(size_t NumItems, unsigned Threads,
   unsigned N = static_cast<unsigned>(
       std::min<size_t>(Threads, NumItems));
   Pool.reserve(N);
-  for (unsigned T = 0; T < N; ++T)
-    Pool.emplace_back(Worker);
+  try {
+    for (unsigned T = 0; T < N; ++T)
+      Pool.emplace_back(Worker);
+  } catch (...) {
+    // A joinable std::thread destroyed during unwinding would terminate
+    // the process; the started workers drain the items before joining.
+    for (std::thread &T : Pool)
+      T.join();
+    throw;
+  }
   for (std::thread &T : Pool)
     T.join();
 }
@@ -261,9 +268,8 @@ bool walkCore(const CoreT &Core, EngineStats *St,
 /// pruning counters are identical for every thread count; ValidCandidates
 /// may differ, because outcome deduplication is per item. A base whose
 /// first read has at most one writer is a single item. Under reduction,
-/// slept first-writer items simply produce nothing: the sleep rules are a
-/// function of the justification stack alone, so sharding cannot change
-/// what is explored.
+/// slept first-writer items simply produce nothing: the rf sleep-set keys
+/// are fixed per base, so sharding cannot change what is explored.
 template <typename CoreT, typename ModelT>
 typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
                                       unsigned Threads, EngineStats &Stats) {
@@ -334,117 +340,6 @@ template <typename ResultT> OutcomeSummary summarize(ResultT R) {
 }
 
 //===----------------------------------------------------------------------===//
-// Twin sleep sets (EngineConfig::Reduction)
-//===----------------------------------------------------------------------===//
-
-/// Twin sleep sets over the exact thread-symmetry classes, shared by the
-/// JavaScript and target justifiers. Two events are twins when they sit at
-/// the same body position in consecutive members of an exact class that
-/// chose the same control-flow path. Exact twins have byte-identical
-/// attributes, so swapping their two threads wholesale is an automorphism
-/// of the base.
-class TwinSleep {
-public:
-  /// Links the twins among \p Events (Thread -1: init). \p PathIdx holds
-  /// the combination's per-thread path indices, or is empty for a
-  /// straight-line program. A no-op for an empty symmetry.
-  template <typename EventT>
-  void setup(const ThreadSymmetry &Sym, const std::vector<EventT> &Events,
-             const std::vector<size_t> &PathIdx) {
-    if (Sym.empty())
-      return;
-    Active = true;
-    size_t NumThreads = Sym.ClassOf.size();
-    TwinPrev.assign(Events.size(), -1);
-    TwinThreadOf.assign(Events.size(), -1);
-    ThreadRefs.assign(NumThreads, 0);
-    std::vector<std::vector<EventId>> ThreadEvents(NumThreads);
-    for (const EventT &E : Events)
-      if (E.Thread >= 0)
-        ThreadEvents[E.Thread].push_back(E.Id);
-    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
-      if (!Sym.Exact[Ci])
-        continue;
-      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        unsigned T1 = Cls[K - 1], T2 = Cls[K];
-        if (!PathIdx.empty() && PathIdx[T1] != PathIdx[T2])
-          continue; // different paths: no positional twin pairing
-        assert(ThreadEvents[T1].size() == ThreadEvents[T2].size());
-        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
-          TwinPrev[ThreadEvents[T2][I]] =
-              static_cast<int>(ThreadEvents[T1][I]);
-          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
-        }
-      }
-    }
-  }
-
-  /// \returns true if the subtree justifying \p R from \p W is asleep: W
-  /// is the twin of an earlier class member's writer, neither thread of
-  /// the pair is referenced by an rf choice yet, and the reading thread is
-  /// outside the pair. The explored sibling's subtree is then isomorphic,
-  /// and the orbit closure recovers its outcomes.
-  template <typename EventT>
-  bool asleep(const EventT &W, const EventT &R) const {
-    if (!Active || TwinPrev[W.Id] < 0)
-      return false;
-    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
-    if (R.Thread == T1 || R.Thread == T2)
-      return false;
-    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
-  }
-
-  /// Records an rf choice of \p W for \p R (retain) or undoes it (release).
-  template <typename EventT> void retain(const EventT &W, const EventT &R) {
-    if (!Active)
-      return;
-    for (int T : {W.Thread, R.Thread})
-      if (T >= 0)
-        ++ThreadRefs[T];
-  }
-  template <typename EventT> void release(const EventT &W, const EventT &R) {
-    if (!Active)
-      return;
-    for (int T : {W.Thread, R.Thread})
-      if (T >= 0)
-        --ThreadRefs[T];
-  }
-
-private:
-  bool Active = false;
-  std::vector<int> TwinPrev;        ///< per event: earlier twin event or -1
-  std::vector<int> TwinThreadOf;    ///< per event: thread of that twin or -1
-  std::vector<unsigned> ThreadRefs; ///< rf references per thread
-};
-
-//===----------------------------------------------------------------------===//
-// JavaScript candidate space and its reduction (EngineConfig::Reduction)
-//===----------------------------------------------------------------------===//
-
-/// Program-level reduction context for one JS enumeration: the symmetry
-/// classes plus the model spec (the rf sleep-set keys must mirror the
-/// spec's sw definition and tear rule exactly).
-struct JsReductionCtx {
-  ThreadSymmetry Sym;
-  ModelSpec Spec;
-};
-
-/// \returns true if the combination with path indices \p Idx is the
-/// canonical representative of its orbit under the symmetry classes:
-/// within each class, path indices must be non-decreasing by thread index.
-/// Skipped combinations are thread permutations of a canonical one; the
-/// orbit closure of the outcome set restores their outcomes.
-bool canonicalCombo(const std::vector<size_t> &Idx,
-                    const ThreadSymmetry &Sym) {
-  for (const std::vector<unsigned> &Cls : Sym.Classes)
-    for (size_t K = 1; K < Cls.size(); ++K)
-      if (Idx[Cls[K - 1]] > Idx[Cls[K]])
-        return false;
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // Value-aware static pruning (EngineConfig::StaticFastPath)
 //===----------------------------------------------------------------------===//
 
@@ -456,10 +351,7 @@ using StaticAllowMask = std::vector<std::vector<std::vector<uint8_t>>>;
 /// Per thread, per path index: 1 iff StaticValues::pathFeasible. Dropping
 /// an infeasible combination is sound: every candidate on it dies at the
 /// contradicted read's constraintsAllow check before being emitted, so
-/// its valid-outcome contribution is empty — and under reduction, orbit
-/// siblings of an infeasible canonical combination choose the same path
-/// multiset, so they are infeasible too and the orbit closure of the
-/// empty set stays empty.
+/// its valid-outcome contribution is empty.
 std::vector<std::vector<uint8_t>>
 feasiblePaths(const PathSpace<ThreadPath> &Space,
               const analysis::StaticValues &SV) {
@@ -487,9 +379,6 @@ template <typename RelT> struct JsBase {
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
   std::vector<const ThreadPath *> Paths;
-  /// Per-thread path indices of this combination (twin sleeps need to
-  /// know that two threads of an exact class chose the same path).
-  std::vector<size_t> PathIdx;
   /// The static writer-allow mask; empty unless static pruning is on.
   StaticAllowMask Allow;
 };
@@ -629,8 +518,8 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
 
 /// Recursive reads-byte-from justification of a JS base, byte by byte,
 /// with register-constraint pruning (always), model-admission pruning
-/// (when a model is supplied), and equivalence sleep sets (when a
-/// reduction context is supplied).
+/// (when a model is supplied), and rf sleep-set keys (when the reduction
+/// spec is supplied).
 template <typename RelT> class JsJustifier {
   using ExecT = BasicCandidateExecution<RelT>;
 
@@ -640,13 +529,12 @@ public:
   JsJustifier(JsBase<RelT> &B, const JsModel *Prune, int FirstWriterOnly,
               const std::function<bool(const ExecT &, const Outcome &)>
                   &Visit,
-              const JsReductionCtx *Red, EngineStats *St)
+              const ModelSpec *Red, EngineStats *St)
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
         Red(Red), St(St),
         StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {
     if (Red) {
       B.CE.Rbf.clear();
-      Twins.setup(Red->Sym, B.CE.Events, B.PathIdx);
       setupRfKeys();
     }
   }
@@ -679,7 +567,7 @@ private:
         KeysActive = false;
     if (!KeysActive)
       return;
-    RelT Hb = B.CE.happensBefore(Red->Spec.Sw); // rbf is empty: static hb
+    RelT Hb = B.CE.happensBefore(Red->Sw); // rbf is empty: static hb
 
     Explore.resize(B.Reads.size());
     for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
@@ -693,7 +581,7 @@ private:
         if (!R.TearFree || !W.TearFree)
           return false;
         return sameWriteReadRange(W, R) ||
-               (Red->Spec.Tear == TearRuleKind::Strong &&
+               (Red->Tear == TearRuleKind::Strong &&
                 W.Ord == Mode::Init);
       };
       unsigned CountingWriters = 0;
@@ -792,22 +680,14 @@ private:
           ++St->StaticRfPruned;
         continue;
       }
-      if (Red) {
-        bool Asleep =
-            (KeysActive &&
-             !Explore[ReadIdx][Loc - R.readBegin()][ThisPos]) ||
-            Twins.asleep(W, R);
-        if (Asleep) {
-          if (St)
-            ++St->SleptBranches;
-          continue;
-        }
+      if (KeysActive && !Explore[ReadIdx][Loc - R.readBegin()][ThisPos]) {
+        if (St)
+          ++St->SleptBranches;
+        continue;
       }
       B.CE.Rbf.push_back({Loc, W.Id, R.Id});
       R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
-      Twins.retain(W, R);
       bool Continue = justifyByte(ReadIdx, Loc + 1);
-      Twins.release(W, R);
       B.CE.Rbf.pop_back();
       if (!Continue)
         return false;
@@ -827,7 +707,7 @@ private:
   const JsModel *Prune;
   int FirstWriterOnly;
   const std::function<bool(const ExecT &, const Outcome &)> &Visit;
-  const JsReductionCtx *Red;
+  const ModelSpec *Red; ///< the spec the rf keys read; null: no reduction
   EngineStats *St;
   const StaticAllowMask *StaticAllow;
 
@@ -835,13 +715,11 @@ private:
   bool KeysActive = false;
   /// [read idx][byte offset][eligible-writer position] -> explore flag.
   std::vector<std::vector<std::vector<uint8_t>>> Explore;
-  TwinSleep Twins;
 };
 
-/// The JavaScript core of the enumeration driver: one base per explored
-/// path combination. The combo filter keeps canonical combinations only
-/// under a reduction context, and drops (and counts) statically
-/// infeasible ones under a value analysis.
+/// The JavaScript core of the enumeration driver: one base per path
+/// combination, minus (and counting) the statically infeasible ones under
+/// a value analysis.
 template <typename RelT> struct JsCore {
   using ExecT = BasicCandidateExecution<RelT>;
   using BaseT = JsBase<RelT>;
@@ -850,13 +728,14 @@ template <typename RelT> struct JsCore {
 
   const Program &P;
   const JsModel *Prune;
-  const JsReductionCtx *Red;
+  /// The spec the rf sleep-set keys read; null unless reducing.
+  const ModelSpec *Red;
   const analysis::StaticValues *SV;
   PathSpace<ThreadPath> Space;
   size_t Combos;
 
   JsCore(const Program &P, const JsModel *Prune,
-         const JsReductionCtx *Red = nullptr,
+         const ModelSpec *Red = nullptr,
          const analysis::StaticValues *SV = nullptr)
       : P(P), Prune(Prune), Red(Red), SV(SV), Space(P, enumeratePaths),
         Combos(Space.Combos) {}
@@ -867,8 +746,6 @@ template <typename RelT> struct JsCore {
       Feasible = feasiblePaths(Space, *SV);
     for (size_t C = 0; C < Space.Combos; ++C) {
       std::vector<size_t> Idx = Space.indices(C);
-      if (Red && !canonicalCombo(Idx, Red->Sym))
-        continue;
       if (SV && !comboFeasible(Idx, Feasible)) {
         // Counted by the thread that builds bases, so the counter is
         // deterministic across Threads.
@@ -877,7 +754,6 @@ template <typename RelT> struct JsCore {
         continue;
       }
       BaseT B = buildJsBase<RelT>(P, Space.chosen(Idx));
-      B.PathIdx = std::move(Idx);
       if (SV)
         B.Allow = buildJsStaticAllow(*SV, B);
       if (!Fn(B))
@@ -1277,9 +1153,8 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
 }
 
 /// Enumerates rf justifications and coherence orders of a target base,
-/// pruning rf subtrees via the backend's monotone admission check and
-/// sleeping exact-twin rf choices when a symmetry is supplied. Only the
-/// twin rule applies at this tier: value-keyed rf merging is unsound here
+/// pruning rf subtrees via the backend's monotone admission check. No
+/// sleep sets apply at this tier: value-keyed rf merging is unsound here
 /// because fr and co verdicts depend on the rf writer's identity, not
 /// just the value read.
 template <typename RelT> class TargetJustifier {
@@ -1292,12 +1167,9 @@ public:
                   int FirstWriterOnly,
                   const std::function<bool(const ExecT &, const Outcome &)>
                       &Visit,
-                  const ThreadSymmetry *Sym, EngineStats *St)
+                  EngineStats *St)
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
-        St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {
-    if (Sym)
-      Twins.setup(*Sym, B.X.Events, /*PathIdx=*/{});
-  }
+        St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {}
 
   bool run() { return justify(0); }
 
@@ -1314,22 +1186,14 @@ private:
       if (FirstWriterOnly >= 0 && ReadIdx == 0 &&
           ThisPos != static_cast<unsigned>(FirstWriterOnly))
         continue;
-      // Static may-rf pruning; see JsJustifier — the excluded writers are
-      // same-thread-as-reader or shadowed-init choices, which the twin
-      // sleep rule never sleeps, so the two filters cannot interact.
+      // Static may-rf pruning; see JsJustifier.
       if (StaticAllow && !(*StaticAllow)[ReadIdx][ThisPos]) {
         if (St)
           ++St->StaticRfPruned;
         continue;
       }
-      if (Twins.asleep(W, B.X.Events[R])) {
-        if (St)
-          ++St->SleptBranches;
-        continue;
-      }
       B.X.Rf.set(W.Id, R);
       B.X.Events[R].ReadVal = W.WriteVal;
-      Twins.retain(W, B.X.Events[R]);
       bool Continue = true;
       if (Prune && !Prune->admitsPartial(B.X)) {
         if (St)
@@ -1337,7 +1201,6 @@ private:
       } else {
         Continue = justify(ReadIdx + 1);
       }
-      Twins.release(W, B.X.Events[R]);
       B.X.Rf.clear(W.Id, R);
       if (!Continue)
         return false;
@@ -1385,7 +1248,6 @@ private:
   const std::function<bool(const ExecT &, const Outcome &)> &Visit;
   EngineStats *St;
   const std::vector<std::vector<uint8_t>> *StaticAllow;
-  TwinSleep Twins;
 };
 
 /// The target core of the enumeration driver. Target programs are
@@ -1398,7 +1260,6 @@ template <typename RelT> struct TargetCore {
 
   const CompiledTarget &CT;
   const TargetModel *Prune;
-  const ThreadSymmetry *Sym = nullptr;
   const analysis::StaticValues *SV = nullptr;
   size_t Combos = 1;
 
@@ -1421,7 +1282,7 @@ template <typename RelT> struct TargetCore {
 
   bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
                EngineStats *St) const {
-    return TargetJustifier<RelT>(B, Prune, FirstWriter, Visit, Sym, St).run();
+    return TargetJustifier<RelT>(B, Prune, FirstWriter, Visit, St).run();
   }
 };
 
@@ -1502,17 +1363,12 @@ tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
   return S;
 }
 
-/// The shared tail of both enumerateOutcomes doors: under reduction
-/// (\p Sym non-null), closes the outcome set under the symmetry orbits to
-/// restore the outcomes of slept and non-canonical subtrees; then stamps
-/// the tier and solver and reports the effort \p St.
+/// The shared tail of both enumerateOutcomes doors: stamps the tier and
+/// solver and reports the effort \p St.
 OutcomeSummary finishOutcomes(OutcomeSummary S, const char *Entry,
-                              const ThreadSymmetry *Sym, const char *Tier,
-                              SolverKind Kind,
+                              const char *Tier, SolverKind Kind,
                               const analysis::StaticValues *SV,
                               const EngineStats &St) {
-  if (Sym && !Sym->empty())
-    S.Allowed = closeOutcomes(std::move(S.Allowed), *Sym);
   S.Tier = Tier;
   S.SolverUsed = Kind;
   // How much the value-aware static tier cut from this full enumeration.
@@ -1595,12 +1451,8 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
   const char *Tier = selectTier("js", Events, Cfg.ForceDynRelation, Kind);
   bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  // Equivalence-aware enumeration: canonical path combinations and rf
-  // sleep sets inside the justifier; finishOutcomes closes the orbits.
-  std::optional<JsReductionCtx> Red;
-  if (Cfg.Reduction)
-    Red.emplace(JsReductionCtx{threadSymmetry(P), M.spec()});
-  const JsReductionCtx *RedP = Red ? &*Red : nullptr;
+  // Equivalence-aware enumeration: rf sleep-set keys inside the justifier.
+  const ModelSpec *RedP = Cfg.Reduction ? &M.spec() : nullptr;
   const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
   const JsModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
@@ -1612,8 +1464,7 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
                       JsCore<DynRelation>(P, Prune, RedP, SVP), M,
                       effectiveThreads(), Local));
   Stats = Local;
-  return finishOutcomes(std::move(S), "js", RedP ? &RedP->Sym : nullptr,
-                        Tier, Kind, SVP, Local);
+  return finishOutcomes(std::move(S), "js", Tier, Kind, SVP, Local);
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
@@ -1715,22 +1566,18 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
   const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
   bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  std::optional<ThreadSymmetry> Sym;
-  if (Cfg.Reduction)
-    Sym.emplace(threadSymmetry(CT));
-  const ThreadSymmetry *SymP = Sym ? &*Sym : nullptr;
   const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
   const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
   OutcomeSummary S =
       SmallTier ? summarize(enumerateCore(
-                      TargetCore<Relation>{CT, Prune, SymP, SVP}, M,
+                      TargetCore<Relation>{CT, Prune, SVP}, M,
                       effectiveThreads(), Local))
                 : summarize(enumerateCore(
-                      TargetCore<DynRelation>{CT, Prune, SymP, SVP}, M,
+                      TargetCore<DynRelation>{CT, Prune, SVP}, M,
                       effectiveThreads(), Local));
   Stats = Local;
-  return finishOutcomes(std::move(S), "target", SymP, Tier, Kind, SVP, Local);
+  return finishOutcomes(std::move(S), "target", Tier, Kind, SVP, Local);
 }
 
 //===----------------------------------------------------------------------===//

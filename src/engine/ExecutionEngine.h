@@ -10,8 +10,7 @@
 ///   - the candidate space: control-flow paths × reads-byte-from
 ///     justifications (× coherence orders on the ARMv8 and target sides),
 ///     enumerated by one driver for the JavaScript, ARMv8 and target event
-///     languages. Each language supplies its bases and its justifier; one
-///     twin sleep-set helper serves the JS and target justifiers;
+///     languages. Each language supplies its bases and its justifier;
 ///   - incremental pruning: the model's tot-independent axioms are checked
 ///     on partial candidates the moment each read's justification
 ///     completes, cutting whole subtrees before the expensive
@@ -63,12 +62,14 @@ struct EngineConfig {
   /// it exists to prove the two tiers agree and to measure what the
   /// inline fast path buys; never enable it in production configurations.
   bool ForceDynRelation = false;
-  /// Equivalence-aware enumeration in the outcome-level entry points
-  /// (enumerateOutcomes for programs and compiled targets): thread/location
-  /// symmetry reduction plus sleep sets over rf choices, with outcomes
-  /// relabelled back to the full verdict table. The allowed-outcome set is
-  /// identical to the unreduced run; CandidatesConsidered/ValidCandidates
-  /// drop by design (that is the point). Off by default; the
+  /// Equivalence-aware enumeration in enumerateOutcomes(Program, JsModel):
+  /// rf sleep-set keys skip a writer choice whose every verdict input
+  /// (byte value, static hb bits, tear-free count) equals an explored
+  /// sibling's, on programs without SeqCst events or asw edges. The
+  /// allowed-outcome set is identical to the unreduced run;
+  /// CandidatesConsidered/ValidCandidates drop by design (that is the
+  /// point). Off by default; the target door never reduces (its fr and co
+  /// verdicts depend on the rf writer's identity), and the
   /// witness-carrying entry points (enumerate / scDrf / forEach*) always
   /// enumerate the full space because their per-candidate visitation order
   /// and witnesses are part of the API.
@@ -98,12 +99,13 @@ struct EngineConfig {
 };
 
 /// Effort counters of the most recent enumeration-style call (enumerate,
-/// scDrf, forEachAdmittedCandidate) on an engine; each call resets them.
+/// enumerateOutcomes, scDrf, forEachAdmittedCandidate) on an engine; each
+/// call resets them.
 struct EngineStats {
   uint64_t WorkItems = 0;       ///< shards the space was split into
   uint64_t PrunedSubtrees = 0;  ///< justification subtrees cut by pruning
-  /// Justification subtrees skipped by the equivalence-aware reduction
-  /// (sleep sets over rf choices); 0 unless EngineConfig::Reduction.
+  /// Writer choices skipped by the rf sleep-set keys; 0 unless
+  /// EngineConfig::Reduction.
   uint64_t SleptBranches = 0;
   /// Writer choices skipped because they fall outside a read's static
   /// may-rf candidate set (analysis::StaticValues) or contradict the
@@ -126,8 +128,9 @@ struct OutcomeSummary {
   uint64_t CandidatesConsidered = 0;
   /// Valid (JS) / consistent (target) candidates counted by the tier.
   uint64_t ValidCandidates = 0;
-  /// The relation tier that served the program: "inline" (≤64 events) or
-  /// "dyn" (heap DynRelation). Filled by the enumerateOutcomes() doors.
+  /// How the program was served: "inline" (≤64 events) or "dyn" (heap
+  /// DynRelation) for the full walk, or "static" when the DRF fast path
+  /// answered with the SC table. Filled by the enumerateOutcomes() doors.
   std::string Tier;
   /// The tot solver the run dispatched to (a brute request past 256
   /// events is answered by propagation).
@@ -286,7 +289,9 @@ public:
       const std::function<bool(const CandidateExecution &,
                                const ArmExecution &)> &Visit);
 
-  /// Effort counters of the most recent enumerate() call on this engine.
+  /// Effort counters of the most recent enumerate(), enumerateOutcomes(),
+  /// scDrf() or forEachAdmittedCandidate() call on this engine (zero after
+  /// a static fast-path answer).
   /// Publication discipline: worker threads only ever write per-item
   /// shards (merged on the calling thread after the join); every entry
   /// point accumulates into a function-local EngineStats and assigns it

@@ -535,8 +535,16 @@ LitmusService::run(const std::vector<LitmusJob> &Jobs) {
     };
     std::vector<std::thread> Pool;
     Pool.reserve(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      Pool.emplace_back(Worker);
+    try {
+      for (unsigned W = 0; W < Workers; ++W)
+        Pool.emplace_back(Worker);
+    } catch (...) {
+      // Join the started workers (they drain the queue) so unwinding does
+      // not destroy a joinable std::thread, which would terminate.
+      for (std::thread &T : Pool)
+        T.join();
+      throw;
+    }
     for (std::thread &T : Pool)
       T.join();
   }

@@ -106,8 +106,9 @@ struct LitmusJob {
   /// the pool's workers parallelise across jobs). 0 means one per
   /// hardware thread.
   unsigned Threads = 1;
-  /// Equivalence-aware enumeration (EngineConfig::Reduction) for this
-  /// job's engine-backed verdicts. Defaults on: the verdict tables are
+  /// Equivalence-aware enumeration (EngineConfig::Reduction: the rf
+  /// sleep-set keys) for this job's JavaScript verdicts; the target and
+  /// armv8 columns never reduce. Defaults on: the verdict tables are
   /// identical either way (reduction_test pins this); off restores the
   /// exhaustive walk. Part of the cache key.
   bool Reduce = true;

@@ -101,16 +101,17 @@ std::optional<unsigned> jsmm::parseUnsigned(const std::string &S) {
   return static_cast<unsigned>(Value);
 }
 
-std::optional<unsigned> jsmm::parseCliUnsigned(const std::string &Tool,
+std::optional<unsigned> jsmm::parseThreadCount(const std::string &Tool,
                                                const std::string &Flag,
                                                const std::string &Value) {
   std::optional<unsigned> N = parseUnsigned(Value);
-  if (!N)
-    std::fprintf(stderr,
-                 "%s: invalid %s value '%s' (expected a non-negative "
-                 "integer; 0 = one per hardware thread)\n",
-                 Tool.c_str(), Flag.c_str(), Value.c_str());
-  return N;
+  if (N && *N <= MaxThreadCount)
+    return N;
+  std::fprintf(stderr,
+               "%s: invalid %s value '%s' (expected an integer from 0 to "
+               "%u; 0 = one per hardware thread)\n",
+               Tool.c_str(), Flag.c_str(), Value.c_str(), MaxThreadCount);
+  return std::nullopt;
 }
 
 std::optional<std::string> jsmm::readFileText(const std::string &Path) {

@@ -47,11 +47,17 @@ std::optional<unsigned> parseUnsigned(const std::string &S);
 /// other character or on overflow.
 std::optional<uint64_t> parseUnsigned64(const std::string &S);
 
-/// Parses the numeric CLI flag \p Value (strict decimal, see
-/// parseUnsigned); on failure prints "<Tool>: invalid <Flag> value ..."
-/// to stderr and returns std::nullopt so the caller can exit 2. Shared by
-/// every jsmm binary so the flag-diagnostic contract cannot drift.
-std::optional<unsigned> parseCliUnsigned(const std::string &Tool,
+/// The largest thread or worker count a front door accepts. Pools spawn
+/// min(count, items) OS threads, so an unbounded count from outside input
+/// could ask for billions of them.
+constexpr unsigned MaxThreadCount = 256;
+
+/// Parses the thread-count CLI flag \p Value (strict decimal, see
+/// parseUnsigned, at most MaxThreadCount); on failure prints "<Tool>:
+/// invalid <Flag> value ..." to stderr and returns std::nullopt so the
+/// caller can exit 2. Shared by every jsmm binary so the flag-diagnostic
+/// contract cannot drift.
+std::optional<unsigned> parseThreadCount(const std::string &Tool,
                                          const std::string &Flag,
                                          const std::string &Value);
 

@@ -277,6 +277,10 @@ TEST(LitmusParser, MalformedInputsProduceLineDiagnostics) {
        "line 4: load range [16..16] is outside the 16-byte buffer"},
       {"thread\n  store u32 4294967295 = 1\n",
        "store range [4294967295..4294967298] is outside the 16-byte buffer"},
+      // Written values must fit the access width, as `init` values do.
+      {"thread\n  store u8 0 = 300\n", "line 2: value 300 does not fit u8"},
+      {"thread\n  r0 = exchange u16 0 = 65536\n",
+       "line 2: value 65536 does not fit u16"},
   };
   for (const auto &[Source, Expected] : Cases) {
     std::string Error;

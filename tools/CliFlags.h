@@ -61,7 +61,7 @@ struct CliFlags {
       std::string Arg = Argv[I];
       if (Arg.rfind("--threads=", 0) == 0) {
         std::optional<unsigned> N =
-            parseCliUnsigned(Tool, "--threads", Arg.substr(10));
+            parseThreadCount(Tool, "--threads", Arg.substr(10));
         if (!N)
           return false;
         Threads = *N;

@@ -278,6 +278,11 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
       *Error = "line " + std::to_string(LineNo) + ": " + Why;
     return std::nullopt;
   };
+  // A value written through an access must fit its width; the engines
+  // would otherwise disagree on the truncation (bytes versus whole cells).
+  auto Fits = [](uint64_t Value, const Acc &A) {
+    return A.Width >= 8 || (Value >> (8 * A.Width)) == 0;
+  };
 
   std::istringstream In(Source);
   std::string Line;
@@ -331,7 +336,7 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
                                 std::to_string(*Offset + A.Width - 1) +
                                 "] is outside the " + std::to_string(Size) +
                                 "-byte buffer");
-      if (A.Width < 8 && *Value >> (8 * A.Width))
+      if (!Fits(*Value, A))
         return Fail(LineNo, "value " + T[4] + " does not fit " + T[1]);
       std::vector<uint8_t> Bytes = bytesOfValue(*Value, A.Width);
       std::map<unsigned, uint8_t> &Into = S.InitBytes[Buf];
@@ -426,6 +431,8 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
       std::optional<uint64_t> Value = parseUnsigned64(T[4]);
       if (!Value)
         return Fail(LineNo, "bad value '" + T[4] + "'");
+      if (!Fits(*Value, I.A))
+        return Fail(LineNo, "value " + T[4] + " does not fit " + T[1]);
       I.Value = *Value;
       Into.push_back(I);
       continue;
@@ -449,6 +456,8 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
         std::optional<uint64_t> Value = parseUnsigned64(T[6]);
         if (!Value)
           return Fail(LineNo, "bad value '" + T[6] + "'");
+        if (!Fits(*Value, I.A))
+          return Fail(LineNo, "value " + T[6] + " does not fit " + T[3]);
         I.Value = *Value;
         I.DeclaredReg = Dst;
         Into.push_back(I);

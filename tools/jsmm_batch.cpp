@@ -106,7 +106,7 @@ bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
   }
   Out = Defaults;
   // Optional members: the first one of the wrong type fails the line.
-  auto Typed = [&Error](const char *Key, bool Ok, const char *Type) {
+  auto Typed = [&Error](const char *Key, bool Ok, const std::string &Type) {
     if (!Ok && Error.empty())
       Error = std::string("\"") + Key + "\" must be " + Type;
     return Ok;
@@ -127,8 +127,8 @@ bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
     // Range-check before the cast: converting an out-of-range double to
     // unsigned is undefined behaviour, not a wrapped value.
     double N = Threads->isNumber() ? Threads->asNumber() : -1;
-    if (Typed("threads", N >= 0 && N <= 4294967295.0 && N == std::floor(N),
-              "a non-negative integer"))
+    if (Typed("threads", N >= 0 && N <= MaxThreadCount && N == std::floor(N),
+              "an integer from 0 to " + std::to_string(MaxThreadCount)))
       Out.Threads = static_cast<unsigned>(N);
   }
   Bool("reduce", Out.Reduce);
@@ -257,7 +257,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--output=", 0) == 0) {
       OutputPath = Arg.substr(9);
     } else if (Arg.rfind("--workers=", 0) == 0) {
-      std::optional<unsigned> N = parseCliUnsigned("jsmm-batch", "--workers", Arg.substr(10));
+      std::optional<unsigned> N =
+          parseThreadCount("jsmm-batch", "--workers", Arg.substr(10));
       if (!N)
         return 2;
       Workers = *N;
