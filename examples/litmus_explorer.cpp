@@ -178,7 +178,7 @@ int main(int Argc, char **Argv) {
   std::cout << "Verdicts computed with the '"
             << solverKindName(defaultSolverKind())
             << "' tot-order solver, through the batch service ("
-            << Service.effectiveWorkers() << " workers, reduce "
+            << Service.workersFor(Jobs.size()) << " workers, reduce "
             << (Flags.Reduce ? "on" : "off") << ").\n";
   std::cout << "Verdict of each test's weak outcome per backend:\n"
             << "  A = allowed, - = forbidden, . = not expressible uni-size\n"

@@ -261,6 +261,10 @@ unsigned LitmusService::effectiveWorkers() const {
   return HW ? HW : 1;
 }
 
+unsigned LitmusService::workersFor(size_t Jobs) const {
+  return static_cast<unsigned>(std::min<size_t>(effectiveWorkers(), Jobs));
+}
+
 namespace {
 
 /// The cache key of a parsed job. emitLitmus is the canonical form: two
@@ -475,8 +479,7 @@ LitmusJobResult LitmusService::runOne(const LitmusJob &Job) {
 std::vector<LitmusJobResult>
 LitmusService::run(const std::vector<LitmusJob> &Jobs) {
   std::vector<LitmusJobResult> Results(Jobs.size());
-  unsigned Workers = static_cast<unsigned>(
-      std::min<size_t>(effectiveWorkers(), Jobs.size()));
+  unsigned Workers = workersFor(Jobs.size());
   bool Metrics = obs::metricsEnabled();
   obs::TraceSink *Trace = obs::trace();
   std::chrono::steady_clock::time_point RunStart;

@@ -212,8 +212,11 @@ public:
   explicit LitmusService(ServiceConfig Cfg) : Cfg(Cfg) {}
 
   const ServiceConfig &config() const { return Cfg; }
-  /// \returns the worker count actually used (resolves Workers == 0).
+  /// \returns the configured worker count (resolves Workers == 0).
   unsigned effectiveWorkers() const;
+  /// \returns the number of workers run() uses for \p Jobs jobs: the
+  /// configured count, but never more workers than jobs.
+  unsigned workersFor(size_t Jobs) const;
 
   /// Runs \p Jobs on the worker pool. The result vector is index-aligned
   /// with the submission order and byte-for-byte identical for every

@@ -1,8 +1,10 @@
 //===- support/DynRelation.cpp --------------------------------------------===//
 ///
 /// \file
-/// Heap-backed relation algebra: the same algorithms as Relation
+/// Heap-backed relation algebra: the same operations as Relation
 /// (support/Relation.h), over a word count chosen at construction.
+/// Acyclicity and transitive closure, cubic as Warshall loops at this
+/// size, run as one depth-first search over the bit rows instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,13 +85,80 @@ DynRelation DynRelation::compose(const DynRelation &Other) const {
   return Result;
 }
 
-// The heap tier's hottest loop (most of a large differential job's target
-// columns). Starting it on a cache line keeps its speed independent of
-// how much unrelated code the linker places before it: unaligned
+template <typename FnT> bool DynRelation::postOrder(FnT Finish) const {
+  // Each frame scans its element's row one word at a time, with finished
+  // elements masked out; the word cursor only moves past a word whose
+  // targets have all finished, so every edge is checked once.
+  struct Frame {
+    unsigned Elem;
+    unsigned Word;
+  };
+  std::vector<uint64_t> Done(WPR, 0), OnStack(WPR, 0);
+  std::vector<Frame> Stack;
+  for (unsigned Root = 0; Root < N; ++Root) {
+    if ((Done[Root / 64] >> (Root % 64)) & 1)
+      continue;
+    OnStack[Root / 64] |= uint64_t(1) << (Root % 64);
+    Stack.push_back({Root, 0});
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      const uint64_t *Row = &Rows[size_t(F.Elem) * WPR];
+      uint64_t Open = 0;
+      while (F.Word < WPR && !(Open = Row[F.Word] & ~Done[F.Word]))
+        ++F.Word;
+      if (F.Word == WPR) {
+        unsigned A = F.Elem;
+        Stack.pop_back();
+        OnStack[A / 64] &= ~(uint64_t(1) << (A % 64));
+        Done[A / 64] |= uint64_t(1) << (A % 64);
+        Finish(A);
+        continue;
+      }
+      if (Open & OnStack[F.Word])
+        return false;
+      unsigned B = F.Word * 64 + static_cast<unsigned>(__builtin_ctzll(Open));
+      OnStack[B / 64] |= uint64_t(1) << (B % 64);
+      Stack.push_back({B, 0});
+    }
+  }
+  return true;
+}
+
+bool DynRelation::isAcyclic() const {
+  return postOrder([](unsigned) {});
+}
+
+// Most closures the models take are of acyclic relations (po, hb, the
+// forced part of a tot), which close in post-order: every successor's row
+// is final before its predecessors read it, and a successor already in
+// the row from an earlier successor's closure adds nothing. A po-shaped
+// relation then closes in about O(n·n/64). Only a cyclic relation pays
+// the O(n³/64) Warshall loop. The function starts on a cache line so its
+// speed does not depend on how much unrelated code the linker places
+// before it: when the Warshall loop served every closure, unaligned
 // placements measured up to 20% slower on the perfbench `large` workload
 // (4-core Xeon, Release build).
 [[gnu::aligned(64)]] DynRelation DynRelation::transitiveClosure() const {
-  DynRelation Closure = *this;
+  DynRelation Closure(N);
+  bool Acyclic = postOrder([&](unsigned A) {
+    uint64_t *Out = &Closure.Rows[size_t(A) * WPR];
+    const uint64_t *In = &Rows[size_t(A) * WPR];
+    for (unsigned K = 0; K < WPR; ++K)
+      for (uint64_t Word = In[K]; Word;) {
+        unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(Word));
+        Word &= Word - 1;
+        if ((Out[K] >> (B % 64)) & 1)
+          continue;
+        const uint64_t *Succ = &Closure.Rows[size_t(B) * WPR];
+        for (unsigned J = 0; J < WPR; ++J)
+          Out[J] |= Succ[J];
+      }
+    for (unsigned K = 0; K < WPR; ++K)
+      Out[K] |= In[K];
+  });
+  if (Acyclic)
+    return Closure;
+  Closure = *this;
   for (unsigned K = 0; K < N; ++K)
     for (unsigned A = 0; A < N; ++A)
       if (Closure.get(A, K))

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 using namespace jsmm;
 
@@ -423,4 +427,177 @@ TEST(DynRelation, StrictTotalOrderOnSubsets) {
   EXPECT_TRUE(R.isStrictTotalOrderOn(Universe));
   bits::set(Universe, 5); // unordered element joins the universe
   EXPECT_FALSE(R.isStrictTotalOrderOn(Universe));
+}
+
+//===----------------------------------------------------------------------===//
+// Property tests of the heap tier's depth-first acyclicity check and
+// post-order closure, against a naive reference: a breadth-first search
+// from every element over adjacency lists. Sizes sit on and around the
+// 64-bit word boundaries, up to the serving cap.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const unsigned PropertySizes[] = {0, 1, 63, 64, 65, 128, 129, 500, 1024};
+
+/// The transitive closure of \p R, computed without DynRelation's own
+/// closure or search.
+DynRelation referenceClosure(const DynRelation &R) {
+  unsigned N = R.size();
+  std::vector<std::vector<unsigned>> Succ(N);
+  R.forEachPair([&](unsigned A, unsigned B) { Succ[A].push_back(B); });
+  DynRelation Closure(N);
+  std::vector<unsigned> Queue;
+  std::vector<char> Seen(N);
+  for (unsigned Src = 0; Src < N; ++Src) {
+    std::fill(Seen.begin(), Seen.end(), 0);
+    Queue.assign(Succ[Src].begin(), Succ[Src].end());
+    for (unsigned B : Queue)
+      Seen[B] = 1;
+    for (size_t I = 0; I < Queue.size(); ++I)
+      for (unsigned C : Succ[Queue[I]])
+        if (!Seen[C]) {
+          Seen[C] = 1;
+          Queue.push_back(C);
+        }
+    for (unsigned B : Queue)
+      Closure.set(Src, B);
+  }
+  return Closure;
+}
+
+/// Checks isAcyclic, transitiveClosure and reflexiveTransitiveClosure of
+/// \p R against the reference; \p Acyclic is what the case was built as.
+void expectMatchesReference(const DynRelation &R, bool Acyclic,
+                            const std::string &Case) {
+  SCOPED_TRACE(Case + ", n=" + std::to_string(R.size()));
+  DynRelation Expected = referenceClosure(R);
+  EXPECT_EQ(Expected.isIrreflexive(), Acyclic) << "malformed test case";
+  EXPECT_EQ(R.isAcyclic(), Acyclic);
+  EXPECT_TRUE(R.transitiveClosure() == Expected);
+  for (unsigned A = 0; A < R.size(); ++A)
+    Expected.set(A, A);
+  EXPECT_TRUE(R.reflexiveTransitiveClosure() == Expected);
+}
+
+/// A random DAG over \p N elements whose topological order is a shuffle
+/// of the ids, so search order differs from index order. Each element
+/// gets up to three edges to elements later in that order. \p Order
+/// receives the order.
+DynRelation shuffledDag(unsigned N, std::mt19937 &Rng,
+                        std::vector<unsigned> &Order) {
+  Order.resize(N);
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::shuffle(Order.begin(), Order.end(), Rng);
+  DynRelation R(N);
+  for (unsigned I = 0; I + 1 < N; ++I)
+    for (unsigned E = 0; E < 3; ++E) {
+      unsigned J = I + 1 + static_cast<unsigned>(Rng() % (N - I - 1));
+      R.set(Order[I], Order[J]);
+    }
+  return R;
+}
+
+/// Program order of \p Threads threads over \p N events, events of one
+/// thread contiguous: each thread is a transitive chain.
+DynRelation poChains(unsigned N, unsigned Threads) {
+  DynRelation R(N);
+  unsigned Per = (N + Threads - 1) / Threads;
+  for (unsigned A = 0; A < N; ++A)
+    for (unsigned B = A + 1; B < N && B / Per == A / Per; ++B)
+      R.set(A, B);
+  return R;
+}
+
+} // namespace
+
+TEST(DynRelationProperty, ShuffledDagsMatchReference) {
+  std::mt19937 Rng(17);
+  std::vector<unsigned> Order;
+  for (unsigned N : PropertySizes)
+    for (unsigned Trial = 0; Trial < 3; ++Trial)
+      expectMatchesReference(shuffledDag(N, Rng, Order), true,
+                             "shuffled DAG");
+}
+
+TEST(DynRelationProperty, BackEdgeInShuffledDagIsACycle) {
+  std::mt19937 Rng(23);
+  std::vector<unsigned> Order;
+  for (unsigned N : PropertySizes) {
+    if (N < 2)
+      continue;
+    DynRelation R = shuffledDag(N, Rng, Order);
+    // Close a cycle from some element back to one before it in order.
+    unsigned J = 1 + static_cast<unsigned>(Rng() % (N - 1));
+    unsigned I = static_cast<unsigned>(Rng() % J);
+    R.set(Order[I], Order[J]);
+    R.set(Order[J], Order[I]);
+    expectMatchesReference(R, false, "shuffled DAG plus a back edge");
+  }
+}
+
+TEST(DynRelationProperty, PoChainsMatchReference) {
+  for (unsigned N : PropertySizes)
+    for (unsigned Threads : {1u, 3u, 8u}) {
+      if (Threads == 1 && N > 500)
+        continue; // the reference is cubic on one long chain
+      DynRelation Po = poChains(N, Threads);
+      expectMatchesReference(Po, true, std::to_string(Threads) + " chains");
+      // Program order is transitive already.
+      EXPECT_TRUE(Po.transitiveClosure() == Po);
+    }
+}
+
+TEST(DynRelationProperty, SelfLoopsAreCycles) {
+  std::mt19937 Rng(29);
+  std::vector<unsigned> Order;
+  for (unsigned N : PropertySizes) {
+    if (N == 0)
+      continue;
+    DynRelation Alone(N);
+    Alone.set(N - 1, N - 1);
+    expectMatchesReference(Alone, false, "lone self-loop");
+    DynRelation R = shuffledDag(N, Rng, Order);
+    unsigned X = static_cast<unsigned>(Rng() % N);
+    R.set(X, X);
+    expectMatchesReference(R, false, "shuffled DAG plus a self-loop");
+  }
+}
+
+TEST(DynRelationProperty, CyclesAcrossWordBoundaries) {
+  for (unsigned N : PropertySizes) {
+    if (N < 65)
+      continue;
+    DynRelation Po = poChains(N, 4);
+    // Two elements in adjacent row words, and a longer cycle spanning
+    // every word of the row.
+    DynRelation Short = Po;
+    Short.set(63, 64);
+    Short.set(64, 63);
+    expectMatchesReference(Short, false, "63 <-> 64");
+    DynRelation Long = Po;
+    for (unsigned A = 0; A + 64 < N; A += 64)
+      Long.set(A, A + 64);
+    Long.set(((N - 1) / 64) * 64, 0);
+    expectMatchesReference(Long, false, "cycle through every word");
+  }
+}
+
+TEST(DynRelationProperty, CycleReachableOnlyFromLateRoot) {
+  std::mt19937 Rng(31);
+  std::vector<unsigned> Order;
+  for (unsigned N : PropertySizes) {
+    if (N < 3)
+      continue;
+    // A DAG over all but the last two elements, which form a cycle that
+    // no earlier element reaches: only the search from a late root
+    // finds it.
+    DynRelation R(N);
+    DynRelation Front = shuffledDag(N - 2, Rng, Order);
+    Front.forEachPair([&](unsigned A, unsigned B) { R.set(A, B); });
+    R.set(N - 1, N - 2);
+    R.set(N - 2, N - 1);
+    R.set(N - 2, 0); // the cycle may reach earlier elements
+    expectMatchesReference(R, false, "cycle behind a late root");
+  }
 }

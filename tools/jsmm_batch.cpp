@@ -90,7 +90,8 @@ LitmusJobResult inputFailure(const std::string &Name, const std::string &Model,
 
 /// Parses one JSONL job line into \p Out; members the line omits keep
 /// their \p Defaults value. \returns false with \p Error on a malformed
-/// line.
+/// line; \p Out then keeps what was read, so a failed job keeps its
+/// "name".
 bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
                      const LitmusJob &Defaults, LitmusJob &Out,
                      std::string &Error) {
@@ -351,7 +352,9 @@ int main(int Argc, char **Argv) {
         std::string Error;
         if (!jobFromJsonLine(Line, BaseDir, Defaults, P.Job, Error))
           P.PreFailed = inputFailure(
-              "line-" + std::to_string(LineNo), Model, JobStatus::ParseError,
+              P.Job.Name.empty() ? "line-" + std::to_string(LineNo)
+                                 : P.Job.Name,
+              Model, JobStatus::ParseError,
               Input + ":" + std::to_string(LineNo) + ": " + Error);
         Pending.push_back(std::move(P));
       }
@@ -416,6 +419,8 @@ int main(int Argc, char **Argv) {
   }
 
   LitmusService::CacheStats CS = Service.cacheStats();
+  // The pool never starts more workers than there are jobs to run.
+  unsigned UsedWorkers = Service.workersFor(Jobs.size());
   if (Flags.StatsJson) {
     // One machine-readable run-summary record closes the stream: the
     // registry's deterministic "counters" section plus the run's job,
@@ -438,8 +443,7 @@ int main(int Argc, char **Argv) {
                                      static_cast<double>(CS.Hits + CS.Misses)
                                : 0.0));
     Summary.set("cache", std::move(CacheObj));
-    Summary.set("workers",
-                JsonValue(static_cast<uint64_t>(Service.effectiveWorkers())));
+    Summary.set("workers", JsonValue(static_cast<uint64_t>(UsedWorkers)));
     Summary.set("wall_s", JsonValue(Seconds));
     Summary.set("jobs_per_sec",
                 JsonValue(Seconds > 0
@@ -451,8 +455,8 @@ int main(int Argc, char **Argv) {
             << " ok, " << (Results.size() - OkJobs) << " failed, "
             << FailedExpectations << " with failed expectations; cache "
             << CS.Hits << " hits / " << CS.Misses << " misses; "
-            << Service.effectiveWorkers() << " workers, " << Seconds
-            << " s";
+            << UsedWorkers << (UsedWorkers == 1 ? " worker, " : " workers, ")
+            << Seconds << " s";
   if (Seconds > 0)
     std::cerr << " (" << (static_cast<double>(Jobs.size()) / Seconds)
               << " jobs/s)";
