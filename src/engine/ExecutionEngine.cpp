@@ -1171,7 +1171,25 @@ public:
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
         St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {}
 
-  bool run() { return justify(0); }
+  bool run() {
+    // Coherence orders do not depend on rf: build them once, outside
+    // every leaf.
+    for (std::vector<EventId> &Order : B.X.CoPerLoc)
+      Order.clear();
+    for (const TargetEvent &E : B.X.Events)
+      if (E.isWrite() && E.IsInit)
+        B.X.CoPerLoc[E.Loc].push_back(E.Id);
+    for (const TargetEvent &E : B.X.Events)
+      if (E.isWrite() && !E.IsInit)
+        B.X.CoPerLoc[E.Loc].push_back(E.Id);
+    for (unsigned Loc = 0; Loc < B.X.CoPerLoc.size(); ++Loc) {
+      const std::vector<EventId> &Order = B.X.CoPerLoc[Loc];
+      unsigned First = !Order.empty() && B.X.Events[Order[0]].IsInit;
+      if (Order.size() >= First + 2)
+        MultiWriter.push_back({Loc, First});
+    }
+    return justify(0);
+  }
 
 private:
   bool justify(size_t ReadIdx) {
@@ -1208,31 +1226,20 @@ private:
     return true;
   }
 
-  bool chooseCo(unsigned Loc) {
-    if (Loc == B.X.CoPerLoc.size())
+  /// Walks every coherence order at an rf leaf. run() set each
+  /// location's order to init then its writers in id order; only the
+  /// locations in MultiWriter (two or more non-init writers) are
+  /// permuted, the earlier location outermost.
+  bool chooseCo(size_t Idx) {
+    if (Idx == MultiWriter.size())
       return emit();
-    std::vector<EventId> Writers;
-    EventId Init = ~0u;
-    for (const TargetEvent &E : B.X.Events) {
-      if (!E.isWrite() || E.Loc != Loc)
-        continue;
-      if (E.IsInit)
-        Init = E.Id;
-      else
-        Writers.push_back(E.Id);
-    }
-    std::sort(Writers.begin(), Writers.end());
+    std::vector<EventId> &Order = B.X.CoPerLoc[MultiWriter[Idx].Loc];
     do {
-      B.X.CoPerLoc[Loc].clear();
-      if (Init != ~0u)
-        B.X.CoPerLoc[Loc].push_back(Init);
-      for (EventId W : Writers)
-        B.X.CoPerLoc[Loc].push_back(W);
-      if (!chooseCo(Loc + 1))
+      if (!chooseCo(Idx + 1))
         return false;
-    } while (std::next_permutation(Writers.begin(), Writers.end()));
-    B.X.CoPerLoc[Loc].clear();
-    return true;
+    } while (std::next_permutation(Order.begin() + MultiWriter[Idx].First,
+                                   Order.end()));
+    return true; // the last permutation wrapped back to id order
   }
 
   bool emit() {
@@ -1248,6 +1255,13 @@ private:
   const std::function<bool(const ExecT &, const Outcome &)> &Visit;
   EngineStats *St;
   const std::vector<std::vector<uint8_t>> *StaticAllow;
+  /// A location whose writers chooseCo permutes, from position First of
+  /// its order (past the init write).
+  struct PermutedLoc {
+    unsigned Loc;
+    unsigned First;
+  };
+  std::vector<PermutedLoc> MultiWriter;
 };
 
 /// The target core of the enumeration driver. Target programs are

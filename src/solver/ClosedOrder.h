@@ -5,7 +5,9 @@
 /// and incremental closure on edge insertion, the must-order of the
 /// constraint-propagation search (solver/PropagationSolver.cpp). Succ/Pred
 /// storage is the relation flavour's SetArray: a fixed inline array on
-/// the fast tier, a vector of heap sets on the dynamic tier.
+/// the fast tier, a vector of heap sets on the dynamic tier. init() fills
+/// Succ from the rows of the closed must-order and Pred from the rows of
+/// its one inverse, so no column is read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +43,10 @@ template <typename RelT> struct ClosedOrder {
     RelT Closed = Must.restricted(Universe, Universe).transitiveClosure();
     if (!Closed.isIrreflexive())
       return false;
+    RelT Before = Closed.inverse();
     for (unsigned A = 0; A < N; ++A) {
       Succ[A] = Closed.row(A);
-      Pred[A] = Closed.column(A);
+      Pred[A] = Before.row(A);
     }
     return true;
   }

@@ -92,31 +92,41 @@ template <typename RelT>
 std::vector<unsigned>
 jsmm::lexSmallestExtension(const RelT &Must,
                            const typename RelT::SetT &Universe) {
+  // Kahn's algorithm: Unplaced[E] counts E's strict predecessors inside
+  // Universe not yet placed, and Ready holds the unplaced elements whose
+  // count is zero. Placing the smallest ready index first is the stable
+  // tie-break, so this is the order a rescan for the smallest element
+  // without unplaced predecessors would pick, in O(pairs + n·n/64).
   using SetT = typename RelT::SetT;
+  const unsigned N = Must.size();
+  std::vector<unsigned> Unplaced(N, 0);
+  bits::forEach(Universe, [&](unsigned A) {
+    bits::forEach(Must.row(A) & Universe, [&](unsigned B) {
+      Unplaced[B] += B != A;
+    });
+  });
+  SetT Ready = RelT::emptySet(N);
+  bits::forEach(Universe, [&](unsigned E) {
+    if (!Unplaced[E])
+      bits::set(Ready, E);
+  });
   std::vector<unsigned> Order;
   Order.reserve(bits::count(Universe));
-  std::vector<SetT> Preds;
-  Preds.reserve(Must.size());
-  for (unsigned B = 0; B < Must.size(); ++B)
-    Preds.push_back(Must.column(B) & Universe);
-  SetT Placed = RelT::emptySet(Must.size());
-  while (Placed != Universe) {
-    unsigned Picked = Must.size();
-    for (unsigned E = 0; E < Must.size(); ++E) {
-      if (!bits::test(Universe, E) || bits::test(Placed, E))
-        continue;
-      SetT Unplaced = Preds[E] & ~Placed;
-      bits::clear(Unplaced, E);
-      if (bits::any(Unplaced))
-        continue; // has an unplaced (strict) predecessor
+  while (bits::any(Ready)) {
+    unsigned Picked = N;
+    bits::forEachWhile(Ready, [&](unsigned E) {
       Picked = E;
-      break; // smallest index first: the stable tie-break
-    }
-    assert(Picked < Must.size() &&
-           "lexSmallestExtension on a cyclic must-order");
-    bits::set(Placed, Picked);
+      return false;
+    });
+    bits::clear(Ready, Picked);
     Order.push_back(Picked);
+    bits::forEach(Must.row(Picked) & Universe, [&](unsigned B) {
+      if (B != Picked && --Unplaced[B] == 0)
+        bits::set(Ready, B);
+    });
   }
+  assert(Order.size() == bits::count(Universe) &&
+         "lexSmallestExtension on a cyclic must-order");
   return Order;
 }
 

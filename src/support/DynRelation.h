@@ -184,6 +184,8 @@ public:
   }
 
   DynSet row(unsigned A) const;
+  /// An O(n) strided walk down every row. A loop that needs many
+  /// predecessor sets should read the rows of one inverse() instead.
   DynSet column(unsigned B) const;
 
   bool empty() const;

@@ -125,7 +125,9 @@ public:
     return Rows[A];
   }
 
-  /// \returns the predecessor set of \p B.
+  /// \returns the predecessor set of \p B: an O(n) strided walk down
+  /// every row. A loop that needs many predecessor sets should read the
+  /// rows of one inverse() instead.
   SetT column(unsigned B) const {
     assert(B < N && "element out of range");
     SetT Col = 0;

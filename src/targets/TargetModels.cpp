@@ -164,13 +164,25 @@ template <typename RelT> struct Masks {
   }
 };
 
+/// Distinct accesses to the same location. Each access's row is its
+/// location's access mask less itself: work in the size of the output,
+/// not a pair scan over every two events.
 template <typename RelT>
 RelT sameLocRelation(const BasicTargetExecution<RelT> &X) {
+  std::vector<typename RelT::SetT> AtLoc(X.CoPerLoc.size(),
+                                         RelT::emptySet(X.numEvents()));
+  for (const TargetEvent &E : X.Events)
+    if (E.isAccess()) {
+      assert(E.Loc < AtLoc.size() && "access location out of range");
+      bits::set(AtLoc[E.Loc], E.Id);
+    }
   RelT Out(X.numEvents());
   for (const TargetEvent &A : X.Events)
-    for (const TargetEvent &B : X.Events)
-      if (A.Id != B.Id && A.isAccess() && B.isAccess() && A.Loc == B.Loc)
-        Out.set(A.Id, B.Id);
+    if (A.isAccess())
+      bits::forEach(AtLoc[A.Loc], [&](unsigned B) {
+        if (B != A.Id)
+          Out.set(A.Id, B);
+      });
   return Out;
 }
 

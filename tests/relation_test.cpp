@@ -1,5 +1,7 @@
 //===- tests/relation_test.cpp - Relation algebra unit tests --------------===//
 
+#include "solver/ClosedOrder.h"
+#include "solver/TotSolver.h"
 #include "support/CapacityError.h"
 #include "support/DynRelation.h"
 #include "support/LinearExtensions.h"
@@ -484,12 +486,13 @@ void expectMatchesReference(const DynRelation &R, bool Acyclic,
 /// of the ids, so search order differs from index order. Each element
 /// gets up to three edges to elements later in that order. \p Order
 /// receives the order.
-DynRelation shuffledDag(unsigned N, std::mt19937 &Rng,
-                        std::vector<unsigned> &Order) {
+template <typename RelT = DynRelation>
+RelT shuffledDag(unsigned N, std::mt19937 &Rng,
+                 std::vector<unsigned> &Order) {
   Order.resize(N);
   std::iota(Order.begin(), Order.end(), 0u);
   std::shuffle(Order.begin(), Order.end(), Rng);
-  DynRelation R(N);
+  RelT R(N);
   for (unsigned I = 0; I + 1 < N; ++I)
     for (unsigned E = 0; E < 3; ++E) {
       unsigned J = I + 1 + static_cast<unsigned>(Rng() % (N - I - 1));
@@ -600,4 +603,138 @@ TEST(DynRelationProperty, CycleReachableOnlyFromLateRoot) {
     R.set(N - 2, 0); // the cycle may reach earlier elements
     expectMatchesReference(R, false, "cycle behind a late root");
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The propagation solver's order kernels on both tiers against
+// column-reading references
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// lexSmallestExtension as a rescan: each step places the smallest
+/// unplaced element of \p Universe with no unplaced strict predecessor,
+/// read from the columns of \p Must.
+template <typename RelT>
+std::vector<unsigned> scanLexSmallestExtension(
+    const RelT &Must, const typename RelT::SetT &Universe) {
+  using SetT = typename RelT::SetT;
+  std::vector<unsigned> Order;
+  std::vector<SetT> Preds;
+  for (unsigned B = 0; B < Must.size(); ++B)
+    Preds.push_back(Must.column(B) & Universe);
+  SetT Placed = RelT::emptySet(Must.size());
+  while (Placed != Universe) {
+    unsigned Picked = Must.size();
+    for (unsigned E = 0; E < Must.size(); ++E) {
+      if (!bits::test(Universe, E) || bits::test(Placed, E))
+        continue;
+      SetT Unplaced = Preds[E] & ~Placed;
+      bits::clear(Unplaced, E);
+      if (!bits::any(Unplaced)) {
+        Picked = E;
+        break;
+      }
+    }
+    if (Picked == Must.size())
+      break; // cyclic: the caller's contract is broken
+    bits::set(Placed, Picked);
+    Order.push_back(Picked);
+  }
+  return Order;
+}
+
+/// Each element of a universe of \p N with probability one half.
+template <typename RelT>
+typename RelT::SetT randomSubset(unsigned N, std::mt19937 &Rng) {
+  typename RelT::SetT S = RelT::emptySet(N);
+  for (unsigned E = 0; E < N; ++E)
+    if (Rng() % 2)
+      bits::set(S, E);
+  return S;
+}
+
+/// Runs \p Check on sparse and transitively closed shuffled DAGs of
+/// every size in \p Sizes, over the full universe and a strict subset.
+template <typename RelT, typename FnT>
+void forEachOrderCase(std::initializer_list<unsigned> Sizes, unsigned Seed,
+                      FnT Check) {
+  std::mt19937 Rng(Seed);
+  std::vector<unsigned> Order;
+  for (unsigned N : Sizes)
+    for (unsigned Trial = 0; Trial < 3; ++Trial) {
+      RelT Dag = shuffledDag<RelT>(N, Rng, Order);
+      typename RelT::SetT Subset = randomSubset<RelT>(N, Rng);
+      if (N && Subset == RelT::fullSet(N))
+        bits::clear(Subset, Order[0]);
+      for (const RelT &Must : {Dag, Dag.transitiveClosure()}) {
+        SCOPED_TRACE("n=" + std::to_string(N) + " trial " +
+                     std::to_string(Trial));
+        Check(Must, RelT::fullSet(N), Order);
+        Check(Must, Subset, Order);
+      }
+    }
+}
+
+template <typename RelT>
+void expectLexSmallestMatchesScan(unsigned Seed,
+                                  std::initializer_list<unsigned> Sizes) {
+  forEachOrderCase<RelT>(
+      Sizes, Seed,
+      [](const RelT &Must, const typename RelT::SetT &Universe,
+         const std::vector<unsigned> &) {
+        std::vector<unsigned> Kahn = lexSmallestExtension(Must, Universe);
+        EXPECT_EQ(Kahn, scanLexSmallestExtension(Must, Universe));
+        EXPECT_EQ(Kahn.size(), bits::count(Universe));
+      });
+}
+
+template <typename RelT>
+void expectClosedOrderMatchesColumns(unsigned Seed,
+                                     std::initializer_list<unsigned> Sizes) {
+  forEachOrderCase<RelT>(
+      Sizes, Seed,
+      [](const RelT &Must, const typename RelT::SetT &Universe,
+         const std::vector<unsigned> &Order) {
+        ClosedOrder<RelT> CO;
+        ASSERT_TRUE(CO.init(Must, Universe));
+        RelT Closed = Must.restricted(Universe, Universe).transitiveClosure();
+        for (unsigned A = 0; A < Must.size(); ++A) {
+          EXPECT_TRUE(CO.Succ[A] == Closed.row(A)) << "Succ[" << A << "]";
+          EXPECT_TRUE(CO.Pred[A] == Closed.column(A)) << "Pred[" << A << "]";
+        }
+        EXPECT_TRUE(CO.toRelation() == Closed);
+        if (Must.size() < 2)
+          return;
+        // A back edge closes a cycle unless an endpoint lies outside the
+        // universe.
+        RelT Back = Must;
+        unsigned Last = Order.back();
+        Back.set(Last, Order[0]);
+        Back.set(Order[0], Last);
+        ClosedOrder<RelT> Cyclic;
+        EXPECT_EQ(Cyclic.init(Back, Universe),
+                  !(bits::test(Universe, Last) &&
+                    bits::test(Universe, Order[0])));
+      });
+}
+
+} // namespace
+
+TEST(OrderKernelProperty, LexSmallestExtensionMatchesScanInline) {
+  expectLexSmallestMatchesScan<Relation>(41, {0, 1, 63, 64});
+}
+
+TEST(OrderKernelProperty, LexSmallestExtensionMatchesScanDyn) {
+  expectLexSmallestMatchesScan<DynRelation>(43,
+                                            {0, 1, 63, 64, 65, 500, 1024});
+}
+
+TEST(OrderKernelProperty, ClosedOrderPredIsColumnInline) {
+  expectClosedOrderMatchesColumns<Relation>(47, {0, 1, 63, 64});
+}
+
+TEST(OrderKernelProperty, ClosedOrderPredIsColumnDyn) {
+  expectClosedOrderMatchesColumns<DynRelation>(53,
+                                               {0, 1, 63, 64, 65, 500, 1024});
 }

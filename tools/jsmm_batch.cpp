@@ -91,7 +91,7 @@ LitmusJobResult inputFailure(const std::string &Name, const std::string &Model,
 /// Parses one JSONL job line into \p Out; members the line omits keep
 /// their \p Defaults value. \returns false with \p Error on a malformed
 /// line; \p Out then keeps what was read, so a failed job keeps its
-/// "name".
+/// "name" and "model".
 bool jobFromJsonLine(const std::string &Line, const std::string &BaseDir,
                      const LitmusJob &Defaults, LitmusJob &Out,
                      std::string &Error) {
@@ -354,7 +354,8 @@ int main(int Argc, char **Argv) {
           P.PreFailed = inputFailure(
               P.Job.Name.empty() ? "line-" + std::to_string(LineNo)
                                  : P.Job.Name,
-              Model, JobStatus::ParseError,
+              P.Job.Model.empty() ? Model : P.Job.Model,
+              JobStatus::ParseError,
               Input + ":" + std::to_string(LineNo) + ": " + Error);
         Pending.push_back(std::move(P));
       }
