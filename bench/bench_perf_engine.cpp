@@ -113,6 +113,26 @@ double enumerateFamilyMs(EngineConfig Cfg) {
   return std::chrono::duration<double, std::milli>(End - Start).count();
 }
 
+/// Repeats of each configuration in the headline comparison.
+constexpr unsigned HeadlineRepeats = 15;
+
+/// The median wall time of HeadlineRepeats runs of the Fig. 9 family per
+/// configuration in \p Cfgs. The runs are interleaved (one of each per
+/// round), so a slow stretch of a shared machine hits every configuration
+/// alike, and a single descheduled run cannot swing a ratio of medians.
+std::vector<double> medianFamilyMs(const std::vector<EngineConfig> &Cfgs) {
+  std::vector<std::vector<double>> Runs(Cfgs.size());
+  for (unsigned R = 0; R < HeadlineRepeats; ++R)
+    for (size_t C = 0; C < Cfgs.size(); ++C)
+      Runs[C].push_back(enumerateFamilyMs(Cfgs[C]));
+  std::vector<double> Medians;
+  for (std::vector<double> &Ms : Runs) {
+    std::nth_element(Ms.begin(), Ms.begin() + Ms.size() / 2, Ms.end());
+    Medians.push_back(Ms[Ms.size() / 2]);
+  }
+  return Medians;
+}
+
 /// Outcome-level run of the Fig. 9 family, optionally forced through the
 /// heap-backed DynRelation tier — the workload of the small-path headline.
 double enumerateOutcomesFamilyMs(bool ForceDyn) {
@@ -498,9 +518,10 @@ void staticPruneHeadline(jsmm::bench::Table &T) {
 int headlineComparison() {
   // Warm-up pass so first-touch allocation noise doesn't skew the seed run.
   enumerateFamilyMs(EngineConfig{1, false});
-  double SeedMs = enumerateFamilyMs(EngineConfig::seedCompatible());
-  double PrunedMs = enumerateFamilyMs(EngineConfig{1, true});
-  double ShardedMs = enumerateFamilyMs(EngineConfig{RequestedThreads, true});
+  std::vector<double> Ms =
+      medianFamilyMs({EngineConfig::seedCompatible(), EngineConfig{1, true},
+                      EngineConfig{RequestedThreads, true}});
+  double SeedMs = Ms[0], PrunedMs = Ms[1], ShardedMs = Ms[2];
   // The table also writes BENCH_perf-engine.json: the speedup metrics in it
   // are what tools/perf_trend.py gates CI on (bench/perf_baseline.json).
   jsmm::bench::Table T("perf-engine",
@@ -512,6 +533,7 @@ int headlineComparison() {
   T.metric("speedup_pruned_x", SeedMs / PrunedMs);
   T.metric("speedup_sharded_x", SeedMs / ShardedMs);
   T.metric("threads", RequestedThreads);
+  T.metric("repeats", HeadlineRepeats);
   // The reproduction claim is "the engine beats the seed", at whichever
   // configuration suits the machine — on a single-core box sharding adds
   // overhead and pruning provides the win, so gate on the better of the two.

@@ -3,8 +3,10 @@
 /// \file
 /// The pieces the footprint classifier (StaticAnalysis.cpp) and the value
 /// analysis (StaticValues.cpp) share: thread-body flattening, the per-byte
-/// footprint facts, and the diagnostic text helpers. Internal to
-/// src/analysis/ — frontends include StaticAnalysis.h / StaticValues.h.
+/// footprint facts, and the diagnostic text helpers. Only litmus programs
+/// are analysed: a compiled form reuses its source program's facts
+/// through TargetInstr::SourceIdx. Internal to src/analysis/ — frontends
+/// include StaticAnalysis.h / StaticValues.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +16,6 @@
 #include "analysis/StaticAnalysis.h"
 #include "analysis/Symmetry.h"
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -61,30 +62,21 @@ void flattenBody(const std::vector<Instr> &Body, unsigned Thread,
                  std::vector<BranchRecord> &Branches,
                  std::vector<const Instr *> &InstrOf);
 
-/// Flattens the compiled form \p CT (cells as width-1 ranges, source
-/// ordering modes via CT.Sources, fences skipped). When \p AccessAt is
-/// non-null it receives, per thread and instruction index, the access
-/// index or -1 for fences.
-void flattenTarget(const CompiledTarget &CT,
-                   std::vector<AccessRecord> &Accesses,
-                   std::vector<std::vector<int>> *AccessAt);
+/// The initial value of byte \p Byte of buffer \p Block of \p P.
+uint8_t initByte(const Program &P, unsigned Block, unsigned Byte);
 
-/// The shared part of both classify() overloads: the may-race relation,
-/// the statically-DRF certificate, and the footprint lints (dead-store /
-/// uncovered-read) over an already-flattened access table. \p InitByte
-/// maps (block, absolute byte) to its initial value.
-void classifyAccesses(
-    const std::vector<AccessRecord> &Accesses,
-    const std::function<uint8_t(unsigned, unsigned)> &InitByte,
-    StaticClassification &Out, std::map<ByteKey, ByteInfo> &Bytes);
+/// The footprint part of classify(): the may-race relation, the
+/// statically-DRF certificate, and the footprint lints (dead-store /
+/// uncovered-read) over \p P's already-flattened access table.
+void classifyAccesses(const Program &P,
+                      const std::vector<AccessRecord> &Accesses,
+                      StaticClassification &Out,
+                      std::map<ByteKey, ByteInfo> &Bytes);
 
 /// Appends one DuplicateThread diagnostic per symmetry class, anchored at
 /// the first duplicate (the class's second member).
 void lintDuplicateThreads(const ThreadSymmetry &Sym,
                           StaticClassification &Out);
-
-/// Appends the RedundantFence lints of the compiled form \p CT.
-void appendFenceLints(const CompiledTarget &CT, StaticClassification &Out);
 
 } // namespace detail
 } // namespace analysis

@@ -1,9 +1,10 @@
 //===- analysis/StaticAnalysis.cpp ----------------------------------------===//
 //
 // The shared static-analysis internals (AnalysisDetail.h): flattening,
-// footprint classification, and the footprint-level lints. The classify()
-// entry points live in StaticValues.cpp — the classification is the
-// footprint slice of the full value analysis, computed once.
+// footprint classification, and the footprint-level lints, plus the
+// redundant-fence lints of a compiled form. classify() lives in
+// StaticValues.cpp — the classification is the footprint slice of the
+// full value analysis, computed once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,53 +108,21 @@ void jsmm::analysis::detail::flattenBody(
   }
 }
 
-void jsmm::analysis::detail::flattenTarget(
-    const CompiledTarget &CT, std::vector<AccessRecord> &Accesses,
-    std::vector<std::vector<int>> *AccessAt) {
-  if (AccessAt)
-    AccessAt->assign(CT.Threads.size(), {});
-  for (unsigned T = 0; T < CT.Threads.size(); ++T) {
-    const std::vector<TargetInstr> &Body = CT.Threads[T];
-    if (AccessAt)
-      (*AccessAt)[T].assign(Body.size(), -1);
-    for (unsigned I = 0; I < Body.size(); ++I) {
-      const TargetInstr &TI = Body[I];
-      if (TI.Kind == TKind::Fence)
-        continue;
-      AccessRecord R;
-      R.Thread = T;
-      R.PreIdx = I;
-      R.K = TI.Kind == TKind::Read
-                ? Instr::Kind::Load
-                : (TI.Kind == TKind::Write ? Instr::Kind::Store
-                                           : Instr::Kind::Rmw);
-      // A cell as a width-1 byte range; the race judgment wants the
-      // *source* ordering mode, which SourceIdx recovers (the compiled
-      // Acq/Rel/Sc flags are scheme spelling, not the paper's modes).
-      Mode Ord = TI.Sc ? Mode::SeqCst : Mode::Unordered;
-      if (TI.SourceIdx >= 0 &&
-          static_cast<size_t>(TI.SourceIdx) < CT.Sources.size())
-        Ord = CT.Sources[TI.SourceIdx].Ord;
-      R.Access = Acc{0, TI.Loc, 1, Ord, true};
-      R.Value = TI.Value;
-      R.Dst = TI.DstReg;
-      if (AccessAt)
-        (*AccessAt)[T][I] = static_cast<int>(Accesses.size());
-      Accesses.push_back(R);
-    }
-  }
+uint8_t jsmm::analysis::detail::initByte(const Program &P, unsigned Block,
+                                         unsigned Byte) {
+  const std::vector<uint8_t> &Init = P.initBytes(Block);
+  return Byte < Init.size() ? Init[Byte] : 0;
 }
 
 void jsmm::analysis::detail::classifyAccesses(
-    const std::vector<AccessRecord> &Accesses,
-    const std::function<uint8_t(unsigned, unsigned)> &InitByte,
+    const Program &P, const std::vector<AccessRecord> &Accesses,
     StaticClassification &Out, std::map<ByteKey, ByteInfo> &Bytes) {
   for (const AccessRecord &R : Accesses) {
     for (unsigned K = 0; K < R.Access.Width; ++K) {
       ByteKey Key{R.Access.Block, R.Access.Offset + K};
       auto [It, Inserted] = Bytes.emplace(Key, ByteInfo{});
       if (Inserted)
-        It->second.Possible.insert(InitByte(Key.first, Key.second));
+        It->second.Possible.insert(initByte(P, Key.first, Key.second));
       if (R.isWrite()) {
         ++It->second.Writers;
         It->second.Possible.insert(byteOf(R.Value, K));
@@ -215,7 +184,7 @@ void jsmm::analysis::detail::classifyAccesses(
       unsigned SelfWrites = R.isWrite() ? 1u : 0u;
       for (unsigned K = 0; K < R.Access.Width && !Covered; ++K)
         Covered = ByteAt(K).Writers > SelfWrites ||
-                  InitByte(R.Access.Block, R.Access.Offset + K) != 0;
+                  initByte(P, R.Access.Block, R.Access.Offset + K) != 0;
       if (!Covered)
         Out.Lints.push_back(
             {LintKind::UncoveredRead, static_cast<int>(R.Thread),
@@ -242,9 +211,9 @@ void jsmm::analysis::detail::lintDuplicateThreads(
   }
 }
 
-void jsmm::analysis::detail::appendFenceLints(const CompiledTarget &CT,
-                                              StaticClassification &Out) {
+std::vector<LintDiag> jsmm::analysis::fenceLints(const CompiledTarget &CT) {
   // Fences that order nothing: no same-thread memory access on one side.
+  std::vector<LintDiag> Out;
   for (unsigned T = 0; T < CT.Threads.size(); ++T) {
     const std::vector<TargetInstr> &Body = CT.Threads[T];
     for (unsigned I = 0; I < Body.size(); ++I) {
@@ -257,7 +226,7 @@ void jsmm::analysis::detail::appendFenceLints(const CompiledTarget &CT,
         After = Body[J].Kind != TKind::Fence;
       if (Before && After)
         continue;
-      Out.Lints.push_back(
+      Out.push_back(
           {LintKind::RedundantFence, static_cast<int>(T),
            static_cast<int>(I),
            std::string(targetFenceName(Body[I].Fence)) +
@@ -266,4 +235,5 @@ void jsmm::analysis::detail::appendFenceLints(const CompiledTarget &CT,
                " this fence on its thread; it orders nothing"});
     }
   }
+  return Out;
 }

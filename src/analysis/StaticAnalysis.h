@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Flow-insensitive, branch- and byte-precise static analysis over litmus
-/// programs (and their compiled target forms), run before any enumeration:
+/// programs, run before any enumeration:
 ///
 ///   - a per-thread over-approximate shared-byte footprint (which absolute
 ///     bytes each thread may read or write, on any control-flow path);
@@ -23,6 +23,13 @@
 ///   - structured lint diagnostics over the same footprint, for corpus
 ///     hygiene tooling (the jsmm-lint front door).
 ///
+/// A compiled Thm 6.3 form is not analysed on its own. Each of its
+/// accesses maps one-to-one to a source access through
+/// TargetInstr::SourceIdx, and in the uni-size fragment every source
+/// access covers exactly its cell, so the source facts (may-races, the
+/// DRF certificate, may-rf sets) are the compiled form's facts too. Only
+/// the redundant-fence lints read the compiled instructions (fenceLints).
+///
 /// Statement positions are reported as pre-order indices within each
 /// thread (If* statements count, their bodies follow them), aligned with
 /// LitmusFile::InstrLines so front ends can map diagnostics to source
@@ -42,11 +49,7 @@
 namespace jsmm {
 namespace analysis {
 
-/// One shared-memory access of a flattened thread body. For compiled
-/// targets, Access maps a memory cell to a width-1 range (Block 0,
-/// Offset = cell) and Ord carries the *source* access's mode — the race
-/// judgment must mirror the source-level one, not the fence/flag soup a
-/// compilation scheme spells it with.
+/// One shared-memory access of a flattened thread body.
 struct AccessRecord {
   unsigned Thread = 0;
   /// Pre-order statement index within the thread (If* statements count),
@@ -87,8 +90,8 @@ enum class LintKind : uint8_t {
   /// private-byte-renamed classes): duplicated litmus threads add
   /// enumeration cost without adding behaviours.
   DuplicateThread,
-  /// Compiled forms only: a fence with no same-thread memory access on
-  /// one side orders nothing. Scheme-inserted trailing fences (e.g. the
+  /// Compiled forms only (fenceLints): a fence with no same-thread memory
+  /// access on one side orders nothing. Scheme-inserted trailing fences (e.g. the
   /// ARMv7 `ldr; dmb` SC-load lowering at the end of a thread) trip this
   /// by construction, so the default jsmm-lint path does not lint
   /// compiled forms.
@@ -131,10 +134,9 @@ struct StaticClassification {
 /// footprint-and-lints slice of the full value analysis.
 StaticClassification classify(const Program &P);
 
-/// Classifies the compiled form \p CT (cells as width-1 ranges; the race
-/// judgment uses source-access modes via CT.Sources). Adds RedundantFence
-/// lints; straight-line code has no DeadBranch.
-StaticClassification classify(const CompiledTarget &CT);
+/// The RedundantFence lints of the compiled form \p CT, with PreIdx the
+/// compiled instruction index within the thread.
+std::vector<LintDiag> fenceLints(const CompiledTarget &CT);
 
 } // namespace analysis
 } // namespace jsmm

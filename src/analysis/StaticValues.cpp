@@ -32,10 +32,8 @@ bool coversByte(const AccessRecord &W, unsigned Block, unsigned L) {
 }
 
 /// The may-rf candidate sets, refined possible sets, and constant
-/// verdicts. \p InitByte maps (block, absolute byte) to its initial
-/// value.
-void computeMayRf(StaticValues &SV,
-                  const std::function<uint8_t(unsigned, unsigned)> &InitByte) {
+/// verdicts of \p P's reads.
+void computeMayRf(StaticValues &SV, const Program &P) {
   const std::vector<AccessRecord> &A = SV.C.Accesses;
   SV.ReadIdxOfAccess.assign(A.size(), -1);
   for (unsigned RIdx = 0; RIdx < A.size(); ++RIdx) {
@@ -87,7 +85,7 @@ void computeMayRf(StaticValues &SV,
 
       std::set<uint8_t> Poss;
       if (MB.Init)
-        Poss.insert(InitByte(R.Access.Block, L));
+        Poss.insert(ad::initByte(P, R.Access.Block, L));
       for (unsigned WIdx : MB.Writers)
         Poss.insert(ad::byteOf(A[WIdx].Value, L - A[WIdx].Access.Offset));
       AllSingleton = AllSingleton && Poss.size() == 1;
@@ -106,17 +104,15 @@ void computeMayRf(StaticValues &SV,
 }
 
 /// Fills StaticValues::Bytes from the footprint byte table.
-void computeByteFacts(StaticValues &SV,
-                      const std::map<ad::ByteKey, ad::ByteInfo> &Bytes,
-                      const std::function<uint8_t(unsigned, unsigned)>
-                          &InitByte) {
+void computeByteFacts(StaticValues &SV, const Program &P,
+                      const std::map<ad::ByteKey, ad::ByteInfo> &Bytes) {
   for (const auto &[Key, Info] : Bytes) {
     ByteFacts F;
     F.Class = Info.Writers == 0
                   ? ByteClass::ReadOnly
                   : (Info.Writers == 1 ? ByteClass::SingleWriter
                                        : ByteClass::MultiWriter);
-    F.Init = InitByte(Key.first, Key.second);
+    F.Init = ad::initByte(P, Key.first, Key.second);
     F.Writers = Info.Writers;
     F.Read = Info.Read;
     SV.Bytes.emplace(Key, F);
@@ -239,40 +235,16 @@ StaticValues jsmm::analysis::analyzeValues(const Program &P) {
   for (unsigned I = 0; I < InstrOf.size(); ++I)
     SV.AccessOfInstr.emplace(InstrOf[I], I);
 
-  auto InitByte = [&P](unsigned Block, unsigned Byte) -> uint8_t {
-    const std::vector<uint8_t> &Init = P.initBytes(Block);
-    return Byte < Init.size() ? Init[Byte] : 0;
-  };
   std::map<ad::ByteKey, ad::ByteInfo> Bytes;
-  ad::classifyAccesses(SV.C.Accesses, InitByte, SV.C, Bytes);
-  computeByteFacts(SV, Bytes, InitByte);
-  computeMayRf(SV, InitByte);
+  ad::classifyAccesses(P, SV.C.Accesses, SV.C, Bytes);
+  computeByteFacts(SV, P, Bytes);
+  computeMayRf(SV, P);
   computeRegConstants(SV);
   lintValues(SV, Branches);
   ad::lintDuplicateThreads(threadSymmetry(P), SV.C);
   return SV;
 }
 
-StaticValues jsmm::analysis::analyzeValues(const CompiledTarget &CT) {
-  StaticValues SV;
-  ad::flattenTarget(CT, SV.C.Accesses, &SV.AccessOfTargetInstr);
-
-  auto InitByte = [](unsigned, unsigned) -> uint8_t { return 0; };
-  std::map<ad::ByteKey, ad::ByteInfo> Bytes;
-  ad::classifyAccesses(SV.C.Accesses, InitByte, SV.C, Bytes);
-  computeByteFacts(SV, Bytes, InitByte);
-  computeMayRf(SV, InitByte);
-  computeRegConstants(SV);
-  lintValues(SV, {}); // straight-line: ConstantRead only, no branches
-  ad::appendFenceLints(CT, SV.C);
-  ad::lintDuplicateThreads(threadSymmetry(CT), SV.C);
-  return SV;
-}
-
 StaticClassification jsmm::analysis::classify(const Program &P) {
   return analyzeValues(P).C;
-}
-
-StaticClassification jsmm::analysis::classify(const CompiledTarget &CT) {
-  return analyzeValues(CT).C;
 }

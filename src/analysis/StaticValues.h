@@ -2,9 +2,12 @@
 ///
 /// \file
 /// The second static tier on top of StaticAnalysis.h: a flow-insensitive
-/// abstract interpretation over litmus programs (and their compiled
-/// target forms) whose facts the engine uses to prune candidate
-/// enumeration without changing verdict tables.
+/// abstract interpretation over litmus programs whose facts the engine
+/// uses to prune candidate enumeration without changing verdict tables.
+/// One analysis serves a whole job: the JavaScript columns read it
+/// directly, and the target columns read it through
+/// TargetInstr::SourceIdx (see StaticAnalysis.h for why the source facts
+/// are the compiled form's).
 ///
 /// The analysis computes, per program:
 ///
@@ -108,9 +111,9 @@ struct ReadMayRf {
   uint64_t ConstantValue = 0;
 };
 
-/// The full value analysis of one program. Built once per enumeration
-/// door (behind EngineConfig::StaticFastPath) and consulted by the
-/// justifiers and the path-combination walk.
+/// The full value analysis of one program. Built once per job (behind
+/// EngineConfig::StaticFastPath) and consulted by the justifiers and the
+/// path-combination walk of every column.
 struct StaticValues {
   /// The footprint classification (accesses, may-races, lints) — what
   /// `classify()` returns.
@@ -129,12 +132,10 @@ struct StaticValues {
   /// disagree (or the register is never assigned).
   std::map<std::pair<unsigned, unsigned>, uint64_t> RegConstants;
 
-  /// Source Instr -> access index, for Program-form analyses. The engine
-  /// keys its enumerated path accesses by these pointers.
+  /// Source Instr -> access index. The engine keys its enumerated path
+  /// accesses by these pointers; a compiled form's events carry the index
+  /// itself (TargetEvent::SourceIdx).
   std::map<const Instr *, unsigned> AccessOfInstr;
-  /// Per thread, per compiled instruction index: access index or -1 for
-  /// fences. Target-form analyses only.
-  std::vector<std::vector<int>> AccessOfTargetInstr;
 
   /// Writer candidates excluded across all reads and bytes (E1 + E2 +
   /// shadowed init writes) — the statically refuted rf edges.
@@ -157,10 +158,6 @@ struct StaticValues {
 
 /// Runs the value analysis on the litmus program \p P.
 StaticValues analyzeValues(const Program &P);
-
-/// Runs the value analysis on the compiled form \p CT (cells as width-1
-/// ranges; no branches, so RegConstants/pathFeasible are trivial).
-StaticValues analyzeValues(const CompiledTarget &CT);
 
 } // namespace analysis
 } // namespace jsmm

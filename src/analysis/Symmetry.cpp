@@ -189,21 +189,3 @@ ThreadSymmetry jsmm::threadSymmetry(const Program &P) {
                                  static_cast<int>(T));
       });
 }
-
-ThreadSymmetry jsmm::threadSymmetry(const CompiledTarget &CT) {
-  auto InstrsEqual = [](const TargetInstr &A, const TargetInstr &B) {
-    // SourceIdx is translation provenance, not event structure.
-    return A.Kind == B.Kind && A.Loc == B.Loc && A.Value == B.Value &&
-           A.Acq == B.Acq && A.Rel == B.Rel && A.Sc == B.Sc &&
-           A.Fence == B.Fence && A.DstReg == B.DstReg;
-  };
-  return assembleClasses(
-      static_cast<unsigned>(CT.Threads.size()),
-      [&](unsigned T, unsigned Rep, bool &ExactMatch) {
-        const std::vector<TargetInstr> &A = CT.Threads[Rep];
-        const std::vector<TargetInstr> &B = CT.Threads[T];
-        ExactMatch = true;
-        return A.size() == B.size() &&
-               std::equal(A.begin(), A.end(), B.begin(), InstrsEqual);
-      });
-}

@@ -27,7 +27,6 @@
 #define JSMM_ANALYSIS_SYMMETRY_H
 
 #include "litmus/Program.h"
-#include "targets/TargetCompile.h"
 
 #include <vector>
 
@@ -45,12 +44,6 @@ struct ThreadSymmetry {
 
 /// Detects the thread-symmetry classes of \p P (exact and renamed).
 ThreadSymmetry threadSymmetry(const Program &P);
-
-/// Detects the thread-symmetry classes of the compiled program \p CT.
-/// Target instruction streams carry no byte offsets to rename (locations
-/// are whole cells), so only exact classes are reported; SourceIdx is
-/// provenance metadata and is ignored by the comparison.
-ThreadSymmetry threadSymmetry(const CompiledTarget &CT);
 
 } // namespace jsmm
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 
@@ -1113,39 +1114,34 @@ TargetBase<RelT> buildTargetBase(const CompiledTarget &CT) {
 }
 
 /// The target flavour of the static writer-allow mask: [read idx]
-/// [eligible-writer position] (cells are width-1, so no byte axis). The
-/// event-to-access mapping replays buildTargetBase's order: one init
-/// event per location, then every thread's instructions in sequence
-/// (fences included in the numbering, mapped to -1 by the analysis).
-/// The exclusion rules are refuted by per-location coherence on every
-/// backend — targetScPerLocation on five of them, and ImmLite's
-/// COHERENCE axiom (Hb;Eco irreflexive, init first in co) independently.
+/// [eligible-writer position] (cells are width-1, so no byte axis). \p SV
+/// is the analysis of the source program; each event takes the facts of
+/// its source access (TargetEvent::SourceIdx), a read those of byte 0 of
+/// its source range. In the uni-size fragment every access to a cell
+/// covers exactly that cell, so that byte's may-rf writers and init flag
+/// are the cell's. The exclusion rules are refuted by per-location
+/// coherence on every backend — targetScPerLocation on five of them, and
+/// ImmLite's COHERENCE axiom (Hb;Eco irreflexive, init first in co)
+/// independently.
 template <typename RelT>
 std::vector<std::vector<uint8_t>>
 buildTargetStaticAllow(const analysis::StaticValues &SV,
-                       const TargetBase<RelT> &B, const CompiledTarget &CT) {
-  std::vector<int> AccOf(B.X.Events.size(), -1);
-  size_t Pos = CT.NumLocs; // init events map to no access
-  for (unsigned T = 0; T < CT.Threads.size(); ++T)
-    for (unsigned I = 0; I < CT.Threads[T].size(); ++I)
-      AccOf[Pos++] = SV.AccessOfTargetInstr[T][I];
-  assert(Pos == B.X.Events.size() && "event/access replay out of sync");
-
+                       const TargetBase<RelT> &B) {
   std::vector<std::vector<uint8_t>> Allow(B.Reads.size());
   for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-    EventId R = B.Reads[RI];
+    const TargetEvent &R = B.X.Events[B.Reads[RI]];
     const analysis::ReadMayRf *MR =
-        SV.readMayRf(static_cast<unsigned>(AccOf[R]));
+        SV.readMayRf(static_cast<unsigned>(R.SourceIdx));
     assert(MR && "read event mapped to a non-read access");
     const analysis::MayRfByte &MB = MR->Bytes[0];
     for (const TargetEvent &W : B.X.Events) {
-      if (!W.isWrite() || W.Id == R || W.Loc != B.X.Events[R].Loc)
+      if (!W.isWrite() || W.Id == R.Id || W.Loc != R.Loc)
         continue;
       bool Ok = W.IsInit
                     ? MB.Init
                     : std::binary_search(MB.Writers.begin(),
                                          MB.Writers.end(),
-                                         static_cast<unsigned>(AccOf[W.Id]));
+                                         static_cast<unsigned>(W.SourceIdx));
       Allow[RI].push_back(Ok ? 1 : 0);
     }
   }
@@ -1280,7 +1276,7 @@ template <typename RelT> struct TargetCore {
   template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
     BaseT B = buildTargetBase<RelT>(CT);
     if (SV)
-      B.Allow = buildTargetStaticAllow(*SV, B, CT);
+      B.Allow = buildTargetStaticAllow(*SV, B);
     return Fn(B);
   }
 
@@ -1385,7 +1381,9 @@ OutcomeSummary finishOutcomes(OutcomeSummary S, const char *Entry,
                               const EngineStats &St) {
   S.Tier = Tier;
   S.SolverUsed = Kind;
-  // How much the value-aware static tier cut from this full enumeration.
+  // How much the value-aware static tier cut from this full enumeration
+  // (may_rf_excluded counts the analysed litmus program's exclusions, so
+  // a job's columns share it).
   if (SV)
     traceEvent("static-prune",
                {{"entry", Entry},
@@ -1433,18 +1431,22 @@ EnumerationResult ExecutionEngine::enumerate(const Program &P,
   return R;
 }
 
-OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
-                                                  const JsModel &M) const {
+OutcomeSummary
+ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
+                                   const analysis::StaticValues *SV) const {
   checkCapacity(P);
   unsigned Events = programEventUpperBound(P);
   SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
-  std::optional<analysis::StaticValues> SV;
-  if (Cfg.StaticFastPath) {
-    // The fast path sits after the capacity gate (too-large programs keep
-    // their typed rejection) and before solver/tier selection (no solver
-    // runs on a statically-DRF program). When the DRF certificate does
-    // not hold, the same analysis prunes the full walk below.
-    SV.emplace(analysis::analyzeValues(P));
+  std::optional<analysis::StaticValues> Own;
+  if (!Cfg.StaticFastPath)
+    SV = nullptr;
+  else if (!SV)
+    SV = &Own.emplace(analysis::analyzeValues(P));
+  // The fast path sits after the capacity gate (too-large programs keep
+  // their typed rejection) and before solver/tier selection (no solver
+  // runs on a statically-DRF program). When the DRF certificate does not
+  // hold, the same analysis prunes the full walk below.
+  if (SV) {
     if (std::optional<OutcomeSummary> S =
             tryStaticFastPath(P, SV->C, "js", Events, Kind)) {
       Stats = EngineStats();
@@ -1459,26 +1461,25 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
                 {"events", static_cast<double>(Events)},
                 {"from", solverKindName(Kind)},
                 {"to", solverKindName(SolverKind::Propagate)}});
-    return enumerateOutcomes(P,
-                             JsModel(M.spec(), SolverConfig::propagate()));
+    return enumerateOutcomes(
+        P, JsModel(M.spec(), SolverConfig::propagate()), SV);
   }
   const char *Tier = selectTier("js", Events, Cfg.ForceDynRelation, Kind);
   bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   // Equivalence-aware enumeration: rf sleep-set keys inside the justifier.
   const ModelSpec *RedP = Cfg.Reduction ? &M.spec() : nullptr;
-  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
   const JsModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
   OutcomeSummary S =
       SmallTier ? summarize(enumerateCore(
-                      JsCore<Relation>(P, Prune, RedP, SVP), M,
+                      JsCore<Relation>(P, Prune, RedP, SV), M,
                       effectiveThreads(), Local))
                 : summarize(enumerateCore(
-                      JsCore<DynRelation>(P, Prune, RedP, SVP), M,
+                      JsCore<DynRelation>(P, Prune, RedP, SV), M,
                       effectiveThreads(), Local));
   Stats = Local;
-  return finishOutcomes(std::move(S), "js", Tier, Kind, SVP, Local);
+  return finishOutcomes(std::move(S), "js", Tier, Kind, SV, Local);
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
@@ -1563,14 +1564,19 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
   return R;
 }
 
-OutcomeSummary ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
-                                                  const TargetModel &M) const {
+OutcomeSummary
+ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
+                                   const TargetModel &M,
+                                   const analysis::StaticValues *Source) const {
   checkCapacity(CT);
   unsigned Events = targetEventBound(CT);
   SolverKind Kind = defaultSolverKind();
-  std::optional<analysis::StaticValues> SV;
-  if (Cfg.StaticFastPath) {
-    SV.emplace(analysis::analyzeValues(CT));
+  const analysis::StaticValues *SV = Cfg.StaticFastPath ? Source : nullptr;
+  if (SV) {
+    if (SV->C.Accesses.size() != CT.Sources.size())
+      throw std::invalid_argument(
+          "static analysis of a different program than the compiled "
+          "form's source");
     if (std::optional<OutcomeSummary> S =
             tryStaticFastPath(CT, SV->C, "target", Events, Kind)) {
       Stats = EngineStats();
@@ -1580,18 +1586,17 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
   const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
   bool SmallTier = std::string_view(Tier) == "inline";
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
   const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
   OutcomeSummary S =
       SmallTier ? summarize(enumerateCore(
-                      TargetCore<Relation>{CT, Prune, SVP}, M,
+                      TargetCore<Relation>{CT, Prune, SV}, M,
                       effectiveThreads(), Local))
                 : summarize(enumerateCore(
-                      TargetCore<DynRelation>{CT, Prune, SVP}, M,
+                      TargetCore<DynRelation>{CT, Prune, SV}, M,
                       effectiveThreads(), Local));
   Stats = Local;
-  return finishOutcomes(std::move(S), "target", Tier, Kind, SVP, Local);
+  return finishOutcomes(std::move(S), "target", Tier, Kind, SV, Local);
 }
 
 //===----------------------------------------------------------------------===//

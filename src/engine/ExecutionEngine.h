@@ -44,6 +44,10 @@
 
 namespace jsmm {
 
+namespace analysis {
+struct StaticValues;
+} // namespace analysis
+
 /// Tuning knobs of the engine.
 struct EngineConfig {
   /// Worker threads for whole-space enumerations (enumerate()). 0 means
@@ -74,24 +78,31 @@ struct EngineConfig {
   /// enumerate the full space because their per-candidate visitation order
   /// and witnesses are part of the API.
   bool Reduction = false;
-  /// Static DRF-SC fast path in the outcome-level entry points: when
-  /// analysis::classify() certifies the program statically data-race-free
+  /// The static tier of the outcome-level entry points, driven by one
+  /// value analysis of the litmus program (analysis::analyzeValues). When
+  /// its classification certifies the program statically data-race-free
   /// (every cross-thread conflicting access pair is SeqCst on the
   /// identical range), the verdict is served by a single SC interleaving
   /// enumeration under Tier "static" — the SC-DRF theorem (§3.2/Thm 6.1)
   /// plus the Thm 6.3 compilation results pin the SC table as the answer
   /// on every backend, and the equality is asserted against full
   /// enumeration by the static-vs-dynamic differential tests. When the
-  /// certificate does not hold, the same value analysis
-  /// (analysis::analyzeValues) prunes the full walk instead: writer
-  /// choices outside a read's static may-rf candidate set (or
-  /// contradicting the path's register constraints) are skipped, and path
-  /// combinations with statically-contradicted branch constraints are
-  /// dropped — counted by EngineStats::StaticRfPruned / StaticPathsPruned
-  /// with verdict tables unchanged (static_values_test pins equality). Off
-  /// by default like Reduction; on at the CLI/service front doors, where
-  /// --no-static restores the full walk. The witness-carrying entry
-  /// points (enumerate / scDrf / forEach*) never use the analysis.
+  /// certificate does not hold, the same analysis prunes the full walk
+  /// instead: writer choices outside a read's static may-rf candidate set
+  /// (or contradicting the path's register constraints) are skipped, and
+  /// path combinations with statically-contradicted branch constraints
+  /// are dropped — counted by EngineStats::StaticRfPruned /
+  /// StaticPathsPruned with verdict tables unchanged (static_values_test
+  /// pins equality).
+  ///
+  /// The JavaScript door analyses the program itself unless the caller
+  /// passes the analysis; the target door has no program to analyse and
+  /// uses the static tier only when the caller passes the analysis of the
+  /// source program the compiled form came from. Off by default like
+  /// Reduction; on at the CLI/service front doors, which analyse each job
+  /// once and hand the analysis to every column, and where --no-static
+  /// restores the full walk. The witness-carrying entry points
+  /// (enumerate / scDrf / forEach*) never use the analysis.
   bool StaticFastPath = false;
 
   static EngineConfig sequential() { return {1, true}; }
@@ -202,8 +213,13 @@ public:
   /// counters to enumerate() on ≤64-event programs (it is the same
   /// templated core, instantiated on Relation there and on DynRelation for
   /// larger programs). Throws CapacityError only past
-  /// DynRelation::MaxSize events.
-  OutcomeSummary enumerateOutcomes(const Program &P, const JsModel &M) const;
+  /// DynRelation::MaxSize events. Under EngineConfig::StaticFastPath the
+  /// static tier reads \p SV, which must be analysis::analyzeValues(P);
+  /// with \p SV null the door computes that analysis itself. Without
+  /// StaticFastPath \p SV is ignored.
+  OutcomeSummary enumerateOutcomes(const Program &P, const JsModel &M,
+                                   const analysis::StaticValues *SV =
+                                       nullptr) const;
 
   /// Checks the SC-DRF property of \p P under \p M (sequential, early
   /// stopping).
@@ -263,9 +279,19 @@ public:
                                     const TargetModel &M) const;
 
   /// Outcome-level target enumeration for either capacity tier; see the
-  /// JavaScript enumerateOutcomes overload for the contract.
+  /// JavaScript enumerateOutcomes overload for the contract. Under
+  /// EngineConfig::StaticFastPath the static tier reads \p Source, the
+  /// analysis::analyzeValues of the litmus program \p CT was compiled
+  /// from (through uniFromProgram and compileUni): its DRF certificate
+  /// selects the SC table, and each compiled access takes the may-rf set
+  /// of its source access (TargetInstr::SourceIdx). With \p Source null
+  /// the door runs the admission-pruned walk without the static tier.
+  /// Throws std::invalid_argument when \p Source has a different access
+  /// count than \p CT's source program.
   OutcomeSummary enumerateOutcomes(const CompiledTarget &CT,
-                                   const TargetModel &M) const;
+                                   const TargetModel &M,
+                                   const analysis::StaticValues *Source =
+                                       nullptr) const;
 
   /// Invokes \p Visit on every well-formed execution of \p CT (rf and
   /// per-location coherence chosen; consistency not yet checked) with its

@@ -3,7 +3,7 @@
 #include "service/LitmusService.h"
 
 #include "analysis/ScEnumeration.h"
-#include "analysis/StaticAnalysis.h"
+#include "analysis/StaticValues.h"
 #include "compile/Compile.h"
 #include "litmus/PathEnum.h"
 #include "obs/Obs.h"
@@ -100,10 +100,12 @@ struct VerdictColumn {
   uint64_t StaticPathsPruned = 0;
 };
 
-/// A program and its uni-size form, converted on first use and shared by
-/// the uni-js and target columns of one table.
+/// A program, its static analysis (null when the job's Static flag is off)
+/// and its uni-size form, converted on first use and shared by the uni-js
+/// and target columns of one table.
 struct ColumnSource {
   const Program &P;
+  const analysis::StaticValues *SV;
   std::optional<std::optional<UniProgram>> Uni;
   std::string Why;
 
@@ -134,7 +136,7 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
   VerdictColumn C;
   if (B.K == Kind::Js) {
     if (E)
-      C = engineColumn(E->enumerateOutcomes(S.P, JsModel(B.Js)), *E);
+      C = engineColumn(E->enumerateOutcomes(S.P, JsModel(B.Js), S.SV), *E);
     return C;
   }
   if (B.K == Kind::Armv8) {
@@ -169,7 +171,7 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
     return {JobStatus::TooLarge,
             *Cap + " (after compilation for " + B.Name + ")"};
   if (E)
-    C = engineColumn(E->enumerateOutcomes(CT, *B.Target), *E);
+    C = engineColumn(E->enumerateOutcomes(CT, *B.Target, S.SV), *E);
   return C;
 }
 
@@ -226,8 +228,9 @@ checkExpectations(const LitmusJobResult &R, const std::string &Model,
 
 LitmusJobResult jsmm::differentialTable(const Program &P,
                                         const ExecutionEngine &E,
-                                        LitmusJobResult R) {
-  ColumnSource S{P};
+                                        LitmusJobResult R,
+                                        const analysis::StaticValues *SV) {
+  ColumnSource S{P, SV};
   std::vector<std::string> Sc;
   if (R.StaticallyDrf)
     Sc = scTable(P);
@@ -310,17 +313,26 @@ LitmusService::computeResult(const LitmusJob &Job,
   if (R.Name.empty())
     R.Name = File->P.Name;
 
-  // Static pre-analysis: the Static* summary the JSONL "static" object
-  // renders, and the statically-DRF certificate the fast paths below
-  // consult. A pure function of the parsed program, so it stays
+  // Static pre-analysis, once per job: the Static* summary the JSONL
+  // "static" object renders, the statically-DRF certificate the fast
+  // paths below consult, and the may-rf facts every column's walk prunes
+  // with. A pure function of the parsed program, so it stays
   // deterministic across worker counts.
+  std::optional<analysis::StaticValues> SV;
   if (Job.Static) {
-    analysis::StaticClassification C = analysis::classify(File->P);
+    analysis::StaticValues &V = SV.emplace(analysis::analyzeValues(File->P));
     R.HasStatic = true;
-    R.StaticallyDrf = C.StaticallyDrf;
-    R.StaticMayRaces = static_cast<unsigned>(C.MayRaces.size());
-    R.StaticLints = static_cast<unsigned>(C.Lints.size());
+    R.StaticallyDrf = V.C.StaticallyDrf;
+    R.StaticMayRaces = static_cast<unsigned>(V.C.MayRaces.size());
+    R.StaticLints = static_cast<unsigned>(V.C.Lints.size());
+    // The columns read only the certificate and the may-rf facts. The
+    // race pairs, the lint text and the byte table would otherwise stay
+    // resident through every enumeration of the job.
+    V.C.MayRaces = {};
+    V.C.Lints = {};
+    V.Bytes = {};
   }
+  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
 
   const BackendInfo *B = backendByName(Job.Model);
   bool Differential = Job.Model == "differential";
@@ -359,9 +371,9 @@ LitmusService::computeResult(const LitmusJob &Job,
     }
 
     if (Differential)
-      return differentialTable(File->P, Engine, R);
+      return differentialTable(File->P, Engine, R, SVP);
 
-    ColumnSource S{File->P};
+    ColumnSource S{File->P, SVP};
     VerdictColumn C = column(S, *B, &Engine);
     R.Status = C.Status;
     R.Error = C.Error;

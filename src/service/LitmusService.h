@@ -112,11 +112,13 @@ struct LitmusJob {
   /// identical either way (reduction_test pins this); off restores the
   /// exhaustive walk. Part of the cache key.
   bool Reduce = true;
-  /// Static pre-analysis (analysis::classify) for this job: fills the
-  /// result's Static* summary and serves statically-DRF programs through
-  /// the DRF-SC fast path — differential tables by one SC enumeration
-  /// replicated across the backends, single-model verdicts through
-  /// EngineConfig::StaticFastPath (Tier "static"). Verdicts are identical
+  /// Static pre-analysis (analysis::analyzeValues, once per job) for this
+  /// job: fills the result's Static* summary and serves statically-DRF
+  /// programs through the DRF-SC fast path — differential tables by one
+  /// SC enumeration replicated across the backends, single-model verdicts
+  /// through EngineConfig::StaticFastPath (Tier "static"); every other
+  /// JavaScript and target column prunes its walk with the same analysis.
+  /// Verdicts are identical
   /// either way (the static-vs-dynamic differential tests pin this); off
   /// restores the full walk (the --no-static escape hatch). Part of the
   /// cache key.
@@ -265,9 +267,12 @@ private:
 /// outcomes uni-js forbids) and the §3.1 weakening diff (target outcomes
 /// js-original forbids). When R.StaticallyDrf holds, one SC enumeration
 /// fills every applicable column (the DRF-SC theorem; see ARCHITECTURE.md).
+/// \p SV, when given, is analysis::analyzeValues(P); the JavaScript and
+/// target columns read it under EngineConfig::StaticFastPath.
 LitmusJobResult differentialTable(const Program &P,
                                   const ExecutionEngine &E = ExecutionEngine(),
-                                  LitmusJobResult R = LitmusJobResult());
+                                  LitmusJobResult R = LitmusJobResult(),
+                                  const analysis::StaticValues *SV = nullptr);
 
 /// The built-in differential corpus (targets/Differential.h) as service
 /// jobs: parser-loaded entries keep their source text, programmatic

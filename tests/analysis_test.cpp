@@ -8,6 +8,7 @@
 
 #include "analysis/ScEnumeration.h"
 #include "analysis/StaticAnalysis.h"
+#include "analysis/StaticValues.h"
 #include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
 #include "engine/TargetModel.h"
@@ -253,8 +254,12 @@ TEST(Lint, RedundantFenceOnCompiledForm) {
   UniProgram P(1);
   unsigned T0 = P.thread();
   P.store(T0, 0, 1, Mode::SeqCst);
-  StaticClassification C = classify(compileUni(P, TargetArch::ArmV7));
-  EXPECT_TRUE(hasKind(C, LintKind::RedundantFence));
+  std::vector<analysis::LintDiag> L =
+      analysis::fenceLints(compileUni(P, TargetArch::ArmV7));
+  ASSERT_EQ(L.size(), 2u);
+  EXPECT_EQ(L[0].Kind, LintKind::RedundantFence);
+  EXPECT_EQ(L[0].PreIdx, 0);
+  EXPECT_EQ(L[1].PreIdx, 2);
 }
 
 TEST(Lint, NoRedundantFenceBetweenAccesses) {
@@ -262,10 +267,12 @@ TEST(Lint, NoRedundantFenceBetweenAccesses) {
   // with accesses on both sides except the trailing one.
   UniProgram P(2);
   unsigned T0 = P.thread();
-  P.store(T0, 0, 1, Mode::Unordered);
-  P.store(T0, 1, 1, Mode::Unordered);
-  StaticClassification C = classify(compileUni(P, TargetArch::X86));
-  EXPECT_FALSE(hasKind(C, LintKind::RedundantFence));
+  P.store(T0, 0, 1, Mode::SeqCst);
+  P.store(T0, 1, 1, Mode::SeqCst);
+  std::vector<analysis::LintDiag> L =
+      analysis::fenceLints(compileUni(P, TargetArch::X86));
+  ASSERT_EQ(L.size(), 1u);
+  EXPECT_EQ(L[0].PreIdx, 3);
 }
 
 //===----------------------------------------------------------------------===//
@@ -378,13 +385,22 @@ TEST(ScEnumeration, TargetFormMatchesTargetModels) {
   unsigned T1 = P.thread();
   P.store(T1, 1, 1, Mode::SeqCst);
   P.load(T1, 0, Mode::SeqCst);
+  // The certificate is the source program's: a compiled form is never
+  // analysed on its own.
+  analysis::StaticValues SV = analysis::analyzeValues(mixedFromUni(P));
+  ASSERT_TRUE(SV.C.StaticallyDrf);
+  EngineConfig Cfg;
+  Cfg.StaticFastPath = true;
+  ExecutionEngine Fast(Cfg);
   ExecutionEngine Full;
   for (const TargetModel &M : TargetModel::all()) {
     CompiledTarget CT = compileUni(P, M.arch());
-    ASSERT_TRUE(classify(CT).StaticallyDrf) << M.name();
-    EXPECT_EQ(strings(analysis::enumerateScOutcomes(CT)),
-              Full.enumerateOutcomes(CT, M).outcomeStrings())
-        << M.name();
+    std::vector<std::string> Want =
+        Full.enumerateOutcomes(CT, M).outcomeStrings();
+    EXPECT_EQ(strings(analysis::enumerateScOutcomes(CT)), Want) << M.name();
+    OutcomeSummary S = Fast.enumerateOutcomes(CT, M, &SV);
+    EXPECT_EQ(S.Tier, "static") << M.name();
+    EXPECT_EQ(S.outcomeStrings(), Want) << M.name();
   }
 }
 

@@ -22,7 +22,6 @@
 #include "solver/TotSolver.h"
 #include "service/LitmusService.h"
 #include "targets/Differential.h"
-#include "targets/TargetCompile.h"
 
 #include "TestUtil.h"
 
@@ -133,28 +132,6 @@ TEST(Symmetry, RenamedFillerThreadsFormOneClass) {
   EXPECT_FALSE(S.Exact[0]);
 }
 
-TEST(Symmetry, CompiledTargetClassesIgnoreProvenance) {
-  UniProgram P(2);
-  unsigned T0 = P.thread();
-  P.store(T0, 0, 1, Mode::Unordered);
-  unsigned T1 = P.thread();
-  P.store(T1, 0, 1, Mode::Unordered);
-  unsigned T2 = P.thread();
-  P.load(T2, 0, Mode::Unordered);
-
-  for (TargetArch A : {TargetArch::X86, TargetArch::ArmV8, TargetArch::Power,
-                       TargetArch::ImmLite}) {
-    CompiledTarget CT = compileUni(P, A);
-    // SourceIdx differs between the two writer threads (provenance), but
-    // the event structure is identical.
-    ThreadSymmetry S = threadSymmetry(CT);
-    ASSERT_EQ(S.Classes.size(), 1u) << targetArchName(A);
-    EXPECT_EQ(S.Classes[0], (std::vector<unsigned>{0, 1}))
-        << targetArchName(A);
-    EXPECT_TRUE(S.Exact[0]) << targetArchName(A);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Duplicate-thread detection: near-symmetric programs stay distinct
 //===----------------------------------------------------------------------===//
@@ -223,17 +200,6 @@ TEST(Symmetry, RenamedBytesMustBePrivate) {
   ThreadBuilder R = P.thread();
   R.load(Acc::u8(5));
   expectNoMergeAndEquivalent(P, "non-private-renamed-byte");
-}
-
-TEST(Symmetry, CompiledTargetNearSymmetricNotMerged) {
-  UniProgram P(1);
-  unsigned T0 = P.thread();
-  P.store(T0, 0, 1, Mode::Unordered);
-  unsigned T1 = P.thread();
-  P.store(T1, 0, 2, Mode::Unordered); // differing value
-  for (TargetArch A : {TargetArch::X86, TargetArch::ImmLite})
-    EXPECT_TRUE(threadSymmetry(compileUni(P, A)).Classes.empty())
-        << targetArchName(A);
 }
 
 //===----------------------------------------------------------------------===//

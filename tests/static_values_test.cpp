@@ -12,7 +12,8 @@
 ///   - randomized may-rf soundness sweeps on both tiers: every rf edge of
 ///     every valid candidate execution lands inside the static candidate
 ///     sets, for the JS models (via a path-combination reconstruction)
-///     and for all six Thm 6.3 target backends (direct event replay);
+///     and for all six Thm 6.3 target backends (the source program's
+///     facts read through each event's SourceIdx);
 ///   - golden equivalence: verdict tables with pruning on are
 ///     byte-identical to pruning off, at the engine doors (both relation
 ///     tiers, workers 1/2/4, reduce on|off) and at the service doors
@@ -38,12 +39,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace jsmm;
@@ -390,29 +394,63 @@ TEST(StaticValues, JsSweepMayRfCoversEveryValidCandidate) {
   // walk could lose it. One admission-pruned walk per model covers every
   // valid candidate of that model (admission is monotone: it never drops
   // a candidate with a valid completion) at a fraction of the unpruned
-  // space's cost.
+  // space's cost. The programs are drawn before the check, whose
+  // (program, model) walks run on one thread per core; failures are
+  // reported here in program order.
   std::mt19937 Rng(0x5AFE01);
-  ExecutionEngine E;
-  JsModel Revised(ModelSpec::revised());
-  JsModel Original(ModelSpec::original());
-  uint64_t ValidCandidates = 0;
-  for (int I = 0; I < 300; ++I) {
-    Program P = randomSmallProgram(Rng);
-    analysis::StaticValues SV = analysis::analyzeValues(P);
-    std::vector<std::vector<ThreadPath>> Paths;
-    for (unsigned T = 0; T < P.numThreads(); ++T)
-      Paths.push_back(enumeratePaths(P.threadBody(T)));
-    for (const JsModel *M : {&Revised, &Original})
-      E.forEachAdmittedCandidate(
-          P, *M, [&](const CandidateExecution &CE, const Outcome &O) {
-            (void)O;
-            if (!M->allows(CE))
+  std::vector<Program> Programs;
+  for (int I = 0; I < 300; ++I)
+    Programs.push_back(randomSmallProgram(Rng));
+  const JsModel Models[] = {JsModel(ModelSpec::revised()),
+                            JsModel(ModelSpec::original())};
+  constexpr size_t NumModels = std::size(Models);
+
+  struct Walk {
+    uint64_t Valid = 0;
+    std::vector<std::string> Failures;
+  };
+  std::vector<Walk> Walks(Programs.size() * NumModels);
+  std::atomic<size_t> Next{0};
+  auto Worker = [&] {
+    ExecutionEngine E;
+    for (size_t W = Next++; W < Walks.size(); W = Next++) {
+      const Program &P = Programs[W / NumModels];
+      const JsModel &M = Models[W % NumModels];
+      Walk &Out = Walks[W];
+      try {
+        analysis::StaticValues SV = analysis::analyzeValues(P);
+        std::vector<std::vector<ThreadPath>> Paths;
+        for (unsigned T = 0; T < P.numThreads(); ++T)
+          Paths.push_back(enumeratePaths(P.threadBody(T)));
+        E.forEachAdmittedCandidate(
+            P, M, [&](const CandidateExecution &CE, const Outcome &O) {
+              (void)O;
+              if (!M.allows(CE))
+                return true;
+              ++Out.Valid;
+              if (!someComboCovers(SV, Paths, CE))
+                Out.Failures.push_back("a valid candidate has an rf edge "
+                                       "outside the static may-rf sets");
               return true;
-            ++ValidCandidates;
-            EXPECT_TRUE(someComboCovers(SV, Paths, CE))
-                << "program #" << I << " under " << M->name();
-            return true;
-          });
+            });
+      } catch (const std::exception &Ex) {
+        Out.Failures.push_back(std::string("exception: ") + Ex.what());
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> Pool; // joined when the scope ends
+    for (unsigned T = 0; T < std::max(1u, std::thread::hardware_concurrency());
+         ++T)
+      Pool.emplace_back(Worker);
+  }
+
+  uint64_t ValidCandidates = 0;
+  for (size_t W = 0; W < Walks.size(); ++W) {
+    ValidCandidates += Walks[W].Valid;
+    for (const std::string &F : Walks[W].Failures)
+      ADD_FAILURE() << "program #" << W / NumModels << " under "
+                    << Models[W % NumModels].name() << ": " << F;
   }
   // The sweep must actually exercise the property.
   EXPECT_GE(ValidCandidates, 1000u);
@@ -454,10 +492,9 @@ Program randomUniFragmentProgram(std::mt19937 &Rng) {
 
 TEST(StaticValues, TargetSweepMayRfCoversEveryConsistentCandidate) {
   // Random uni-fragment programs under all six Thm 6.3 backends: every
-  // consistent target execution's rf edges must sit inside the static
-  // may-rf sets. The event-to-access replay mirrors the engine's (one
-  // init event per location first, then one event per compiled
-  // instruction, thread-major).
+  // consistent target execution's rf edges must sit inside the may-rf
+  // sets of the *source* program's analysis, read through each event's
+  // SourceIdx (the mapping the engine's target door uses).
   std::mt19937 Rng(0x5AFE02);
   ExecutionEngine E;
   uint64_t Consistent = 0;
@@ -465,23 +502,18 @@ TEST(StaticValues, TargetSweepMayRfCoversEveryConsistentCandidate) {
     Program P = randomUniFragmentProgram(Rng);
     std::optional<UniProgram> Uni = uniFromProgram(P);
     ASSERT_TRUE(Uni) << "generator left the uni fragment, program #" << I;
+    analysis::StaticValues SV = analysis::analyzeValues(P);
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(*Uni, M.arch());
-      analysis::StaticValues SV = analysis::analyzeValues(CT);
-      std::vector<int> AccOf(CT.NumLocs, -1);
-      for (unsigned T = 0; T < CT.Threads.size(); ++T)
-        for (unsigned J = 0; J < CT.Threads[T].size(); ++J)
-          AccOf.push_back(SV.AccessOfTargetInstr[T][J]);
       E.forEachTargetCandidate(
           CT, [&](const TargetExecution &X, const Outcome &O) {
             (void)O;
             if (!M.allows(X))
               return true;
             ++Consistent;
-            EXPECT_EQ(AccOf.size(), X.Events.size());
             X.Rf.forEachPair([&](unsigned W, unsigned R) {
-              const analysis::ReadMayRf *MR =
-                  SV.readMayRf(static_cast<unsigned>(AccOf[R]));
+              const analysis::ReadMayRf *MR = SV.readMayRf(
+                  static_cast<unsigned>(X.Events[R].SourceIdx));
               ASSERT_NE(MR, nullptr);
               const analysis::MayRfByte &MB = MR->Bytes[0];
               if (X.Events[W].IsInit) {
@@ -492,7 +524,7 @@ TEST(StaticValues, TargetSweepMayRfCoversEveryConsistentCandidate) {
               }
               EXPECT_TRUE(std::binary_search(
                   MB.Writers.begin(), MB.Writers.end(),
-                  static_cast<unsigned>(AccOf[W])))
+                  static_cast<unsigned>(X.Events[W].SourceIdx)))
                   << M.name() << " program #" << I
                   << ": rf edge outside the static may-rf set";
             });
@@ -588,12 +620,16 @@ TEST(StaticValues, EnginePruningPreservesTablesAcrossWorkersAndTiers) {
 }
 
 TEST(StaticValues, TargetPruningPreservesTablesAcrossWorkersAndTiers) {
+  // Target-door equivalence: the walk pruned by the source program's
+  // analysis against the unpruned walk, across workers 1/2/4, reduce
+  // on|off and both relation tiers.
   std::mt19937 Rng(0x5AFE04);
   uint64_t TotalRfPruned = 0;
   for (int I = 0; I < 15; ++I) {
     Program P = randomUniFragmentProgram(Rng);
     std::optional<UniProgram> Uni = uniFromProgram(P);
     ASSERT_TRUE(Uni);
+    analysis::StaticValues SV = analysis::analyzeValues(P);
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(*Uni, M.arch());
       for (bool Reduce : {false, true}) {
@@ -609,7 +645,7 @@ TEST(StaticValues, TargetPruningPreservesTablesAcrossWorkersAndTiers) {
             On.Threads = Workers;
             On.StaticFastPath = true;
             ExecutionEngine E(On);
-            EXPECT_EQ(E.enumerateOutcomes(CT, M).outcomeStrings(), Want)
+            EXPECT_EQ(E.enumerateOutcomes(CT, M, &SV).outcomeStrings(), Want)
                 << M.name() << " program #" << I << " reduce=" << Reduce
                 << " dyn=" << ForceDyn << " workers=" << Workers;
             if (!RfPruned) {
@@ -626,6 +662,37 @@ TEST(StaticValues, TargetPruningPreservesTablesAcrossWorkersAndTiers) {
     }
   }
   EXPECT_GT(TotalRfPruned, 0u);
+}
+
+TEST(StaticValues, TargetDoorReadsOnlyTheSourceAnalysis) {
+  // A compiled form is never analysed on its own: without the source
+  // program's analysis the target door walks without the static tier,
+  // even for a statically-DRF program, and an analysis of a different
+  // program is refused.
+  UniProgram U(2);
+  unsigned T0 = U.thread();
+  U.store(T0, 0, 1, Mode::SeqCst);
+  U.load(T0, 1, Mode::SeqCst);
+  unsigned T1 = U.thread();
+  U.store(T1, 1, 1, Mode::SeqCst);
+  U.load(T1, 0, Mode::SeqCst);
+  Program P = mixedFromUni(U);
+  analysis::StaticValues SV = analysis::analyzeValues(P);
+  ASSERT_TRUE(SV.C.StaticallyDrf);
+  EngineConfig Cfg;
+  Cfg.StaticFastPath = true;
+  ExecutionEngine E(Cfg);
+  for (const TargetModel &M : TargetModel::all()) {
+    CompiledTarget CT = compileUni(U, M.arch());
+    OutcomeSummary With = E.enumerateOutcomes(CT, M, &SV);
+    EXPECT_EQ(With.Tier, "static") << M.name();
+    OutcomeSummary Without = E.enumerateOutcomes(CT, M);
+    EXPECT_EQ(Without.Tier, "inline") << M.name();
+    EXPECT_EQ(Without.outcomeStrings(), With.outcomeStrings()) << M.name();
+    analysis::StaticValues Other = analysis::analyzeValues(prunableProgram());
+    EXPECT_THROW(E.enumerateOutcomes(CT, M, &Other), std::invalid_argument)
+        << M.name();
+  }
 }
 
 TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {

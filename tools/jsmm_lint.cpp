@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Corpus-hygiene front door for the static analysis tier: parse each
-/// litmus file, run analysis::classify, and report the lint diagnostics
-/// with their source lines.
+/// litmus file, run analysis::classify (and, with --target,
+/// analysis::fenceLints on the compiled form), and report the lint
+/// diagnostics with their source lines.
 ///
 ///   jsmm-lint a.litmus b.litmus           # text diagnostics, exit 1 on any
 ///   jsmm-lint --format=json *.litmus      # one JSON object per file
@@ -176,21 +177,17 @@ FileReport lintFile(const std::string &Path, const TargetModel *Target) {
     Rep.Diags.push_back({D, lineOf(*File, D), Expected.count(D.Kind) > 0});
 
   if (Target) {
-    // The compiled form re-reports the source-level lint families on its
-    // own cells; only the compiled-only redundant-fence kind is new
-    // information here.
+    // The source-level lint families above already cover the compiled
+    // form's accesses (one-to-one through SourceIdx); only the
+    // redundant-fence kind is new information here.
     std::string Why;
     std::optional<UniProgram> Uni = uniFromProgram(File->P, &Why);
     if (!Uni) {
       Rep.Error = "not in the uni-size fragment required by --target: " + Why;
       return Rep;
     }
-    analysis::StaticClassification TC =
-        analysis::classify(compileUni(*Uni, Target->arch()));
-    for (const analysis::LintDiag &D : TC.Lints) {
-      if (D.Kind != analysis::LintKind::RedundantFence)
-        continue;
-      analysis::LintDiag TD = D;
+    for (analysis::LintDiag TD :
+         analysis::fenceLints(compileUni(*Uni, Target->arch()))) {
       TD.Message += std::string(" (after compilation for ") + Target->name() +
                     ")";
       // Compiled instructions carry no source positions; anchor at the
@@ -199,7 +196,8 @@ FileReport lintFile(const std::string &Path, const TargetModel *Target) {
                                             File->ThreadLines.size()
                           ? File->ThreadLines[TD.Thread]
                           : 0;
-      Rep.Diags.push_back({std::move(TD), Line, Expected.count(D.Kind) > 0});
+      bool Pinned = Expected.count(TD.Kind) > 0;
+      Rep.Diags.push_back({std::move(TD), Line, Pinned});
     }
   }
 
