@@ -90,11 +90,11 @@ enum class LintKind : uint8_t {
   /// private-byte-renamed classes): duplicated litmus threads add
   /// enumeration cost without adding behaviours.
   DuplicateThread,
-  /// Compiled forms only (fenceLints): a fence with no same-thread memory
-  /// access on one side orders nothing. Scheme-inserted trailing fences (e.g. the
-  /// ARMv7 `ldr; dmb` SC-load lowering at the end of a thread) trip this
-  /// by construction, so the default jsmm-lint path does not lint
-  /// compiled forms.
+  /// Compiled forms only (fenceLints): a fence with no same-thread
+  /// memory access on one side orders nothing. Scheme-inserted trailing
+  /// fences (e.g. the ARMv7 `ldr; dmb` SC-load lowering at the end of a
+  /// thread) trip this by construction, so the default jsmm-lint path
+  /// does not lint compiled forms.
   RedundantFence,
   /// A read whose static may-rf candidate set (StaticValues.h) yields one
   /// value on every justification: the read cannot discriminate

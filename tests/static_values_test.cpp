@@ -438,10 +438,10 @@ TEST(StaticValues, JsSweepMayRfCoversEveryValidCandidate) {
       }
     }
   };
+  unsigned Threads = std::max(1u, std::thread::hardware_concurrency());
   {
     std::vector<std::jthread> Pool; // joined when the scope ends
-    for (unsigned T = 0; T < std::max(1u, std::thread::hardware_concurrency());
-         ++T)
+    for (unsigned T = 0; T < Threads; ++T)
       Pool.emplace_back(Worker);
   }
 
