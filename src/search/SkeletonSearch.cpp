@@ -59,23 +59,71 @@ void buildTwins(const std::vector<EventShape> &Shape, unsigned NumLocs,
       }
 }
 
-/// Enumerates the canonical choices for one shape position (threads as a
-/// restricted-growth string x kind x mode x location), invoking
-/// \p Fn(Shape) for each. The single source of the choice order: both the
-/// sequential recursion and the sharded work-unit collection iterate
-/// through here, so unit order always refines sequential order.
+/// The (kind, mode) of an event as its rank in choice order: the key by
+/// which two thread blocks of equal length are ordered.
+unsigned kindModeRank(const EventShape &S) {
+  return (S.IsWrite ? 0 : 2) + (S.Ord == Mode::SeqCst ? 0 : 1);
+}
+
+/// \returns the first position of the thread block that ends at \p End
+/// (exclusive). Blocks are contiguous because shapes are thread-sorted.
+unsigned blockStart(const std::vector<EventShape> &Shape, unsigned End) {
+  unsigned Start = End;
+  while (Start > 0 && Shape[Start - 1].Thread == Shape[End - 1].Thread)
+    --Start;
+  return Start;
+}
+
+/// \returns true if the thread block ending at \p End may close: it is
+/// the first block, or it is shorter than the block before it, or it is as
+/// long and its (kind, mode) sequence does not sort before that block's.
+bool blockMayClose(const std::vector<EventShape> &Shape, unsigned End) {
+  unsigned Start = blockStart(Shape, End);
+  if (Start == 0)
+    return true;
+  unsigned PrevStart = blockStart(Shape, Start);
+  if (End - Start != Start - PrevStart)
+    return End - Start < Start - PrevStart;
+  return !std::lexicographical_compare(
+      Shape.begin() + Start, Shape.begin() + End, Shape.begin() + PrevStart,
+      Shape.begin() + Start, [](const EventShape &A, const EventShape &B) {
+        return kindModeRank(A) < kindModeRank(B);
+      });
+}
+
+/// Enumerates the canonical choices for position \p Pos of a shape whose
+/// earlier positions are set, invoking \p Fn(Shape) for each. Canonical
+/// shapes (one per isomorphism class up to ties; SkeletonSearch.h has the
+/// completeness argument) follow three rules:
+///
+///   1. Thread-sorted: threads are non-decreasing along event order.
+///   2. Locations form a restricted-growth string.
+///   3. Thread blocks are ordered: each block is at least as long as the
+///      next, and two blocks of equal length are ordered by their (kind,
+///      mode) sequence. A block is checked when it closes: here, when the
+///      next thread starts, and at the leaf for the last block.
+///
+/// The single source of the choice order: both the sequential recursion
+/// and the sharded work-unit collection iterate through here, so unit
+/// order always refines sequential order.
 /// \p Fn returns false to stop; \returns false if stopped.
 template <typename FnT>
 bool forEachShapeChoice(const SearchConfig &Cfg, unsigned NumLocs,
-                        int MaxThreadUsed, FnT Fn) {
+                        const std::vector<EventShape> &Shape, unsigned Pos,
+                        int MaxThreadUsed, int MaxLocUsed, FnT Fn) {
   int ThreadLimit = std::min<int>(MaxThreadUsed + 1,
                                   static_cast<int>(Cfg.MaxThreads) - 1);
-  for (int T = 0; T <= ThreadLimit; ++T)
+  unsigned LocLimit = std::min<unsigned>(MaxLocUsed + 1, NumLocs - 1);
+  for (int T = std::max(MaxThreadUsed, 0); T <= ThreadLimit; ++T) {
+    // Starting the next thread closes the current block.
+    if (T > MaxThreadUsed && Pos > 0 && !blockMayClose(Shape, Pos))
+      continue;
     for (bool IsWrite : {true, false})
       for (Mode Ord : {Mode::SeqCst, Mode::Unordered})
-        for (unsigned Loc = 0; Loc < NumLocs; ++Loc)
+        for (unsigned Loc = 0; Loc <= LocLimit; ++Loc)
           if (!Fn(EventShape{T, IsWrite, Ord, Loc}))
             return false;
+  }
   return true;
 }
 
@@ -128,21 +176,22 @@ bool enumerateRbf(
       });
 }
 
-/// Enumerates shapes from position \p Pos (earlier positions prefilled):
-/// thread restricted-growth strings x kind x mode x loc.
+/// Enumerates the canonical shapes from position \p Pos (earlier positions
+/// prefilled) and the rbf candidates of each. Every shape that reaches the
+/// leaf counts as one skeleton in \p Skeletons.
 bool enumerateShapes(
     const SearchConfig &Cfg, unsigned NumEvents, unsigned NumLocs,
     std::vector<EventShape> &Shape, unsigned Pos, int MaxThreadUsed,
-    std::atomic<uint64_t> *Skeletons, RbfMeter *Meter,
+    int MaxLocUsed, std::atomic<uint64_t> *Skeletons, RbfMeter *Meter,
     const std::function<bool(const CandidateExecution &, const ArmExecution &)>
         &Visit) {
   if (Pos == NumEvents) {
     // Require every location to be used (smaller-footprint shapes are
-    // covered by the smaller NumLocs pass).
-    uint64_t Used = 0;
-    for (const EventShape &S : Shape)
-      Used |= uint64_t(1) << S.Loc;
-    if (Used != (uint64_t(1) << NumLocs) - 1)
+    // covered by the smaller NumLocs pass); locations grow one at a time,
+    // so that is the largest one.
+    if (MaxLocUsed != static_cast<int>(NumLocs) - 1)
+      return true;
+    if (!blockMayClose(Shape, NumEvents))
       return true;
     if (Skeletons)
       Skeletons->fetch_add(1, std::memory_order_relaxed);
@@ -151,14 +200,15 @@ bool enumerateShapes(
     buildTwins(Shape, NumLocs, Js, Arm);
     return enumerateRbf(Js, Arm, Meter, Visit);
   }
-  return forEachShapeChoice(Cfg, NumLocs, MaxThreadUsed,
-                            [&](const EventShape &S) {
-                              Shape[Pos] = S;
-                              return enumerateShapes(
-                                  Cfg, NumEvents, NumLocs, Shape, Pos + 1,
-                                  std::max(MaxThreadUsed, S.Thread),
-                                  Skeletons, Meter, Visit);
-                            });
+  return forEachShapeChoice(
+      Cfg, NumLocs, Shape, Pos, MaxThreadUsed, MaxLocUsed,
+      [&](const EventShape &S) {
+        Shape[Pos] = S;
+        return enumerateShapes(Cfg, NumEvents, NumLocs, Shape, Pos + 1,
+                               std::max(MaxThreadUsed, S.Thread),
+                               std::max(MaxLocUsed, static_cast<int>(S.Loc)),
+                               Skeletons, Meter, Visit);
+      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -173,22 +223,27 @@ bool enumerateShapes(
 struct ShapeUnit {
   std::vector<EventShape> Prefix;
   int MaxThreadUsed = -1;
+  int MaxLocUsed = -1;
 };
 
 void collectUnits(const SearchConfig &Cfg, unsigned NumLocs,
                   std::vector<EventShape> &Prefix, unsigned Pos,
-                  unsigned Depth, int MaxThreadUsed,
+                  unsigned Depth, int MaxThreadUsed, int MaxLocUsed,
                   std::vector<ShapeUnit> &Units) {
   if (Pos == Depth) {
-    Units.push_back({Prefix, MaxThreadUsed});
+    Units.push_back({Prefix, MaxThreadUsed, MaxLocUsed});
     return;
   }
-  forEachShapeChoice(Cfg, NumLocs, MaxThreadUsed, [&](const EventShape &S) {
-    Prefix[Pos] = S;
-    collectUnits(Cfg, NumLocs, Prefix, Pos + 1, Depth,
-                 std::max(MaxThreadUsed, S.Thread), Units);
-    return true;
-  });
+  forEachShapeChoice(Cfg, NumLocs, Prefix, Pos, MaxThreadUsed, MaxLocUsed,
+                     [&](const EventShape &S) {
+                       Prefix[Pos] = S;
+                       collectUnits(
+                           Cfg, NumLocs, Prefix, Pos + 1, Depth,
+                           std::max(MaxThreadUsed, S.Thread),
+                           std::max(MaxLocUsed, static_cast<int>(S.Loc)),
+                           Units);
+                       return true;
+                     });
 }
 
 /// The candidate visitor of a sharded sweep. Invoked concurrently from
@@ -217,7 +272,7 @@ size_t runShardedPass(const SearchConfig &Cfg, unsigned NumEvents,
   std::vector<ShapeUnit> Units;
   {
     std::vector<EventShape> Prefix(Depth);
-    collectUnits(Cfg, NumLocs, Prefix, 0, Depth, -1, Units);
+    collectUnits(Cfg, NumLocs, Prefix, 0, Depth, -1, -1, Units);
   }
 
   std::atomic<uint64_t> Skeletons{0}, RbfCandidates{Stats ? Stats->RbfCandidates
@@ -233,8 +288,8 @@ size_t runShardedPass(const SearchConfig &Cfg, unsigned NumEvents,
                    Cfg.MaxCandidates};
     Meter.beginUnit();
     enumerateShapes(
-        Cfg, NumEvents, NumLocs, Shape, Depth, U.MaxThreadUsed, &Skeletons,
-        &Meter,
+        Cfg, NumEvents, NumLocs, Shape, Depth, U.MaxThreadUsed, U.MaxLocUsed,
+        &Skeletons, &Meter,
         [&](const CandidateExecution &Js, const ArmExecution &Arm) {
           if (BudgetExhausted.load(std::memory_order_relaxed))
             return false;
@@ -345,7 +400,7 @@ bool jsmm::forEachSkeletonCandidate(
   for (unsigned N = Cfg.MinEvents; N <= Cfg.MaxEvents && Completed; ++N)
     for (unsigned L = 1; L <= Cfg.NumLocs && Completed; ++L) {
       std::vector<EventShape> Shape(N);
-      Completed = enumerateShapes(Cfg, N, L, Shape, 0, -1, &Skeletons,
+      Completed = enumerateShapes(Cfg, N, L, Shape, 0, -1, -1, &Skeletons,
                                   &Meter, Visit);
     }
   Meter.flushUnit();

@@ -21,6 +21,11 @@ DynSet DynRelation::row(unsigned A) const {
   return S;
 }
 
+void DynRelation::assignRow(unsigned A, const DynSet &S) {
+  assert(A < N && S.universeBits() == N && "row out of range");
+  std::copy_n(S.data(), WPR, Rows.begin() + size_t(A) * WPR);
+}
+
 DynSet DynRelation::column(unsigned B) const {
   assert(B < N && "element out of range");
   DynSet Col(N);

@@ -184,6 +184,8 @@ public:
   }
 
   DynSet row(unsigned A) const;
+  /// Replaces the successor set of \p A with \p S (a set over size()).
+  void assignRow(unsigned A, const DynSet &S);
   /// An O(n) strided walk down every row. A loop that needs many
   /// predecessor sets should read the rows of one inverse() instead.
   DynSet column(unsigned B) const;
@@ -262,6 +264,25 @@ private:
   unsigned WPR = 0; ///< words per row: ceil(N / 64)
   std::vector<uint64_t> Rows;
 };
+
+/// Builds the relation {<Order[i], Order[j]> | i < j} over \p Size elements
+/// of relation type \p RelT: the strict total order corresponding to the
+/// sequence \p Order. Elements not mentioned in \p Order are unrelated.
+/// One row assignment per element, O(n · words): walking the sequence
+/// backwards, each element's row is the set of elements after it. (A
+/// repeated element keeps the row of its first occurrence, the largest,
+/// as the pairwise definition does.) Defined here, not in Relation.h,
+/// because it needs the bits:: operations of both set types.
+template <typename RelT>
+RelT totalOrderOver(const std::vector<unsigned> &Order, unsigned Size) {
+  RelT R(Size);
+  typename RelT::SetT After = RelT::emptySet(Size);
+  for (size_t I = Order.size(); I-- > 0;) {
+    R.assignRow(Order[I], After);
+    bits::set(After, Order[I]);
+  }
+  return R;
+}
 
 } // namespace jsmm
 

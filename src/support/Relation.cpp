@@ -10,6 +10,7 @@
 #include "support/Relation.h"
 
 #include "support/CapacityError.h"
+#include "support/DynRelation.h"
 
 using namespace jsmm;
 

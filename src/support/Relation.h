@@ -125,6 +125,12 @@ public:
     return Rows[A];
   }
 
+  /// Replaces the successor set of \p A with \p S.
+  void assignRow(unsigned A, SetT S) {
+    assert(A < N && "element out of range");
+    Rows[A] = S;
+  }
+
   /// \returns the predecessor set of \p B: an O(n) strided walk down
   /// every row. A loop that needs many predecessor sets should read the
   /// rows of one inverse() instead.
@@ -369,19 +375,8 @@ private:
   std::array<uint64_t, MaxSize> Rows;
 };
 
-/// Builds the relation {<Order[i], Order[j]> | i < j} over \p Size elements
-/// of relation type \p RelT: the strict total order corresponding to the
-/// sequence \p Order. Elements not mentioned in \p Order are unrelated.
-template <typename RelT>
-RelT totalOrderOver(const std::vector<unsigned> &Order, unsigned Size) {
-  RelT R(Size);
-  for (size_t I = 0; I < Order.size(); ++I)
-    for (size_t J = I + 1; J < Order.size(); ++J)
-      R.set(Order[I], Order[J]);
-  return R;
-}
-
-/// The single-word flavour, kept under its historical name.
+/// The single-word flavour of totalOrderOver (support/DynRelation.h), kept
+/// under its historical name.
 Relation totalOrderFromSequence(const std::vector<unsigned> &Order,
                                 unsigned Size);
 

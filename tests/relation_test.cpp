@@ -738,3 +738,62 @@ TEST(OrderKernelProperty, ClosedOrderPredIsColumnDyn) {
   expectClosedOrderMatchesColumns<DynRelation>(53,
                                                {0, 1, 63, 64, 65, 500, 1024});
 }
+
+//===----------------------------------------------------------------------===//
+// totalOrderOver's row-at-a-time builder on both tiers against the
+// pairwise definition
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// {<Order[i], Order[j]> | i < j}, one pair at a time.
+template <typename RelT>
+RelT pairwiseTotalOrder(const std::vector<unsigned> &Order, unsigned Size) {
+  RelT R(Size);
+  for (size_t I = 0; I < Order.size(); ++I)
+    for (size_t J = I + 1; J < Order.size(); ++J)
+      R.set(Order[I], Order[J]);
+  return R;
+}
+
+/// Compares the two builders on shuffles of every element, of a random
+/// subset, and of a random sequence with repeats, for each size.
+template <typename RelT>
+void expectTotalOrderMatchesPairwise(unsigned Seed,
+                                     std::initializer_list<unsigned> Sizes) {
+  std::mt19937 Rng(Seed);
+  for (unsigned N : Sizes)
+    for (unsigned Trial = 0; Trial < 3; ++Trial) {
+      std::vector<unsigned> All(N);
+      std::iota(All.begin(), All.end(), 0u);
+      std::shuffle(All.begin(), All.end(), Rng);
+      std::vector<unsigned> Subset;
+      for (unsigned E : All)
+        if (Rng() % 2)
+          Subset.push_back(E);
+      std::vector<unsigned> Repeats;
+      Repeats.reserve(N / 2 + 1);
+      for (unsigned I = 0; N && I < N / 2 + 1; ++I)
+        Repeats.push_back(static_cast<unsigned>(Rng() % N));
+      for (const std::vector<unsigned> *Seq : {&All, &Subset, &Repeats}) {
+        SCOPED_TRACE("n=" + std::to_string(N) + " trial " +
+                     std::to_string(Trial) + " length " +
+                     std::to_string(Seq->size()));
+        RelT Fast = totalOrderOver<RelT>(*Seq, N);
+        EXPECT_TRUE(Fast == pairwiseTotalOrder<RelT>(*Seq, N));
+        if (Seq == &All && N)
+          EXPECT_TRUE(Fast.isStrictTotalOrderOn(RelT::fullSet(N)));
+      }
+    }
+}
+
+} // namespace
+
+TEST(TotalOrderProperty, RowBuilderMatchesPairwiseInline) {
+  expectTotalOrderMatchesPairwise<Relation>(59, {0, 1, 2, 17, 63, 64});
+}
+
+TEST(TotalOrderProperty, RowBuilderMatchesPairwiseDyn) {
+  expectTotalOrderMatchesPairwise<DynRelation>(61,
+                                               {0, 1, 63, 64, 65, 500, 1024});
+}
