@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -247,6 +249,15 @@ void accumulate(ResultT &Into, const ModelT &M, const ExecT &X,
   ++validCount(Into);
 }
 
+/// Merges one work item's result into \p Into (items in order, so the
+/// first witness of an outcome wins).
+template <typename ResultT> void mergeItem(ResultT &Into, ResultT &Item) {
+  Into.CandidatesConsidered += Item.CandidatesConsidered;
+  validCount(Into) += validCount(Item);
+  for (auto &[O, Witness] : Item.Allowed)
+    Into.Allowed.emplace(O, std::move(Witness));
+}
+
 /// Visits every candidate of \p Core in order, one base at a time.
 template <typename CoreT>
 bool walkCore(const CoreT &Core, EngineStats *St,
@@ -274,13 +285,12 @@ bool walkCore(const CoreT &Core, EngineStats *St,
 template <typename CoreT, typename ModelT>
 typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
                                       unsigned Threads, EngineStats &Stats) {
-  using ExecT = typename CoreT::ExecT;
   using BaseT = typename CoreT::BaseT;
   using ResultT = typename CoreT::ResultT;
   if (Threads <= 1) {
     ResultT Result;
     Stats.WorkItems = Core.Combos;
-    walkCore(Core, &Stats, [&](const ExecT &X, const Outcome &O) {
+    walkCore(Core, &Stats, [&](auto &X, const Outcome &O) {
       accumulate(Result, M, X, O);
       return true;
     });
@@ -306,7 +316,7 @@ typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
     BaseT B = Bases[Items[I].Base]; // worker-private: justifiers mutate it
     Core.justify(
         B, Items[I].Writer,
-        [&](const ExecT &X, const Outcome &O) {
+        [&](auto &X, const Outcome &O) {
           accumulate(PerItem[I], M, X, O);
           return true;
         },
@@ -315,14 +325,11 @@ typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
 
   ResultT Result;
   for (size_t I = 0; I < Items.size(); ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    validCount(Result) += validCount(PerItem[I]);
+    mergeItem(Result, PerItem[I]);
     // The base builder counted WorkItems and StaticPathsPruned already.
     Stats.PrunedSubtrees += PerItemStats[I].PrunedSubtrees;
     Stats.SleptBranches += PerItemStats[I].SleptBranches;
     Stats.StaticRfPruned += PerItemStats[I].StaticRfPruned;
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
   }
   return Result;
 }
@@ -1055,22 +1062,19 @@ struct ArmCore {
 // Target-architecture candidate space
 //===----------------------------------------------------------------------===//
 
-/// The materialised base of a compiled target program. Target programs are
-/// straight-line (the §6.3 fragment), so there is exactly one control-flow
-/// combination; the candidate space is rf justifications × per-location
-/// coherence orders. Generic over the relation tier.
-template <typename RelT> struct TargetBase {
-  BasicTargetExecution<RelT> X;
-  std::vector<EventId> Reads;
-  std::map<EventId, unsigned> RegOfEvent;
-  /// [read idx][eligible-writer position] -> allowed flag; empty unless
-  /// static pruning is on (see buildTargetStaticAllow).
-  std::vector<std::vector<uint8_t>> Allow;
+/// One column of a target walk: a compiled form and the backend judging it
+/// (null for the unjudged candidate walk of forEachTargetCandidate).
+struct TargetColumnSpec {
+  const CompiledTarget *CT;
+  const TargetModel *M;
 };
 
+/// The execution of a compiled form with no rf or co chosen yet; fills
+/// \p RegOfEvent with each read's destination register when non-null.
 template <typename RelT>
-TargetBase<RelT> buildTargetBase(const CompiledTarget &CT) {
-  TargetBase<RelT> B;
+BasicTargetExecution<RelT>
+targetExecution(const CompiledTarget &CT,
+                std::map<EventId, unsigned> *RegOfEvent = nullptr) {
   std::vector<TargetEvent> Events;
   for (unsigned L = 0; L < CT.NumLocs; ++L) {
     TargetEvent Init;
@@ -1096,21 +1100,122 @@ TargetBase<RelT> buildTargetBase(const CompiledTarget &CT) {
       E.Sc = I.Sc;
       E.Fence = I.Fence;
       E.SourceIdx = I.SourceIdx;
-      if (E.isRead())
-        B.RegOfEvent[E.Id] = I.DstReg;
+      if (E.isRead() && RegOfEvent)
+        (*RegOfEvent)[E.Id] = I.DstReg;
       Events.push_back(E);
       ThreadEvents[T].push_back(E.Id);
     }
   }
-  B.X = BasicTargetExecution<RelT>(std::move(Events), CT.NumLocs);
+  BasicTargetExecution<RelT> X(std::move(Events), CT.NumLocs);
   for (const std::vector<EventId> &Seq : ThreadEvents)
     for (size_t I = 0; I < Seq.size(); ++I)
       for (size_t J = I + 1; J < Seq.size(); ++J)
-        B.X.Po.set(Seq[I], Seq[J]);
+        X.Po.set(Seq[I], Seq[J]);
+  return X;
+}
+
+/// A compiled form inside a walk: its access-id map and what its backend
+/// derives from po and the event kinds, built once per base over the
+/// walk's numbering and shared by every work item. X, the form's own
+/// execution, is kept only where a caller sees it (witnesses and the
+/// candidate walk) and receives each such leaf through IdOf.
+template <typename RelT> struct TargetColumn {
+  const TargetModel *M = nullptr;
+  BasicTargetExecution<RelT> X;
+  /// Walk event id -> this form's event id.
+  std::vector<EventId> IdOf;
+  std::shared_ptr<const TargetStatics<RelT>> Statics;
+};
+
+/// The materialised base of a target walk. Target programs are
+/// straight-line (the §6.3 fragment), so there is exactly one base; the
+/// candidate space is rf justifications × per-location coherence orders.
+///
+/// compileUni maps each source access to exactly one access
+/// (TargetEvent::SourceIdx) and only adds fences, so every compiled form
+/// of one program has the same access view (accessView): the same
+/// writers per read, the same po-loc ∪ rf admission and the same
+/// coherence permutations. The walk runs once over that view (X) and
+/// judges each leaf for every column there: the shared axioms read no
+/// fence, and each column's statics were built over the view. Generic
+/// over the relation tier.
+template <typename RelT> struct TargetBase {
+  BasicTargetExecution<RelT> X;
+  /// po-loc of X, the admission's rf-independent half.
+  std::shared_ptr<const RelT> PoLoc;
+  std::vector<EventId> Reads;
+  /// Per read, the writer the walk chose for it.
+  std::vector<EventId> WriterOf;
+  std::map<EventId, unsigned> RegOfEvent;
+  /// [read idx][eligible-writer position] -> allowed flag; empty unless
+  /// static pruning is on (see buildTargetStaticAllow).
+  std::vector<std::vector<uint8_t>> Allow;
+  std::vector<TargetColumn<RelT>> Cols;
+};
+
+/// Builds the walk over \p Specs' compiled forms; \p KeepExecs keeps each
+/// form's own execution for syncColumn.
+template <typename RelT>
+TargetBase<RelT> buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
+                                 bool KeepExecs) {
+  assert(!Specs.empty() && "a target walk needs a column");
+  TargetBase<RelT> B;
+  std::map<EventId, unsigned> Regs;
+  for (const TargetColumnSpec &Spec : Specs) {
+    TargetColumn<RelT> &C = B.Cols.emplace_back();
+    C.M = Spec.M;
+    C.X = targetExecution<RelT>(*Spec.CT, B.Cols.size() == 1 ? &Regs
+                                                              : nullptr);
+    if (B.Cols.size() == 1) {
+      B.X = accessView(C.X, C.IdOf);
+    } else {
+      for (const TargetEvent &E : C.X.Events)
+        if (E.isAccess())
+          C.IdOf.push_back(E.Id);
+      bool Same = C.IdOf.size() == B.X.numEvents();
+      for (size_t K = 0; Same && K < C.IdOf.size(); ++K) {
+        const TargetEvent &A = B.X.Events[K];
+        const TargetEvent &E = C.X.Events[C.IdOf[K]];
+        Same = A.Kind == E.Kind && A.Loc == E.Loc && A.Thread == E.Thread &&
+               A.WriteVal == E.WriteVal && A.SourceIdx == E.SourceIdx;
+      }
+      if (!Same)
+        throw std::invalid_argument(
+            "target columns compiled from different programs");
+    }
+    if (C.M)
+      C.Statics = std::make_shared<const TargetStatics<RelT>>(
+          targetStatics(C.X, C.M->arch(), &C.IdOf));
+    if (!KeepExecs)
+      C.X = BasicTargetExecution<RelT>();
+  }
+  B.PoLoc = std::make_shared<const RelT>(B.X.poLoc());
   for (const TargetEvent &E : B.X.Events)
-    if (E.isRead())
+    if (E.isRead()) {
+      B.RegOfEvent[E.Id] = Regs.at(B.Cols[0].IdOf[E.Id]);
       B.Reads.push_back(E.Id);
+    }
+  B.WriterOf.assign(B.Reads.size(), 0);
   return B;
+}
+
+/// Copies the walk's current rf, read values and coherence orders into
+/// column \p C's execution through its access-id map.
+template <typename RelT>
+void syncColumn(const TargetBase<RelT> &B, TargetColumn<RelT> &C) {
+  C.X.Rf = RelT(C.X.numEvents());
+  for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
+    EventId R = C.IdOf[B.Reads[RI]];
+    C.X.Rf.set(C.IdOf[B.WriterOf[RI]], R);
+    C.X.Events[R].ReadVal = B.X.Events[B.Reads[RI]].ReadVal;
+  }
+  for (size_t L = 0; L < B.X.CoPerLoc.size(); ++L) {
+    const std::vector<EventId> &Walk = B.X.CoPerLoc[L];
+    std::vector<EventId> &Order = C.X.CoPerLoc[L];
+    Order.resize(Walk.size());
+    for (size_t K = 0; K < Walk.size(); ++K)
+      Order[K] = C.IdOf[Walk[K]];
+  }
 }
 
 /// The target flavour of the static writer-allow mask: [read idx]
@@ -1149,21 +1254,18 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
 }
 
 /// Enumerates rf justifications and coherence orders of a target base,
-/// pruning rf subtrees via the backend's monotone admission check. No
+/// pruning rf subtrees with the monotone admission check targetAdmits. No
 /// sleep sets apply at this tier: value-keyed rf merging is unsound here
 /// because fr and co verdicts depend on the rf writer's identity, not
 /// just the value read.
 template <typename RelT> class TargetJustifier {
-  using ExecT = BasicTargetExecution<RelT>;
-
 public:
-  /// \p St, when non-null, receives the PrunedSubtrees, SleptBranches and
-  /// StaticRfPruned counts.
-  TargetJustifier(TargetBase<RelT> &B, const TargetModel *Prune,
-                  int FirstWriterOnly,
-                  const std::function<bool(const ExecT &, const Outcome &)>
-                      &Visit,
-                  EngineStats *St)
+  using VisitFn = std::function<bool(TargetBase<RelT> &, const Outcome &)>;
+
+  /// \p St, when non-null, receives the PrunedSubtrees and StaticRfPruned
+  /// counts.
+  TargetJustifier(TargetBase<RelT> &B, bool Prune, int FirstWriterOnly,
+                  const VisitFn &Visit, EngineStats *St)
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
         St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {}
 
@@ -1208,8 +1310,9 @@ private:
       }
       B.X.Rf.set(W.Id, R);
       B.X.Events[R].ReadVal = W.WriteVal;
+      B.WriterOf[ReadIdx] = W.Id;
       bool Continue = true;
-      if (Prune && !Prune->admitsPartial(B.X)) {
+      if (Prune && !targetAdmits(*B.PoLoc, B.X.Rf)) {
         if (St)
           ++St->PrunedSubtrees;
       } else {
@@ -1242,13 +1345,13 @@ private:
     Outcome O;
     for (const auto &[Id, Reg] : B.RegOfEvent)
       O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
-    return Visit(B.X, O);
+    return Visit(B, O);
   }
 
   TargetBase<RelT> &B;
-  const TargetModel *Prune;
+  bool Prune;
   int FirstWriterOnly;
-  const std::function<bool(const ExecT &, const Outcome &)> &Visit;
+  const VisitFn &Visit;
   EngineStats *St;
   const std::vector<std::vector<uint8_t>> *StaticAllow;
   /// A location whose writers chooseCo permutes, from position First of
@@ -1260,21 +1363,29 @@ private:
   std::vector<PermutedLoc> MultiWriter;
 };
 
-/// The target core of the enumeration driver. Target programs are
-/// straight-line, so the space has exactly one base.
-template <typename RelT> struct TargetCore {
-  using ExecT = BasicTargetExecution<RelT>;
-  using BaseT = TargetBase<RelT>;
-  using ResultT = BasicTargetEnumerationResult<RelT>;
-  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
+/// Per-column results of one target walk, in column order.
+template <typename RelT> struct TargetWalkResult {
+  std::vector<BasicTargetEnumerationResult<RelT>> Cols;
+};
 
-  const CompiledTarget &CT;
-  const TargetModel *Prune;
+/// The target core of the enumeration driver: one walk for every column.
+/// Target programs are straight-line, so the space has exactly one base.
+template <typename RelT> struct TargetCore {
+  using BaseT = TargetBase<RelT>;
+  using ResultT = TargetWalkResult<RelT>;
+  using VisitFn = typename TargetJustifier<RelT>::VisitFn;
+
+  const std::vector<TargetColumnSpec> &Specs;
+  bool Prune;
   const analysis::StaticValues *SV = nullptr;
+  /// Keep each form's own execution: for the enumerate() door's witnesses
+  /// and the candidate walk's visits. The outcome-level doors keep
+  /// outcomes alone, so only the walk's execution stays resident.
+  bool KeepExecs = false;
   size_t Combos = 1;
 
   template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
-    BaseT B = buildTargetBase<RelT>(CT);
+    BaseT B = buildTargetBase<RelT>(Specs, KeepExecs);
     if (SV)
       B.Allow = buildTargetStaticAllow(*SV, B);
     return Fn(B);
@@ -1295,6 +1406,57 @@ template <typename RelT> struct TargetCore {
     return TargetJustifier<RelT>(B, Prune, FirstWriter, Visit, St).run();
   }
 };
+
+/// Counts the leaf \p B into every column of \p Into and keeps it as the
+/// witness of \p O for each column that has none yet and whose backend
+/// admits it. The leaf's coherence, from-reads and the relations derived
+/// from them are built once, over the walk's execution, and shared by
+/// every column. The shared axioms read no fence, so one evaluation
+/// answers them for every column: atomicity for all six backends,
+/// SC-per-location for all but ImmLite (whose COHERENCE axiom stands in
+/// for it). Each column then checks only its final axiom, with its
+/// statics.
+template <typename RelT>
+void accumulate(TargetWalkResult<RelT> &Into, const TargetCore<RelT> &Core,
+                TargetBase<RelT> &B, const Outcome &O) {
+  Into.Cols.resize(B.Cols.size());
+  bool Open = false;
+  for (BasicTargetEnumerationResult<RelT> &R : Into.Cols) {
+    ++R.CandidatesConsidered;
+    Open = Open || !R.Allowed.count(O);
+  }
+  if (!Open)
+    return;
+  TargetCandidate<RelT> Leaf(B.X);
+  if (!targetAtomicity(Leaf.Co, Leaf.Fr))
+    return;
+  std::optional<bool> ScPerLoc;
+  for (size_t I = 0; I < B.Cols.size(); ++I) {
+    BasicTargetEnumerationResult<RelT> &R = Into.Cols[I];
+    TargetColumn<RelT> &C = B.Cols[I];
+    if (R.Allowed.count(O))
+      continue;
+    if (C.Statics->Arch != TargetArch::ImmLite) {
+      if (!ScPerLoc)
+        ScPerLoc = targetScPerLocation(*B.PoLoc, B.X.Rf, Leaf.Co, Leaf.Fr);
+      if (!*ScPerLoc)
+        continue;
+    }
+    if (!targetFinalAxiom(Leaf, *C.Statics))
+      continue;
+    if (Core.KeepExecs)
+      syncColumn(B, C);
+    R.Allowed.emplace(O, C.X);
+    ++R.ConsistentCandidates;
+  }
+}
+
+template <typename RelT>
+void mergeItem(TargetWalkResult<RelT> &Into, TargetWalkResult<RelT> &Item) {
+  Into.Cols.resize(std::max(Into.Cols.size(), Item.Cols.size()));
+  for (size_t I = 0; I < Item.Cols.size(); ++I)
+    mergeItem(Into.Cols[I], Item.Cols[I]);
+}
 
 //===----------------------------------------------------------------------===//
 // Observability and the shared enumerateOutcomes tail
@@ -1374,13 +1536,18 @@ tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
 }
 
 /// The shared tail of both enumerateOutcomes doors: stamps the tier and
-/// solver and reports the effort \p St.
-OutcomeSummary finishOutcomes(OutcomeSummary S, const char *Entry,
-                              const char *Tier, SolverKind Kind,
-                              const analysis::StaticValues *SV,
-                              const EngineStats &St) {
-  S.Tier = Tier;
-  S.SolverUsed = Kind;
+/// solver on each column of one walk and reports the walk's effort \p St
+/// once. The columns of a target walk share its leaves, so the walk's
+/// candidate count is any column's; valid candidates sum over columns.
+void finishOutcomes(std::span<OutcomeSummary> Cols, const char *Entry,
+                    const char *Tier, SolverKind Kind,
+                    const analysis::StaticValues *SV, const EngineStats &St) {
+  uint64_t Valid = 0;
+  for (OutcomeSummary &S : Cols) {
+    S.Tier = Tier;
+    S.SolverUsed = Kind;
+    Valid += S.ValidCandidates;
+  }
   // How much the value-aware static tier cut from this full enumeration
   // (may_rf_excluded counts the analysed litmus program's exclusions, so
   // a job's columns share it).
@@ -1390,8 +1557,8 @@ OutcomeSummary finishOutcomes(OutcomeSummary S, const char *Entry,
                 {"rf_pruned", static_cast<double>(St.StaticRfPruned)},
                 {"paths_pruned", static_cast<double>(St.StaticPathsPruned)},
                 {"may_rf_excluded", static_cast<double>(SV->MayRfExcluded)}});
-  recordEngineObs(St, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-  return S;
+  recordEngineObs(St, Cols.empty() ? 0 : Cols[0].CandidatesConsidered, Valid,
+                  Tier);
 }
 
 } // namespace
@@ -1479,7 +1646,8 @@ ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
                       JsCore<DynRelation>(P, Prune, RedP, SV), M,
                       effectiveThreads(), Local));
   Stats = Local;
-  return finishOutcomes(std::move(S), "js", Tier, Kind, SV, Local);
+  finishOutcomes({&S, 1}, "js", Tier, Kind, SV, Local);
+  return S;
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
@@ -1543,60 +1711,107 @@ ArmEnumerationResult ExecutionEngine::enumerate(const ArmProgram &P,
 // Target-architecture entry points
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The target walk behind every target door: one rf × co walk over
+/// \p Specs' compiled forms, one summary per column. Sets \p E.Stats to
+/// the walk's effort, which every column shares.
+std::vector<OutcomeSummary>
+targetOutcomes(const ExecutionEngine &E,
+               const std::vector<TargetColumnSpec> &Specs,
+               const analysis::StaticValues *Source) {
+  const EngineConfig &Cfg = E.config();
+  unsigned Events = 0;
+  for (const TargetColumnSpec &C : Specs) {
+    checkCapacity(*C.CT);
+    Events = std::max(Events, targetEventBound(*C.CT));
+  }
+  SolverKind Kind = defaultSolverKind();
+  const analysis::StaticValues *SV = Cfg.StaticFastPath ? Source : nullptr;
+  std::vector<OutcomeSummary> Out;
+  if (SV) {
+    for (const TargetColumnSpec &C : Specs)
+      if (SV->C.Accesses.size() != C.CT->Sources.size())
+        throw std::invalid_argument(
+            "static analysis of a different program than the compiled "
+            "form's source");
+    if (SV->C.StaticallyDrf) {
+      for (const TargetColumnSpec &C : Specs)
+        Out.push_back(*tryStaticFastPath(*C.CT, SV->C, "target",
+                                         targetEventBound(*C.CT), Kind));
+      E.Stats = EngineStats();
+      return Out;
+    }
+  }
+  // One tier for the walk: the heap tier when any form exceeds 64 events.
+  const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
+  obs::PhaseTimer Phase("engine.phase.enumerate_us");
+  EngineStats Local;
+  auto Walk = [&]<typename RelT>(TargetCore<RelT> Core) {
+    TargetWalkResult<RelT> R =
+        enumerateCore(Core, Core, E.effectiveThreads(), Local);
+    R.Cols.resize(Specs.size());
+    for (BasicTargetEnumerationResult<RelT> &C : R.Cols)
+      Out.push_back(summarize(std::move(C)));
+  };
+  if (std::string_view(Tier) == "inline")
+    Walk(TargetCore<Relation>{Specs, Cfg.Prune, SV});
+  else
+    Walk(TargetCore<DynRelation>{Specs, Cfg.Prune, SV});
+  E.Stats = Local;
+  finishOutcomes(Out, "target", Tier, Kind, SV, Local);
+  return Out;
+}
+
+} // namespace
+
 bool ExecutionEngine::forEachTargetCandidate(
     const CompiledTarget &CT,
     const std::function<bool(const TargetExecution &, const Outcome &)>
         &Visit) const {
   checkFixedCapacity(CT);
-  return walkCore(TargetCore<Relation>{CT, /*Prune=*/nullptr}, nullptr,
-                  Visit);
+  std::vector<TargetColumnSpec> Specs = {{&CT, nullptr}};
+  return walkCore(TargetCore<Relation>{Specs, /*Prune=*/false,
+                                       /*SV=*/nullptr, /*KeepExecs=*/true},
+                  nullptr,
+                  [&](TargetBase<Relation> &B, const Outcome &O) {
+                    syncColumn(B, B.Cols[0]);
+                    return Visit(B.Cols[0].X, O);
+                  });
 }
 
 TargetEnumerationResult
 ExecutionEngine::enumerate(const CompiledTarget &CT,
                            const TargetModel &M) const {
   checkFixedCapacity(CT);
+  std::vector<TargetColumnSpec> Specs = {{&CT, &M}};
+  TargetCore<Relation> Core{Specs, Cfg.Prune, /*SV=*/nullptr,
+                            /*KeepExecs=*/true};
   EngineStats Local;
-  TargetEnumerationResult R =
-      enumerateCore(TargetCore<Relation>{CT, Cfg.Prune ? &M : nullptr}, M,
-                    effectiveThreads(), Local);
+  TargetWalkResult<Relation> R =
+      enumerateCore(Core, Core, effectiveThreads(), Local);
   Stats = Local;
-  return R;
+  R.Cols.resize(1);
+  return std::move(R.Cols[0]);
 }
 
 OutcomeSummary
 ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
                                    const TargetModel &M,
                                    const analysis::StaticValues *Source) const {
-  checkCapacity(CT);
-  unsigned Events = targetEventBound(CT);
-  SolverKind Kind = defaultSolverKind();
-  const analysis::StaticValues *SV = Cfg.StaticFastPath ? Source : nullptr;
-  if (SV) {
-    if (SV->C.Accesses.size() != CT.Sources.size())
-      throw std::invalid_argument(
-          "static analysis of a different program than the compiled "
-          "form's source");
-    if (std::optional<OutcomeSummary> S =
-            tryStaticFastPath(CT, SV->C, "target", Events, Kind)) {
-      Stats = EngineStats();
-      return *S;
-    }
-  }
-  const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
-  bool SmallTier = std::string_view(Tier) == "inline";
-  obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
-  EngineStats Local;
-  OutcomeSummary S =
-      SmallTier ? summarize(enumerateCore(
-                      TargetCore<Relation>{CT, Prune, SV}, M,
-                      effectiveThreads(), Local))
-                : summarize(enumerateCore(
-                      TargetCore<DynRelation>{CT, Prune, SV}, M,
-                      effectiveThreads(), Local));
-  Stats = Local;
-  return finishOutcomes(std::move(S), "target", Tier, Kind, SV, Local);
+  return targetOutcomes(*this, {{&CT, &M}}, Source)[0];
+}
+
+std::vector<OutcomeSummary>
+ExecutionEngine::enumerateOutcomes(const std::vector<CompiledTarget> &CTs,
+                                   const analysis::StaticValues *Source) const {
+  std::vector<TargetColumnSpec> Specs;
+  for (const CompiledTarget &CT : CTs)
+    Specs.push_back(
+        {&CT, &TargetModel::all()[static_cast<size_t>(CT.Arch)]});
+  if (Specs.empty())
+    return {};
+  return targetOutcomes(*this, Specs, Source);
 }
 
 //===----------------------------------------------------------------------===//

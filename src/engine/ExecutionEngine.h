@@ -266,6 +266,18 @@ public:
           &Visit) const;
 
   // --- Target-architecture frontend (Thm 6.3 backends) -------------------
+  //
+  // Every target door is one rf × co walk (ARCHITECTURE.md, "The
+  // engine"). compileUni maps each source access to exactly one access
+  // and only adds fences, so the compiled forms of one program share
+  // their writers per read, their po-loc ∪ rf admission and their
+  // coherence permutations. The walk runs over those accesses once and
+  // hands each leaf to every column through an access-id map. Per base it
+  // builds po-loc and each backend's statics (targets/TargetModels.h:
+  // everything derived from po and the event kinds); per leaf it checks
+  // atomicity and SC-per-location once for all columns, then each column
+  // still without a witness for the outcome runs its own final axiom. The
+  // single-column doors below are that walk with one model.
 
   /// Enumerates the outcomes of the compiled program \p CT consistent
   /// under the target backend \p M, sharded across the configured threads,
@@ -292,6 +304,19 @@ public:
                                    const TargetModel &M,
                                    const analysis::StaticValues *Source =
                                        nullptr) const;
+
+  /// The joint door: one walk for the compiled forms \p CTs of one uni-size
+  /// program, each judged by the backend of its CompiledTarget::Arch, one
+  /// summary per form in order. Each summary equals the single-column
+  /// door's on that form: outcomes, CandidatesConsidered and
+  /// ValidCandidates; Stats holds the one walk's counters, which every
+  /// column shares. The walk takes the heap tier when any form exceeds 64
+  /// events. Throws std::invalid_argument when the forms come from
+  /// different programs, and CapacityError when one exceeds the dynamic
+  /// cap (callers drop such a form first).
+  std::vector<OutcomeSummary>
+  enumerateOutcomes(const std::vector<CompiledTarget> &CTs,
+                    const analysis::StaticValues *Source = nullptr) const;
 
   /// Invokes \p Visit on every well-formed execution of \p CT (rf and
   /// per-location coherence chosen; consistency not yet checked) with its

@@ -30,18 +30,6 @@ bool TargetModel::allows(const DynTargetExecution &X) const {
   return isTargetConsistent(X, Arch);
 }
 
-bool TargetModel::admitsPartial(const TargetExecution &X) const {
-  Relation PoLocRf = X.poLoc();
-  PoLocRf.unionWith(X.Rf);
-  return PoLocRf.isAcyclic();
-}
-
-bool TargetModel::admitsPartial(const DynTargetExecution &X) const {
-  DynRelation PoLocRf = X.poLoc();
-  PoLocRf.unionWith(X.Rf);
-  return PoLocRf.isAcyclic();
-}
-
 const std::vector<TargetModel> &TargetModel::all() {
   static const std::vector<TargetModel> Models = {
       TargetModel(TargetArch::X86),   TargetModel(TargetArch::ArmV8),

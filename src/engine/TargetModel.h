@@ -9,11 +9,11 @@
 ///
 /// A target candidate is a reads-from justification per read of a compiled
 /// program (targets/TargetCompile.h) plus a per-location coherence order.
-/// The monotone partial-candidate admission check shared by every target is
-/// acyclicity of po-loc ∪ rf: a cycle there violates SC-per-location for
-/// any coherence completion (x86/ARMv8/ARMv7/Power/RISC-V) and ImmLite's
-/// NO-THIN-AIR axiom (sb ∪ rf acyclic) directly, and both po-loc and the
-/// justified rf prefix only grow, so the engine may cut the whole subtree.
+/// The engine walks that space once for every column of a job
+/// (ExecutionEngine::enumerateOutcomes over several compiled forms),
+/// pruning rf prefixes with targetAdmits (po-loc ∪ rf acyclic) and
+/// checking each backend's final axiom (targetFinalAxiom) at the leaves;
+/// allows() is the full predicate on one complete execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,13 +44,6 @@ public:
   /// the same templated model definitions.
   bool allows(const TargetExecution &X) const;
   bool allows(const DynTargetExecution &X) const;
-
-  /// Monotone admission of a partially justified candidate (co not yet
-  /// chosen): \returns false when no completion of \p X can be consistent
-  /// because po-loc ∪ rf is already cyclic. Sound for every target — see
-  /// the file comment.
-  bool admitsPartial(const TargetExecution &X) const;
-  bool admitsPartial(const DynTargetExecution &X) const;
 
   /// All six target backends, in TargetArch declaration order.
   static const std::vector<TargetModel> &all();

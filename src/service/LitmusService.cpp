@@ -125,6 +125,43 @@ VerdictColumn engineColumn(const OutcomeSummary &S, const ExecutionEngine &E) {
           E.Stats.StaticPathsPruned};
 }
 
+/// The target columns \p Bs of one program. Each applies when the program
+/// is in the uni-size fragment and its compiled form is within
+/// DynRelation::MaxSize events; given an engine, the applicable ones come
+/// from one joint walk (ExecutionEngine::enumerateOutcomes over their
+/// compiled forms), each reporting the walk's pruning as its own.
+std::vector<VerdictColumn>
+targetColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
+              const ExecutionEngine *E) {
+  std::vector<VerdictColumn> Cols(Bs.size());
+  const UniProgram *Uni = S.uni();
+  std::vector<CompiledTarget> CTs;
+  std::vector<size_t> Applies;
+  for (size_t I = 0; I < Bs.size(); ++I) {
+    if (!Uni) {
+      Cols[I] = {JobStatus::Unsupported,
+                 "not in the uni-size fragment required by target "
+                 "backends: " +
+                     S.Why};
+      continue;
+    }
+    CompiledTarget CT = compileUni(*Uni, Bs[I]->Target->arch());
+    if (std::optional<std::string> Cap = ExecutionEngine::capacityError(CT)) {
+      Cols[I] = {JobStatus::TooLarge,
+                 *Cap + " (after compilation for " + Bs[I]->Name + ")"};
+      continue;
+    }
+    CTs.push_back(std::move(CT));
+    Applies.push_back(I);
+  }
+  if (E && !CTs.empty()) {
+    std::vector<OutcomeSummary> Sums = E->enumerateOutcomes(CTs, S.SV);
+    for (size_t K = 0; K < Applies.size(); ++K)
+      Cols[Applies[K]] = engineColumn(Sums[K], *E);
+  }
+  return Cols;
+}
+
 /// The one column path. Decides whether \p B applies to the program —
 /// armv8 needs zero init and a compiled form within 64 events, uni-js and
 /// the targets the uni-size fragment within DynRelation::MaxSize events, a
@@ -153,25 +190,18 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
       C.Allowed = E->enumerate(CP.Arm, Armv8Model()).outcomeStrings();
     return C;
   }
+  if (B.K == Kind::Target)
+    return targetColumns(S, {&B}, E)[0];
   const UniProgram *Uni = S.uni();
   if (!Uni)
     return {JobStatus::Unsupported,
             "not in the uni-size fragment required by target backends: " +
                 S.Why};
-  if (B.K == Kind::UniJs) {
-    if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
-      return {JobStatus::TooLarge, *Cap + " (in the uni-size fragment)"};
-    if (E)
-      for (const Outcome &O : uniAllowedOutcomes(*Uni))
-        C.Allowed.push_back(O.toString());
-    return C;
-  }
-  CompiledTarget CT = compileUni(*Uni, B.Target->arch());
-  if (std::optional<std::string> Cap = ExecutionEngine::capacityError(CT))
-    return {JobStatus::TooLarge,
-            *Cap + " (after compilation for " + B.Name + ")"};
+  if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
+    return {JobStatus::TooLarge, *Cap + " (in the uni-size fragment)"};
   if (E)
-    C = engineColumn(E->enumerateOutcomes(CT, *B.Target, S.SV), *E);
+    for (const Outcome &O : uniAllowedOutcomes(*Uni))
+      C.Allowed.push_back(O.toString());
   return C;
 }
 
@@ -235,8 +265,23 @@ LitmusJobResult jsmm::differentialTable(const Program &P,
   if (R.StaticallyDrf)
     Sc = scTable(P);
   R.DrfFastPath = R.StaticallyDrf;
+  const ExecutionEngine *Engine = R.StaticallyDrf ? nullptr : &E;
+  // The target columns come from one walk, made at the first of them.
+  std::vector<const BackendInfo *> Targets;
+  for (const BackendInfo &B : tableColumns())
+    if (B.K == Kind::Target)
+      Targets.push_back(&B);
+  std::vector<VerdictColumn> TargetCols;
+  size_t NextTarget = 0;
   for (const BackendInfo &B : tableColumns()) {
-    VerdictColumn C = column(S, B, R.StaticallyDrf ? nullptr : &E);
+    VerdictColumn C;
+    if (B.K != Kind::Target) {
+      C = column(S, B, Engine);
+    } else {
+      if (TargetCols.empty())
+        TargetCols = targetColumns(S, Targets, Engine);
+      C = std::move(TargetCols[NextTarget++]);
+    }
     if (C.Status != JobStatus::Ok)
       continue;
     std::vector<std::string> &Col = R.AllowedByBackend[B.Name] =

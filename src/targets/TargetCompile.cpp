@@ -27,31 +27,6 @@ const char *jsmm::targetArchName(TargetArch A) {
   return "?";
 }
 
-template <typename RelT>
-bool jsmm::isTargetConsistent(const BasicTargetExecution<RelT> &X,
-                              TargetArch Arch) {
-  switch (Arch) {
-  case TargetArch::X86:
-    return isX86Consistent(X);
-  case TargetArch::ArmV8:
-    return isArmV8UniConsistent(X);
-  case TargetArch::ArmV7:
-    return isArmV7Consistent(X);
-  case TargetArch::Power:
-    return isPowerConsistent(X);
-  case TargetArch::RiscV:
-    return isRiscVConsistent(X);
-  case TargetArch::ImmLite:
-    return isImmLiteConsistent(X);
-  }
-  return false;
-}
-
-template bool jsmm::isTargetConsistent<jsmm::Relation>(
-    const TargetExecution &, TargetArch);
-template bool jsmm::isTargetConsistent<jsmm::DynRelation>(
-    const DynTargetExecution &, TargetArch);
-
 namespace {
 
 TargetInstr fenceInstr(TFence F) {

@@ -26,16 +26,6 @@
 
 namespace jsmm {
 
-/// The Thm 6.3 target architectures.
-enum class TargetArch : uint8_t {
-  X86,
-  ArmV8,
-  ArmV7,
-  Power,
-  RiscV,
-  ImmLite,
-};
-
 const char *targetArchName(TargetArch A);
 
 /// One compiled instruction (an event template; loads get values during
@@ -69,11 +59,6 @@ struct CompiledTarget {
 
 /// Compiles \p P for \p Arch with the scheme table above.
 CompiledTarget compileUni(const UniProgram &P, TargetArch Arch);
-
-/// Dispatches to the architecture's consistency predicate. Generic over
-/// the relation flavour (both capacity tiers share one model definition).
-template <typename RelT>
-bool isTargetConsistent(const BasicTargetExecution<RelT> &X, TargetArch Arch);
 
 /// Enumerates every well-formed execution of the compiled program (rf and
 /// per-location coherence chosen; consistency not yet checked). Thin

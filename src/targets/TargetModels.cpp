@@ -109,26 +109,36 @@ std::string BasicTargetExecution<RelT>::toString() const {
 }
 
 template <typename RelT>
+bool jsmm::targetAdmits(const RelT &PoLoc, const RelT &Rf) {
+  return PoLoc.unioned(Rf).isAcyclic();
+}
+
+template <typename RelT>
+bool jsmm::targetScPerLocation(const RelT &PoLoc, const RelT &Rf,
+                               const RelT &Co, const RelT &Fr) {
+  return PoLoc.unioned(Rf).unioned(Co).unioned(Fr).isAcyclic();
+}
+
+template <typename RelT>
+bool jsmm::targetAtomicity(const RelT &Co, const RelT &Fr) {
+  return Fr.compose(Co).isIrreflexive();
+}
+
+template <typename RelT>
 bool jsmm::targetScPerLocation(const BasicTargetExecution<RelT> &X) {
-  RelT PerLoc = X.poLoc();
-  PerLoc.unionWith(X.Rf);
-  PerLoc.unionWith(X.coherence());
-  PerLoc.unionWith(X.fromReads());
-  return PerLoc.isAcyclic();
+  return targetScPerLocation(X.poLoc(), X.Rf, X.coherence(), X.fromReads());
 }
 
 template <typename RelT>
 bool jsmm::targetAtomicity(const BasicTargetExecution<RelT> &X) {
-  // No write coherence-intervenes inside an RMW: fr ; co never returns to
-  // the RMW event itself.
-  return X.fromReads().compose(X.coherence()).isIrreflexive();
+  return targetAtomicity(X.coherence(), X.fromReads());
 }
 
 namespace {
 
 template <typename RelT> struct Masks {
   using Set = typename RelT::SetT;
-  Set Reads, Writes, OnlyR, OnlyW, Rmws, Acq, RelW, Sc, All;
+  Set Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc, All;
   Set fence(const BasicTargetExecution<RelT> &X, TFence F) const {
     (void)this;
     return X.eventsWhere([&](const TargetEvent &E) {
@@ -146,9 +156,6 @@ template <typename RelT> struct Masks {
     });
     M.OnlyW = X.eventsWhere([](const TargetEvent &E) {
       return E.Kind == TKind::Write;
-    });
-    M.Rmws = X.eventsWhere([](const TargetEvent &E) {
-      return E.Kind == TKind::Rmw;
     });
     M.Acq = X.eventsWhere([](const TargetEvent &E) {
       return E.Acq && E.isRead();
@@ -196,158 +203,287 @@ RelT fenceEdges(const BasicTargetExecution<RelT> &X,
       .compose(X.Po.restricted(FenceMask, Succ));
 }
 
+/// Release/acquire ordering between accesses: po from an acquire read, po
+/// to a release write, and release write to acquire read. (An acquire's
+/// po-edge into a fence reached a release write only through that fence's
+/// own po-edge, and po is transitive: both ends are ordered directly.)
+template <typename RelT>
+RelT acqRelEdges(const BasicTargetExecution<RelT> &X, const Masks<RelT> &M) {
+  typename RelT::SetT Access = M.Reads | M.Writes;
+  RelT Out = X.Po.restricted(M.Acq, Access);
+  Out.unionWith(X.Po.restricted(Access, M.RelW));
+  Out.unionWith(X.Po.restricted(M.RelW, M.Acq));
+  return Out;
+}
+
+/// \p R renumbered through \p ViewOf (event id -> view id, or -1 for an
+/// event outside the view) over a universe of \p N.
+template <typename RelT>
+RelT project(const RelT &R, const std::vector<int> &ViewOf, unsigned N) {
+  RelT Out(N);
+  R.forEachPair([&](unsigned A, unsigned B) {
+    if (ViewOf[A] >= 0 && ViewOf[B] >= 0)
+      Out.set(static_cast<unsigned>(ViewOf[A]),
+              static_cast<unsigned>(ViewOf[B]));
+  });
+  return Out;
+}
+
+template <typename RelT>
+typename RelT::SetT projectSet(const typename RelT::SetT &S,
+                               const std::vector<EventId> &IdOf) {
+  typename RelT::SetT Out =
+      RelT::emptySet(static_cast<unsigned>(IdOf.size()));
+  for (unsigned K = 0; K < IdOf.size(); ++K)
+    if (bits::test(S, IdOf[K]))
+      bits::set(Out, K);
+  return Out;
+}
+
+/// The herding-cats Power model's final axioms (NO THIN AIR, OBSERVATION,
+/// PROPAGATION), parameterised through the statics by the full-fence
+/// flavour (Power sync vs ARMv7 dmb) and the presence of lwsync.
+template <typename RelT>
+bool powerStyleAxiom(const TargetCandidate<RelT> &C,
+                     const TargetStatics<RelT> &S) {
+  const RelT &Rfe = C.rfe();
+  RelT Fences = S.Lw.size() ? S.Ffence.unioned(S.Lw) : S.Ffence;
+  RelT Hb = S.Ppo.unioned(Fences).unioned(Rfe);
+  if (!Hb.isAcyclic())
+    return false; // NO THIN AIR
+  // Without fence edges PropBase and Prop are empty: OBSERVATION holds
+  // and PROPAGATION is co acyclicity.
+  if (Fences.empty())
+    return C.Co.isAcyclic();
+
+  RelT HbStar = Hb.reflexiveTransitiveClosure();
+  RelT PropBase = Fences.unioned(Rfe.compose(Fences)).compose(HbStar);
+  RelT Prop =
+      PropBase.restricted(S.Writes, S.Writes)
+          .unioned(C.comStar()
+                       .compose(PropBase.reflexiveTransitiveClosure())
+                       .compose(S.Ffence)
+                       .compose(HbStar));
+  // OBSERVATION
+  if (!C.fre().compose(Prop).compose(HbStar).isIrreflexive())
+    return false;
+  // PROPAGATION
+  return C.Co.unioned(Prop).isAcyclic();
+}
+
+/// ImmLite's COHERENCE, NO THIN AIR and SC axioms (RC11-style partial SC
+/// order).
+template <typename RelT>
+bool immLiteAxiom(const TargetCandidate<RelT> &C,
+                  const TargetStatics<RelT> &S) {
+  const RelT &Sb = C.X.Po;
+  RelT Sw = C.X.Rf.restricted(S.Sc, S.Sc);
+  RelT Hb = Sb.unioned(Sw).transitiveClosure();
+  // COHERENCE
+  if (!Hb.isIrreflexive() || !Hb.compose(C.eco()).isIrreflexive())
+    return false;
+  // NO THIN AIR
+  if (!Sb.unioned(C.X.Rf).isAcyclic())
+    return false;
+  // SC, which orders nothing in a program without SC accesses
+  if (!bits::any(S.Sc))
+    return true;
+  RelT Scb = Sb.unioned(Sb.compose(Hb).compose(Sb))
+                 .unioned(Hb.intersected(S.SameLoc))
+                 .unioned(C.Co)
+                 .unioned(C.Fr);
+  return Scb.restricted(S.Sc, S.Sc).isAcyclic();
+}
+
 } // namespace
 
 template <typename RelT>
-bool jsmm::isX86Consistent(const BasicTargetExecution<RelT> &X) {
-  if (!targetScPerLocation(X) || !targetAtomicity(X))
-    return false;
+BasicTargetExecution<RelT> jsmm::accessView(const BasicTargetExecution<RelT> &X,
+                                            std::vector<EventId> &IdOf) {
+  IdOf.clear();
+  std::vector<int> ViewOf(X.numEvents(), -1);
+  std::vector<TargetEvent> Events;
+  for (const TargetEvent &E : X.Events)
+    if (E.isAccess()) {
+      ViewOf[E.Id] = static_cast<int>(IdOf.size());
+      Events.push_back(E);
+      Events.back().Id = static_cast<EventId>(IdOf.size());
+      IdOf.push_back(E.Id);
+    }
+  unsigned N = static_cast<unsigned>(Events.size());
+  BasicTargetExecution<RelT> V(std::move(Events),
+                               static_cast<unsigned>(X.CoPerLoc.size()));
+  V.Po = project(X.Po, ViewOf, N);
+  V.Rf = project(X.Rf, ViewOf, N);
+  for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
+    for (EventId W : X.CoPerLoc[L])
+      V.CoPerLoc[L].push_back(static_cast<EventId>(ViewOf[W]));
+  return V;
+}
+
+template <typename RelT>
+TargetStatics<RelT>
+jsmm::targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
+                    const std::vector<EventId> *IdOf) {
+  unsigned N = X.numEvents();
   Masks<RelT> M = Masks<RelT>::compute(X);
   typename RelT::SetT Access = M.Reads | M.Writes;
-  // ppo: program order minus write->read pairs (the store buffer); RMWs are
-  // locked and never relaxed.
-  RelT Ppo = X.Po.restricted(Access, Access)
-                 .subtracted(RelT::product(M.OnlyW, M.OnlyR, X.numEvents()));
-  RelT Ghb = Ppo;
-  Ghb.unionWith(fenceEdges(X, M.fence(X, TFence::MFence), Access, Access));
-  Ghb.unionWith(X.externalPart(X.Rf));
-  Ghb.unionWith(X.coherence());
-  Ghb.unionWith(X.fromReads());
-  return Ghb.isAcyclic();
+  TargetStatics<RelT> S;
+  S.Arch = Arch;
+  S.Writes = M.Writes;
+  S.Sc = M.Sc;
+  switch (Arch) {
+  case TargetArch::X86:
+    // ppo: program order minus write->read pairs (the store buffer); RMWs
+    // are locked and never relaxed.
+    S.Ppo = X.Po.restricted(Access, Access)
+                .subtracted(RelT::product(M.OnlyW, M.OnlyR, N));
+    S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::MFence), Access, Access));
+    break;
+  case TargetArch::ArmV8:
+    S.Ppo = acqRelEdges(X, M);
+    break;
+  case TargetArch::RiscV: {
+    typename RelT::SetT RW = Access;
+    // Same-address ppo: ordered when the second access is a store.
+    S.Ppo = X.poLoc().restricted(RW, M.Writes);
+    S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRWRW), RW, RW));
+    S.Ppo.unionWith(
+        fenceEdges(X, M.fence(X, TFence::FenceRWW), RW, M.Writes));
+    S.Ppo.unionWith(
+        fenceEdges(X, M.fence(X, TFence::FenceRRW), M.Reads, RW));
+    S.Ppo.unionWith(acqRelEdges(X, M));
+    break;
+  }
+  case TargetArch::Power:
+  case TargetArch::ArmV7: {
+    bool Power = Arch == TargetArch::Power;
+    S.Ffence = fenceEdges(
+        X, M.fence(X, Power ? TFence::Sync : TFence::DmbV7), Access, Access);
+    typename RelT::SetT LwSync = M.fence(X, TFence::LwSync);
+    if (Power && bits::any(LwSync))
+      S.Lw = fenceEdges(X, LwSync, Access, Access)
+                 .subtracted(RelT::product(M.OnlyW, M.OnlyR, N));
+    // ctrl+isync after a load orders that load before everything po-later.
+    S.Ppo = fenceEdges(X, M.fence(X, TFence::CtrlIsync), M.Reads, Access);
+    break;
+  }
+  case TargetArch::ImmLite:
+    S.SameLoc = sameLocRelation(X);
+    break;
+  }
+  if (!IdOf)
+    return S;
+  std::vector<int> ViewOf(N, -1);
+  for (unsigned K = 0; K < IdOf->size(); ++K)
+    ViewOf[(*IdOf)[K]] = static_cast<int>(K);
+  unsigned V = static_cast<unsigned>(IdOf->size());
+  for (RelT *R : {&S.Ppo, &S.Ffence, &S.Lw, &S.SameLoc})
+    if (R->size())
+      *R = project(*R, ViewOf, V);
+  S.Writes = projectSet<RelT>(S.Writes, *IdOf);
+  S.Sc = projectSet<RelT>(S.Sc, *IdOf);
+  return S;
+}
+
+template <typename RelT> const RelT &TargetCandidate<RelT>::rfe() const {
+  if (!Rfe)
+    Rfe = X.externalPart(X.Rf);
+  return *Rfe;
+}
+
+template <typename RelT> const RelT &TargetCandidate<RelT>::fre() const {
+  if (!Fre)
+    Fre = X.externalPart(Fr);
+  return *Fre;
+}
+
+template <typename RelT> const RelT &TargetCandidate<RelT>::comExt() const {
+  if (!ComExt)
+    ComExt = rfe().unioned(X.externalPart(Co)).unioned(fre());
+  return *ComExt;
+}
+
+template <typename RelT> const RelT &TargetCandidate<RelT>::eco() const {
+  if (!Eco)
+    Eco = X.Rf.unioned(Co).unioned(Fr).transitiveClosure();
+  return *Eco;
+}
+
+template <typename RelT> const RelT &TargetCandidate<RelT>::comStar() const {
+  if (!ComStar) {
+    ComStar = eco();
+    for (unsigned A = 0; A < X.numEvents(); ++A)
+      ComStar->set(A, A);
+  }
+  return *ComStar;
+}
+
+template <typename RelT>
+bool jsmm::targetFinalAxiom(const TargetCandidate<RelT> &C,
+                            const TargetStatics<RelT> &S) {
+  switch (S.Arch) {
+  case TargetArch::X86:
+    return S.Ppo.unioned(C.rfe()).unioned(C.Co).unioned(C.Fr).isAcyclic();
+  case TargetArch::ArmV8:
+  case TargetArch::RiscV:
+    // ARMv8: ob = obs ∪ bob; RISC-V: gmo = ppo ∪ rfe ∪ coe ∪ fre.
+    return C.comExt().unioned(S.Ppo).isAcyclic();
+  case TargetArch::Power:
+  case TargetArch::ArmV7:
+    return powerStyleAxiom(C, S);
+  case TargetArch::ImmLite:
+    return immLiteAxiom(C, S);
+  }
+  return false;
+}
+
+template <typename RelT>
+bool jsmm::isTargetConsistent(const BasicTargetExecution<RelT> &X,
+                              TargetArch Arch) {
+  TargetStatics<RelT> S = targetStatics(X, Arch);
+  TargetCandidate<RelT> C(X);
+  if (Arch != TargetArch::ImmLite &&
+      !targetScPerLocation(X.poLoc(), X.Rf, C.Co, C.Fr))
+    return false;
+  return targetAtomicity(C.Co, C.Fr) && targetFinalAxiom(C, S);
+}
+
+template <typename RelT>
+bool jsmm::isX86Consistent(const BasicTargetExecution<RelT> &X) {
+  return isTargetConsistent(X, TargetArch::X86);
 }
 
 template <typename RelT>
 bool jsmm::isArmV8UniConsistent(const BasicTargetExecution<RelT> &X) {
-  if (!targetScPerLocation(X) || !targetAtomicity(X))
-    return false;
-  Masks<RelT> M = Masks<RelT>::compute(X);
-  RelT Obs = X.externalPart(X.Rf);
-  Obs.unionWith(X.externalPart(X.coherence()));
-  Obs.unionWith(X.externalPart(X.fromReads()));
-  RelT Bob = X.Po.restricted(M.Acq, M.All);
-  Bob.unionWith(X.Po.restricted(M.All, M.RelW));
-  Bob.unionWith(X.Po.restricted(M.RelW, M.Acq));
-  return Obs.unioned(Bob).isAcyclic();
+  return isTargetConsistent(X, TargetArch::ArmV8);
 }
 
 template <typename RelT>
 bool jsmm::isRiscVConsistent(const BasicTargetExecution<RelT> &X) {
-  if (!targetScPerLocation(X) || !targetAtomicity(X))
-    return false;
-  Masks<RelT> M = Masks<RelT>::compute(X);
-  typename RelT::SetT RW = M.Reads | M.Writes;
-  // Same-address ppo: ordered when the second access is a store.
-  RelT Ppo = X.poLoc().restricted(RW, M.Writes);
-  Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRWRW), RW, RW));
-  Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRWW), RW, M.Writes));
-  Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRRW), M.Reads, RW));
-  Ppo.unionWith(X.Po.restricted(M.Acq, M.All));
-  Ppo.unionWith(X.Po.restricted(M.All, M.RelW));
-  Ppo.unionWith(X.Po.restricted(M.RelW, M.Acq));
-  RelT Gmo = Ppo;
-  Gmo.unionWith(X.externalPart(X.Rf));
-  Gmo.unionWith(X.externalPart(X.coherence()));
-  Gmo.unionWith(X.externalPart(X.fromReads()));
-  return Gmo.isAcyclic();
+  return isTargetConsistent(X, TargetArch::RiscV);
 }
-
-namespace {
-
-/// The herding-cats Power model, parameterised by the full-fence flavour
-/// (Power sync vs ARMv7 dmb).
-template <typename RelT>
-bool powerStyleConsistent(const BasicTargetExecution<RelT> &X,
-                          TFence FullFence, bool HasLwSync) {
-  if (!targetScPerLocation(X) || !targetAtomicity(X))
-    return false;
-  Masks<RelT> M = Masks<RelT>::compute(X);
-  typename RelT::SetT Access = M.Reads | M.Writes;
-  unsigned N = X.numEvents();
-
-  RelT Ffence = fenceEdges(X, M.fence(X, FullFence), Access, Access);
-  RelT Lw(N);
-  if (HasLwSync) {
-    Lw = fenceEdges(X, M.fence(X, TFence::LwSync), Access, Access)
-             .subtracted(RelT::product(M.OnlyW, M.OnlyR, N));
-  }
-  // ctrl+isync after a load orders that load before everything po-later.
-  RelT Cisync =
-      fenceEdges(X, M.fence(X, TFence::CtrlIsync), M.Reads, Access);
-
-  RelT Rfe = X.externalPart(X.Rf);
-  RelT Co = X.coherence();
-  RelT Fr = X.fromReads();
-  RelT Fre = X.externalPart(Fr);
-
-  RelT Ppo = Cisync;
-  RelT Hb = Ppo.unioned(Ffence).unioned(Lw).unioned(Rfe);
-  if (!Hb.isAcyclic())
-    return false; // NO THIN AIR
-
-  RelT HbStar = Hb.reflexiveTransitiveClosure();
-  RelT FencesRel = Ffence.unioned(Lw);
-  RelT PropBase = FencesRel.unioned(Rfe.compose(FencesRel)).compose(HbStar);
-  RelT Com = X.Rf.unioned(Co).unioned(Fr);
-  RelT Prop =
-      PropBase.restricted(M.Writes, M.Writes)
-          .unioned(Com.reflexiveTransitiveClosure()
-                       .compose(PropBase.reflexiveTransitiveClosure())
-                       .compose(Ffence)
-                       .compose(HbStar));
-  // OBSERVATION
-  if (!Fre.compose(Prop).compose(HbStar).isIrreflexive())
-    return false;
-  // PROPAGATION
-  return Co.unioned(Prop).isAcyclic();
-}
-
-} // namespace
 
 template <typename RelT>
 bool jsmm::isPowerConsistent(const BasicTargetExecution<RelT> &X) {
-  return powerStyleConsistent(X, TFence::Sync, /*HasLwSync=*/true);
+  return isTargetConsistent(X, TargetArch::Power);
 }
 
 template <typename RelT>
 bool jsmm::isArmV7Consistent(const BasicTargetExecution<RelT> &X) {
-  return powerStyleConsistent(X, TFence::DmbV7, /*HasLwSync=*/false);
+  return isTargetConsistent(X, TargetArch::ArmV7);
 }
 
 template <typename RelT>
 bool jsmm::isImmLiteConsistent(const BasicTargetExecution<RelT> &X) {
-  if (!targetAtomicity(X))
-    return false;
-  Masks<RelT> M = Masks<RelT>::compute(X);
-  unsigned N = X.numEvents();
-  RelT Sb = X.Po;
-  RelT Sw(N);
-  X.Rf.forEachPair([&](unsigned W, unsigned R) {
-    if (X.Events[W].Sc && X.Events[R].Sc)
-      Sw.set(W, R);
-  });
-  RelT Hb = Sb.unioned(Sw).transitiveClosure();
-  RelT Co = X.coherence();
-  RelT Fr = X.fromReads();
-  RelT Eco = X.Rf.unioned(Co).unioned(Fr).transitiveClosure();
-  // COHERENCE
-  if (!Hb.isIrreflexive() || !Hb.compose(Eco).isIrreflexive())
-    return false;
-  // NO THIN AIR
-  if (!Sb.unioned(X.Rf).isAcyclic())
-    return false;
-  // SC (RC11-style partial SC order)
-  RelT SameLoc = sameLocRelation(X);
-  RelT Scb = Sb.unioned(Sb.compose(Hb).compose(Sb))
-                 .unioned(Hb.intersected(SameLoc))
-                 .unioned(Co)
-                 .unioned(Fr);
-  RelT Psc = Scb.restricted(M.Sc, M.Sc);
-  return Psc.isAcyclic();
+  return isTargetConsistent(X, TargetArch::ImmLite);
 }
 
 // Explicit instantiation for both capacity tiers.
 #define JSMM_INSTANTIATE_TARGET(RelT)                                        \
   template class jsmm::BasicTargetExecution<RelT>;                           \
+  template bool jsmm::isTargetConsistent<RelT>(                              \
+      const BasicTargetExecution<RelT> &, TargetArch);                       \
   template bool jsmm::isX86Consistent<RelT>(                                 \
       const BasicTargetExecution<RelT> &);                                   \
   template bool jsmm::isArmV8UniConsistent<RelT>(                            \
@@ -363,7 +499,19 @@ bool jsmm::isImmLiteConsistent(const BasicTargetExecution<RelT> &X) {
   template bool jsmm::targetScPerLocation<RelT>(                             \
       const BasicTargetExecution<RelT> &);                                   \
   template bool jsmm::targetAtomicity<RelT>(                                 \
-      const BasicTargetExecution<RelT> &);
+      const BasicTargetExecution<RelT> &);                                   \
+  template BasicTargetExecution<RelT> jsmm::accessView<RelT>(               \
+      const BasicTargetExecution<RelT> &, std::vector<EventId> &);           \
+  template TargetStatics<RelT> jsmm::targetStatics<RelT>(                    \
+      const BasicTargetExecution<RelT> &, TargetArch,                        \
+      const std::vector<EventId> *);                                         \
+  template bool jsmm::targetAdmits<RelT>(const RelT &, const RelT &);        \
+  template bool jsmm::targetScPerLocation<RelT>(                             \
+      const RelT &, const RelT &, const RelT &, const RelT &);               \
+  template bool jsmm::targetAtomicity<RelT>(const RelT &, const RelT &);     \
+  template class jsmm::TargetCandidate<RelT>;                                \
+  template bool jsmm::targetFinalAxiom<RelT>(const TargetCandidate<RelT> &,  \
+                                             const TargetStatics<RelT> &);
 
 JSMM_INSTANTIATE_TARGET(jsmm::Relation)
 JSMM_INSTANTIATE_TARGET(jsmm::DynRelation)

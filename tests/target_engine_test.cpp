@@ -9,12 +9,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/StaticValues.h"
 #include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
+#include "service/LitmusService.h"
 #include "targets/Differential.h"
+#include "tools/LitmusParser.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 
 using namespace jsmm;
@@ -189,17 +194,209 @@ TEST(TargetEngine, BackendRegistry) {
 
 TEST(TargetEngine, AdmissionCheckIsSoundOnCompleteCandidates) {
   // A complete candidate that some backend accepts must never have been
-  // prunable: allows(X) implies admitsPartial(X).
+  // prunable: allows(X) implies the walk's admission, po-loc ∪ rf acyclic.
   for (const DiffCase &C : corpusSlice()) {
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(C.Uni, M.arch());
       forEachTargetExecution(
           CT, [&](const TargetExecution &X, const Outcome &) {
             if (M.allows(X))
-              EXPECT_TRUE(M.admitsPartial(X))
+              EXPECT_TRUE(targetAdmits(X.poLoc(), X.Rf))
                   << C.Name << " under " << M.name();
             return true;
           });
     }
   }
+}
+
+namespace {
+
+/// One random uni-size program: 1-3 threads of 1-3 accesses, at most six
+/// in all, over two cells; relaxed and SC loads and stores and exchanges,
+/// values 1-2. Deterministic in the caller's seeded \p Rng.
+UniProgram randomUniProgram(std::mt19937 &Rng) {
+  auto Dist = [&](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  UniProgram P(2);
+  int Threads = Dist(1, 3);
+  int Budget = 6;
+  for (int T = 0; T < Threads && Budget > 0; ++T) {
+    unsigned Th = P.thread();
+    for (int I = std::min(Dist(1, 3), Budget); I > 0; --I, --Budget) {
+      unsigned Loc = static_cast<unsigned>(Dist(0, 1));
+      Mode Ord = Dist(0, 2) == 0 ? Mode::SeqCst : Mode::Unordered;
+      uint64_t Val = static_cast<uint64_t>(Dist(1, 2));
+      switch (Dist(0, 4)) {
+      case 0:
+      case 1:
+        P.load(Th, Loc, Ord);
+        break;
+      case 2:
+      case 3:
+        P.store(Th, Loc, Val, Ord);
+        break;
+      default:
+        P.exchange(Th, Loc, Val);
+        break;
+      }
+    }
+  }
+  return P;
+}
+
+/// The one-walk inputs: a uni-size program and the static analysis of its
+/// JavaScript rendering (as the service hands it to the target columns).
+struct WalkCase {
+  std::string Name;
+  UniProgram Uni;
+  analysis::StaticValues SV;
+};
+
+WalkCase walkCase(std::string Name, UniProgram Uni, const Program &Js) {
+  analysis::StaticValues SV = analysis::analyzeValues(Js);
+  return {std::move(Name), std::move(Uni), std::move(SV)};
+}
+
+std::vector<WalkCase> oneWalkCases() {
+  std::vector<WalkCase> Cases;
+  for (const DiffCase &C : differentialCorpus())
+    Cases.push_back(walkCase(C.Name, C.Uni, C.program()));
+  for (const LitmusJob &J : largeCorpusJobs()) {
+    std::optional<LitmusFile> File = parseLitmus(J.Litmus);
+    EXPECT_TRUE(File.has_value()) << J.Name;
+    std::optional<UniProgram> Uni =
+        File ? uniFromProgram(File->P) : std::nullopt;
+    EXPECT_TRUE(Uni.has_value()) << J.Name;
+    if (Uni)
+      Cases.push_back(walkCase(J.Name, *Uni, File->P));
+  }
+  std::mt19937 Rng(2026);
+  for (int I = 0; I < 240; ++I) {
+    UniProgram U = randomUniProgram(Rng);
+    Cases.push_back(walkCase("gen-" + std::to_string(I), U, mixedFromUni(U)));
+  }
+  return Cases;
+}
+
+/// The generate-then-filter reference: every candidate of \p CT judged by
+/// the full predicate.
+std::vector<std::string> referenceOutcomes(const CompiledTarget &CT,
+                                           const TargetModel &M) {
+  std::set<std::string> Allowed;
+  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+    if (M.allows(X))
+      Allowed.insert(O.toString());
+    return true;
+  });
+  return {Allowed.begin(), Allowed.end()};
+}
+
+} // namespace
+
+TEST(TargetEngine, OneWalkMatchesPerTargetWalks) {
+  // The joint door walks rf x co once for all six compiled forms. For each
+  // target it must give exactly what a walk with that model alone gives:
+  // outcomes, candidates, consistent candidates and the walk's counters,
+  // across threads, pruning, static pruning and both relation tiers. All
+  // six share one candidate count. On <=64-event programs both must also
+  // equal the generate-then-filter reference, and each witness of the
+  // single-target enumerate() must satisfy its backend's full predicate.
+  std::vector<WalkCase> Cases = oneWalkCases();
+  ASSERT_GE(Cases.size(), 17u + 2u + 200u);
+  unsigned Checked = 0, DynServed = 0;
+  for (const WalkCase &C : Cases) {
+    std::vector<CompiledTarget> CTs;
+    for (const TargetModel &M : TargetModel::all())
+      CTs.push_back(compileUni(C.Uni, M.arch()));
+    bool Small = true;
+    for (const CompiledTarget &CT : CTs)
+      Small = Small && !ExecutionEngine::fixedCapacityError(CT);
+    std::vector<std::vector<std::string>> Reference;
+    if (Small)
+      for (size_t I = 0; I < CTs.size(); ++I)
+        Reference.push_back(
+            referenceOutcomes(CTs[I], TargetModel::all()[I]));
+    for (unsigned Threads : {1u, 4u})
+      for (bool Prune : {true, false})
+        for (bool Dyn : {false, true})
+          for (bool Static : {false, true}) {
+            EngineConfig Cfg;
+            Cfg.Threads = Threads;
+            Cfg.Prune = Prune;
+            Cfg.ForceDynRelation = Dyn;
+            Cfg.StaticFastPath = Static;
+            std::string Where = C.Name + " threads=" +
+                                std::to_string(Threads) +
+                                " prune=" + std::to_string(Prune) +
+                                " dyn=" + std::to_string(Dyn) +
+                                " static=" + std::to_string(Static);
+            ExecutionEngine Joint(Cfg);
+            std::vector<OutcomeSummary> Sums =
+                Joint.enumerateOutcomes(CTs, &C.SV);
+            ASSERT_EQ(Sums.size(), CTs.size()) << Where;
+            DynServed += Sums[0].Tier == "dyn";
+            for (size_t I = 0; I < CTs.size(); ++I) {
+              const TargetModel &M = TargetModel::all()[I];
+              ExecutionEngine Alone(Cfg);
+              OutcomeSummary S = Alone.enumerateOutcomes(CTs[I], M, &C.SV);
+              std::string At = Where + " " + M.name();
+              EXPECT_EQ(Sums[I].outcomeStrings(), S.outcomeStrings()) << At;
+              EXPECT_EQ(Sums[I].CandidatesConsidered, S.CandidatesConsidered)
+                  << At;
+              EXPECT_EQ(Sums[I].ValidCandidates, S.ValidCandidates) << At;
+              EXPECT_EQ(Sums[I].CandidatesConsidered,
+                        Sums[0].CandidatesConsidered)
+                  << At << ": the six targets walk one candidate space";
+              EXPECT_EQ(Joint.Stats.StaticRfPruned, Alone.Stats.StaticRfPruned)
+                  << At;
+              EXPECT_EQ(Joint.Stats.PrunedSubtrees, Alone.Stats.PrunedSubtrees)
+                  << At;
+              EXPECT_EQ(Joint.Stats.WorkItems, Alone.Stats.WorkItems) << At;
+              if (Small)
+                EXPECT_EQ(Sums[I].outcomeStrings(), Reference[I]) << At;
+              if (Small && !Dyn && !Static) {
+                TargetEnumerationResult W = Alone.enumerate(CTs[I], M);
+                for (const auto &[O, Witness] : W.Allowed)
+                  EXPECT_TRUE(M.allows(Witness)) << At << " " << O.toString();
+                EXPECT_EQ(W.outcomeStrings(), Sums[I].outcomeStrings()) << At;
+              }
+              ++Checked;
+            }
+          }
+  }
+  EXPECT_GT(DynServed, 0u);
+  EXPECT_GE(Checked, 6u * 16u * 200u);
+}
+
+TEST(TargetEngine, NonZeroInitHasNoTargetColumns) {
+  // Nonzero initial values are not expressible uni-size, so a
+  // differential job with an init directive runs the JavaScript columns
+  // and no target walk.
+  LitmusJob Job;
+  Job.Model = "differential";
+  Job.Litmus = "name init-mp\nbuffer 8\ninit u32 0 = 7\n"
+               "thread\n  store.sc u32 0 = 1\n  store.sc u32 4 = 1\n"
+               "thread\n  r0 = load.sc u32 4\n  r1 = load u32 0\n";
+  LitmusJobResult R = LitmusService().runOne(Job);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_TRUE(R.AllowedByBackend.count("js-revised"));
+  for (const TargetModel &M : TargetModel::all())
+    EXPECT_FALSE(R.AllowedByBackend.count(M.name())) << M.name();
+}
+
+TEST(TargetEngine, JointDoorRejectsFormsOfDifferentPrograms) {
+  // One walk serves only compiled forms that share their accesses.
+  UniProgram A(1), B(1);
+  unsigned TA = A.thread();
+  A.store(TA, 0, 1, Mode::Unordered);
+  unsigned TB = B.thread();
+  B.store(TB, 0, 2, Mode::Unordered);
+  std::vector<CompiledTarget> CTs = {compileUni(A, TargetArch::X86),
+                                     compileUni(B, TargetArch::Power)};
+  EXPECT_THROW(ExecutionEngine().enumerateOutcomes(CTs),
+               std::invalid_argument);
+  EXPECT_TRUE(ExecutionEngine()
+                  .enumerateOutcomes(std::vector<CompiledTarget>())
+                  .empty());
 }
