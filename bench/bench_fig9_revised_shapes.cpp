@@ -31,7 +31,7 @@ CandidateExecution fig9First() {
   CE.Asw.set(2, 3);
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   return CE;
 }
 
@@ -47,7 +47,7 @@ CandidateExecution fig9Second() {
   CE.Asw.set(1, 2);
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   return CE;
 }
 
@@ -61,7 +61,7 @@ CandidateExecution fig5Shape() {
   CandidateExecution CE(std::move(Evs));
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   return CE;
 }
 
@@ -74,7 +74,7 @@ CandidateExecution initShape() {
   CandidateExecution CE(std::move(Evs));
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 0, 2});
-  CE.Tot = totalOrderFromSequence({0, 1, 2}, 3);
+  CE.Tot = totalOrderOver({0, 1, 2}, 3);
   return CE;
 }
 

@@ -133,51 +133,6 @@ std::vector<double> medianFamilyMs(const std::vector<EngineConfig> &Cfgs) {
   return Medians;
 }
 
-/// Outcome-level run of the Fig. 9 family, optionally forced through the
-/// heap-backed DynRelation tier — the workload of the small-path headline.
-double enumerateOutcomesFamilyMs(bool ForceDyn) {
-  EngineConfig Cfg;
-  Cfg.ForceDynRelation = ForceDyn;
-  ExecutionEngine Engine(Cfg);
-  auto Start = std::chrono::steady_clock::now();
-  for (const Program &P : fig9ShapePrograms()) {
-    benchmark::DoNotOptimize(
-        Engine.enumerateOutcomes(P, JsModel(ModelSpec::original()))
-            .Allowed.size());
-    benchmark::DoNotOptimize(
-        Engine.enumerateOutcomes(P, JsModel(ModelSpec::revised()))
-            .Allowed.size());
-  }
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(End - Start).count();
-}
-
-/// Small-path headline: the ≤64-event fast tier (inline single-word
-/// Relation) against the identical enumeration forced through the
-/// heap-backed DynRelation tier. Guards the PR 5 contract that
-/// generalising the relation layer did not regress the small-program fast
-/// path: the inline tier must keep a clear margin over the dynamic one
-/// (`speedup_smallpath_x`, floored in bench/perf_baseline.json), and the
-/// two tiers must agree outcome-for-outcome.
-void smallPathHeadline(jsmm::bench::Table &T) {
-  enumerateOutcomesFamilyMs(false); // warm-up
-  double SmallMs = enumerateOutcomesFamilyMs(false);
-  double DynMs = enumerateOutcomesFamilyMs(true);
-  bool Agree = true;
-  EngineConfig DynCfg;
-  DynCfg.ForceDynRelation = true;
-  ExecutionEngine Small, Dyn(DynCfg);
-  for (const Program &P : fig9ShapePrograms())
-    Agree = Agree &&
-            Small.enumerateOutcomes(P, JsModel(ModelSpec::revised())).Allowed ==
-                Dyn.enumerateOutcomes(P, JsModel(ModelSpec::revised())).Allowed;
-  T.check("fast and dynamic relation tiers agree on the Fig. 9 family",
-          true, Agree);
-  T.metric("smallpath_ms", SmallMs, "ms");
-  T.metric("dynpath_ms", DynMs, "ms");
-  T.metric("speedup_smallpath_x", DynMs / SmallMs);
-}
-
 void solverHeadline(jsmm::bench::Table &T);
 
 //===----------------------------------------------------------------------===//
@@ -270,7 +225,8 @@ double porFamilyMs(EngineConfig Cfg, uint64_t &Candidates,
 /// prints as a ratio).
 void porHeadline(jsmm::bench::Table &T) {
   EngineConfig Off{1, true};
-  EngineConfig On{1, true, /*ForceDynRelation=*/false, /*Reduction=*/true};
+  EngineConfig On = Off;
+  On.Reduction = true;
   uint64_t FullCandidates = 0, ReducedCandidates = 0;
   std::vector<std::vector<std::string>> FullTables, ReducedTables;
   porFamilyMs(Off, FullCandidates, FullTables); // warm-up
@@ -540,7 +496,6 @@ int headlineComparison() {
   T.check("engine (pruned, best of 1/" + std::to_string(RequestedThreads) +
               " threads) beats seed",
           true, std::min(PrunedMs, ShardedMs) < SeedMs);
-  smallPathHeadline(T);
   porHeadline(T);
   solverHeadline(T);
   capacityHeadline(T);
@@ -571,7 +526,7 @@ bool seedValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec) {
   bool Found = false;
   forEachLinearExtension(
       D.Hb, CE.allEventsMask(), [&](const std::vector<unsigned> &Seq) {
-        Relation Tot = totalOrderFromSequence(Seq, CE.numEvents());
+        Relation Tot = totalOrderOver(Seq, CE.numEvents());
         if (checkScAtomics(CE, D, Spec.Sc, Tot)) {
           Found = true;
           return false;
@@ -595,24 +550,24 @@ Relation seedArmOb(const ArmExecution &X) {
   Relation Coi = X.internalPart(Co);
   Relation Obs = Rfe.unioned(Coe).unioned(Fre);
 
-  uint64_t Writes =
+  BitSet Writes =
       X.eventsWhere([](const ArmEvent &E) { return E.isWrite(); });
-  uint64_t Reads = X.eventsWhere([](const ArmEvent &E) { return E.isRead(); });
-  uint64_t Acq = X.eventsWhere(
+  BitSet Reads = X.eventsWhere([](const ArmEvent &E) { return E.isRead(); });
+  BitSet Acq = X.eventsWhere(
       [](const ArmEvent &E) { return E.isRead() && E.Acquire; });
-  uint64_t Rel = X.eventsWhere(
+  BitSet Rel = X.eventsWhere(
       [](const ArmEvent &E) { return E.isWrite() && E.Release; });
-  uint64_t DmbFull = X.eventsWhere(
+  BitSet DmbFull = X.eventsWhere(
       [](const ArmEvent &E) { return E.Kind == ArmKind::DmbFull; });
-  uint64_t DmbLd = X.eventsWhere(
+  BitSet DmbLd = X.eventsWhere(
       [](const ArmEvent &E) { return E.Kind == ArmKind::DmbLd; });
-  uint64_t DmbSt = X.eventsWhere(
+  BitSet DmbSt = X.eventsWhere(
       [](const ArmEvent &E) { return E.Kind == ArmKind::DmbSt; });
-  uint64_t Isb = X.eventsWhere(
+  BitSet Isb = X.eventsWhere(
       [](const ArmEvent &E) { return E.Kind == ArmKind::Isb; });
-  uint64_t All = X.allEventsMask();
+  BitSet All = X.allEventsMask();
   const Relation &Po = X.Po;
-  auto Restrict = [&](uint64_t A, const Relation &R, uint64_t B) {
+  auto Restrict = [&](const BitSet &A, const Relation &R, const BitSet &B) {
     return R.restricted(A, B);
   };
   Relation CtrlOrAddrPo = X.CtrlDep.unioned(X.AddrDep.compose(Po));
@@ -624,10 +579,8 @@ Relation seedArmOb(const ArmExecution &X) {
           .unioned(X.AddrDep.compose(Restrict(All, Po, Writes)))
           .unioned(X.CtrlDep.unioned(X.DataDep).compose(Coi))
           .unioned(X.AddrDep.unioned(X.DataDep).compose(Rfi));
-  uint64_t RmwWrites = 0;
-  X.Rmw.forEachPair([&](unsigned, unsigned W) {
-    RmwWrites |= uint64_t(1) << W;
-  });
+  BitSet RmwWrites(N);
+  X.Rmw.forEachPair([&](unsigned, unsigned W) { bits::set(RmwWrites, W); });
   Relation Aob = X.Rmw.unioned(Restrict(RmwWrites, Rfi, Acq));
   Relation PoL = Restrict(All, Po, Rel);
   Relation Bob =
@@ -874,7 +827,7 @@ BENCHMARK(BM_LinearExtensions);
 
 void BM_ValidityCheck(benchmark::State &State) {
   CandidateExecution CE = fig6aExecution();
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3, 4, 5, 6}, 7);
+  CE.Tot = totalOrderOver({0, 1, 2, 3, 4, 5, 6}, 7);
   for (auto _ : State)
     benchmark::DoNotOptimize(isValid(CE, ModelSpec::revised()));
 }

@@ -74,7 +74,7 @@ int main() {
     forEachLinearExtension(
         D.Hb, CE.allEventsMask(), [&](const std::vector<unsigned> &Seq) {
           CandidateExecution WithTot = CE;
-          WithTot.Tot = totalOrderFromSequence(Seq, CE.numEvents());
+          WithTot.Tot = totalOrderOver(Seq, CE.numEvents());
           ReductionResult RR = reduceToUniSize(WithTot);
           ++Tots;
           if (isValid(WithTot, ModelSpec::revised()) != isUniValid(RR.Uni))

@@ -149,11 +149,8 @@ int main(int Argc, char **Argv) {
   }
 
   // Error isolation: one too-large and one malformed job ride along with a
-  // good one; the batch completes with per-job statuses. "Too large" now
-  // means beyond the *dynamic* cap (DynRelation::MaxSize events) — the
-  // former 71-event flavour of this job is served with real verdicts
-  // since the dynamic relation tier landed, and the 301-event flavour
-  // since the dynamic cap was raised to 1024.
+  // good one; the batch completes with per-job statuses. "Too large"
+  // means beyond the relation cap (Relation::MaxSize events).
   {
     std::string TooLarge = "name big\nbuffer 64\nthread\n";
     for (unsigned I = 0; I < 1100; ++I)

@@ -133,10 +133,10 @@ bool ArmExecution::checkWellFormed(std::string *Err) const {
     return Fail("po universe does not match the event count");
 
   // po: strict total order per thread; Init not in po.
-  std::map<int, uint64_t> ThreadEvents;
+  std::map<int, BitSet> ThreadEvents;
   for (const ArmEvent &E : Events)
     if (!E.IsInit)
-      ThreadEvents[E.Thread] |= uint64_t(1) << E.Id;
+      bits::set(ThreadEvents.try_emplace(E.Thread, N).first->second, E.Id);
   bool PoOk = true;
   Po.forEachPair([&](unsigned A, unsigned B) {
     if (Events[A].IsInit || Events[B].IsInit ||

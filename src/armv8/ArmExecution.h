@@ -39,6 +39,11 @@ struct CoGranule {
   std::vector<EventId> Order; ///< coherence order of the granule's writers
 };
 
+/// The event cap of the mixed-size ARMv8 model, below the relation cap:
+/// computeGranules keeps each byte's writers as a one-word mask, and the
+/// coherence completions are a factorial walk per rbf leaf.
+inline constexpr unsigned ArmMaxEvents = 64;
+
 /// An ARMv8 candidate execution.
 class ArmExecution {
 public:
@@ -57,15 +62,12 @@ public:
   unsigned numEvents() const {
     return static_cast<unsigned>(Events.size());
   }
-  uint64_t allEventsMask() const {
-    unsigned N = numEvents();
-    return N == 64 ? ~uint64_t(0) : ((uint64_t(1) << N) - 1);
-  }
-  template <typename PredT> uint64_t eventsWhere(PredT Pred) const {
-    uint64_t Mask = 0;
+  BitSet allEventsMask() const { return Relation::fullSet(numEvents()); }
+  template <typename PredT> BitSet eventsWhere(PredT Pred) const {
+    BitSet Mask(numEvents());
     for (const ArmEvent &E : Events)
       if (Pred(E))
-        Mask |= uint64_t(1) << E.Id;
+        bits::set(Mask, E.Id);
     return Mask;
   }
 

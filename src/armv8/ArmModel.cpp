@@ -22,34 +22,40 @@ ArmDerived computeFrom(const ArmExecution &X, Relation Fr) {
 
   D.Obs = D.Rfe.unioned(D.Coe).unioned(D.Fre);
 
-  uint64_t Writes = X.eventsWhere([](const ArmEvent &E) {
-    return E.isWrite();
-  });
-  uint64_t Reads = X.eventsWhere([](const ArmEvent &E) {
-    return E.isRead();
-  });
-  uint64_t Acq = X.eventsWhere([](const ArmEvent &E) {
-    return E.isRead() && E.Acquire;
-  });
-  uint64_t Rel = X.eventsWhere([](const ArmEvent &E) {
-    return E.isWrite() && E.Release;
-  });
-  uint64_t DmbFull = X.eventsWhere([](const ArmEvent &E) {
-    return E.Kind == ArmKind::DmbFull;
-  });
-  uint64_t DmbLd = X.eventsWhere([](const ArmEvent &E) {
-    return E.Kind == ArmKind::DmbLd;
-  });
-  uint64_t DmbSt = X.eventsWhere([](const ArmEvent &E) {
-    return E.Kind == ArmKind::DmbSt;
-  });
-  uint64_t Isb = X.eventsWhere([](const ArmEvent &E) {
-    return E.Kind == ArmKind::Isb;
-  });
-  uint64_t All = X.allEventsMask();
+  // The event classes, in one pass: a consistency check runs once per
+  // coherence completion, millions of times per sweep.
+  BitSet Writes(N), Reads(N), Acq(N), Rel(N), DmbFull(N), DmbLd(N),
+      DmbSt(N), Isb(N);
+  for (const ArmEvent &E : X.Events) {
+    switch (E.Kind) {
+    case ArmKind::Read:
+      bits::set(Reads, E.Id);
+      if (E.Acquire)
+        bits::set(Acq, E.Id);
+      break;
+    case ArmKind::Write:
+      bits::set(Writes, E.Id);
+      if (E.Release)
+        bits::set(Rel, E.Id);
+      break;
+    case ArmKind::DmbFull:
+      bits::set(DmbFull, E.Id);
+      break;
+    case ArmKind::DmbLd:
+      bits::set(DmbLd, E.Id);
+      break;
+    case ArmKind::DmbSt:
+      bits::set(DmbSt, E.Id);
+      break;
+    case ArmKind::Isb:
+      bits::set(Isb, E.Id);
+      break;
+    }
+  }
+  BitSet All = X.allEventsMask();
 
   const Relation &Po = X.Po;
-  auto Restrict = [&](uint64_t A, const Relation &R, uint64_t B) {
+  auto Restrict = [&](const BitSet &A, const Relation &R, const BitSet &B) {
     return R.restricted(A, B);
   };
 
@@ -77,10 +83,8 @@ ArmDerived computeFrom(const ArmExecution &X, Relation Fr) {
   // aob = rmw | [range(rmw)];rfi;[A]
   D.Aob = Relation(N);
   if (!X.Rmw.empty()) {
-    uint64_t RmwWrites = 0;
-    X.Rmw.forEachPair([&](unsigned, unsigned W) {
-      RmwWrites |= uint64_t(1) << W;
-    });
+    BitSet RmwWrites(N);
+    X.Rmw.forEachPair([&](unsigned, unsigned W) { bits::set(RmwWrites, W); });
     D.Aob = X.Rmw.unioned(Restrict(RmwWrites, D.Rfi, Acq));
   }
 
@@ -89,14 +93,14 @@ ArmDerived computeFrom(const ArmExecution &X, Relation Fr) {
   // Fence-free terms only when the corresponding fence class is present.
   Relation PoL = Restrict(All, Po, Rel);
   D.Bob = Restrict(Rel, Po, Acq);
-  if (DmbFull)
+  if (bits::any(DmbFull))
     D.Bob.unionWith(
         Restrict(All, Po, DmbFull).compose(Restrict(DmbFull, Po, All)));
-  if (DmbLd)
+  if (bits::any(DmbLd))
     D.Bob.unionWith(
         Restrict(Reads, Po, DmbLd).compose(Restrict(DmbLd, Po, All)));
   D.Bob.unionWith(Restrict(Acq, Po, All));
-  if (DmbSt)
+  if (bits::any(DmbSt))
     D.Bob.unionWith(
         Restrict(Writes, Po, DmbSt).compose(Restrict(DmbSt, Po, Writes)));
   D.Bob.unionWith(PoL);
@@ -122,12 +126,10 @@ bool jsmm::checkArmInternal(const ArmExecution &X) {
   // that byte.
   for (const CoGranule &G : X.Co) {
     for (unsigned Loc = G.Begin; Loc < G.End; ++Loc) {
-      unsigned N = X.numEvents();
-      Relation PerLoc(N);
-      uint64_t Touchers = X.eventsWhere([&](const ArmEvent &E) {
+      BitSet Touchers = X.eventsWhere([&](const ArmEvent &E) {
         return E.Block == G.Block && E.touchesByte(Loc);
       });
-      PerLoc.unionWith(X.Po.restricted(Touchers, Touchers));
+      Relation PerLoc = X.Po.restricted(Touchers, Touchers);
       // co on this byte is the granule order.
       for (size_t I = 0; I < G.Order.size(); ++I)
         for (size_t J = I + 1; J < G.Order.size(); ++J)

@@ -20,7 +20,7 @@ bool jsmm::constructTot(const TranslationResult &TR, const ArmExecution &X,
 
   // obs ∩ (L∪A)², mapped through the event translation.
   ArmDerived D = ArmDerived::compute(X);
-  uint64_t LorA = X.eventsWhere([](const ArmEvent &E) {
+  BitSet LorA = X.eventsWhere([](const ArmEvent &E) {
     return (E.isWrite() && E.Release) || (E.isRead() && E.Acquire);
   });
   D.Obs.restricted(LorA, LorA).forEachPair([&](unsigned A, unsigned B) {
@@ -35,7 +35,7 @@ bool jsmm::constructTot(const TranslationResult &TR, const ArmExecution &X,
   std::optional<std::vector<unsigned>> Order = Base.topologicalOrder();
   if (!Order)
     return false;
-  *TotOut = totalOrderFromSequence(*Order, N);
+  *TotOut = totalOrderOver(*Order, N);
   return true;
 }
 

@@ -9,8 +9,7 @@
 
 using namespace jsmm;
 
-template <typename RelT>
-BasicCandidateExecution<RelT>::BasicCandidateExecution(std::vector<Event> Evs)
+CandidateExecution::CandidateExecution(std::vector<Event> Evs)
     : Events(std::move(Evs)), Sb(static_cast<unsigned>(Events.size())),
       Asw(static_cast<unsigned>(Events.size())),
       Tot(static_cast<unsigned>(Events.size())) {
@@ -18,18 +17,16 @@ BasicCandidateExecution<RelT>::BasicCandidateExecution(std::vector<Event> Evs)
     assert(Events[I].Id == I && "event id must equal its index");
 }
 
-template <typename RelT>
-RelT BasicCandidateExecution<RelT>::readsFrom() const {
-  RelT Rf(numEvents());
+Relation CandidateExecution::readsFrom() const {
+  Relation Rf(numEvents());
   for (const RbfEdge &E : Rbf)
     Rf.set(E.Writer, E.Reader);
   return Rf;
 }
 
-template <typename RelT>
-RelT BasicCandidateExecution<RelT>::synchronizesWith(SwDefKind Def,
-                                                     const RelT &Rf) const {
-  RelT Sw = Asw;
+Relation CandidateExecution::synchronizesWith(SwDefKind Def,
+                                              const Relation &Rf) const {
+  Relation Sw = Asw;
   Rf.forEachPair([&](unsigned W, unsigned R) {
     const Event &Ew = Events[W];
     const Event &Er = Events[R];
@@ -61,14 +58,12 @@ RelT BasicCandidateExecution<RelT>::synchronizesWith(SwDefKind Def,
   return Sw;
 }
 
-template <typename RelT>
-RelT BasicCandidateExecution<RelT>::happensBefore(SwDefKind Def) const {
+Relation CandidateExecution::happensBefore(SwDefKind Def) const {
   return derived(Def).Hb;
 }
 
-template <typename RelT>
-const BasicDerivedTriple<RelT> &
-BasicCandidateExecution<RelT>::derived(SwDefKind Def) const {
+const DerivedTriple &
+CandidateExecution::derived(SwDefKind Def) const {
   // rf/sw/hb depend on the rbf edges and the sb and asw relations only:
   // event kinds, modes and footprints are fixed at construction, and read
   // *values* do not enter the derived relations. The cached inputs are
@@ -88,9 +83,8 @@ BasicCandidateExecution<RelT>::derived(SwDefKind Def) const {
   return Slot.D;
 }
 
-template <typename RelT>
-RelT BasicCandidateExecution<RelT>::happensBeforeFromSw(const RelT &Sw) const {
-  RelT Base = Sb;
+Relation CandidateExecution::happensBeforeFromSw(const Relation &Sw) const {
+  Relation Base = Sb;
   Base.unionWith(Sw);
   for (const Event &A : Events) {
     if (A.Ord != Mode::Init)
@@ -102,8 +96,7 @@ RelT BasicCandidateExecution<RelT>::happensBeforeFromSw(const RelT &Sw) const {
   return Base.transitiveClosure();
 }
 
-template <typename RelT>
-bool BasicCandidateExecution<RelT>::checkWellFormed(std::string *Err) const {
+bool CandidateExecution::checkWellFormed(std::string *Err) const {
   auto Fail = [&](const std::string &Why) {
     if (Err)
       *Err = Why;
@@ -118,11 +111,11 @@ bool BasicCandidateExecution<RelT>::checkWellFormed(std::string *Err) const {
       return Fail("event id does not equal its index");
 
   // sb: intra-thread, and a strict total order on each thread's events.
-  std::map<int, SetT> ThreadEvents;
+  std::map<int, BitSet> ThreadEvents;
   for (const Event &E : Events)
     if (E.Ord != Mode::Init) {
       auto [It, Inserted] =
-          ThreadEvents.try_emplace(E.Thread, RelT::emptySet(N));
+          ThreadEvents.try_emplace(E.Thread, Relation::emptySet(N));
       (void)Inserted;
       bits::set(It->second, E.Id);
     }
@@ -185,8 +178,7 @@ bool BasicCandidateExecution<RelT>::checkWellFormed(std::string *Err) const {
   return true;
 }
 
-template <typename RelT>
-std::string BasicCandidateExecution<RelT>::toString() const {
+std::string CandidateExecution::toString() const {
   std::string Out;
   for (const Event &E : Events)
     Out += "  " + E.toString() + "\n";
@@ -206,6 +198,3 @@ std::string BasicCandidateExecution<RelT>::toString() const {
     Out += "  tot: " + Tot.toString() + "\n";
   return Out;
 }
-
-template class jsmm::BasicCandidateExecution<jsmm::Relation>;
-template class jsmm::BasicCandidateExecution<jsmm::DynRelation>;

@@ -19,12 +19,9 @@
 /// form (sw with the Init special case) and the simplified form proposed by
 /// the paper (§3.2).
 ///
-/// The execution is generic over the relation flavour:
-/// BasicCandidateExecution<Relation> (the `CandidateExecution` alias) is
-/// the allocation-free ≤64-event tier every fast path uses;
-/// BasicCandidateExecution<DynRelation> (`DynCandidateExecution`) carries
-/// programs up to DynRelation::MaxSize events through the same derivation
-/// pipeline.
+/// Its relations are support/Relation.h's one relation type, so the same
+/// derivation pipeline serves programs of every size up to
+/// Relation::MaxSize events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +29,6 @@
 #define JSMM_CORE_CANDIDATEEXECUTION_H
 
 #include "core/Event.h"
-#include "support/DynRelation.h"
 #include "support/Relation.h"
 
 #include <string>
@@ -66,43 +62,39 @@ enum class SwDefKind : uint8_t {
 /// The derived relations (rf, sw, hb) of a candidate execution under one
 /// synchronizes-with definition, always computed together because hb is
 /// derived from sw and sw from rf.
-template <typename RelT> struct BasicDerivedTriple {
-  RelT Rf;
-  RelT Sw;
-  RelT Hb;
+struct DerivedTriple {
+  Relation Rf;
+  Relation Sw;
+  Relation Hb;
 };
 
-using DerivedTriple = BasicDerivedTriple<Relation>;
-
 /// A JavaScript candidate execution (Fig. 3).
-template <typename RelT> class BasicCandidateExecution {
+class CandidateExecution {
 public:
-  using Rel = RelT;
-  using SetT = typename RelT::SetT;
 
   std::vector<Event> Events;
-  RelT Sb;  ///< sequenced-before
-  RelT Asw; ///< additional-synchronizes-with
+  Relation Sb;  ///< sequenced-before
+  Relation Asw; ///< additional-synchronizes-with
   std::vector<RbfEdge> Rbf;
-  RelT Tot; ///< total-order witness; may be left empty (count()==0)
+  Relation Tot; ///< total-order witness; may be left empty (count()==0)
             ///< when deciding "exists a tot" questions
 
-  BasicCandidateExecution() = default;
+  CandidateExecution() = default;
 
   /// Creates an execution with the given events and empty relations sized
   /// to match.
-  explicit BasicCandidateExecution(std::vector<Event> Evs);
+  explicit CandidateExecution(std::vector<Event> Evs);
 
   unsigned numEvents() const {
     return static_cast<unsigned>(Events.size());
   }
 
   /// \returns the set of all event ids.
-  SetT allEventsMask() const { return RelT::fullSet(numEvents()); }
+  BitSet allEventsMask() const { return Relation::fullSet(numEvents()); }
 
   /// \returns the set of events satisfying \p Pred.
-  template <typename PredT> SetT eventsWhere(PredT Pred) const {
-    SetT Mask = RelT::emptySet(numEvents());
+  template <typename PredT> BitSet eventsWhere(PredT Pred) const {
+    BitSet Mask = Relation::emptySet(numEvents());
     for (const Event &E : Events)
       if (Pred(E))
         bits::set(Mask, E.Id);
@@ -111,19 +103,19 @@ public:
 
   /// Derived relation rf (write on the left): projects the byte index away
   /// from reads-byte-from.
-  RelT readsFrom() const;
+  Relation readsFrom() const;
 
   /// Derived relation sw under the chosen definition, including asw.
   /// \p Rf must be this execution's readsFrom().
-  RelT synchronizesWith(SwDefKind Def, const RelT &Rf) const;
+  Relation synchronizesWith(SwDefKind Def, const Relation &Rf) const;
 
   /// Derived relation hb = (sb ∪ sw ∪ {<A,B> | A.ord=Init ∧ A≠B ∧
   /// overlap(A,B)})+.
-  RelT happensBefore(SwDefKind Def) const;
+  Relation happensBefore(SwDefKind Def) const;
 
   /// hb computed from an already-derived sw (avoids recomputation in hot
   /// loops).
-  RelT happensBeforeFromSw(const RelT &Sw) const;
+  Relation happensBeforeFromSw(const Relation &Sw) const;
 
   /// The memoized derived relations under \p Def. Recomputed only when sb,
   /// asw or rbf changed since the last call (detected by an exact
@@ -133,7 +125,7 @@ public:
   /// closure. The cache is per-object mutable state: concurrent calls on
   /// the same object are not safe, so the engine gives every shard its
   /// own execution.
-  const BasicDerivedTriple<RelT> &derived(SwDefKind Def) const;
+  const DerivedTriple &derived(SwDefKind Def) const;
 
   /// Checks the well-formedness conditions on candidate executions: sb is a
   /// strict total order per thread over that thread's events; asw has no
@@ -155,18 +147,13 @@ private:
     bool Valid = false;
     // The exact inputs the cached triple was derived from.
     std::vector<RbfEdge> KeyRbf;
-    RelT KeySb;
-    RelT KeyAsw;
-    BasicDerivedTriple<RelT> D;
+    Relation KeySb;
+    Relation KeyAsw;
+    DerivedTriple D;
   };
   /// One slot per SwDefKind.
   mutable DerivedCacheSlot DerivedCache[2];
 };
-
-/// The allocation-free ≤64-event tier (single-word relations).
-using CandidateExecution = BasicCandidateExecution<Relation>;
-/// The dynamic tier for programs beyond 64 events.
-using DynCandidateExecution = BasicCandidateExecution<DynRelation>;
 
 } // namespace jsmm
 

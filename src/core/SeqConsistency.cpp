@@ -31,7 +31,7 @@ public:
 
   bool search(std::vector<unsigned> *OrderOut) {
     Sequence.clear();
-    if (!recurse(0))
+    if (!recurse(Relation::emptySet(CE.numEvents())))
       return false;
     if (OrderOut)
       *OrderOut = Sequence;
@@ -41,12 +41,12 @@ public:
 private:
   static constexpr unsigned NoWriter = ~0u;
 
-  bool recurse(uint64_t Placed) {
+  bool recurse(const BitSet &Placed) {
     if (Placed == CE.allEventsMask())
       return true;
+    BitSet Unplaced = ~Placed;
     for (unsigned E = 0; E < CE.numEvents(); ++E) {
-      uint64_t Bit = uint64_t(1) << E;
-      if ((Placed & Bit) || (Preds[E] & ~Placed))
+      if (!bits::test(Unplaced, E) || bits::any(Preds[E] & Unplaced))
         continue;
       if (!readsMatchMemory(CE.Events[E]))
         continue;
@@ -54,7 +54,9 @@ private:
       std::vector<std::pair<std::pair<unsigned, unsigned>, unsigned>> Undo;
       applyWrite(CE.Events[E], Undo);
       Sequence.push_back(E);
-      if (recurse(Placed | Bit))
+      BitSet Next = Placed;
+      bits::set(Next, E);
+      if (recurse(Next))
         return true;
       Sequence.pop_back();
       for (auto It = Undo.rbegin(); It != Undo.rend(); ++It)
@@ -88,7 +90,7 @@ private:
 
   const CandidateExecution &CE;
   Relation Order;
-  std::vector<uint64_t> Preds;
+  std::vector<BitSet> Preds;
   std::map<std::pair<unsigned, unsigned>, unsigned> ExpectedWriter;
   std::map<std::pair<unsigned, unsigned>, unsigned> LastWriter;
   std::vector<unsigned> Sequence;

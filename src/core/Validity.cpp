@@ -13,15 +13,13 @@ DerivedRelations DerivedRelations::compute(const CandidateExecution &CE,
   return D;
 }
 
-template <typename RelT>
-bool jsmm::checkHbConsistency1(const BasicCandidateExecution<RelT> &CE,
-                               const BasicDerivedTriple<RelT> &D) {
+bool jsmm::checkHbConsistency1(const CandidateExecution &CE,
+                               const DerivedTriple &D) {
   return CE.Tot.contains(D.Hb);
 }
 
-template <typename RelT>
-bool jsmm::checkHbConsistency2(const BasicCandidateExecution<RelT> &CE,
-                               const BasicDerivedTriple<RelT> &D) {
+bool jsmm::checkHbConsistency2(const CandidateExecution &CE,
+                               const DerivedTriple &D) {
   bool Ok = true;
   D.Rf.forEachPair([&](unsigned W, unsigned R) {
     if (D.Hb.get(R, W))
@@ -31,9 +29,8 @@ bool jsmm::checkHbConsistency2(const BasicCandidateExecution<RelT> &CE,
   return Ok;
 }
 
-template <typename RelT>
-bool jsmm::checkHbConsistency3(const BasicCandidateExecution<RelT> &CE,
-                               const BasicDerivedTriple<RelT> &D) {
+bool jsmm::checkHbConsistency3(const CandidateExecution &CE,
+                               const DerivedTriple &D) {
   for (const RbfEdge &E : CE.Rbf) {
     // Look for a "newer" write of byte E.Loc strictly hb-between the writer
     // and the reader.
@@ -47,9 +44,8 @@ bool jsmm::checkHbConsistency3(const BasicCandidateExecution<RelT> &CE,
   return true;
 }
 
-template <typename RelT>
-bool jsmm::checkTearFreeReads(const BasicCandidateExecution<RelT> &CE,
-                              const BasicDerivedTriple<RelT> &D,
+bool jsmm::checkTearFreeReads(const CandidateExecution &CE,
+                              const DerivedTriple &D,
                               TearRuleKind Rule) {
   for (const Event &R : CE.Events) {
     if (!R.isRead() || !R.TearFree)
@@ -76,9 +72,8 @@ namespace {
 /// First/second attempt rule: for every synchronizes-with pair <Ew,Er>,
 /// there is no write E'w (SeqCst only, for the second attempt) with
 /// rangew(E'w) = ranger(Er) strictly tot-between Ew and Er.
-template <typename RelT>
-bool checkScAtomicsAttempt(const BasicCandidateExecution<RelT> &CE,
-                           const BasicDerivedTriple<RelT> &D, const RelT &Tot,
+bool checkScAtomicsAttempt(const CandidateExecution &CE,
+                           const DerivedTriple &D, const Relation &Tot,
                            bool InterveningMustBeSeqCst) {
   bool Ok = true;
   D.Sw.forEachPair([&](unsigned W, unsigned R) {
@@ -100,9 +95,8 @@ bool checkScAtomicsAttempt(const BasicCandidateExecution<RelT> &CE,
 }
 
 /// The final rule of Fig. 10.
-template <typename RelT>
-bool checkScAtomicsFinal(const BasicCandidateExecution<RelT> &CE,
-                         const BasicDerivedTriple<RelT> &D, const RelT &Tot) {
+bool checkScAtomicsFinal(const CandidateExecution &CE,
+                         const DerivedTriple &D, const Relation &Tot) {
   bool Ok = true;
   D.Rf.forEachPair([&](unsigned W, unsigned R) {
     if (!Ok || !D.Hb.get(W, R))
@@ -130,10 +124,9 @@ bool checkScAtomicsFinal(const BasicCandidateExecution<RelT> &CE,
 
 } // namespace
 
-template <typename RelT>
-bool jsmm::checkScAtomics(const BasicCandidateExecution<RelT> &CE,
-                          const BasicDerivedTriple<RelT> &D, ScRuleKind Rule,
-                          const RelT &Tot) {
+bool jsmm::checkScAtomics(const CandidateExecution &CE,
+                          const DerivedTriple &D, ScRuleKind Rule,
+                          const Relation &Tot) {
   switch (Rule) {
   case ScRuleKind::FirstAttempt:
     return checkScAtomicsAttempt(CE, D, Tot,
@@ -147,9 +140,8 @@ bool jsmm::checkScAtomics(const BasicCandidateExecution<RelT> &CE,
   return false;
 }
 
-template <typename RelT>
-bool jsmm::checkTotIndependentAxioms(const BasicCandidateExecution<RelT> &CE,
-                                     const BasicDerivedTriple<RelT> &D,
+bool jsmm::checkTotIndependentAxioms(const CandidateExecution &CE,
+                                     const DerivedTriple &D,
                                      ModelSpec Spec, std::string *WhyNot) {
   auto Fail = [&](const char *Axiom) {
     if (WhyNot)
@@ -165,12 +157,11 @@ bool jsmm::checkTotIndependentAxioms(const BasicCandidateExecution<RelT> &CE,
   return true;
 }
 
-template <typename RelT>
-bool jsmm::isValid(const BasicCandidateExecution<RelT> &CE, ModelSpec Spec,
+bool jsmm::isValid(const CandidateExecution &CE, ModelSpec Spec,
                    std::string *WhyNot) {
   assert(CE.Tot.size() == CE.numEvents() &&
          "isValid requires a tot witness; use isValidForSomeTot otherwise");
-  const BasicDerivedTriple<RelT> &D = CE.derived(Spec.Sw);
+  const DerivedTriple &D = CE.derived(Spec.Sw);
   if (!checkTotIndependentAxioms(CE, D, Spec, WhyNot))
     return false;
   if (!checkHbConsistency1(CE, D)) {
@@ -186,73 +177,32 @@ bool jsmm::isValid(const BasicCandidateExecution<RelT> &CE, ModelSpec Spec,
   return true;
 }
 
-template <typename RelT>
-bool jsmm::isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
-                             ModelSpec Spec,
-                             std::type_identity_t<RelT> *TotOut,
+bool jsmm::isValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec,
+                             Relation *TotOut,
                              const TotSolver &Solver) {
-  const BasicDerivedTriple<RelT> &D = CE.derived(Spec.Sw);
+  const DerivedTriple &D = CE.derived(Spec.Sw);
   if (!checkTotIndependentAxioms(CE, D, Spec))
     return false;
   // HBC1 forces tot ⊇ hb; if hb is cyclic no tot exists. The derived hb
   // is transitively closed, so irreflexivity is acyclicity.
   if (!D.Hb.isIrreflexive())
     return false;
-  BasicTotProblem<RelT> P = scAtomicsProblem(CE, D, Spec.Sc);
+  TotProblem P = scAtomicsProblem(CE, D, Spec.Sc);
   return Solver.existsExtension(P, TotOut);
 }
 
-template <typename RelT>
-bool jsmm::isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
-                             ModelSpec Spec,
-                             std::type_identity_t<RelT> *TotOut) {
+bool jsmm::isValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec,
+                             Relation *TotOut) {
   return isValidForSomeTot(CE, Spec, TotOut, defaultTotSolver());
 }
 
-template <typename RelT>
-bool jsmm::isInvalidForAllTot(const BasicCandidateExecution<RelT> &CE,
+bool jsmm::isInvalidForAllTot(const CandidateExecution &CE,
                               ModelSpec Spec, const TotSolver &Solver) {
   return !isValidForSomeTot(CE, Spec, /*TotOut=*/nullptr, Solver);
 }
 
-template <typename RelT>
-bool jsmm::isInvalidForAllTot(const BasicCandidateExecution<RelT> &CE,
-                              ModelSpec Spec) {
+bool jsmm::isInvalidForAllTot(const CandidateExecution &CE, ModelSpec Spec) {
   return isInvalidForAllTot(CE, Spec, defaultTotSolver());
 }
 
 // Explicit instantiation for both capacity tiers.
-#define JSMM_INSTANTIATE_VALIDITY(RelT)                                      \
-  template bool jsmm::checkHbConsistency1<RelT>(                             \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &);                                     \
-  template bool jsmm::checkHbConsistency2<RelT>(                             \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &);                                     \
-  template bool jsmm::checkHbConsistency3<RelT>(                             \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &);                                     \
-  template bool jsmm::checkTearFreeReads<RelT>(                              \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &, TearRuleKind);                       \
-  template bool jsmm::checkScAtomics<RelT>(                                  \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &, ScRuleKind, const RelT &);           \
-  template bool jsmm::checkTotIndependentAxioms<RelT>(                       \
-      const BasicCandidateExecution<RelT> &,                                 \
-      const BasicDerivedTriple<RelT> &, ModelSpec, std::string *);           \
-  template bool jsmm::isValid<RelT>(const BasicCandidateExecution<RelT> &,   \
-                                    ModelSpec, std::string *);               \
-  template bool jsmm::isValidForSomeTot<RelT>(                               \
-      const BasicCandidateExecution<RelT> &, ModelSpec, RelT *,              \
-      const TotSolver &);                                                    \
-  template bool jsmm::isValidForSomeTot<RelT>(                               \
-      const BasicCandidateExecution<RelT> &, ModelSpec, RelT *);             \
-  template bool jsmm::isInvalidForAllTot<RelT>(                              \
-      const BasicCandidateExecution<RelT> &, ModelSpec, const TotSolver &);  \
-  template bool jsmm::isInvalidForAllTot<RelT>(                              \
-      const BasicCandidateExecution<RelT> &, ModelSpec);
-
-JSMM_INSTANTIATE_VALIDITY(jsmm::Relation)
-JSMM_INSTANTIATE_VALIDITY(jsmm::DynRelation)
-#undef JSMM_INSTANTIATE_VALIDITY

@@ -19,10 +19,6 @@
 /// Consistency (1) and the SC Atomics rule); the decision procedures for
 /// "exists a valid tot" and "invalid for every tot" exploit this split.
 ///
-/// Every check is generic over the relation flavour of the candidate
-/// execution, so the same axiom code decides the ≤64-event fast tier and
-/// the dynamic tier (DynCandidateExecution) identically.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_CORE_VALIDITY_H
@@ -87,41 +83,31 @@ struct DerivedRelations : DerivedTriple {
 };
 
 /// Happens-Before Consistency (1): hb ⊆ tot.
-template <typename RelT>
-bool checkHbConsistency1(const BasicCandidateExecution<RelT> &CE,
-                         const BasicDerivedTriple<RelT> &D);
+bool checkHbConsistency1(const CandidateExecution &CE, const DerivedTriple &D);
 /// Happens-Before Consistency (2): no read happens-before a write it reads
 /// from.
-template <typename RelT>
-bool checkHbConsistency2(const BasicCandidateExecution<RelT> &CE,
-                         const BasicDerivedTriple<RelT> &D);
+bool checkHbConsistency2(const CandidateExecution &CE, const DerivedTriple &D);
 /// Happens-Before Consistency (3): no read reads a byte from a write when a
 /// hb-newer write of that byte is hb-before the read.
-template <typename RelT>
-bool checkHbConsistency3(const BasicCandidateExecution<RelT> &CE,
-                         const BasicDerivedTriple<RelT> &D);
+bool checkHbConsistency3(const CandidateExecution &CE, const DerivedTriple &D);
 /// Tear-Free Reads, weak (Fig. 4) or strong (§6.4).
-template <typename RelT>
-bool checkTearFreeReads(const BasicCandidateExecution<RelT> &CE,
-                        const BasicDerivedTriple<RelT> &D, TearRuleKind Rule);
+bool checkTearFreeReads(const CandidateExecution &CE,
+                        const DerivedTriple &D, TearRuleKind Rule);
 /// The Sequentially Consistent Atomics rule, in the requested variant,
 /// against the given tot.
-template <typename RelT>
-bool checkScAtomics(const BasicCandidateExecution<RelT> &CE,
-                    const BasicDerivedTriple<RelT> &D, ScRuleKind Rule,
-                    const RelT &Tot);
+bool checkScAtomics(const CandidateExecution &CE,
+                    const DerivedTriple &D, ScRuleKind Rule,
+                    const Relation &Tot);
 
 /// \returns true if all tot-independent axioms (HBC2, HBC3, Tear-Free
 /// Reads) hold.
-template <typename RelT>
-bool checkTotIndependentAxioms(const BasicCandidateExecution<RelT> &CE,
-                               const BasicDerivedTriple<RelT> &D,
+bool checkTotIndependentAxioms(const CandidateExecution &CE,
+                               const DerivedTriple &D,
                                ModelSpec Spec, std::string *WhyNot = nullptr);
 
 /// Full validity of \p CE (which must carry a tot witness) under \p Spec.
 /// \param WhyNot if non-null, receives the name of the first failing axiom.
-template <typename RelT>
-bool isValid(const BasicCandidateExecution<RelT> &CE, ModelSpec Spec,
+bool isValid(const CandidateExecution &CE, ModelSpec Spec,
              std::string *WhyNot = nullptr);
 
 /// Decides whether some strict total order over the events makes \p CE
@@ -135,23 +121,17 @@ bool isValid(const BasicCandidateExecution<RelT> &CE, ModelSpec Spec,
 /// conditions, so the question is handed to \p Solver as a TotProblem
 /// (solver/ScConstraints). The overload without a solver argument uses the
 /// process default (see defaultSolverKind()).
-template <typename RelT>
-bool isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
-                       ModelSpec Spec, std::type_identity_t<RelT> *TotOut,
+bool isValidForSomeTot(const CandidateExecution &CE,
+                       ModelSpec Spec, Relation *TotOut,
                        const TotSolver &Solver);
-template <typename RelT>
-bool isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
-                       ModelSpec Spec,
-                       std::type_identity_t<RelT> *TotOut = nullptr);
+bool isValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec,
+                       Relation *TotOut = nullptr);
 
 /// Decides whether \p CE is invalid under \p Spec for *every* choice of
 /// tot — the exact semantic counterpart of Wickerson-style deadness (§5.2).
-template <typename RelT>
-bool isInvalidForAllTot(const BasicCandidateExecution<RelT> &CE,
+bool isInvalidForAllTot(const CandidateExecution &CE,
                         ModelSpec Spec, const TotSolver &Solver);
-template <typename RelT>
-bool isInvalidForAllTot(const BasicCandidateExecution<RelT> &CE,
-                        ModelSpec Spec);
+bool isInvalidForAllTot(const CandidateExecution &CE, ModelSpec Spec);
 
 } // namespace jsmm
 

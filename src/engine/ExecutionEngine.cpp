@@ -90,43 +90,25 @@ template <typename ProgramT> void checkCapacity(const ProgramT &P) {
   }
 }
 
-/// The witness-carrying entry points return Relation-typed executions, so
-/// they serve the fixed tier only; this throws the 64-event diagnostic.
-template <typename ProgramT> void checkFixedCapacity(const ProgramT &P) {
-  if (std::optional<std::string> Error =
-          ExecutionEngine::fixedCapacityError(P))
-    throw CapacityError(*Error);
-}
-
 } // namespace
 
 std::optional<std::string> ExecutionEngine::capacityError(const Program &P) {
-  return capacityErrorFor(programEventUpperBound(P), DynRelation::MaxSize);
-}
-
-std::optional<std::string>
-ExecutionEngine::capacityError(const ArmProgram &P) {
-  return capacityErrorFor(armProgramEventUpperBound(P), Relation::MaxSize);
-}
-
-std::optional<std::string>
-ExecutionEngine::capacityError(const CompiledTarget &CT) {
-  return capacityErrorFor(targetEventBound(CT), DynRelation::MaxSize);
-}
-
-std::optional<std::string>
-ExecutionEngine::capacityError(const UniProgram &P) {
-  return capacityErrorFor(uniProgramEventBound(P), DynRelation::MaxSize);
-}
-
-std::optional<std::string>
-ExecutionEngine::fixedCapacityError(const Program &P) {
   return capacityErrorFor(programEventUpperBound(P), Relation::MaxSize);
 }
 
 std::optional<std::string>
-ExecutionEngine::fixedCapacityError(const CompiledTarget &CT) {
+ExecutionEngine::capacityError(const ArmProgram &P) {
+  return capacityErrorFor(armProgramEventUpperBound(P), ArmMaxEvents);
+}
+
+std::optional<std::string>
+ExecutionEngine::capacityError(const CompiledTarget &CT) {
   return capacityErrorFor(targetEventBound(CT), Relation::MaxSize);
+}
+
+std::optional<std::string>
+ExecutionEngine::capacityError(const UniProgram &P) {
+  return capacityErrorFor(uniProgramEventBound(P), Relation::MaxSize);
 }
 
 namespace {
@@ -381,9 +363,9 @@ bool comboFeasible(const std::vector<size_t> &Idx,
 }
 
 /// The materialised skeleton of one path combination: events, sb, and the
-/// bookkeeping the justifier needs. Generic over the relation tier.
-template <typename RelT> struct JsBase {
-  BasicCandidateExecution<RelT> CE;
+/// bookkeeping the justifier needs.
+struct JsBase {
+  CandidateExecution CE;
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
   std::vector<const ThreadPath *> Paths;
@@ -391,10 +373,8 @@ template <typename RelT> struct JsBase {
   StaticAllowMask Allow;
 };
 
-template <typename RelT>
-JsBase<RelT> buildJsBase(const Program &P,
-                         std::vector<const ThreadPath *> Chosen) {
-  JsBase<RelT> B;
+JsBase buildJsBase(const Program &P, std::vector<const ThreadPath *> Chosen) {
+  JsBase B;
   B.Paths = std::move(Chosen);
 
   std::vector<Event> Events;
@@ -435,7 +415,7 @@ JsBase<RelT> buildJsBase(const Program &P,
       ThreadEvents[T].push_back(Id);
     }
   }
-  B.CE = BasicCandidateExecution<RelT>(std::move(Events));
+  B.CE = CandidateExecution(std::move(Events));
   for (const std::vector<EventId> &Seq : ThreadEvents)
     for (size_t I = 0; I < Seq.size(); ++I)
       for (size_t J = I + 1; J < Seq.size(); ++J)
@@ -454,9 +434,8 @@ JsBase<RelT> buildJsBase(const Program &P,
 /// completes, so skipping it up front loses nothing — not even a counted
 /// candidate). Event-to-access mapping replays buildJsBase's event order:
 /// one Init per buffer, then each thread's path accesses in sequence.
-template <typename RelT>
 StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
-                                   const JsBase<RelT> &B) {
+                                   const JsBase &B) {
   std::vector<int> AccOf(B.CE.Events.size(), -1);
   size_t Pos = 0;
   while (Pos < B.CE.Events.size() && B.CE.Events[Pos].Ord == Mode::Init)
@@ -528,15 +507,13 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
 /// with register-constraint pruning (always), model-admission pruning
 /// (when a model is supplied), and rf sleep-set keys (when the reduction
 /// spec is supplied).
-template <typename RelT> class JsJustifier {
-  using ExecT = BasicCandidateExecution<RelT>;
-
+class JsJustifier {
 public:
   /// \p St, when non-null, receives the PrunedSubtrees, SleptBranches and
   /// StaticRfPruned counts.
-  JsJustifier(JsBase<RelT> &B, const JsModel *Prune, int FirstWriterOnly,
-              const std::function<bool(const ExecT &, const Outcome &)>
-                  &Visit,
+  JsJustifier(JsBase &B, const JsModel *Prune, int FirstWriterOnly,
+              const std::function<bool(const CandidateExecution &,
+                                       const Outcome &)> &Visit,
               const ModelSpec *Red, EngineStats *St)
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
         Red(Red), St(St),
@@ -575,7 +552,7 @@ private:
         KeysActive = false;
     if (!KeysActive)
       return;
-    RelT Hb = B.CE.happensBefore(Red->Sw); // rbf is empty: static hb
+    Relation Hb = B.CE.happensBefore(Red->Sw); // rbf is empty: static hb
 
     Explore.resize(B.Reads.size());
     for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
@@ -711,10 +688,11 @@ private:
     return Visit(B.CE, O);
   }
 
-  JsBase<RelT> &B;
+  JsBase &B;
   const JsModel *Prune;
   int FirstWriterOnly;
-  const std::function<bool(const ExecT &, const Outcome &)> &Visit;
+  const std::function<bool(const CandidateExecution &, const Outcome &)>
+      &Visit;
   const ModelSpec *Red; ///< the spec the rf keys read; null: no reduction
   EngineStats *St;
   const StaticAllowMask *StaticAllow;
@@ -728,10 +706,10 @@ private:
 /// The JavaScript core of the enumeration driver: one base per path
 /// combination, minus (and counting) the statically infeasible ones under
 /// a value analysis.
-template <typename RelT> struct JsCore {
-  using ExecT = BasicCandidateExecution<RelT>;
-  using BaseT = JsBase<RelT>;
-  using ResultT = BasicEnumerationResult<RelT>;
+struct JsCore {
+  using ExecT = CandidateExecution;
+  using BaseT = JsBase;
+  using ResultT = EnumerationResult;
   using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
 
   const Program &P;
@@ -761,7 +739,7 @@ template <typename RelT> struct JsCore {
           ++St->StaticPathsPruned;
         continue;
       }
-      BaseT B = buildJsBase<RelT>(P, Space.chosen(Idx));
+      BaseT B = buildJsBase(P, Space.chosen(Idx));
       if (SV)
         B.Allow = buildJsStaticAllow(*SV, B);
       if (!Fn(B))
@@ -786,7 +764,7 @@ template <typename RelT> struct JsCore {
 
   bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
                EngineStats *St) const {
-    return JsJustifier<RelT>(B, Prune, FirstWriter, Visit, Red, St).run();
+    return JsJustifier(B, Prune, FirstWriter, Visit, Red, St).run();
   }
 };
 
@@ -1071,8 +1049,7 @@ struct TargetColumnSpec {
 
 /// The execution of a compiled form with no rf or co chosen yet; fills
 /// \p RegOfEvent with each read's destination register when non-null.
-template <typename RelT>
-BasicTargetExecution<RelT>
+TargetExecution
 targetExecution(const CompiledTarget &CT,
                 std::map<EventId, unsigned> *RegOfEvent = nullptr) {
   std::vector<TargetEvent> Events;
@@ -1106,7 +1083,7 @@ targetExecution(const CompiledTarget &CT,
       ThreadEvents[T].push_back(E.Id);
     }
   }
-  BasicTargetExecution<RelT> X(std::move(Events), CT.NumLocs);
+  TargetExecution X(std::move(Events), CT.NumLocs);
   for (const std::vector<EventId> &Seq : ThreadEvents)
     for (size_t I = 0; I < Seq.size(); ++I)
       for (size_t J = I + 1; J < Seq.size(); ++J)
@@ -1119,12 +1096,12 @@ targetExecution(const CompiledTarget &CT,
 /// walk's numbering and shared by every work item. X, the form's own
 /// execution, is kept only where a caller sees it (witnesses and the
 /// candidate walk) and receives each such leaf through IdOf.
-template <typename RelT> struct TargetColumn {
+struct TargetColumn {
   const TargetModel *M = nullptr;
-  BasicTargetExecution<RelT> X;
+  TargetExecution X;
   /// Walk event id -> this form's event id.
   std::vector<EventId> IdOf;
-  std::shared_ptr<const TargetStatics<RelT>> Statics;
+  std::shared_ptr<const TargetStatics> Statics;
 };
 
 /// The materialised base of a target walk. Target programs are
@@ -1137,12 +1114,11 @@ template <typename RelT> struct TargetColumn {
 /// writers per read, the same po-loc ∪ rf admission and the same
 /// coherence permutations. The walk runs once over that view (X) and
 /// judges each leaf for every column there: the shared axioms read no
-/// fence, and each column's statics were built over the view. Generic
-/// over the relation tier.
-template <typename RelT> struct TargetBase {
-  BasicTargetExecution<RelT> X;
+/// fence, and each column's statics were built over the view.
+struct TargetBase {
+  TargetExecution X;
   /// po-loc of X, the admission's rf-independent half.
-  std::shared_ptr<const RelT> PoLoc;
+  std::shared_ptr<const Relation> PoLoc;
   std::vector<EventId> Reads;
   /// Per read, the writer the walk chose for it.
   std::vector<EventId> WriterOf;
@@ -1150,21 +1126,20 @@ template <typename RelT> struct TargetBase {
   /// [read idx][eligible-writer position] -> allowed flag; empty unless
   /// static pruning is on (see buildTargetStaticAllow).
   std::vector<std::vector<uint8_t>> Allow;
-  std::vector<TargetColumn<RelT>> Cols;
+  std::vector<TargetColumn> Cols;
 };
 
 /// Builds the walk over \p Specs' compiled forms; \p KeepExecs keeps each
 /// form's own execution for syncColumn.
-template <typename RelT>
-TargetBase<RelT> buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
-                                 bool KeepExecs) {
+TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
+                           bool KeepExecs) {
   assert(!Specs.empty() && "a target walk needs a column");
-  TargetBase<RelT> B;
+  TargetBase B;
   std::map<EventId, unsigned> Regs;
   for (const TargetColumnSpec &Spec : Specs) {
-    TargetColumn<RelT> &C = B.Cols.emplace_back();
+    TargetColumn &C = B.Cols.emplace_back();
     C.M = Spec.M;
-    C.X = targetExecution<RelT>(*Spec.CT, B.Cols.size() == 1 ? &Regs
+    C.X = targetExecution(*Spec.CT, B.Cols.size() == 1 ? &Regs
                                                               : nullptr);
     if (B.Cols.size() == 1) {
       B.X = accessView(C.X, C.IdOf);
@@ -1184,12 +1159,12 @@ TargetBase<RelT> buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
             "target columns compiled from different programs");
     }
     if (C.M)
-      C.Statics = std::make_shared<const TargetStatics<RelT>>(
+      C.Statics = std::make_shared<const TargetStatics>(
           targetStatics(C.X, C.M->arch(), &C.IdOf));
     if (!KeepExecs)
-      C.X = BasicTargetExecution<RelT>();
+      C.X = TargetExecution();
   }
-  B.PoLoc = std::make_shared<const RelT>(B.X.poLoc());
+  B.PoLoc = std::make_shared<const Relation>(B.X.poLoc());
   for (const TargetEvent &E : B.X.Events)
     if (E.isRead()) {
       B.RegOfEvent[E.Id] = Regs.at(B.Cols[0].IdOf[E.Id]);
@@ -1201,9 +1176,8 @@ TargetBase<RelT> buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
 
 /// Copies the walk's current rf, read values and coherence orders into
 /// column \p C's execution through its access-id map.
-template <typename RelT>
-void syncColumn(const TargetBase<RelT> &B, TargetColumn<RelT> &C) {
-  C.X.Rf = RelT(C.X.numEvents());
+void syncColumn(const TargetBase &B, TargetColumn &C) {
+  C.X.Rf = Relation(C.X.numEvents());
   for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
     EventId R = C.IdOf[B.Reads[RI]];
     C.X.Rf.set(C.IdOf[B.WriterOf[RI]], R);
@@ -1228,10 +1202,9 @@ void syncColumn(const TargetBase<RelT> &B, TargetColumn<RelT> &C) {
 /// coherence on every backend — targetScPerLocation on five of them, and
 /// ImmLite's COHERENCE axiom (Hb;Eco irreflexive, init first in co)
 /// independently.
-template <typename RelT>
 std::vector<std::vector<uint8_t>>
 buildTargetStaticAllow(const analysis::StaticValues &SV,
-                       const TargetBase<RelT> &B) {
+                       const TargetBase &B) {
   std::vector<std::vector<uint8_t>> Allow(B.Reads.size());
   for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
     const TargetEvent &R = B.X.Events[B.Reads[RI]];
@@ -1258,13 +1231,13 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
 /// sleep sets apply at this tier: value-keyed rf merging is unsound here
 /// because fr and co verdicts depend on the rf writer's identity, not
 /// just the value read.
-template <typename RelT> class TargetJustifier {
+class TargetJustifier {
 public:
-  using VisitFn = std::function<bool(TargetBase<RelT> &, const Outcome &)>;
+  using VisitFn = std::function<bool(TargetBase &, const Outcome &)>;
 
   /// \p St, when non-null, receives the PrunedSubtrees and StaticRfPruned
   /// counts.
-  TargetJustifier(TargetBase<RelT> &B, bool Prune, int FirstWriterOnly,
+  TargetJustifier(TargetBase &B, bool Prune, int FirstWriterOnly,
                   const VisitFn &Visit, EngineStats *St)
       : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
         St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {}
@@ -1348,7 +1321,7 @@ private:
     return Visit(B, O);
   }
 
-  TargetBase<RelT> &B;
+  TargetBase &B;
   bool Prune;
   int FirstWriterOnly;
   const VisitFn &Visit;
@@ -1364,16 +1337,16 @@ private:
 };
 
 /// Per-column results of one target walk, in column order.
-template <typename RelT> struct TargetWalkResult {
-  std::vector<BasicTargetEnumerationResult<RelT>> Cols;
+struct TargetWalkResult {
+  std::vector<TargetEnumerationResult> Cols;
 };
 
 /// The target core of the enumeration driver: one walk for every column.
 /// Target programs are straight-line, so the space has exactly one base.
-template <typename RelT> struct TargetCore {
-  using BaseT = TargetBase<RelT>;
-  using ResultT = TargetWalkResult<RelT>;
-  using VisitFn = typename TargetJustifier<RelT>::VisitFn;
+struct TargetCore {
+  using BaseT = TargetBase;
+  using ResultT = TargetWalkResult;
+  using VisitFn = typename TargetJustifier::VisitFn;
 
   const std::vector<TargetColumnSpec> &Specs;
   bool Prune;
@@ -1385,7 +1358,7 @@ template <typename RelT> struct TargetCore {
   size_t Combos = 1;
 
   template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
-    BaseT B = buildTargetBase<RelT>(Specs, KeepExecs);
+    BaseT B = buildTargetBase(Specs, KeepExecs);
     if (SV)
       B.Allow = buildTargetStaticAllow(*SV, B);
     return Fn(B);
@@ -1403,7 +1376,7 @@ template <typename RelT> struct TargetCore {
 
   bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
                EngineStats *St) const {
-    return TargetJustifier<RelT>(B, Prune, FirstWriter, Visit, St).run();
+    return TargetJustifier(B, Prune, FirstWriter, Visit, St).run();
   }
 };
 
@@ -1416,24 +1389,23 @@ template <typename RelT> struct TargetCore {
 /// SC-per-location for all but ImmLite (whose COHERENCE axiom stands in
 /// for it). Each column then checks only its final axiom, with its
 /// statics.
-template <typename RelT>
-void accumulate(TargetWalkResult<RelT> &Into, const TargetCore<RelT> &Core,
-                TargetBase<RelT> &B, const Outcome &O) {
+void accumulate(TargetWalkResult &Into, const TargetCore &Core,
+                TargetBase &B, const Outcome &O) {
   Into.Cols.resize(B.Cols.size());
   bool Open = false;
-  for (BasicTargetEnumerationResult<RelT> &R : Into.Cols) {
+  for (TargetEnumerationResult &R : Into.Cols) {
     ++R.CandidatesConsidered;
     Open = Open || !R.Allowed.count(O);
   }
   if (!Open)
     return;
-  TargetCandidate<RelT> Leaf(B.X);
+  TargetCandidate Leaf(B.X);
   if (!targetAtomicity(Leaf.Co, Leaf.Fr))
     return;
   std::optional<bool> ScPerLoc;
   for (size_t I = 0; I < B.Cols.size(); ++I) {
-    BasicTargetEnumerationResult<RelT> &R = Into.Cols[I];
-    TargetColumn<RelT> &C = B.Cols[I];
+    TargetEnumerationResult &R = Into.Cols[I];
+    TargetColumn &C = B.Cols[I];
     if (R.Allowed.count(O))
       continue;
     if (C.Statics->Arch != TargetArch::ImmLite) {
@@ -1451,8 +1423,7 @@ void accumulate(TargetWalkResult<RelT> &Into, const TargetCore<RelT> &Core,
   }
 }
 
-template <typename RelT>
-void mergeItem(TargetWalkResult<RelT> &Into, TargetWalkResult<RelT> &Item) {
+void mergeItem(TargetWalkResult &Into, TargetWalkResult &Item) {
   Into.Cols.resize(std::max(Into.Cols.size(), Item.Cols.size()));
   for (size_t I = 0; I < Item.Cols.size(); ++I)
     mergeItem(Into.Cols[I], Item.Cols[I]);
@@ -1467,13 +1438,12 @@ void mergeItem(TargetWalkResult<RelT> &Into, TargetWalkResult<RelT> &Item) {
 /// propagation instead. A Propagate request is never rerouted.
 constexpr unsigned BruteMaxEvents = 256;
 
-/// Picks the relation tier of an enumerateOutcomes door — "inline" up to
-/// 64 events unless \p ForceDyn, else the heap "dyn" tier — and traces
-/// the choice.
-const char *selectTier(const char *Entry, unsigned Events, bool ForceDyn,
-                       SolverKind Kind) {
-  const char *Tier =
-      Events <= Relation::MaxSize && !ForceDyn ? "inline" : "dyn";
+/// Names the relation row width of an enumerateOutcomes walk, for
+/// OutcomeSummary::Tier, and traces it: "inline" up to 64 events (rows of
+/// one word, stored in the relation), "dyn" beyond (rows of several words,
+/// on the heap).
+const char *selectTier(const char *Entry, unsigned Events, SolverKind Kind) {
+  const char *Tier = Events <= 64 ? "inline" : "dyn";
   traceEvent("tier-select", {{"entry", Entry},
                              {"events", static_cast<double>(Events)},
                              {"tier", Tier},
@@ -1571,29 +1541,27 @@ bool ExecutionEngine::forEachCandidate(
     const Program &P,
     const std::function<bool(const CandidateExecution &, const Outcome &)>
         &Visit) const {
-  checkFixedCapacity(P);
-  return walkCore(JsCore<Relation>(P, /*Prune=*/nullptr), nullptr, Visit);
+  checkCapacity(P);
+  return walkCore(JsCore(P, /*Prune=*/nullptr), nullptr, Visit);
 }
 
 bool ExecutionEngine::forEachAdmittedCandidate(
     const Program &P, const JsModel &M,
     const std::function<bool(const CandidateExecution &, const Outcome &)>
         &Visit) const {
-  checkFixedCapacity(P);
+  checkCapacity(P);
   EngineStats Local;
-  bool Completed =
-      walkCore(JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), &Local, Visit);
+  bool Completed = walkCore(JsCore(P, Cfg.Prune ? &M : nullptr), &Local, Visit);
   Stats = Local;
   return Completed;
 }
 
 EnumerationResult ExecutionEngine::enumerate(const Program &P,
                                              const JsModel &M) const {
-  checkFixedCapacity(P);
+  checkCapacity(P);
   EngineStats Local;
-  EnumerationResult R = enumerateCore(
-      JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), M, effectiveThreads(),
-      Local);
+  EnumerationResult R = enumerateCore(JsCore(P, Cfg.Prune ? &M : nullptr), M,
+                                      effectiveThreads(), Local);
   Stats = Local;
   return R;
 }
@@ -1631,30 +1599,24 @@ ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
     return enumerateOutcomes(
         P, JsModel(M.spec(), SolverConfig::propagate()), SV);
   }
-  const char *Tier = selectTier("js", Events, Cfg.ForceDynRelation, Kind);
-  bool SmallTier = std::string_view(Tier) == "inline";
+  const char *Tier = selectTier("js", Events, Kind);
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   // Equivalence-aware enumeration: rf sleep-set keys inside the justifier.
   const ModelSpec *RedP = Cfg.Reduction ? &M.spec() : nullptr;
   const JsModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
-  OutcomeSummary S =
-      SmallTier ? summarize(enumerateCore(
-                      JsCore<Relation>(P, Prune, RedP, SV), M,
-                      effectiveThreads(), Local))
-                : summarize(enumerateCore(
-                      JsCore<DynRelation>(P, Prune, RedP, SV), M,
-                      effectiveThreads(), Local));
+  OutcomeSummary S = summarize(enumerateCore(JsCore(P, Prune, RedP, SV), M,
+                                             effectiveThreads(), Local));
   Stats = Local;
   finishOutcomes({&S, 1}, "js", Tier, Kind, SV, Local);
   return S;
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
-  checkFixedCapacity(P);
+  checkCapacity(P);
   EngineStats Local;
   ScDrfReport Report;
-  walkCore(JsCore<Relation>(P, Cfg.Prune ? &M : nullptr), &Local,
+  walkCore(JsCore(P, Cfg.Prune ? &M : nullptr), &Local,
            [&](const CandidateExecution &CE, const Outcome &O) {
              (void)O;
              if (!M.allows(CE))
@@ -1743,21 +1705,14 @@ targetOutcomes(const ExecutionEngine &E,
       return Out;
     }
   }
-  // One tier for the walk: the heap tier when any form exceeds 64 events.
-  const char *Tier = selectTier("target", Events, Cfg.ForceDynRelation, Kind);
+  const char *Tier = selectTier("target", Events, Kind);
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   EngineStats Local;
-  auto Walk = [&]<typename RelT>(TargetCore<RelT> Core) {
-    TargetWalkResult<RelT> R =
-        enumerateCore(Core, Core, E.effectiveThreads(), Local);
-    R.Cols.resize(Specs.size());
-    for (BasicTargetEnumerationResult<RelT> &C : R.Cols)
-      Out.push_back(summarize(std::move(C)));
-  };
-  if (std::string_view(Tier) == "inline")
-    Walk(TargetCore<Relation>{Specs, Cfg.Prune, SV});
-  else
-    Walk(TargetCore<DynRelation>{Specs, Cfg.Prune, SV});
+  TargetCore Core{Specs, Cfg.Prune, SV};
+  TargetWalkResult R = enumerateCore(Core, Core, E.effectiveThreads(), Local);
+  R.Cols.resize(Specs.size());
+  for (TargetEnumerationResult &C : R.Cols)
+    Out.push_back(summarize(std::move(C)));
   E.Stats = Local;
   finishOutcomes(Out, "target", Tier, Kind, SV, Local);
   return Out;
@@ -1769,12 +1724,12 @@ bool ExecutionEngine::forEachTargetCandidate(
     const CompiledTarget &CT,
     const std::function<bool(const TargetExecution &, const Outcome &)>
         &Visit) const {
-  checkFixedCapacity(CT);
+  checkCapacity(CT);
   std::vector<TargetColumnSpec> Specs = {{&CT, nullptr}};
-  return walkCore(TargetCore<Relation>{Specs, /*Prune=*/false,
-                                       /*SV=*/nullptr, /*KeepExecs=*/true},
+  return walkCore(TargetCore{Specs, /*Prune=*/false, /*SV=*/nullptr,
+                             /*KeepExecs=*/true},
                   nullptr,
-                  [&](TargetBase<Relation> &B, const Outcome &O) {
+                  [&](TargetBase &B, const Outcome &O) {
                     syncColumn(B, B.Cols[0]);
                     return Visit(B.Cols[0].X, O);
                   });
@@ -1783,13 +1738,11 @@ bool ExecutionEngine::forEachTargetCandidate(
 TargetEnumerationResult
 ExecutionEngine::enumerate(const CompiledTarget &CT,
                            const TargetModel &M) const {
-  checkFixedCapacity(CT);
+  checkCapacity(CT);
   std::vector<TargetColumnSpec> Specs = {{&CT, &M}};
-  TargetCore<Relation> Core{Specs, Cfg.Prune, /*SV=*/nullptr,
-                            /*KeepExecs=*/true};
+  TargetCore Core{Specs, Cfg.Prune, /*SV=*/nullptr, /*KeepExecs=*/true};
   EngineStats Local;
-  TargetWalkResult<Relation> R =
-      enumerateCore(Core, Core, effectiveThreads(), Local);
+  TargetWalkResult R = enumerateCore(Core, Core, effectiveThreads(), Local);
   Stats = Local;
   R.Cols.resize(1);
   return std::move(R.Cols[0]);

@@ -60,11 +60,9 @@ struct EngineConfig {
   /// the seed's generate-then-filter behaviour (used as the golden
   /// reference and the benchmark baseline).
   bool Prune = true;
-  /// Route even ≤64-event programs through the heap-backed DynRelation
-  /// tier in the outcome-level entry points. Only for the
-  /// golden-equivalence tests and the `speedup_smallpath_x` benchmark —
-  /// it exists to prove the two tiers agree and to measure what the
-  /// inline fast path buys; never enable it in production configurations.
+  /// Selects nothing: every program runs on the one relation type
+  /// (support/Relation.h). The field keeps its position because
+  /// EngineConfig is filled in positionally elsewhere.
   bool ForceDynRelation = false;
   /// Equivalence-aware enumeration in enumerateOutcomes(Program, JsModel):
   /// rf sleep-set keys skip a writer choice whose every verdict input
@@ -129,18 +127,18 @@ struct EngineStats {
   uint64_t StaticPathsPruned = 0;
 };
 
-/// Capacity-agnostic enumeration result: the allowed outcome set plus the
-/// effort counters, without per-outcome witness executions (whose relation
-/// flavour depends on the tier that served the program). The return type
+/// Witness-free enumeration result: the allowed outcome set plus the
+/// effort counters, without per-outcome witness executions. The return type
 /// of the enumerateOutcomes() entry points, and the column type of the
 /// differential verdict tables.
 struct OutcomeSummary {
   std::vector<Outcome> Allowed; ///< sorted (Outcome's operator<)
   uint64_t CandidatesConsidered = 0;
-  /// Valid (JS) / consistent (target) candidates counted by the tier.
+  /// Valid (JS) / consistent (target) candidates.
   uint64_t ValidCandidates = 0;
-  /// How the program was served: "inline" (≤64 events) or "dyn" (heap
-  /// DynRelation) for the full walk, or "static" when the DRF fast path
+  /// How the program was served: the full walk's relation row width,
+  /// "inline" (≤64 events: one-word rows, stored inline) or "dyn" (rows of
+  /// several words, on the heap), or "static" when the DRF fast path
   /// answered with the SC table. Filled by the enumerateOutcomes() doors.
   std::string Tier;
   /// The tot solver the run dispatched to (a brute request past 256
@@ -163,40 +161,26 @@ public:
 
   // --- Capacity ----------------------------------------------------------
   //
-  // The relation layer has two tiers: the inline single-word Relation
-  // (≤ 64 events, every fast path) and the heap-backed DynRelation
-  // (≤ DynRelation::MaxSize events), which the outcome-level entry points
-  // select automatically per program. capacityError() reports against the
-  // dynamic cap — the largest program the engine can serve at all — with a
-  // "program too large (N events > 1024)" diagnostic naming
-  // DynRelation::MaxSize. The propagation tot solver answers every size
-  // within that cap. The witness-carrying entry points (enumerate / scDrf /
-  // forEach*Candidate) return Relation-typed executions and therefore stay
-  // on the fixed tier; they throw a CapacityError naming the 64-event
-  // bound for larger programs, and enumerateOutcomes() is the size-agnostic
-  // door. Every enumeration
-  // entry point performs its own check and throws CapacityError (a
-  // std::length_error) on failure — in release builds a too-large program
-  // is a loud error, never the silent out-of-range bit-shifts the
-  // debug-only asserts used to allow. Frontends that accept user input
-  // (the litmus parser, jsmm-run, the batch service) call these up front
-  // to turn the condition into a structured error instead of an exception.
+  // Every door serves every program within Relation::MaxSize (1024)
+  // events; the propagation tot solver answers every size within that
+  // cap. capacityError() reports against it with a "program too large (N
+  // events > 1024)" diagnostic. Every enumeration entry point performs its
+  // own check and throws CapacityError (a std::length_error) on failure —
+  // in release builds a too-large program is a loud error, never the
+  // silent out-of-range bit-shifts the debug-only asserts used to allow.
+  // Frontends that accept user input (the litmus parser, jsmm-run, the
+  // batch service) call these up front to turn the condition into a
+  // structured error instead of an exception.
 
-  /// \returns the diagnostic for \p P against the dynamic serving cap
-  /// (DynRelation::MaxSize), or std::nullopt if some tier fits it. The
-  /// ArmProgram overload still checks the fixed 64-event tier: the
-  /// mixed-size ARMv8 model has no dynamic backend yet (see ROADMAP). The
-  /// UniProgram overload bounds uniAllowedOutcomes, the uni-js reference.
+  /// \returns the diagnostic for \p P against Relation::MaxSize, or
+  /// std::nullopt if the engine can serve it. The ArmProgram overload
+  /// checks the mixed-size ARMv8 model's own cap (ArmMaxEvents, 64 events).
+  /// The UniProgram overload bounds uniAllowedOutcomes, the uni-js
+  /// reference.
   static std::optional<std::string> capacityError(const Program &P);
   static std::optional<std::string> capacityError(const ArmProgram &P);
   static std::optional<std::string> capacityError(const CompiledTarget &CT);
   static std::optional<std::string> capacityError(const UniProgram &P);
-
-  /// \returns the fixed-tier (64-event) diagnostic for \p P, or
-  /// std::nullopt if the witness-carrying entry points can serve it.
-  static std::optional<std::string> fixedCapacityError(const Program &P);
-  static std::optional<std::string>
-  fixedCapacityError(const CompiledTarget &CT);
 
   // --- JavaScript frontend -----------------------------------------------
 
@@ -208,12 +192,10 @@ public:
   /// item rather than global.
   EnumerationResult enumerate(const Program &P, const JsModel &M) const;
 
-  /// Outcome-level enumeration for either capacity tier: the allowed
-  /// outcome set (sorted), without witnesses. Identical outcomes and
-  /// counters to enumerate() on ≤64-event programs (it is the same
-  /// templated core, instantiated on Relation there and on DynRelation for
-  /// larger programs). Throws CapacityError only past
-  /// DynRelation::MaxSize events. Under EngineConfig::StaticFastPath the
+  /// Outcome-level enumeration: the allowed outcome set (sorted), without
+  /// witnesses. Without the static tier, identical outcomes and counters
+  /// to enumerate() (it is the same core). Throws CapacityError past
+  /// Relation::MaxSize events. Under EngineConfig::StaticFastPath the
   /// static tier reads \p SV, which must be analysis::analyzeValues(P);
   /// with \p SV null the door computes that analysis itself. Without
   /// StaticFastPath \p SV is ignored.
@@ -290,7 +272,7 @@ public:
   TargetEnumerationResult enumerate(const CompiledTarget &CT,
                                     const TargetModel &M) const;
 
-  /// Outcome-level target enumeration for either capacity tier; see the
+  /// Outcome-level target enumeration; see the
   /// JavaScript enumerateOutcomes overload for the contract. Under
   /// EngineConfig::StaticFastPath the static tier reads \p Source, the
   /// analysis::analyzeValues of the litmus program \p CT was compiled
@@ -310,10 +292,9 @@ public:
   /// summary per form in order. Each summary equals the single-column
   /// door's on that form: outcomes, CandidatesConsidered and
   /// ValidCandidates; Stats holds the one walk's counters, which every
-  /// column shares. The walk takes the heap tier when any form exceeds 64
-  /// events. Throws std::invalid_argument when the forms come from
-  /// different programs, and CapacityError when one exceeds the dynamic
-  /// cap (callers drop such a form first).
+  /// column shares. Throws std::invalid_argument when the forms come from
+  /// different programs, and CapacityError when one exceeds
+  /// Relation::MaxSize (callers drop such a form first).
   std::vector<OutcomeSummary>
   enumerateOutcomes(const std::vector<CompiledTarget> &CTs,
                     const analysis::StaticValues *Source = nullptr) const;

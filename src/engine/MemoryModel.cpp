@@ -9,12 +9,8 @@
 
 using namespace jsmm;
 
-namespace {
-
-template <typename RelT>
-bool admitsPartialImpl(const BasicCandidateExecution<RelT> &CE,
-                       const ModelSpec &Spec) {
-  const BasicDerivedTriple<RelT> &D = CE.derived(Spec.Sw);
+bool JsModel::admitsPartial(const CandidateExecution &CE) const {
+  const DerivedTriple &D = CE.derived(Spec.Sw);
   // checkTearFreeReads and the hb-consistency checks see only the rf edges
   // of reads justified so far; unjustified reads have empty rf columns and
   // cannot fail them yet.
@@ -25,51 +21,23 @@ bool admitsPartialImpl(const BasicCandidateExecution<RelT> &CE,
   return D.Hb.isIrreflexive();
 }
 
-template <typename RelT>
-bool refutableForSomeTotImpl(const BasicCandidateExecution<RelT> &CE,
-                             RelT *TotOut, const ModelSpec &Spec,
-                             const SolverConfig &Solver) {
-  const BasicDerivedTriple<RelT> &D = CE.derived(Spec.Sw);
-  if (!D.Hb.isIrreflexive())
-    return false; // no well-formed tot exists at all (hb is closed)
-  if (!checkTotIndependentAxioms(CE, D, Spec)) {
-    if (TotOut)
-      *TotOut = totalOrderOver<RelT>(
-          lexSmallestExtension<RelT>(D.Hb, CE.allEventsMask()),
-          CE.numEvents());
-    return true;
-  }
-  BasicTotProblem<RelT> P = scAtomicsProblem(CE, D, Spec.Sc);
-  return totSolver(Solver).existsViolatingExtension(P, TotOut);
-}
-
-} // namespace
-
-bool JsModel::admitsPartial(const CandidateExecution &CE) const {
-  return admitsPartialImpl(CE, Spec);
-}
-
-bool JsModel::admitsPartial(const DynCandidateExecution &CE) const {
-  return admitsPartialImpl(CE, Spec);
-}
-
 bool JsModel::allows(const CandidateExecution &CE, Relation *TotOut) const {
-  return isValidForSomeTot(CE, Spec, TotOut, totSolver(Solver));
-}
-
-bool JsModel::allows(const DynCandidateExecution &CE,
-                     DynRelation *TotOut) const {
   return isValidForSomeTot(CE, Spec, TotOut, totSolver(Solver));
 }
 
 bool JsModel::refutableForSomeTot(const CandidateExecution &CE,
                                   Relation *TotOut) const {
-  return refutableForSomeTotImpl(CE, TotOut, Spec, Solver);
-}
-
-bool JsModel::refutableForSomeTot(const DynCandidateExecution &CE,
-                                  DynRelation *TotOut) const {
-  return refutableForSomeTotImpl(CE, TotOut, Spec, Solver);
+  const DerivedTriple &D = CE.derived(Spec.Sw);
+  if (!D.Hb.isIrreflexive())
+    return false; // no well-formed tot exists at all (hb is closed)
+  if (!checkTotIndependentAxioms(CE, D, Spec)) {
+    if (TotOut)
+      *TotOut = totalOrderOver(lexSmallestExtension(D.Hb, CE.allEventsMask()),
+                               CE.numEvents());
+    return true;
+  }
+  TotProblem P = scAtomicsProblem(CE, D, Spec.Sc);
+  return totSolver(Solver).existsViolatingExtension(P, TotOut);
 }
 
 bool Armv8Model::allows(const ArmExecution &X) const {

@@ -58,23 +58,17 @@ public:
   /// (HBC2, HBC3, Tear-Free Reads) fail on the prefix, or the prefix hb is
   /// already cyclic (HBC1 requires tot ⊇ hb). Sound because rf, sw and hb
   /// only grow as later reads are justified and a completed read's rf
-  /// edges are final. The Dyn overloads answer the same questions for the
-  /// dynamic-universe tier the engine uses beyond 64 events.
+  /// edges are final.
   bool admitsPartial(const CandidateExecution &CE) const;
-  bool admitsPartial(const DynCandidateExecution &CE) const;
 
   /// Full validity: some strict total order makes \p CE valid. Fills
   /// \p TotOut with the witness when non-null.
   bool allows(const CandidateExecution &CE, Relation *TotOut = nullptr) const;
-  bool allows(const DynCandidateExecution &CE,
-              DynRelation *TotOut = nullptr) const;
 
   /// The dual the counter-example search needs: some tot makes \p CE
   /// *invalid*. Fills \p TotOut with the refuting order when non-null.
   bool refutableForSomeTot(const CandidateExecution &CE,
                            Relation *TotOut = nullptr) const;
-  bool refutableForSomeTot(const DynCandidateExecution &CE,
-                           DynRelation *TotOut = nullptr) const;
 
 private:
   ModelSpec Spec;

@@ -26,10 +26,6 @@ bool TargetModel::allows(const TargetExecution &X) const {
   return isTargetConsistent(X, Arch);
 }
 
-bool TargetModel::allows(const DynTargetExecution &X) const {
-  return isTargetConsistent(X, Arch);
-}
-
 const std::vector<TargetModel> &TargetModel::all() {
   static const std::vector<TargetModel> Models = {
       TargetModel(TargetArch::X86),   TargetModel(TargetArch::ArmV8),

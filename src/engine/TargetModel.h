@@ -39,11 +39,8 @@ public:
   const char *name() const override;
 
   /// Consistency of a complete execution (rf and co chosen): dispatches to
-  /// the architecture's axiomatic predicate. The Dyn overload serves the
-  /// dynamic-universe tier (compiled programs beyond 64 events) through
-  /// the same templated model definitions.
+  /// the architecture's axiomatic predicate.
   bool allows(const TargetExecution &X) const;
-  bool allows(const DynTargetExecution &X) const;
 
   /// All six target backends, in TargetArch declaration order.
   static const std::vector<TargetModel> &all();
@@ -54,11 +51,10 @@ private:
   TargetArch Arch;
 };
 
-/// Results of enumerating a compiled program under a target backend,
-/// generic over the relation flavour of the witnesses.
-template <typename RelT> struct BasicTargetEnumerationResult {
+/// Results of enumerating a compiled program under a target backend.
+struct TargetEnumerationResult {
   /// Allowed outcomes, each with one witnessing consistent execution.
-  std::map<Outcome, BasicTargetExecution<RelT>> Allowed;
+  std::map<Outcome, TargetExecution> Allowed;
   uint64_t CandidatesConsidered = 0;
   uint64_t ConsistentCandidates = 0;
 
@@ -72,9 +68,6 @@ template <typename RelT> struct BasicTargetEnumerationResult {
     return Out;
   }
 };
-
-using TargetEnumerationResult = BasicTargetEnumerationResult<Relation>;
-using DynTargetEnumerationResult = BasicTargetEnumerationResult<DynRelation>;
 
 } // namespace jsmm
 

@@ -28,11 +28,10 @@
 
 namespace jsmm {
 
-/// Statistics and results of enumerating a program's executions, generic
-/// over the relation flavour of the witnesses.
-template <typename RelT> struct BasicEnumerationResult {
+/// Statistics and results of enumerating a program's executions.
+struct EnumerationResult {
   /// Allowed outcomes, each with one witnessing valid execution (with tot).
-  std::map<Outcome, BasicCandidateExecution<RelT>> Allowed;
+  std::map<Outcome, CandidateExecution> Allowed;
   uint64_t CandidatesConsidered = 0;
   uint64_t ValidCandidates = 0;
 
@@ -47,9 +46,6 @@ template <typename RelT> struct BasicEnumerationResult {
     return Out;
   }
 };
-
-using EnumerationResult = BasicEnumerationResult<Relation>;
-using DynEnumerationResult = BasicEnumerationResult<DynRelation>;
 
 /// Enumerates the allowed outcomes of \p P under \p Spec.
 EnumerationResult enumerateOutcomes(const Program &P, ModelSpec Spec);

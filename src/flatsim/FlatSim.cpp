@@ -46,7 +46,7 @@ Relation jsmm::flatPreservedOrder(const ArmExecution &X) {
       // isb: orders dependency-resolved program state; with the ctrl/addr
       // rules below this yields the ctrl+isb → R guarantee.
       if (Eb.Kind == ArmKind::Isb && Ea.isRead() &&
-          (X.CtrlDep.row(A) != 0 || X.AddrDep.row(A) != 0))
+          (bits::any(X.CtrlDep.row(A)) || bits::any(X.AddrDep.row(A))))
         Order.set(A, B);
       if (Ea.Kind == ArmKind::Isb && Eb.isRead())
         Order.set(A, B);
@@ -98,12 +98,12 @@ private:
     EventId Writer = 0;
   };
 
-  bool recurse(uint64_t Committed) {
+  bool recurse(const BitSet &Committed) {
     if (Committed == X.allEventsMask())
       return emit();
+    BitSet Uncommitted = ~Committed;
     for (unsigned E = 0; E < X.numEvents(); ++E) {
-      uint64_t Bit = uint64_t(1) << E;
-      if ((Committed & Bit) || (Preds[E] & ~Committed))
+      if (!bits::test(Uncommitted, E) || bits::any(Preds[E] & Uncommitted))
         continue;
       if (!commit(E, Committed))
         return false;
@@ -113,7 +113,8 @@ private:
 
   /// Attempts to commit event \p E; recurses on success. \returns false
   /// only if the visitor stopped the enumeration.
-  bool commit(unsigned Id, uint64_t Committed) {
+  bool commit(unsigned Id, BitSet Committed) {
+    bits::set(Committed, Id);
     ArmEvent &E = X.Events[Id];
     if (E.isRead()) {
       // Read the current memory; prune against path constraints.
@@ -130,7 +131,7 @@ private:
         return true; // wrong speculation; squash this branch
       for (const RbfEdge &A : Added)
         X.Rbf.push_back(A);
-      bool Continue = recurse(Committed | (uint64_t(1) << Id));
+      bool Continue = recurse(Committed);
       X.Rbf.resize(X.Rbf.size() - Added.size());
       return Continue;
     }
@@ -173,7 +174,7 @@ private:
           X.Co[G].Order.push_back(Id);
           Appended.push_back(G);
         }
-      bool Continue = recurse(Committed | (uint64_t(1) << Id));
+      bool Continue = recurse(Committed);
       for (size_t G : Appended)
         X.Co[G].Order.pop_back();
       for (auto It = Undo.rbegin(); It != Undo.rend(); ++It)
@@ -181,7 +182,7 @@ private:
       return Continue;
     }
     // Fence: no memory effect.
-    return recurse(Committed | (uint64_t(1) << Id));
+    return recurse(Committed);
   }
 
   bool emit() {
@@ -210,9 +211,9 @@ private:
   const std::function<bool(const ArmExecution &, const Outcome &)> &Visit;
   std::set<std::string> &Seen;
   Relation Preserved;
-  std::vector<uint64_t> Preds;
+  std::vector<BitSet> Preds;
   std::map<std::pair<unsigned, unsigned>, Cell> Memory;
-  uint64_t InitMask = 0;
+  BitSet InitMask;
 };
 
 } // namespace

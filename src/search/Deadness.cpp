@@ -46,7 +46,7 @@ bool jsmm::existsSyntacticallyDeadTot(const CandidateExecution &CE,
   if (!checkTotIndependentAxioms(CE, D, Spec)) {
     if (D.Hb.isIrreflexive()) {
       if (TotOut)
-        *TotOut = totalOrderFromSequence(
+        *TotOut = totalOrderOver(
             lexSmallestExtension(D.Hb, CE.allEventsMask()), CE.numEvents());
       return true;
     }

@@ -127,7 +127,7 @@ VerdictColumn engineColumn(const OutcomeSummary &S, const ExecutionEngine &E) {
 
 /// The target columns \p Bs of one program. Each applies when the program
 /// is in the uni-size fragment and its compiled form is within
-/// DynRelation::MaxSize events; given an engine, the applicable ones come
+/// Relation::MaxSize events; given an engine, the applicable ones come
 /// from one joint walk (ExecutionEngine::enumerateOutcomes over their
 /// compiled forms), each reporting the walk's pruning as its own.
 std::vector<VerdictColumn>
@@ -164,7 +164,7 @@ targetColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
 
 /// The one column path. Decides whether \p B applies to the program —
 /// armv8 needs zero init and a compiled form within 64 events, uni-js and
-/// the targets the uni-size fragment within DynRelation::MaxSize events, a
+/// the targets the uni-size fragment within Relation::MaxSize events, a
 /// target also a compiled form within that cap — and, given an engine,
 /// computes the column. With \p E null only applicability is decided (an
 /// empty Ok column means it applies), as the DRF shortcut needs.
@@ -400,13 +400,14 @@ LitmusService::computeResult(const LitmusJob &Job,
     F.Error = std::move(Error);
     return F;
   };
-  ExecutionEngine Engine(EngineConfig{Job.Threads, true,
-                                      /*ForceDynRelation=*/false,
-                                      /*Reduction=*/Job.Reduce,
-                                      /*StaticFastPath=*/Job.Static});
+  EngineConfig Cfg;
+  Cfg.Threads = Job.Threads;
+  Cfg.Reduction = Job.Reduce;
+  Cfg.StaticFastPath = Job.Static;
+  ExecutionEngine Engine(Cfg);
   try {
-    // The parser already rejects source programs beyond the dynamic cap
-    // (DynRelation::MaxSize); compiled forms can still exceed it (schemes
+    // The parser already rejects source programs beyond the relation cap
+    // (Relation::MaxSize); compiled forms can still exceed it (schemes
     // insert fences), which column() reports per backend.
     if (std::optional<std::string> Cap =
             ExecutionEngine::capacityError(File->P)) {

@@ -18,10 +18,8 @@
 /// Every job result carries a structured status:
 ///
 ///   - ok          the job ran and produced verdicts;
-///   - too-large   the program's event universe exceeds the dynamic
-///                 relation cap (DynRelation::MaxSize events; programs
-///                 between 65 and that cap are served through the
-///                 heap-backed tier and return ok with real verdicts);
+///   - too-large   the program's event universe exceeds the relation cap
+///                 (Relation::MaxSize events);
 ///   - parse-error the litmus text did not parse ("line N: ..." message);
 ///   - unsupported the backend is unknown, or requires the uni-size
 ///                 fragment the program is not in.

@@ -3,57 +3,37 @@
 /// \file
 /// A transitively closed strict partial order with O(1) entailment probes
 /// and incremental closure on edge insertion, the must-order of the
-/// constraint-propagation search (solver/PropagationSolver.cpp). Succ/Pred
-/// storage is the relation flavour's SetArray: a fixed inline array on
-/// the fast tier, a vector of heap sets on the dynamic tier. init() fills
-/// Succ from the rows of the closed must-order and Pred from the rows of
-/// its one inverse, so no column is read.
+/// constraint-propagation search (solver/PropagationSolver.cpp). It keeps
+/// the closed order twice, as successor rows (Succ) and as predecessor
+/// rows (Pred, its inverse), so an insertion updates whole rows and no
+/// column is read.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_SOLVER_CLOSEDORDER_H
 #define JSMM_SOLVER_CLOSEDORDER_H
 
-#include "support/DynRelation.h"
 #include "support/Relation.h"
-
-#include <type_traits>
-#include <vector>
 
 namespace jsmm {
 
 /// Transitively closed order with O(1) entailment probes and incremental
 /// closure on edge insertion.
-template <typename RelT> struct ClosedOrder {
-  using SetT = typename RelT::SetT;
-
-  typename RelT::SetArray Succ; ///< Succ[A]: everything after A
-  typename RelT::SetArray Pred; ///< Pred[B]: everything before B
-  unsigned N = 0;
+struct ClosedOrder {
+  Relation Succ; ///< row A: everything after A
+  Relation Pred; ///< row B: everything before B
 
   /// Initializes from \p Must restricted to \p Universe.
   /// \returns false if the restriction is cyclic.
-  bool init(const RelT &Must, const SetT &Universe) {
-    N = Must.size();
-    if constexpr (std::is_same_v<typename RelT::SetArray,
-                                 std::vector<SetT>>) {
-      Succ.assign(N, RelT::emptySet(N));
-      Pred.assign(N, RelT::emptySet(N));
-    }
-    RelT Closed = Must.restricted(Universe, Universe).transitiveClosure();
-    if (!Closed.isIrreflexive())
+  bool init(const Relation &Must, const BitSet &Universe) {
+    Succ = Must.restricted(Universe, Universe).transitiveClosure();
+    if (!Succ.isIrreflexive())
       return false;
-    RelT Before = Closed.inverse();
-    for (unsigned A = 0; A < N; ++A) {
-      Succ[A] = Closed.row(A);
-      Pred[A] = Before.row(A);
-    }
+    Pred = Succ.inverse();
     return true;
   }
 
-  bool entails(unsigned A, unsigned B) const {
-    return bits::test(Succ[A], B);
-  }
+  bool entails(unsigned A, unsigned B) const { return Succ.get(A, B); }
 
   /// Adds A -> B and recloses. \returns false on a cycle (B already
   /// ordered before A, or A == B); the state is unchanged in that case.
@@ -62,21 +42,16 @@ template <typename RelT> struct ClosedOrder {
       return false;
     if (entails(A, B))
       return true;
-    SetT Before = Pred[A];
+    BitSet Before = Pred.row(A);
     bits::set(Before, A);
-    SetT After = Succ[B];
+    BitSet After = Succ.row(B);
     bits::set(After, B);
-    bits::forEach(Before, [&](unsigned E) { Succ[E] |= After; });
-    bits::forEach(After, [&](unsigned E) { Pred[E] |= Before; });
+    bits::forEach(Before, [&](unsigned E) { Succ.uniteRow(E, After); });
+    bits::forEach(After, [&](unsigned E) { Pred.uniteRow(E, Before); });
     return true;
   }
 
-  RelT toRelation() const {
-    RelT R(N);
-    for (unsigned A = 0; A < N; ++A)
-      bits::forEach(Succ[A], [&](unsigned B) { R.set(A, B); });
-    return R;
-  }
+  const Relation &toRelation() const { return Succ; }
 };
 
 } // namespace jsmm

@@ -17,8 +17,7 @@
 ///     is a conflict that fails the whole branch at once;
 ///   - propagation runs to fixpoint; only constraints still genuinely
 ///     unconstrained afterwards trigger a two-way branch, with the solver
-///     state (1 KiB of bit sets on the fast tier) trailed and restored on
-///     backtrack.
+///     state (two relations: 1 KiB at 64 events) copied per branch.
 ///
 /// When every constraint is discharged the closed must-order is acyclic
 /// and every one of its linear extensions avoids every constraint, so the
@@ -27,11 +26,6 @@
 /// given problem (it may differ from the brute-force oracle's witness,
 /// which is the lex-smallest satisfying extension of the *original*
 /// must-order; both validate, and each solver is self-consistent).
-///
-/// The search is templated over the relation flavour: the ≤64-event tier
-/// keeps its inline single-word bit sets and codegen, the dynamic tier
-/// (DynRelation, up to DynRelation::MaxSize events) runs the identical
-/// algorithm over heap-backed sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,13 +41,13 @@ namespace {
 /// The backtracking search over constraint branches. \p Act, when
 /// non-null, counts branch openings and unit-propagated edges for the
 /// observability layer (solver/TotSolver.h SolverQueryScope).
-template <typename RelT> class Search {
+class Search {
 public:
-  Search(const BasicTotProblem<RelT> &P, SolverActivity *Act = nullptr)
+  Search(const TotProblem &P, SolverActivity *Act = nullptr)
       : P(P), Act(Act) {}
 
-  bool run(RelT *TotOut) {
-    ClosedOrder<RelT> Order;
+  bool run(Relation *TotOut) {
+    ClosedOrder Order;
     if (!Order.init(P.Must, P.Universe))
       return false;
     std::vector<uint32_t> Active(P.Forbidden.size());
@@ -62,15 +56,15 @@ public:
     if (!solve(Order, std::move(Active)))
       return false;
     if (TotOut)
-      *TotOut = totalOrderOver<RelT>(
-          lexSmallestExtension<RelT>(Witness.toRelation(), P.Universe), P.N);
+      *TotOut = totalOrderOver(
+          lexSmallestExtension(Witness.toRelation(), P.Universe), P.N);
     return true;
   }
 
 private:
   /// Propagates to fixpoint, then branches on the first surviving
   /// constraint. \p Active is owned by this frame (branches copy it).
-  bool solve(ClosedOrder<RelT> Order, std::vector<uint32_t> Active) {
+  bool solve(ClosedOrder Order, std::vector<uint32_t> Active) {
     // Unit propagation to fixpoint: discharge entailed constraints, force
     // the surviving disjunct of half-dead ones, fail on fully dead ones.
     bool Changed = true;
@@ -116,66 +110,45 @@ private:
     if (Act)
       ++Act->PropagateBranches;
     {
-      ClosedOrder<RelT> Try = Order;
+      ClosedOrder Try = Order;
       if (Try.addEdge(C.Mid, C.Lo) && solve(Try, Active))
         return true;
     }
-    ClosedOrder<RelT> Try = Order;
+    ClosedOrder Try = Order;
     return Try.addEdge(C.Hi, C.Mid) && solve(std::move(Try),
                                              std::move(Active));
   }
 
-  const BasicTotProblem<RelT> &P;
+  const TotProblem &P;
   SolverActivity *Act;
-  ClosedOrder<RelT> Witness;
+  ClosedOrder Witness;
 };
-
-template <typename RelT>
-bool propagateExistsExtension(const BasicTotProblem<RelT> &P, RelT *TotOut) {
-  SolverQueryScope Scope(SolverKind::Propagate);
-  Search<RelT> S(P, Scope.activity());
-  return S.run(TotOut);
-}
-
-template <typename RelT>
-bool propagateExistsViolatingExtension(const BasicTotProblem<RelT> &P,
-                                       RelT *TotOut) {
-  SolverQueryScope Scope(SolverKind::Propagate);
-  ClosedOrder<RelT> Base;
-  if (!Base.init(P.Must, P.Universe))
-    return false; // no well-formed tot at all
-  // A single realized constraint suffices: try each in order (stable
-  // choice), checking that Lo < Mid < Hi is compatible with the must-order.
-  for (const TotConstraint &C : P.Forbidden) {
-    ClosedOrder<RelT> Try = Base;
-    if (!Try.addEdge(C.Lo, C.Mid) || !Try.addEdge(C.Mid, C.Hi))
-      continue;
-    if (TotOut)
-      *TotOut = totalOrderOver<RelT>(
-          lexSmallestExtension<RelT>(Try.toRelation(), P.Universe), P.N);
-    return true;
-  }
-  return false;
-}
 
 } // namespace
 
 bool PropagationSolver::existsExtension(const TotProblem &P,
                                         Relation *TotOut) const {
-  return propagateExistsExtension(P, TotOut);
-}
-
-bool PropagationSolver::existsExtension(const DynTotProblem &P,
-                                        DynRelation *TotOut) const {
-  return propagateExistsExtension(P, TotOut);
+  SolverQueryScope Scope(SolverKind::Propagate);
+  Search S(P, Scope.activity());
+  return S.run(TotOut);
 }
 
 bool PropagationSolver::existsViolatingExtension(const TotProblem &P,
                                                  Relation *TotOut) const {
-  return propagateExistsViolatingExtension(P, TotOut);
-}
-
-bool PropagationSolver::existsViolatingExtension(const DynTotProblem &P,
-                                                 DynRelation *TotOut) const {
-  return propagateExistsViolatingExtension(P, TotOut);
+  SolverQueryScope Scope(SolverKind::Propagate);
+  ClosedOrder Base;
+  if (!Base.init(P.Must, P.Universe))
+    return false; // no well-formed tot at all
+  // A single realized constraint suffices: try each in order (stable
+  // choice), checking that Lo < Mid < Hi is compatible with the must-order.
+  for (const TotConstraint &C : P.Forbidden) {
+    ClosedOrder Try = Base;
+    if (!Try.addEdge(C.Lo, C.Mid) || !Try.addEdge(C.Mid, C.Hi))
+      continue;
+    if (TotOut)
+      *TotOut = totalOrderOver(
+          lexSmallestExtension(Try.toRelation(), P.Universe), P.N);
+    return true;
+  }
+  return false;
 }

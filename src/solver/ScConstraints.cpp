@@ -9,11 +9,9 @@ namespace {
 /// First/second attempt rule (Fig. 4 / §3.1): for a synchronizes-with pair
 /// <W,R>, no write with rangew = ranger(R) (SeqCst only for the second
 /// attempt) may be strictly tot-between W and R.
-template <typename RelT>
-void attemptConstraints(const BasicCandidateExecution<RelT> &CE,
-                        const BasicDerivedTriple<RelT> &D,
+void attemptConstraints(const CandidateExecution &CE, const DerivedTriple &D,
                         bool InterveningMustBeSeqCst,
-                        BasicTotProblem<RelT> &P) {
+                        TotProblem &P) {
   D.Sw.forEachPair([&](unsigned W, unsigned R) {
     const Event &Er = CE.Events[R];
     for (const Event &Ec : CE.Events) {
@@ -30,10 +28,8 @@ void attemptConstraints(const BasicCandidateExecution<RelT> &CE,
 
 /// The final rule of Fig. 10: for an rf pair <W,R> with hb(W,R), no SeqCst
 /// event satisfying one of the three disjuncts may be strictly tot-between.
-template <typename RelT>
-void finalConstraints(const BasicCandidateExecution<RelT> &CE,
-                      const BasicDerivedTriple<RelT> &D,
-                      BasicTotProblem<RelT> &P) {
+void finalConstraints(const CandidateExecution &CE, const DerivedTriple &D,
+                      TotProblem &P) {
   D.Rf.forEachPair([&](unsigned W, unsigned R) {
     if (!D.Hb.get(W, R))
       return;
@@ -56,11 +52,10 @@ void finalConstraints(const BasicCandidateExecution<RelT> &CE,
 
 } // namespace
 
-template <typename RelT>
-BasicTotProblem<RelT>
-jsmm::scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
-                       const BasicDerivedTriple<RelT> &D, ScRuleKind Rule) {
-  BasicTotProblem<RelT> P;
+TotProblem
+jsmm::scAtomicsProblem(const CandidateExecution &CE,
+                       const DerivedTriple &D, ScRuleKind Rule) {
+  TotProblem P;
   P.N = CE.numEvents();
   P.Universe = CE.allEventsMask();
   P.Must = D.Hb;
@@ -77,15 +72,6 @@ jsmm::scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
   }
   return P;
 }
-
-template jsmm::BasicTotProblem<jsmm::Relation>
-jsmm::scAtomicsProblem<jsmm::Relation>(
-    const BasicCandidateExecution<Relation> &, const DerivedTriple &,
-    ScRuleKind);
-template jsmm::BasicTotProblem<jsmm::DynRelation>
-jsmm::scAtomicsProblem<jsmm::DynRelation>(
-    const BasicCandidateExecution<DynRelation> &,
-    const BasicDerivedTriple<DynRelation> &, ScRuleKind);
 
 void jsmm::addSyntacticDeadnessEdges(const CandidateExecution &CE,
                                      const Relation &Hb, TotProblem &P) {

@@ -8,8 +8,7 @@
 /// events strictly tot-between a write/read pair, and every side condition
 /// of the class (ranges, modes, membership in rf/sw/hb) is
 /// tot-independent, so the violation candidates can be enumerated once per
-/// candidate execution and handed to any TotSolver. Generic over the
-/// relation flavour of the candidate execution.
+/// candidate execution and handed to any TotSolver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +25,9 @@ namespace jsmm {
 /// Forbidden constraint per potential violation triple <writer,
 /// intervening, reader>. \p D must be CE's derived triple under the
 /// model's sw definition.
-template <typename RelT>
-BasicTotProblem<RelT> scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
-                                       const BasicDerivedTriple<RelT> &D,
-                                       ScRuleKind Rule);
+TotProblem scAtomicsProblem(const CandidateExecution &CE,
+                            const DerivedTriple &D,
+                            ScRuleKind Rule);
 
 /// Adds the syntactic-deadness forcing edges of Wickerson-style deadness
 /// (§5.2) to \p P.Must: for every ordered event pair <A,B> matching a

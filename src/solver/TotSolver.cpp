@@ -88,16 +88,13 @@ SolverQueryScope::~SolverQueryScope() {
               .count()));
 }
 
-template <typename RelT>
 std::vector<unsigned>
-jsmm::lexSmallestExtension(const RelT &Must,
-                           const typename RelT::SetT &Universe) {
+jsmm::lexSmallestExtension(const Relation &Must, const BitSet &Universe) {
   // Kahn's algorithm: Unplaced[E] counts E's strict predecessors inside
   // Universe not yet placed, and Ready holds the unplaced elements whose
   // count is zero. Placing the smallest ready index first is the stable
   // tie-break, so this is the order a rescan for the smallest element
   // without unplaced predecessors would pick, in O(pairs + n·n/64).
-  using SetT = typename RelT::SetT;
   const unsigned N = Must.size();
   std::vector<unsigned> Unplaced(N, 0);
   bits::forEach(Universe, [&](unsigned A) {
@@ -105,7 +102,7 @@ jsmm::lexSmallestExtension(const RelT &Must,
       Unplaced[B] += B != A;
     });
   });
-  SetT Ready = RelT::emptySet(N);
+  BitSet Ready = Relation::emptySet(N);
   bits::forEach(Universe, [&](unsigned E) {
     if (!Unplaced[E])
       bits::set(Ready, E);
@@ -130,11 +127,6 @@ jsmm::lexSmallestExtension(const RelT &Must,
   return Order;
 }
 
-template std::vector<unsigned>
-jsmm::lexSmallestExtension<Relation>(const Relation &, const uint64_t &);
-template std::vector<unsigned>
-jsmm::lexSmallestExtension<DynRelation>(const DynRelation &, const DynSet &);
-
 //===----------------------------------------------------------------------===//
 // BruteForceSolver
 //===----------------------------------------------------------------------===//
@@ -145,8 +137,7 @@ namespace {
 /// Forbidden constraint (as its Hi endpoint) in realized order. Realized
 /// prefixes stay realized under every completion, so existsExtension may
 /// prune the subtree.
-template <typename RelT>
-bool prefixRealizesConstraint(const BasicTotProblem<RelT> &P,
+bool prefixRealizesConstraint(const TotProblem &P,
                               const std::vector<unsigned> &Seq) {
   if (Seq.empty())
     return false;
@@ -168,17 +159,19 @@ bool prefixRealizesConstraint(const BasicTotProblem<RelT> &P,
   return false;
 }
 
-template <typename RelT>
-bool bruteExistsExtension(const BasicTotProblem<RelT> &P, RelT *TotOut) {
+} // namespace
+
+bool BruteForceSolver::existsExtension(const TotProblem &P,
+                                       Relation *TotOut) const {
   SolverQueryScope Scope(SolverKind::Brute);
   SolverActivity *A = Scope.activity();
   bool Found = false;
-  forEachLinearExtension<RelT>(
+  forEachLinearExtension(
       P.Must, P.Universe,
       [&](const std::vector<unsigned> &Seq) {
         if (A)
           ++A->BruteExtensions;
-        RelT Tot = totalOrderOver<RelT>(Seq, P.N);
+        Relation Tot = totalOrderOver(Seq, P.N);
         if (!P.violates(Tot)) {
           Found = true;
           if (TotOut)
@@ -193,17 +186,16 @@ bool bruteExistsExtension(const BasicTotProblem<RelT> &P, RelT *TotOut) {
   return Found;
 }
 
-template <typename RelT>
-bool bruteExistsViolatingExtension(const BasicTotProblem<RelT> &P,
-                                   RelT *TotOut) {
+bool BruteForceSolver::existsViolatingExtension(const TotProblem &P,
+                                                Relation *TotOut) const {
   SolverQueryScope Scope(SolverKind::Brute);
   SolverActivity *A = Scope.activity();
   bool Found = false;
-  forEachLinearExtension<RelT>(
+  forEachLinearExtension(
       P.Must, P.Universe, [&](const std::vector<unsigned> &Seq) {
         if (A)
           ++A->BruteExtensions;
-        RelT Tot = totalOrderOver<RelT>(Seq, P.N);
+        Relation Tot = totalOrderOver(Seq, P.N);
         if (P.violates(Tot)) {
           Found = true;
           if (TotOut)
@@ -213,28 +205,6 @@ bool bruteExistsViolatingExtension(const BasicTotProblem<RelT> &P,
         return true;
       });
   return Found;
-}
-
-} // namespace
-
-bool BruteForceSolver::existsExtension(const TotProblem &P,
-                                       Relation *TotOut) const {
-  return bruteExistsExtension(P, TotOut);
-}
-
-bool BruteForceSolver::existsExtension(const DynTotProblem &P,
-                                       DynRelation *TotOut) const {
-  return bruteExistsExtension(P, TotOut);
-}
-
-bool BruteForceSolver::existsViolatingExtension(const TotProblem &P,
-                                                Relation *TotOut) const {
-  return bruteExistsViolatingExtension(P, TotOut);
-}
-
-bool BruteForceSolver::existsViolatingExtension(const DynTotProblem &P,
-                                                DynRelation *TotOut) const {
-  return bruteExistsViolatingExtension(P, TotOut);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,11 +19,8 @@
 /// for the mixed-size JS model, unisize/UniExecution for Fig. 12); this
 /// header is model-agnostic.
 ///
-/// The problem form is generic over the relation flavour: TotProblem is
-/// the single-word (≤64-event) instantiation every fast path uses, and
-/// DynTotProblem the heap-backed instantiation the engine poses for larger
-/// programs. Both solvers decide both tiers through the same templated
-/// cores.
+/// The problem is posed over support/Relation.h's one relation type, so
+/// both solvers answer every program size up to Relation::MaxSize events.
 ///
 /// Two interchangeable deciders implement the interface:
 ///
@@ -42,7 +39,6 @@
 #ifndef JSMM_SOLVER_TOTSOLVER_H
 #define JSMM_SOLVER_TOTSOLVER_H
 
-#include "support/DynRelation.h"
 #include "support/Relation.h"
 
 #include <atomic>
@@ -61,26 +57,21 @@ struct TotConstraint {
 
 /// A tot-order decision problem: strict total orders over the elements of
 /// Universe that contain Must, against a conjunction of betweenness
-/// constraints. Generic over the relation flavour.
-template <typename RelT> struct BasicTotProblem {
-  unsigned N = 0;                ///< universe size of the relations
-  typename RelT::SetT Universe{}; ///< elements tot must order
-  RelT Must;                     ///< required pairs (need not be closed)
+/// constraints.
+struct TotProblem {
+  unsigned N = 0;   ///< universe size of the relations
+  BitSet Universe;  ///< elements tot must order
+  Relation Must;    ///< required pairs (need not be closed)
   std::vector<TotConstraint> Forbidden;
 
   /// \returns true if \p Tot realizes at least one Forbidden constraint.
-  bool violates(const RelT &Tot) const {
+  bool violates(const Relation &Tot) const {
     for (const TotConstraint &C : Forbidden)
       if (Tot.get(C.Lo, C.Mid) && Tot.get(C.Mid, C.Hi))
         return true;
     return false;
   }
 };
-
-/// The fast-path (≤64-event) problem form.
-using TotProblem = BasicTotProblem<Relation>;
-/// The dynamic-universe problem form for programs beyond 64 events.
-using DynTotProblem = BasicTotProblem<DynRelation>;
 
 /// The available solver implementations.
 enum class SolverKind : uint8_t {
@@ -100,10 +91,7 @@ struct SolverConfig {
   static SolverConfig propagate() { return {SolverKind::Propagate}; }
 };
 
-/// Interface of a tot-order decider. Each question has a fast-path
-/// overload (TotProblem, the one every ≤64-event caller resolves to) and a
-/// dynamic-universe overload (DynTotProblem); implementations answer both
-/// through one templated core, so the two tiers cannot diverge.
+/// Interface of a tot-order decider.
 class TotSolver {
 public:
   virtual ~TotSolver() = default;
@@ -115,17 +103,12 @@ public:
   /// so the witness is deterministic for a given problem).
   virtual bool existsExtension(const TotProblem &P,
                                Relation *TotOut = nullptr) const = 0;
-  virtual bool existsExtension(const DynTotProblem &P,
-                               DynRelation *TotOut = nullptr) const = 0;
 
   /// The refutation dual: decides whether some strict total order on
   /// P.Universe contains P.Must and realizes at least one Forbidden
   /// constraint. Fills \p TotOut with the violating order when non-null.
   virtual bool existsViolatingExtension(const TotProblem &P,
                                         Relation *TotOut = nullptr) const = 0;
-  virtual bool
-  existsViolatingExtension(const DynTotProblem &P,
-                           DynRelation *TotOut = nullptr) const = 0;
 };
 
 /// The seed's decision procedure: enumerate linear extensions of Must and
@@ -138,13 +121,8 @@ public:
   const char *name() const override { return "brute"; }
   bool existsExtension(const TotProblem &P,
                        Relation *TotOut = nullptr) const override;
-  bool existsExtension(const DynTotProblem &P,
-                       DynRelation *TotOut = nullptr) const override;
   bool existsViolatingExtension(const TotProblem &P,
                                 Relation *TotOut = nullptr) const override;
-  bool
-  existsViolatingExtension(const DynTotProblem &P,
-                           DynRelation *TotOut = nullptr) const override;
 };
 
 /// Constraint-propagation decider; see solver/PropagationSolver.cpp.
@@ -153,13 +131,8 @@ public:
   const char *name() const override { return "propagate"; }
   bool existsExtension(const TotProblem &P,
                        Relation *TotOut = nullptr) const override;
-  bool existsExtension(const DynTotProblem &P,
-                       DynRelation *TotOut = nullptr) const override;
   bool existsViolatingExtension(const TotProblem &P,
                                 Relation *TotOut = nullptr) const override;
-  bool
-  existsViolatingExtension(const DynTotProblem &P,
-                           DynRelation *TotOut = nullptr) const override;
 };
 
 /// \returns the process-lifetime singleton for \p Kind.
@@ -253,9 +226,8 @@ private:
 /// restricted to \p Universe (smallest-index-first tie-break) — the stable
 /// witness order shared by both solvers. \p Must restricted to Universe
 /// must be acyclic.
-template <typename RelT>
-std::vector<unsigned> lexSmallestExtension(const RelT &Must,
-                                           const typename RelT::SetT &Universe);
+std::vector<unsigned> lexSmallestExtension(const Relation &Must,
+                                           const BitSet &Universe);
 
 } // namespace jsmm
 

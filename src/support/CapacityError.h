@@ -28,8 +28,8 @@
 
 namespace jsmm {
 
-/// A program or relation universe exceeded a capacity tier (the fixed
-/// 64-event relations or the dynamic cap of DynRelation::MaxSize).
+/// A program or relation universe exceeded a cap: Relation::MaxSize, or
+/// the mixed-size ARMv8 model's ArmMaxEvents.
 class CapacityError : public std::length_error {
 public:
   explicit CapacityError(const std::string &What)

@@ -3,13 +3,10 @@
 /// \file
 /// Backtracking enumeration of linear extensions, with an optional
 /// mid-prefix early exit for visitors that can reject whole subtrees.
-/// Instantiated for both relation flavours (Relation and DynRelation).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/LinearExtensions.h"
-
-#include "support/DynRelation.h"
 
 using namespace jsmm;
 
@@ -18,11 +15,10 @@ namespace {
 /// Depth-first enumeration state. Elements are picked one at a time; an
 /// element is ready when all of its predecessors (within the universe) have
 /// already been placed.
-template <typename RelT> class Enumerator {
-  using SetT = typename RelT::SetT;
+class Enumerator {
 
 public:
-  Enumerator(const RelT &Order, const SetT &Universe,
+  Enumerator(const Relation &Order, const BitSet &Universe,
              const std::function<bool(const std::vector<unsigned> &)> &Visit,
              const std::function<bool(const std::vector<unsigned> &)>
                  *PrefixOk)
@@ -35,11 +31,11 @@ public:
   /// \returns false if the visitor requested an early stop.
   bool run() {
     Sequence.reserve(bits::count(Universe));
-    return recurse(RelT::emptySet(Order.size()));
+    return recurse(Relation::emptySet(Order.size()));
   }
 
 private:
-  bool recurse(const SetT &Placed) {
+  bool recurse(const BitSet &Placed) {
     if (Placed == Universe)
       return Visit(Sequence);
     for (unsigned E = 0; E < Order.size(); ++E) {
@@ -53,7 +49,7 @@ private:
         // Mid-prefix early exit: every completion of this prefix is
         // rejected, so skip the subtree without stopping the enumeration.
       } else {
-        SetT Next = Placed;
+        BitSet Next = Placed;
         bits::set(Next, E);
         Continue = recurse(Next);
       }
@@ -64,43 +60,39 @@ private:
     return true;
   }
 
-  const RelT &Order;
-  const SetT &Universe;
+  const Relation &Order;
+  const BitSet &Universe;
   const std::function<bool(const std::vector<unsigned> &)> &Visit;
   const std::function<bool(const std::vector<unsigned> &)> *PrefixOk;
-  std::vector<SetT> Preds;
+  std::vector<BitSet> Preds;
   std::vector<unsigned> Sequence;
 };
 
 } // namespace
 
-template <typename RelT>
 bool jsmm::forEachLinearExtension(
-    const RelT &Order, const typename RelT::SetT &Universe,
+    const Relation &Order, const BitSet &Universe,
     const std::function<bool(const std::vector<unsigned> &)> &Visit) {
   // A cyclic order (within the universe) has no linear extensions; the
   // recursion below naturally never reaches a complete sequence in that
   // case, so no special handling is needed.
-  Enumerator<RelT> E(Order, Universe, Visit, /*PrefixOk=*/nullptr);
+  Enumerator E(Order, Universe, Visit, /*PrefixOk=*/nullptr);
   return E.run();
 }
 
-template <typename RelT>
 bool jsmm::forEachLinearExtension(
-    const RelT &Order, const typename RelT::SetT &Universe,
+    const Relation &Order, const BitSet &Universe,
     const std::function<bool(const std::vector<unsigned> &)> &Visit,
     const std::function<bool(const std::vector<unsigned> &)> &PrefixOk) {
-  Enumerator<RelT> E(Order, Universe, Visit, &PrefixOk);
+  Enumerator E(Order, Universe, Visit, &PrefixOk);
   return E.run();
 }
 
-template <typename RelT>
-uint64_t jsmm::countLinearExtensions(const RelT &Order,
-                                     const typename RelT::SetT &Universe,
+uint64_t jsmm::countLinearExtensions(const Relation &Order,
+                                     const BitSet &Universe,
                                      uint64_t Limit) {
   uint64_t Count = 0;
-  forEachLinearExtension<RelT>(Order, Universe,
-                               [&](const std::vector<unsigned> &) {
+  forEachLinearExtension(Order, Universe, [&](const std::vector<unsigned> &) {
                                  ++Count;
                                  return Limit == 0 || Count < Limit;
                                });
@@ -108,17 +100,3 @@ uint64_t jsmm::countLinearExtensions(const RelT &Order,
 }
 
 // Explicit instantiation for both capacity tiers.
-#define JSMM_INSTANTIATE_LINEXT(RelT)                                        \
-  template bool jsmm::forEachLinearExtension<RelT>(                          \
-      const RelT &, const RelT::SetT &,                                      \
-      const std::function<bool(const std::vector<unsigned> &)> &);           \
-  template bool jsmm::forEachLinearExtension<RelT>(                          \
-      const RelT &, const RelT::SetT &,                                      \
-      const std::function<bool(const std::vector<unsigned> &)> &,            \
-      const std::function<bool(const std::vector<unsigned> &)> &);           \
-  template uint64_t jsmm::countLinearExtensions<RelT>(                       \
-      const RelT &, const RelT::SetT &, uint64_t);
-
-JSMM_INSTANTIATE_LINEXT(jsmm::Relation)
-JSMM_INSTANTIATE_LINEXT(jsmm::DynRelation)
-#undef JSMM_INSTANTIATE_LINEXT

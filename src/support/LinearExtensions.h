@@ -5,8 +5,6 @@
 /// existential properties over the JavaScript total-order witness ("is there
 /// a tot making this candidate execution valid?") and universal properties
 /// ("is this execution invalid for every tot?" — exact semantic deadness).
-/// Generic over the relation flavour (Relation / DynRelation), so the
-/// brute-force tot oracle serves both capacity tiers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +24,8 @@ namespace jsmm {
 /// \returns false if \p Visit stopped the enumeration, true otherwise
 /// (including when \p Order restricted to Universe is cyclic, in which case
 /// there are no linear extensions and Visit is never called).
-template <typename RelT>
 bool forEachLinearExtension(
-    const RelT &Order, const typename RelT::SetT &Universe,
+    const Relation &Order, const BitSet &Universe,
     const std::function<bool(const std::vector<unsigned> &)> &Visit);
 
 /// As above, with a mid-prefix early exit: after each element is placed,
@@ -36,17 +33,14 @@ bool forEachLinearExtension(
 /// abandons every extension of that prefix (without stopping the whole
 /// enumeration). Sound whenever the property \p PrefixOk rejects on is
 /// preserved by extension — e.g. an already-violated ordering constraint.
-template <typename RelT>
 bool forEachLinearExtension(
-    const RelT &Order, const typename RelT::SetT &Universe,
+    const Relation &Order, const BitSet &Universe,
     const std::function<bool(const std::vector<unsigned> &)> &Visit,
     const std::function<bool(const std::vector<unsigned> &)> &PrefixOk);
 
 /// \returns the number of linear extensions of \p Order over \p Universe,
 /// stopping at \p Limit if nonzero.
-template <typename RelT>
-uint64_t countLinearExtensions(const RelT &Order,
-                               const typename RelT::SetT &Universe,
+uint64_t countLinearExtensions(const Relation &Order, const BitSet &Universe,
                                uint64_t Limit = 0);
 
 } // namespace jsmm

@@ -1,4 +1,4 @@
-//===- support/Relation.h - Binary relations over small universes --------===//
+//===- support/Relation.h - Binary relations over event universes --------===//
 //
 // Part of the jsmm project: a reproduction of "Repairing and Mechanising the
 // JavaScript Relaxed Memory Model" (Watt et al., PLDI 2020).
@@ -6,16 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Binary relations over fixed universes, stored as bit matrices. Candidate
-/// executions in the JavaScript and target axiomatic models are small
-/// (litmus-test sized), so every derived relation (sequenced-before,
-/// happens-before, ordered-before, ...) is represented with this type and
-/// manipulated with standard relational algebra.
+/// Binary relations over a universe chosen at construction (up to
+/// Relation::MaxSize elements), stored as bit matrices. Every derived
+/// relation of every model (sequenced-before, happens-before, ordered-before,
+/// the target architectures' ppo and ob, ...) is this type, manipulated with
+/// standard relational algebra; event sets are BitSet (support/Bits.h).
 ///
-/// `Relation` keeps one inline word per row, so universes are capped at 64
-/// elements and event sets (SetT) are uint64_t masks. For programs beyond
-/// 64 events the engine switches to the heap-backed DynRelation
-/// (support/DynRelation.h), which shares this interface.
+/// A row is ceil(size()/64) words. A relation of at most 64 elements keeps
+/// its rows inline, one word each, so building, copying and returning it
+/// never allocates: the derived-relation pipelines create tens of
+/// temporaries per candidate execution, millions of times per sweep.
+/// Larger relations keep their rows on the heap. The one-word case has its
+/// own header-inline paths for the hot operations (get, set, row, column,
+/// compose, transitive closure, acyclicity); rows of several words run the
+/// out-of-line loops in support/Relation.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +29,8 @@
 #include "support/Bits.h"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,58 +38,68 @@
 namespace jsmm {
 
 namespace detail {
-/// Fails a relation construction whose universe exceeds the type's MaxSize
-/// by throwing CapacityError("relation universe too large (N elements >
-/// MaxSize)"). Out-of-line so the header does not pull in <stdexcept>.
+/// Fails a relation construction whose universe exceeds MaxSize by throwing
+/// CapacityError("relation universe too large (N elements > MaxSize)").
+/// Out-of-line so the header does not pull in <stdexcept>.
 [[noreturn]] void relationUniverseTooLarge(unsigned Size, unsigned MaxSize);
-
-std::string renderRelation(
-    const std::vector<std::pair<unsigned, unsigned>> &Pairs);
 } // namespace detail
 
 /// A binary relation on {0, ..., size()-1} represented as a bit matrix.
 /// Row A holds the successor set of A: bit B of row A is set iff <A,B> is in
 /// the relation.
-///
-/// Storage is a fixed inline array of one word per row, so constructing,
-/// copying and returning relations never allocates — the derived-relation
-/// pipelines create tens of temporaries per candidate execution, millions
-/// of times per sweep, and heap traffic dominated their cost with
-/// heap-backed rows. Only the first size() rows are meaningful; every
-/// operation is bounded by size(). Every ≤64-event fast path in the
-/// engine, the searches and the solvers runs on this type.
 class Relation {
 public:
-  static constexpr unsigned MaxSize = 64;
+  /// The serving cap. Programs beyond this stay `too-large`: the cap
+  /// bounds worst-case memory (a relation is N·ceil(N/64) words, 128 KiB
+  /// at the cap) and keeps enumeration latency inside what a batch service
+  /// can reasonably serve. Raise deliberately, with benchmarks; the bench
+  /// floor `dyn_events_max` pins the served program size.
+  static constexpr unsigned MaxSize = BitSet::MaxBits;
 
-  /// The event-set type: a raw uint64_t mask.
-  using SetT = uint64_t;
-  /// Mask-array type sized for this relation flavour (the propagation
-  /// solver keeps one successor/predecessor set per element).
-  using SetArray = std::array<SetT, MaxSize>;
+  Relation() = default;
 
-  Relation() : N(0) {}
-
-  /// Creates the empty relation over a universe of \p Size elements. The
-  /// universe cap is enforced in every build mode: a Size above MaxSize
-  /// throws CapacityError instead of writing past the row array (an
-  /// out-of-range shift would be silent UB in release builds). Frontends
-  /// validate event counts up front — see ExecutionEngine::capacityError —
-  /// so a throwing construction marks a caller that skipped the check,
-  /// never a user-input condition.
-  explicit Relation(unsigned Size) : N(Size) {
+  /// Creates the empty relation over a universe of \p Size elements. A
+  /// Size above MaxSize throws CapacityError before allocating (never the
+  /// allocator's bad_alloc, which the service would misclassify as an
+  /// internal error). Frontends validate event counts up front (see
+  /// ExecutionEngine::capacityError), so a throwing construction marks a
+  /// caller that skipped the check, never a user-input condition.
+  explicit Relation(unsigned Size) {
     if (Size > MaxSize)
       detail::relationUniverseTooLarge(Size, MaxSize);
-    std::fill_n(Rows.begin(), N, 0);
+    resize(Size);
+    std::fill_n(Rows, words(), 0);
   }
 
-  Relation(const Relation &Other) : N(Other.N) {
-    std::copy_n(Other.Rows.begin(), N, Rows.begin());
+  Relation(const Relation &Other) {
+    resize(Other.N);
+    std::copy_n(Other.Rows, words(), Rows);
   }
-
+  Relation(Relation &&Other) noexcept { *this = std::move(Other); }
   Relation &operator=(const Relation &Other) {
-    N = Other.N;
-    std::copy_n(Other.Rows.begin(), N, Rows.begin());
+    if (this != &Other) {
+      resize(Other.N);
+      std::copy_n(Other.Rows, words(), Rows);
+    }
+    return *this;
+  }
+  Relation &operator=(Relation &&Other) noexcept {
+    if (this == &Other)
+      return *this;
+    // Steal heap rows only when they hold the rows: a relation that shrank
+    // keeps its heap storage but uses its inline words.
+    if (Other.Rows != Other.Inline) {
+      N = Other.N;
+      WPR = Other.WPR;
+      Heap = std::move(Other.Heap);
+      HeapWords = Other.HeapWords;
+      Rows = Heap.get();
+      Other.N = Other.WPR = Other.HeapWords = 0;
+      Other.Rows = Other.Inline;
+    } else {
+      resize(Other.N);
+      std::copy_n(Other.Rows, words(), Rows);
+    }
     return *this;
   }
 
@@ -94,57 +107,57 @@ public:
 
   bool get(unsigned A, unsigned B) const {
     assert(A < N && B < N && "element out of range");
-    return (Rows[A] >> B) & 1;
+    return (word(A, B) >> (B % 64)) & 1;
   }
-
   void set(unsigned A, unsigned B) {
     assert(A < N && B < N && "element out of range");
-    Rows[A] |= uint64_t(1) << B;
+    word(A, B) |= uint64_t(1) << (B % 64);
   }
-
   void clear(unsigned A, unsigned B) {
     assert(A < N && B < N && "element out of range");
-    Rows[A] &= ~(uint64_t(1) << B);
+    word(A, B) &= ~(uint64_t(1) << (B % 64));
   }
 
   /// \returns the empty set over a universe of \p Size elements.
-  static SetT emptySet(unsigned Size) {
-    (void)Size;
-    return 0;
-  }
+  static BitSet emptySet(unsigned Size) { return BitSet(Size); }
 
   /// \returns the set of all elements {0, ..., Size-1}.
-  static SetT fullSet(unsigned Size) {
-    assert(Size <= MaxSize && "universe too large for this relation type");
-    return Size >= 64 ? ~uint64_t(0) : (uint64_t(1) << Size) - 1;
-  }
+  static BitSet fullSet(unsigned Size) { return ~BitSet(Size); }
 
   /// \returns the successor set of \p A.
-  SetT row(unsigned A) const {
+  BitSet row(unsigned A) const {
     assert(A < N && "element out of range");
-    return Rows[A];
+    BitSet S(N);
+    if (WPR == 1)
+      S.data()[0] = Rows[A];
+    else
+      std::copy_n(Rows + size_t(A) * WPR, WPR, S.data());
+    return S;
   }
 
-  /// Replaces the successor set of \p A with \p S.
-  void assignRow(unsigned A, SetT S) {
-    assert(A < N && "element out of range");
-    Rows[A] = S;
+  /// Replaces the successor set of \p A with \p S (a set over size()).
+  void assignRow(unsigned A, const BitSet &S) {
+    assert(A < N && S.universeBits() == N && "row out of range");
+    std::copy_n(S.data(), WPR, Rows + size_t(A) * WPR);
   }
 
-  /// \returns the predecessor set of \p B: an O(n) strided walk down
-  /// every row. A loop that needs many predecessor sets should read the
-  /// rows of one inverse() instead.
-  SetT column(unsigned B) const {
+  /// Adds \p S (a set over size()) to the successor set of \p A.
+  void uniteRow(unsigned A, const BitSet &S) {
+    assert(A < N && S.universeBits() == N && "row out of range");
+    for (unsigned K = 0; K < WPR; ++K)
+      Rows[size_t(A) * WPR + K] |= S.word(K);
+  }
+
+  /// \returns the predecessor set of \p B: an O(n) strided walk down every
+  /// row. A loop that needs many predecessor sets should read the rows of
+  /// one inverse() instead.
+  BitSet column(unsigned B) const {
     assert(B < N && "element out of range");
-    SetT Col = 0;
-    for (unsigned A = 0; A < N; ++A)
-      if (get(A, B))
-        bits::set(Col, A);
-    return Col;
+    return WPR == 1 ? columnNarrow(B) : columnWide(B);
   }
 
   bool empty() const {
-    for (unsigned I = 0; I < N; ++I)
+    for (size_t I = 0, E = words(); I < E; ++I)
       if (Rows[I])
         return false;
     return true;
@@ -153,28 +166,26 @@ public:
   /// \returns the number of pairs in the relation.
   unsigned count() const {
     unsigned Count = 0;
-    for (unsigned I = 0; I < N; ++I)
-      Count += bits::count(Rows[I]);
+    for (size_t I = 0, E = words(); I < E; ++I)
+      Count += static_cast<unsigned>(__builtin_popcountll(Rows[I]));
     return Count;
   }
 
   Relation &unionWith(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (unsigned I = 0; I < N; ++I)
+    for (size_t I = 0, E = words(); I < E; ++I)
       Rows[I] |= Other.Rows[I];
     return *this;
   }
-
   Relation &intersectWith(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (unsigned I = 0; I < N; ++I)
+    for (size_t I = 0, E = words(); I < E; ++I)
       Rows[I] &= Other.Rows[I];
     return *this;
   }
-
   Relation &subtract(const Relation &Other) {
     assert(N == Other.N && "universe mismatch");
-    for (unsigned I = 0; I < N; ++I)
+    for (size_t I = 0, E = words(); I < E; ++I)
       Rows[I] &= ~Other.Rows[I];
     return *this;
   }
@@ -185,14 +196,12 @@ public:
     R.unionWith(Other);
     return R;
   }
-
   /// \returns the intersection of this relation and \p Other.
   Relation intersected(const Relation &Other) const {
     Relation R = *this;
     R.intersectWith(Other);
     return R;
   }
-
   /// \returns this relation minus \p Other.
   Relation subtracted(const Relation &Other) const {
     Relation R = *this;
@@ -210,26 +219,12 @@ public:
   /// \returns the relational composition this ; Other.
   Relation compose(const Relation &Other) const {
     assert(N == Other.N && "universe mismatch");
-    Relation Result(N);
-    for (unsigned A = 0; A < N; ++A)
-      bits::forEach(Rows[A],
-                    [&](unsigned B) { Result.Rows[A] |= Other.Rows[B]; });
-    return Result;
+    return WPR == 1 ? composeNarrow(Other) : composeWide(Other);
   }
 
   /// \returns the transitive closure (this)+.
   Relation transitiveClosure() const {
-    // Warshall's algorithm on bit rows: if <A,K> then A reaches everything
-    // K reaches. Branch-free: the bit test is data-dependent, and the
-    // branching loop ran up to 2x slower in the per-byte ARMv8 coherence
-    // check. Row K is fixed during step K (it only ORs itself in).
-    Relation Closure = *this;
-    for (unsigned K = 0; K < N; ++K) {
-      uint64_t Reach = Closure.Rows[K];
-      for (unsigned A = 0; A < N; ++A)
-        Closure.Rows[A] |= Reach & (0 - ((Closure.Rows[A] >> K) & 1));
-    }
-    return Closure;
+    return WPR == 1 ? closureNarrow() : closureWide();
   }
 
   /// \returns the reflexive transitive closure (this)*.
@@ -248,137 +243,183 @@ public:
     return true;
   }
 
-  /// \returns true if the transitive closure is irreflexive.
-  bool isAcyclic() const { return transitiveClosure().isIrreflexive(); }
+  /// \returns true if the relation has no cycle (a self-loop is one). On
+  /// rows of several words this is an iterative depth-first search:
+  /// O(n·n/64) time and no n×n temporary.
+  bool isAcyclic() const {
+    return WPR == 1 ? transitiveClosure().isIrreflexive() : acyclicWide();
+  }
 
   /// \returns true if this relation is a strict total order on the elements
   /// of \p Universe, i.e. irreflexive, transitive, and total on Universe,
   /// and empty outside it.
-  bool isStrictTotalOrderOn(const SetT &Universe) const {
-    // Empty outside the universe.
-    for (unsigned A = 0; A < N; ++A) {
-      if (!bits::test(Universe, A) && Rows[A])
-        return false;
-      if (Rows[A] & ~Universe)
-        return false;
-    }
-    if (!isIrreflexive())
-      return false;
-    if (!contains(compose(*this).restricted(Universe, Universe)))
-      return false; // not transitive
-    // Totality: every distinct pair in the universe is ordered one way.
-    for (unsigned A = 0; A < N; ++A) {
-      if (!bits::test(Universe, A))
-        continue;
-      for (unsigned B = A + 1; B < N; ++B) {
-        if (!bits::test(Universe, B))
-          continue;
-        if (!get(A, B) && !get(B, A))
-          return false;
-      }
-    }
-    return true;
-  }
+  bool isStrictTotalOrderOn(const BitSet &Universe) const;
 
   /// \returns true if every pair of \p Other is also in this relation.
   bool contains(const Relation &Other) const {
     assert(N == Other.N && "universe mismatch");
-    for (unsigned I = 0; I < N; ++I)
+    for (size_t I = 0, E = words(); I < E; ++I)
       if (Other.Rows[I] & ~Rows[I])
         return false;
     return true;
   }
 
   /// \returns the full product relation SetA x SetB over a universe of
-  /// \p Size elements.
-  static Relation product(const SetT &SetA, const SetT &SetB,
+  /// \p Size elements (the sets range over \p Size).
+  static Relation product(const BitSet &SetA, const BitSet &SetB,
                           unsigned Size) {
+    assert(SetA.universeBits() == Size && "set universe mismatch");
     Relation R(Size);
-    SetT Mask = fullSet(Size);
-    SetT B = SetB & Mask;
-    bits::forEach(SetA & Mask, [&](unsigned I) { R.Rows[I] = B; });
+    bits::forEach(SetA, [&](unsigned I) { R.assignRow(I, SetB); });
     return R;
   }
 
   /// \returns [SetA] ; this ; [SetB]: the pairs <A,B> with A in SetA and B
   /// in SetB.
-  Relation restricted(const SetT &SetA, const SetT &SetB) const {
+  Relation restricted(const BitSet &SetA, const BitSet &SetB) const {
+    assert(SetA.universeBits() == N && SetB.universeBits() == N &&
+           "set universe mismatch");
     Relation R(N);
-    for (unsigned A = 0; A < N; ++A)
-      if (bits::test(SetA, A))
-        R.Rows[A] = Rows[A] & SetB;
+    bits::forEach(SetA, [&](unsigned A) {
+      for (unsigned K = 0; K < WPR; ++K)
+        R.Rows[size_t(A) * WPR + K] = Rows[size_t(A) * WPR + K] & SetB.word(K);
+    });
     return R;
   }
 
   /// \returns the identity relation on \p Universe over \p Size elements.
-  static Relation identity(const SetT &Universe, unsigned Size) {
+  static Relation identity(const BitSet &Universe, unsigned Size) {
+    assert(Universe.universeBits() == Size && "set universe mismatch");
     Relation R(Size);
-    for (unsigned A = 0; A < Size; ++A)
-      if (bits::test(Universe, A))
-        R.set(A, A);
+    bits::forEach(Universe, [&](unsigned A) { R.set(A, A); });
     return R;
   }
 
   bool operator==(const Relation &Other) const {
-    return N == Other.N &&
-           std::equal(Rows.begin(), Rows.begin() + N, Other.Rows.begin());
+    return N == Other.N && std::equal(Rows, Rows + words(), Other.Rows);
   }
   bool operator!=(const Relation &Other) const { return !(*this == Other); }
 
-  /// Invokes \p Fn(A, B) for every pair <A,B> in the relation.
+  /// Invokes \p Fn(A, B) for every pair <A,B> in the relation, in
+  /// row-major order.
   template <typename FnT> void forEachPair(FnT Fn) const {
+    if (WPR == 1) {
+      for (unsigned A = 0; A < N; ++A)
+        for (uint64_t Word = Rows[A]; Word; Word &= Word - 1)
+          Fn(A, static_cast<unsigned>(__builtin_ctzll(Word)));
+      return;
+    }
     for (unsigned A = 0; A < N; ++A)
-      bits::forEach(Rows[A], [&](unsigned B) { Fn(A, B); });
+      for (unsigned K = 0; K < WPR; ++K)
+        for (uint64_t Word = Rows[size_t(A) * WPR + K]; Word;) {
+          unsigned B = K * 64 + static_cast<unsigned>(__builtin_ctzll(Word));
+          Word &= Word - 1;
+          Fn(A, B);
+        }
   }
 
   /// \returns all pairs of the relation in row-major order.
-  std::vector<std::pair<unsigned, unsigned>> pairs() const {
-    std::vector<std::pair<unsigned, unsigned>> Result;
-    forEachPair([&](unsigned A, unsigned B) { Result.emplace_back(A, B); });
-    return Result;
-  }
+  std::vector<std::pair<unsigned, unsigned>> pairs() const;
 
   /// \returns some topological order of the universe consistent with this
-  /// relation, or std::nullopt if the relation is cyclic (in which case no
-  /// such order exists). Callers must handle the nullopt branch — release
-  /// builds previously received a silently truncated order here.
-  std::optional<std::vector<unsigned>> topologicalOrder() const {
-    std::vector<unsigned> InDegree(N, 0);
-    forEachPair([&](unsigned, unsigned B) { ++InDegree[B]; });
-    std::vector<unsigned> Ready;
-    for (unsigned A = 0; A < N; ++A)
-      if (InDegree[A] == 0)
-        Ready.push_back(A);
-    std::vector<unsigned> Order;
-    Order.reserve(N);
-    while (!Ready.empty()) {
-      // Pop the smallest ready element for determinism.
-      auto MinIt = std::min_element(Ready.begin(), Ready.end());
-      unsigned A = *MinIt;
-      Ready.erase(MinIt);
-      Order.push_back(A);
-      bits::forEach(Rows[A], [&](unsigned B) {
-        if (--InDegree[B] == 0)
-          Ready.push_back(B);
-      });
-    }
-    if (Order.size() != N)
-      return std::nullopt; // a cycle kept some element's in-degree positive
-    return Order;
-  }
+  /// relation (the smallest ready element first), or std::nullopt if the
+  /// relation is cyclic, in which case no such order exists.
+  std::optional<std::vector<unsigned>> topologicalOrder() const;
 
   /// \returns a human-readable "{<0,1>, <2,3>}" rendering for debugging.
-  std::string toString() const { return detail::renderRelation(pairs()); }
+  std::string toString() const;
 
 private:
-  unsigned N;
-  std::array<uint64_t, MaxSize> Rows;
+  /// Rows of at most this many words in total stay inline: every relation
+  /// of at most 64 elements.
+  static constexpr unsigned InlineWords = 64;
+
+  size_t words() const { return size_t(N) * WPR; }
+
+  /// The word of row \p A that holds element \p B; one-word rows skip the
+  /// stride arithmetic.
+  uint64_t &word(unsigned A, unsigned B) {
+    return WPR == 1 ? Rows[A] : Rows[size_t(A) * WPR + B / 64];
+  }
+  uint64_t word(unsigned A, unsigned B) const {
+    return WPR == 1 ? Rows[A] : Rows[size_t(A) * WPR + B / 64];
+  }
+
+  /// Sets the universe to \p Size elements, with storage for its rows
+  /// (contents unspecified). Heap storage is reused when large enough.
+  void resize(unsigned Size) {
+    N = Size;
+    WPR = (Size + 63) / 64;
+    size_t Words = words();
+    if (Words <= InlineWords) {
+      Rows = Inline;
+      return;
+    }
+    if (Words > HeapWords) {
+      Heap.reset(new uint64_t[Words]);
+      HeapWords = Words;
+    }
+    Rows = Heap.get();
+  }
+
+  // The one-word paths, each returning one named result (so it is built
+  // in place), and their loops over rows of several words.
+  BitSet columnNarrow(unsigned B) const {
+    uint64_t Col = 0;
+    for (unsigned A = 0; A < N; ++A)
+      if ((Rows[A] >> B) & 1)
+        Col |= uint64_t(1) << A;
+    BitSet S(N);
+    S.data()[0] = Col;
+    return S;
+  }
+  Relation composeNarrow(const Relation &Other) const {
+    Relation Result(N);
+    for (unsigned A = 0; A < N; ++A)
+      for (uint64_t Word = Rows[A]; Word; Word &= Word - 1)
+        Result.Rows[A] |= Other.Rows[__builtin_ctzll(Word)];
+    return Result;
+  }
+  Relation closureNarrow() const {
+    // Warshall's algorithm: if <A,K> then A reaches everything K reaches.
+    // Branch-free: the bit test is data-dependent, and the branching loop
+    // ran up to 2x slower in the per-byte ARMv8 coherence check. Row K is
+    // fixed during step K (it only ORs itself in).
+    Relation Closure = *this;
+    for (unsigned K = 0; K < N; ++K) {
+      uint64_t Reach = Closure.Rows[K];
+      for (unsigned A = 0; A < N; ++A)
+        Closure.Rows[A] |= Reach & (0 - ((Closure.Rows[A] >> K) & 1));
+    }
+    return Closure;
+  }
+  BitSet columnWide(unsigned B) const;
+  Relation composeWide(const Relation &Other) const;
+  Relation closureWide() const;
+  bool acyclicWide() const;
+
+  /// Depth-first search over the rows from every root in index order,
+  /// calling \p Finish on each element in post-order: when an element
+  /// finishes, all its successors have finished. \returns false, and
+  /// stops, at the first edge into an element still on the search stack
+  /// (a cycle).
+  template <typename FnT> bool postOrder(FnT Finish) const;
+
+  unsigned N = 0;
+  unsigned WPR = 0; ///< words per row: ceil(N / 64)
+  uint64_t *Rows = Inline;
+  std::unique_ptr<uint64_t[]> Heap;
+  size_t HeapWords = 0;
+  uint64_t Inline[InlineWords];
 };
 
-/// The single-word flavour of totalOrderOver (support/DynRelation.h), kept
-/// under its historical name.
-Relation totalOrderFromSequence(const std::vector<unsigned> &Order,
-                                unsigned Size);
+/// Builds the relation {<Order[i], Order[j]> | i < j} over \p Size
+/// elements: the strict total order corresponding to the sequence \p Order.
+/// Elements not mentioned in \p Order are unrelated. One row assignment per
+/// element, O(n · words): walking the sequence backwards, each element's
+/// row is the set of elements after it. (A repeated element keeps the row
+/// of its first occurrence, the largest, as the pairwise definition does.)
+Relation totalOrderOver(const std::vector<unsigned> &Order, unsigned Size);
 
 } // namespace jsmm
 

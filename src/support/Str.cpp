@@ -2,7 +2,6 @@
 
 #include "support/Str.h"
 
-#include <cassert>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -33,17 +32,15 @@ std::string jsmm::padLeft(const std::string &S, size_t Width) {
 }
 
 std::vector<uint8_t> jsmm::bytesOfValue(uint64_t Value, unsigned Width) {
-  assert(Width <= 8 && "access width larger than 8 bytes");
   std::vector<uint8_t> Bytes(Width);
-  for (unsigned I = 0; I < Width; ++I)
+  for (unsigned I = 0; I < Width && I < 8; ++I)
     Bytes[I] = static_cast<uint8_t>(Value >> (8 * I));
   return Bytes;
 }
 
 uint64_t jsmm::valueOfBytes(const std::vector<uint8_t> &Bytes) {
-  assert(Bytes.size() <= 8 && "access width larger than 8 bytes");
   uint64_t Value = 0;
-  for (size_t I = 0; I < Bytes.size(); ++I)
+  for (size_t I = 0; I < Bytes.size() && I < 8; ++I)
     Value |= uint64_t(Bytes[I]) << (8 * I);
   return Value;
 }

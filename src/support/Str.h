@@ -26,10 +26,13 @@ std::string padRight(const std::string &S, size_t Width);
 /// \returns \p S padded with spaces on the left to at least \p Width.
 std::string padLeft(const std::string &S, size_t Width);
 
-/// \returns the little-endian bytes of \p Value, \p Width bytes wide.
+/// \returns the little-endian bytes of \p Value, \p Width bytes wide. An
+/// Init event covers its whole block, so \p Width may exceed 8; the bytes
+/// past the eighth are zero.
 std::vector<uint8_t> bytesOfValue(uint64_t Value, unsigned Width);
 
-/// \returns the value encoded by little-endian \p Bytes.
+/// \returns the value encoded by little-endian \p Bytes; bytes past the
+/// eighth do not fit a uint64_t and are ignored.
 uint64_t valueOfBytes(const std::vector<uint8_t> &Bytes);
 
 /// \returns "0xNN" hex rendering of a value.

@@ -53,8 +53,8 @@ struct DiffCase {
 std::vector<DiffCase> differentialCorpus();
 
 /// The large-program corpus: 65+-event programs (a wide SB family padded
-/// with filler writer threads, and a 9-thread IRIW chain) served by the
-/// dynamic relation tier. Kept separate from differentialCorpus() so the
+/// with filler writer threads, and a 9-thread IRIW chain) whose relations
+/// have rows of several words. Kept separate from differentialCorpus() so the
 /// ≤64-event golden tables stay byte-identical; the entries are sized so
 /// the candidate spaces stay enumerable (few reads, single-writer filler
 /// locations).

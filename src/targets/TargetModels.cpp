@@ -48,17 +48,15 @@ std::string TargetEvent::toString() const {
   return Out;
 }
 
-template <typename RelT>
-BasicTargetExecution<RelT>::BasicTargetExecution(std::vector<TargetEvent> Evs,
-                                                 unsigned NumLocs)
+TargetExecution::TargetExecution(std::vector<TargetEvent> Evs, unsigned NumLocs)
     : Events(std::move(Evs)), Po(static_cast<unsigned>(Events.size())),
       Rf(static_cast<unsigned>(Events.size())), CoPerLoc(NumLocs) {
   for (unsigned I = 0; I < Events.size(); ++I)
     assert(Events[I].Id == I && "event id must equal its index");
 }
 
-template <typename RelT> RelT BasicTargetExecution<RelT>::coherence() const {
-  RelT Co(numEvents());
+Relation TargetExecution::coherence() const {
+  Relation Co(numEvents());
   for (const std::vector<EventId> &Order : CoPerLoc)
     for (size_t I = 0; I < Order.size(); ++I)
       for (size_t J = I + 1; J < Order.size(); ++J)
@@ -66,8 +64,8 @@ template <typename RelT> RelT BasicTargetExecution<RelT>::coherence() const {
   return Co;
 }
 
-template <typename RelT> RelT BasicTargetExecution<RelT>::fromReads() const {
-  RelT Fr(numEvents());
+Relation TargetExecution::fromReads() const {
+  Relation Fr(numEvents());
   Rf.forEachPair([&](unsigned W, unsigned R) {
     const std::vector<EventId> &Order = CoPerLoc[Events[R].Loc];
     auto It = std::find(Order.begin(), Order.end(), W);
@@ -79,8 +77,8 @@ template <typename RelT> RelT BasicTargetExecution<RelT>::fromReads() const {
   return Fr;
 }
 
-template <typename RelT> RelT BasicTargetExecution<RelT>::poLoc() const {
-  RelT Out(numEvents());
+Relation TargetExecution::poLoc() const {
+  Relation Out(numEvents());
   Po.forEachPair([&](unsigned A, unsigned B) {
     if (Events[A].isAccess() && Events[B].isAccess() &&
         Events[A].Loc == Events[B].Loc)
@@ -89,9 +87,8 @@ template <typename RelT> RelT BasicTargetExecution<RelT>::poLoc() const {
   return Out;
 }
 
-template <typename RelT>
-RelT BasicTargetExecution<RelT>::externalPart(const RelT &R) const {
-  RelT Out(numEvents());
+Relation TargetExecution::externalPart(const Relation &R) const {
+  Relation Out(numEvents());
   R.forEachPair([&](unsigned A, unsigned B) {
     if (Events[A].Thread != Events[B].Thread)
       Out.set(A, B);
@@ -99,8 +96,7 @@ RelT BasicTargetExecution<RelT>::externalPart(const RelT &R) const {
   return Out;
 }
 
-template <typename RelT>
-std::string BasicTargetExecution<RelT>::toString() const {
+std::string TargetExecution::toString() const {
   std::string Out;
   for (const TargetEvent &E : Events)
     Out += "  " + E.toString() + "\n";
@@ -108,44 +104,38 @@ std::string BasicTargetExecution<RelT>::toString() const {
   return Out;
 }
 
-template <typename RelT>
-bool jsmm::targetAdmits(const RelT &PoLoc, const RelT &Rf) {
+bool jsmm::targetAdmits(const Relation &PoLoc, const Relation &Rf) {
   return PoLoc.unioned(Rf).isAcyclic();
 }
 
-template <typename RelT>
-bool jsmm::targetScPerLocation(const RelT &PoLoc, const RelT &Rf,
-                               const RelT &Co, const RelT &Fr) {
+bool jsmm::targetScPerLocation(const Relation &PoLoc, const Relation &Rf,
+                               const Relation &Co, const Relation &Fr) {
   return PoLoc.unioned(Rf).unioned(Co).unioned(Fr).isAcyclic();
 }
 
-template <typename RelT>
-bool jsmm::targetAtomicity(const RelT &Co, const RelT &Fr) {
+bool jsmm::targetAtomicity(const Relation &Co, const Relation &Fr) {
   return Fr.compose(Co).isIrreflexive();
 }
 
-template <typename RelT>
-bool jsmm::targetScPerLocation(const BasicTargetExecution<RelT> &X) {
+bool jsmm::targetScPerLocation(const TargetExecution &X) {
   return targetScPerLocation(X.poLoc(), X.Rf, X.coherence(), X.fromReads());
 }
 
-template <typename RelT>
-bool jsmm::targetAtomicity(const BasicTargetExecution<RelT> &X) {
+bool jsmm::targetAtomicity(const TargetExecution &X) {
   return targetAtomicity(X.coherence(), X.fromReads());
 }
 
 namespace {
 
-template <typename RelT> struct Masks {
-  using Set = typename RelT::SetT;
-  Set Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc, All;
-  Set fence(const BasicTargetExecution<RelT> &X, TFence F) const {
+struct Masks {
+  BitSet Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc, All;
+  BitSet fence(const TargetExecution &X, TFence F) const {
     (void)this;
     return X.eventsWhere([&](const TargetEvent &E) {
       return E.Kind == TKind::Fence && E.Fence == F;
     });
   }
-  static Masks compute(const BasicTargetExecution<RelT> &X) {
+  static Masks compute(const TargetExecution &X) {
     Masks M;
     M.Reads = X.eventsWhere([](const TargetEvent &E) { return E.isRead(); });
     M.Writes = X.eventsWhere([](const TargetEvent &E) {
@@ -174,16 +164,15 @@ template <typename RelT> struct Masks {
 /// Distinct accesses to the same location. Each access's row is its
 /// location's access mask less itself: work in the size of the output,
 /// not a pair scan over every two events.
-template <typename RelT>
-RelT sameLocRelation(const BasicTargetExecution<RelT> &X) {
-  std::vector<typename RelT::SetT> AtLoc(X.CoPerLoc.size(),
-                                         RelT::emptySet(X.numEvents()));
+Relation sameLocRelation(const TargetExecution &X) {
+  std::vector<BitSet> AtLoc(X.CoPerLoc.size(),
+                            Relation::emptySet(X.numEvents()));
   for (const TargetEvent &E : X.Events)
     if (E.isAccess()) {
       assert(E.Loc < AtLoc.size() && "access location out of range");
       bits::set(AtLoc[E.Loc], E.Id);
     }
-  RelT Out(X.numEvents());
+  Relation Out(X.numEvents());
   for (const TargetEvent &A : X.Events)
     if (A.isAccess())
       bits::forEach(AtLoc[A.Loc], [&](unsigned B) {
@@ -194,11 +183,9 @@ RelT sameLocRelation(const BasicTargetExecution<RelT> &X) {
 }
 
 /// po ; [F] ; po with endpoint classes \p Pred and \p Succ.
-template <typename RelT>
-RelT fenceEdges(const BasicTargetExecution<RelT> &X,
-                const typename RelT::SetT &FenceMask,
-                const typename RelT::SetT &Pred,
-                const typename RelT::SetT &Succ) {
+Relation fenceEdges(const TargetExecution &X, const BitSet &FenceMask,
+                    const BitSet &Pred,
+                    const BitSet &Succ) {
   return X.Po.restricted(Pred, FenceMask)
       .compose(X.Po.restricted(FenceMask, Succ));
 }
@@ -207,10 +194,9 @@ RelT fenceEdges(const BasicTargetExecution<RelT> &X,
 /// to a release write, and release write to acquire read. (An acquire's
 /// po-edge into a fence reached a release write only through that fence's
 /// own po-edge, and po is transitive: both ends are ordered directly.)
-template <typename RelT>
-RelT acqRelEdges(const BasicTargetExecution<RelT> &X, const Masks<RelT> &M) {
-  typename RelT::SetT Access = M.Reads | M.Writes;
-  RelT Out = X.Po.restricted(M.Acq, Access);
+Relation acqRelEdges(const TargetExecution &X, const Masks &M) {
+  BitSet Access = M.Reads | M.Writes;
+  Relation Out = X.Po.restricted(M.Acq, Access);
   Out.unionWith(X.Po.restricted(Access, M.RelW));
   Out.unionWith(X.Po.restricted(M.RelW, M.Acq));
   return Out;
@@ -218,9 +204,9 @@ RelT acqRelEdges(const BasicTargetExecution<RelT> &X, const Masks<RelT> &M) {
 
 /// \p R renumbered through \p ViewOf (event id -> view id, or -1 for an
 /// event outside the view) over a universe of \p N.
-template <typename RelT>
-RelT project(const RelT &R, const std::vector<int> &ViewOf, unsigned N) {
-  RelT Out(N);
+Relation project(const Relation &R, const std::vector<int> &ViewOf,
+                 unsigned N) {
+  Relation Out(N);
   R.forEachPair([&](unsigned A, unsigned B) {
     if (ViewOf[A] >= 0 && ViewOf[B] >= 0)
       Out.set(static_cast<unsigned>(ViewOf[A]),
@@ -229,11 +215,9 @@ RelT project(const RelT &R, const std::vector<int> &ViewOf, unsigned N) {
   return Out;
 }
 
-template <typename RelT>
-typename RelT::SetT projectSet(const typename RelT::SetT &S,
-                               const std::vector<EventId> &IdOf) {
-  typename RelT::SetT Out =
-      RelT::emptySet(static_cast<unsigned>(IdOf.size()));
+BitSet projectSet(const BitSet &S, const std::vector<EventId> &IdOf) {
+  BitSet Out =
+      Relation::emptySet(static_cast<unsigned>(IdOf.size()));
   for (unsigned K = 0; K < IdOf.size(); ++K)
     if (bits::test(S, IdOf[K]))
       bits::set(Out, K);
@@ -243,12 +227,10 @@ typename RelT::SetT projectSet(const typename RelT::SetT &S,
 /// The herding-cats Power model's final axioms (NO THIN AIR, OBSERVATION,
 /// PROPAGATION), parameterised through the statics by the full-fence
 /// flavour (Power sync vs ARMv7 dmb) and the presence of lwsync.
-template <typename RelT>
-bool powerStyleAxiom(const TargetCandidate<RelT> &C,
-                     const TargetStatics<RelT> &S) {
-  const RelT &Rfe = C.rfe();
-  RelT Fences = S.Lw.size() ? S.Ffence.unioned(S.Lw) : S.Ffence;
-  RelT Hb = S.Ppo.unioned(Fences).unioned(Rfe);
+bool powerStyleAxiom(const TargetCandidate &C, const TargetStatics &S) {
+  const Relation &Rfe = C.rfe();
+  Relation Fences = S.Lw.size() ? S.Ffence.unioned(S.Lw) : S.Ffence;
+  Relation Hb = S.Ppo.unioned(Fences).unioned(Rfe);
   if (!Hb.isAcyclic())
     return false; // NO THIN AIR
   // Without fence edges PropBase and Prop are empty: OBSERVATION holds
@@ -256,9 +238,9 @@ bool powerStyleAxiom(const TargetCandidate<RelT> &C,
   if (Fences.empty())
     return C.Co.isAcyclic();
 
-  RelT HbStar = Hb.reflexiveTransitiveClosure();
-  RelT PropBase = Fences.unioned(Rfe.compose(Fences)).compose(HbStar);
-  RelT Prop =
+  Relation HbStar = Hb.reflexiveTransitiveClosure();
+  Relation PropBase = Fences.unioned(Rfe.compose(Fences)).compose(HbStar);
+  Relation Prop =
       PropBase.restricted(S.Writes, S.Writes)
           .unioned(C.comStar()
                        .compose(PropBase.reflexiveTransitiveClosure())
@@ -273,12 +255,10 @@ bool powerStyleAxiom(const TargetCandidate<RelT> &C,
 
 /// ImmLite's COHERENCE, NO THIN AIR and SC axioms (RC11-style partial SC
 /// order).
-template <typename RelT>
-bool immLiteAxiom(const TargetCandidate<RelT> &C,
-                  const TargetStatics<RelT> &S) {
-  const RelT &Sb = C.X.Po;
-  RelT Sw = C.X.Rf.restricted(S.Sc, S.Sc);
-  RelT Hb = Sb.unioned(Sw).transitiveClosure();
+bool immLiteAxiom(const TargetCandidate &C, const TargetStatics &S) {
+  const Relation &Sb = C.X.Po;
+  Relation Sw = C.X.Rf.restricted(S.Sc, S.Sc);
+  Relation Hb = Sb.unioned(Sw).transitiveClosure();
   // COHERENCE
   if (!Hb.isIrreflexive() || !Hb.compose(C.eco()).isIrreflexive())
     return false;
@@ -288,7 +268,7 @@ bool immLiteAxiom(const TargetCandidate<RelT> &C,
   // SC, which orders nothing in a program without SC accesses
   if (!bits::any(S.Sc))
     return true;
-  RelT Scb = Sb.unioned(Sb.compose(Hb).compose(Sb))
+  Relation Scb = Sb.unioned(Sb.compose(Hb).compose(Sb))
                  .unioned(Hb.intersected(S.SameLoc))
                  .unioned(C.Co)
                  .unioned(C.Fr);
@@ -297,9 +277,8 @@ bool immLiteAxiom(const TargetCandidate<RelT> &C,
 
 } // namespace
 
-template <typename RelT>
-BasicTargetExecution<RelT> jsmm::accessView(const BasicTargetExecution<RelT> &X,
-                                            std::vector<EventId> &IdOf) {
+TargetExecution jsmm::accessView(const TargetExecution &X,
+                                 std::vector<EventId> &IdOf) {
   IdOf.clear();
   std::vector<int> ViewOf(X.numEvents(), -1);
   std::vector<TargetEvent> Events;
@@ -311,8 +290,8 @@ BasicTargetExecution<RelT> jsmm::accessView(const BasicTargetExecution<RelT> &X,
       IdOf.push_back(E.Id);
     }
   unsigned N = static_cast<unsigned>(Events.size());
-  BasicTargetExecution<RelT> V(std::move(Events),
-                               static_cast<unsigned>(X.CoPerLoc.size()));
+  TargetExecution V(std::move(Events),
+                    static_cast<unsigned>(X.CoPerLoc.size()));
   V.Po = project(X.Po, ViewOf, N);
   V.Rf = project(X.Rf, ViewOf, N);
   for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
@@ -321,14 +300,13 @@ BasicTargetExecution<RelT> jsmm::accessView(const BasicTargetExecution<RelT> &X,
   return V;
 }
 
-template <typename RelT>
-TargetStatics<RelT>
-jsmm::targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
+TargetStatics
+jsmm::targetStatics(const TargetExecution &X, TargetArch Arch,
                     const std::vector<EventId> *IdOf) {
   unsigned N = X.numEvents();
-  Masks<RelT> M = Masks<RelT>::compute(X);
-  typename RelT::SetT Access = M.Reads | M.Writes;
-  TargetStatics<RelT> S;
+  Masks M = Masks::compute(X);
+  BitSet Access = M.Reads | M.Writes;
+  TargetStatics S;
   S.Arch = Arch;
   S.Writes = M.Writes;
   S.Sc = M.Sc;
@@ -337,14 +315,14 @@ jsmm::targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
     // ppo: program order minus write->read pairs (the store buffer); RMWs
     // are locked and never relaxed.
     S.Ppo = X.Po.restricted(Access, Access)
-                .subtracted(RelT::product(M.OnlyW, M.OnlyR, N));
+                .subtracted(Relation::product(M.OnlyW, M.OnlyR, N));
     S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::MFence), Access, Access));
     break;
   case TargetArch::ArmV8:
     S.Ppo = acqRelEdges(X, M);
     break;
   case TargetArch::RiscV: {
-    typename RelT::SetT RW = Access;
+    BitSet RW = Access;
     // Same-address ppo: ordered when the second access is a store.
     S.Ppo = X.poLoc().restricted(RW, M.Writes);
     S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRWRW), RW, RW));
@@ -360,10 +338,10 @@ jsmm::targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
     bool Power = Arch == TargetArch::Power;
     S.Ffence = fenceEdges(
         X, M.fence(X, Power ? TFence::Sync : TFence::DmbV7), Access, Access);
-    typename RelT::SetT LwSync = M.fence(X, TFence::LwSync);
+    BitSet LwSync = M.fence(X, TFence::LwSync);
     if (Power && bits::any(LwSync))
       S.Lw = fenceEdges(X, LwSync, Access, Access)
-                 .subtracted(RelT::product(M.OnlyW, M.OnlyR, N));
+                 .subtracted(Relation::product(M.OnlyW, M.OnlyR, N));
     // ctrl+isync after a load orders that load before everything po-later.
     S.Ppo = fenceEdges(X, M.fence(X, TFence::CtrlIsync), M.Reads, Access);
     break;
@@ -378,39 +356,39 @@ jsmm::targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
   for (unsigned K = 0; K < IdOf->size(); ++K)
     ViewOf[(*IdOf)[K]] = static_cast<int>(K);
   unsigned V = static_cast<unsigned>(IdOf->size());
-  for (RelT *R : {&S.Ppo, &S.Ffence, &S.Lw, &S.SameLoc})
+  for (Relation *R : {&S.Ppo, &S.Ffence, &S.Lw, &S.SameLoc})
     if (R->size())
       *R = project(*R, ViewOf, V);
-  S.Writes = projectSet<RelT>(S.Writes, *IdOf);
-  S.Sc = projectSet<RelT>(S.Sc, *IdOf);
+  S.Writes = projectSet(S.Writes, *IdOf);
+  S.Sc = projectSet(S.Sc, *IdOf);
   return S;
 }
 
-template <typename RelT> const RelT &TargetCandidate<RelT>::rfe() const {
+const Relation &TargetCandidate::rfe() const {
   if (!Rfe)
     Rfe = X.externalPart(X.Rf);
   return *Rfe;
 }
 
-template <typename RelT> const RelT &TargetCandidate<RelT>::fre() const {
+const Relation &TargetCandidate::fre() const {
   if (!Fre)
     Fre = X.externalPart(Fr);
   return *Fre;
 }
 
-template <typename RelT> const RelT &TargetCandidate<RelT>::comExt() const {
+const Relation &TargetCandidate::comExt() const {
   if (!ComExt)
     ComExt = rfe().unioned(X.externalPart(Co)).unioned(fre());
   return *ComExt;
 }
 
-template <typename RelT> const RelT &TargetCandidate<RelT>::eco() const {
+const Relation &TargetCandidate::eco() const {
   if (!Eco)
     Eco = X.Rf.unioned(Co).unioned(Fr).transitiveClosure();
   return *Eco;
 }
 
-template <typename RelT> const RelT &TargetCandidate<RelT>::comStar() const {
+const Relation &TargetCandidate::comStar() const {
   if (!ComStar) {
     ComStar = eco();
     for (unsigned A = 0; A < X.numEvents(); ++A)
@@ -419,9 +397,7 @@ template <typename RelT> const RelT &TargetCandidate<RelT>::comStar() const {
   return *ComStar;
 }
 
-template <typename RelT>
-bool jsmm::targetFinalAxiom(const TargetCandidate<RelT> &C,
-                            const TargetStatics<RelT> &S) {
+bool jsmm::targetFinalAxiom(const TargetCandidate &C, const TargetStatics &S) {
   switch (S.Arch) {
   case TargetArch::X86:
     return S.Ppo.unioned(C.rfe()).unioned(C.Co).unioned(C.Fr).isAcyclic();
@@ -438,81 +414,37 @@ bool jsmm::targetFinalAxiom(const TargetCandidate<RelT> &C,
   return false;
 }
 
-template <typename RelT>
-bool jsmm::isTargetConsistent(const BasicTargetExecution<RelT> &X,
-                              TargetArch Arch) {
-  TargetStatics<RelT> S = targetStatics(X, Arch);
-  TargetCandidate<RelT> C(X);
+bool jsmm::isTargetConsistent(const TargetExecution &X, TargetArch Arch) {
+  TargetStatics S = targetStatics(X, Arch);
+  TargetCandidate C(X);
   if (Arch != TargetArch::ImmLite &&
       !targetScPerLocation(X.poLoc(), X.Rf, C.Co, C.Fr))
     return false;
   return targetAtomicity(C.Co, C.Fr) && targetFinalAxiom(C, S);
 }
 
-template <typename RelT>
-bool jsmm::isX86Consistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isX86Consistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::X86);
 }
 
-template <typename RelT>
-bool jsmm::isArmV8UniConsistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isArmV8UniConsistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::ArmV8);
 }
 
-template <typename RelT>
-bool jsmm::isRiscVConsistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isRiscVConsistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::RiscV);
 }
 
-template <typename RelT>
-bool jsmm::isPowerConsistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isPowerConsistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::Power);
 }
 
-template <typename RelT>
-bool jsmm::isArmV7Consistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isArmV7Consistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::ArmV7);
 }
 
-template <typename RelT>
-bool jsmm::isImmLiteConsistent(const BasicTargetExecution<RelT> &X) {
+bool jsmm::isImmLiteConsistent(const TargetExecution &X) {
   return isTargetConsistent(X, TargetArch::ImmLite);
 }
 
 // Explicit instantiation for both capacity tiers.
-#define JSMM_INSTANTIATE_TARGET(RelT)                                        \
-  template class jsmm::BasicTargetExecution<RelT>;                           \
-  template bool jsmm::isTargetConsistent<RelT>(                              \
-      const BasicTargetExecution<RelT> &, TargetArch);                       \
-  template bool jsmm::isX86Consistent<RelT>(                                 \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::isArmV8UniConsistent<RelT>(                            \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::isRiscVConsistent<RelT>(                               \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::isPowerConsistent<RelT>(                               \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::isArmV7Consistent<RelT>(                               \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::isImmLiteConsistent<RelT>(                             \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::targetScPerLocation<RelT>(                             \
-      const BasicTargetExecution<RelT> &);                                   \
-  template bool jsmm::targetAtomicity<RelT>(                                 \
-      const BasicTargetExecution<RelT> &);                                   \
-  template BasicTargetExecution<RelT> jsmm::accessView<RelT>(               \
-      const BasicTargetExecution<RelT> &, std::vector<EventId> &);           \
-  template TargetStatics<RelT> jsmm::targetStatics<RelT>(                    \
-      const BasicTargetExecution<RelT> &, TargetArch,                        \
-      const std::vector<EventId> *);                                         \
-  template bool jsmm::targetAdmits<RelT>(const RelT &, const RelT &);        \
-  template bool jsmm::targetScPerLocation<RelT>(                             \
-      const RelT &, const RelT &, const RelT &, const RelT &);               \
-  template bool jsmm::targetAtomicity<RelT>(const RelT &, const RelT &);     \
-  template class jsmm::TargetCandidate<RelT>;                                \
-  template bool jsmm::targetFinalAxiom<RelT>(const TargetCandidate<RelT> &,  \
-                                             const TargetStatics<RelT> &);
-
-JSMM_INSTANTIATE_TARGET(jsmm::Relation)
-JSMM_INSTANTIATE_TARGET(jsmm::DynRelation)
-#undef JSMM_INSTANTIATE_TARGET

@@ -14,17 +14,12 @@
 /// behaviours allowed), which is the conservative direction for the
 /// compilation claims checked on top of these models.
 ///
-/// Executions and predicates are generic over the relation flavour
-/// (Relation for the ≤64-event fast tier, DynRelation beyond), so one
-/// model definition serves both capacity tiers with identical verdicts.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_TARGETS_TARGETMODELS_H
 #define JSMM_TARGETS_TARGETMODELS_H
 
 #include "core/Event.h"
-#include "support/DynRelation.h"
 #include "support/Relation.h"
 
 #include <optional>
@@ -83,72 +78,53 @@ struct TargetEvent {
 
 /// A target execution: po, rf (writer->reader) and one coherence order per
 /// location (Init first).
-template <typename RelT> class BasicTargetExecution {
+class TargetExecution {
 public:
-  using Rel = RelT;
-  using SetT = typename RelT::SetT;
 
   std::vector<TargetEvent> Events;
-  RelT Po;
-  RelT Rf;
+  Relation Po;
+  Relation Rf;
   std::vector<std::vector<EventId>> CoPerLoc;
 
-  BasicTargetExecution() = default;
-  explicit BasicTargetExecution(std::vector<TargetEvent> Evs,
-                                unsigned NumLocs);
+  TargetExecution() = default;
+  explicit TargetExecution(std::vector<TargetEvent> Evs, unsigned NumLocs);
 
   unsigned numEvents() const {
     return static_cast<unsigned>(Events.size());
   }
-  SetT allEventsMask() const { return RelT::fullSet(numEvents()); }
-  template <typename PredT> SetT eventsWhere(PredT Pred) const {
-    SetT Mask = RelT::emptySet(numEvents());
+  BitSet allEventsMask() const { return Relation::fullSet(numEvents()); }
+  template <typename PredT> BitSet eventsWhere(PredT Pred) const {
+    BitSet Mask = Relation::emptySet(numEvents());
     for (const TargetEvent &E : Events)
       if (Pred(E))
         bits::set(Mask, E.Id);
     return Mask;
   }
 
-  RelT coherence() const;
-  RelT fromReads() const;
-  RelT poLoc() const;
-  RelT externalPart(const RelT &R) const;
+  Relation coherence() const;
+  Relation fromReads() const;
+  Relation poLoc() const;
+  Relation externalPart(const Relation &R) const;
 
   std::string toString() const;
 };
 
-/// The allocation-free ≤64-event tier.
-using TargetExecution = BasicTargetExecution<Relation>;
-/// The dynamic tier for compiled programs beyond 64 events.
-using DynTargetExecution = BasicTargetExecution<DynRelation>;
-
 /// The consistency predicate of \p Arch: the shared axioms
 /// (SC-per-location on all but ImmLite, atomicity on all) ∧ the
 /// architecture's final axiom, everything derived from \p X itself.
-/// Generic over the relation flavour (both capacity tiers share one model
-/// definition).
-template <typename RelT>
-bool isTargetConsistent(const BasicTargetExecution<RelT> &X, TargetArch Arch);
+bool isTargetConsistent(const TargetExecution &X, TargetArch Arch);
 
 /// isTargetConsistent for each architecture.
-template <typename RelT>
-bool isX86Consistent(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool isArmV8UniConsistent(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool isRiscVConsistent(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool isPowerConsistent(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool isArmV7Consistent(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool isImmLiteConsistent(const BasicTargetExecution<RelT> &X);
+bool isX86Consistent(const TargetExecution &X);
+bool isArmV8UniConsistent(const TargetExecution &X);
+bool isRiscVConsistent(const TargetExecution &X);
+bool isPowerConsistent(const TargetExecution &X);
+bool isArmV7Consistent(const TargetExecution &X);
+bool isImmLiteConsistent(const TargetExecution &X);
 
 /// Shared axioms, exposed for tests.
-template <typename RelT>
-bool targetScPerLocation(const BasicTargetExecution<RelT> &X);
-template <typename RelT>
-bool targetAtomicity(const BasicTargetExecution<RelT> &X);
+bool targetScPerLocation(const TargetExecution &X);
+bool targetAtomicity(const TargetExecution &X);
 
 //===----------------------------------------------------------------------===//
 // The split check: what the engine's target walk evaluates per base and
@@ -161,9 +137,8 @@ bool targetAtomicity(const BasicTargetExecution<RelT> &X);
 /// \p X. Every compiled form of one uni-size program has the same view up
 /// to the access flags (compileUni only adds fences), which is what lets
 /// one walk serve all of them.
-template <typename RelT>
-BasicTargetExecution<RelT> accessView(const BasicTargetExecution<RelT> &X,
-                                      std::vector<EventId> &IdOf);
+TargetExecution accessView(const TargetExecution &X,
+                           std::vector<EventId> &IdOf);
 
 /// What an architecture's final axiom derives from po and the event kinds
 /// alone. None of it depends on rf or co, so a walk builds it once per
@@ -172,26 +147,24 @@ BasicTargetExecution<RelT> accessView(const BasicTargetExecution<RelT> &X,
 /// edges it orders, never an edge of its own), so the statics carry over
 /// to the access view unchanged. Relations a backend does not use stay
 /// empty (size 0).
-template <typename RelT> struct TargetStatics {
-  using SetT = typename RelT::SetT;
+struct TargetStatics {
   TargetArch Arch = TargetArch::ImmLite;
   /// x86: ppo ∪ mfence edges. ARMv8: bob. RISC-V: ppo. Power and ARMv7:
   /// the ctrl+isync edges.
-  RelT Ppo;
+  Relation Ppo;
   /// Power and ARMv7: the full-fence edges; Power: the lwsync edges, left
   /// empty when the execution has no lwsync.
-  RelT Ffence, Lw;
+  Relation Ffence, Lw;
   /// ImmLite: distinct accesses to one location.
-  RelT SameLoc;
-  SetT Writes, Sc;
+  Relation SameLoc;
+  BitSet Writes, Sc;
 };
 
 /// Builds the statics of \p Arch over \p X's events and po (rf and co are
 /// not read), numbered as \p X is, or with \p IdOf as accessView's map
 /// of \p X, numbered as the view is.
-template <typename RelT>
-TargetStatics<RelT>
-targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
+TargetStatics
+targetStatics(const TargetExecution &X, TargetArch Arch,
               const std::vector<EventId> *IdOf = nullptr);
 
 /// The walk's monotone admission of a partial candidate: po-loc ∪ rf must
@@ -199,51 +172,47 @@ targetStatics(const BasicTargetExecution<RelT> &X, TargetArch Arch,
 /// Power, RISC-V) and ImmLite's NO-THIN-AIR (sb ∪ rf acyclic) for every
 /// coherence completion, and both relations only grow as reads are
 /// justified.
-template <typename RelT>
-bool targetAdmits(const RelT &PoLoc, const RelT &Rf);
+bool targetAdmits(const Relation &PoLoc, const Relation &Rf);
 
 /// The shared axioms over precomputed relations: SC-per-location
 /// (po-loc ∪ rf ∪ co ∪ fr acyclic) and atomicity (fr ; co irreflexive:
 /// no write coherence-intervenes inside an RMW). Neither reads a fence,
 /// so they give the same answer on every compiled form of one program.
-template <typename RelT>
-bool targetScPerLocation(const RelT &PoLoc, const RelT &Rf, const RelT &Co,
-                         const RelT &Fr);
-template <typename RelT> bool targetAtomicity(const RelT &Co, const RelT &Fr);
+bool targetScPerLocation(const Relation &PoLoc, const Relation &Rf,
+                         const Relation &Co, const Relation &Fr);
+bool targetAtomicity(const Relation &Co, const Relation &Fr);
 
 /// A candidate as the axioms read it: an execution with rf and co chosen,
 /// its coherence and from-reads, and the rf-dependent relations several
 /// final axioms share, each built on first use. A walk makes one per leaf
 /// and hands it to every column's final axiom.
-template <typename RelT> class TargetCandidate {
+class TargetCandidate {
 public:
-  explicit TargetCandidate(const BasicTargetExecution<RelT> &X)
+  explicit TargetCandidate(const TargetExecution &X)
       : X(X), Co(X.coherence()), Fr(X.fromReads()) {}
 
-  const BasicTargetExecution<RelT> &X;
-  const RelT Co;
-  const RelT Fr;
+  const TargetExecution &X;
+  const Relation Co;
+  const Relation Fr;
 
   /// External rf and fr.
-  const RelT &rfe() const;
-  const RelT &fre() const;
+  const Relation &rfe() const;
+  const Relation &fre() const;
   /// (rf ∪ co ∪ fr) restricted to pairs on different threads.
-  const RelT &comExt() const;
+  const Relation &comExt() const;
   /// (rf ∪ co ∪ fr)+ and its reflexive closure.
-  const RelT &eco() const;
-  const RelT &comStar() const;
+  const Relation &eco() const;
+  const Relation &comStar() const;
 
 private:
-  mutable std::optional<RelT> Rfe, Fre, ComExt, Eco, ComStar;
+  mutable std::optional<Relation> Rfe, Fre, ComExt, Eco, ComStar;
 };
 
 /// The architecture's own axiom over the candidate \p C, given its
 /// statics (numbered as C.X is). It reads of C.X only rf, po and the event
 /// threads, so on the access view of a compiled form, with the statics
 /// built over that view, it gives the form's own verdict.
-template <typename RelT>
-bool targetFinalAxiom(const TargetCandidate<RelT> &C,
-                      const TargetStatics<RelT> &S);
+bool targetFinalAxiom(const TargetCandidate &C, const TargetStatics &S);
 
 } // namespace jsmm
 

@@ -10,13 +10,11 @@ using namespace jsmm;
 
 namespace {
 
-template <typename RelT> class UniBuilder {
-  using ExecT = BasicUniExecution<RelT>;
-
+class UniBuilder {
 public:
   UniBuilder(
       const UniProgram &P,
-      const std::function<bool(const ExecT &, const Outcome &)> &Visit)
+      const std::function<bool(const UniExecution &, const Outcome &)> &Visit)
       : P(P), Visit(Visit) {}
 
   bool run() {
@@ -46,7 +44,7 @@ public:
         ThreadEvents[T].push_back(Id);
       }
     }
-    X = ExecT(std::move(Events));
+    X = UniExecution(std::move(Events));
     for (const std::vector<EventId> &Seq : ThreadEvents)
       for (size_t I = 0; I < Seq.size(); ++I)
         for (size_t J = I + 1; J < Seq.size(); ++J)
@@ -80,8 +78,8 @@ private:
   }
 
   const UniProgram &P;
-  const std::function<bool(const ExecT &, const Outcome &)> &Visit;
-  ExecT X;
+  const std::function<bool(const UniExecution &, const Outcome &)> &Visit;
+  UniExecution X;
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
 };
@@ -193,15 +191,7 @@ unsigned jsmm::uniProgramEventBound(const UniProgram &P) {
 bool jsmm::forEachUniExecution(
     const UniProgram &P,
     const std::function<bool(const UniExecution &, const Outcome &)> &Visit) {
-  UniBuilder<Relation> B(P, Visit);
-  return B.run();
-}
-
-bool jsmm::forEachDynUniExecution(
-    const UniProgram &P,
-    const std::function<bool(const DynUniExecution &, const Outcome &)>
-        &Visit) {
-  UniBuilder<DynRelation> B(P, Visit);
+  UniBuilder B(P, Visit);
   return B.run();
 }
 
@@ -223,19 +213,8 @@ UniEnumerationResult jsmm::enumerateUniOutcomes(const UniProgram &P) {
 }
 
 std::vector<Outcome> jsmm::uniAllowedOutcomes(const UniProgram &P) {
-  // Both tiers dedupe outcomes through a std::map keyed by Outcome, so the
-  // returned vector is sorted and identical to enumerateUniOutcomes' key
-  // set whenever the program fits the fast tier.
-  if (uniProgramEventBound(P) <= Relation::MaxSize) {
-    std::vector<Outcome> Out;
-    for (const auto &[O, Witness] : enumerateUniOutcomes(P).Allowed) {
-      (void)Witness;
-      Out.push_back(O);
-    }
-    return Out;
-  }
   std::map<Outcome, bool> Verdicts;
-  forEachDynUniExecution(P, [&](const DynUniExecution &X, const Outcome &O) {
+  forEachUniExecution(P, [&](const UniExecution &X, const Outcome &O) {
     auto [It, Inserted] = Verdicts.try_emplace(O, false);
     if (Inserted || !It->second)
       It->second = isUniValidForSomeTot(X);

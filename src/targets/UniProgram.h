@@ -100,13 +100,6 @@ bool forEachUniExecution(
     const UniProgram &P,
     const std::function<bool(const UniExecution &, const Outcome &)> &Visit);
 
-/// The dynamic-tier twin for programs beyond 64 events (same enumeration
-/// order and outcomes).
-bool forEachDynUniExecution(
-    const UniProgram &P,
-    const std::function<bool(const DynUniExecution &, const Outcome &)>
-        &Visit);
-
 /// Converts a straight-line mixed-size litmus Program whose accesses
 /// partition into uniform-width, non-overlapping cells into the uni-size
 /// fragment (cells become abstract locations, in (block, offset) order).
@@ -131,11 +124,10 @@ struct UniEnumerationResult {
 };
 UniEnumerationResult enumerateUniOutcomes(const UniProgram &P);
 
-/// Capacity-agnostic allowed-outcome set of \p P under the revised
-/// uni-size model: identical to enumerateUniOutcomes' key set for ≤64-event
-/// programs, served through DynRelation beyond (up to
-/// DynRelation::MaxSize events; throws CapacityError past that). The
-/// uni-js reference column of the differential suite for both tiers.
+/// The allowed-outcome set of \p P under the revised uni-size model, sorted:
+/// enumerateUniOutcomes' key set without its witnesses (throws
+/// CapacityError past Relation::MaxSize events). The uni-js reference
+/// column of the differential suite.
 std::vector<Outcome> uniAllowedOutcomes(const UniProgram &P);
 
 } // namespace jsmm

@@ -127,7 +127,7 @@ ReductionResult jsmm::reduceToUniSize(const CandidateExecution &CE) {
       for (unsigned MixedId : *MixedOrder)
         if (RR.UniOfMixed[MixedId] >= 0)
           Order.push_back(static_cast<unsigned>(RR.UniOfMixed[MixedId]));
-      RR.Uni.Tot = totalOrderFromSequence(Order, RR.Uni.numEvents());
+      RR.Uni.Tot = totalOrderOver(Order, RR.Uni.numEvents());
     }
   }
   return RR;

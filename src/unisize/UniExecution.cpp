@@ -17,8 +17,7 @@ std::string UniEvent::toString() const {
   return Out;
 }
 
-template <typename RelT>
-BasicUniExecution<RelT>::BasicUniExecution(std::vector<UniEvent> Evs)
+UniExecution::UniExecution(std::vector<UniEvent> Evs)
     : Events(std::move(Evs)), Sb(static_cast<unsigned>(Events.size())),
       Asw(static_cast<unsigned>(Events.size())),
       Rf(static_cast<unsigned>(Events.size())),
@@ -27,9 +26,8 @@ BasicUniExecution<RelT>::BasicUniExecution(std::vector<UniEvent> Evs)
     assert(Events[I].Id == I && "event id must equal its index");
 }
 
-template <typename RelT>
-RelT BasicUniExecution<RelT>::synchronizesWith() const {
-  RelT Sw = Asw;
+Relation UniExecution::synchronizesWith() const {
+  Relation Sw = Asw;
   Rf.forEachPair([&](unsigned W, unsigned R) {
     if (Events[W].Ord == Mode::SeqCst && Events[R].Ord == Mode::SeqCst &&
         Events[W].Loc == Events[R].Loc)
@@ -38,8 +36,8 @@ RelT BasicUniExecution<RelT>::synchronizesWith() const {
   return Sw;
 }
 
-template <typename RelT> RelT BasicUniExecution<RelT>::happensBefore() const {
-  RelT Base = Sb.unioned(synchronizesWith());
+Relation UniExecution::happensBefore() const {
+  Relation Base = Sb.unioned(synchronizesWith());
   for (const UniEvent &A : Events) {
     if (A.Ord != Mode::Init)
       continue;
@@ -50,19 +48,18 @@ template <typename RelT> RelT BasicUniExecution<RelT>::happensBefore() const {
   return Base.transitiveClosure();
 }
 
-template <typename RelT>
-bool BasicUniExecution<RelT>::checkWellFormed(std::string *Err) const {
+bool UniExecution::checkWellFormed(std::string *Err) const {
   auto Fail = [&](const std::string &Why) {
     if (Err)
       *Err = Why;
     return false;
   };
   unsigned N = numEvents();
-  std::map<int, SetT> ThreadEvents;
+  std::map<int, BitSet> ThreadEvents;
   for (const UniEvent &E : Events)
     if (E.Ord != Mode::Init) {
       auto [It, Inserted] =
-          ThreadEvents.try_emplace(E.Thread, RelT::emptySet(N));
+          ThreadEvents.try_emplace(E.Thread, Relation::emptySet(N));
       (void)Inserted;
       bits::set(It->second, E.Id);
     }
@@ -99,8 +96,7 @@ bool BasicUniExecution<RelT>::checkWellFormed(std::string *Err) const {
   return true;
 }
 
-template <typename RelT>
-std::string BasicUniExecution<RelT>::toString() const {
+std::string UniExecution::toString() const {
   std::string Out;
   for (const UniEvent &E : Events)
     Out += "  " + E.toString() + "\n";
@@ -114,9 +110,9 @@ bool sameLoc(const UniEvent &A, const UniEvent &B) { return A.Loc == B.Loc; }
 
 /// The uni-size Sequentially Consistent Atomics rule of Fig. 12 against a
 /// given tot.
-template <typename RelT>
-bool checkUniScAtomics(const BasicUniExecution<RelT> &X, const RelT &Rf,
-                       const RelT &Sw, const RelT &Hb, const RelT &Tot) {
+bool checkUniScAtomics(const UniExecution &X, const Relation &Rf,
+                       const Relation &Sw, const Relation &Hb,
+                       const Relation &Tot) {
   bool Ok = true;
   Rf.forEachPair([&](unsigned W, unsigned R) {
     if (!Ok || !Hb.get(W, R))
@@ -140,9 +136,8 @@ bool checkUniScAtomics(const BasicUniExecution<RelT> &X, const RelT &Rf,
   return Ok;
 }
 
-template <typename RelT>
-bool checkUniTotIndependent(const BasicUniExecution<RelT> &X, const RelT &Rf,
-                            const RelT &Hb, std::string *WhyNot) {
+bool checkUniTotIndependent(const UniExecution &X, const Relation &Rf,
+                            const Relation &Hb, std::string *WhyNot) {
   auto Fail = [&](const char *Why) {
     if (WhyNot)
       *WhyNot = Why;
@@ -190,13 +185,11 @@ bool jsmm::isUniValid(const UniExecution &X, std::string *WhyNot) {
   return true;
 }
 
-template <typename RelT>
-bool jsmm::isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
-                                std::type_identity_t<RelT> *TotOut,
+bool jsmm::isUniValidForSomeTot(const UniExecution &X, Relation *TotOut,
                                 const TotSolver &Solver) {
-  RelT Rf = X.Rf;
-  RelT Sw = X.synchronizesWith();
-  RelT Hb = X.happensBefore();
+  Relation Rf = X.Rf;
+  Relation Sw = X.synchronizesWith();
+  Relation Hb = X.happensBefore();
   if (!checkUniTotIndependent(X, Rf, Hb, nullptr))
     return false;
   if (!Hb.isIrreflexive()) // happensBefore() is transitively closed
@@ -204,7 +197,7 @@ bool jsmm::isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
   // The uni-size SC rule (checkUniScAtomics) forbids a SeqCst write C
   // strictly tot-between an rf ∩ hb pair <W,R> under tot-independent side
   // conditions — the exact betweenness form the order solvers decide.
-  BasicTotProblem<RelT> P;
+  TotProblem P;
   P.N = X.numEvents();
   P.Universe = X.allEventsMask();
   P.Must = Hb;
@@ -227,22 +220,9 @@ bool jsmm::isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
   return Solver.existsExtension(P, TotOut);
 }
 
-template <typename RelT>
-bool jsmm::isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
-                                std::type_identity_t<RelT> *TotOut) {
+bool jsmm::isUniValidForSomeTot(const UniExecution &X, Relation *TotOut) {
   return isUniValidForSomeTot(X, TotOut, defaultTotSolver());
 }
-
-#define JSMM_INSTANTIATE_UNI(RelT)                                           \
-  template class jsmm::BasicUniExecution<RelT>;                              \
-  template bool jsmm::isUniValidForSomeTot<RelT>(                            \
-      const BasicUniExecution<RelT> &, RelT *, const TotSolver &);           \
-  template bool jsmm::isUniValidForSomeTot<RelT>(                            \
-      const BasicUniExecution<RelT> &, RelT *);
-
-JSMM_INSTANTIATE_UNI(jsmm::Relation)
-JSMM_INSTANTIATE_UNI(jsmm::DynRelation)
-#undef JSMM_INSTANTIATE_UNI
 
 UniEvent jsmm::makeUniWrite(EventId Id, int Thread, Mode Ord, unsigned Loc,
                             uint64_t Value) {

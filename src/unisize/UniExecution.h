@@ -8,11 +8,6 @@
 /// Tear-Free Reads rule becomes trivially true and disappears, and range
 /// comparisons become a same-location predicate.
 ///
-/// Executions and the Fig. 12 validity questions are generic over the
-/// relation flavour, so the uni-js reference column of the differential
-/// suite serves both capacity tiers (≤64 events on Relation, beyond on
-/// DynRelation) from one model definition.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_UNISIZE_UNIEXECUTION_H
@@ -20,7 +15,6 @@
 
 #include "core/Event.h"
 #include "solver/TotSolver.h"
-#include "support/DynRelation.h"
 #include "support/Relation.h"
 
 #include <string>
@@ -48,38 +42,33 @@ struct UniEvent {
 
 /// A uni-size candidate execution: like Fig. 3 with reads-from instead of
 /// reads-byte-from.
-template <typename RelT> class BasicUniExecution {
+class UniExecution {
 public:
-  using Rel = RelT;
-  using SetT = typename RelT::SetT;
 
   std::vector<UniEvent> Events;
-  RelT Sb;
-  RelT Asw;
-  RelT Rf;  ///< writer -> reader; each read has exactly one writer
-  RelT Tot;
+  Relation Sb;
+  Relation Asw;
+  Relation Rf;  ///< writer -> reader; each read has exactly one writer
+  Relation Tot;
 
-  BasicUniExecution() = default;
-  explicit BasicUniExecution(std::vector<UniEvent> Evs);
+  UniExecution() = default;
+  explicit UniExecution(std::vector<UniEvent> Evs);
 
   unsigned numEvents() const {
     return static_cast<unsigned>(Events.size());
   }
-  SetT allEventsMask() const { return RelT::fullSet(numEvents()); }
+  BitSet allEventsMask() const { return Relation::fullSet(numEvents()); }
 
   /// sw: same-location SeqCst write/read reads-from pairs, plus asw
   /// (the simplified definition; the uni-size model is derived from the
   /// revised mixed-size model).
-  RelT synchronizesWith() const;
+  Relation synchronizesWith() const;
   /// hb = (sb ∪ sw ∪ {<I,B> | I is an Init on B's location})+.
-  RelT happensBefore() const;
+  Relation happensBefore() const;
 
   bool checkWellFormed(std::string *Err = nullptr) const;
   std::string toString() const;
 };
-
-using UniExecution = BasicUniExecution<Relation>;
-using DynUniExecution = BasicUniExecution<DynRelation>;
 
 /// Validity of \p X (with its Tot) under the uni-size model (Fig. 12).
 bool isUniValid(const UniExecution &X, std::string *WhyNot = nullptr);
@@ -88,13 +77,9 @@ bool isUniValid(const UniExecution &X, std::string *WhyNot = nullptr);
 /// The uni-size SC Atomics rule has the same betweenness shape as the
 /// mixed-size one, so the question is posed to the given order solver (the
 /// process default when omitted).
-template <typename RelT>
-bool isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
-                          std::type_identity_t<RelT> *TotOut,
+bool isUniValidForSomeTot(const UniExecution &X, Relation *TotOut,
                           const TotSolver &Solver);
-template <typename RelT>
-bool isUniValidForSomeTot(const BasicUniExecution<RelT> &X,
-                          std::type_identity_t<RelT> *TotOut = nullptr);
+bool isUniValidForSomeTot(const UniExecution &X, Relation *TotOut = nullptr);
 
 /// Constructors for tests and the reduction.
 UniEvent makeUniWrite(EventId Id, int Thread, Mode Ord, unsigned Loc,

@@ -21,6 +21,16 @@ namespace jsmm {
 namespace testutil {
 using namespace jsmm::paper;
 
+/// The set over a universe of \p N elements (N <= 64) holding the set bits
+/// of \p Word: tests spell small event sets as masks.
+inline BitSet wordSet(unsigned N, uint64_t Word) {
+  BitSet S(N);
+  for (unsigned I = 0; I < N; ++I)
+    if ((Word >> I) & 1)
+      bits::set(S, I);
+  return S;
+}
+
 /// One random small program: 2-3 threads, 1-3 statements each, u8/u32
 /// accesses over one 8-byte buffer, values 0-2, occasional SeqCst and
 /// exchange statements, occasional copied bodies (to exercise twins) and

@@ -369,7 +369,7 @@ uint64_t unprunedSpaceBound(const ArmProgram &P) {
   ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
     const ArmExecution &X = S.Exec;
     auto Count = [&](auto Pred) {
-      return static_cast<unsigned>(__builtin_popcountll(X.eventsWhere(Pred)));
+      return bits::count(X.eventsWhere(Pred));
     };
     uint64_t N = 1;
     for (const ArmEvent &R : X.Events)

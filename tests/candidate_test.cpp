@@ -169,7 +169,7 @@ TEST(Candidate, WellFormednessRejectsPartialSbPerThread) {
 
 TEST(Candidate, WellFormednessAcceptsTotWitness) {
   CandidateExecution CE = fig2Execution();
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3, 4}, 5);
+  CE.Tot = totalOrderOver({0, 1, 2, 3, 4}, 5);
   std::string Err;
   EXPECT_TRUE(CE.checkWellFormed(&Err)) << Err;
   CE.Tot.clear(0, 4); // no longer total
@@ -178,9 +178,9 @@ TEST(Candidate, WellFormednessAcceptsTotWitness) {
 
 TEST(Candidate, EventsWhereMask) {
   CandidateExecution CE = fig2Execution();
-  uint64_t ScEvents = CE.eventsWhere(
+  BitSet ScEvents = CE.eventsWhere(
       [](const Event &E) { return E.Ord == Mode::SeqCst; });
-  EXPECT_EQ(ScEvents, (uint64_t(1) << 2) | (uint64_t(1) << 3));
+  EXPECT_TRUE(ScEvents == wordSet(CE.numEvents(), 0b1100));
 }
 
 TEST(Candidate, RbfAcrossBlocksRejected) {

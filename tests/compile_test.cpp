@@ -214,7 +214,7 @@ TEST(TotConstruction, CyclicBaseIsRejectedNotTruncated) {
   ArmExecution X(std::move(ArmEvs));
   TR.JsOfArm = {0};
 
-  Relation Tot = totalOrderFromSequence({0, 1, 2}, 3); // sentinel content
+  Relation Tot = totalOrderOver({0, 1, 2}, 3); // sentinel content
   EXPECT_FALSE(constructTot(TR, X, &Tot));
 
   // Dropping the cycle makes the construction succeed with a genuine

@@ -13,7 +13,7 @@
 
 #include "litmus/PathEnum.h"
 #include "service/LitmusService.h"
-#include "support/DynRelation.h"
+#include "support/Relation.h"
 
 #include <gtest/gtest.h>
 
@@ -177,8 +177,8 @@ TEST(DifferentialLarge, CorpusCrossesTheOldCeiling) {
   ASSERT_GE(Corpus.size(), 3u);
   for (const DiffCase &C : Corpus) {
     unsigned Bound = uniProgramEventBound(C.Uni);
-    EXPECT_GT(Bound, 64u) << C.Name << " must exceed the fixed tier";
-    EXPECT_LE(Bound, DynRelation::MaxSize) << C.Name;
+    EXPECT_GT(Bound, 64u) << C.Name << " must need rows of several words";
+    EXPECT_LE(Bound, Relation::MaxSize) << C.Name;
   }
   // At least one entry is a 9-thread program, and one crosses the ceiling
   // in its mixed (litmus) rendering too.

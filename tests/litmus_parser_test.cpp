@@ -393,7 +393,7 @@ allow 0:r0=010
 }
 
 TEST(LitmusParser, RejectsProgramsBeyondTheDynamicEventCap) {
-  // The parser's cap is DynRelation::MaxSize (1024). A program beyond
+  // The parser's cap is Relation::MaxSize (1024). A program beyond
   // the cap is still rejected with the typed TooLarge diagnostic...
   std::string Src = "name big\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 1200; ++I)
@@ -412,7 +412,7 @@ TEST(LitmusParser, RejectsProgramsBeyondTheDynamicEventCap) {
   EXPECT_FALSE(BadDiag.TooLarge);
 
   // The former fixed-tier rejection (65..256 events) now parses: these
-  // programs are served by the heap-backed DynRelation tier.
+  // programs are served with relations of several words per row.
   std::string Formerly = "name formerly-too-big\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 70; ++I)
     Formerly += "  store u32 " + std::to_string(4 * (I % 8)) + " = 1\n";
@@ -422,7 +422,7 @@ TEST(LitmusParser, RejectsProgramsBeyondTheDynamicEventCap) {
   EXPECT_EQ(programEventUpperBound(File->P), 71u);
 
   // The former dynamic-tier rejection (257..1024 events) now parses too:
-  // the heap tier with the propagation solver serves these programs.
+  // the propagation solver serves these programs.
   std::string Wide = "name wide\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 300; ++I)
     Wide += "  store u32 " + std::to_string(4 * (I % 8)) + " = 1\n";

@@ -34,11 +34,10 @@ using namespace jsmm;
 
 namespace {
 
-EngineConfig cfg(unsigned Threads, bool Reduce, bool ForceDyn = false) {
+EngineConfig cfg(unsigned Threads, bool Reduce) {
   EngineConfig C;
   C.Threads = Threads;
   C.Prune = true;
-  C.ForceDynRelation = ForceDyn;
   C.Reduction = Reduce;
   return C;
 }
@@ -218,7 +217,6 @@ TEST(Reduction, RandomizedSweepMatchesUnreduced) {
   ExecutionEngine Off(cfg(1, false));
   ExecutionEngine On1(cfg(1, true));
   ExecutionEngine On2(cfg(2, true));
-  ExecutionEngine OnDyn(cfg(1, true, /*ForceDyn=*/true));
   for (int I = 0; I < 120; ++I) {
     Program P = randomProgram(Rng);
     ModelSpec Spec = I % 3 == 0   ? ModelSpec::original()
@@ -230,8 +228,6 @@ TEST(Reduction, RandomizedSweepMatchesUnreduced) {
         << "sweep #" << I << " (" << Spec.Name << ", threads=1)";
     EXPECT_EQ(Base, On2.enumerateOutcomes(P, M).outcomeStrings())
         << "sweep #" << I << " (" << Spec.Name << ", threads=2)";
-    EXPECT_EQ(Base, OnDyn.enumerateOutcomes(P, M).outcomeStrings())
-        << "sweep #" << I << " (" << Spec.Name << ", dyn tier)";
   }
 }
 

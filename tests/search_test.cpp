@@ -37,7 +37,7 @@ TEST(Deadness, Fig11FalseCounterExampleIsNotDead) {
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
   // The "bad" tot: Init, W_SC, W_Un, R_SC.
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   EXPECT_FALSE(isValid(CE, ModelSpec::original()))
       << "the naive search would report this";
   EXPECT_FALSE(isSemanticallyDead(CE, ModelSpec::original()))

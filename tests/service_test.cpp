@@ -12,7 +12,7 @@
 
 #include "engine/ExecutionEngine.h"
 #include "support/CapacityError.h"
-#include "support/DynRelation.h"
+#include "support/Relation.h"
 #include "support/Relation.h"
 #include "targets/Differential.h"
 
@@ -36,9 +36,8 @@ thread
 forbid 1:r0=1 1:r1=0
 )";
 
-/// A straight-line program whose event universe exceeds the *dynamic*
-/// relation cap (DynRelation::MaxSize, 1024) — the only size that still
-/// reports too-large.
+/// A straight-line program whose event universe exceeds the relation cap
+/// (Relation::MaxSize, 1024) — the only size that reports too-large.
 std::string tooLargeLitmus() {
   std::string Out = "name too-big\nbuffer 64\nthread\n";
   for (unsigned I = 0; I < 1200; ++I)
@@ -184,7 +183,7 @@ thread
 TEST(LitmusService, TooLargeIsAStructuredStatusNotACrash) {
   // This is the release-build UB the service hardening fixed: an
   // over-capacity universe used to sail past debug-only asserts into
-  // out-of-range bit shifts. The cap is now the dynamic tier's.
+  // out-of-range bit shifts. The cap is the relation cap.
   LitmusService Service;
   LitmusJobResult R = Service.runOne({"", tooLargeLitmus(), "revised", 1});
   EXPECT_EQ(R.Status, JobStatus::TooLarge);
@@ -229,7 +228,7 @@ TEST(LitmusService, TooLargeClassificationIsTypedNotTextual) {
 }
 
 TEST(LitmusService, LargeCorpusIsDeterministicAcrossWorkerCounts) {
-  // The 65+-event corpus (dynamic relation tier) under the same contract
+  // The 65+-event corpus (rows of several words) under the same contract
   // as the classic corpus: every job ok, results byte-identical for every
   // worker count.
   std::vector<LitmusJob> Jobs = largeCorpusJobs();
@@ -389,7 +388,7 @@ std::string scStores300() { return distinctStores(300, "store.sc"); }
 } // namespace
 
 TEST(LitmusService, DifferentialTableOmitsTargetsCompiledPastTheCap) {
-  // A compiled target past DynRelation::MaxSize has no column, as armv8
+  // A compiled target past Relation::MaxSize has no column, as armv8
   // has none past 64 events — with or without the static DRF shortcut.
   LitmusService Service;
   for (bool Static : {true, false}) {
@@ -468,10 +467,10 @@ TEST(ServiceHardening, RelationConstructionIsCheckedInReleaseBuilds) {
   EXPECT_THROW(Relation R(Relation::MaxSize + 1), CapacityError);
   EXPECT_THROW(Relation R(Relation::MaxSize + 1), std::length_error);
   try {
-    Relation R(70);
+    Relation R(1100);
     FAIL() << "construction must not succeed";
   } catch (const std::length_error &E) {
-    EXPECT_NE(std::string(E.what()).find("70 elements > 64"),
+    EXPECT_NE(std::string(E.what()).find("1100 elements > 1024"),
               std::string::npos)
         << E.what();
   }
@@ -490,27 +489,22 @@ TEST(ServiceHardening, TopologicalOrderReportsCyclesAsNullopt) {
 }
 
 TEST(ServiceHardening, EngineCapacityErrorsNameTheBound) {
-  // 71 events: beyond the fixed tier, inside the dynamic one. The serving
-  // cap (capacityError) passes; the witness-carrying entry points report
-  // their fixed 64-event bound and throw the typed CapacityError, while
-  // the outcome-level door serves the program.
+  // 71 events: inside the cap. Every door serves it, the witness-carrying
+  // enumerate() included.
   Program P(4);
   ThreadBuilder T0 = P.thread();
   for (unsigned I = 0; I < 70; ++I)
     T0.store(Acc::u8(0), 1);
   EXPECT_FALSE(ExecutionEngine::capacityError(P).has_value());
-  std::optional<std::string> Fixed = ExecutionEngine::fixedCapacityError(P);
-  ASSERT_TRUE(Fixed.has_value());
-  EXPECT_NE(Fixed->find("program too large (71 events > 64)"),
-            std::string::npos)
-      << *Fixed;
-  EXPECT_THROW(ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised())),
-               CapacityError);
+  EnumerationResult W =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
+  EXPECT_EQ(W.Allowed.size(), 1u) << "writes only: exactly one outcome";
   OutcomeSummary S =
       ExecutionEngine().enumerateOutcomes(P, JsModel(ModelSpec::revised()));
   EXPECT_EQ(S.Allowed.size(), 1u) << "writes only: exactly one outcome";
 
-  // Beyond the dynamic cap, every door reports the 1024-event bound.
+  // Beyond the cap, every door reports the 1024-event bound and throws
+  // the typed CapacityError.
   Program Big(4);
   ThreadBuilder B0 = Big.thread();
   for (unsigned I = 0; I < 1200; ++I)
@@ -523,12 +517,10 @@ TEST(ServiceHardening, EngineCapacityErrorsNameTheBound) {
   EXPECT_THROW(
       ExecutionEngine().enumerateOutcomes(Big, JsModel(ModelSpec::revised())),
       CapacityError);
-
-  Program Small(4);
-  ThreadBuilder S0 = Small.thread();
-  S0.store(Acc::u8(0), 1);
-  EXPECT_FALSE(ExecutionEngine::capacityError(Small).has_value());
-  EXPECT_FALSE(ExecutionEngine::fixedCapacityError(Small).has_value());
+  EXPECT_THROW(ExecutionEngine().enumerate(Big, JsModel(ModelSpec::revised())),
+               CapacityError);
+  EXPECT_THROW(ExecutionEngine().scDrf(Big, JsModel(ModelSpec::revised())),
+               CapacityError);
 }
 
 TEST(ServiceHardening, ConditionalBodiesCountTowardTheBound) {

@@ -345,7 +345,7 @@ TEST(Solver, PropagationDetectsForcedConflictWithoutBranching) {
   // not(0 < 1 < 2) with must 0->1->2: unsatisfiable outright.
   TotProblem P;
   P.N = 3;
-  P.Universe = 0b111;
+  P.Universe = wordSet(3, 0b111);
   P.Must = Relation(3);
   P.Must.set(0, 1);
   P.Must.set(1, 2);
@@ -363,7 +363,7 @@ TEST(Solver, PropagationBranchesOnUnconstrainedPairs) {
   // not(0 < 1 < 2) with empty must: satisfiable (e.g. 1 before 0).
   TotProblem P;
   P.N = 3;
-  P.Universe = 0b111;
+  P.Universe = wordSet(3, 0b111);
   P.Must = Relation(3);
   P.Forbidden.push_back({0, 1, 2});
   Relation Tot;
@@ -378,7 +378,7 @@ TEST(LinearExtensions, PrefixEarlyExitPrunesSubtrees) {
   Relation Free(4);
   uint64_t Count = 0;
   bool Completed = forEachLinearExtension(
-      Free, 0b1111,
+      Free, wordSet(4, 0b1111),
       [&](const std::vector<unsigned> &) {
         ++Count;
         return true;
@@ -427,29 +427,28 @@ TEST(SkeletonSearch, ShardedSearchMatchesSequential) {
   }
 }
 
-TEST(Solver, DynamicTierAgreesWithFastTier) {
-  // The DynTotProblem overloads answer through the same templated cores
-  // as the fast tier: mirror pseudo-random problems across both relation
-  // flavours (with the dynamic one shifted into >64-bit indices) and
-  // require identical decisions from both solvers.
+TEST(Solver, ShiftedProblemAgreesAcrossRowWidths) {
+  // Mirror pseudo-random problems over 9 elements (rows of one word) into
+  // a universe of 99 with the ids shifted past the first word (rows of
+  // two words) and require identical decisions from both solvers.
   unsigned State = 12345;
   auto Rand = [&](unsigned Mod) {
     State = State * 1664525u + 1013904223u;
     return (State >> 16) % Mod;
   };
   constexpr unsigned N = 9;
-  constexpr unsigned Shift = 90; // dynamic-tier ids: 90..98
+  constexpr unsigned Shift = 90; // shifted ids: 90..98
   for (unsigned Round = 0; Round < 60; ++Round) {
     TotProblem P;
     P.N = N;
     P.Universe = Relation::fullSet(N);
     P.Must = Relation(N);
-    DynTotProblem D;
+    TotProblem D;
     D.N = Shift + N;
-    D.Universe = DynRelation::emptySet(Shift + N);
+    D.Universe = Relation::emptySet(Shift + N);
     for (unsigned E = 0; E < N; ++E)
       bits::set(D.Universe, Shift + E);
-    D.Must = DynRelation(Shift + N);
+    D.Must = Relation(Shift + N);
     for (unsigned I = 0; I < 6; ++I) {
       unsigned A = Rand(N), B = Rand(N);
       if (A == B)
@@ -467,18 +466,18 @@ TEST(Solver, DynamicTierAgreesWithFastTier) {
     for (SolverKind K : allSolverKinds()) {
       const TotSolver &S = totSolver(K);
       Relation Tot;
-      DynRelation DynTot;
+      Relation ShiftedTot;
       bool Fast = S.existsExtension(P, &Tot);
-      bool Dyn = S.existsExtension(D, &DynTot);
-      EXPECT_EQ(Fast, Dyn) << "round " << Round << " solver "
+      bool Shifted = S.existsExtension(D, &ShiftedTot);
+      EXPECT_EQ(Fast, Shifted) << "round " << Round << " solver "
                            << solverKindName(K);
-      if (Fast && Dyn) {
+      if (Fast && Shifted) {
         // The witnesses must agree modulo the index shift.
         std::vector<std::pair<unsigned, unsigned>> Shifted;
         for (auto [A, B] : Tot.pairs())
           Shifted.emplace_back(A + Shift, B + Shift);
-        EXPECT_EQ(Shifted, DynTot.pairs());
-        EXPECT_FALSE(D.violates(DynTot));
+        EXPECT_EQ(Shifted, ShiftedTot.pairs());
+        EXPECT_FALSE(D.violates(ShiftedTot));
       }
       EXPECT_EQ(S.existsViolatingExtension(P), S.existsViolatingExtension(D))
           << "round " << Round << " solver " << solverKindName(K);

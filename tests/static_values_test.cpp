@@ -30,6 +30,7 @@
 #include "engine/TargetModel.h"
 #include "litmus/PathEnum.h"
 #include "service/LitmusService.h"
+#include "targets/Differential.h"
 #include "targets/TargetCompile.h"
 #include "targets/UniProgram.h"
 #include "tools/LitmusParser.h"
@@ -566,50 +567,58 @@ Program prunableProgram() {
   return P;
 }
 
+/// The mixed-size rendering of sb-wide-126 from the large differential
+/// corpus: 65 events, so its relations have rows of two words.
+Program largeSbProgram() {
+  for (const DiffCase &C : largeDifferentialCorpus())
+    if (C.Name == "sb-wide-126")
+      return mixedFromUni(C.Uni);
+  ADD_FAILURE() << "sb-wide-126 missing from the large corpus";
+  return Program(4);
+}
+
 TEST(StaticValues, EnginePruningPreservesTablesAcrossWorkersAndTiers) {
   // Engine-door equivalence on the JS side: pruning on vs off across
-  // workers 1/2/4, reduce on|off, and both relation tiers, with the
-  // pruning counters deterministic across worker counts and actually
-  // firing on the prunable program family.
+  // workers 1/2/4 and reduce on|off, with the pruning counters
+  // deterministic across worker counts and actually firing on the
+  // prunable program family. One 65-event program covers rows of several
+  // words.
   std::mt19937 Rng(0x5AFE03);
   std::vector<Program> Corpus;
   Corpus.push_back(prunableProgram());
+  Corpus.push_back(largeSbProgram());
   for (int I = 0; I < 20; ++I)
     Corpus.push_back(randomSmallProgram(Rng));
   uint64_t TotalRfPruned = 0, TotalPathsPruned = 0;
   for (size_t PI = 0; PI < Corpus.size(); ++PI) {
     const Program &P = Corpus[PI];
     for (bool Reduce : {false, true}) {
-      for (bool ForceDyn : {false, true}) {
-        for (const ModelSpec &Spec :
-             {ModelSpec::original(), ModelSpec::revised()}) {
-          JsModel M(Spec);
-          EngineConfig Off;
-          Off.Reduction = Reduce;
-          Off.ForceDynRelation = ForceDyn;
-          std::vector<std::string> Want =
-              ExecutionEngine(Off).enumerateOutcomes(P, M).outcomeStrings();
-          std::optional<uint64_t> RfPruned, PathsPruned;
-          for (unsigned Workers : {1u, 2u, 4u}) {
-            EngineConfig On = Off;
-            On.Threads = Workers;
-            On.StaticFastPath = true;
-            ExecutionEngine E(On);
-            EXPECT_EQ(E.enumerateOutcomes(P, M).outcomeStrings(), Want)
-                << "program #" << PI << " " << Spec.Name
-                << " reduce=" << Reduce << " dyn=" << ForceDyn
-                << " workers=" << Workers;
-            if (!RfPruned) {
-              RfPruned = E.Stats.StaticRfPruned;
-              PathsPruned = E.Stats.StaticPathsPruned;
-              TotalRfPruned += *RfPruned;
-              TotalPathsPruned += *PathsPruned;
-            } else {
-              EXPECT_EQ(E.Stats.StaticRfPruned, *RfPruned)
-                  << "program #" << PI << " workers=" << Workers;
-              EXPECT_EQ(E.Stats.StaticPathsPruned, *PathsPruned)
-                  << "program #" << PI << " workers=" << Workers;
-            }
+      for (const ModelSpec &Spec :
+           {ModelSpec::original(), ModelSpec::revised()}) {
+        JsModel M(Spec);
+        EngineConfig Off;
+        Off.Reduction = Reduce;
+        std::vector<std::string> Want =
+            ExecutionEngine(Off).enumerateOutcomes(P, M).outcomeStrings();
+        std::optional<uint64_t> RfPruned, PathsPruned;
+        for (unsigned Workers : {1u, 2u, 4u}) {
+          EngineConfig On = Off;
+          On.Threads = Workers;
+          On.StaticFastPath = true;
+          ExecutionEngine E(On);
+          EXPECT_EQ(E.enumerateOutcomes(P, M).outcomeStrings(), Want)
+              << "program #" << PI << " " << Spec.Name
+              << " reduce=" << Reduce << " workers=" << Workers;
+          if (!RfPruned) {
+            RfPruned = E.Stats.StaticRfPruned;
+            PathsPruned = E.Stats.StaticPathsPruned;
+            TotalRfPruned += *RfPruned;
+            TotalPathsPruned += *PathsPruned;
+          } else {
+            EXPECT_EQ(E.Stats.StaticRfPruned, *RfPruned)
+                << "program #" << PI << " workers=" << Workers;
+            EXPECT_EQ(E.Stats.StaticPathsPruned, *PathsPruned)
+                << "program #" << PI << " workers=" << Workers;
           }
         }
       }
@@ -621,41 +630,38 @@ TEST(StaticValues, EnginePruningPreservesTablesAcrossWorkersAndTiers) {
 
 TEST(StaticValues, TargetPruningPreservesTablesAcrossWorkersAndTiers) {
   // Target-door equivalence: the walk pruned by the source program's
-  // analysis against the unpruned walk, across workers 1/2/4, reduce
-  // on|off and both relation tiers.
+  // analysis against the unpruned walk, across workers 1/2/4 and reduce
+  // on|off. The last program (65 events, compiled forms of more) covers
+  // rows of several words.
   std::mt19937 Rng(0x5AFE04);
   uint64_t TotalRfPruned = 0;
-  for (int I = 0; I < 15; ++I) {
-    Program P = randomUniFragmentProgram(Rng);
+  for (int I = 0; I <= 15; ++I) {
+    Program P = I < 15 ? randomUniFragmentProgram(Rng) : largeSbProgram();
     std::optional<UniProgram> Uni = uniFromProgram(P);
     ASSERT_TRUE(Uni);
     analysis::StaticValues SV = analysis::analyzeValues(P);
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(*Uni, M.arch());
       for (bool Reduce : {false, true}) {
-        for (bool ForceDyn : {false, true}) {
-          EngineConfig Off;
-          Off.Reduction = Reduce;
-          Off.ForceDynRelation = ForceDyn;
-          std::vector<std::string> Want =
-              ExecutionEngine(Off).enumerateOutcomes(CT, M).outcomeStrings();
-          std::optional<uint64_t> RfPruned;
-          for (unsigned Workers : {1u, 2u, 4u}) {
-            EngineConfig On = Off;
-            On.Threads = Workers;
-            On.StaticFastPath = true;
-            ExecutionEngine E(On);
-            EXPECT_EQ(E.enumerateOutcomes(CT, M, &SV).outcomeStrings(), Want)
-                << M.name() << " program #" << I << " reduce=" << Reduce
-                << " dyn=" << ForceDyn << " workers=" << Workers;
-            if (!RfPruned) {
-              RfPruned = E.Stats.StaticRfPruned;
-              TotalRfPruned += *RfPruned;
-            } else {
-              EXPECT_EQ(E.Stats.StaticRfPruned, *RfPruned)
-                  << M.name() << " program #" << I
-                  << " workers=" << Workers;
-            }
+        EngineConfig Off;
+        Off.Reduction = Reduce;
+        std::vector<std::string> Want =
+            ExecutionEngine(Off).enumerateOutcomes(CT, M).outcomeStrings();
+        std::optional<uint64_t> RfPruned;
+        for (unsigned Workers : {1u, 2u, 4u}) {
+          EngineConfig On = Off;
+          On.Threads = Workers;
+          On.StaticFastPath = true;
+          ExecutionEngine E(On);
+          EXPECT_EQ(E.enumerateOutcomes(CT, M, &SV).outcomeStrings(), Want)
+              << M.name() << " program #" << I << " reduce=" << Reduce
+              << " workers=" << Workers;
+          if (!RfPruned) {
+            RfPruned = E.Stats.StaticRfPruned;
+            TotalRfPruned += *RfPruned;
+          } else {
+            EXPECT_EQ(E.Stats.StaticRfPruned, *RfPruned)
+                << M.name() << " program #" << I << " workers=" << Workers;
           }
         }
       }

@@ -254,24 +254,13 @@ TEST(Targets, TranslationPreservesOutcome) {
 
 namespace {
 
-/// \p X on the heap tier: the same events, po, rf and coherence orders.
-DynTargetExecution toDyn(const TargetExecution &X) {
-  DynTargetExecution D(X.Events, static_cast<unsigned>(X.CoPerLoc.size()));
-  X.Po.forEachPair([&](unsigned A, unsigned B) { D.Po.set(A, B); });
-  X.Rf.forEachPair([&](unsigned A, unsigned B) { D.Rf.set(A, B); });
-  D.CoPerLoc = X.CoPerLoc;
-  return D;
-}
-
 /// The check as the engine's target walk makes it: the shared axioms and
 /// the final axiom over \p X's access view, with statics \p S built once
 /// per base.
-template <typename RelT>
-bool splitCheck(const BasicTargetExecution<RelT> &X,
-                const TargetStatics<RelT> &S) {
+bool splitCheck(const TargetExecution &X, const TargetStatics &S) {
   std::vector<EventId> IdOf;
-  BasicTargetExecution<RelT> V = accessView(X, IdOf);
-  TargetCandidate<RelT> C(V);
+  TargetExecution V = accessView(X, IdOf);
+  TargetCandidate C(V);
   if (S.Arch != TargetArch::ImmLite &&
       !targetScPerLocation(V.poLoc(), V.Rf, C.Co, C.Fr))
     return false;
@@ -282,8 +271,8 @@ bool splitCheck(const BasicTargetExecution<RelT> &X,
 
 TEST(Targets, SplitCheckEqualsFullPredicate) {
   // isTargetConsistent stays the full predicate. On every candidate of
-  // the corpus programs, for all six architectures and both relation
-  // tiers, it must equal the shared axioms ∧ the final axiom with the
+  // the corpus programs, for all six architectures, it must equal the
+  // shared axioms ∧ the final axiom with the
   // statics built once from the candidate-free base over its access view.
   const TargetArch Archs[] = {TargetArch::X86,   TargetArch::ArmV8,
                               TargetArch::ArmV7, TargetArch::Power,
@@ -292,8 +281,7 @@ TEST(Targets, SplitCheckEqualsFullPredicate) {
   for (const DiffCase &C : differentialCorpus())
     for (TargetArch A : Archs) {
       CompiledTarget CT = compileUni(C.Uni, A);
-      std::optional<TargetStatics<Relation>> S;
-      std::optional<TargetStatics<DynRelation>> SD;
+      std::optional<TargetStatics> S;
       forEachTargetExecution(CT, [&](const TargetExecution &X,
                                      const Outcome &O) {
         if (!S) {
@@ -304,15 +292,11 @@ TEST(Targets, SplitCheckEqualsFullPredicate) {
           std::vector<EventId> IdOf;
           accessView(Base, IdOf);
           S = targetStatics(Base, A, &IdOf);
-          SD = targetStatics(toDyn(Base), A, &IdOf);
         }
         std::string At = C.Name + " " + targetArchName(A) + " " +
                          O.toString();
         bool Full = isTargetConsistent(X, A);
         EXPECT_EQ(splitCheck(X, *S), Full) << At;
-        DynTargetExecution D = toDyn(X);
-        EXPECT_EQ(isTargetConsistent(D, A), Full) << At;
-        EXPECT_EQ(splitCheck(D, *SD), Full) << At;
         ++Candidates;
         Consistent += Full;
         return true;

@@ -142,7 +142,7 @@ TEST(Reduction, ValidityEquivalencePerTot) {
   forEachLinearExtension(
       D.Hb, CE.allEventsMask(), [&](const std::vector<unsigned> &Seq) {
         CandidateExecution WithTot = CE;
-        WithTot.Tot = totalOrderFromSequence(Seq, CE.numEvents());
+        WithTot.Tot = totalOrderOver(Seq, CE.numEvents());
         ReductionResult RR = reduceToUniSize(WithTot);
         EXPECT_EQ(isValid(WithTot, ModelSpec::revised()),
                   isUniValid(RR.Uni));

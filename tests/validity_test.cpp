@@ -102,7 +102,7 @@ TEST(Validity, Fig5ShapeForbiddenByFirstAttemptOnly) {
   CandidateExecution CE(std::move(Evs));
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   std::string Why;
   EXPECT_FALSE(isValid(CE, ModelSpec::original(), &Why));
   EXPECT_EQ(Why, "sequentially consistent atomics");
@@ -127,7 +127,7 @@ TEST(Validity, Fig9FirstShapeForbiddenByRevisedRule) {
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
   // Order: Init, Ew, E'w, Er — Ew tot E'w tot Er.
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   // Without hb(E'w, Er), disjunct 2 cannot fire.
   EXPECT_TRUE(isValid(CE, ModelSpec::revised()));
   // Add hb(E'w, Er) via asw: disjunct 2 fires and the revised rule rejects.
@@ -154,7 +154,7 @@ TEST(Validity, Fig9SecondShapeForbiddenByRevisedRule) {
   CE.Asw.set(1, 2); // W_any hb W_SC (write target: no sw edge appears)
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 1, 3});
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3}, 4);
+  CE.Tot = totalOrderOver({0, 1, 2, 3}, 4);
   EXPECT_FALSE(isValid(CE, ModelSpec::revised()));
   // The original rule does not fire: <W1,R3> is not an sw edge (W1 is Un),
   // and W2 is not hb-between W1 and R3, so HBC(3) is satisfied too.
@@ -174,11 +174,11 @@ TEST(Validity, InitSpecialCaseSubsumedByRevisedRule) {
   CandidateExecution CE(std::move(Evs));
   for (unsigned K = 0; K < 4; ++K)
     CE.Rbf.push_back({K, 0, 2}); // reads Init
-  CE.Tot = totalOrderFromSequence({0, 1, 2}, 3);
+  CE.Tot = totalOrderOver({0, 1, 2}, 3);
   EXPECT_FALSE(isValid(CE, ModelSpec::original()));
   EXPECT_FALSE(isValid(CE, ModelSpec::revised()));
   // With the write ordered after the read, both accept.
-  CE.Tot = totalOrderFromSequence({0, 2, 1}, 3);
+  CE.Tot = totalOrderOver({0, 2, 1}, 3);
   EXPECT_TRUE(isValid(CE, ModelSpec::original()));
   EXPECT_TRUE(isValid(CE, ModelSpec::revised()));
 }
@@ -224,7 +224,7 @@ TEST(Validity, Fig14InitTearingWeakVsStrong) {
 TEST(Validity, Hbc1RequiresTotToContainHb) {
   CandidateExecution CE = fig2Execution();
   // A tot that contradicts sb on thread 0.
-  CE.Tot = totalOrderFromSequence({0, 2, 1, 3, 4}, 5);
+  CE.Tot = totalOrderOver({0, 2, 1, 3, 4}, 5);
   std::string Why;
   EXPECT_FALSE(isValid(CE, ModelSpec::revised(), &Why));
   EXPECT_EQ(Why, "happens-before consistency (1)");
@@ -232,7 +232,7 @@ TEST(Validity, Hbc1RequiresTotToContainHb) {
 
 TEST(Validity, ValidWithExplicitTot) {
   CandidateExecution CE = fig2Execution();
-  CE.Tot = totalOrderFromSequence({0, 1, 2, 3, 4}, 5);
+  CE.Tot = totalOrderOver({0, 1, 2, 3, 4}, 5);
   std::string Why;
   EXPECT_TRUE(isValid(CE, ModelSpec::revised(), &Why)) << Why;
   EXPECT_TRUE(isValid(CE, ModelSpec::original(), &Why)) << Why;

@@ -3,7 +3,7 @@
 #include "tools/LitmusParser.h"
 
 #include "litmus/PathEnum.h"
-#include "support/DynRelation.h"
+#include "support/Relation.h"
 #include "support/Str.h"
 
 #include <cctype>
@@ -512,17 +512,16 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
   }
   Out.ThreadLines = S.ThreadLines;
   // The parser is the user-input boundary of the event-universe cap: a
-  // program that cannot fit any candidate execution into the dynamic
-  // relation tier (DynRelation::MaxSize elements) is rejected here with a
-  // structured, *typed* error, so release builds never reach the
-  // (throwing) checked relation construction. Programs between 65 and the
-  // dynamic cap parse fine: the engine serves them through DynRelation.
+  // program that cannot fit any candidate execution into a relation
+  // (Relation::MaxSize elements) is rejected here with a structured,
+  // *typed* error, so release builds never reach the (throwing) checked
+  // relation construction.
   unsigned Bound = programEventUpperBound(Out.P);
-  if (Bound > DynRelation::MaxSize) {
+  if (Bound > Relation::MaxSize) {
     Diag.TooLarge = true;
     return Fail(LineNo, "program too large (" + std::to_string(Bound) +
                             " events > " +
-                            std::to_string(DynRelation::MaxSize) + ")");
+                            std::to_string(Relation::MaxSize) + ")");
   }
   Out.Expectations = S.Expectations;
   return Out;

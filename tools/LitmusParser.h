@@ -60,7 +60,7 @@ struct LitmusFile {
 
 /// Structured parse failure: the "line N: reason" message plus a typed
 /// capacity marker. TooLarge is set only by the parser's own event-bound
-/// rejection (the program parsed but exceeds DynRelation::MaxSize events),
+/// rejection (the program parsed but exceeds Relation::MaxSize events),
 /// never inferred from message text — callers that need to distinguish
 /// "too large" from ordinary parse errors (the batch service's job status)
 /// classify on this flag, not on substrings a user-controlled diagnostic

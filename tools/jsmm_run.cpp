@@ -49,11 +49,10 @@ void listModels(std::ostream &Out) {
       Out << "  " << (Group = B.Group) << ":\n";
     Out << "    " << padRight(B.Name, 11) << B.Desc << "\n";
   }
-  Out << "capacity tiers (selected per program by event count):\n"
+  Out << "capacity (one relation type, rows sized by event count):\n"
+      << "  <= 64 events    one-word rows stored inline (stats: tier inline)\n"
       << "  <= " << Relation::MaxSize
-      << " events    inline relations, order-search solver\n"
-      << "  <= " << DynRelation::MaxSize
-      << " events  heap-backed relations, order-search solver\n";
+      << " events  multi-word rows on the heap (stats: tier dyn)\n";
 }
 
 int usage() {
@@ -212,7 +211,8 @@ int main(int Argc, char **Argv) {
   // The static classification prints whether or not the fast path is
   // enabled (--no-static disables the *use* of the analysis, not the
   // footer), so a user can see why a program wasn't served statically.
-  const JsonValue &Counters = *Summary.find("counters");
+  // A copy: the Summary.set calls below may move the summary's members.
+  const JsonValue Counters = *Summary.find("counters");
   auto Count = [&Counters](const std::string &Name) {
     const JsonValue *V = Counters.find("engine." + Name);
     return static_cast<uint64_t>(V ? V->asNumber() : 0);

@@ -42,8 +42,7 @@ than silently riding along un-gated. The raw
 alongside the verdicts so CI logs show the actual candidate counts, not
 just the ratio. Speedups — engine time
 relative to a reference algorithm on the same machine and run, e.g. the
-seed generate-then-filter loop, or for ``speedup_smallpath_x`` the
-heap-backed DynRelation tier replaying the ≤64-event workload — are
+seed generate-then-filter loop — are
 machine-relative, so they are comparable across CI runners in a way
 absolute milliseconds are not; the jobs/sec floors are deliberately set
 far below any plausible machine so they catch only order-of-magnitude
