@@ -34,10 +34,9 @@ bool jsmm::checkHbConsistency3(const CandidateExecution &CE,
   for (const RbfEdge &E : CE.Rbf) {
     // Look for a "newer" write of byte E.Loc strictly hb-between the writer
     // and the reader.
-    bool Newer = !bits::forEachWhile(
-        D.Hb.row(E.Writer) & D.Hb.column(E.Reader), [&](unsigned C) {
-          return !CE.Events[C].writesByte(E.Loc);
-        });
+    bool Newer = !bits::forEachWhile(D.Hb.row(E.Writer), [&](unsigned C) {
+      return !D.Hb.get(C, E.Reader) || !CE.Events[C].writesByte(E.Loc);
+    });
     if (Newer)
       return false;
   }

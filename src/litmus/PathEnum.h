@@ -48,7 +48,7 @@ unsigned maxPathAccesses(const std::vector<Instr> &Body);
 /// \returns an upper bound on the event-universe size of any candidate
 /// execution of \p P: one Init event per buffer plus each thread's
 /// maxPathAccesses. The Relation machinery caps universes at
-/// Relation::MaxSize (64); frontends compare against this bound to reject
+/// Relation::MaxSize (1024); frontends compare against this bound to reject
 /// too-large programs with a clear error instead of tripping the checked
 /// Relation construction mid-enumeration.
 unsigned programEventUpperBound(const Program &P);

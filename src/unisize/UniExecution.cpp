@@ -154,8 +154,9 @@ bool checkUniTotIndependent(const UniExecution &X, const Relation &Rf,
   // HBC (3): no same-location write hb-between writer and reader.
   bool Hbc3 = true;
   Rf.forEachPair([&](unsigned W, unsigned R) {
-    bits::forEach(Hb.row(W) & Hb.column(R), [&](unsigned C) {
-      if (X.Events[C].isWrite() && X.Events[C].Loc == X.Events[R].Loc)
+    bits::forEach(Hb.row(W), [&](unsigned C) {
+      if (Hb.get(C, R) && X.Events[C].isWrite() &&
+          X.Events[C].Loc == X.Events[R].Loc)
         Hbc3 = false;
     });
   });

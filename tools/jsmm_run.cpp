@@ -195,7 +195,7 @@ int main(int Argc, char **Argv) {
     try {
       Rep = Engine.scDrf(File.P, JsModel(*JsSpec));
     } catch (const CapacityError &E) {
-      // The witness-carrying walk serves the fixed 64-event tier only.
+      // The engine's own capacity check; the parser applies the same cap.
       return Fail(E.what());
     }
     std::cout << "SC-DRF: data-race-free=" << (Rep.DataRaceFree ? "yes" : "no")
