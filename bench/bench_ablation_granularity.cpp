@@ -22,7 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
 #include "gen/Diy.h"
 
@@ -99,16 +99,16 @@ int main() {
   uint64_t OperationalNonGlobal = 0;
   double Ms = timedMs([&] {
     for (const DiyTest &Test : Corpus) {
-      forEachArmExecution(Test.Prog,
-                          [&](const ArmExecution &X, const Outcome &O) {
-                            (void)O;
-                            if (!isArmConsistent(X))
-                              return true;
-                            ++TotalConsistent;
-                            if (!globallyOrderable(X))
-                              ++WeakOnlyExecutions;
-                            return true;
-                          });
+      ExecutionEngine().forEachArmCandidate(
+          Test.Prog, [&](const ArmExecution &X, const Outcome &O) {
+            (void)O;
+            if (!isArmConsistent(X))
+              return true;
+            ++TotalConsistent;
+            if (!globallyOrderable(X))
+              ++WeakOnlyExecutions;
+            return true;
+          });
       forEachFlatExecution(Test.Prog,
                            [&](const ArmExecution &X, const Outcome &O) {
                              (void)O;

@@ -11,7 +11,7 @@
 
 #include "BenchUtil.h"
 #include "core/SeqConsistency.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 #include "unisize/Reduction.h"
 
@@ -40,9 +40,10 @@ int main() {
   ThreadBuilder T1 = P.thread();
   T1.store(Acc::u16(0), 0x0101); // b[0] = 0x0101
   Outcome Torn = outcome({{0, 0, 0x0001}});
-  EnumerationResult Weak = enumerateOutcomes(P, ModelSpec::revised());
-  EnumerationResult Strong =
-      enumerateOutcomes(P, ModelSpec::revisedStrongTearFree());
+  EnumerationResult Weak =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
+  EnumerationResult Strong = ExecutionEngine().enumerate(
+      P, JsModel(ModelSpec::revisedStrongTearFree()));
   T.check("outcome r=0x0001 allowed with the spec rule", true,
           Weak.allows(Torn));
   T.check("outcome r=0x0100 (other mix) allowed with the spec rule", true,
@@ -58,7 +59,8 @@ int main() {
   // this (single-typed-array, tear-free) program is uni-size reducible.
   uint64_t ValidWeak = 0, WeakNonFunctional = 0;
   uint64_t ValidStrong = 0, StrongNonFunctional = 0;
-  forEachCandidate(P, [&](const CandidateExecution &CE, const Outcome &O) {
+  ExecutionEngine().forEachCandidate(P, [&](const CandidateExecution &CE,
+                                            const Outcome &O) {
     (void)O;
     if (isValidForSomeTot(CE, ModelSpec::revised())) {
       ++ValidWeak;

@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 
 using namespace jsmm;
@@ -24,7 +24,8 @@ int main() {
   Outcome Stale = outcome({{1, 0, 5}, {1, 1, 0}});
 
   for (ModelSpec Spec : {ModelSpec::original(), ModelSpec::revised()}) {
-    EnumerationResult R = enumerateOutcomes(fig1Program(), Spec);
+    EnumerationResult R =
+        ExecutionEngine().enumerate(fig1Program(), JsModel(Spec));
     std::string Tag = std::string(" [") + Spec.Name + "]";
     T.check("r0=5 and r1=3 allowed" + Tag, true, R.allows(Complete));
     T.check("r0=0 allowed" + Tag, true, R.allows(FlagUnset));
@@ -46,7 +47,8 @@ int main() {
     ThreadBuilder T1 = P.thread();
     Reg R0 = T1.load(Acc::u32(4).sc());
     T1.ifEq(R0, 5, [&](ThreadBuilder &B) { B.load(Acc::u32(0)); });
-    EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+    EnumerationResult R =
+        ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
     T.check("non-atomic flag write re-admits the stale outcome", true,
             R.allows(Stale));
   }
@@ -59,7 +61,8 @@ int main() {
     ThreadBuilder T1 = P.thread();
     Reg R0 = T1.load(Acc::u32(4)); // plain flag read
     T1.ifEq(R0, 5, [&](ThreadBuilder &B) { B.load(Acc::u32(0)); });
-    EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+    EnumerationResult R =
+        ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
     T.check("non-atomic flag read re-admits the stale outcome", true,
             R.allows(Stale));
   }

@@ -15,9 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "armv8/ArmEnumerator.h"
 #include "compile/TotConstruction.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 
 using namespace jsmm;
@@ -37,10 +36,10 @@ int main() {
           isValidForSomeTot(fig6aExecution(), ModelSpec::armFixOnly()));
 
   // (2) Program level: no candidate justifies the outcome originally.
-  EnumerationResult Orig =
-      enumerateOutcomes(fig6Program(), ModelSpec::original());
+  EnumerationResult Orig = ExecutionEngine().enumerate(
+      fig6Program(), JsModel(ModelSpec::original()));
   EnumerationResult Rev =
-      enumerateOutcomes(fig6Program(), ModelSpec::revised());
+      ExecutionEngine().enumerate(fig6Program(), JsModel(ModelSpec::revised()));
   T.check("program outcome r1=1,r2=1 forbidden [original]", false,
           Orig.allows(fig6Outcome()));
   T.check("program outcome r1=1,r2=1 allowed [revised]", true,
@@ -52,7 +51,7 @@ int main() {
   // (3) ARM side: the compiled program exhibits the outcome (§3.3's
   // hardware observation, reproduced on the model).
   CompiledProgram CP = compileToArm(fig6Program());
-  ArmEnumerationResult Arm = enumerateArmOutcomes(CP.Arm);
+  ArmEnumerationResult Arm = ExecutionEngine().enumerate(CP.Arm, Armv8Model());
   Outcome ArmOutcome = fig6Outcome();
   T.check("compiled (ldar/stlr) program allows the outcome on ARMv8", true,
           Arm.allows(ArmOutcome));

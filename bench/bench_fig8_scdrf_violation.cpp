@@ -9,7 +9,7 @@
 
 #include "BenchUtil.h"
 #include "core/SeqConsistency.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 
 using namespace jsmm;
@@ -31,29 +31,32 @@ int main() {
           isValidForSomeTot(fig8Execution(), ModelSpec::revised()));
 
   // Program level: the SC-DRF property itself.
-  ScDrfReport Orig = checkScDrf(fig8Program(), ModelSpec::original());
+  ScDrfReport Orig =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::original()));
   T.check("program is data-race-free [original]", true, Orig.DataRaceFree);
   T.check("all valid executions SC [original]", false,
           Orig.AllValidExecutionsSC);
   T.check("SC-DRF violated by the original model", false, Orig.holds());
 
-  ScDrfReport Rev = checkScDrf(fig8Program(), ModelSpec::revised());
+  ScDrfReport Rev =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::revised()));
   T.check("SC-DRF restored by the revised model", true, Rev.holds());
   T.check("all valid executions SC [revised]", true,
           Rev.AllValidExecutionsSC);
 
   // The observable outcome.
-  EnumerationResult OrigOut =
-      enumerateOutcomes(fig8Program(), ModelSpec::original());
+  EnumerationResult OrigOut = ExecutionEngine().enumerate(
+      fig8Program(), JsModel(ModelSpec::original()));
   EnumerationResult RevOut =
-      enumerateOutcomes(fig8Program(), ModelSpec::revised());
+      ExecutionEngine().enumerate(fig8Program(), JsModel(ModelSpec::revised()));
   T.check("outcome r=2 after reading 1 allowed [original]", true,
           OrigOut.allows(fig8Outcome()));
   T.check("outcome r=2 after reading 1 forbidden [revised]", false,
           RevOut.allows(fig8Outcome()));
 
   // The ARM fix alone must NOT restore SC-DRF (the fixes are independent).
-  ScDrfReport ArmOnly = checkScDrf(fig8Program(), ModelSpec::armFixOnly());
+  ScDrfReport ArmOnly =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::armFixOnly()));
   T.check("arm-fix-only model still violates SC-DRF", false,
           ArmOnly.holds());
 

@@ -849,17 +849,19 @@ BENCHMARK(BM_SemanticDeadness);
 
 void BM_EnumerateFig1Outcomes(benchmark::State &State) {
   Program P = fig1Program();
+  ExecutionEngine Engine;
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        enumerateOutcomes(P, ModelSpec::revised()).Allowed.size());
+        Engine.enumerate(P, JsModel(ModelSpec::revised())).Allowed.size());
 }
 BENCHMARK(BM_EnumerateFig1Outcomes);
 
 void BM_EnumerateFig6Outcomes(benchmark::State &State) {
   Program P = fig6Program();
+  ExecutionEngine Engine;
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        enumerateOutcomes(P, ModelSpec::original()).Allowed.size());
+        Engine.enumerate(P, JsModel(ModelSpec::original())).Allowed.size());
 }
 BENCHMARK(BM_EnumerateFig6Outcomes);
 
@@ -879,7 +881,8 @@ BENCHMARK(BM_EnumerateFig9Shapes)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 void BM_ArmConsistency(benchmark::State &State) {
   CompiledProgram CP = compileToArm(fig6Program());
   std::vector<ArmExecution> Execs;
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &) {
     Execs.push_back(X);
     return Execs.size() < 64;
   });
@@ -893,8 +896,9 @@ BENCHMARK(BM_ArmConsistency);
 
 void BM_ArmEnumerateMP(benchmark::State &State) {
   ArmProgram P = armMP(true, true);
+  ExecutionEngine Engine;
   for (auto _ : State)
-    benchmark::DoNotOptimize(enumerateArmOutcomes(P).Allowed.size());
+    benchmark::DoNotOptimize(Engine.enumerate(P, Armv8Model()).Allowed.size());
 }
 BENCHMARK(BM_ArmEnumerateMP);
 

@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
 #include "gen/Diy.h"
 
@@ -51,7 +51,8 @@ int main(int Argc, char **Argv) {
       if (Test.Variant != SizeVariant::Byte)
         ++MixedSize;
       std::set<std::string> AxOutcomes;
-      ArmEnumerationResult Ax = enumerateArmOutcomes(Test.Prog);
+      ArmEnumerationResult Ax =
+          ExecutionEngine().enumerate(Test.Prog, Armv8Model());
       for (const auto &[O, X] : Ax.Allowed) {
         (void)X;
         AxOutcomes.insert(O.toString());

@@ -12,7 +12,7 @@
 #include "BenchUtil.h"
 #include "core/DataRace.h"
 #include "core/SeqConsistency.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 #include "search/SkeletonSearch.h"
 
@@ -102,11 +102,12 @@ int main() {
     Programs.push_back({"competing exchanges", P});
   }
   for (const Named &N : Programs) {
-    ScDrfReport R = checkScDrf(N.P, ModelSpec::revised());
+    ScDrfReport R = ExecutionEngine().scDrf(N.P, JsModel(ModelSpec::revised()));
     T.check(std::string("SC-DRF holds for ") + N.Name + " [revised]", true,
             R.holds());
   }
-  ScDrfReport Fig8Orig = checkScDrf(fig8Program(), ModelSpec::original());
+  ScDrfReport Fig8Orig =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::original()));
   T.check("fig8 violates SC-DRF under the original model", false,
           Fig8Orig.holds());
 

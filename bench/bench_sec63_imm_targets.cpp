@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "engine/ExecutionEngine.h"
 #include "targets/TargetCompile.h"
 
 using namespace jsmm;
@@ -126,7 +127,7 @@ int main() {
     P.load(T1, 0, Mode::Unordered);
     CompiledTarget CT = compileUni(P, TargetArch::ImmLite);
     bool WeakAllowed = false;
-    forEachTargetExecution(
+    ExecutionEngine().forEachTargetCandidate(
         CT, [&](const TargetExecution &X, const Outcome &O) {
           uint64_t A = 1, B = 1;
           O.lookup(0, 0, A);

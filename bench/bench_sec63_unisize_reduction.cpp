@@ -11,7 +11,6 @@
 
 #include "BenchUtil.h"
 #include "engine/ExecutionEngine.h"
-#include "exec/Enumerator.h"
 #include "paper/Figures.h"
 #include "support/LinearExtensions.h"
 #include "unisize/Reduction.h"

@@ -10,9 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "armv8/ArmEnumerator.h"
 #include "compile/TotConstruction.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 
 #include <iostream>
@@ -29,13 +28,14 @@ int main() {
             << "            b[0] = 2; r2 = Atomics.load(b,0)\n\n";
 
   // 1. The JavaScript specification (10th ed.) forbids r1 = 1 ∧ r2 = 1.
-  EnumerationResult JsOrig = enumerateOutcomes(P, ModelSpec::original());
+  EnumerationResult JsOrig =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::original()));
   std::cout << "1. Original JS model allows " << Bad.toString() << "? "
             << (JsOrig.allows(Bad) ? "yes" : "NO — forbidden") << "\n";
 
   // 2. Compile with the C++-SC scheme: SC -> ldar/stlr, Un -> ldr/str.
   CompiledProgram CP = compileToArm(P);
-  ArmEnumerationResult Arm = enumerateArmOutcomes(CP.Arm);
+  ArmEnumerationResult Arm = ExecutionEngine().enumerate(CP.Arm, Armv8Model());
   std::cout << "2. ARMv8 allows it for the compiled program? "
             << (Arm.allows(Bad) ? "YES — the scheme is broken" : "no")
             << "\n";
@@ -56,7 +56,8 @@ int main() {
   }
 
   // 4. The fix: weaken Sequentially Consistent Atomics (Fig. 10).
-  EnumerationResult JsRev = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult JsRev =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   std::cout << "\n3. Revised JS model allows it? "
             << (JsRev.allows(Bad) ? "yes — the scheme is supported again"
                                   : "no")

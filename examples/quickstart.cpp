@@ -9,7 +9,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "litmus/Program.h"
 
 #include <iostream>
@@ -32,7 +32,8 @@ int main() {
   T1.ifEq(R0, 5, [&](ThreadBuilder &B) { B.load(Acc::u32(0)); });
 
   // Which outcomes does the (revised, TC39-adopted) model allow?
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
 
   std::cout << "Program: " << P.Name << "\n"
             << "Allowed outcomes under the revised JavaScript model:\n";

@@ -11,7 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "paper/Figures.h"
 
 #include <iostream>
@@ -23,7 +23,7 @@ namespace {
 void audit(const Program &P) {
   std::cout << "== " << P.Name << " ==\n";
   for (ModelSpec Spec : {ModelSpec::original(), ModelSpec::revised()}) {
-    ScDrfReport R = checkScDrf(P, Spec);
+    ScDrfReport R = ExecutionEngine().scDrf(P, JsModel(Spec));
     std::cout << "  [" << Spec.Name << "] data-race-free: "
               << (R.DataRaceFree ? "yes" : "no")
               << ", all behaviours SC: "

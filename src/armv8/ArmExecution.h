@@ -73,7 +73,8 @@ public:
 
   /// Computes the coherence granules for the execution's writes and seeds
   /// each granule's order with Init first; non-Init orders must then be
-  /// chosen (see ArmEnumerator) or provided by tests.
+  /// chosen (see ExecutionEngine::forEachArmCandidate) or provided by
+  /// tests.
   std::vector<CoGranule> computeGranules() const;
 
   /// Derived event-level relations.

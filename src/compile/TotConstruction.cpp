@@ -2,7 +2,7 @@
 
 #include "compile/TotConstruction.h"
 
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 
 using namespace jsmm;
 
@@ -44,7 +44,8 @@ CompileCheckResult jsmm::checkCompilationForProgram(const Program &Js,
                                                     SolverConfig Solver) {
   CompileCheckResult Result;
   CompiledProgram CP = compileToArm(Js);
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &O) {
     (void)O;
     ++Result.ArmCandidates;
     if (!isArmConsistent(X))

@@ -10,7 +10,9 @@
 /// interleaving.
 ///
 /// Decided by a backtracking interleaving search over a flat byte memory
-/// with early pruning (a read is checked the moment it is placed).
+/// with early pruning (a read is checked the moment it is placed). An
+/// event whose writes no other unplaced event reads is placed without
+/// branching.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -79,7 +79,9 @@ bool checkScAtomicsAttempt(const CandidateExecution &CE,
     if (!Ok)
       return;
     const Event &Er = CE.Events[R];
-    bits::forEachWhile(Tot.row(W) & Tot.column(R), [&](unsigned C) {
+    bits::forEachWhile(Tot.row(W), [&](unsigned C) {
+      if (!Tot.get(C, R))
+        return true;
       const Event &Ec = CE.Events[C];
       if (InterveningMustBeSeqCst && Ec.Ord != Mode::SeqCst)
         return true;
@@ -102,7 +104,9 @@ bool checkScAtomicsFinal(const CandidateExecution &CE,
       return;
     const Event &Ew = CE.Events[W];
     const Event &Er = CE.Events[R];
-    bits::forEachWhile(Tot.row(W) & Tot.column(R), [&](unsigned C) {
+    bits::forEachWhile(Tot.row(W), [&](unsigned C) {
+      if (!Tot.get(C, R))
+        return true;
       const Event &Ec = CE.Events[C];
       if (Ec.Ord != Mode::SeqCst)
         return true;

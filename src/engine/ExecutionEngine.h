@@ -23,22 +23,26 @@
 ///     per-item results and counters are merged in item order, so the
 ///     outcome of an enumeration is deterministic regardless of scheduling.
 ///
-/// Frontends are thin adapters: exec/Enumerator, armv8/ArmEnumerator,
-/// search/SkeletonSearch, flatsim/FlatSim and unisize/Reduction all route
-/// through this class, and new backends plug in as MemoryModel
-/// implementations.
+/// The engine's doors are the only way to enumerate: the service, the
+/// search, flatsim, compile, targets and unisize layers, the tests, benches
+/// and examples all construct an ExecutionEngine and call one of them.
+/// Each door takes its model (JsModel, Armv8Model or a TargetModel) as a
+/// plain class, with no common base.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_ENGINE_EXECUTIONENGINE_H
 #define JSMM_ENGINE_EXECUTIONENGINE_H
 
-#include "armv8/ArmEnumerator.h"
+#include "armv8/ArmProgram.h"
+#include "core/DataRace.h"
 #include "engine/MemoryModel.h"
 #include "engine/TargetModel.h"
-#include "exec/Enumerator.h"
+#include "exec/Outcome.h"
+#include "litmus/Program.h"
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -47,6 +51,68 @@ namespace jsmm {
 namespace analysis {
 struct StaticValues;
 } // namespace analysis
+
+/// The allowed outcomes of a JavaScript program, each with one witnessing
+/// valid execution (with tot); the result of enumerate(Program, JsModel).
+struct EnumerationResult {
+  std::map<Outcome, CandidateExecution> Allowed;
+  uint64_t CandidatesConsidered = 0;
+  uint64_t ValidCandidates = 0;
+
+  bool allows(const Outcome &O) const { return Allowed.count(O) != 0; }
+  /// \returns the sorted allowed outcomes as strings (for table printing).
+  std::vector<std::string> outcomeStrings() const {
+    std::vector<std::string> Out;
+    for (const auto &[O, Witness] : Allowed) {
+      (void)Witness;
+      Out.push_back(O.toString());
+    }
+    return Out;
+  }
+};
+
+/// The model-internal SC-DRF property (§3.2 / Thm 6.1) checked on one
+/// program: if no valid execution of the program contains a data race, then
+/// every valid execution must be sequentially consistent. The result of
+/// scDrf().
+struct ScDrfReport {
+  bool DataRaceFree = true;     ///< no valid execution has a race
+  bool AllValidExecutionsSC = true;
+  /// The property itself: DRF implies all-SC (vacuously true when racy).
+  bool holds() const { return !DataRaceFree || AllValidExecutionsSC; }
+  std::optional<CandidateExecution> RaceWitness;
+  std::optional<CandidateExecution> NonScWitness;
+};
+
+/// The events and thread-local relations of one control-flow unfolding of
+/// an ARMv8 program, before read values, rbf and co have been chosen. Reads
+/// have zeroed bytes. The skeleton stage is shared by the operational
+/// simulator (flatsim) and the compilation-correctness machinery; see
+/// forEachSkeleton().
+struct ArmSkeleton {
+  ArmExecution Exec;
+  std::map<EventId, unsigned> RegOfEvent; ///< load event -> dst register
+  std::vector<const ArmThreadPath *> Paths; ///< chosen path per thread
+};
+
+/// The outcomes of an ARMv8 program allowed by the mixed-size model, each
+/// with one consistent witness; the result of enumerate(ArmProgram,
+/// Armv8Model).
+struct ArmEnumerationResult {
+  std::map<Outcome, ArmExecution> Allowed;
+  uint64_t CandidatesConsidered = 0;
+  uint64_t ConsistentCandidates = 0;
+
+  bool allows(const Outcome &O) const { return Allowed.count(O) != 0; }
+  std::vector<std::string> outcomeStrings() const {
+    std::vector<std::string> Out;
+    for (const auto &[O, X] : Allowed) {
+      (void)X;
+      Out.push_back(O.toString());
+    }
+    return Out;
+  }
+};
 
 /// Tuning knobs of the engine.
 struct EngineConfig {
@@ -103,7 +169,6 @@ struct EngineConfig {
   /// (enumerate / scDrf / forEach*) never use the analysis.
   bool StaticFastPath = false;
 
-  static EngineConfig sequential() { return {1, true}; }
   static EngineConfig seedCompatible() { return {1, false}; }
 };
 

@@ -1,10 +1,10 @@
 //===- engine/MemoryModel.h - Pluggable model predicates ------------------===//
 ///
 /// \file
-/// The memory-model interface of the unified execution engine. The engine
-/// owns the candidate space — control-flow paths × reads-byte-from
-/// justifications × orders — and delegates every model question to a
-/// MemoryModel implementation:
+/// The model predicates of the unified execution engine. The engine owns
+/// the candidate space — control-flow paths × reads-byte-from
+/// justifications × orders — and delegates every model question to the
+/// model its door takes:
 ///
 ///   - JsModel wraps a core/Validity ModelSpec: tot-independent axioms are
 ///     exposed as a *monotone* partial-candidate admission check (a
@@ -16,9 +16,9 @@
 ///     exists-a-coherence decision the skeleton search needs.
 ///
 /// The Thm 6.3 target architectures (x86-TSO, uni-size ARMv8, ARMv7,
-/// Power, RISC-V, ImmLite) plug in as TargetModel backends — see
-/// engine/TargetModel.h. Further backends plug in the same way without
-/// touching the enumeration core.
+/// Power, RISC-V, ImmLite) are TargetModel values — see
+/// engine/TargetModel.h. The three are plain classes: each engine door
+/// takes its own model type, so nothing dispatches through a common base.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,19 +30,11 @@
 
 namespace jsmm {
 
-/// Root of the model hierarchy the engine enumerates against.
-class MemoryModel {
-public:
-  virtual ~MemoryModel() = default;
-  /// Human-readable model name (for tables, JSON and CLI echo).
-  virtual const char *name() const = 0;
-};
-
 /// The JavaScript memory model in one of its ModelSpec variants. The
 /// tot-order questions (allows / refutableForSomeTot) are decided by the
 /// order solver selected in \p Solver; an unset SolverConfig resolves to
 /// the process default (--solver=... in the CLI tools).
-class JsModel : public MemoryModel {
+class JsModel {
 public:
   JsModel() : Spec(ModelSpec::revised()) {}
   explicit JsModel(ModelSpec Spec, SolverConfig Solver = SolverConfig())
@@ -50,7 +42,8 @@ public:
 
   const ModelSpec &spec() const { return Spec; }
   const SolverConfig &solver() const { return Solver; }
-  const char *name() const override { return Spec.Name; }
+  /// Human-readable model name (for tables, JSON and CLI echo).
+  const char *name() const { return Spec.Name; }
 
   /// Monotone admission of a *partially justified* candidate: every read
   /// that is justified at all is justified completely. \returns false when
@@ -76,9 +69,9 @@ private:
 };
 
 /// The mixed-size ARMv8 axiomatic model (§4).
-class Armv8Model : public MemoryModel {
+class Armv8Model {
 public:
-  const char *name() const override { return "armv8"; }
+  const char *name() const { return "armv8"; }
 
   /// Consistency of a complete execution (rbf and co chosen).
   bool allows(const ArmExecution &X) const;

@@ -1,11 +1,11 @@
 //===- engine/TargetModel.h - Target architectures as engine backends -----===//
 ///
 /// \file
-/// The Thm 6.3 target architectures (targets/TargetModels.h) wrapped as
-/// MemoryModel plug-ins, so ExecutionEngine::enumerate() — with its
-/// incremental pruning and sharded threading — runs on x86-TSO, ARMv7,
-/// Power, RISC-V, ImmLite and uni-size ARMv8, not just the JavaScript and
-/// mixed-size ARMv8 models.
+/// The Thm 6.3 target architectures (targets/TargetModels.h) as engine
+/// backends, so ExecutionEngine::enumerate() — with its incremental
+/// pruning and sharded threading — runs on x86-TSO, ARMv7, Power, RISC-V,
+/// ImmLite and uni-size ARMv8, not just the JavaScript and mixed-size
+/// ARMv8 models.
 ///
 /// A target candidate is a reads-from justification per read of a compiled
 /// program (targets/TargetCompile.h) plus a per-location coherence order.
@@ -29,14 +29,14 @@
 namespace jsmm {
 
 /// One Thm 6.3 target architecture as an engine backend.
-class TargetModel : public MemoryModel {
+class TargetModel {
 public:
   explicit TargetModel(TargetArch Arch) : Arch(Arch) {}
 
   TargetArch arch() const { return Arch; }
   /// CLI-style backend name ("x86-tso", "armv8-uni", "armv7", "power",
   /// "riscv", "immlite").
-  const char *name() const override;
+  const char *name() const;
 
   /// Consistency of a complete execution (rf and co chosen): dispatches to
   /// the architecture's axiomatic predicate.

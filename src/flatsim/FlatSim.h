@@ -33,7 +33,7 @@
 #ifndef JSMM_FLATSIM_FLATSIM_H
 #define JSMM_FLATSIM_FLATSIM_H
 
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 
 #include <functional>
 #include <set>

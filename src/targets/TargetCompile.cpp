@@ -161,13 +161,6 @@ CompiledTarget jsmm::compileUni(const UniProgram &P, TargetArch Arch) {
   return CT;
 }
 
-bool jsmm::forEachTargetExecution(
-    const CompiledTarget &CT,
-    const std::function<bool(const TargetExecution &, const Outcome &)>
-        &Visit) {
-  return ExecutionEngine().forEachTargetCandidate(CT, Visit);
-}
-
 UniExecution jsmm::translateTargetToUni(const TargetExecution &X,
                                         const CompiledTarget &CT) {
   std::vector<int> UniOfTarget(X.numEvents(), -1);
@@ -212,7 +205,8 @@ TargetCheckResult jsmm::checkUniCompilation(const UniProgram &P,
                                             TargetArch Arch) {
   TargetCheckResult Result;
   CompiledTarget CT = compileUni(P, Arch);
-  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
+                                                  const Outcome &O) {
     (void)O;
     ++Result.Candidates;
     if (!isTargetConsistent(X, Arch))

@@ -21,7 +21,6 @@
 #include "targets/TargetModels.h"
 #include "targets/UniProgram.h"
 
-#include <functional>
 #include <optional>
 
 namespace jsmm {
@@ -59,16 +58,6 @@ struct CompiledTarget {
 
 /// Compiles \p P for \p Arch with the scheme table above.
 CompiledTarget compileUni(const UniProgram &P, TargetArch Arch);
-
-/// Enumerates every well-formed execution of the compiled program (rf and
-/// per-location coherence chosen; consistency not yet checked). Thin
-/// adapter over ExecutionEngine::forEachTargetCandidate; construct an
-/// ExecutionEngine with a TargetModel backend directly for sharded and
-/// pruned enumeration.
-bool forEachTargetExecution(
-    const CompiledTarget &CT,
-    const std::function<bool(const TargetExecution &, const Outcome &)>
-        &Visit);
 
 /// Translates a target execution back to the uni-size JavaScript candidate
 /// with the same behaviour (fences dropped; RMW events map one-to-one).

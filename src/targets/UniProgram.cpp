@@ -3,6 +3,7 @@
 #include "targets/UniProgram.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <map>
 
@@ -83,6 +84,15 @@ private:
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
 };
+
+/// Enumerates every well-formed uni-size execution of \p P (rf chosen per
+/// read; tot left empty) with its outcome. \p Visit returns false to stop.
+bool forEachUniExecution(
+    const UniProgram &P,
+    const std::function<bool(const UniExecution &, const Outcome &)> &Visit) {
+  UniBuilder B(P, Visit);
+  return B.run();
+}
 
 } // namespace
 
@@ -186,30 +196,6 @@ unsigned jsmm::uniProgramEventBound(const UniProgram &P) {
   for (unsigned T = 0; T < P.numThreads(); ++T)
     Bound += static_cast<unsigned>(P.threadBody(T).size());
   return Bound;
-}
-
-bool jsmm::forEachUniExecution(
-    const UniProgram &P,
-    const std::function<bool(const UniExecution &, const Outcome &)> &Visit) {
-  UniBuilder B(P, Visit);
-  return B.run();
-}
-
-UniEnumerationResult jsmm::enumerateUniOutcomes(const UniProgram &P) {
-  UniEnumerationResult Result;
-  forEachUniExecution(P, [&](const UniExecution &X, const Outcome &O) {
-    ++Result.CandidatesConsidered;
-    if (Result.Allowed.count(O))
-      return true;
-    Relation Tot;
-    if (isUniValidForSomeTot(X, &Tot)) {
-      UniExecution Witness = X;
-      Witness.Tot = Tot;
-      Result.Allowed.emplace(O, std::move(Witness));
-    }
-    return true;
-  });
-  return Result;
 }
 
 std::vector<Outcome> jsmm::uniAllowedOutcomes(const UniProgram &P) {

@@ -16,8 +16,6 @@
 #include "litmus/Program.h"
 #include "unisize/UniExecution.h"
 
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,12 +92,6 @@ private:
 /// straight-line, so every execution materialises every instruction).
 unsigned uniProgramEventBound(const UniProgram &P);
 
-/// Enumerates every well-formed uni-size execution of \p P (rf chosen per
-/// read; tot left empty) with its outcome. \p Visit returns false to stop.
-bool forEachUniExecution(
-    const UniProgram &P,
-    const std::function<bool(const UniExecution &, const Outcome &)> &Visit);
-
 /// Converts a straight-line mixed-size litmus Program whose accesses
 /// partition into uniform-width, non-overlapping cells into the uni-size
 /// fragment (cells become abstract locations, in (block, offset) order).
@@ -116,18 +108,9 @@ std::optional<UniProgram> uniFromProgram(const Program &P,
 /// the mixed-size JavaScript model variants.
 Program mixedFromUni(const UniProgram &P);
 
-/// Allowed outcomes of \p P under the (revised) uni-size JavaScript model.
-struct UniEnumerationResult {
-  std::map<Outcome, UniExecution> Allowed;
-  uint64_t CandidatesConsidered = 0;
-  bool allows(const Outcome &O) const { return Allowed.count(O) != 0; }
-};
-UniEnumerationResult enumerateUniOutcomes(const UniProgram &P);
-
-/// The allowed-outcome set of \p P under the revised uni-size model, sorted:
-/// enumerateUniOutcomes' key set without its witnesses (throws
-/// CapacityError past Relation::MaxSize events). The uni-js reference
-/// column of the differential suite.
+/// The allowed-outcome set of \p P under the revised uni-size model, sorted
+/// (throws CapacityError past Relation::MaxSize events). The uni-js
+/// reference column of the differential suite.
 std::vector<Outcome> uniAllowedOutcomes(const UniProgram &P);
 
 } // namespace jsmm

@@ -119,7 +119,9 @@ bool checkUniScAtomics(const UniExecution &X, const Relation &Rf,
       return;
     const UniEvent &Ew = X.Events[W];
     const UniEvent &Er = X.Events[R];
-    bits::forEachWhile(Tot.row(W) & Tot.column(R), [&](unsigned C) {
+    bits::forEachWhile(Tot.row(W), [&](unsigned C) {
+      if (!Tot.get(C, R))
+        return true;
       const UniEvent &Ec = X.Events[C];
       if (Ec.Ord != Mode::SeqCst || !Ec.isWrite())
         return true;

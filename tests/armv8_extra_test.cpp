@@ -9,7 +9,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "armv8/ArmEnumerator.h"
 #include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
@@ -73,14 +72,14 @@ const Outcome StaleMP = outcome({{1, 0, 1}, {1, 1, 0}});
 TEST(ArmFences, DmbStOrdersWritesOnly) {
   // MP with dmb st on the writer: writes ordered; reader free to reorder,
   // so the stale outcome survives.
-  ArmEnumerationResult R =
-      enumerateArmOutcomes(mpWith(ArmInstr::Kind::DmbSt, ReaderDep::None));
+  ArmEnumerationResult R = ExecutionEngine().enumerate(
+      mpWith(ArmInstr::Kind::DmbSt, ReaderDep::None), Armv8Model());
   EXPECT_TRUE(R.allows(StaleMP));
 }
 
 TEST(ArmFences, DmbStPlusAddrDepForbidsMP) {
-  ArmEnumerationResult R =
-      enumerateArmOutcomes(mpWith(ArmInstr::Kind::DmbSt, ReaderDep::Addr));
+  ArmEnumerationResult R = ExecutionEngine().enumerate(
+      mpWith(ArmInstr::Kind::DmbSt, ReaderDep::Addr), Armv8Model());
   EXPECT_FALSE(R.allows(StaleMP));
 }
 
@@ -94,7 +93,7 @@ TEST(ArmFences, DmbLdOnReaderOrdersLoads) {
   T1.load(4, 4);
   T1.fence(ArmInstr::Kind::DmbLd);
   T1.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_FALSE(R.allows(StaleMP));
 }
 
@@ -110,7 +109,7 @@ TEST(ArmFences, DmbLdDoesNotOrderStores) {
   T1.store(4, 4, 1);
   T1.fence(ArmInstr::Kind::DmbLd);
   T1.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
 }
 
@@ -123,7 +122,7 @@ TEST(ArmDeps, AddrDepForbidsStaleMPWithReleaseWriter) {
   Reg F = T1.load(4, 4);
   T1.load(0, 4);
   T1.addrDep(F);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_FALSE(R.allows(StaleMP));
 }
 
@@ -137,7 +136,7 @@ TEST(ArmDeps, CtrlDepToLoadDoesNotOrder) {
   Reg F = T1.load(4, 4);
   T1.load(0, 4);
   T1.ctrlDep(F);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(StaleMP));
 }
 
@@ -145,7 +144,8 @@ TEST(ArmDeps, DataDepOrdersLBButNotMP) {
   // armLB(true) is covered elsewhere; the complementary fact: a data dep
   // cannot exist to a load, so MP stays weak whatever the writer does
   // short of a fence.
-  ArmEnumerationResult R = enumerateArmOutcomes(armMP(false, false));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armMP(false, false), Armv8Model());
   EXPECT_TRUE(R.allows(StaleMP));
 }
 
@@ -164,7 +164,7 @@ TEST(ArmMCA, PlainIRIWAllowed) {
   ArmThreadBuilder R1 = P.thread();
   R1.load(4, 4);
   R1.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome(
       {{2, 0, 1}, {2, 1, 0}, {3, 0, 1}, {3, 1, 0}})));
 }
@@ -184,7 +184,7 @@ TEST(ArmMCA, AcquireIRIWForbidden) {
   ArmThreadBuilder R1 = P.thread();
   R1.load(4, 4, /*Acquire=*/true);
   R1.load(0, 4, /*Acquire=*/true);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_FALSE(R.allows(outcome(
       {{2, 0, 1}, {2, 1, 0}, {3, 0, 1}, {3, 1, 0}})));
 }
@@ -201,7 +201,7 @@ TEST(ArmMCA, WRCWithAcquiresForbidden) {
   ArmThreadBuilder T2 = P.thread();
   T2.load(4, 4, /*Acquire=*/true);
   T2.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   // Condition: T1 saw x=1, T2 saw y=1 but x=0.
   EXPECT_FALSE(R.allows(outcome({{1, 0, 1}, {2, 0, 1}, {2, 1, 0}})));
 }
@@ -219,7 +219,7 @@ TEST(ArmShapes, RShapeWithReleasesAllowed) {
   T1.store(4, 4, 1, /*Release=*/true);
   T1.store(0, 4, 2);
   T1.load(0, 4, /*Acquire=*/true);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   // T0 misses T1's flag write; T1's final load reads T0's x despite the
   // intervening own store being coherence-later... the reads: r(T0)=0 and
   // r(T1)=2 (own write) with co x: 1 -> 2 is trivially fine; the
@@ -241,7 +241,7 @@ TEST(ArmShapes, SShapeCoherenceWithRelease) {
   ArmThreadBuilder T2 = P.thread();
   T2.load(0, 4);
   T2.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{2, 0, 1}, {2, 1, 2}})));
   EXPECT_TRUE(R.allows(outcome({{2, 0, 2}, {2, 1, 1}})));
   EXPECT_FALSE(R.allows(outcome({{2, 0, 1}, {2, 1, 1}})) &&
@@ -263,7 +263,7 @@ TEST(ArmRMW, AcquireOfExclusiveWriteGivesAob) {
   T0.load(0, 4, /*Acquire=*/true, /*Exclusive=*/true, 0, -1, /*RmwTag=*/0);
   T0.store(0, 4, 1, /*Release=*/true, /*Exclusive=*/true, 0, -1, 0);
   T0.load(0, 4, /*Acquire=*/true);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   // The trailing acquire must read the exchange's own write.
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {0, 1, 1}})));
   EXPECT_FALSE(R.allows(outcome({{0, 0, 0}, {0, 1, 0}})));
@@ -275,7 +275,8 @@ TEST(ArmFlat, FencedShapesStaySound) {
         ArmInstr::Kind::DmbSt}) {
     ArmProgram P = mpWith(Fence, ReaderDep::Addr);
     std::set<std::string> Ax;
-    for (const auto &[O, X] : enumerateArmOutcomes(P).Allowed) {
+    for (const auto &[O, X] :
+         ExecutionEngine().enumerate(P, Armv8Model()).Allowed) {
       (void)X;
       Ax.insert(O.toString());
     }
@@ -300,7 +301,8 @@ TEST(ArmFlat, IriwSoundness) {
   R1.load(4, 4, true);
   R1.load(0, 4, true);
   std::set<std::string> Ax;
-  for (const auto &[O, X] : enumerateArmOutcomes(P).Allowed) {
+  for (const auto &[O, X] :
+       ExecutionEngine().enumerate(P, Armv8Model()).Allowed) {
     (void)X;
     Ax.insert(O.toString());
   }

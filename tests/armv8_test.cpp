@@ -1,6 +1,6 @@
 //===- tests/armv8_test.cpp - Mixed-size ARMv8 axiomatic model ------------===//
 
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 
 #include "TestUtil.h"
 
@@ -30,14 +30,16 @@ ArmProgram fig6bProgram() {
 } // namespace
 
 TEST(ArmModel, PlainMessagePassingIsRelaxed) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armMP(false, false));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armMP(false, false), Armv8Model());
   // Flag seen set but message stale: allowed with plain accesses.
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 0}})));
   EXPECT_EQ(R.Allowed.size(), 4u);
 }
 
 TEST(ArmModel, ReleaseAcquireMessagePassingForbidden) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armMP(true, true));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armMP(true, true), Armv8Model());
   EXPECT_FALSE(R.allows(outcome({{1, 0, 1}, {1, 1, 0}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 1}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0}, {1, 1, 0}})));
@@ -46,28 +48,33 @@ TEST(ArmModel, ReleaseAcquireMessagePassingForbidden) {
 
 TEST(ArmModel, ReleaseAloneDoesNotForbidMP) {
   // Release store without acquire load: the reader may still reorder.
-  ArmEnumerationResult R = enumerateArmOutcomes(armMP(true, false));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armMP(true, false), Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 0}})));
 }
 
 TEST(ArmModel, StoreBufferingAllowedPlain) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armSB(false));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armSB(false), Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
 }
 
 TEST(ArmModel, StoreBufferingForbiddenWithDmb) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armSB(true));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armSB(true), Armv8Model());
   EXPECT_FALSE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
   EXPECT_EQ(R.Allowed.size(), 3u);
 }
 
 TEST(ArmModel, LoadBufferingAllowedPlain) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armLB(false));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armLB(false), Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{0, 0, 1}, {1, 0, 1}})));
 }
 
 TEST(ArmModel, LoadBufferingForbiddenWithDataDeps) {
-  ArmEnumerationResult R = enumerateArmOutcomes(armLB(true));
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(armLB(true), Armv8Model());
   EXPECT_FALSE(R.allows(outcome({{0, 0, 1}, {1, 0, 1}})));
 }
 
@@ -79,7 +86,7 @@ TEST(ArmModel, CoherenceCoRR) {
   ArmThreadBuilder T1 = P.thread();
   T1.load(0, 4);
   T1.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_FALSE(R.allows(outcome({{1, 0, 1}, {1, 1, 0}})))
       << "new-then-old violates per-byte internal coherence";
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0}, {1, 1, 1}})));
@@ -95,14 +102,15 @@ TEST(ArmModel, CoherenceCoWW) {
   ArmThreadBuilder T1 = P.thread();
   T1.load(0, 4);
   T1.load(0, 4);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 2}})));
   EXPECT_FALSE(R.allows(outcome({{1, 0, 2}, {1, 1, 1}})));
 }
 
 TEST(ArmModel, Fig6bOutcomeAllowed) {
   // §3.1: the compiled counter-example is architecturally allowed.
-  ArmEnumerationResult R = enumerateArmOutcomes(fig6bProgram());
+  ArmEnumerationResult R =
+      ExecutionEngine().enumerate(fig6bProgram(), Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{0, 0, 1}, {1, 0, 1}})));
 }
 
@@ -159,7 +167,7 @@ TEST(ArmModel, ExclusivePairAtomicity) {
   ArmThreadBuilder T1 = P.thread();
   T1.load(0, 4, true, true, 0, -1, /*RmwTag=*/1);
   T1.store(0, 4, 2, true, true, 0, -1, 1);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_FALSE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 1}})));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 2}, {1, 0, 0}})));
@@ -174,7 +182,7 @@ TEST(ArmModel, MixedSizePartialOverlapTearing) {
   T1.store(1, 1, 0x2);
   ArmThreadBuilder T2 = P.thread();
   T2.load(0, 2);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{2, 0, 0x0201}})));
   EXPECT_TRUE(R.allows(outcome({{2, 0, 0x0001}})));
   EXPECT_TRUE(R.allows(outcome({{2, 0, 0x0200}})));
@@ -192,7 +200,7 @@ TEST(ArmModel, MixedSizeWordObserversShareGranuleOrder) {
   T1.store(0, 2, 0x0202);
   ArmThreadBuilder T2 = P.thread();
   T2.load(0, 2);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   // Same-granule writes cannot interleave bytes for a single read.
   EXPECT_FALSE(R.allows(outcome({{2, 0, 0x0201}})));
   EXPECT_TRUE(R.allows(outcome({{2, 0, 0x0101}})));
@@ -210,7 +218,7 @@ TEST(ArmModel, MixedSizeOverlapSplitsGranules) {
   T1.store(1, 1, 0x33); // wait: same thread writes both bytes
   ArmThreadBuilder T2 = P.thread();
   T2.load(0, 2);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   // Byte 0 from the word write, byte 1 from the byte write: torn view.
   EXPECT_TRUE(R.allows(outcome({{2, 0, 0x3311}})));
 }
@@ -242,7 +250,7 @@ TEST(ArmModel, SkeletonExposesDependencies) {
   T0.store(4, 4, 1);
   T0.dataDep(A);
   unsigned Count = 0;
-  forEachArmSkeleton(P, [&](const ArmSkeleton &S) {
+  ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
     ++Count;
     EXPECT_TRUE(S.Exec.DataDep.get(1, 2));
     EXPECT_TRUE(S.Exec.AddrDep.empty());
@@ -263,10 +271,10 @@ TEST(ArmModel, CtrlDepOrdersStoresNotLoads) {
   Reg F = T1.load(4, 4);
   T1.load(0, 4);
   T1.ctrlDep(F);
-  ArmEnumerationResult R = enumerateArmOutcomes(P);
+  ArmEnumerationResult R = ExecutionEngine().enumerate(P, Armv8Model());
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 0}})));
   // ...but ctrl to a *store* is ordered (no LB with ctrl deps on stores).
-  ArmEnumerationResult LB = enumerateArmOutcomes([&] {
+  ArmProgram LBProgram = [&] {
     ArmProgram Q(8);
     ArmThreadBuilder A0 = Q.thread();
     Reg X = A0.load(0, 4);
@@ -277,7 +285,9 @@ TEST(ArmModel, CtrlDepOrdersStoresNotLoads) {
     A1.store(0, 4, 1);
     A1.ctrlDep(Y);
     return Q;
-  }());
+  }();
+  ArmEnumerationResult LB =
+      ExecutionEngine().enumerate(LBProgram, Armv8Model());
   EXPECT_FALSE(LB.allows(outcome({{0, 0, 1}, {1, 0, 1}})));
 }
 

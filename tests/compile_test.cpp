@@ -2,7 +2,7 @@
 
 #include "compile/TotConstruction.h"
 
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 
 #include "TestUtil.h"
 
@@ -77,7 +77,8 @@ TEST(Compile, ConditionalsLowerToBranches) {
 TEST(Compile, TranslationRoundTripsEvents) {
   CompiledProgram CP = compileToArm(fig6Program());
   unsigned Seen = 0;
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &O) {
     (void)O;
     TranslationResult TR = translateExecution(X, CP);
     std::string Err;
@@ -106,7 +107,8 @@ TEST(Compile, TranslationMergesExclusivePairs) {
   ThreadBuilder T0 = P.thread();
   T0.exchange(Acc::u32(0), 9);
   CompiledProgram CP = compileToArm(P);
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &O) {
     (void)O;
     TranslationResult TR = translateExecution(X, CP);
     // Init + one RMW event.
@@ -124,7 +126,8 @@ TEST(Compile, TranslationMergesSplitBytes) {
   T1.load(Acc::dataView(1, 2));
   CompiledProgram CP = compileToArm(P);
   bool SawFullRead = false;
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &O) {
     (void)O;
     TranslationResult TR = translateExecution(X, CP);
     EXPECT_EQ(TR.Js.numEvents(), 3u); // Init + store + load

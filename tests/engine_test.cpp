@@ -54,17 +54,6 @@ TEST(Engine, GoldenEquivalenceAcrossModelsAndConfigs) {
   }
 }
 
-TEST(Engine, LegacyAdaptersMatchEngine) {
-  for (const Program &P : paperPrograms()) {
-    for (ModelSpec Spec : allSpecs()) {
-      EnumerationResult Legacy = enumerateOutcomes(P, Spec);
-      EnumerationResult Direct =
-          ExecutionEngine().enumerate(P, JsModel(Spec));
-      EXPECT_EQ(Legacy.outcomeStrings(), Direct.outcomeStrings());
-    }
-  }
-}
-
 TEST(Engine, PruningCutsSubtreesWithoutChangingOutcomes) {
   // Fig. 1 has guarded reads whose stale justifications violate the
   // tot-independent axioms: pruning must fire and must not change results.

@@ -1,6 +1,6 @@
 //===- tests/enumerator_test.cpp - JS outcome enumeration -----------------===//
 
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 
 #include "TestUtil.h"
 
@@ -12,7 +12,8 @@ using namespace jsmm::testutil;
 TEST(Enumerator, Fig1AllowedOutcomes) {
   // §2: either the message passes completely (r0=5, r1=3) or the flag is
   // not yet set (r0=0); the stale outcome r0=5, r1=0 is forbidden.
-  EnumerationResult R = enumerateOutcomes(fig1Program(), ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(fig1Program(), JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 5}, {1, 1, 3}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0}})));
   EXPECT_FALSE(R.allows(outcome({{1, 0, 5}, {1, 1, 0}})));
@@ -20,8 +21,8 @@ TEST(Enumerator, Fig1AllowedOutcomes) {
 }
 
 TEST(Enumerator, Fig1SameUnderOriginalModel) {
-  EnumerationResult R =
-      enumerateOutcomes(fig1Program(), ModelSpec::original());
+  EnumerationResult R = ExecutionEngine().enumerate(
+      fig1Program(), JsModel(ModelSpec::original()));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 5}, {1, 1, 3}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0}})));
   EXPECT_FALSE(R.allows(outcome({{1, 0, 5}, {1, 1, 0}})));
@@ -36,7 +37,8 @@ TEST(Enumerator, Fig1NonAtomicFlagAllowsStaleMessage) {
   ThreadBuilder T1 = P.thread();
   Reg R0 = T1.load(Acc::u32(4).sc());
   T1.ifEq(R0, 5, [&](ThreadBuilder &B) { B.load(Acc::u32(0)); });
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 5}, {1, 1, 0}})));
 }
 
@@ -49,7 +51,8 @@ TEST(Enumerator, ScStoreBufferingForbidden) {
   ThreadBuilder T1 = P.thread();
   T1.store(Acc::u32(4).sc(), 1);
   T1.load(Acc::u32(0).sc());
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_FALSE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 1}})));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 1}, {1, 0, 0}})));
@@ -64,7 +67,8 @@ TEST(Enumerator, UnorderedStoreBufferingAllowed) {
   ThreadBuilder T1 = P.thread();
   T1.store(Acc::u32(4), 1);
   T1.load(Acc::u32(0));
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})));
   EXPECT_EQ(R.Allowed.size(), 4u);
 }
@@ -79,7 +83,8 @@ TEST(Enumerator, CoherenceOnUnorderedAccesses) {
   ThreadBuilder T1 = P.thread();
   T1.load(Acc::u32(0));
   T1.load(Acc::u32(0));
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 2}, {1, 1, 1}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 2}})));
 }
@@ -93,7 +98,8 @@ TEST(Enumerator, ScCoherenceForbidden) {
   ThreadBuilder T1 = P.thread();
   T1.load(Acc::u32(0).sc());
   T1.load(Acc::u32(0).sc());
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_FALSE(R.allows(outcome({{1, 0, 2}, {1, 1, 1}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 1}, {1, 1, 2}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 2}, {1, 1, 2}})));
@@ -102,19 +108,23 @@ TEST(Enumerator, ScCoherenceForbidden) {
 TEST(Enumerator, Fig6OutcomeForbiddenOriginalAllowedRevised) {
   // The §3.1 discovery at program level.
   Program P = fig6Program();
-  EnumerationResult Orig = enumerateOutcomes(P, ModelSpec::original());
+  EnumerationResult Orig =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::original()));
   EXPECT_FALSE(Orig.allows(fig6Outcome()))
       << "the original model forbids the ARMv8-observable outcome";
-  EnumerationResult Rev = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult Rev =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(Rev.allows(fig6Outcome()))
       << "the revised model allows it (supporting the compilation scheme)";
 }
 
 TEST(Enumerator, Fig8OutcomeAllowedOriginalForbiddenRevised) {
   Program P = fig8Program();
-  EnumerationResult Orig = enumerateOutcomes(P, ModelSpec::original());
+  EnumerationResult Orig =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::original()));
   EXPECT_TRUE(Orig.allows(fig8Outcome()));
-  EnumerationResult Rev = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult Rev =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_FALSE(Rev.allows(fig8Outcome()));
 }
 
@@ -126,7 +136,8 @@ TEST(Enumerator, ExchangeSerializes) {
   T0.exchange(Acc::u32(0), 1);
   ThreadBuilder T1 = P.thread();
   T1.exchange(Acc::u32(0), 2);
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 0}, {1, 0, 1}})));
   EXPECT_TRUE(R.allows(outcome({{0, 0, 2}, {1, 0, 0}})));
   EXPECT_FALSE(R.allows(outcome({{0, 0, 0}, {1, 0, 0}})))
@@ -142,7 +153,8 @@ TEST(Enumerator, MixedSizeHalfwordObservesWordWrite) {
   T0.store(Acc::u32(0), 0x01020304);
   ThreadBuilder T1 = P.thread();
   T1.load(Acc::u16(2));
-  EnumerationResult R = enumerateOutcomes(P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0x0102}})));
   EXPECT_TRUE(R.allows(outcome({{1, 0, 0}})));
   // Mixing write and Init bytes inside the halfword is also possible
@@ -159,7 +171,8 @@ TEST(Enumerator, ForEachCandidateCountsJustifications) {
   ThreadBuilder T1 = P.thread();
   T1.load(Acc::u32(0));
   uint64_t Count = 0;
-  forEachCandidate(P, [&](const CandidateExecution &CE, const Outcome &O) {
+  ExecutionEngine().forEachCandidate(P, [&](const CandidateExecution &CE,
+                                            const Outcome &O) {
     (void)O;
     EXPECT_TRUE(CE.checkWellFormed());
     ++Count;
@@ -169,14 +182,16 @@ TEST(Enumerator, ForEachCandidateCountsJustifications) {
 }
 
 TEST(Enumerator, ScDrfHoldsForFig1) {
-  ScDrfReport Report = checkScDrf(fig1Program(), ModelSpec::revised());
+  ScDrfReport Report =
+      ExecutionEngine().scDrf(fig1Program(), JsModel(ModelSpec::revised()));
   EXPECT_TRUE(Report.DataRaceFree);
   EXPECT_TRUE(Report.AllValidExecutionsSC);
   EXPECT_TRUE(Report.holds());
 }
 
 TEST(Enumerator, ScDrfFailsForFig8UnderOriginalModel) {
-  ScDrfReport Report = checkScDrf(fig8Program(), ModelSpec::original());
+  ScDrfReport Report =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::original()));
   EXPECT_TRUE(Report.DataRaceFree) << "the program is DRF";
   EXPECT_FALSE(Report.AllValidExecutionsSC)
       << "yet a non-SC execution is allowed";
@@ -185,7 +200,8 @@ TEST(Enumerator, ScDrfFailsForFig8UnderOriginalModel) {
 }
 
 TEST(Enumerator, ScDrfRestoredForFig8ByRevisedModel) {
-  ScDrfReport Report = checkScDrf(fig8Program(), ModelSpec::revised());
+  ScDrfReport Report =
+      ExecutionEngine().scDrf(fig8Program(), JsModel(ModelSpec::revised()));
   EXPECT_TRUE(Report.holds());
   EXPECT_TRUE(Report.AllValidExecutionsSC);
 }
@@ -196,14 +212,16 @@ TEST(Enumerator, RacyProgramIsVacuouslyScDrf) {
   T0.store(Acc::u32(0), 1);
   ThreadBuilder T1 = P.thread();
   T1.load(Acc::u32(0));
-  ScDrfReport Report = checkScDrf(P, ModelSpec::revised());
+  ScDrfReport Report =
+      ExecutionEngine().scDrf(P, JsModel(ModelSpec::revised()));
   EXPECT_FALSE(Report.DataRaceFree);
   EXPECT_TRUE(Report.holds()) << "SC-DRF is vacuous for racy programs";
   ASSERT_TRUE(Report.RaceWitness.has_value());
 }
 
 TEST(Enumerator, OutcomeStringsSorted) {
-  EnumerationResult R = enumerateOutcomes(fig1Program(), ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(fig1Program(), JsModel(ModelSpec::revised()));
   auto Strings = R.outcomeStrings();
   EXPECT_EQ(Strings.size(), 2u);
 }

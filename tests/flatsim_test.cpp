@@ -15,7 +15,7 @@ namespace {
 /// axiomatic model, and operational outcomes must be a subset of axiomatic
 /// outcomes.
 void expectSoundOn(const ArmProgram &P) {
-  ArmEnumerationResult Ax = enumerateArmOutcomes(P);
+  ArmEnumerationResult Ax = ExecutionEngine().enumerate(P, Armv8Model());
   std::set<std::string> AxOutcomes;
   for (const auto &[O, X] : Ax.Allowed) {
     (void)X;
@@ -65,7 +65,7 @@ TEST(FlatSim, ReleaseAcquireMPForbidden) {
 
 TEST(FlatSim, PreservedOrderShape) {
   ArmProgram P = armMP(true, true);
-  forEachArmSkeleton(P, [&](const ArmSkeleton &S) {
+  ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
     Relation Order = flatPreservedOrder(S.Exec);
     // Everything before a release store is preserved: W(msg) -> Wrel(flag).
     EXPECT_TRUE(Order.get(1, 2));
@@ -77,7 +77,7 @@ TEST(FlatSim, PreservedOrderShape) {
 
 TEST(FlatSim, PlainAccessesUnordered) {
   ArmProgram P = armSB(false);
-  forEachArmSkeleton(P, [&](const ArmSkeleton &S) {
+  ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
     Relation Order = flatPreservedOrder(S.Exec);
     // Store then load of a different location: not preserved.
     EXPECT_FALSE(Order.get(1, 2));
@@ -90,7 +90,7 @@ TEST(FlatSim, OverlappingAccessesPreserved) {
   ArmThreadBuilder T0 = P.thread();
   T0.store(0, 4, 1);
   T0.load(2, 2); // overlaps the store
-  forEachArmSkeleton(P, [&](const ArmSkeleton &S) {
+  ExecutionEngine().forEachSkeleton(P, [&](const ArmSkeleton &S) {
     Relation Order = flatPreservedOrder(S.Exec);
     EXPECT_TRUE(Order.get(1, 2));
     return true;

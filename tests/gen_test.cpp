@@ -2,7 +2,7 @@
 
 #include "gen/Diy.h"
 
-#include "armv8/ArmEnumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
 
 #include <gtest/gtest.h>
@@ -140,7 +140,7 @@ TEST(Diy, GeneratedProgramsEnumerate) {
   std::vector<DiyTest> Corpus = generateCorpus(Cfg);
   ASSERT_GT(Corpus.size(), 0u);
   for (const DiyTest &T : Corpus) {
-    ArmEnumerationResult Ax = enumerateArmOutcomes(T.Prog);
+    ArmEnumerationResult Ax = ExecutionEngine().enumerate(T.Prog, Armv8Model());
     std::set<std::string> AxOut;
     for (const auto &[O, X] : Ax.Allowed) {
       (void)X;

@@ -3,7 +3,6 @@
 #include "tools/LitmusParser.h"
 
 #include "engine/ExecutionEngine.h"
-#include "exec/Enumerator.h"
 #include "litmus/PathEnum.h"
 #include "targets/Differential.h"
 
@@ -46,7 +45,8 @@ TEST(LitmusParser, ParsesMessagePassing) {
 TEST(LitmusParser, ParsedProgramEnumeratesCorrectly) {
   auto File = parseLitmus(MPSource);
   ASSERT_TRUE(File.has_value());
-  EnumerationResult R = enumerateOutcomes(File->P, ModelSpec::revised());
+  EnumerationResult R =
+      ExecutionEngine().enumerate(File->P, JsModel(ModelSpec::revised()));
   for (const LitmusExpectation &E : File->Expectations)
     EXPECT_EQ(R.allows(E.O), E.Allowed) << E.O.toString();
 }
@@ -194,12 +194,15 @@ TEST(LitmusParser, RoundTripPreservesSemanticsOnMP) {
   ASSERT_TRUE(First.has_value());
   auto Second = parseLitmus(emitLitmus(*First));
   ASSERT_TRUE(Second.has_value());
-  EXPECT_EQ(enumerateOutcomes(First->P, ModelSpec::revised()).outcomeStrings(),
-            enumerateOutcomes(Second->P, ModelSpec::revised())
-                .outcomeStrings());
+  const ExecutionEngine Engine;
+  const JsModel Revised(ModelSpec::revised());
+  EXPECT_EQ(Engine.enumerate(First->P, Revised).outcomeStrings(),
+            Engine.enumerate(Second->P, Revised).outcomeStrings());
 }
 
 TEST(LitmusParser, RoundTripsTheDifferentialCorpus) {
+  const ExecutionEngine Engine;
+  const JsModel Revised(ModelSpec::revised());
   unsigned Seen = 0;
   for (const DiffCase &C : differentialCorpus()) {
     if (C.Litmus.empty())
@@ -213,9 +216,8 @@ TEST(LitmusParser, RoundTripsTheDifferentialCorpus) {
     ASSERT_TRUE(Second.has_value())
         << C.Name << ": " << Error << "\nemitted:\n" << Emitted;
     EXPECT_EQ(Emitted, emitLitmus(*Second)) << C.Name;
-    EXPECT_EQ(
-        enumerateOutcomes(First->P, ModelSpec::revised()).outcomeStrings(),
-        enumerateOutcomes(Second->P, ModelSpec::revised()).outcomeStrings())
+    EXPECT_EQ(Engine.enumerate(First->P, Revised).outcomeStrings(),
+              Engine.enumerate(Second->P, Revised).outcomeStrings())
         << C.Name;
     // The uni-size rendering survives the round trip too.
     auto Uni = uniFromProgram(Second->P, &Error);

@@ -19,7 +19,7 @@
 
 #include "compile/TotConstruction.h"
 #include "core/SeqConsistency.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 #include "flatsim/FlatSim.h"
 #include "gen/Diy.h"
 #include "search/SkeletonSearch.h"
@@ -172,7 +172,7 @@ protected:
 TEST_P(CorpusProperty, OperationalSoundAgainstAxiomatic) {
   for (const DiyTest &T : corpus()) {
     std::set<std::string> AxOutcomes;
-    ArmEnumerationResult Ax = enumerateArmOutcomes(T.Prog);
+    ArmEnumerationResult Ax = ExecutionEngine().enumerate(T.Prog, Armv8Model());
     for (const auto &[O, X] : Ax.Allowed) {
       (void)X;
       AxOutcomes.insert(O.toString());
@@ -191,14 +191,14 @@ TEST_P(CorpusProperty, OperationalSoundAgainstAxiomatic) {
 
 TEST_P(CorpusProperty, GeneratedProgramsAreWellFormed) {
   for (const DiyTest &T : corpus()) {
-    forEachArmExecution(T.Prog,
-                        [&](const ArmExecution &X, const Outcome &O) {
-                          (void)O;
-                          std::string Err;
-                          EXPECT_TRUE(X.checkWellFormed(&Err))
-                              << T.Name << ": " << Err;
-                          return false; // one witness per test is enough
-                        });
+    ExecutionEngine().forEachArmCandidate(
+        T.Prog, [&](const ArmExecution &X, const Outcome &O) {
+          (void)O;
+          std::string Err;
+          EXPECT_TRUE(X.checkWellFormed(&Err))
+              << T.Name << ": " << Err;
+          return false; // one witness per test is enough
+        });
   }
 }
 
@@ -253,7 +253,8 @@ TEST_P(CompiledProperty, TranslationIsWellFormedAndBehaviourPreserving) {
   Program P = namedProgram(GetParam());
   CompiledProgram CP = compileToArm(P);
   unsigned Seen = 0;
-  forEachArmExecution(CP.Arm, [&](const ArmExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachArmCandidate(CP.Arm, [&](const ArmExecution &X,
+                                                    const Outcome &O) {
     (void)O;
     // The translation relation is defined on consistent ARM executions
     // (an inconsistent one may, e.g., have an exclusive load reading its
@@ -281,8 +282,9 @@ TEST_P(CompiledProperty, ArmOutcomesSubsetOfRevisedJsOutcomes) {
   // ARM program can show, the revised JS model must allow.
   Program P = namedProgram(GetParam());
   CompiledProgram CP = compileToArm(P);
-  EnumerationResult Js = enumerateOutcomes(P, ModelSpec::revised());
-  ArmEnumerationResult Arm = enumerateArmOutcomes(CP.Arm);
+  EnumerationResult Js =
+      ExecutionEngine().enumerate(P, JsModel(ModelSpec::revised()));
+  ArmEnumerationResult Arm = ExecutionEngine().enumerate(CP.Arm, Armv8Model());
   for (const auto &[O, X] : Arm.Allowed) {
     (void)X;
     EXPECT_TRUE(Js.allows(O)) << P.Name << ": ARM-only outcome "

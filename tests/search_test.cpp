@@ -3,7 +3,7 @@
 #include "search/SkeletonSearch.h"
 
 #include "compile/TotConstruction.h"
-#include "exec/Enumerator.h"
+#include "engine/ExecutionEngine.h"
 
 #include "support/Str.h"
 
@@ -306,9 +306,11 @@ TEST(Search, FourEventInitCexConfirmedAtProgramLevel) {
   T1.store(Acc::u8(1), 3); // the one Unordered access
   T1.load(Acc::u8(0).sc());
   Outcome BothZero = outcome({{0, 0, 0}, {1, 0, 0}});
-  EXPECT_FALSE(
-      enumerateOutcomes(P, ModelSpec::original()).allows(BothZero));
-  EXPECT_TRUE(enumerateOutcomes(P, ModelSpec::revised()).allows(BothZero));
+  const ExecutionEngine Engine;
+  EXPECT_FALSE(Engine.enumerate(P, JsModel(ModelSpec::original()))
+                   .allows(BothZero));
+  EXPECT_TRUE(
+      Engine.enumerate(P, JsModel(ModelSpec::revised())).allows(BothZero));
   CompileCheckResult R =
       checkCompilationForProgram(P, ModelSpec::original());
   EXPECT_FALSE(R.holds());

@@ -155,24 +155,24 @@ TEST(TargetEngine, PruningCutsSubtreesWithoutChangingOutcomes) {
   }
 }
 
-TEST(TargetEngine, LegacyAdapterMatchesEngine) {
-  // forEachTargetExecution is now a thin adapter over the engine; the
-  // generate-then-filter loop over it must agree with enumerate().
+TEST(TargetEngine, CandidateWalkMatchesEnumerate) {
+  // A generate-then-filter loop over the candidate door must agree with
+  // enumerate().
   for (const DiffCase &C : corpusSlice()) {
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(C.Uni, M.arch());
-      std::set<std::string> Legacy;
+      std::set<std::string> Filtered;
       uint64_t Candidates = 0;
-      forEachTargetExecution(
+      ExecutionEngine().forEachTargetCandidate(
           CT, [&](const TargetExecution &X, const Outcome &O) {
             ++Candidates;
             if (M.allows(X))
-              Legacy.insert(O.toString());
+              Filtered.insert(O.toString());
             return true;
           });
       TargetEnumerationResult R =
           ExecutionEngine(EngineConfig::seedCompatible()).enumerate(CT, M);
-      EXPECT_EQ(std::vector<std::string>(Legacy.begin(), Legacy.end()),
+      EXPECT_EQ(std::vector<std::string>(Filtered.begin(), Filtered.end()),
                 R.outcomeStrings())
           << C.Name << " under " << M.name();
       EXPECT_EQ(Candidates, R.CandidatesConsidered);
@@ -198,7 +198,7 @@ TEST(TargetEngine, AdmissionCheckIsSoundOnCompleteCandidates) {
   for (const DiffCase &C : corpusSlice()) {
     for (const TargetModel &M : TargetModel::all()) {
       CompiledTarget CT = compileUni(C.Uni, M.arch());
-      forEachTargetExecution(
+      ExecutionEngine().forEachTargetCandidate(
           CT, [&](const TargetExecution &X, const Outcome &) {
             if (M.allows(X))
               EXPECT_TRUE(targetAdmits(X.poLoc(), X.Rf))
@@ -284,7 +284,8 @@ std::vector<WalkCase> oneWalkCases() {
 std::vector<std::string> referenceOutcomes(const CompiledTarget &CT,
                                            const TargetModel &M) {
   std::set<std::string> Allowed;
-  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
+                                                   const Outcome &O) {
     if (M.allows(X))
       Allowed.insert(O.toString());
     return true;

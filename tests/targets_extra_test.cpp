@@ -10,6 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "engine/ExecutionEngine.h"
 #include "targets/TargetCompile.h"
 
 #include <gtest/gtest.h>
@@ -194,7 +195,8 @@ TEST(TargetFidelity, PowerSyncIsCumulative) {
   P.load(T2, 0, Mode::SeqCst);
   CompiledTarget CT = compileUni(P, TargetArch::Power);
   bool BadAllowed = false;
-  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
+                                                   const Outcome &O) {
     uint64_t SawX = 0, SawY = 0, SawX2 = 1;
     O.lookup(1, 0, SawX);
     O.lookup(2, 0, SawY);
@@ -223,7 +225,8 @@ TEST(TargetFidelity, RiscVFenceClasses) {
   // The writer side is ordered by fence rw,w; the reader side is not, so
   // the stale outcome remains possible.
   bool Stale = false;
-  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
+                                                   const Outcome &O) {
     uint64_t Flag = 0, Msg = 1;
     O.lookup(1, 0, Flag);
     O.lookup(1, 1, Msg);
@@ -249,17 +252,17 @@ TEST(TargetFidelity, X86MfencePlacementMatters) {
   SB.load(T1, 0, Mode::Unordered);
   CompiledTarget Plain = compileUni(SB, TargetArch::X86);
   bool Weak = false;
-  forEachTargetExecution(Plain,
-                         [&](const TargetExecution &X, const Outcome &O) {
-                           uint64_t A = 1, B = 1;
-                           O.lookup(0, 0, A);
-                           O.lookup(1, 0, B);
-                           if (A == 0 && B == 0 && isX86Consistent(X)) {
-                             Weak = true;
-                             return false;
-                           }
-                           return true;
-                         });
+  ExecutionEngine().forEachTargetCandidate(
+      Plain, [&](const TargetExecution &X, const Outcome &O) {
+        uint64_t A = 1, B = 1;
+        O.lookup(0, 0, A);
+        O.lookup(1, 0, B);
+        if (A == 0 && B == 0 && isX86Consistent(X)) {
+          Weak = true;
+          return false;
+        }
+        return true;
+      });
   EXPECT_TRUE(Weak) << "plain TSO SB must stay weak";
 }
 
@@ -274,7 +277,8 @@ TEST(TargetFidelity, ImmLitePscOrdersScAccesses) {
   P.load(T1, 0, Mode::SeqCst);
   CompiledTarget CT = compileUni(P, TargetArch::ImmLite);
   bool Weak = false;
-  forEachTargetExecution(CT, [&](const TargetExecution &X, const Outcome &O) {
+  ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
+                                                   const Outcome &O) {
     uint64_t A = 1, B = 1;
     O.lookup(0, 0, A);
     O.lookup(1, 0, B);

@@ -6,7 +6,6 @@
 
 #include "TestUtil.h"
 #include "core/Validity.h"
-#include "exec/Enumerator.h"
 #include "support/LinearExtensions.h"
 
 #include <gtest/gtest.h>
