@@ -98,7 +98,7 @@ int main(int Argc, char **Argv) {
     double Ms = timedMs([&] { Results = Service.run(Jobs); });
     double JobsPerSec = Ms > 0 ? 1000.0 * Jobs.size() / Ms : 0;
     BestJobsPerSec = std::max(BestJobsPerSec, JobsPerSec);
-    std::string Label = "w" + std::to_string(Service.effectiveWorkers());
+    std::string Label = 'w' + std::to_string(Service.effectiveWorkers());
     T.metric("service_jobs_per_sec_" + Label, JobsPerSec, "jobs/s");
 
     bool AllOk = true;
@@ -133,7 +133,7 @@ int main(int Argc, char **Argv) {
       double Ms = timedMs([&] { Results = Service.run(LargeJobs); });
       if (Ms > 0)
         BestLarge = std::max(BestLarge, 1000.0 * LargeJobs.size() / Ms);
-      std::string Label = "w" + std::to_string(Service.effectiveWorkers());
+      std::string Label = 'w' + std::to_string(Service.effectiveWorkers());
       bool AllOk = true;
       for (const LitmusJobResult &R : Results)
         AllOk = AllOk && R.ok();

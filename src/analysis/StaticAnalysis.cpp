@@ -40,7 +40,7 @@ std::string widthToken(const Acc &A) {
   if (A.Width == 8)
     return "u64";
   if (A.TearFree && (A.Width == 1 || A.Width == 2 || A.Width == 4))
-    return "u" + std::to_string(8 * A.Width);
+    return 'u' + std::to_string(8 * A.Width);
   return "dv" + std::to_string(A.Width);
 }
 

@@ -112,8 +112,8 @@ struct ReadMayRf {
 };
 
 /// The full value analysis of one program. Built once per job (behind
-/// EngineConfig::StaticFastPath) and consulted by the justifiers and the
-/// path-combination walk of every column.
+/// EngineConfig::StaticFastPath) and consulted by the reads-from walk and
+/// the path-combination walk of every column.
 struct StaticValues {
   /// The footprint classification (accesses, may-races, lints) — what
   /// `classify()` returns.

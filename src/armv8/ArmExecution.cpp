@@ -221,13 +221,13 @@ std::string ArmExecution::toString() const {
   for (size_t I = 0; I < Rbf.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "<" + std::to_string(Rbf[I].Loc) + "," +
+    Out += '<' + std::to_string(Rbf[I].Loc) + "," +
            std::to_string(Rbf[I].Writer) + "," + std::to_string(Rbf[I].Reader) +
            ">";
   }
   Out += "}\n  co: ";
   for (const CoGranule &G : Co) {
-    Out += "b" + std::to_string(G.Block) + "[" + std::to_string(G.Begin) +
+    Out += 'b' + std::to_string(G.Block) + "[" + std::to_string(G.Begin) +
            ".." + std::to_string(G.End - 1) + "]:";
     for (size_t I = 0; I < G.Order.size(); ++I)
       Out += (I ? "->" : " ") + std::to_string(G.Order[I]);

@@ -113,8 +113,9 @@ private:
 /// is appended after the seeded prefix. \p Visit is invoked once per
 /// complete choice, with X.Co filled in; it returns false to stop the
 /// enumeration. The seeded prefixes are restored before returning.
-/// \returns false if stopped early. Shared by the engine's ArmJustifier,
-/// Armv8Model::allowsForSomeCo and the bounded compilation check.
+/// \returns false if stopped early. Shared by the leaf of the engine's
+/// ARMv8 reads-from walk, Armv8Model::allowsForSomeCo and the bounded
+/// compilation check.
 bool forEachCoherenceCompletion(ArmExecution &X,
                                 const std::function<bool()> &Visit);
 

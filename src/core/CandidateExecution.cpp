@@ -189,7 +189,7 @@ std::string CandidateExecution::toString() const {
   for (size_t I = 0; I < Rbf.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "<" + std::to_string(Rbf[I].Loc) + "," +
+    Out += '<' + std::to_string(Rbf[I].Loc) + "," +
            std::to_string(Rbf[I].Writer) + "," + std::to_string(Rbf[I].Reader) +
            ">";
   }

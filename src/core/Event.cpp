@@ -37,7 +37,7 @@ std::string Event::toString() const {
                     std::to_string(Block) + "[" + std::to_string(rangeBegin()) +
                     ".." + std::to_string(rangeEnd() - 1) + "]";
   if (isWrite())
-    Out += "=" + std::to_string(valueOfBytes(WriteBytes));
+    Out += '=' + std::to_string(valueOfBytes(WriteBytes));
   if (isRead())
     Out += " reads " + std::to_string(valueOfBytes(ReadBytes));
   return Out;

@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <tuple>
 
 using namespace jsmm;
 
@@ -161,6 +162,107 @@ void runSharded(size_t NumItems, unsigned Threads,
 }
 
 //===----------------------------------------------------------------------===//
+// The reads-from walk
+//===----------------------------------------------------------------------===//
+
+/// The effort counter a skipped writer choice counts into.
+using Counter = uint64_t EngineStats::*;
+
+/// The one reads-from walk behind every event language: the reads of a
+/// base in event order, each read's units in order (a byte of a JavaScript
+/// or ARMv8 read, the one cell of a target read), and for each unit its
+/// eligible writers in event order. The policy (a language's core)
+/// supplies the hooks as compile-time calls, each given the base: events,
+/// firstUnit/endUnit and eligible (static, shared with firstWriters);
+/// skip, the counter a writer is skipped into (null: try it; Pos indexes
+/// the static and sleep masks); take/drop, which record and undo a
+/// choice; valueAllowed, the path constraints of a complete read;
+/// refuted, the monotone admission cut after a complete read (counted
+/// into PrunedSubtrees); and leaf, which returns false to stop the walk.
+/// \p FirstWriterOnly >= 0 restricts the first unit of the first read to
+/// its K-th eligible writer (the sharded driver's work items).
+template <typename PolicyT> class Justifier {
+public:
+  using BaseT = typename PolicyT::BaseT;
+  using EventT = typename PolicyT::EventT;
+  using VisitFn = typename PolicyT::VisitFn;
+
+  /// \p St, when non-null, receives the skip and cut counts.
+  Justifier(const PolicyT &P, BaseT &B, const VisitFn &Visit,
+            int FirstWriterOnly, EngineStats *St)
+      : P(P), B(B), Visit(Visit), Events(PolicyT::events(B)),
+        FirstWriterOnly(FirstWriterOnly), St(St) {}
+
+  /// \returns false if the leaf stopped the walk.
+  bool run() { return justifyRead(0); }
+
+private:
+  bool justifyRead(size_t ReadIdx) {
+    if (ReadIdx == B.Reads.size())
+      return P.leaf(B, Visit);
+    return justifyUnit(ReadIdx,
+                       PolicyT::firstUnit(Events[B.Reads[ReadIdx]]));
+  }
+
+  bool justifyUnit(size_t ReadIdx, unsigned Unit) {
+    EventT &R = Events[B.Reads[ReadIdx]];
+    if (Unit == PolicyT::endUnit(R)) {
+      if (!P.valueAllowed(B, R))
+        return true;
+      if (P.refuted(B, ReadIdx)) {
+        if (St)
+          ++St->PrunedSubtrees;
+        return true;
+      }
+      return justifyRead(ReadIdx + 1);
+    }
+    unsigned WriterPos = 0;
+    for (const EventT &W : Events) {
+      if (!PolicyT::eligible(W, R, Unit))
+        continue;
+      unsigned ThisPos = WriterPos++;
+      if (FirstWriterOnly >= 0 && ReadIdx == 0 &&
+          Unit == PolicyT::firstUnit(R) &&
+          ThisPos != static_cast<unsigned>(FirstWriterOnly))
+        continue;
+      if (Counter Skipped = P.skip(B, ReadIdx, Unit, R, W, ThisPos)) {
+        if (St)
+          ++(St->*Skipped);
+        continue;
+      }
+      PolicyT::take(B, Unit, R, W);
+      bool Continue = justifyUnit(ReadIdx, Unit + 1);
+      PolicyT::drop(B, R, W);
+      if (!Continue)
+        return false;
+    }
+    return true;
+  }
+
+  const PolicyT &P;
+  BaseT &B;
+  const VisitFn &Visit;
+  std::vector<EventT> &Events;
+  int FirstWriterOnly;
+  EngineStats *St;
+};
+
+/// \returns the number of writers eligible for the first unit of the
+/// first read of base \p B: the sharded driver's work items index them in
+/// the order the walk tries them.
+template <typename PolicyT>
+unsigned firstWriters(const typename PolicyT::BaseT &B) {
+  if (B.Reads.empty())
+    return 0;
+  const auto &Events = PolicyT::events(B);
+  const auto &R = Events[B.Reads[0]];
+  unsigned Count = 0;
+  for (const auto &W : Events)
+    Count += PolicyT::eligible(W, R, PolicyT::firstUnit(R));
+  return Count;
+}
+
+//===----------------------------------------------------------------------===//
 // The shared enumeration driver
 //===----------------------------------------------------------------------===//
 
@@ -245,14 +347,14 @@ template <typename CoreT>
 bool walkCore(const CoreT &Core, EngineStats *St,
               const typename CoreT::VisitFn &Visit) {
   return Core.forEachBase(St, [&](typename CoreT::BaseT &B) {
-    return Core.justify(B, /*FirstWriter=*/-1, Visit, St);
+    return Justifier(Core, B, Visit, /*FirstWriterOnly=*/-1, St).run();
   });
 }
 
 /// The one enumeration driver behind the JavaScript, ARMv8 and target
 /// cores. A core supplies its bases (one per explored control-flow
-/// combination), the first read's writer count of a base, and a justifier
-/// walk; \p M decides which candidates count as valid.
+/// combination) and is the policy of its language's reads-from walk;
+/// \p M decides which candidates count as valid.
 ///
 /// Sequential runs walk one base at a time with global outcome
 /// deduplication; WorkItems is the number of path combinations. Sharded
@@ -282,7 +384,7 @@ typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
   std::vector<BaseT> Bases;
   std::vector<WorkItem> Items;
   Core.forEachBase(&Stats, [&](BaseT &B) {
-    unsigned Writers = Core.firstWriters(B);
+    unsigned Writers = firstWriters<CoreT>(B);
     if (!Writers)
       Items.push_back({Bases.size(), -1});
     for (unsigned K = 0; K < Writers; ++K)
@@ -295,14 +397,15 @@ typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
   std::vector<ResultT> PerItem(Items.size());
   std::vector<EngineStats> PerItemStats(Items.size());
   runSharded(Items.size(), Threads, [&](size_t I) {
-    BaseT B = Bases[Items[I].Base]; // worker-private: justifiers mutate it
-    Core.justify(
-        B, Items[I].Writer,
+    BaseT B = Bases[Items[I].Base]; // worker-private: the walk mutates it
+    Justifier(
+        Core, B,
         [&](auto &X, const Outcome &O) {
           accumulate(PerItem[I], M, X, O);
           return true;
         },
-        &PerItemStats[I]);
+        Items[I].Writer, &PerItemStats[I])
+        .run();
   });
 
   ResultT Result;
@@ -334,8 +437,8 @@ template <typename ResultT> OutcomeSummary summarize(ResultT R) {
 //===----------------------------------------------------------------------===//
 
 /// [read idx][byte offset][eligible-writer position] -> allowed flag. The
-/// writer positions index the same eligible-writer order the justifier
-/// walks (and the sleep-set Explore masks use).
+/// writer positions index the eligible writers in the order the walk
+/// tries them; the rf sleep-set keys' explore mask has the same shape.
 using StaticAllowMask = std::vector<std::vector<std::vector<uint8_t>>>;
 
 /// Per thread, per path index: 1 iff StaticValues::pathFeasible. Dropping
@@ -363,7 +466,7 @@ bool comboFeasible(const std::vector<size_t> &Idx,
 }
 
 /// The materialised skeleton of one path combination: events, sb, and the
-/// bookkeeping the justifier needs.
+/// bookkeeping the walk needs.
 struct JsBase {
   CandidateExecution CE;
   std::vector<EventId> Reads;
@@ -371,6 +474,9 @@ struct JsBase {
   std::vector<const ThreadPath *> Paths;
   /// The static writer-allow mask; empty unless static pruning is on.
   StaticAllowMask Allow;
+  /// The rf sleep-set keys' explore mask, in the same shape; empty unless
+  /// reducing on a base the keys apply to (see buildRfKeys).
+  StaticAllowMask RfKeys;
 };
 
 JsBase buildJsBase(const Program &P, std::vector<const ThreadPath *> Chosen) {
@@ -425,6 +531,33 @@ JsBase buildJsBase(const Program &P, std::vector<const ThreadPath *> Chosen) {
       B.Reads.push_back(E.Id);
   return B;
 }
+
+/// The JavaScript event language of the reads-from walk, shared by JsCore
+/// and the wait/notify walk (WnPolicy), whose bases both hold an execution
+/// CE and its Reads: a unit per read byte, whose eligible writers are the
+/// other events of the read's block that write the byte, and an rbf edge
+/// plus the read byte as the record of a choice.
+struct JsLanguage {
+  using EventT = Event;
+
+  template <typename BaseT> static auto &events(BaseT &B) {
+    return B.CE.Events;
+  }
+  static unsigned firstUnit(const Event &R) { return R.readBegin(); }
+  static unsigned endUnit(const Event &R) { return R.readEnd(); }
+  static bool eligible(const Event &W, const Event &R, unsigned Loc) {
+    return W.Id != R.Id && W.Block == R.Block && W.writesByte(Loc);
+  }
+  template <typename BaseT>
+  static void take(BaseT &B, unsigned Loc, Event &R, const Event &W) {
+    B.CE.Rbf.push_back({Loc, W.Id, R.Id});
+    R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
+  }
+  template <typename BaseT>
+  static void drop(BaseT &B, Event &, const Event &) {
+    B.CE.Rbf.pop_back();
+  }
+};
 
 /// Builds the static writer-allow mask of one JS base from the value
 /// analysis: a writer is masked off when it falls outside the read's
@@ -484,7 +617,7 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
       const analysis::MayRfByte &MB = MR->Bytes[K];
       std::vector<uint8_t> &Mask = Allow[RI][K];
       for (const Event &W : B.CE.Events) {
-        if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
+        if (!JsLanguage::eligible(W, R, Loc))
           continue;
         bool Ok = !Impossible;
         if (Ok) {
@@ -503,214 +636,89 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
   return Allow;
 }
 
-/// Recursive reads-byte-from justification of a JS base, byte by byte,
-/// with register-constraint pruning (always), model-admission pruning
-/// (when a model is supplied), and rf sleep-set keys (when the reduction
-/// spec is supplied).
-class JsJustifier {
-public:
-  /// \p St, when non-null, receives the PrunedSubtrees, SleptBranches and
-  /// StaticRfPruned counts.
-  JsJustifier(JsBase &B, const JsModel *Prune, int FirstWriterOnly,
-              const std::function<bool(const CandidateExecution &,
-                                       const Outcome &)> &Visit,
-              const ModelSpec *Red, EngineStats *St)
-      : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
-        Red(Red), St(St),
-        StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {
-    if (Red) {
-      B.CE.Rbf.clear();
-      setupRfKeys();
-    }
-  }
+/// The rf sleep-set keys of one JS base under \p Red, as an explore mask
+/// in the static mask's shape (empty when the keys do not apply). Two
+/// writer choices for the same read byte are interchangeable when every
+/// input the model's verdict can depend on is equal. The derived hb is
+/// static — equal for every rbf choice — iff sw is forced empty, i.e.
+/// there is no SeqCst event at all (sw requires a SeqCst reader; RMWs are
+/// SeqCst by construction) and asw is empty.
+/// Under that precondition every SC rule is vacuous (each needs an sw
+/// pair or a SeqCst intervening event) and the solver's tot problem
+/// carries no constraints, so a candidate's verdict is a function of,
+/// per rbf edge: the byte value read, the static hb(R,W) bit (HBC2), the
+/// static "newer write hb-between" bit (HBC3), and the writer's
+/// contribution to the tear-free count. Writers agreeing on all four are
+/// keyed together and only the first is explored — the skipped subtrees
+/// produce byte-identical candidates, verdicts, and outcomes.
+StaticAllowMask buildRfKeys(const ModelSpec &Red, const JsBase &B) {
+  const CandidateExecution &CE = B.CE;
+  if (!CE.Asw.empty() ||
+      std::any_of(CE.Events.begin(), CE.Events.end(),
+                  [](const Event &E) { return E.Ord == Mode::SeqCst; }))
+    return {};
+  Relation Hb = CE.happensBefore(Red.Sw); // rbf is empty: static hb
 
-  /// \returns false if the visitor stopped the enumeration.
-  bool run() {
-    B.CE.Rbf.clear();
-    return justifyRead(0);
-  }
+  StaticAllowMask Explore(B.Reads.size());
+  for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
+    const Event &R = CE.Events[B.Reads[RI]];
 
-private:
-  /// rf sleep-set keys, precomputed per base: two writer choices for the
-  /// same read byte are interchangeable when every input the model's
-  /// verdict can depend on is equal. The derived hb is static — equal for
-  /// every rbf choice — iff sw is forced empty, i.e. there is no SeqCst
-  /// event at all (sw requires a SeqCst reader; RMWs are SeqCst by
-  /// construction) and asw is empty.
-  /// Under that precondition every SC rule is vacuous (each needs an sw
-  /// pair or a SeqCst intervening event) and the solver's tot problem
-  /// carries no constraints, so a candidate's verdict is a function of,
-  /// per rbf edge: the byte value read, the static hb(R,W) bit (HBC2), the
-  /// static "newer write hb-between" bit (HBC3), and the writer's
-  /// contribution to the tear-free count. Writers agreeing on all four are
-  /// keyed together and only the first is explored — the skipped subtrees
-  /// produce byte-identical candidates, verdicts, and outcomes.
-  void setupRfKeys() {
-    KeysActive = B.CE.Asw.empty();
-    for (const Event &E : B.CE.Events)
-      if (E.Ord == Mode::SeqCst)
-        KeysActive = false;
-    if (!KeysActive)
-      return;
-    Relation Hb = B.CE.happensBefore(Red->Sw); // rbf is empty: static hb
-
-    Explore.resize(B.Reads.size());
-    for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-      const Event &R = B.CE.Events[B.Reads[RI]];
-
-      // The writers the tear-free rule would count for R, over all byte
-      // choices: tear-free writers of the exact range (plus Init under the
-      // Strong rule). With at most one such writer the rule cannot fail,
-      // so tearing does not discriminate writers for this read.
-      auto TearCounts = [&](const Event &W) {
-        if (!R.TearFree || !W.TearFree)
-          return false;
-        return sameWriteReadRange(W, R) ||
-               (Red->Tear == TearRuleKind::Strong &&
-                W.Ord == Mode::Init);
-      };
-      unsigned CountingWriters = 0;
-      for (const Event &W : B.CE.Events)
-        if (W.Id != R.Id && W.Block == R.Block && TearCounts(W) &&
-            W.writeBegin() < R.readEnd() && R.readBegin() < W.writeEnd())
-          ++CountingWriters;
-      bool TearDiscriminates = CountingWriters > 1;
-
-      Explore[RI].resize(R.readEnd() - R.readBegin());
-      for (unsigned Loc = R.readBegin(); Loc < R.readEnd(); ++Loc) {
-        struct Key {
-          uint8_t Val;
-          bool Hbc2, Hbc3;
-          unsigned TearK;
-          bool operator==(const Key &O) const {
-            return Val == O.Val && Hbc2 == O.Hbc2 && Hbc3 == O.Hbc3 &&
-                   TearK == O.TearK;
-          }
-        };
-        std::vector<Key> Keys;
-        std::vector<uint8_t> &Mask = Explore[RI][Loc - R.readBegin()];
-        for (const Event &W : B.CE.Events) {
-          if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
-            continue;
-          Key K;
-          K.Val = W.writtenByteAt(Loc);
-          K.Hbc2 = Hb.get(R.Id, W.Id);
-          // HBC3 mirrors checkHbConsistency3 exactly, including its
-          // block-agnostic writesByte scan.
-          K.Hbc3 = false;
-          for (const Event &C : B.CE.Events)
-            if (Hb.get(W.Id, C.Id) && Hb.get(C.Id, R.Id) &&
-                C.writesByte(Loc)) {
-              K.Hbc3 = true;
-              break;
-            }
-          K.TearK =
-              (TearDiscriminates && TearCounts(W)) ? W.Id + 1 : 0;
-          bool Fresh =
-              std::find(Keys.begin(), Keys.end(), K) == Keys.end();
-          Keys.push_back(K);
-          Mask.push_back(Fresh ? 1 : 0);
-        }
-      }
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Enumeration
-  //===--------------------------------------------------------------------===//
-
-  bool justifyRead(size_t ReadIdx) {
-    if (ReadIdx == B.Reads.size())
-      return emit();
-    return justifyByte(ReadIdx, B.CE.Events[B.Reads[ReadIdx]].readBegin());
-  }
-
-  bool justifyByte(size_t ReadIdx, unsigned Loc) {
-    Event &R = B.CE.Events[B.Reads[ReadIdx]];
-    if (Loc == R.readEnd()) {
-      // The read's value is complete; prune against the path constraints,
-      // then against the model's tot-independent axioms (monotone in the
-      // justified prefix, so the whole subtree dies with it).
-      auto RegIt = B.RegOfEvent.find(R.Id);
-      assert(RegIt != B.RegOfEvent.end() && "read event without a register");
-      uint64_t Value = valueOfBytes(R.ReadBytes);
-      if (!constraintsAllow(*B.Paths[R.Thread], RegIt->second, Value))
-        return true;
-      if (Prune && ReadIdx + 1 < B.Reads.size() &&
-          !Prune->admitsPartial(B.CE)) {
-        if (St)
-          ++St->PrunedSubtrees;
-        return true;
-      }
-      return justifyRead(ReadIdx + 1);
-    }
-    unsigned WriterPos = 0;
-    for (const Event &W : B.CE.Events) {
-      if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 && Loc == R.readBegin() &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      // Static may-rf pruning: writers outside the read's candidate set
-      // only produce model-invalid or constraint-refuted candidates
-      // (StaticValues' exclusion rules are implied by every backend's
-      // validity axioms), so the subtree cannot contribute an outcome.
-      // Checked before the sleep sets: an excluded writer's whole rf-key
-      // class is excluded with it (the keys subsume the exclusion bits),
-      // so sleeping siblings never rely on a skipped representative.
-      if (StaticAllow &&
-          !(*StaticAllow)[ReadIdx][Loc - R.readBegin()][ThisPos]) {
-        if (St)
-          ++St->StaticRfPruned;
-        continue;
-      }
-      if (KeysActive && !Explore[ReadIdx][Loc - R.readBegin()][ThisPos]) {
-        if (St)
-          ++St->SleptBranches;
-        continue;
-      }
-      B.CE.Rbf.push_back({Loc, W.Id, R.Id});
-      R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
-      bool Continue = justifyByte(ReadIdx, Loc + 1);
-      B.CE.Rbf.pop_back();
-      if (!Continue)
+    // The writers the tear-free rule would count for R, over all byte
+    // choices: tear-free writers of the exact range (plus Init under the
+    // Strong rule). With at most one such writer the rule cannot fail,
+    // so tearing does not discriminate writers for this read.
+    auto TearCounts = [&](const Event &W) {
+      if (!R.TearFree || !W.TearFree)
         return false;
+      return sameWriteReadRange(W, R) ||
+             (Red.Tear == TearRuleKind::Strong &&
+              W.Ord == Mode::Init);
+    };
+    unsigned CountingWriters = 0;
+    for (const Event &W : CE.Events)
+      if (W.Id != R.Id && W.Block == R.Block && TearCounts(W) &&
+          W.writeBegin() < R.readEnd() && R.readBegin() < W.writeEnd())
+        ++CountingWriters;
+    bool TearDiscriminates = CountingWriters > 1;
+
+    Explore[RI].resize(R.readEnd() - R.readBegin());
+    for (unsigned Loc = R.readBegin(); Loc < R.readEnd(); ++Loc) {
+      // A writer's key: value, HBC2, HBC3 and tear-free contribution.
+      using Key = std::tuple<uint8_t, bool, bool, unsigned>;
+      std::vector<Key> Keys;
+      std::vector<uint8_t> &Mask = Explore[RI][Loc - R.readBegin()];
+      for (const Event &W : CE.Events) {
+        if (!JsLanguage::eligible(W, R, Loc))
+          continue;
+        // HBC3 mirrors checkHbConsistency3 exactly, including its
+        // block-agnostic writesByte scan.
+        bool Hbc3 = std::any_of(
+            CE.Events.begin(), CE.Events.end(), [&](const Event &C) {
+              return Hb.get(W.Id, C.Id) && Hb.get(C.Id, R.Id) &&
+                     C.writesByte(Loc);
+            });
+        Key K(W.writtenByteAt(Loc), Hb.get(R.Id, W.Id), Hbc3,
+              TearDiscriminates && TearCounts(W) ? W.Id + 1 : 0);
+        Mask.push_back(std::find(Keys.begin(), Keys.end(), K) == Keys.end());
+        Keys.push_back(K);
+      }
     }
-    return true;
   }
-
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : B.RegOfEvent)
-      O.add(B.CE.Events[Id].Thread, Reg,
-            valueOfBytes(B.CE.Events[Id].ReadBytes));
-    return Visit(B.CE, O);
-  }
-
-  JsBase &B;
-  const JsModel *Prune;
-  int FirstWriterOnly;
-  const std::function<bool(const CandidateExecution &, const Outcome &)>
-      &Visit;
-  const ModelSpec *Red; ///< the spec the rf keys read; null: no reduction
-  EngineStats *St;
-  const StaticAllowMask *StaticAllow;
-
-  // Reduction state (set up iff Red).
-  bool KeysActive = false;
-  /// [read idx][byte offset][eligible-writer position] -> explore flag.
-  std::vector<std::vector<std::vector<uint8_t>>> Explore;
-};
+  return Explore;
+}
 
 /// The JavaScript core of the enumeration driver: one base per path
 /// combination, minus (and counting) the statically infeasible ones under
-/// a value analysis.
-struct JsCore {
-  using ExecT = CandidateExecution;
+/// a value analysis. As the policy of the reads-from walk it skips
+/// writers by the static may-rf mask, then by the rf sleep-set keys; a
+/// complete read checks its path's register constraints, then, on every
+/// read but the last, the model's tot-independent admission (when
+/// pruning); the leaf emits the outcome.
+struct JsCore : JsLanguage {
   using BaseT = JsBase;
   using ResultT = EnumerationResult;
-  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
+  using VisitFn =
+      std::function<bool(const CandidateExecution &, const Outcome &)>;
 
   const Program &P;
   const JsModel *Prune;
@@ -742,30 +750,69 @@ struct JsCore {
       BaseT B = buildJsBase(P, Space.chosen(Idx));
       if (SV)
         B.Allow = buildJsStaticAllow(*SV, B);
+      if (Red)
+        B.RfKeys = buildRfKeys(*Red, B);
       if (!Fn(B))
         return false;
     }
     return true;
   }
 
-  /// \returns the number of writers eligible for the first byte of the
-  /// first read (work items index into them in event order, the order the
-  /// justifier explores them in).
-  unsigned firstWriters(const BaseT &B) const {
-    if (B.Reads.empty())
-      return 0;
-    const Event &R = B.CE.Events[B.Reads[0]];
-    unsigned Count = 0;
-    for (const Event &W : B.CE.Events)
-      Count += W.Id != R.Id && W.Block == R.Block &&
-               W.writesByte(R.readBegin());
-    return Count;
+  Counter skip(const JsBase &B, size_t ReadIdx, unsigned Loc, const Event &R,
+               const Event &, unsigned Pos) const {
+    unsigned K = Loc - R.readBegin();
+    // Static may-rf pruning: writers outside the read's candidate set
+    // only produce model-invalid or constraint-refuted candidates
+    // (StaticValues' exclusion rules are implied by every backend's
+    // validity axioms), so the subtree cannot contribute an outcome.
+    // Checked before the sleep sets: an excluded writer's whole rf-key
+    // class is excluded with it (the keys subsume the exclusion bits),
+    // so sleeping siblings never rely on a skipped representative.
+    if (!B.Allow.empty() && !B.Allow[ReadIdx][K][Pos])
+      return &EngineStats::StaticRfPruned;
+    if (!B.RfKeys.empty() && !B.RfKeys[ReadIdx][K][Pos])
+      return &EngineStats::SleptBranches;
+    return nullptr;
   }
+  bool valueAllowed(const JsBase &B, const Event &R) const {
+    return constraintsAllow(*B.Paths[R.Thread], B.RegOfEvent.at(R.Id),
+                            valueOfBytes(R.ReadBytes));
+  }
+  bool refuted(const JsBase &B, size_t ReadIdx) const {
+    return Prune && ReadIdx + 1 < B.Reads.size() &&
+           !Prune->admitsPartial(B.CE);
+  }
+  bool leaf(JsBase &B, const VisitFn &Visit) const {
+    Outcome O;
+    for (const auto &[Id, Reg] : B.RegOfEvent)
+      O.add(B.CE.Events[Id].Thread, Reg,
+            valueOfBytes(B.CE.Events[Id].ReadBytes));
+    return Visit(B.CE, O);
+  }
+};
 
-  bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
-               EngineStats *St) const {
-    return JsJustifier(B, Prune, FirstWriter, Visit, Red, St).run();
+/// The wait/notify policy of the reads-from walk (forEachJustification),
+/// over one execution: no writer skips and no admission cut; a complete
+/// read checks the caller's value constraint, and the leaf visits the
+/// execution.
+struct WnPolicy : JsLanguage {
+  struct BaseT {
+    CandidateExecution &CE;
+    std::vector<EventId> Reads;
+  };
+  using VisitFn = std::function<bool(const CandidateExecution &)>;
+
+  const std::function<bool(const Event &)> &ValueAllowed;
+
+  Counter skip(const BaseT &, size_t, unsigned, const Event &, const Event &,
+               unsigned) const {
+    return nullptr;
   }
+  bool valueAllowed(const BaseT &, const Event &R) const {
+    return ValueAllowed(R);
+  }
+  bool refuted(const BaseT &, size_t) const { return false; }
+  bool leaf(BaseT &B, const VisitFn &Visit) const { return Visit(B.CE); }
 };
 
 /// Materialises the skeleton for one choice of paths.
@@ -879,125 +926,38 @@ ArmSkeleton buildArmSkeleton(const ArmProgram &P,
   return S;
 }
 
-/// Enumerates rbf justifications and coherence orders on top of an ARM
-/// skeleton. With a model to prune by, two sound cuts apply, both a
-/// function of the justification stack alone:
-///
-///   - granule-atomic reads: a read takes every byte of one coherence
-///     granule from one writer. Tearing a granule across writers W1
-///     co-before W2 gives fr R->W2 on one byte and rbf W2->R on the other:
-///     an rfe/fre cycle in ob when W2 is external, a per-byte po-loc cycle
-///     when it is on R's thread — inconsistent under every co;
-///   - monotone admission: once a read's bytes are complete, the subtree
-///     is cut when armRefutedForEveryCo refutes the rbf prefix. The three
-///     §4 axioms only gain edges as rbf grows, as they do as co grows.
-class ArmJustifier {
-public:
-  /// \p St, when non-null, receives the PrunedSubtrees count.
-  ArmJustifier(const ArmSkeleton &S, const Armv8Model *Prune,
-               int FirstWriterOnly,
-               const std::function<bool(const ArmExecution &,
-                                        const Outcome &)> &Visit,
-               EngineStats *St)
-      : S(S), X(S.Exec), Prune(Prune), FirstWriterOnly(FirstWriterOnly),
-        Visit(Visit), St(St) {
-    // The granules depend on the writes alone; seed them (Init first)
-    // once. forEachCoherenceCompletion restores the seeds after each walk.
-    X.Co = X.computeGranules();
-    for (const ArmEvent &E : X.Events) {
-      if (!E.isRead())
-        continue;
-      Reads.push_back(E.Id);
-      // SameGranule[K]: byte K of the read shares a granule with byte K-1.
-      std::vector<uint8_t> Same(E.end() - E.begin(), 0);
-      if (Prune)
-        for (const CoGranule &G : X.Co)
-          if (G.Block == E.Block)
-            for (unsigned Loc = std::max(G.Begin + 1, E.begin() + 1);
-                 Loc < std::min(G.End, E.end()); ++Loc)
-              Same[Loc - E.begin()] = 1;
-      SameGranule.push_back(std::move(Same));
-    }
-  }
-
-  bool run() { return justifyRead(0); }
-
-private:
-  bool justifyRead(size_t ReadIdx) {
-    if (ReadIdx == Reads.size())
-      return forEachCoherenceCompletion(X, [this] { return emit(); });
-    return justifyByte(ReadIdx, X.Events[Reads[ReadIdx]].begin());
-  }
-
-  bool justifyByte(size_t ReadIdx, unsigned Loc) {
-    ArmEvent &R = X.Events[Reads[ReadIdx]];
-    if (Loc == R.end()) {
-      auto RegIt = S.RegOfEvent.find(R.Id);
-      assert(RegIt != S.RegOfEvent.end() && "read event without a register");
-      uint64_t Value = valueOfBytes(R.Bytes);
-      if (!armConstraintsAllow(*S.Paths[R.Thread], RegIt->second, Value))
-        return true;
-      if (Prune && armRefutedForEveryCo(X)) {
-        if (St)
-          ++St->PrunedSubtrees;
-        return true;
-      }
-      return justifyRead(ReadIdx + 1);
-    }
-    // A byte sharing the previous byte's granule takes its writer.
-    bool Tied = SameGranule[ReadIdx][Loc - R.begin()];
-    EventId PrevWriter = Tied ? X.Rbf.back().Writer : 0;
-    unsigned WriterPos = 0;
-    for (const ArmEvent &W : X.Events) {
-      if (!W.isWrite() || W.Id == R.Id || W.Block != R.Block ||
-          !W.touchesByte(Loc))
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 && Loc == R.begin() &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      if (Tied && W.Id != PrevWriter) {
-        if (St)
-          ++St->PrunedSubtrees;
-        continue;
-      }
-      X.Rbf.push_back({Loc, W.Id, R.Id});
-      R.Bytes[Loc - R.Index] = W.byteAt(Loc);
-      bool Continue = justifyByte(ReadIdx, Loc + 1);
-      X.Rbf.pop_back();
-      if (!Continue)
-        return false;
-    }
-    return true;
-  }
-
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : S.RegOfEvent)
-      O.add(X.Events[Id].Thread, Reg, valueOfBytes(X.Events[Id].Bytes));
-    return Visit(X, O);
-  }
-
-  const ArmSkeleton &S;
-  ArmExecution X;
-  const Armv8Model *Prune;
+/// An ARM skeleton prepared for the reads-from walk, which runs on it in
+/// place: its coherence granules seeded (Init first; the granules depend
+/// on the writes alone, and forEachCoherenceCompletion restores the seeds
+/// after each walk), its reads, and per read byte whether it shares a
+/// granule with the previous byte.
+struct ArmBase {
+  ArmSkeleton S;
   std::vector<EventId> Reads;
   /// [read idx][byte offset] -> 1 when the byte must take the previous
   /// byte's writer; all zero unless pruning.
   std::vector<std::vector<uint8_t>> SameGranule;
-  int FirstWriterOnly;
-  const std::function<bool(const ArmExecution &, const Outcome &)> &Visit;
-  EngineStats *St;
 };
 
 /// The ARMv8 core of the enumeration driver: one skeleton per path
-/// combination, justified with the granule and admission cuts when a
-/// model is supplied (no sleep sets or static analysis).
+/// combination (no sleep sets or static analysis). As the policy of the
+/// reads-from walk it has a unit per read byte and walks the coherence
+/// completions at the leaf. With a model to prune by, two sound cuts
+/// apply, both a function of the justification stack alone:
+///
+///   - granule-atomic reads (the writer skip): a read takes every byte of
+///     one coherence granule from one writer. Tearing a granule across
+///     writers W1 co-before W2 gives fr R->W2 on one byte and rbf W2->R on
+///     the other: an rfe/fre cycle in ob when W2 is external, a per-byte
+///     po-loc cycle when it is on R's thread — inconsistent under every co;
+///   - monotone admission: once a read's bytes are complete, the subtree
+///     is cut when armRefutedForEveryCo refutes the rbf prefix. The three
+///     §4 axioms only gain edges as rbf grows, as they do as co grows.
 struct ArmCore {
-  using ExecT = ArmExecution;
-  using BaseT = ArmSkeleton;
+  using BaseT = ArmBase;
+  using EventT = ArmEvent;
   using ResultT = ArmEnumerationResult;
-  using VisitFn = std::function<bool(const ExecT &, const Outcome &)>;
+  using VisitFn = std::function<bool(const ArmExecution &, const Outcome &)>;
 
   const ArmProgram &P;
   const Armv8Model *Prune;
@@ -1008,7 +968,7 @@ struct ArmCore {
       : P(P), Prune(Prune), Space(P, enumerateArmPaths),
         Combos(Space.Combos) {}
 
-  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
+  template <typename FnT> bool forEachSkeleton(FnT &&Fn) const {
     for (size_t C = 0; C < Space.Combos; ++C) {
       ArmSkeleton S = buildArmSkeleton(P, Space.chosen(Space.indices(C)));
       if (!Fn(S))
@@ -1017,22 +977,68 @@ struct ArmCore {
     return true;
   }
 
-  unsigned firstWriters(const BaseT &S) const {
-    for (const ArmEvent &R : S.Exec.Events) {
-      if (!R.isRead())
-        continue;
-      unsigned Count = 0;
-      for (const ArmEvent &W : S.Exec.Events)
-        Count += W.isWrite() && W.Id != R.Id && W.Block == R.Block &&
-                 W.touchesByte(R.begin());
-      return Count;
-    }
-    return 0;
+  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
+    return forEachSkeleton([&](ArmSkeleton &S) {
+      ArmBase B{std::move(S), {}, {}};
+      ArmExecution &X = B.S.Exec;
+      X.Co = X.computeGranules();
+      for (const ArmEvent &E : X.Events) {
+        if (!E.isRead())
+          continue;
+        B.Reads.push_back(E.Id);
+        std::vector<uint8_t> &Same =
+            B.SameGranule.emplace_back(E.end() - E.begin(), 0);
+        if (Prune)
+          for (const CoGranule &G : X.Co)
+            if (G.Block == E.Block)
+              for (unsigned Loc = std::max(G.Begin + 1, E.begin() + 1);
+                   Loc < std::min(G.End, E.end()); ++Loc)
+                Same[Loc - E.begin()] = 1;
+      }
+      return Fn(B);
+    });
   }
 
-  bool justify(BaseT &S, int FirstWriter, const VisitFn &Visit,
-               EngineStats *St) const {
-    return ArmJustifier(S, Prune, FirstWriter, Visit, St).run();
+  template <typename BaseT> static auto &events(BaseT &B) {
+    return B.S.Exec.Events;
+  }
+  static unsigned firstUnit(const ArmEvent &R) { return R.begin(); }
+  static unsigned endUnit(const ArmEvent &R) { return R.end(); }
+  static bool eligible(const ArmEvent &W, const ArmEvent &R, unsigned Loc) {
+    return W.isWrite() && W.Id != R.Id && W.Block == R.Block &&
+           W.touchesByte(Loc);
+  }
+
+  /// A byte sharing the previous byte's granule takes its writer.
+  Counter skip(const ArmBase &B, size_t ReadIdx, unsigned Loc,
+               const ArmEvent &R, const ArmEvent &W, unsigned) const {
+    if (B.SameGranule[ReadIdx][Loc - R.begin()] &&
+        W.Id != B.S.Exec.Rbf.back().Writer)
+      return &EngineStats::PrunedSubtrees;
+    return nullptr;
+  }
+  static void take(ArmBase &B, unsigned Loc, ArmEvent &R, const ArmEvent &W) {
+    B.S.Exec.Rbf.push_back({Loc, W.Id, R.Id});
+    R.Bytes[Loc - R.Index] = W.byteAt(Loc);
+  }
+  static void drop(ArmBase &B, ArmEvent &, const ArmEvent &) {
+    B.S.Exec.Rbf.pop_back();
+  }
+  bool valueAllowed(const ArmBase &B, const ArmEvent &R) const {
+    return armConstraintsAllow(*B.S.Paths[R.Thread], B.S.RegOfEvent.at(R.Id),
+                               valueOfBytes(R.Bytes));
+  }
+  bool refuted(const ArmBase &B, size_t) const {
+    return Prune && armRefutedForEveryCo(B.S.Exec);
+  }
+  bool leaf(ArmBase &B, const VisitFn &Visit) const {
+    ArmExecution &X = B.S.Exec;
+    return forEachCoherenceCompletion(X, [&] {
+      Outcome O;
+      for (const auto &[Id, Reg] : B.S.RegOfEvent)
+        O.add(X.Events[Id].Thread, Reg, valueOfBytes(X.Events[Id].Bytes));
+      return Visit(X, O);
+    });
   }
 };
 
@@ -1120,9 +1126,14 @@ struct TargetBase {
   /// po-loc of X, the admission's rf-independent half.
   std::shared_ptr<const Relation> PoLoc;
   std::vector<EventId> Reads;
-  /// Per read, the writer the walk chose for it.
-  std::vector<EventId> WriterOf;
   std::map<EventId, unsigned> RegOfEvent;
+  /// A location whose writers the leaf permutes, from position First of
+  /// its coherence order (past the init write).
+  struct PermutedLoc {
+    unsigned Loc;
+    unsigned First;
+  };
+  std::vector<PermutedLoc> MultiWriter;
   /// [read idx][eligible-writer position] -> allowed flag; empty unless
   /// static pruning is on (see buildTargetStaticAllow).
   std::vector<std::vector<uint8_t>> Allow;
@@ -1170,7 +1181,19 @@ TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
       B.RegOfEvent[E.Id] = Regs.at(B.Cols[0].IdOf[E.Id]);
       B.Reads.push_back(E.Id);
     }
-  B.WriterOf.assign(B.Reads.size(), 0);
+  // Coherence orders do not depend on rf: init, then the writers in id
+  // order. The walk's leaf permutes the locations with two or more
+  // non-init writers.
+  for (bool Init : {true, false})
+    for (const TargetEvent &E : B.X.Events)
+      if (E.isWrite() && E.IsInit == Init)
+        B.X.CoPerLoc[E.Loc].push_back(E.Id);
+  for (unsigned Loc = 0; Loc < B.X.CoPerLoc.size(); ++Loc) {
+    const std::vector<EventId> &Order = B.X.CoPerLoc[Loc];
+    unsigned First = !Order.empty() && B.X.Events[Order[0]].IsInit;
+    if (Order.size() >= First + 2)
+      B.MultiWriter.push_back({Loc, First});
+  }
   return B;
 }
 
@@ -1178,10 +1201,10 @@ TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
 /// column \p C's execution through its access-id map.
 void syncColumn(const TargetBase &B, TargetColumn &C) {
   C.X.Rf = Relation(C.X.numEvents());
-  for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-    EventId R = C.IdOf[B.Reads[RI]];
-    C.X.Rf.set(C.IdOf[B.WriterOf[RI]], R);
-    C.X.Events[R].ReadVal = B.X.Events[B.Reads[RI]].ReadVal;
+  for (EventId R : B.Reads) {
+    bits::forEach(B.X.Rf.column(R),
+                  [&](unsigned W) { C.X.Rf.set(C.IdOf[W], C.IdOf[R]); });
+    C.X.Events[C.IdOf[R]].ReadVal = B.X.Events[R].ReadVal;
   }
   for (size_t L = 0; L < B.X.CoPerLoc.size(); ++L) {
     const std::vector<EventId> &Walk = B.X.CoPerLoc[L];
@@ -1191,6 +1214,98 @@ void syncColumn(const TargetBase &B, TargetColumn &C) {
       Order[K] = C.IdOf[Walk[K]];
   }
 }
+
+std::vector<std::vector<uint8_t>>
+buildTargetStaticAllow(const analysis::StaticValues &SV, const TargetBase &B);
+
+/// Per-column results of one target walk, in column order.
+struct TargetWalkResult {
+  std::vector<TargetEnumerationResult> Cols;
+};
+
+/// The target core of the enumeration driver: one walk for every column.
+/// Target programs are straight-line, so the space has exactly one base.
+/// As the policy of the reads-from walk: a read's one unit is its cell;
+/// the static may-rf mask skips writers; each complete read (each writer
+/// choice) is cut by the monotone admission check targetAdmits; the leaf
+/// walks the coherence orders. No sleep sets apply at this tier: fr and
+/// co verdicts depend on the rf writer's identity, not just the value
+/// read.
+struct TargetCore {
+  using BaseT = TargetBase;
+  using EventT = TargetEvent;
+  using ResultT = TargetWalkResult;
+  using VisitFn = std::function<bool(TargetBase &, const Outcome &)>;
+
+  const std::vector<TargetColumnSpec> &Specs;
+  bool Prune;
+  const analysis::StaticValues *SV = nullptr;
+  /// Keep each form's own execution: for the enumerate() door's witnesses
+  /// and the candidate walk's visits. The outcome-level doors keep
+  /// outcomes alone, so only the walk's execution stays resident.
+  bool KeepExecs = false;
+  size_t Combos = 1;
+
+  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
+    BaseT B = buildTargetBase(Specs, KeepExecs);
+    if (SV)
+      B.Allow = buildTargetStaticAllow(*SV, B);
+    return Fn(B);
+  }
+
+  template <typename BaseT> static auto &events(BaseT &B) {
+    return B.X.Events;
+  }
+  static unsigned firstUnit(const TargetEvent &R) { return R.Loc; }
+  static unsigned endUnit(const TargetEvent &R) { return R.Loc + 1; }
+  static bool eligible(const TargetEvent &W, const TargetEvent &R,
+                       unsigned Loc) {
+    return W.isWrite() && W.Id != R.Id && W.Loc == Loc;
+  }
+
+  /// Static may-rf pruning; see JsCore::skip.
+  Counter skip(const TargetBase &B, size_t ReadIdx, unsigned,
+               const TargetEvent &, const TargetEvent &, unsigned Pos) const {
+    if (!B.Allow.empty() && !B.Allow[ReadIdx][Pos])
+      return &EngineStats::StaticRfPruned;
+    return nullptr;
+  }
+  static void take(TargetBase &B, unsigned, TargetEvent &R,
+                   const TargetEvent &W) {
+    B.X.Rf.set(W.Id, R.Id);
+    R.ReadVal = W.WriteVal;
+  }
+  static void drop(TargetBase &B, TargetEvent &R, const TargetEvent &W) {
+    B.X.Rf.clear(W.Id, R.Id);
+  }
+  bool valueAllowed(const TargetBase &, const TargetEvent &) const {
+    return true;
+  }
+  bool refuted(const TargetBase &B, size_t) const {
+    return Prune && !targetAdmits(*B.PoLoc, B.X.Rf);
+  }
+  bool leaf(TargetBase &B, const VisitFn &Visit) const {
+    return chooseCo(B, Visit, 0);
+  }
+
+  /// Walks the permutations of each MultiWriter location, the earlier
+  /// location outermost.
+  bool chooseCo(TargetBase &B, const VisitFn &Visit, size_t Idx) const {
+    if (Idx == B.MultiWriter.size()) {
+      Outcome O;
+      for (const auto &[Id, Reg] : B.RegOfEvent)
+        O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
+      return Visit(B, O);
+    }
+    std::vector<EventId> &Order = B.X.CoPerLoc[B.MultiWriter[Idx].Loc];
+    do {
+      if (!chooseCo(B, Visit, Idx + 1))
+        return false;
+    } while (std::next_permutation(Order.begin() + B.MultiWriter[Idx].First,
+                                   Order.end()));
+    return true; // the last permutation wrapped back to id order
+  }
+};
 
 /// The target flavour of the static writer-allow mask: [read idx]
 /// [eligible-writer position] (cells are width-1, so no byte axis). \p SV
@@ -1213,7 +1328,7 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
     assert(MR && "read event mapped to a non-read access");
     const analysis::MayRfByte &MB = MR->Bytes[0];
     for (const TargetEvent &W : B.X.Events) {
-      if (!W.isWrite() || W.Id == R.Id || W.Loc != R.Loc)
+      if (!TargetCore::eligible(W, R, R.Loc))
         continue;
       bool Ok = W.IsInit
                     ? MB.Init
@@ -1225,160 +1340,6 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
   }
   return Allow;
 }
-
-/// Enumerates rf justifications and coherence orders of a target base,
-/// pruning rf subtrees with the monotone admission check targetAdmits. No
-/// sleep sets apply at this tier: value-keyed rf merging is unsound here
-/// because fr and co verdicts depend on the rf writer's identity, not
-/// just the value read.
-class TargetJustifier {
-public:
-  using VisitFn = std::function<bool(TargetBase &, const Outcome &)>;
-
-  /// \p St, when non-null, receives the PrunedSubtrees and StaticRfPruned
-  /// counts.
-  TargetJustifier(TargetBase &B, bool Prune, int FirstWriterOnly,
-                  const VisitFn &Visit, EngineStats *St)
-      : B(B), Prune(Prune), FirstWriterOnly(FirstWriterOnly), Visit(Visit),
-        St(St), StaticAllow(B.Allow.empty() ? nullptr : &B.Allow) {}
-
-  bool run() {
-    // Coherence orders do not depend on rf: build them once, outside
-    // every leaf.
-    for (std::vector<EventId> &Order : B.X.CoPerLoc)
-      Order.clear();
-    for (const TargetEvent &E : B.X.Events)
-      if (E.isWrite() && E.IsInit)
-        B.X.CoPerLoc[E.Loc].push_back(E.Id);
-    for (const TargetEvent &E : B.X.Events)
-      if (E.isWrite() && !E.IsInit)
-        B.X.CoPerLoc[E.Loc].push_back(E.Id);
-    for (unsigned Loc = 0; Loc < B.X.CoPerLoc.size(); ++Loc) {
-      const std::vector<EventId> &Order = B.X.CoPerLoc[Loc];
-      unsigned First = !Order.empty() && B.X.Events[Order[0]].IsInit;
-      if (Order.size() >= First + 2)
-        MultiWriter.push_back({Loc, First});
-    }
-    return justify(0);
-  }
-
-private:
-  bool justify(size_t ReadIdx) {
-    if (ReadIdx == B.Reads.size())
-      return chooseCo(0);
-    EventId R = B.Reads[ReadIdx];
-    unsigned WriterPos = 0;
-    for (const TargetEvent &W : B.X.Events) {
-      if (!W.isWrite() || W.Id == R || W.Loc != B.X.Events[R].Loc)
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      // Static may-rf pruning; see JsJustifier.
-      if (StaticAllow && !(*StaticAllow)[ReadIdx][ThisPos]) {
-        if (St)
-          ++St->StaticRfPruned;
-        continue;
-      }
-      B.X.Rf.set(W.Id, R);
-      B.X.Events[R].ReadVal = W.WriteVal;
-      B.WriterOf[ReadIdx] = W.Id;
-      bool Continue = true;
-      if (Prune && !targetAdmits(*B.PoLoc, B.X.Rf)) {
-        if (St)
-          ++St->PrunedSubtrees;
-      } else {
-        Continue = justify(ReadIdx + 1);
-      }
-      B.X.Rf.clear(W.Id, R);
-      if (!Continue)
-        return false;
-    }
-    return true;
-  }
-
-  /// Walks every coherence order at an rf leaf. run() set each
-  /// location's order to init then its writers in id order; only the
-  /// locations in MultiWriter (two or more non-init writers) are
-  /// permuted, the earlier location outermost.
-  bool chooseCo(size_t Idx) {
-    if (Idx == MultiWriter.size())
-      return emit();
-    std::vector<EventId> &Order = B.X.CoPerLoc[MultiWriter[Idx].Loc];
-    do {
-      if (!chooseCo(Idx + 1))
-        return false;
-    } while (std::next_permutation(Order.begin() + MultiWriter[Idx].First,
-                                   Order.end()));
-    return true; // the last permutation wrapped back to id order
-  }
-
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : B.RegOfEvent)
-      O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
-    return Visit(B, O);
-  }
-
-  TargetBase &B;
-  bool Prune;
-  int FirstWriterOnly;
-  const VisitFn &Visit;
-  EngineStats *St;
-  const std::vector<std::vector<uint8_t>> *StaticAllow;
-  /// A location whose writers chooseCo permutes, from position First of
-  /// its order (past the init write).
-  struct PermutedLoc {
-    unsigned Loc;
-    unsigned First;
-  };
-  std::vector<PermutedLoc> MultiWriter;
-};
-
-/// Per-column results of one target walk, in column order.
-struct TargetWalkResult {
-  std::vector<TargetEnumerationResult> Cols;
-};
-
-/// The target core of the enumeration driver: one walk for every column.
-/// Target programs are straight-line, so the space has exactly one base.
-struct TargetCore {
-  using BaseT = TargetBase;
-  using ResultT = TargetWalkResult;
-  using VisitFn = typename TargetJustifier::VisitFn;
-
-  const std::vector<TargetColumnSpec> &Specs;
-  bool Prune;
-  const analysis::StaticValues *SV = nullptr;
-  /// Keep each form's own execution: for the enumerate() door's witnesses
-  /// and the candidate walk's visits. The outcome-level doors keep
-  /// outcomes alone, so only the walk's execution stays resident.
-  bool KeepExecs = false;
-  size_t Combos = 1;
-
-  template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
-    BaseT B = buildTargetBase(Specs, KeepExecs);
-    if (SV)
-      B.Allow = buildTargetStaticAllow(*SV, B);
-    return Fn(B);
-  }
-
-  unsigned firstWriters(const BaseT &B) const {
-    if (B.Reads.empty())
-      return 0;
-    const TargetEvent &R = B.X.Events[B.Reads[0]];
-    unsigned Count = 0;
-    for (const TargetEvent &W : B.X.Events)
-      Count += W.isWrite() && W.Id != R.Id && W.Loc == R.Loc;
-    return Count;
-  }
-
-  bool justify(BaseT &B, int FirstWriter, const VisitFn &Visit,
-               EngineStats *St) const {
-    return TargetJustifier(B, Prune, FirstWriter, Visit, St).run();
-  }
-};
 
 /// Counts the leaf \p B into every column of \p Into and keeps it as the
 /// witness of \p O for each column that has none yet and whose backend
@@ -1601,7 +1562,7 @@ ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
   }
   const char *Tier = selectTier("js", Events, Kind);
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  // Equivalence-aware enumeration: rf sleep-set keys inside the justifier.
+  // Equivalence-aware enumeration: rf sleep-set keys inside the walk.
   const ModelSpec *RedP = Cfg.Reduction ? &M.spec() : nullptr;
   const JsModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
@@ -1645,7 +1606,7 @@ bool ExecutionEngine::forEachSkeleton(
     const ArmProgram &P,
     const std::function<bool(const ArmSkeleton &)> &Visit) const {
   checkCapacity(P);
-  return ArmCore(P, /*Prune=*/nullptr).forEachBase(nullptr, Visit);
+  return ArmCore(P, /*Prune=*/nullptr).forEachSkeleton(Visit);
 }
 
 bool ExecutionEngine::forEachArmCandidate(
@@ -1809,4 +1770,22 @@ bool ExecutionEngine::forEachTwinJustification(
     if (E.isRead())
       Reads.push_back(E.Id);
   return twinJustify(Js, Arm, 0, Reads, Visit);
+}
+
+//===----------------------------------------------------------------------===//
+// Wait/notify support
+//===----------------------------------------------------------------------===//
+
+bool ExecutionEngine::forEachJustification(
+    CandidateExecution &CE,
+    const std::function<bool(const Event &)> &ValueAllowed,
+    const std::function<bool(const CandidateExecution &)> &Visit) {
+  WnPolicy::BaseT B{CE, {}};
+  for (const Event &E : CE.Events)
+    if (E.isRead())
+      B.Reads.push_back(E.Id);
+  CE.Rbf.clear();
+  return Justifier(WnPolicy{{}, ValueAllowed}, B, Visit,
+                   /*FirstWriterOnly=*/-1, /*St=*/nullptr)
+      .run();
 }

@@ -9,14 +9,14 @@
 ///
 ///   - the candidate space: control-flow paths × reads-byte-from
 ///     justifications (× coherence orders on the ARMv8 and target sides),
-///     enumerated by one driver for the JavaScript, ARMv8 and target event
-///     languages. Each language supplies its bases and its justifier;
+///     enumerated by one driver and one reads-from walk for every event
+///     language. Each language supplies its bases and the walk's hooks;
 ///   - incremental pruning: the model's tot-independent axioms are checked
 ///     on partial candidates the moment each read's justification
 ///     completes, cutting whole subtrees before the expensive
 ///     linear-extension search (derived relations are memoized on the
 ///     CandidateExecution, so the partial checks share closures). The
-///     ARMv8 justifier checks armRefutedForEveryCo the same way and reads
+///     ARMv8 walk checks armRefutedForEveryCo the same way and reads
 ///     each coherence granule from one writer;
 ///   - sharded multi-threaded enumeration: the path × first-justification
 ///     space is split into work items executed by a small thread pool;
@@ -385,6 +385,18 @@ public:
       CandidateExecution &Js, ArmExecution &Arm,
       const std::function<bool(const CandidateExecution &,
                                const ArmExecution &)> &Visit);
+
+  // --- Wait/notify support ----------------------------------------------
+
+  /// The reads-from walk over one materialised JavaScript execution (a §7
+  /// wait/notify schedule): justifies \p CE's reads byte by byte, cuts a
+  /// read whose complete value \p ValueAllowed rejects, and invokes
+  /// \p Visit on each complete justification. \p Visit returns false to
+  /// stop; \returns false if stopped.
+  static bool forEachJustification(
+      CandidateExecution &CE,
+      const std::function<bool(const Event &)> &ValueAllowed,
+      const std::function<bool(const CandidateExecution &)> &Visit);
 
   /// Effort counters of the most recent enumerate(), enumerateOutcomes(),
   /// scDrf() or forEachAdmittedCandidate() call on this engine (zero after

@@ -100,6 +100,11 @@ struct VerdictColumn {
   uint64_t StaticPathsPruned = 0;
 };
 
+/// A column that does not apply to the job: \p Status and why.
+VerdictColumn notApplicable(JobStatus Status, std::string Error) {
+  return {Status, std::move(Error), {}, {}, {}};
+}
+
 /// A program, its static analysis (null when the job's Static flag is off)
 /// and its uni-size form, converted on first use and shared by the uni-js
 /// and target columns of one table.
@@ -139,16 +144,17 @@ targetColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
   std::vector<size_t> Applies;
   for (size_t I = 0; I < Bs.size(); ++I) {
     if (!Uni) {
-      Cols[I] = {JobStatus::Unsupported,
-                 "not in the uni-size fragment required by target "
-                 "backends: " +
-                     S.Why};
+      Cols[I] = notApplicable(JobStatus::Unsupported,
+                              "not in the uni-size fragment required by "
+                              "target backends: " +
+                                  S.Why);
       continue;
     }
     CompiledTarget CT = compileUni(*Uni, Bs[I]->Target->arch());
     if (std::optional<std::string> Cap = ExecutionEngine::capacityError(CT)) {
-      Cols[I] = {JobStatus::TooLarge,
-                 *Cap + " (after compilation for " + Bs[I]->Name + ")"};
+      Cols[I] = notApplicable(JobStatus::TooLarge,
+                              *Cap + " (after compilation for " +
+                                  Bs[I]->Name + ")");
       continue;
     }
     CTs.push_back(std::move(CT));
@@ -179,13 +185,15 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
   if (B.K == Kind::Armv8) {
     // The ARM lowering assumes zero-initialised buffers.
     if (S.P.hasNonZeroInit())
-      return {JobStatus::Unsupported,
-              "the armv8 backend assumes zero-initialised buffers; litmus "
-              "'init' directives are not supported there"};
+      return notApplicable(JobStatus::Unsupported,
+                           "the armv8 backend assumes zero-initialised "
+                           "buffers; litmus 'init' directives are not "
+                           "supported there");
     CompiledProgram CP = compileToArm(S.P);
     if (std::optional<std::string> Cap =
             ExecutionEngine::capacityError(CP.Arm))
-      return {JobStatus::TooLarge, *Cap + " (after compilation for armv8)"};
+      return notApplicable(JobStatus::TooLarge,
+                           *Cap + " (after compilation for armv8)");
     if (E)
       C.Allowed = E->enumerate(CP.Arm, Armv8Model()).outcomeStrings();
     return C;
@@ -194,11 +202,12 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
     return targetColumns(S, {&B}, E)[0];
   const UniProgram *Uni = S.uni();
   if (!Uni)
-    return {JobStatus::Unsupported,
-            "not in the uni-size fragment required by target backends: " +
-                S.Why};
+    return notApplicable(
+        JobStatus::Unsupported,
+        "not in the uni-size fragment required by target backends: " + S.Why);
   if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
-    return {JobStatus::TooLarge, *Cap + " (in the uni-size fragment)"};
+    return notApplicable(JobStatus::TooLarge,
+                         *Cap + " (in the uni-size fragment)");
   if (E)
     for (const Outcome &O : uniAllowedOutcomes(*Uni))
       C.Allowed.push_back(O.toString());
@@ -209,10 +218,10 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
 const std::vector<BackendInfo> &tableColumns() {
   static const std::vector<BackendInfo> Columns = [] {
     std::vector<BackendInfo> C = {
-        {"js-original", Kind::Js, ModelSpec::original()},
-        {"js-revised", Kind::Js, ModelSpec::revised()},
+        {"js-original", Kind::Js, ModelSpec::original(), nullptr, {}, {}},
+        {"js-revised", Kind::Js, ModelSpec::revised(), nullptr, {}, {}},
         *backendByName("armv8"),
-        {"uni-js", Kind::UniJs},
+        {"uni-js", Kind::UniJs, ModelSpec::revised(), nullptr, {}, {}},
     };
     for (const BackendInfo &B : backends())
       if (B.K == Kind::Target)
@@ -260,7 +269,7 @@ LitmusJobResult jsmm::differentialTable(const Program &P,
                                         const ExecutionEngine &E,
                                         LitmusJobResult R,
                                         const analysis::StaticValues *SV) {
-  ColumnSource S{P, SV};
+  ColumnSource S{P, SV, {}, {}};
   std::vector<std::string> Sc;
   if (R.StaticallyDrf)
     Sc = scTable(P);
@@ -419,7 +428,7 @@ LitmusService::computeResult(const LitmusJob &Job,
     if (Differential)
       return differentialTable(File->P, Engine, R, SVP);
 
-    ColumnSource S{File->P, SVP};
+    ColumnSource S{File->P, SVP, {}, {}};
     VerdictColumn C = column(S, *B, &Engine);
     R.Status = C.Status;
     R.Error = C.Error;
@@ -640,7 +649,8 @@ std::vector<LitmusJob> jobsOfCorpus(const std::vector<DiffCase> &Corpus,
   std::vector<LitmusJob> Jobs;
   for (const DiffCase &C : Corpus) {
     std::string Litmus =
-        C.Litmus.empty() ? emitLitmus(LitmusFile{C.program()}) : C.Litmus;
+        C.Litmus.empty() ? emitLitmus(LitmusFile{C.program(), {}, {}, {}})
+                         : C.Litmus;
     Jobs.push_back({C.Name, std::move(Litmus), Model, Threads});
   }
   return Jobs;

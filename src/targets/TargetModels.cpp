@@ -42,7 +42,7 @@ std::string TargetEvent::toString() const {
     Out += ".init";
   Out += " x" + std::to_string(Loc);
   if (isWrite())
-    Out += "=" + std::to_string(WriteVal);
+    Out += '=' + std::to_string(WriteVal);
   if (isRead())
     Out += " reads " + std::to_string(ReadVal);
   return Out;

@@ -11,7 +11,7 @@ std::string UniEvent::toString() const {
   std::string Out = std::to_string(Id) + ": " + Kind + modeName(Ord) + " x" +
                     std::to_string(Loc);
   if (isWrite())
-    Out += "=" + std::to_string(WriteVal);
+    Out += '=' + std::to_string(WriteVal);
   if (isRead())
     Out += " reads " + std::to_string(ReadVal);
   return Out;

@@ -2,10 +2,9 @@
 
 #include "waitnotify/WaitNotify.h"
 
+#include "engine/ExecutionEngine.h"
 #include "support/Str.h"
 
-#include <algorithm>
-#include <cassert>
 #include <map>
 
 using namespace jsmm;
@@ -32,7 +31,6 @@ struct WaitConstraint {
 struct Schedule {
   std::vector<Event> Events;
   std::vector<std::vector<EventId>> PerThread; ///< emission order per thread
-  Relation Asw;                  ///< built at the end from the edge lists
   std::vector<std::pair<EventId, EventId>> WakeEdges; ///< notify -> Ewake
   std::vector<std::pair<EventId, EventId>> CsEdges;   ///< exit -> entry
   std::vector<WaitConstraint> Constraints;
@@ -173,105 +171,55 @@ private:
   const std::function<void(Schedule &)> &Emit;
 };
 
-/// Justifies the reads of a schedule and accumulates allowed outcomes.
-class Justifier {
-public:
-  Justifier(const WnProgram &P, ModelSpec Spec, bool Fix,
-            const TotSolver &Solver, WnResult &Result)
-      : P(P), Spec(Spec), Fix(Fix), Solver(Solver), Result(Result) {
-    (void)this->P;
-  }
-
-  void consume(Schedule &S) {
-    ++Result.Schedules;
-    CE = CandidateExecution(std::move(S.Events));
-    for (const std::vector<EventId> &Seq : S.PerThread)
-      for (size_t I = 0; I < Seq.size(); ++I)
-        for (size_t J = I + 1; J < Seq.size(); ++J)
-          CE.Sb.set(Seq[I], Seq[J]);
-    if (Fix) {
-      for (const auto &[A, B] : S.WakeEdges)
-        CE.Asw.set(A, B);
-      for (const auto &[A, B] : S.CsEdges)
-        CE.Asw.set(A, B);
-    }
-    Sched = &S;
-    Reads.clear();
-    for (const Event &E : CE.Events)
-      if (E.isRead())
-        Reads.push_back(E.Id);
-    CE.Rbf.clear();
-    justify(0);
-  }
-
-private:
-  void justify(size_t ReadIdx) {
-    if (ReadIdx == Reads.size()) {
-      emit();
-      return;
-    }
-    justifyByte(ReadIdx, CE.Events[Reads[ReadIdx]].readBegin());
-  }
-
-  void justifyByte(size_t ReadIdx, unsigned Loc) {
-    Event &R = CE.Events[Reads[ReadIdx]];
-    if (Loc == R.readEnd()) {
-      uint64_t Value = valueOfBytes(R.ReadBytes);
-      for (const WaitConstraint &C : Sched->Constraints)
-        if (C.Read == R.Id && C.MustEqual != (Value == C.Expected))
-          return; // constraint violated: prune
-      justify(ReadIdx + 1);
-      return;
-    }
-    for (const Event &W : CE.Events) {
-      if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
-        continue;
-      CE.Rbf.push_back({Loc, W.Id, R.Id});
-      R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
-      justifyByte(ReadIdx, Loc + 1);
-      CE.Rbf.pop_back();
-    }
-  }
-
-  void emit() {
-    ++Result.Candidates;
-    if (!isValidForSomeTot(CE, Spec, /*TotOut=*/nullptr, Solver))
-      return;
-    ++Result.ValidCandidates;
-    Outcome O;
-    for (const auto &[Id, Reg] : Sched->LoadRegs)
-      O.add(Reg.first, Reg.second, valueOfBytes(CE.Events[Id].ReadBytes));
-    for (const auto &[Reg, Count] : Sched->NotifyCounts)
-      O.add(Reg.first, Reg.second, Count);
-    std::string Key = O.toString();
-    for (int T : Sched->StuckThreads)
-      Key += " T" + std::to_string(T) + ":stuck";
-    Result.AllowedOutcomes.insert(Key);
-  }
-
-  const WnProgram &P;
-  ModelSpec Spec;
-  bool Fix;
-  const TotSolver &Solver;
-  WnResult &Result;
-  CandidateExecution CE;
-  std::vector<EventId> Reads;
-  const Schedule *Sched = nullptr;
-};
-
 } // namespace
 
 WnResult jsmm::enumerateWaitNotify(const WnProgram &P, ModelSpec Spec,
                                    bool CriticalSectionAsw,
                                    SolverConfig Solver) {
   WnResult Result;
-  Justifier J(P, Spec, CriticalSectionAsw, totSolver(Solver), Result);
-  // Named so the std::function outlives the Scheduler, which keeps a
-  // reference to it.
-  std::function<void(Schedule &)> Consume = [&](Schedule &Sched) {
-    J.consume(Sched);
+  const TotSolver &Tot = totSolver(Solver);
+  // Justifies the reads of each schedule and accumulates the allowed
+  // outcomes. Named so the std::function outlives the Scheduler, which
+  // keeps a reference to it.
+  std::function<void(Schedule &)> Consume = [&](Schedule &S) {
+    ++Result.Schedules;
+    CandidateExecution CE(std::move(S.Events));
+    for (const std::vector<EventId> &Seq : S.PerThread)
+      for (size_t I = 0; I < Seq.size(); ++I)
+        for (size_t J = I + 1; J < Seq.size(); ++J)
+          CE.Sb.set(Seq[I], Seq[J]);
+    if (CriticalSectionAsw) {
+      for (const auto &[A, B] : S.WakeEdges)
+        CE.Asw.set(A, B);
+      for (const auto &[A, B] : S.CsEdges)
+        CE.Asw.set(A, B);
+    }
+    ExecutionEngine::forEachJustification(
+        CE,
+        [&](const Event &R) {
+          uint64_t Value = valueOfBytes(R.ReadBytes);
+          for (const WaitConstraint &C : S.Constraints)
+            if (C.Read == R.Id && C.MustEqual != (Value == C.Expected))
+              return false;
+          return true;
+        },
+        [&](const CandidateExecution &X) {
+          ++Result.Candidates;
+          if (!isValidForSomeTot(X, Spec, /*TotOut=*/nullptr, Tot))
+            return true;
+          ++Result.ValidCandidates;
+          Outcome O;
+          for (const auto &[Id, Reg] : S.LoadRegs)
+            O.add(Reg.first, Reg.second, valueOfBytes(X.Events[Id].ReadBytes));
+          for (const auto &[Reg, Count] : S.NotifyCounts)
+            O.add(Reg.first, Reg.second, Count);
+          std::string Key = O.toString();
+          for (int T : S.StuckThreads)
+            Key += " T" + std::to_string(T) + ":stuck";
+          Result.AllowedOutcomes.insert(Key);
+          return true;
+        });
   };
-  Scheduler S(P, Consume);
-  S.run();
+  Scheduler(P, Consume).run();
   return Result;
 }

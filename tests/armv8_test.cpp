@@ -384,10 +384,11 @@ TEST(ArmModel, ReadsNeverTearAcrossOneGranule) {
     ASSERT_EQ(Writers.size(), 3u);
     for (EventId W0 : Writers)
       for (EventId W1 : Writers)
-        if (W0 != W1)
+        if (W0 != W1) {
           EXPECT_FALSE(someCompletionConsistent(X, R, W0, W1))
               << "case " << static_cast<int>(Where) << ": byte 0 from "
               << W0 << ", byte 1 from " << W1;
+        }
     // Not vacuous: the untorn read of the other thread's W1 is
     // consistent in every case.
     EXPECT_TRUE(someCompletionConsistent(X, R, 1, 1))

@@ -156,8 +156,9 @@ TEST(FlatSim, ConditionalSpeculation) {
     uint64_t FlagValue = 0;
     EXPECT_TRUE(O.lookup(1, 0, FlagValue));
     uint64_t Guarded;
-    if (O.lookup(1, 1, Guarded))
+    if (O.lookup(1, 1, Guarded)) {
       EXPECT_EQ(FlagValue, 1u) << "guarded load ran despite flag!=1";
+    }
     (void)X;
     return true;
   });

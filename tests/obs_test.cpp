@@ -210,8 +210,9 @@ TEST(Trace, JsonlSchemaGolden) {
     // The first line of each event type pins the schema; later lines must
     // agree (key sets and order are deterministic, values are not).
     auto [It, Inserted] = SchemaOf.emplace(Ev->asString(), keysOf(*V));
-    if (!Inserted)
+    if (!Inserted) {
       EXPECT_EQ(It->second, keysOf(*V)) << Line;
+    }
   }
   EXPECT_EQ(Lines, Sink.eventsEmitted());
 

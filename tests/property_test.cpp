@@ -61,17 +61,19 @@ protected:
 
 TEST_P(SkeletonProperty, ArmFixIsAPureWeakening) {
   sweep([&](const CandidateExecution &Js, const ArmExecution &) {
-    if (isValidForSomeTot(Js, ModelSpec::original()))
+    if (isValidForSomeTot(Js, ModelSpec::original())) {
       EXPECT_TRUE(isValidForSomeTot(Js, ModelSpec::armFixOnly()))
           << Js.toString();
+    }
   });
 }
 
 TEST_P(SkeletonProperty, StrongTearFreeIsAPureStrengthening) {
   sweep([&](const CandidateExecution &Js, const ArmExecution &) {
-    if (isValidForSomeTot(Js, ModelSpec::revisedStrongTearFree()))
+    if (isValidForSomeTot(Js, ModelSpec::revisedStrongTearFree())) {
       EXPECT_TRUE(isValidForSomeTot(Js, ModelSpec::revised()))
           << Js.toString();
+    }
   });
 }
 
@@ -101,9 +103,10 @@ TEST_P(SkeletonProperty, SequentialConsistencyImpliesValidity) {
 
 TEST_P(SkeletonProperty, SyntacticDeadnessImpliesSemantic) {
   sweep([&](const CandidateExecution &Js, const ArmExecution &) {
-    if (existsSyntacticallyDeadTot(Js, ModelSpec::original()))
+    if (existsSyntacticallyDeadTot(Js, ModelSpec::original())) {
       EXPECT_TRUE(isSemanticallyDead(Js, ModelSpec::original()))
           << Js.toString();
+    }
   });
 }
 

@@ -178,9 +178,10 @@ TEST(SolverProperty, SyntacticDeadnessAgreesOnRandomizedCandidates) {
           WithTot.Tot = Tot;
           EXPECT_FALSE(isValid(WithTot, Spec))
               << Spec.Name << "\n" << CE.toString();
-          if (!TotIndependentlyDead)
+          if (!TotIndependentlyDead) {
             EXPECT_TRUE(isSyntacticallyDeadCounterExample(WithTot, Spec))
                 << Spec.Name << "\n" << CE.toString();
+          }
         }
         EXPECT_TRUE(isSemanticallyDead(CE, Spec) ||
                     !TotIndependentlyDead)
@@ -410,8 +411,9 @@ TEST(SkeletonSearch, ShardedSearchMatchesSequential) {
       Cfg.Threads = Threads;
       std::optional<SkeletonCex> Cex = searchArmCompilationCex(Cfg);
       ASSERT_TRUE(Cex.has_value()) << Threads << " threads";
-      if (Mode == SearchConfig::DeadnessMode::None)
+      if (Mode == SearchConfig::DeadnessMode::None) {
         EXPECT_TRUE(Cex->Js.hasTot()) << Threads << " threads";
+      }
       if (!Ref) {
         Ref = Cex;
         continue;

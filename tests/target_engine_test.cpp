@@ -200,9 +200,10 @@ TEST(TargetEngine, AdmissionCheckIsSoundOnCompleteCandidates) {
       CompiledTarget CT = compileUni(C.Uni, M.arch());
       ExecutionEngine().forEachTargetCandidate(
           CT, [&](const TargetExecution &X, const Outcome &) {
-            if (M.allows(X))
+            if (M.allows(X)) {
               EXPECT_TRUE(targetAdmits(X.poLoc(), X.Rf))
                   << C.Name << " under " << M.name();
+            }
             return true;
           });
     }
@@ -355,8 +356,9 @@ TEST(TargetEngine, OneWalkMatchesPerTargetWalks) {
             EXPECT_EQ(Joint.Stats.PrunedSubtrees, Alone.Stats.PrunedSubtrees)
                 << At;
             EXPECT_EQ(Joint.Stats.WorkItems, Alone.Stats.WorkItems) << At;
-            if (Small)
+            if (Small) {
               EXPECT_EQ(Sums[I].outcomeStrings(), Reference[I]) << At;
+            }
             if (!Static) {
               TargetEnumerationResult W = Alone.enumerate(CTs[I], M);
               for (const auto &[O, Witness] : W.Allowed)

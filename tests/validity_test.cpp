@@ -267,8 +267,9 @@ TEST(Validity, ArmFixIsAWeakening) {
   // (on these hand-built executions).
   for (CandidateExecution CE :
        {fig2Execution(), fig6aExecution(), fig8Execution()}) {
-    if (isValidForSomeTot(CE, ModelSpec::original()))
+    if (isValidForSomeTot(CE, ModelSpec::original())) {
       EXPECT_TRUE(isValidForSomeTot(CE, ModelSpec::armFixOnly()));
+    }
   }
 }
 

@@ -118,6 +118,28 @@ TEST(WaitNotify, NotifyOnDifferentLocationWakesNobody) {
     EXPECT_NE(O.find("1:r0=0"), std::string::npos);
 }
 
+TEST(WaitNotify, EffortCountsArePinned) {
+  // The Fig. 13a program behind Figs. 13b and 13c: nine schedules and
+  // 1,032 justified candidates under either spec. The §7 edges only
+  // change how many of those candidates are valid.
+  struct Pin {
+    ModelSpec Spec;
+    bool CriticalSectionAsw;
+    uint64_t ValidCandidates;
+  };
+  for (const Pin &Want : {Pin{ModelSpec::original(), false, 11},
+                          Pin{ModelSpec::original(), true, 8},
+                          Pin{ModelSpec::revised(), false, 11},
+                          Pin{ModelSpec::revised(), true, 8}}) {
+    WnResult R = enumerateWaitNotify(fig13aProgram(), Want.Spec,
+                                     Want.CriticalSectionAsw);
+    SCOPED_TRACE(Want.CriticalSectionAsw ? "with asw" : "without asw");
+    EXPECT_EQ(R.Schedules, 9u);
+    EXPECT_EQ(R.Candidates, 1032u);
+    EXPECT_EQ(R.ValidCandidates, Want.ValidCandidates);
+  }
+}
+
 TEST(WaitNotify, CorrectedSemanticsStillAllowsRacyFreedom) {
   // Sanity: adding the §7 edges does not forbid ordinary relaxed outcomes
   // of unrelated accesses.

@@ -250,7 +250,7 @@ std::string jsmm::emitLitmus(const LitmusFile &File) {
   for (const LitmusExpectation &E : File.Expectations) {
     Out += E.Allowed ? "allow" : "forbid";
     for (const auto &[T, R, V] : E.O.Regs)
-      Out += " " + std::to_string(T) + ":r" + std::to_string(R) + "=" +
+      Out += ' ' + std::to_string(T) + ":r" + std::to_string(R) + "=" +
              std::to_string(V);
     Out += "\n";
   }
