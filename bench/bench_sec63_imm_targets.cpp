@@ -132,7 +132,7 @@ int main() {
           uint64_t A = 1, B = 1;
           O.lookup(0, 0, A);
           O.lookup(1, 0, B);
-          if (A == 0 && B == 0 && isImmLiteConsistent(X) &&
+          if (A == 0 && B == 0 && isTargetConsistent(X, TargetArch::ImmLite) &&
               isUniValidForSomeTot(translateTargetToUni(X, CT))) {
             WeakAllowed = true;
             return false;

@@ -16,10 +16,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <tuple>
 
@@ -123,17 +123,22 @@ struct WorkItem {
   int Writer = -1; ///< -1: all writers
 };
 
-/// Runs \p Body over \p NumItems items on \p Threads workers (inline when
-/// sequential). Items are claimed from an atomic counter; \p Body must
-/// only touch state owned by its item index.
+/// Runs \p Body over \p NumItems items on \p Threads workers. Items run
+/// inline, in order, until they have taken a millisecond, so a call whose
+/// items are cheap starts no thread: on a loaded machine each hand-off to
+/// a new thread waits for the scheduler, which costs more than such items
+/// take. Workers claim the rest from an atomic counter; \p Body must only
+/// touch state owned by its item index.
 void runSharded(size_t NumItems, unsigned Threads,
                 const std::function<void(size_t)> &Body) {
-  if (Threads <= 1 || NumItems <= 1) {
-    for (size_t I = 0; I < NumItems; ++I)
-      Body(I);
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point Deadline = Clock::now() + std::chrono::milliseconds(1);
+  size_t First = 0;
+  while (First < NumItems && (Threads <= 1 || Clock::now() < Deadline))
+    Body(First++);
+  if (First == NumItems)
     return;
-  }
-  std::atomic<size_t> Next{0};
+  std::atomic<size_t> Next{First};
   // Worker threads inherit the spawning thread's solver-activity sink so
   // per-job attribution (the service installs one sink per job) survives
   // the engine's own sharding; the sink's fields are atomic.
@@ -145,7 +150,7 @@ void runSharded(size_t NumItems, unsigned Threads,
   };
   std::vector<std::thread> Pool;
   unsigned N = static_cast<unsigned>(
-      std::min<size_t>(Threads, NumItems));
+      std::min<size_t>(Threads, NumItems - First));
   Pool.reserve(N);
   try {
     for (unsigned T = 0; T < N; ++T)
@@ -165,8 +170,16 @@ void runSharded(size_t NumItems, unsigned Threads,
 // The reads-from walk
 //===----------------------------------------------------------------------===//
 
-/// The effort counter a skipped writer choice counts into.
+/// An effort counter of EngineStats.
 using Counter = uint64_t EngineStats::*;
+
+/// Counts one skipped writer choice or cut subtree into \p C of \p St,
+/// when there is one. \returns true, so a hook can skip and count at once.
+bool count(EngineStats *St, Counter C) {
+  if (St)
+    ++(St->*C);
+  return true;
+}
 
 /// The one reads-from walk behind every event language: the reads of a
 /// base in event order, each read's units in order (a byte of a JavaScript
@@ -174,11 +187,12 @@ using Counter = uint64_t EngineStats::*;
 /// eligible writers in event order. The policy (a language's core)
 /// supplies the hooks as compile-time calls, each given the base: events,
 /// firstUnit/endUnit and eligible (static, shared with firstWriters);
-/// skip, the counter a writer is skipped into (null: try it; Pos indexes
-/// the static and sleep masks); take/drop, which record and undo a
-/// choice; valueAllowed, the path constraints of a complete read;
-/// refuted, the monotone admission cut after a complete read (counted
-/// into PrunedSubtrees); and leaf, which returns false to stop the walk.
+/// skip, whether to skip a writer (Pos indexes the static and sleep
+/// masks); take/drop, which record and undo a choice; valueAllowed, the
+/// path constraints of a complete read; refuted, the monotone admission
+/// cut after a complete read; and leaf, which returns false to stop the
+/// walk. skip and refuted count what they skip and cut into the
+/// EngineStats they are given (null: nothing counts).
 /// \p FirstWriterOnly >= 0 restricts the first unit of the first read to
 /// its K-th eligible writer (the sharded driver's work items).
 template <typename PolicyT> class Justifier {
@@ -209,11 +223,8 @@ private:
     if (Unit == PolicyT::endUnit(R)) {
       if (!P.valueAllowed(B, R))
         return true;
-      if (P.refuted(B, ReadIdx)) {
-        if (St)
-          ++St->PrunedSubtrees;
+      if (P.refuted(B, ReadIdx, St))
         return true;
-      }
       return justifyRead(ReadIdx + 1);
     }
     unsigned WriterPos = 0;
@@ -225,11 +236,8 @@ private:
           Unit == PolicyT::firstUnit(R) &&
           ThisPos != static_cast<unsigned>(FirstWriterOnly))
         continue;
-      if (Counter Skipped = P.skip(B, ReadIdx, Unit, R, W, ThisPos)) {
-        if (St)
-          ++(St->*Skipped);
+      if (P.skip(B, ReadIdx, Unit, R, W, ThisPos, St))
         continue;
-      }
       PolicyT::take(B, Unit, R, W);
       bool Continue = justifyUnit(ReadIdx, Unit + 1);
       PolicyT::drop(B, R, W);
@@ -758,8 +766,8 @@ struct JsCore : JsLanguage {
     return true;
   }
 
-  Counter skip(const JsBase &B, size_t ReadIdx, unsigned Loc, const Event &R,
-               const Event &, unsigned Pos) const {
+  bool skip(const JsBase &B, size_t ReadIdx, unsigned Loc, const Event &R,
+            const Event &, unsigned Pos, EngineStats *St) const {
     unsigned K = Loc - R.readBegin();
     // Static may-rf pruning: writers outside the read's candidate set
     // only produce model-invalid or constraint-refuted candidates
@@ -769,18 +777,19 @@ struct JsCore : JsLanguage {
     // class is excluded with it (the keys subsume the exclusion bits),
     // so sleeping siblings never rely on a skipped representative.
     if (!B.Allow.empty() && !B.Allow[ReadIdx][K][Pos])
-      return &EngineStats::StaticRfPruned;
+      return count(St, &EngineStats::StaticRfPruned);
     if (!B.RfKeys.empty() && !B.RfKeys[ReadIdx][K][Pos])
-      return &EngineStats::SleptBranches;
-    return nullptr;
+      return count(St, &EngineStats::SleptBranches);
+    return false;
   }
   bool valueAllowed(const JsBase &B, const Event &R) const {
     return constraintsAllow(*B.Paths[R.Thread], B.RegOfEvent.at(R.Id),
                             valueOfBytes(R.ReadBytes));
   }
-  bool refuted(const JsBase &B, size_t ReadIdx) const {
+  bool refuted(const JsBase &B, size_t ReadIdx, EngineStats *St) const {
     return Prune && ReadIdx + 1 < B.Reads.size() &&
-           !Prune->admitsPartial(B.CE);
+           !Prune->admitsPartial(B.CE) &&
+           count(St, &EngineStats::PrunedSubtrees);
   }
   bool leaf(JsBase &B, const VisitFn &Visit) const {
     Outcome O;
@@ -804,14 +813,14 @@ struct WnPolicy : JsLanguage {
 
   const std::function<bool(const Event &)> &ValueAllowed;
 
-  Counter skip(const BaseT &, size_t, unsigned, const Event &, const Event &,
-               unsigned) const {
-    return nullptr;
+  bool skip(const BaseT &, size_t, unsigned, const Event &, const Event &,
+            unsigned, EngineStats *) const {
+    return false;
   }
   bool valueAllowed(const BaseT &, const Event &R) const {
     return ValueAllowed(R);
   }
-  bool refuted(const BaseT &, size_t) const { return false; }
+  bool refuted(const BaseT &, size_t, EngineStats *) const { return false; }
   bool leaf(BaseT &B, const VisitFn &Visit) const { return Visit(B.CE); }
 };
 
@@ -1010,12 +1019,12 @@ struct ArmCore {
   }
 
   /// A byte sharing the previous byte's granule takes its writer.
-  Counter skip(const ArmBase &B, size_t ReadIdx, unsigned Loc,
-               const ArmEvent &R, const ArmEvent &W, unsigned) const {
-    if (B.SameGranule[ReadIdx][Loc - R.begin()] &&
-        W.Id != B.S.Exec.Rbf.back().Writer)
-      return &EngineStats::PrunedSubtrees;
-    return nullptr;
+  bool skip(const ArmBase &B, size_t ReadIdx, unsigned Loc,
+            const ArmEvent &R, const ArmEvent &W, unsigned,
+            EngineStats *St) const {
+    return B.SameGranule[ReadIdx][Loc - R.begin()] &&
+           W.Id != B.S.Exec.Rbf.back().Writer &&
+           count(St, &EngineStats::PrunedSubtrees);
   }
   static void take(ArmBase &B, unsigned Loc, ArmEvent &R, const ArmEvent &W) {
     B.S.Exec.Rbf.push_back({Loc, W.Id, R.Id});
@@ -1028,8 +1037,9 @@ struct ArmCore {
     return armConstraintsAllow(*B.S.Paths[R.Thread], B.S.RegOfEvent.at(R.Id),
                                valueOfBytes(R.Bytes));
   }
-  bool refuted(const ArmBase &B, size_t) const {
-    return Prune && armRefutedForEveryCo(B.S.Exec);
+  bool refuted(const ArmBase &B, size_t, EngineStats *St) const {
+    return Prune && armRefutedForEveryCo(B.S.Exec) &&
+           count(St, &EngineStats::PrunedSubtrees);
   }
   bool leaf(ArmBase &B, const VisitFn &Visit) const {
     ArmExecution &X = B.S.Exec;
@@ -1043,7 +1053,7 @@ struct ArmCore {
 };
 
 //===----------------------------------------------------------------------===//
-// Target-architecture candidate space
+// Uni-size candidate space: the target columns and uni-js
 //===----------------------------------------------------------------------===//
 
 /// One column of a target walk: a compiled form and the backend judging it
@@ -1060,14 +1070,11 @@ targetExecution(const CompiledTarget &CT,
                 std::map<EventId, unsigned> *RegOfEvent = nullptr) {
   std::vector<TargetEvent> Events;
   for (unsigned L = 0; L < CT.NumLocs; ++L) {
-    TargetEvent Init;
-    Init.Id = static_cast<EventId>(Events.size());
-    Init.Thread = -1;
+    TargetEvent &Init = Events.emplace_back();
+    Init.Id = L;
     Init.Kind = TKind::Write;
     Init.Loc = L;
-    Init.WriteVal = 0;
     Init.IsInit = true;
-    Events.push_back(Init);
   }
   std::vector<std::vector<EventId>> ThreadEvents(CT.Threads.size());
   for (unsigned T = 0; T < CT.Threads.size(); ++T) {
@@ -1097,6 +1104,47 @@ targetExecution(const CompiledTarget &CT,
   return X;
 }
 
+/// What uni-js derives from sb and the event kinds, built once per base:
+/// hb₀ = (sb ∪ init edges)⁺, the part of hb no rf choice changes, and per
+/// location its writes and its SeqCst writes.
+struct UniStatics {
+  Relation Hb0;
+  std::vector<BitSet> WritesAt, ScWritesAt;
+};
+
+UniStatics uniStatics(const TargetExecution &X) {
+  unsigned N = X.numEvents();
+  std::vector<BitSet> AtLoc(X.CoPerLoc.size(), Relation::emptySet(N));
+  UniStatics U{X.Po, AtLoc, AtLoc};
+  for (const TargetEvent &E : X.Events) {
+    if (!E.IsInit)
+      bits::set(AtLoc[E.Loc], E.Id);
+    if (E.isWrite())
+      bits::set(U.WritesAt[E.Loc], E.Id);
+    if (E.isWrite() && E.Sc)
+      bits::set(U.ScWritesAt[E.Loc], E.Id);
+  }
+  // po is transitive and nothing precedes an init, so an init precedes
+  // exactly its location's events and everything those precede.
+  for (const TargetEvent &I : X.Events)
+    if (I.IsInit) {
+      BitSet Row = AtLoc[I.Loc];
+      bits::forEach(AtLoc[I.Loc], [&](unsigned E) { Row |= X.Po.row(E); });
+      U.Hb0.assignRow(I.Id, Row);
+    }
+  return U;
+}
+
+/// Whether the rf edge \p W → \p R breaks HBC2 (the read hb-precedes its
+/// writer) or HBC3 (a write of the location lies hb-between them) under
+/// \p Hb, given the location's writes \p WritesAt.
+bool breaksHbc(const Relation &Hb, EventId W, EventId R,
+               const BitSet &WritesAt) {
+  return Hb.get(R, W) ||
+         !bits::forEachWhile(Hb.row(W) & WritesAt,
+                             [&](unsigned C) { return !Hb.get(C, R); });
+}
+
 /// A compiled form inside a walk: its access-id map and what its backend
 /// derives from po and the event kinds, built once per base over the
 /// walk's numbering and shared by every work item. X, the form's own
@@ -1110,23 +1158,30 @@ struct TargetColumn {
   std::shared_ptr<const TargetStatics> Statics;
 };
 
-/// The materialised base of a target walk. Target programs are
+/// A read index past every read: a column group no read refuted.
+constexpr size_t NoRead = SIZE_MAX;
+
+/// The materialised base of a uni-size walk. Target programs are
 /// straight-line (the §6.3 fragment), so there is exactly one base; the
 /// candidate space is rf justifications × per-location coherence orders.
 ///
 /// compileUni maps each source access to exactly one access
 /// (TargetEvent::SourceIdx) and only adds fences, so every compiled form
-/// of one program has the same access view (accessView): the same
-/// writers per read, the same po-loc ∪ rf admission and the same
+/// of one program has the same access view (accessView): the uni-size
+/// program's events less the init writes no read touches. So the forms
+/// share their writers per read, their po-loc ∪ rf admission and their
 /// coherence permutations. The walk runs once over that view (X) and
 /// judges each leaf for every column there: the shared axioms read no
-/// fence, and each column's statics were built over the view.
+/// fence, each target column's statics were built over the view, and
+/// uni-js reads the view itself.
 struct TargetBase {
   TargetExecution X;
   /// po-loc of X, the admission's rf-independent half.
   std::shared_ptr<const Relation> PoLoc;
   std::vector<EventId> Reads;
   std::map<EventId, unsigned> RegOfEvent;
+  /// Walk event id -> the writer its read takes (reads only).
+  std::vector<EventId> WriterOf;
   /// A location whose writers the leaf permutes, from position First of
   /// its coherence order (past the init write).
   struct PermutedLoc {
@@ -1138,37 +1193,57 @@ struct TargetBase {
   /// static pruning is on (see buildTargetStaticAllow).
   std::vector<std::vector<uint8_t>> Allow;
   std::vector<TargetColumn> Cols;
+  /// uni-js's statics; null unless the walk judges uni-js.
+  std::shared_ptr<const UniStatics> Uni;
+  /// Per column group (TargetCore::Group), the read whose writer choice
+  /// refuted the group on the current path, or NoRead.
+  size_t RefutedAt[2] = {NoRead, NoRead};
+  /// Whether the current rf leaf still has to be judged by each group
+  /// (set by TargetCore::leaf, read by its accumulate).
+  bool TargetLeaf = false, UniLeaf = false;
+  /// Scratch: hb at an rf leaf whose rf adds sw edges to hb₀.
+  Relation Hb;
 };
 
-/// Builds the walk over \p Specs' compiled forms; \p KeepExecs keeps each
-/// form's own execution for syncColumn.
+/// Builds the walk over \p Specs' compiled forms and, given \p UniJs, the
+/// program they come from, for the uni-js column; \p KeepExecs keeps each
+/// form's own execution for syncColumn. The walk's execution is the access
+/// view of the first form, or with uni-js of UniJs's ImmLite form, whose
+/// scheme maps each access to itself and marks Sc exactly the SeqCst ones.
 TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
-                           bool KeepExecs) {
-  assert(!Specs.empty() && "a target walk needs a column");
+                           const UniProgram *UniJs, bool KeepExecs) {
+  assert((!Specs.empty() || UniJs) && "a target walk needs a column");
   TargetBase B;
+  std::optional<CompiledTarget> Own;
+  const CompiledTarget &First =
+      UniJs ? Own.emplace(compileUni(*UniJs, TargetArch::ImmLite))
+            : *Specs[0].CT;
   std::map<EventId, unsigned> Regs;
+  TargetExecution FirstX = targetExecution(First, &Regs);
+  std::vector<EventId> Ids;
+  B.X = accessView(FirstX, Ids);
+  for (const TargetEvent &E : B.X.Events)
+    if (E.isRead()) {
+      B.RegOfEvent[E.Id] = Regs.at(Ids[E.Id]);
+      B.Reads.push_back(E.Id);
+    }
   for (const TargetColumnSpec &Spec : Specs) {
     TargetColumn &C = B.Cols.emplace_back();
     C.M = Spec.M;
-    C.X = targetExecution(*Spec.CT, B.Cols.size() == 1 ? &Regs
-                                                              : nullptr);
-    if (B.Cols.size() == 1) {
-      B.X = accessView(C.X, C.IdOf);
-    } else {
-      for (const TargetEvent &E : C.X.Events)
-        if (E.isAccess())
-          C.IdOf.push_back(E.Id);
-      bool Same = C.IdOf.size() == B.X.numEvents();
-      for (size_t K = 0; Same && K < C.IdOf.size(); ++K) {
-        const TargetEvent &A = B.X.Events[K];
-        const TargetEvent &E = C.X.Events[C.IdOf[K]];
-        Same = A.Kind == E.Kind && A.Loc == E.Loc && A.Thread == E.Thread &&
-               A.WriteVal == E.WriteVal && A.SourceIdx == E.SourceIdx;
-      }
-      if (!Same)
-        throw std::invalid_argument(
-            "target columns compiled from different programs");
+    C.X = !UniJs && &Spec == &Specs[0] ? std::move(FirstX)
+                                        : targetExecution(*Spec.CT);
+    C.IdOf = accessIds(C.X);
+    bool Same = C.IdOf.size() == B.X.numEvents();
+    for (size_t K = 0; Same && K < C.IdOf.size(); ++K) {
+      const TargetEvent &A = B.X.Events[K];
+      const TargetEvent &E = C.X.Events[C.IdOf[K]];
+      Same = A.Kind == E.Kind && A.Loc == E.Loc && A.Thread == E.Thread &&
+             A.WriteVal == E.WriteVal && A.SourceIdx == E.SourceIdx &&
+             A.IsInit == E.IsInit;
     }
+    if (!Same)
+      throw std::invalid_argument(
+          "target columns compiled from different programs");
     if (C.M)
       C.Statics = std::make_shared<const TargetStatics>(
           targetStatics(C.X, C.M->arch(), &C.IdOf));
@@ -1176,11 +1251,9 @@ TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
       C.X = TargetExecution();
   }
   B.PoLoc = std::make_shared<const Relation>(B.X.poLoc());
-  for (const TargetEvent &E : B.X.Events)
-    if (E.isRead()) {
-      B.RegOfEvent[E.Id] = Regs.at(B.Cols[0].IdOf[E.Id]);
-      B.Reads.push_back(E.Id);
-    }
+  if (UniJs)
+    B.Uni = std::make_shared<const UniStatics>(uniStatics(B.X));
+  B.WriterOf.resize(B.X.numEvents());
   // Coherence orders do not depend on rf: init, then the writers in id
   // order. The walk's leaf permutes the locations with two or more
   // non-init writers.
@@ -1198,44 +1271,67 @@ TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
 }
 
 /// Copies the walk's current rf, read values and coherence orders into
-/// column \p C's execution through its access-id map.
+/// column \p C's execution through its access-id map. A location no read
+/// touches has no init in the walk; the form's own init (its event Loc)
+/// stays first in its order.
 void syncColumn(const TargetBase &B, TargetColumn &C) {
   C.X.Rf = Relation(C.X.numEvents());
   for (EventId R : B.Reads) {
-    bits::forEach(B.X.Rf.column(R),
-                  [&](unsigned W) { C.X.Rf.set(C.IdOf[W], C.IdOf[R]); });
+    C.X.Rf.set(C.IdOf[B.WriterOf[R]], C.IdOf[R]);
     C.X.Events[C.IdOf[R]].ReadVal = B.X.Events[R].ReadVal;
   }
-  for (size_t L = 0; L < B.X.CoPerLoc.size(); ++L) {
+  for (unsigned L = 0; L < B.X.CoPerLoc.size(); ++L) {
     const std::vector<EventId> &Walk = B.X.CoPerLoc[L];
     std::vector<EventId> &Order = C.X.CoPerLoc[L];
-    Order.resize(Walk.size());
-    for (size_t K = 0; K < Walk.size(); ++K)
-      Order[K] = C.IdOf[Walk[K]];
+    Order.clear();
+    if (Walk.empty() || !B.X.Events[Walk[0]].IsInit)
+      Order.push_back(L);
+    for (EventId W : Walk)
+      Order.push_back(C.IdOf[W]);
   }
 }
 
 std::vector<std::vector<uint8_t>>
 buildTargetStaticAllow(const analysis::StaticValues &SV, const TargetBase &B);
 
-/// Per-column results of one target walk, in column order.
+/// Per-column results of one uni-size walk: the target columns in order,
+/// then uni-js when the walk judges it (its Allowed map holds empty
+/// executions: the outcome-level door keeps no uni-js witness).
 struct TargetWalkResult {
   std::vector<TargetEnumerationResult> Cols;
 };
 
-/// The target core of the enumeration driver: one walk for every column.
-/// Target programs are straight-line, so the space has exactly one base.
-/// As the policy of the reads-from walk: a read's one unit is its cell;
-/// the static may-rf mask skips writers; each complete read (each writer
-/// choice) is cut by the monotone admission check targetAdmits; the leaf
-/// walks the coherence orders. No sleep sets apply at this tier: fr and
-/// co verdicts depend on the rf writer's identity, not just the value
-/// read.
+/// \returns the outcome of the walk's current rf.
+Outcome outcomeOf(const TargetBase &B) {
+  Outcome O;
+  for (const auto &[Id, Reg] : B.RegOfEvent)
+    O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
+  return O;
+}
+
+/// The uni-size core of the enumeration driver: one walk for the target
+/// columns and, when asked, the uni-size JavaScript model (uni-js). Target
+/// programs are straight-line, so the space has exactly one base. As the
+/// policy of the reads-from walk: a read's one unit is its cell; the
+/// static may-rf mask skips writers; each complete read (each writer
+/// choice) meets the admission cut; the leaf judges uni-js once, then
+/// walks the coherence orders for the target columns. No sleep sets apply
+/// at this tier: fr and co verdicts depend on the rf writer's identity,
+/// not just the value read.
+///
+/// The columns form two groups, each with its own monotone admission: the
+/// targets share targetAdmits, and uni-js refutes an rf edge that breaks
+/// HBC2 or HBC3 against hb₀. targetAdmits alone would be unsound for
+/// uni-js (same-location load buffering passes uni-js and fails it), so a
+/// subtree is cut only when every group present refutes it. The first
+/// group present leads: only its skips, cuts and candidates count into
+/// EngineStats, so the target counters do not change with uni-js along.
 struct TargetCore {
   using BaseT = TargetBase;
   using EventT = TargetEvent;
   using ResultT = TargetWalkResult;
   using VisitFn = std::function<bool(TargetBase &, const Outcome &)>;
+  enum Group { Targets, Uni };
 
   const std::vector<TargetColumnSpec> &Specs;
   bool Prune;
@@ -1244,13 +1340,23 @@ struct TargetCore {
   /// and the candidate walk's visits. The outcome-level doors keep
   /// outcomes alone, so only the walk's execution stays resident.
   bool KeepExecs = false;
+  /// The uni-size program uni-js judges in this walk, or null.
+  const UniProgram *UniJs = nullptr;
   size_t Combos = 1;
 
   template <typename FnT> bool forEachBase(EngineStats *, FnT &&Fn) const {
-    BaseT B = buildTargetBase(Specs, KeepExecs);
+    BaseT B = buildTargetBase(Specs, UniJs, KeepExecs);
     if (SV)
       B.Allow = buildTargetStaticAllow(*SV, B);
     return Fn(B);
+  }
+
+  Group lead() const { return Specs.empty() ? Uni : Targets; }
+  /// Whether group \p G is in the walk and no writer choice before read
+  /// \p ReadIdx on the current path refuted it.
+  bool live(const TargetBase &B, Group G, size_t ReadIdx) const {
+    return (G == Targets ? !Specs.empty() : UniJs != nullptr) &&
+           B.RefutedAt[G] >= ReadIdx;
   }
 
   template <typename BaseT> static auto &events(BaseT &B) {
@@ -1263,17 +1369,22 @@ struct TargetCore {
     return W.isWrite() && W.Id != R.Id && W.Loc == Loc;
   }
 
-  /// Static may-rf pruning; see JsCore::skip.
-  Counter skip(const TargetBase &B, size_t ReadIdx, unsigned,
-               const TargetEvent &, const TargetEvent &, unsigned Pos) const {
-    if (!B.Allow.empty() && !B.Allow[ReadIdx][Pos])
-      return &EngineStats::StaticRfPruned;
-    return nullptr;
+  /// Static may-rf pruning, for every column (see JsCore::skip and
+  /// buildTargetStaticAllow).
+  bool skip(const TargetBase &B, size_t ReadIdx, unsigned,
+            const TargetEvent &, const TargetEvent &, unsigned Pos,
+            EngineStats *St) const {
+    if (B.Allow.empty() || B.Allow[ReadIdx][Pos])
+      return false;
+    if (live(B, lead(), ReadIdx))
+      count(St, &EngineStats::StaticRfPruned);
+    return true;
   }
   static void take(TargetBase &B, unsigned, TargetEvent &R,
                    const TargetEvent &W) {
     B.X.Rf.set(W.Id, R.Id);
     R.ReadVal = W.WriteVal;
+    B.WriterOf[R.Id] = W.Id;
   }
   static void drop(TargetBase &B, TargetEvent &R, const TargetEvent &W) {
     B.X.Rf.clear(W.Id, R.Id);
@@ -1281,22 +1392,50 @@ struct TargetCore {
   bool valueAllowed(const TargetBase &, const TargetEvent &) const {
     return true;
   }
-  bool refuted(const TargetBase &B, size_t) const {
-    return Prune && !targetAdmits(*B.PoLoc, B.X.Rf);
+  /// Checks each group still live after read \p ReadIdx's writer choice;
+  /// cuts when none is left.
+  bool refuted(TargetBase &B, size_t ReadIdx, EngineStats *St) const {
+    if (!Prune)
+      return false;
+    bool Cut = true;
+    for (Group G : {Targets, Uni}) {
+      if (!live(B, G, ReadIdx))
+        continue;
+      B.RefutedAt[G] = NoRead;
+      if (G == Targets ? targetAdmits(*B.PoLoc, B.X.Rf)
+                       : !uniRefuted(B, ReadIdx)) {
+        Cut = false;
+        continue;
+      }
+      B.RefutedAt[G] = ReadIdx;
+      if (G == lead())
+        count(St, &EngineStats::PrunedSubtrees);
+    }
+    return Cut;
+  }
+  /// uni-js's admission: read \p ReadIdx's rf edge breaks HBC2 (the read
+  /// hb-precedes its writer) or HBC3 (a write of the location lies
+  /// hb-between them) against hb₀. hb only grows from hb₀, by the sw
+  /// edges of a leaf's rf, so the breach survives every leaf below.
+  static bool uniRefuted(const TargetBase &B, size_t ReadIdx) {
+    EventId R = B.Reads[ReadIdx];
+    return breaksHbc(B.Uni->Hb0, B.WriterOf[R], R,
+                     B.Uni->WritesAt[B.X.Events[R].Loc]);
   }
   bool leaf(TargetBase &B, const VisitFn &Visit) const {
-    return chooseCo(B, Visit, 0);
+    B.UniLeaf = live(B, Uni, B.Reads.size());
+    B.TargetLeaf = live(B, Targets, B.Reads.size());
+    if (B.TargetLeaf)
+      return chooseCo(B, Visit, 0);
+    assert(B.UniLeaf && "the walk cuts a leaf no group judges");
+    return Visit(B, outcomeOf(B));
   }
 
   /// Walks the permutations of each MultiWriter location, the earlier
   /// location outermost.
   bool chooseCo(TargetBase &B, const VisitFn &Visit, size_t Idx) const {
-    if (Idx == B.MultiWriter.size()) {
-      Outcome O;
-      for (const auto &[Id, Reg] : B.RegOfEvent)
-        O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
-      return Visit(B, O);
-    }
+    if (Idx == B.MultiWriter.size())
+      return Visit(B, outcomeOf(B));
     std::vector<EventId> &Order = B.X.CoPerLoc[B.MultiWriter[Idx].Loc];
     do {
       if (!chooseCo(B, Visit, Idx + 1))
@@ -1316,7 +1455,7 @@ struct TargetCore {
 /// are the cell's. The exclusion rules are refuted by per-location
 /// coherence on every backend — targetScPerLocation on five of them, and
 /// ImmLite's COHERENCE axiom (Hb;Eco irreflexive, init first in co)
-/// independently.
+/// independently — and by uni-js's HBC2 (E1) and HBC3 (E2) against hb₀.
 std::vector<std::vector<uint8_t>>
 buildTargetStaticAllow(const analysis::StaticValues &SV,
                        const TargetBase &B) {
@@ -1341,22 +1480,85 @@ buildTargetStaticAllow(const analysis::StaticValues &SV,
   return Allow;
 }
 
-/// Counts the leaf \p B into every column of \p Into and keeps it as the
-/// witness of \p O for each column that has none yet and whose backend
-/// admits it. The leaf's coherence, from-reads and the relations derived
-/// from them are built once, over the walk's execution, and shared by
-/// every column. The shared axioms read no fence, so one evaluation
-/// answers them for every column: atomicity for all six backends,
-/// SC-per-location for all but ImmLite (whose COHERENCE axiom stands in
-/// for it). Each column then checks only its final axiom, with its
-/// statics.
+/// uni-js's verdict on the walk's current rf (Fig. 12). hb is hb₀ plus the
+/// sw edges of this rf (reads-from between SeqCst accesses), each closed
+/// in place; an edge whose reverse is already in hb closes a cycle. Then
+/// HBC2 and HBC3, and the SC Atomics rule: with no forbidden triple any
+/// linear extension of hb is a tot, else the order solver decides.
+bool uniAllows(TargetBase &B) {
+  const UniStatics &U = *B.Uni;
+  const std::vector<TargetEvent> &Ev = B.X.Events;
+  auto Sw = [&](EventId R) { return Ev[R].Sc && Ev[B.WriterOf[R]].Sc; };
+  const Relation *Hb = &U.Hb0;
+  for (EventId R : B.Reads) {
+    EventId W = B.WriterOf[R];
+    if (!Sw(R) || Hb->get(W, R))
+      continue;
+    if (Hb->get(R, W))
+      return false;
+    if (Hb == &U.Hb0) {
+      B.Hb = U.Hb0;
+      Hb = &B.Hb;
+    }
+    BitSet After = B.Hb.row(R);
+    bits::set(After, R);
+    BitSet Before = B.Hb.column(W);
+    bits::set(Before, W);
+    bits::forEach(Before, [&](unsigned E) { B.Hb.uniteRow(E, After); });
+  }
+  for (EventId R : B.Reads)
+    if (breaksHbc(*Hb, B.WriterOf[R], R, U.WritesAt[Ev[R].Loc]))
+      return false;
+  TotProblem P;
+  for (EventId R : B.Reads) {
+    EventId W = B.WriterOf[R];
+    if (!Hb->get(W, R))
+      continue;
+    // C is a SeqCst write of the pair's location: D1 (sw), D2, D3.
+    bits::forEach(U.ScWritesAt[Ev[R].Loc], [&](unsigned C) {
+      if (C != W && C != R &&
+          (Sw(R) || (Ev[W].Sc && Hb->get(C, R)) ||
+           (Ev[R].Sc && Hb->get(W, C))))
+        P.Forbidden.push_back({W, C, R});
+    });
+  }
+  if (P.Forbidden.empty())
+    return true;
+  P.N = B.X.numEvents();
+  P.Universe = Relation::fullSet(P.N);
+  P.Must = *Hb;
+  return defaultTotSolver().existsExtension(P);
+}
+
+/// Judges the leaf \p B for every column of \p Into. uni-js is judged once
+/// per rf leaf, at its first coherence order, when it has no witness for
+/// \p O yet. For the target columns the leaf is counted into every column
+/// and kept as the witness of \p O for each column that has none yet and
+/// whose backend admits it. The leaf's coherence, from-reads and the
+/// relations derived from them are built once, over the walk's execution,
+/// and shared by every column. The shared axioms read no fence, so one
+/// evaluation answers them for every column: atomicity for all six
+/// backends, SC-per-location for all but ImmLite (whose COHERENCE axiom
+/// stands in for it). Each column then checks only its final axiom, with
+/// its statics.
 void accumulate(TargetWalkResult &Into, const TargetCore &Core,
                 TargetBase &B, const Outcome &O) {
-  Into.Cols.resize(B.Cols.size());
-  bool Open = false;
-  for (TargetEnumerationResult &R : Into.Cols) {
+  Into.Cols.resize(B.Cols.size() + (B.Uni != nullptr));
+  if (B.UniLeaf) {
+    B.UniLeaf = false;
+    TargetEnumerationResult &R = Into.Cols.back();
     ++R.CandidatesConsidered;
-    Open = Open || !R.Allowed.count(O);
+    if (!R.Allowed.count(O) && uniAllows(B)) {
+      R.Allowed.emplace(O, TargetExecution());
+      ++R.ConsistentCandidates;
+    }
+  }
+  if (!B.TargetLeaf)
+    return;
+  bool Open = false;
+  for (size_t I = 0; I < B.Cols.size(); ++I) {
+    ++Into.Cols[I].CandidatesConsidered;
+    Open = Open || !Into.Cols[I].Allowed.count(O);
   }
   if (!Open)
     return;
@@ -1636,12 +1838,15 @@ ArmEnumerationResult ExecutionEngine::enumerate(const ArmProgram &P,
 
 namespace {
 
-/// The target walk behind every target door: one rf × co walk over
-/// \p Specs' compiled forms, one summary per column. Sets \p E.Stats to
-/// the walk's effort, which every column shares.
+/// The walk behind every target door: one rf × co walk over \p Specs'
+/// compiled forms and, given \p UniJs (the program they come from), its
+/// uni-js column; one summary per form, then uni-js's. Sets \p E.Stats to
+/// the walk's effort, which is the target columns' when the walk has any:
+/// uni-js rides along uncounted.
 std::vector<OutcomeSummary>
 targetOutcomes(const ExecutionEngine &E,
                const std::vector<TargetColumnSpec> &Specs,
+               const UniProgram *UniJs,
                const analysis::StaticValues *Source) {
   const EngineConfig &Cfg = E.config();
   unsigned Events = 0;
@@ -1649,19 +1854,31 @@ targetOutcomes(const ExecutionEngine &E,
     checkCapacity(*C.CT);
     Events = std::max(Events, targetEventBound(*C.CT));
   }
+  if (UniJs) {
+    checkCapacity(*UniJs);
+    Events = std::max(Events, uniProgramEventBound(*UniJs));
+  }
   SolverKind Kind = defaultSolverKind();
   const analysis::StaticValues *SV = Cfg.StaticFastPath ? Source : nullptr;
   std::vector<OutcomeSummary> Out;
   if (SV) {
+    bool Mismatch =
+        UniJs && SV->C.Accesses.size() !=
+                     uniProgramEventBound(*UniJs) - UniJs->numLocs();
     for (const TargetColumnSpec &C : Specs)
-      if (SV->C.Accesses.size() != C.CT->Sources.size())
-        throw std::invalid_argument(
-            "static analysis of a different program than the compiled "
-            "form's source");
+      Mismatch = Mismatch || SV->C.Accesses.size() != C.CT->Sources.size();
+    if (Mismatch)
+      throw std::invalid_argument(
+          "static analysis of a different program than the compiled "
+          "form's source");
     if (SV->C.StaticallyDrf) {
       for (const TargetColumnSpec &C : Specs)
         Out.push_back(*tryStaticFastPath(*C.CT, SV->C, "target",
                                          targetEventBound(*C.CT), Kind));
+      if (UniJs)
+        Out.push_back(*tryStaticFastPath(mixedFromUni(*UniJs), SV->C,
+                                         "uni-js",
+                                         uniProgramEventBound(*UniJs), Kind));
       E.Stats = EngineStats();
       return Out;
     }
@@ -1669,13 +1886,18 @@ targetOutcomes(const ExecutionEngine &E,
   const char *Tier = selectTier("target", Events, Kind);
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   EngineStats Local;
-  TargetCore Core{Specs, Cfg.Prune, SV};
+  TargetCore Core{Specs, Cfg.Prune, SV, /*KeepExecs=*/false, UniJs};
   TargetWalkResult R = enumerateCore(Core, Core, E.effectiveThreads(), Local);
-  R.Cols.resize(Specs.size());
+  R.Cols.resize(Specs.size() + (UniJs != nullptr));
   for (TargetEnumerationResult &C : R.Cols)
     Out.push_back(summarize(std::move(C)));
   E.Stats = Local;
-  finishOutcomes(Out, "target", Tier, Kind, SV, Local);
+  size_t Counted = Specs.empty() ? Out.size() : Specs.size();
+  finishOutcomes({Out.data(), Counted}, "target", Tier, Kind, SV, Local);
+  for (size_t I = Counted; I < Out.size(); ++I) {
+    Out[I].Tier = Tier;
+    Out[I].SolverUsed = Kind;
+  }
   return Out;
 }
 
@@ -1713,19 +1935,20 @@ OutcomeSummary
 ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
                                    const TargetModel &M,
                                    const analysis::StaticValues *Source) const {
-  return targetOutcomes(*this, {{&CT, &M}}, Source)[0];
+  return targetOutcomes(*this, {{&CT, &M}}, /*UniJs=*/nullptr, Source)[0];
 }
 
 std::vector<OutcomeSummary>
 ExecutionEngine::enumerateOutcomes(const std::vector<CompiledTarget> &CTs,
-                                   const analysis::StaticValues *Source) const {
+                                   const analysis::StaticValues *Source,
+                                   const UniProgram *UniJs) const {
   std::vector<TargetColumnSpec> Specs;
   for (const CompiledTarget &CT : CTs)
     Specs.push_back(
         {&CT, &TargetModel::all()[static_cast<size_t>(CT.Arch)]});
-  if (Specs.empty())
+  if (Specs.empty() && !UniJs)
     return {};
-  return targetOutcomes(*this, Specs, Source);
+  return targetOutcomes(*this, Specs, UniJs, Source);
 }
 
 //===----------------------------------------------------------------------===//

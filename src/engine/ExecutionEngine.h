@@ -117,9 +117,10 @@ struct ArmEnumerationResult {
 /// Tuning knobs of the engine.
 struct EngineConfig {
   /// Worker threads for whole-space enumerations (enumerate()). 0 means
-  /// one worker per hardware thread. Early-stopping visitor walks
-  /// (forEachCandidate and friends) are always sequential, because their
-  /// visitation order is part of the API.
+  /// one worker per hardware thread. A call whose work items finish
+  /// within a millisecond runs on the calling thread. Early-stopping
+  /// visitor walks (forEachCandidate and friends) are always sequential,
+  /// because their visitation order is part of the API.
   unsigned Threads = 1;
   /// Incremental pruning of justification subtrees via the model's
   /// monotone partial-candidate admission check. Turning this off restores
@@ -240,8 +241,9 @@ public:
   /// \returns the diagnostic for \p P against Relation::MaxSize, or
   /// std::nullopt if the engine can serve it. The ArmProgram overload
   /// checks the mixed-size ARMv8 model's own cap (ArmMaxEvents, 64 events).
-  /// The UniProgram overload bounds uniAllowedOutcomes, the uni-js
-  /// reference.
+  /// The UniProgram overload bounds the uni-js column of the joint target
+  /// door (and uniAllowedOutcomes, its one-column call), counting every
+  /// init write.
   static std::optional<std::string> capacityError(const Program &P);
   static std::optional<std::string> capacityError(const ArmProgram &P);
   static std::optional<std::string> capacityError(const CompiledTarget &CT);
@@ -312,18 +314,22 @@ public:
       const std::function<bool(const ArmExecution &, const Outcome &)>
           &Visit) const;
 
-  // --- Target-architecture frontend (Thm 6.3 backends) -------------------
+  // --- Uni-size frontend: Thm 6.3 backends and uni-js --------------------
   //
-  // Every target door is one rf × co walk (ARCHITECTURE.md, "The
-  // engine"). compileUni maps each source access to exactly one access
-  // and only adds fences, so the compiled forms of one program share
-  // their writers per read, their po-loc ∪ rf admission and their
-  // coherence permutations. The walk runs over those accesses once and
-  // hands each leaf to every column through an access-id map. Per base it
-  // builds po-loc and each backend's statics (targets/TargetModels.h:
-  // everything derived from po and the event kinds); per leaf it checks
-  // atomicity and SC-per-location once for all columns, then each column
-  // still without a witness for the outcome runs its own final axiom. The
+  // Every target door is one rf × co walk over the uni-size program's
+  // events (ARCHITECTURE.md, "One walk for the seven uni-size columns").
+  // compileUni maps each source access to exactly one access and only
+  // adds fences, so the compiled forms of one program share their writers
+  // per read, their po-loc ∪ rf admission and their coherence
+  // permutations. The walk runs over those accesses once, leaving out the
+  // init writes of locations no read touches, and hands each leaf to
+  // every column through an access-id map. Per base it builds po-loc and
+  // each backend's statics (targets/TargetModels.h: everything derived
+  // from po and the event kinds); per leaf it checks atomicity and
+  // SC-per-location once for all columns, then each column still without
+  // a witness for the outcome runs its own final axiom. The uni-size
+  // JavaScript model (uni-js) can ride along: it is judged once per rf
+  // leaf, from hb₀ = (sb ∪ init edges)⁺ built once per base. The
   // single-column doors below are that walk with one model.
 
   /// Enumerates the outcomes of the compiled program \p CT consistent
@@ -357,12 +363,18 @@ public:
   /// summary per form in order. Each summary equals the single-column
   /// door's on that form: outcomes, CandidatesConsidered and
   /// ValidCandidates; Stats holds the one walk's counters, which every
-  /// column shares. Throws std::invalid_argument when the forms come from
-  /// different programs, and CapacityError when one exceeds
-  /// Relation::MaxSize (callers drop such a form first).
+  /// column shares. Given \p UniJs, the program the forms come from (with
+  /// no forms, any uni-size program), the walk also judges it under the
+  /// uni-size JavaScript model of Fig. 12, and its summary follows the
+  /// forms'. The target summaries and Stats are the same with uni-js along
+  /// as without it; with no forms, Stats are uni-js's. Throws
+  /// std::invalid_argument when the forms come from different programs,
+  /// and CapacityError when a form or \p UniJs exceeds Relation::MaxSize
+  /// (callers drop such a form first).
   std::vector<OutcomeSummary>
   enumerateOutcomes(const std::vector<CompiledTarget> &CTs,
-                    const analysis::StaticValues *Source = nullptr) const;
+                    const analysis::StaticValues *Source = nullptr,
+                    const UniProgram *UniJs = nullptr) const;
 
   /// Invokes \p Visit on every well-formed execution of \p CT (rf and
   /// per-location coherence chosen; consistency not yet checked) with its

@@ -87,9 +87,10 @@ namespace {
 
 /// One backend's column: sorted outcome strings, plus how the engine got
 /// them (solver, OutcomeSummary::Tier and value-aware pruning; empty and 0
-/// for the solver-free armv8 and uni-js columns). A status other than Ok
-/// says why the backend does not apply: TooLarge for a compiled form past
-/// its event cap, Unsupported for a program outside its fragment.
+/// for armv8, and for uni-js, whose walk the targets own). A status other
+/// than Ok says why the backend does not apply: TooLarge for a compiled
+/// form past its event cap, Unsupported for a program outside its
+/// fragment.
 struct VerdictColumn {
   JobStatus Status = JobStatus::Ok;
   std::string Error;
@@ -130,24 +131,35 @@ VerdictColumn engineColumn(const OutcomeSummary &S, const ExecutionEngine &E) {
           E.Stats.StaticPathsPruned};
 }
 
-/// The target columns \p Bs of one program. Each applies when the program
-/// is in the uni-size fragment and its compiled form is within
-/// Relation::MaxSize events; given an engine, the applicable ones come
-/// from one joint walk (ExecutionEngine::enumerateOutcomes over their
-/// compiled forms), each reporting the walk's pruning as its own.
+/// The uni-size columns \p Bs of one program: uni-js and the targets.
+/// Each applies when the program is in the uni-size fragment within
+/// Relation::MaxSize events, a target also when its compiled form is
+/// within that cap. Given an engine, the applicable ones come from one
+/// joint walk (ExecutionEngine::enumerateOutcomes over their compiled
+/// forms, uni-js riding along), each target reporting the walk's pruning
+/// as its own and uni-js none.
 std::vector<VerdictColumn>
-targetColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
-              const ExecutionEngine *E) {
+uniSizeColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
+               const ExecutionEngine *E) {
   std::vector<VerdictColumn> Cols(Bs.size());
   const UniProgram *Uni = S.uni();
   std::vector<CompiledTarget> CTs;
   std::vector<size_t> Applies;
+  std::optional<size_t> UniJs;
   for (size_t I = 0; I < Bs.size(); ++I) {
     if (!Uni) {
       Cols[I] = notApplicable(JobStatus::Unsupported,
                               "not in the uni-size fragment required by "
                               "target backends: " +
                                   S.Why);
+      continue;
+    }
+    if (Bs[I]->K == Kind::UniJs) {
+      if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
+        Cols[I] = notApplicable(JobStatus::TooLarge,
+                                *Cap + " (in the uni-size fragment)");
+      else
+        UniJs = I;
       continue;
     }
     CompiledTarget CT = compileUni(*Uni, Bs[I]->Target->arch());
@@ -160,10 +172,13 @@ targetColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
     CTs.push_back(std::move(CT));
     Applies.push_back(I);
   }
-  if (E && !CTs.empty()) {
-    std::vector<OutcomeSummary> Sums = E->enumerateOutcomes(CTs, S.SV);
+  if (E && (!CTs.empty() || UniJs)) {
+    std::vector<OutcomeSummary> Sums =
+        E->enumerateOutcomes(CTs, S.SV, UniJs ? Uni : nullptr);
     for (size_t K = 0; K < Applies.size(); ++K)
       Cols[Applies[K]] = engineColumn(Sums[K], *E);
+    if (UniJs)
+      Cols[*UniJs].Allowed = Sums.back().outcomeStrings();
   }
   return Cols;
 }
@@ -198,20 +213,7 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
       C.Allowed = E->enumerate(CP.Arm, Armv8Model()).outcomeStrings();
     return C;
   }
-  if (B.K == Kind::Target)
-    return targetColumns(S, {&B}, E)[0];
-  const UniProgram *Uni = S.uni();
-  if (!Uni)
-    return notApplicable(
-        JobStatus::Unsupported,
-        "not in the uni-size fragment required by target backends: " + S.Why);
-  if (std::optional<std::string> Cap = ExecutionEngine::capacityError(*Uni))
-    return notApplicable(JobStatus::TooLarge,
-                         *Cap + " (in the uni-size fragment)");
-  if (E)
-    for (const Outcome &O : uniAllowedOutcomes(*Uni))
-      C.Allowed.push_back(O.toString());
-  return C;
+  return uniSizeColumns(S, {&B}, E)[0];
 }
 
 /// The differential table's columns, in report order.
@@ -275,21 +277,25 @@ LitmusJobResult jsmm::differentialTable(const Program &P,
     Sc = scTable(P);
   R.DrfFastPath = R.StaticallyDrf;
   const ExecutionEngine *Engine = R.StaticallyDrf ? nullptr : &E;
-  // The target columns come from one walk, made at the first of them.
-  std::vector<const BackendInfo *> Targets;
+  // uni-js and the target columns come from one walk, made at the first
+  // of them.
+  auto UniSize = [](const BackendInfo &B) {
+    return B.K == Kind::UniJs || B.K == Kind::Target;
+  };
+  std::vector<const BackendInfo *> UniSizeBs;
   for (const BackendInfo &B : tableColumns())
-    if (B.K == Kind::Target)
-      Targets.push_back(&B);
-  std::vector<VerdictColumn> TargetCols;
-  size_t NextTarget = 0;
+    if (UniSize(B))
+      UniSizeBs.push_back(&B);
+  std::vector<VerdictColumn> UniSizeCols;
+  size_t Next = 0;
   for (const BackendInfo &B : tableColumns()) {
     VerdictColumn C;
-    if (B.K != Kind::Target) {
+    if (!UniSize(B)) {
       C = column(S, B, Engine);
     } else {
-      if (TargetCols.empty())
-        TargetCols = targetColumns(S, Targets, Engine);
-      C = std::move(TargetCols[NextTarget++]);
+      if (UniSizeCols.empty())
+        UniSizeCols = uniSizeColumns(S, UniSizeBs, Engine);
+      C = std::move(UniSizeCols[Next++]);
     }
     if (C.Status != JobStatus::Ok)
       continue;

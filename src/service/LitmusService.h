@@ -259,9 +259,9 @@ private:
 
 /// The cross-model verdict table of \p P on \p E, filled into \p R (the
 /// job's result so far): "js-original", "js-revised", "armv8", "uni-js"
-/// (uniAllowedOutcomes, the uni-size model's own enumerator) and the six
-/// targets, each by the path of single-model jobs and omitted where its
-/// backend does not apply, plus the Thm 6.3 soundness diff (target
+/// (the uni-size JavaScript model, judged in the six targets' one walk)
+/// and the six targets, each by the path of single-model jobs and omitted
+/// where its backend does not apply, plus the Thm 6.3 soundness diff (target
 /// outcomes uni-js forbids) and the §3.1 weakening diff (target outcomes
 /// js-original forbids). When R.StaticallyDrf holds, one SC enumeration
 /// fills every applicable column (the DRF-SC theorem; see ARCHITECTURE.md).

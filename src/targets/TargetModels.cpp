@@ -117,18 +117,10 @@ bool jsmm::targetAtomicity(const Relation &Co, const Relation &Fr) {
   return Fr.compose(Co).isIrreflexive();
 }
 
-bool jsmm::targetScPerLocation(const TargetExecution &X) {
-  return targetScPerLocation(X.poLoc(), X.Rf, X.coherence(), X.fromReads());
-}
-
-bool jsmm::targetAtomicity(const TargetExecution &X) {
-  return targetAtomicity(X.coherence(), X.fromReads());
-}
-
 namespace {
 
 struct Masks {
-  BitSet Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc, All;
+  BitSet Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc;
   BitSet fence(const TargetExecution &X, TFence F) const {
     (void)this;
     return X.eventsWhere([&](const TargetEvent &E) {
@@ -156,7 +148,6 @@ struct Masks {
     M.Sc = X.eventsWhere([](const TargetEvent &E) {
       return E.Sc && E.isAccess();
     });
-    M.All = X.allEventsMask();
     return M;
   }
 };
@@ -277,18 +268,28 @@ bool immLiteAxiom(const TargetCandidate &C, const TargetStatics &S) {
 
 } // namespace
 
+std::vector<EventId> jsmm::accessIds(const TargetExecution &X) {
+  std::vector<bool> Read(X.CoPerLoc.size(), false);
+  for (const TargetEvent &E : X.Events)
+    if (E.isRead())
+      Read[E.Loc] = true;
+  std::vector<EventId> Ids;
+  for (const TargetEvent &E : X.Events)
+    if (E.isAccess() && (!E.IsInit || Read[E.Loc]))
+      Ids.push_back(E.Id);
+  return Ids;
+}
+
 TargetExecution jsmm::accessView(const TargetExecution &X,
                                  std::vector<EventId> &IdOf) {
-  IdOf.clear();
+  IdOf = accessIds(X);
   std::vector<int> ViewOf(X.numEvents(), -1);
   std::vector<TargetEvent> Events;
-  for (const TargetEvent &E : X.Events)
-    if (E.isAccess()) {
-      ViewOf[E.Id] = static_cast<int>(IdOf.size());
-      Events.push_back(E);
-      Events.back().Id = static_cast<EventId>(IdOf.size());
-      IdOf.push_back(E.Id);
-    }
+  for (EventId Id : IdOf) {
+    ViewOf[Id] = static_cast<int>(Events.size());
+    Events.push_back(X.Events[Id]);
+    Events.back().Id = static_cast<EventId>(ViewOf[Id]);
+  }
   unsigned N = static_cast<unsigned>(Events.size());
   TargetExecution V(std::move(Events),
                     static_cast<unsigned>(X.CoPerLoc.size()));
@@ -296,7 +297,8 @@ TargetExecution jsmm::accessView(const TargetExecution &X,
   V.Rf = project(X.Rf, ViewOf, N);
   for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
     for (EventId W : X.CoPerLoc[L])
-      V.CoPerLoc[L].push_back(static_cast<EventId>(ViewOf[W]));
+      if (ViewOf[W] >= 0)
+        V.CoPerLoc[L].push_back(static_cast<EventId>(ViewOf[W]));
   return V;
 }
 
@@ -422,29 +424,3 @@ bool jsmm::isTargetConsistent(const TargetExecution &X, TargetArch Arch) {
     return false;
   return targetAtomicity(C.Co, C.Fr) && targetFinalAxiom(C, S);
 }
-
-bool jsmm::isX86Consistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::X86);
-}
-
-bool jsmm::isArmV8UniConsistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::ArmV8);
-}
-
-bool jsmm::isRiscVConsistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::RiscV);
-}
-
-bool jsmm::isPowerConsistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::Power);
-}
-
-bool jsmm::isArmV7Consistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::ArmV7);
-}
-
-bool jsmm::isImmLiteConsistent(const TargetExecution &X) {
-  return isTargetConsistent(X, TargetArch::ImmLite);
-}
-
-// Explicit instantiation for both capacity tiers.

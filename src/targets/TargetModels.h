@@ -114,29 +114,23 @@ public:
 /// architecture's final axiom, everything derived from \p X itself.
 bool isTargetConsistent(const TargetExecution &X, TargetArch Arch);
 
-/// isTargetConsistent for each architecture.
-bool isX86Consistent(const TargetExecution &X);
-bool isArmV8UniConsistent(const TargetExecution &X);
-bool isRiscVConsistent(const TargetExecution &X);
-bool isPowerConsistent(const TargetExecution &X);
-bool isArmV7Consistent(const TargetExecution &X);
-bool isImmLiteConsistent(const TargetExecution &X);
-
-/// Shared axioms, exposed for tests.
-bool targetScPerLocation(const TargetExecution &X);
-bool targetAtomicity(const TargetExecution &X);
-
 //===----------------------------------------------------------------------===//
 // The split check: what the engine's target walk evaluates per base and
 // per candidate.
 //===----------------------------------------------------------------------===//
 
-/// \p X's accesses alone: its init writes and accesses in id order,
-/// renumbered from 0 (fences dropped), with po, rf and the coherence
-/// orders restricted to them. \p IdOf receives each view id's event id in
-/// \p X. Every compiled form of one uni-size program has the same view up
-/// to the access flags (compileUni only adds fences), which is what lets
-/// one walk serve all of them.
+/// The ids of \p X's *access view*, in id order: its accesses, except the
+/// init write of a location no read touches (fences dropped). Such an init
+/// has no incoming po, rf, co, fr or hb edge in any model, so it lies on
+/// no cycle and no axiom's verdict depends on it (ARCHITECTURE.md, "Init
+/// writes nobody reads"). Every compiled form of one uni-size program has
+/// the same view up to the access flags (compileUni only adds fences),
+/// which is what lets one walk serve all of them.
+std::vector<EventId> accessIds(const TargetExecution &X);
+
+/// \p X's access view, renumbered from 0, with po, rf and the coherence
+/// orders restricted to it. \p IdOf receives accessIds(X): each view id's
+/// event id in \p X.
 TargetExecution accessView(const TargetExecution &X,
                            std::vector<EventId> &IdOf);
 

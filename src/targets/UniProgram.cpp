@@ -2,99 +2,13 @@
 
 #include "targets/UniProgram.h"
 
+#include "engine/ExecutionEngine.h"
+
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <map>
 
 using namespace jsmm;
-
-namespace {
-
-class UniBuilder {
-public:
-  UniBuilder(
-      const UniProgram &P,
-      const std::function<bool(const UniExecution &, const Outcome &)> &Visit)
-      : P(P), Visit(Visit) {}
-
-  bool run() {
-    std::vector<UniEvent> Events;
-    for (unsigned L = 0; L < P.numLocs(); ++L)
-      Events.push_back(
-          makeUniInit(static_cast<EventId>(Events.size()), L));
-    std::vector<std::vector<EventId>> ThreadEvents(P.numThreads());
-    for (unsigned T = 0; T < P.numThreads(); ++T) {
-      for (const UniInstr &I : P.threadBody(T)) {
-        EventId Id = static_cast<EventId>(Events.size());
-        UniEvent E;
-        switch (I.K) {
-        case UniInstr::Kind::Load:
-          E = makeUniRead(Id, static_cast<int>(T), I.Ord, I.Loc, 0);
-          RegOfEvent[Id] = I.Dst;
-          break;
-        case UniInstr::Kind::Store:
-          E = makeUniWrite(Id, static_cast<int>(T), I.Ord, I.Loc, I.Value);
-          break;
-        case UniInstr::Kind::Rmw:
-          E = makeUniRMW(Id, static_cast<int>(T), I.Loc, 0, I.Value);
-          RegOfEvent[Id] = I.Dst;
-          break;
-        }
-        Events.push_back(E);
-        ThreadEvents[T].push_back(Id);
-      }
-    }
-    X = UniExecution(std::move(Events));
-    for (const std::vector<EventId> &Seq : ThreadEvents)
-      for (size_t I = 0; I < Seq.size(); ++I)
-        for (size_t J = I + 1; J < Seq.size(); ++J)
-          X.Sb.set(Seq[I], Seq[J]);
-    for (const UniEvent &E : X.Events)
-      if (E.isRead())
-        Reads.push_back(E.Id);
-    return justify(0);
-  }
-
-private:
-  bool justify(size_t ReadIdx) {
-    if (ReadIdx == Reads.size()) {
-      Outcome O;
-      for (const auto &[Id, Reg] : RegOfEvent)
-        O.add(X.Events[Id].Thread, Reg, X.Events[Id].ReadVal);
-      return Visit(X, O);
-    }
-    EventId R = Reads[ReadIdx];
-    for (const UniEvent &W : X.Events) {
-      if (!W.isWrite() || W.Id == R || W.Loc != X.Events[R].Loc)
-        continue;
-      X.Rf.set(W.Id, R);
-      X.Events[R].ReadVal = W.WriteVal;
-      bool Continue = justify(ReadIdx + 1);
-      X.Rf.clear(W.Id, R);
-      if (!Continue)
-        return false;
-    }
-    return true;
-  }
-
-  const UniProgram &P;
-  const std::function<bool(const UniExecution &, const Outcome &)> &Visit;
-  UniExecution X;
-  std::vector<EventId> Reads;
-  std::map<EventId, unsigned> RegOfEvent;
-};
-
-/// Enumerates every well-formed uni-size execution of \p P (rf chosen per
-/// read; tot left empty) with its outcome. \p Visit returns false to stop.
-bool forEachUniExecution(
-    const UniProgram &P,
-    const std::function<bool(const UniExecution &, const Outcome &)> &Visit) {
-  UniBuilder B(P, Visit);
-  return B.run();
-}
-
-} // namespace
 
 std::optional<UniProgram> jsmm::uniFromProgram(const Program &P,
                                                std::string *Why) {
@@ -199,16 +113,5 @@ unsigned jsmm::uniProgramEventBound(const UniProgram &P) {
 }
 
 std::vector<Outcome> jsmm::uniAllowedOutcomes(const UniProgram &P) {
-  std::map<Outcome, bool> Verdicts;
-  forEachUniExecution(P, [&](const UniExecution &X, const Outcome &O) {
-    auto [It, Inserted] = Verdicts.try_emplace(O, false);
-    if (Inserted || !It->second)
-      It->second = isUniValidForSomeTot(X);
-    return true;
-  });
-  std::vector<Outcome> Out;
-  for (const auto &[O, Allowed] : Verdicts)
-    if (Allowed)
-      Out.push_back(O);
-  return Out;
+  return ExecutionEngine().enumerateOutcomes({}, nullptr, &P)[0].Allowed;
 }

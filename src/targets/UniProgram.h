@@ -108,9 +108,9 @@ std::optional<UniProgram> uniFromProgram(const Program &P,
 /// the mixed-size JavaScript model variants.
 Program mixedFromUni(const UniProgram &P);
 
-/// The allowed-outcome set of \p P under the revised uni-size model, sorted
-/// (throws CapacityError past Relation::MaxSize events). The uni-js
-/// reference column of the differential suite.
+/// The allowed-outcome set of \p P under the uni-size JavaScript model
+/// (Fig. 12), sorted: the engine's joint target door with the uni-js
+/// column alone (throws CapacityError past Relation::MaxSize events).
 std::vector<Outcome> uniAllowedOutcomes(const UniProgram &P);
 
 } // namespace jsmm

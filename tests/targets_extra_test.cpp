@@ -59,10 +59,11 @@ struct RawBuilder {
   }
 
   /// Finalises with rf edges (writer, reader) and per-thread po chains,
-  /// then asks whether some coherence order makes \p Consistent true.
+  /// then asks whether some coherence order makes \p Arch's model accept
+  /// the execution.
   bool consistentForSomeCo(
       const std::vector<std::pair<EventId, EventId>> &RfEdges,
-      bool (*Consistent)(const TargetExecution &)) {
+      TargetArch Arch) {
     TargetExecution X(Events, NumLocs);
     std::map<int, std::vector<EventId>> PerThread;
     for (const TargetEvent &E : X.Events)
@@ -81,7 +82,7 @@ struct RawBuilder {
     // Enumerate coherence orders per location.
     std::function<bool(unsigned)> Choose = [&](unsigned Loc) -> bool {
       if (Loc == NumLocs)
-        return Consistent(X);
+        return isTargetConsistent(X, Arch);
       std::vector<EventId> Writers;
       EventId Init = ~0u;
       for (const TargetEvent &E : X.Events) {
@@ -109,7 +110,7 @@ struct RawBuilder {
 };
 
 /// IRIW with plain accesses: readers disagree about the write order.
-bool iriwAllowed(bool (*Consistent)(const TargetExecution &)) {
+bool iriwAllowed(TargetArch Arch) {
   RawBuilder B(2);
   EventId Wx = B.write(0, 0, 1);
   EventId Wy = B.write(1, 1, 1);
@@ -118,12 +119,12 @@ bool iriwAllowed(bool (*Consistent)(const TargetExecution &)) {
   B.read(3, 1); // reads Wy
   B.read(3, 0); // reads Init(x)
   return B.consistentForSomeCo(
-      {{Wx, 4}, {1, 5}, {Wy, 6}, {0, 7}}, Consistent);
+      {{Wx, 4}, {1, 5}, {Wy, 6}, {0, 7}}, Arch);
 }
 
 /// 2+2W: two threads writing both locations in opposite orders; the
 /// outcome where each thread's first write loses the coherence race.
-bool twoPlusTwoWAllowed(bool (*Consistent)(const TargetExecution &)) {
+bool twoPlusTwoWAllowed(TargetArch Arch) {
   RawBuilder B(2);
   B.write(0, 0, 1);
   B.write(0, 1, 2);
@@ -138,25 +139,25 @@ bool twoPlusTwoWAllowed(bool (*Consistent)(const TargetExecution &)) {
   X.Po.set(4, 5);
   X.CoPerLoc[0] = {0, 5, 2};
   X.CoPerLoc[1] = {1, 3, 4};
-  return Consistent(X);
+  return isTargetConsistent(X, Arch);
 }
 
 } // namespace
 
 TEST(TargetFidelity, IriwPerArchitecture) {
-  EXPECT_FALSE(iriwAllowed(isX86Consistent)) << "TSO forbids IRIW";
-  EXPECT_TRUE(iriwAllowed(isArmV8UniConsistent))
+  EXPECT_FALSE(iriwAllowed(TargetArch::X86)) << "TSO forbids IRIW";
+  EXPECT_TRUE(iriwAllowed(TargetArch::ArmV8))
       << "plain loads reorder: allowed even under MCA";
-  EXPECT_TRUE(iriwAllowed(isPowerConsistent)) << "Power is non-MCA";
-  EXPECT_TRUE(iriwAllowed(isArmV7Consistent));
-  EXPECT_TRUE(iriwAllowed(isRiscVConsistent));
+  EXPECT_TRUE(iriwAllowed(TargetArch::Power)) << "Power is non-MCA";
+  EXPECT_TRUE(iriwAllowed(TargetArch::ArmV7));
+  EXPECT_TRUE(iriwAllowed(TargetArch::RiscV));
 }
 
 TEST(TargetFidelity, TwoPlusTwoW) {
-  EXPECT_FALSE(twoPlusTwoWAllowed(isX86Consistent))
+  EXPECT_FALSE(twoPlusTwoWAllowed(TargetArch::X86))
       << "TSO keeps W->W order";
-  EXPECT_TRUE(twoPlusTwoWAllowed(isArmV8UniConsistent));
-  EXPECT_TRUE(twoPlusTwoWAllowed(isPowerConsistent));
+  EXPECT_TRUE(twoPlusTwoWAllowed(TargetArch::ArmV8));
+  EXPECT_TRUE(twoPlusTwoWAllowed(TargetArch::Power));
 }
 
 TEST(TargetFidelity, ScPerLocationEverywhere) {
@@ -171,9 +172,13 @@ TEST(TargetFidelity, ScPerLocationEverywhere) {
   X.Rf.set(1, 3);
   X.Events[3].ReadVal = 1;
   X.CoPerLoc[0] = {0, 2, 1}; // own write co-before the read's writer: OK
-  EXPECT_TRUE(targetScPerLocation(X));
+  auto ScPerLoc = [&] {
+    return targetScPerLocation(X.poLoc(), X.Rf, X.coherence(),
+                               X.fromReads());
+  };
+  EXPECT_TRUE(ScPerLoc());
   X.CoPerLoc[0] = {0, 1, 2}; // read's writer co-before own write: CoWR
-  EXPECT_FALSE(targetScPerLocation(X));
+  EXPECT_FALSE(ScPerLoc());
 }
 
 TEST(TargetFidelity, PowerSyncIsCumulative) {
@@ -201,7 +206,8 @@ TEST(TargetFidelity, PowerSyncIsCumulative) {
     O.lookup(1, 0, SawX);
     O.lookup(2, 0, SawY);
     O.lookup(2, 1, SawX2);
-    if (SawX == 1 && SawY == 1 && SawX2 == 0 && isPowerConsistent(X)) {
+    if (SawX == 1 && SawY == 1 && SawX2 == 0 &&
+        isTargetConsistent(X, TargetArch::Power)) {
       BadAllowed = true;
       return false;
     }
@@ -230,7 +236,7 @@ TEST(TargetFidelity, RiscVFenceClasses) {
     uint64_t Flag = 0, Msg = 1;
     O.lookup(1, 0, Flag);
     O.lookup(1, 1, Msg);
-    if (Flag == 1 && Msg == 0 && isRiscVConsistent(X)) {
+    if (Flag == 1 && Msg == 0 && isTargetConsistent(X, TargetArch::RiscV)) {
       Stale = true;
       return false;
     }
@@ -257,7 +263,7 @@ TEST(TargetFidelity, X86MfencePlacementMatters) {
         uint64_t A = 1, B = 1;
         O.lookup(0, 0, A);
         O.lookup(1, 0, B);
-        if (A == 0 && B == 0 && isX86Consistent(X)) {
+        if (A == 0 && B == 0 && isTargetConsistent(X, TargetArch::X86)) {
           Weak = true;
           return false;
         }
@@ -282,7 +288,7 @@ TEST(TargetFidelity, ImmLitePscOrdersScAccesses) {
     uint64_t A = 1, B = 1;
     O.lookup(0, 0, A);
     O.lookup(1, 0, B);
-    if (A == 0 && B == 0 && isImmLiteConsistent(X))
+    if (A == 0 && B == 0 && isTargetConsistent(X, TargetArch::ImmLite))
       Weak = true;
     return true;
   });

@@ -271,20 +271,59 @@ bool splitCheck(const TargetExecution &X, const TargetStatics &S) {
   return targetAtomicity(C.Co, C.Fr) && targetFinalAxiom(C, S);
 }
 
+const TargetArch AllArchs[] = {TargetArch::X86,   TargetArch::ArmV8,
+                               TargetArch::ArmV7, TargetArch::Power,
+                               TargetArch::RiscV, TargetArch::ImmLite};
+
+/// \p P plus a cell no read touches, written by the first thread
+/// (unordered) and the last (SeqCst): the access view leaves out its init.
+UniProgram withUnreadCell(const UniProgram &P) {
+  UniProgram Out(P.numLocs() + 1);
+  Out.Name = P.Name + "+unread";
+  for (unsigned T = 0; T < P.numThreads(); ++T) {
+    unsigned OT = Out.thread();
+    for (const UniInstr &I : P.threadBody(T)) {
+      switch (I.K) {
+      case UniInstr::Kind::Load:
+        Out.load(OT, I.Loc, I.Ord);
+        break;
+      case UniInstr::Kind::Store:
+        Out.store(OT, I.Loc, I.Value, I.Ord);
+        break;
+      case UniInstr::Kind::Rmw:
+        Out.exchange(OT, I.Loc, I.Value);
+        break;
+      }
+    }
+  }
+  Out.store(0, P.numLocs(), 1, Mode::Unordered);
+  Out.store(Out.numThreads() - 1, P.numLocs(), 2, Mode::SeqCst);
+  return Out;
+}
+
+/// The corpus programs, each also with an unread cell.
+std::vector<UniProgram> splitCheckPrograms() {
+  std::vector<UniProgram> Out;
+  for (const DiffCase &C : differentialCorpus()) {
+    Out.push_back(C.Uni);
+    Out.back().Name = C.Name;
+    Out.push_back(withUnreadCell(Out.back()));
+  }
+  return Out;
+}
+
 } // namespace
 
 TEST(Targets, SplitCheckEqualsFullPredicate) {
   // isTargetConsistent stays the full predicate. On every candidate of
-  // the corpus programs, for all six architectures, it must equal the
-  // shared axioms ∧ the final axiom with the
-  // statics built once from the candidate-free base over its access view.
-  const TargetArch Archs[] = {TargetArch::X86,   TargetArch::ArmV8,
-                              TargetArch::ArmV7, TargetArch::Power,
-                              TargetArch::RiscV, TargetArch::ImmLite};
-  uint64_t Candidates = 0, Consistent = 0;
-  for (const DiffCase &C : differentialCorpus())
-    for (TargetArch A : Archs) {
-      CompiledTarget CT = compileUni(C.Uni, A);
+  // the corpus programs, with and without a cell no read touches, for all
+  // six architectures, it must equal the shared axioms ∧ the final axiom
+  // with the statics built once from the candidate-free base over its
+  // access view, which leaves out the init writes of unread cells.
+  uint64_t Candidates = 0, Consistent = 0, UnreadInits = 0;
+  for (const UniProgram &P : splitCheckPrograms())
+    for (TargetArch A : AllArchs) {
+      CompiledTarget CT = compileUni(P, A);
       std::optional<TargetStatics> S;
       ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
                                      const Outcome &O) {
@@ -296,8 +335,12 @@ TEST(Targets, SplitCheckEqualsFullPredicate) {
           std::vector<EventId> IdOf;
           accessView(Base, IdOf);
           S = targetStatics(Base, A, &IdOf);
+          unsigned Accesses = 0;
+          for (const TargetEvent &E : X.Events)
+            Accesses += E.isAccess();
+          UnreadInits += Accesses - IdOf.size();
         }
-        std::string At = C.Name + " " + targetArchName(A) + " " +
+        std::string At = P.Name + " " + targetArchName(A) + " " +
                          O.toString();
         bool Full = isTargetConsistent(X, A);
         EXPECT_EQ(splitCheck(X, *S), Full) << At;
@@ -308,4 +351,41 @@ TEST(Targets, SplitCheckEqualsFullPredicate) {
     }
   EXPECT_GT(Consistent, 0u);
   EXPECT_GT(Candidates, Consistent);
+  EXPECT_GE(UnreadInits, 17u * 6u) << "every +unread program drops an init";
+}
+
+TEST(Targets, WitnessesKeepUnreadInits) {
+  // The walk leaves out the init of a cell no read touches, but the
+  // executions a caller sees are the compiled form's own: every init write
+  // stays first in its coherence order, and each witness satisfies the
+  // full predicate.
+  for (const UniProgram &P : splitCheckPrograms())
+    for (TargetArch A : AllArchs) {
+      CompiledTarget CT = compileUni(P, A);
+      auto Complete = [&](const TargetExecution &X) {
+        for (unsigned L = 0; L < CT.NumLocs; ++L) {
+          size_t Writes = 0;
+          for (const TargetEvent &E : X.Events)
+            Writes += E.isWrite() && E.Loc == L;
+          const std::vector<EventId> &Order = X.CoPerLoc[L];
+          if (Order.size() != Writes || Order.empty() || Order[0] != L ||
+              !X.Events[L].IsInit)
+            return false;
+        }
+        return true;
+      };
+      TargetModel M(A);
+      TargetEnumerationResult R = ExecutionEngine().enumerate(CT, M);
+      for (const auto &[O, X] : R.Allowed) {
+        std::string At = P.Name + " " + targetArchName(A) + " " +
+                         O.toString();
+        EXPECT_TRUE(Complete(X)) << At;
+        EXPECT_TRUE(M.allows(X)) << At;
+      }
+      ExecutionEngine().forEachTargetCandidate(
+          CT, [&](const TargetExecution &X, const Outcome &O) {
+            EXPECT_TRUE(Complete(X)) << P.Name << " " << O.toString();
+            return true;
+          });
+    }
 }
