@@ -67,8 +67,7 @@ int main() {
   // Per-tot form of the equivalence on Fig. 2.
   {
     CandidateExecution CE = fig2Execution();
-    DerivedRelations D =
-        DerivedRelations::compute(CE, SwDefKind::Simplified);
+    DerivedTriple D = CE.derived(SwDefKind::Simplified);
     uint64_t Tots = 0, TotMismatches = 0;
     forEachLinearExtension(
         D.Hb, CE.allEventsMask(), [&](const std::vector<unsigned> &Seq) {

@@ -24,36 +24,27 @@ Relation CandidateExecution::readsFrom() const {
   return Rf;
 }
 
+bool jsmm::synchronizes(const Event &W, const Event &R, SwDefKind Def,
+                        bool ReadsOnlyInit) {
+  // <W,R> in sw iff R is SeqCst and (W is SeqCst on the same range, or,
+  // under the specification, R reads only from Init events).
+  if (R.Ord != Mode::SeqCst)
+    return false;
+  return (W.Ord == Mode::SeqCst && sameWriteReadRange(W, R)) ||
+         (Def == SwDefKind::SpecWithInitCase && ReadsOnlyInit);
+}
+
 Relation CandidateExecution::synchronizesWith(SwDefKind Def,
                                               const Relation &Rf) const {
   Relation Sw = Asw;
   Rf.forEachPair([&](unsigned W, unsigned R) {
-    const Event &Ew = Events[W];
-    const Event &Er = Events[R];
-    if (Er.Ord != Mode::SeqCst)
+    if (Events[R].Ord != Mode::SeqCst)
       return;
-    switch (Def) {
-    case SwDefKind::SpecWithInitCase: {
-      // <Ew,Er> in sw iff (same-range and Ew is SeqCst), or Er reads only
-      // from Init events.
-      if (sameWriteReadRange(Ew, Er) && Ew.Ord == Mode::SeqCst) {
-        Sw.set(W, R);
-        return;
-      }
-      bool ReadsOnlyInit = true;
-      bits::forEach(Rf.column(R), [&](unsigned C) {
-        if (Events[C].Ord != Mode::Init)
-          ReadsOnlyInit = false;
-      });
-      if (ReadsOnlyInit)
-        Sw.set(W, R);
-      return;
-    }
-    case SwDefKind::Simplified:
-      if (sameWriteReadRange(Ew, Er) && Ew.Ord == Mode::SeqCst)
-        Sw.set(W, R);
-      return;
-    }
+    bool ReadsOnlyInit = bits::forEachWhile(Rf.column(R), [&](unsigned C) {
+      return Events[C].Ord == Mode::Init;
+    });
+    if (synchronizes(Events[W], Events[R], Def, ReadsOnlyInit))
+      Sw.set(W, R);
   });
   return Sw;
 }
@@ -62,25 +53,15 @@ Relation CandidateExecution::happensBefore(SwDefKind Def) const {
   return derived(Def).Hb;
 }
 
-const DerivedTriple &
-CandidateExecution::derived(SwDefKind Def) const {
+DerivedTriple CandidateExecution::derived(SwDefKind Def) const {
   // rf/sw/hb depend on the rbf edges and the sb and asw relations only:
   // event kinds, modes and footprints are fixed at construction, and read
-  // *values* do not enter the derived relations. The cached inputs are
-  // compared exactly — small vectors of words — so a stale triple can
-  // never be returned.
-  DerivedCacheSlot &Slot = DerivedCache[static_cast<unsigned>(Def)];
-  if (!Slot.Valid || Slot.KeyRbf != Rbf || Slot.KeySb != Sb ||
-      Slot.KeyAsw != Asw) {
-    Slot.D.Rf = readsFrom();
-    Slot.D.Sw = synchronizesWith(Def, Slot.D.Rf);
-    Slot.D.Hb = happensBeforeFromSw(Slot.D.Sw);
-    Slot.KeyRbf = Rbf;
-    Slot.KeySb = Sb;
-    Slot.KeyAsw = Asw;
-    Slot.Valid = true;
-  }
-  return Slot.D;
+  // *values* do not enter the derived relations.
+  DerivedTriple D;
+  D.Rf = readsFrom();
+  D.Sw = synchronizesWith(Def, D.Rf);
+  D.Hb = happensBeforeFromSw(D.Sw);
+  return D;
 }
 
 Relation CandidateExecution::happensBeforeFromSw(const Relation &Sw) const {

@@ -59,6 +59,12 @@ enum class SwDefKind : uint8_t {
   Simplified,
 };
 
+/// Whether the rf edge \p W → \p R is a synchronizes-with edge under
+/// \p Def (asw aside). \p ReadsOnlyInit: every writer R reads from is an
+/// Init event (the specification's Init case).
+bool synchronizes(const Event &W, const Event &R, SwDefKind Def,
+                  bool ReadsOnlyInit);
+
 /// The derived relations (rf, sw, hb) of a candidate execution under one
 /// synchronizes-with definition, always computed together because hb is
 /// derived from sw and sw from rf.
@@ -117,15 +123,9 @@ public:
   /// loops).
   Relation happensBeforeFromSw(const Relation &Sw) const;
 
-  /// The memoized derived relations under \p Def. Recomputed only when sb,
-  /// asw or rbf changed since the last call (detected by an exact
-  /// comparison against the cached inputs — no hashing, so no collision
-  /// can ever return stale relations), so the repeated axiom checks the
-  /// engine performs on one justification share a single transitive
-  /// closure. The cache is per-object mutable state: concurrent calls on
-  /// the same object are not safe, so the engine gives every shard its
-  /// own execution.
-  const DerivedTriple &derived(SwDefKind Def) const;
+  /// The derived relations under \p Def, computed from sb, asw and rbf.
+  /// The engine's JavaScript walk keeps them along the walk instead.
+  DerivedTriple derived(SwDefKind Def) const;
 
   /// Checks the well-formedness conditions on candidate executions: sb is a
   /// strict total order per thread over that thread's events; asw has no
@@ -141,18 +141,6 @@ public:
 
   /// \returns a multi-line rendering of events and relations.
   std::string toString() const;
-
-private:
-  struct DerivedCacheSlot {
-    bool Valid = false;
-    // The exact inputs the cached triple was derived from.
-    std::vector<RbfEdge> KeyRbf;
-    Relation KeySb;
-    Relation KeyAsw;
-    DerivedTriple D;
-  };
-  /// One slot per SwDefKind.
-  mutable DerivedCacheSlot DerivedCache[2];
 };
 
 } // namespace jsmm

@@ -27,7 +27,7 @@ bool jsmm::isDataRace(const CandidateExecution &CE, EventId A, EventId B,
 
 std::vector<std::pair<EventId, EventId>>
 jsmm::findDataRaces(const CandidateExecution &CE, ModelSpec Spec) {
-  const Relation &Hb = CE.derived(Spec.Sw).Hb;
+  Relation Hb = CE.happensBefore(Spec.Sw);
   std::vector<std::pair<EventId, EventId>> Races;
   for (EventId A = 0; A < CE.numEvents(); ++A)
     for (EventId B = A + 1; B < CE.numEvents(); ++B)
@@ -37,5 +37,13 @@ jsmm::findDataRaces(const CandidateExecution &CE, ModelSpec Spec) {
 }
 
 bool jsmm::isRaceFree(const CandidateExecution &CE, ModelSpec Spec) {
-  return findDataRaces(CE, Spec).empty();
+  return isRaceFree(CE, CE.happensBefore(Spec.Sw));
+}
+
+bool jsmm::isRaceFree(const CandidateExecution &CE, const Relation &Hb) {
+  for (EventId A = 0; A < CE.numEvents(); ++A)
+    for (EventId B = A + 1; B < CE.numEvents(); ++B)
+      if (isDataRace(CE, A, B, Hb))
+        return false;
+  return true;
 }

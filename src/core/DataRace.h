@@ -31,6 +31,8 @@ findDataRaces(const CandidateExecution &CE, ModelSpec Spec);
 
 /// \returns true if \p CE contains no data race.
 bool isRaceFree(const CandidateExecution &CE, ModelSpec Spec);
+/// The same under \p Hb, \p CE's happens-before.
+bool isRaceFree(const CandidateExecution &CE, const Relation &Hb);
 
 } // namespace jsmm
 

@@ -6,13 +6,6 @@
 
 using namespace jsmm;
 
-DerivedRelations DerivedRelations::compute(const CandidateExecution &CE,
-                                           SwDefKind Def) {
-  DerivedRelations D;
-  static_cast<DerivedTriple &>(D) = CE.derived(Def);
-  return D;
-}
-
 bool jsmm::checkHbConsistency1(const CandidateExecution &CE,
                                const DerivedTriple &D) {
   return CE.Tot.contains(D.Hb);
@@ -29,40 +22,47 @@ bool jsmm::checkHbConsistency2(const CandidateExecution &CE,
   return Ok;
 }
 
+bool jsmm::hbc3Holds(const CandidateExecution &CE, const Relation &Hb,
+                     const RbfEdge &E) {
+  // Look for a "newer" write of byte E.Loc strictly hb-between the writer
+  // and the reader.
+  return bits::forEachWhile(Hb.row(E.Writer), [&](unsigned C) {
+    return !Hb.get(C, E.Reader) || !CE.Events[C].writesByte(E.Loc);
+  });
+}
+
 bool jsmm::checkHbConsistency3(const CandidateExecution &CE,
                                const DerivedTriple &D) {
-  for (const RbfEdge &E : CE.Rbf) {
-    // Look for a "newer" write of byte E.Loc strictly hb-between the writer
-    // and the reader.
-    bool Newer = !bits::forEachWhile(D.Hb.row(E.Writer), [&](unsigned C) {
-      return !D.Hb.get(C, E.Reader) || !CE.Events[C].writesByte(E.Loc);
-    });
-    if (Newer)
+  for (const RbfEdge &E : CE.Rbf)
+    if (!hbc3Holds(CE, D.Hb, E))
       return false;
-  }
   return true;
+}
+
+bool jsmm::tearFreeHolds(const CandidateExecution &CE, const Relation &Rf,
+                         const Event &R, TearRuleKind Rule) {
+  if (!R.isRead() || !R.TearFree)
+    return true;
+  unsigned MatchingWriters = 0;
+  bits::forEach(Rf.column(R.Id), [&](unsigned W) {
+    const Event &Ew = CE.Events[W];
+    if (!Ew.TearFree)
+      return;
+    bool Counts = sameWriteReadRange(Ew, R);
+    if (Rule == TearRuleKind::Strong)
+      Counts = Counts || Ew.Ord == Mode::Init;
+    if (Counts)
+      ++MatchingWriters;
+  });
+  return MatchingWriters <= 1;
 }
 
 bool jsmm::checkTearFreeReads(const CandidateExecution &CE,
                               const DerivedTriple &D,
                               TearRuleKind Rule) {
-  for (const Event &R : CE.Events) {
-    if (!R.isRead() || !R.TearFree)
-      continue;
-    unsigned MatchingWriters = 0;
-    bits::forEach(D.Rf.column(R.Id), [&](unsigned W) {
-      const Event &Ew = CE.Events[W];
-      if (!Ew.TearFree)
-        return;
-      bool Counts = sameWriteReadRange(Ew, R);
-      if (Rule == TearRuleKind::Strong)
-        Counts = Counts || Ew.Ord == Mode::Init;
-      if (Counts)
-        ++MatchingWriters;
-    });
-    if (MatchingWriters > 1)
+  for (const Event &R : CE.Events)
+    if (!tearFreeHolds(CE, D.Rf, R, Rule))
       return false;
-  }
   return true;
 }
 
@@ -164,7 +164,7 @@ bool jsmm::isValid(const CandidateExecution &CE, ModelSpec Spec,
                    std::string *WhyNot) {
   assert(CE.Tot.size() == CE.numEvents() &&
          "isValid requires a tot witness; use isValidForSomeTot otherwise");
-  const DerivedTriple &D = CE.derived(Spec.Sw);
+  DerivedTriple D = CE.derived(Spec.Sw);
   if (!checkTotIndependentAxioms(CE, D, Spec, WhyNot))
     return false;
   if (!checkHbConsistency1(CE, D)) {
@@ -183,7 +183,12 @@ bool jsmm::isValid(const CandidateExecution &CE, ModelSpec Spec,
 bool jsmm::isValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec,
                              Relation *TotOut,
                              const TotSolver &Solver) {
-  const DerivedTriple &D = CE.derived(Spec.Sw);
+  return isValidForSomeTot(CE, CE.derived(Spec.Sw), Spec, TotOut, Solver);
+}
+
+bool jsmm::isValidForSomeTot(const CandidateExecution &CE,
+                             const DerivedTriple &D, ModelSpec Spec,
+                             Relation *TotOut, const TotSolver &Solver) {
   if (!checkTotIndependentAxioms(CE, D, Spec))
     return false;
   // HBC1 forces tot ⊇ hb; if hb is cyclic no tot exists. The derived hb
@@ -208,4 +213,3 @@ bool jsmm::isInvalidForAllTot(const CandidateExecution &CE, ModelSpec Spec) {
   return isInvalidForAllTot(CE, Spec, defaultTotSolver());
 }
 
-// Explicit instantiation for both capacity tiers.

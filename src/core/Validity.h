@@ -73,15 +73,6 @@ struct ModelSpec {
   }
 };
 
-/// Derived relations of a candidate execution under a given sw definition,
-/// computed once and shared by the axiom checks. A value type for callers
-/// that want their own copy; hot paths use CandidateExecution::derived(),
-/// which memoizes the triple on the execution itself.
-struct DerivedRelations : DerivedTriple {
-  static DerivedRelations compute(const CandidateExecution &CE,
-                                  SwDefKind Def);
-};
-
 /// Happens-Before Consistency (1): hb ⊆ tot.
 bool checkHbConsistency1(const CandidateExecution &CE, const DerivedTriple &D);
 /// Happens-Before Consistency (2): no read happens-before a write it reads
@@ -90,9 +81,16 @@ bool checkHbConsistency2(const CandidateExecution &CE, const DerivedTriple &D);
 /// Happens-Before Consistency (3): no read reads a byte from a write when a
 /// hb-newer write of that byte is hb-before the read.
 bool checkHbConsistency3(const CandidateExecution &CE, const DerivedTriple &D);
+/// HBC3 for the one rbf edge \p E under \p Hb.
+bool hbc3Holds(const CandidateExecution &CE, const Relation &Hb,
+               const RbfEdge &E);
 /// Tear-Free Reads, weak (Fig. 4) or strong (§6.4).
 bool checkTearFreeReads(const CandidateExecution &CE,
                         const DerivedTriple &D, TearRuleKind Rule);
+/// Tear-Free Reads for the one event \p R (vacuous unless a tear-free
+/// read), given its rf column in \p Rf.
+bool tearFreeHolds(const CandidateExecution &CE, const Relation &Rf,
+                   const Event &R, TearRuleKind Rule);
 /// The Sequentially Consistent Atomics rule, in the requested variant,
 /// against the given tot.
 bool checkScAtomics(const CandidateExecution &CE,
@@ -126,6 +124,12 @@ bool isValidForSomeTot(const CandidateExecution &CE,
                        const TotSolver &Solver);
 bool isValidForSomeTot(const CandidateExecution &CE, ModelSpec Spec,
                        Relation *TotOut = nullptr);
+/// The same decision on derived relations the caller already holds: \p D
+/// must equal CE.derived(Spec.Sw) (the engine's JavaScript walk keeps it
+/// along the walk).
+bool isValidForSomeTot(const CandidateExecution &CE, const DerivedTriple &D,
+                       ModelSpec Spec, Relation *TotOut,
+                       const TotSolver &Solver);
 
 /// Decides whether \p CE is invalid under \p Spec for *every* choice of
 /// tot — the exact semantic counterpart of Wickerson-style deadness (§5.2).

@@ -18,6 +18,7 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -189,10 +190,12 @@ bool count(EngineStats *St, Counter C) {
 /// firstUnit/endUnit and eligible (static, shared with firstWriters);
 /// skip, whether to skip a writer (Pos indexes the static and sleep
 /// masks); take/drop, which record and undo a choice; valueAllowed, the
-/// path constraints of a complete read; refuted, the monotone admission
-/// cut after a complete read; and leaf, which returns false to stop the
-/// walk. skip and refuted count what they skip and cut into the
-/// EngineStats they are given (null: nothing counts).
+/// path constraints of a complete read; optionally complete/retract, which
+/// record what a complete read adds to state the policy keeps along the
+/// walk and undo it on backtrack; refuted, the monotone admission cut
+/// after a complete read; and leaf, which returns false to stop the walk.
+/// skip and refuted count what they skip and cut into the EngineStats
+/// they are given (null: nothing counts).
 /// \p FirstWriterOnly >= 0 restricts the first unit of the first read to
 /// its K-th eligible writer (the sharded driver's work items).
 template <typename PolicyT> class Justifier {
@@ -223,9 +226,13 @@ private:
     if (Unit == PolicyT::endUnit(R)) {
       if (!P.valueAllowed(B, R))
         return true;
-      if (P.refuted(B, ReadIdx, St))
-        return true;
-      return justifyRead(ReadIdx + 1);
+      constexpr bool Keeps = requires { P.complete(B, ReadIdx); };
+      if constexpr (Keeps)
+        P.complete(B, ReadIdx);
+      bool Continue = P.refuted(B, ReadIdx, St) || justifyRead(ReadIdx + 1);
+      if constexpr (Keeps)
+        P.retract(B, ReadIdx);
+      return Continue;
     }
     unsigned WriterPos = 0;
     for (const EventT &W : Events) {
@@ -324,22 +331,20 @@ template <typename ResultT, typename ModelT, typename ExecT>
 void accumulate(ResultT &Into, const ModelT &M, const ExecT &X,
                 const Outcome &O) {
   ++Into.CandidatesConsidered;
-  if (Into.Allowed.count(O))
+  if (Into.Allowed.count(O) || !M.allows(X))
     return;
-  if constexpr (std::is_same_v<ModelT, JsModel>) {
-    decltype(X.Tot) Tot;
-    if (!M.allows(X, &Tot))
-      return;
-    ExecT Witness = X;
-    Witness.Tot = Tot;
-    Into.Allowed.emplace(O, std::move(Witness));
-  } else {
-    if (!M.allows(X))
-      return;
-    Into.Allowed.emplace(O, X);
-  }
+  Into.Allowed.emplace(O, X);
   ++validCount(Into);
 }
+
+/// The witness-free result of the JavaScript outcome door: the allowed
+/// outcomes and the two counters summarize() keeps of an
+/// EnumerationResult, gathered with no tot witness and no execution copy.
+struct OutcomeTally {
+  std::set<Outcome> Allowed;
+  uint64_t CandidatesConsidered = 0;
+  uint64_t ValidCandidates = 0;
+};
 
 /// Merges one work item's result into \p Into (items in order, so the
 /// first witness of an outcome wins).
@@ -348,6 +353,12 @@ template <typename ResultT> void mergeItem(ResultT &Into, ResultT &Item) {
   validCount(Into) += validCount(Item);
   for (auto &[O, Witness] : Item.Allowed)
     Into.Allowed.emplace(O, std::move(Witness));
+}
+
+void mergeItem(OutcomeTally &Into, OutcomeTally &Item) {
+  Into.CandidatesConsidered += Item.CandidatesConsidered;
+  Into.ValidCandidates += Item.ValidCandidates;
+  Into.Allowed.merge(Item.Allowed);
 }
 
 /// Visits every candidate of \p Core in order, one base at a time.
@@ -374,11 +385,11 @@ bool walkCore(const CoreT &Core, EngineStats *St,
 /// first read has at most one writer is a single item. Under reduction,
 /// slept first-writer items simply produce nothing: the rf sleep-set keys
 /// are fixed per base, so sharding cannot change what is explored.
-template <typename CoreT, typename ModelT>
-typename CoreT::ResultT enumerateCore(const CoreT &Core, const ModelT &M,
-                                      unsigned Threads, EngineStats &Stats) {
+template <typename CoreT, typename ModelT,
+          typename ResultT = typename CoreT::ResultT>
+ResultT enumerateCore(const CoreT &Core, const ModelT &M, unsigned Threads,
+                      EngineStats &Stats) {
   using BaseT = typename CoreT::BaseT;
-  using ResultT = typename CoreT::ResultT;
   if (Threads <= 1) {
     ResultT Result;
     Stats.WorkItems = Core.Combos;
@@ -440,6 +451,14 @@ template <typename ResultT> OutcomeSummary summarize(ResultT R) {
   return S;
 }
 
+OutcomeSummary summarize(const OutcomeTally &R) {
+  OutcomeSummary S;
+  S.CandidatesConsidered = R.CandidatesConsidered;
+  S.ValidCandidates = R.ValidCandidates;
+  S.Allowed.assign(R.Allowed.begin(), R.Allowed.end());
+  return S;
+}
+
 //===----------------------------------------------------------------------===//
 // Value-aware static pruning (EngineConfig::StaticFastPath)
 //===----------------------------------------------------------------------===//
@@ -485,6 +504,18 @@ struct JsBase {
   /// The rf sleep-set keys' explore mask, in the same shape; empty unless
   /// reducing on a base the keys apply to (see buildRfKeys).
   StaticAllowMask RfKeys;
+  /// rf, sw and hb of the reads completed so far, under the judging
+  /// model's sw definition: CE.derived(Def) of the current prefix. Before
+  /// any read completes, rf is empty, sw is asw and hb is hb₀ = (sb ∪ asw
+  /// ∪ init overlap)⁺. Empty when no model judges the walk.
+  DerivedTriple D;
+  /// What JsCore::complete added, for retract: the new sw edges, and the
+  /// hb rows it changed with their old contents.
+  std::vector<std::pair<EventId, EventId>> SwAdded;
+  std::vector<std::pair<EventId, BitSet>> HbRows;
+  /// Per read index, the sizes of SwAdded and HbRows before the read
+  /// completed.
+  std::vector<std::pair<size_t, size_t>> Marks;
 };
 
 JsBase buildJsBase(const Program &P, std::vector<const ThreadPath *> Chosen) {
@@ -650,7 +681,7 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
 /// input the model's verdict can depend on is equal. The derived hb is
 /// static — equal for every rbf choice — iff sw is forced empty, i.e.
 /// there is no SeqCst event at all (sw requires a SeqCst reader; RMWs are
-/// SeqCst by construction) and asw is empty.
+/// SeqCst by construction) and asw is empty; it is then the base's hb₀.
 /// Under that precondition every SC rule is vacuous (each needs an sw
 /// pair or a SeqCst intervening event) and the solver's tot problem
 /// carries no constraints, so a candidate's verdict is a function of,
@@ -665,7 +696,7 @@ StaticAllowMask buildRfKeys(const ModelSpec &Red, const JsBase &B) {
       std::any_of(CE.Events.begin(), CE.Events.end(),
                   [](const Event &E) { return E.Ord == Mode::SeqCst; }))
     return {};
-  Relation Hb = CE.happensBefore(Red.Sw); // rbf is empty: static hb
+  const Relation &Hb = B.D.Hb; // no read has completed: hb₀
 
   StaticAllowMask Explore(B.Reads.size());
   for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
@@ -718,29 +749,39 @@ StaticAllowMask buildRfKeys(const ModelSpec &Red, const JsBase &B) {
 /// The JavaScript core of the enumeration driver: one base per path
 /// combination, minus (and counting) the statically infeasible ones under
 /// a value analysis. As the policy of the reads-from walk it skips
-/// writers by the static may-rf mask, then by the rf sleep-set keys; a
-/// complete read checks its path's register constraints, then, on every
-/// read but the last, the model's tot-independent admission (when
-/// pruning); the leaf emits the outcome.
+/// writers by the static may-rf mask, then by the rf sleep-set keys. With
+/// a model M it keeps the derived relations along the walk (JsBase::D):
+/// a complete read checks its path's register constraints, then adds its
+/// rf and sw edges, closing each new sw edge into hb in place, and, on
+/// every read but the last, meets the model's tot-independent admission
+/// (when pruning); retract undoes the read's additions. The leaf emits the
+/// outcome with the base, whose D is the leaf's derived triple.
 struct JsCore : JsLanguage {
   using BaseT = JsBase;
   using ResultT = EnumerationResult;
-  using VisitFn =
-      std::function<bool(const CandidateExecution &, const Outcome &)>;
+  using VisitFn = std::function<bool(JsBase &, const Outcome &)>;
 
   const Program &P;
-  const JsModel *Prune;
+  /// The model judging the leaves; null for the unjudged candidate walk,
+  /// which keeps no derived relations.
+  const JsModel *M;
+  bool Prune;
   /// The spec the rf sleep-set keys read; null unless reducing.
   const ModelSpec *Red;
   const analysis::StaticValues *SV;
   PathSpace<ThreadPath> Space;
   size_t Combos;
+  /// Called at every admitted prefix (see forEachAdmittedCandidate).
+  const std::function<void(const CandidateExecution &,
+                           const DerivedTriple &)> *OnPrefix = nullptr;
 
-  JsCore(const Program &P, const JsModel *Prune,
+  JsCore(const Program &P, const JsModel *M, bool Prune,
          const ModelSpec *Red = nullptr,
          const analysis::StaticValues *SV = nullptr)
-      : P(P), Prune(Prune), Red(Red), SV(SV), Space(P, enumeratePaths),
-        Combos(Space.Combos) {}
+      : P(P), M(M), Prune(M && Prune), Red(Red), SV(SV),
+        Space(P, enumeratePaths), Combos(Space.Combos) {
+    assert((!Red || M) && "the rf sleep-set keys read the base's hb₀");
+  }
 
   template <typename FnT> bool forEachBase(EngineStats *St, FnT &&Fn) const {
     std::vector<std::vector<uint8_t>> Feasible;
@@ -756,6 +797,12 @@ struct JsCore : JsLanguage {
         continue;
       }
       BaseT B = buildJsBase(P, Space.chosen(Idx));
+      if (M) {
+        const CandidateExecution &CE = B.CE;
+        B.D = {Relation(CE.numEvents()), CE.Asw,
+               CE.happensBeforeFromSw(CE.Asw)};
+        B.Marks.resize(B.Reads.size());
+      }
       if (SV)
         B.Allow = buildJsStaticAllow(*SV, B);
       if (Red)
@@ -786,19 +833,120 @@ struct JsCore : JsLanguage {
     return constraintsAllow(*B.Paths[R.Thread], B.RegOfEvent.at(R.Id),
                             valueOfBytes(R.ReadBytes));
   }
+
+  /// The rbf edges of read \p ReadIdx, which the walk pushed last.
+  static std::span<const RbfEdge> rbfOf(const JsBase &B, size_t ReadIdx) {
+    const Event &R = B.CE.Events[B.Reads[ReadIdx]];
+    size_t Width = R.readEnd() - R.readBegin();
+    return {B.CE.Rbf.data() + B.CE.Rbf.size() - Width, Width};
+  }
+  /// Adds read \p ReadIdx's rf edges and its sw edges under the model's sw
+  /// definition. The Init special case needs the read's whole rf column,
+  /// which is final now.
+  void complete(JsBase &B, size_t ReadIdx) const {
+    if (!M)
+      return;
+    const std::vector<Event> &Ev = B.CE.Events;
+    const Event &R = Ev[B.Reads[ReadIdx]];
+    B.Marks[ReadIdx] = {B.SwAdded.size(), B.HbRows.size()};
+    bool OnlyInit = true;
+    for (const RbfEdge &E : rbfOf(B, ReadIdx)) {
+      B.D.Rf.set(E.Writer, R.Id);
+      OnlyInit = OnlyInit && Ev[E.Writer].Ord == Mode::Init;
+    }
+    if (R.Ord != Mode::SeqCst)
+      return;
+    for (const RbfEdge &E : rbfOf(B, ReadIdx))
+      if (synchronizes(Ev[E.Writer], R, M->spec().Sw, OnlyInit))
+        addSw(B, E.Writer, R.Id);
+  }
+  /// Adds the sw edge \p W → \p R and closes it into hb in place. The
+  /// edge may be there already: a writer comes once per byte it gives R,
+  /// and asw may hold it.
+  static void addSw(JsBase &B, EventId W, EventId R) {
+    if (B.D.Sw.get(W, R))
+      return;
+    B.D.Sw.set(W, R);
+    B.SwAdded.push_back({W, R});
+    B.D.Hb.addClosedEdge(W, R, [&](unsigned E, const BitSet &Row) {
+      B.HbRows.push_back({E, Row});
+    });
+  }
+  /// Undoes complete(B, ReadIdx).
+  void retract(JsBase &B, size_t ReadIdx) const {
+    if (!M)
+      return;
+    auto [SwMark, HbMark] = B.Marks[ReadIdx];
+    for (; B.HbRows.size() > HbMark; B.HbRows.pop_back())
+      B.D.Hb.assignRow(B.HbRows.back().first, B.HbRows.back().second);
+    for (; B.SwAdded.size() > SwMark; B.SwAdded.pop_back())
+      B.D.Sw.clear(B.SwAdded.back().first, B.SwAdded.back().second);
+    for (const RbfEdge &E : rbfOf(B, ReadIdx))
+      B.D.Rf.clear(E.Writer, E.Reader);
+  }
+  /// The monotone admission after read \p ReadIdx completes: no completion
+  /// can be valid once HBC2, HBC3 or Tear-Free Reads fails on the prefix,
+  /// or hb is cyclic (HBC1 requires tot ⊇ hb), because rf, sw and hb only
+  /// grow as later reads complete. Every earlier read passed it under the
+  /// hb of its time, and a read's rf column is final once complete, so
+  /// unless this read grew hb only its own edges can fail.
   bool refuted(const JsBase &B, size_t ReadIdx, EngineStats *St) const {
-    return Prune && ReadIdx + 1 < B.Reads.size() &&
-           !Prune->admitsPartial(B.CE) &&
-           count(St, &EngineStats::PrunedSubtrees);
+    if (Prune && ReadIdx + 1 < B.Reads.size() && !admits(B, ReadIdx))
+      return count(St, &EngineStats::PrunedSubtrees);
+    if (OnPrefix)
+      (*OnPrefix)(B.CE, B.D);
+    return false;
+  }
+  bool admits(const JsBase &B, size_t ReadIdx) const {
+    const CandidateExecution &CE = B.CE;
+    const Relation &Hb = B.D.Hb;
+    if (!tearFreeHolds(CE, B.D.Rf, CE.Events[B.Reads[ReadIdx]],
+                       M->spec().Tear))
+      return false;
+    bool Grew = B.HbRows.size() > B.Marks[ReadIdx].second;
+    if (Grew && !Hb.isIrreflexive())
+      return false;
+    std::span<const RbfEdge> Edges =
+        Grew ? std::span<const RbfEdge>(CE.Rbf) : rbfOf(B, ReadIdx);
+    for (const RbfEdge &E : Edges)
+      if (Hb.get(E.Reader, E.Writer) || !hbc3Holds(CE, Hb, E))
+        return false;
+    return true;
   }
   bool leaf(JsBase &B, const VisitFn &Visit) const {
     Outcome O;
     for (const auto &[Id, Reg] : B.RegOfEvent)
       O.add(B.CE.Events[Id].Thread, Reg,
             valueOfBytes(B.CE.Events[Id].ReadBytes));
-    return Visit(B.CE, O);
+    return Visit(B, O);
   }
 };
+
+/// Counts the JavaScript leaf \p B into \p Into and keeps it, with its tot
+/// witness, as its outcome's witness when \p M admits it on the walk's
+/// derived relations. Outcomes that already have a witness skip the
+/// model check.
+void accumulate(EnumerationResult &Into, const JsModel &M, const JsBase &B,
+                const Outcome &O) {
+  ++Into.CandidatesConsidered;
+  if (Into.Allowed.count(O))
+    return;
+  Relation Tot;
+  if (!M.allows(B.CE, B.D, &Tot))
+    return;
+  Into.Allowed.emplace(O, B.CE).first->second.Tot = std::move(Tot);
+  ++Into.ValidCandidates;
+}
+
+/// The same for the outcome door: no tot witness, no execution copy.
+void accumulate(OutcomeTally &Into, const JsModel &M, const JsBase &B,
+                const Outcome &O) {
+  ++Into.CandidatesConsidered;
+  if (Into.Allowed.count(O) || !M.allows(B.CE, B.D))
+    return;
+  Into.Allowed.insert(O);
+  ++Into.ValidCandidates;
+}
 
 /// The wait/notify policy of the reads-from walk (forEachJustification),
 /// over one execution: no writer skips and no admission cut; a complete
@@ -1500,11 +1648,7 @@ bool uniAllows(TargetBase &B) {
       B.Hb = U.Hb0;
       Hb = &B.Hb;
     }
-    BitSet After = B.Hb.row(R);
-    bits::set(After, R);
-    BitSet Before = B.Hb.column(W);
-    bits::set(Before, W);
-    bits::forEach(Before, [&](unsigned E) { B.Hb.uniteRow(E, After); });
+    B.Hb.addClosedEdge(W, R, [](unsigned, const BitSet &) {});
   }
   for (EventId R : B.Reads)
     if (breaksHbc(*Hb, B.WriterOf[R], R, U.WritesAt[Ev[R].Loc]))
@@ -1705,16 +1849,24 @@ bool ExecutionEngine::forEachCandidate(
     const std::function<bool(const CandidateExecution &, const Outcome &)>
         &Visit) const {
   checkCapacity(P);
-  return walkCore(JsCore(P, /*Prune=*/nullptr), nullptr, Visit);
+  return walkCore(JsCore(P, /*M=*/nullptr, /*Prune=*/false), nullptr,
+                  [&](JsBase &B, const Outcome &O) { return Visit(B.CE, O); });
 }
 
 bool ExecutionEngine::forEachAdmittedCandidate(
     const Program &P, const JsModel &M,
-    const std::function<bool(const CandidateExecution &, const Outcome &)>
-        &Visit) const {
+    const std::function<bool(const CandidateExecution &,
+                             const DerivedTriple &, const Outcome &)> &Visit,
+    const std::function<void(const CandidateExecution &,
+                             const DerivedTriple &)> &Prefix) const {
   checkCapacity(P);
   EngineStats Local;
-  bool Completed = walkCore(JsCore(P, Cfg.Prune ? &M : nullptr), &Local, Visit);
+  JsCore Core(P, &M, Cfg.Prune);
+  if (Prefix)
+    Core.OnPrefix = &Prefix;
+  bool Completed = walkCore(Core, &Local, [&](JsBase &B, const Outcome &O) {
+    return Visit(B.CE, B.D, O);
+  });
   Stats = Local;
   return Completed;
 }
@@ -1723,8 +1875,8 @@ EnumerationResult ExecutionEngine::enumerate(const Program &P,
                                              const JsModel &M) const {
   checkCapacity(P);
   EngineStats Local;
-  EnumerationResult R = enumerateCore(JsCore(P, Cfg.Prune ? &M : nullptr), M,
-                                      effectiveThreads(), Local);
+  EnumerationResult R =
+      enumerateCore(JsCore(P, &M, Cfg.Prune), M, effectiveThreads(), Local);
   Stats = Local;
   return R;
 }
@@ -1766,10 +1918,9 @@ ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   // Equivalence-aware enumeration: rf sleep-set keys inside the walk.
   const ModelSpec *RedP = Cfg.Reduction ? &M.spec() : nullptr;
-  const JsModel *Prune = Cfg.Prune ? &M : nullptr;
   EngineStats Local;
-  OutcomeSummary S = summarize(enumerateCore(JsCore(P, Prune, RedP, SV), M,
-                                             effectiveThreads(), Local));
+  OutcomeSummary S = summarize(enumerateCore<JsCore, JsModel, OutcomeTally>(
+      JsCore(P, &M, Cfg.Prune, RedP, SV), M, effectiveThreads(), Local));
   Stats = Local;
   finishOutcomes({&S, 1}, "js", Tier, Kind, SV, Local);
   return S;
@@ -1779,12 +1930,13 @@ ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
   checkCapacity(P);
   EngineStats Local;
   ScDrfReport Report;
-  walkCore(JsCore(P, Cfg.Prune ? &M : nullptr), &Local,
-           [&](const CandidateExecution &CE, const Outcome &O) {
+  walkCore(JsCore(P, &M, Cfg.Prune), &Local,
+           [&](JsBase &B, const Outcome &O) {
              (void)O;
-             if (!M.allows(CE))
+             const CandidateExecution &CE = B.CE;
+             if (!M.allows(CE, B.D))
                return true;
-             if (Report.DataRaceFree && !isRaceFree(CE, M.spec())) {
+             if (Report.DataRaceFree && !isRaceFree(CE, B.D.Hb)) {
                Report.DataRaceFree = false;
                Report.RaceWitness = CE;
              }

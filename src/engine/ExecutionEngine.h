@@ -14,8 +14,9 @@
 ///   - incremental pruning: the model's tot-independent axioms are checked
 ///     on partial candidates the moment each read's justification
 ///     completes, cutting whole subtrees before the expensive
-///     linear-extension search (derived relations are memoized on the
-///     CandidateExecution, so the partial checks share closures). The
+///     linear-extension search. The JavaScript walk keeps rf, sw and hb
+///     along the walk, adding a complete read's edges and undoing them on
+///     backtrack, so no prefix or leaf derives them from scratch. The
 ///     ARMv8 walk checks armRefutedForEveryCo the same way and reads
 ///     each coherence granule from one writer;
 ///   - sharded multi-threaded enumeration: the path × first-justification
@@ -260,8 +261,9 @@ public:
   EnumerationResult enumerate(const Program &P, const JsModel &M) const;
 
   /// Outcome-level enumeration: the allowed outcome set (sorted), without
-  /// witnesses. Without the static tier, identical outcomes and counters
-  /// to enumerate() (it is the same core). Throws CapacityError past
+  /// witnesses: no tot is asked for and no execution copied. Without the
+  /// static tier and reduction, identical outcomes and counters to
+  /// enumerate() (it is the same walk). Throws CapacityError past
   /// Relation::MaxSize events. Under EngineConfig::StaticFastPath the
   /// static tier reads \p SV, which must be analysis::analyzeValues(P);
   /// with \p SV null the door computes that analysis itself. Without
@@ -285,11 +287,19 @@ public:
 
   /// As forEachCandidate, but prunes subtrees \p M cannot admit (every
   /// visited candidate is still complete and well-formed; candidates whose
-  /// prefixes violate tot-independent axioms are skipped).
+  /// prefixes violate tot-independent axioms are skipped). Each visit also
+  /// gets the candidate's rf, sw and hb under \p M's sw definition as the
+  /// walk keeps them (CE.derived(M.spec().Sw)). \p Prefix, when set, is
+  /// called at every admitted prefix, once a read completes and passes the
+  /// admission, with the prefix (its later reads have no rbf edges yet)
+  /// and the walk's relations.
   bool forEachAdmittedCandidate(
       const Program &P, const JsModel &M,
-      const std::function<bool(const CandidateExecution &, const Outcome &)>
-          &Visit) const;
+      const std::function<bool(const CandidateExecution &,
+                               const DerivedTriple &, const Outcome &)>
+          &Visit,
+      const std::function<void(const CandidateExecution &,
+                               const DerivedTriple &)> &Prefix = {}) const;
 
   // --- ARMv8 frontend ----------------------------------------------------
 

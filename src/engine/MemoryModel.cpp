@@ -9,25 +9,18 @@
 
 using namespace jsmm;
 
-bool JsModel::admitsPartial(const CandidateExecution &CE) const {
-  const DerivedTriple &D = CE.derived(Spec.Sw);
-  // checkTearFreeReads and the hb-consistency checks see only the rf edges
-  // of reads justified so far; unjustified reads have empty rf columns and
-  // cannot fail them yet.
-  if (!checkTotIndependentAxioms(CE, D, Spec))
-    return false;
-  // HBC1 forces tot ⊇ hb, and hb only grows: a cyclic prefix is dead.
-  // (The derived hb is transitively closed: irreflexivity is acyclicity.)
-  return D.Hb.isIrreflexive();
-}
-
 bool JsModel::allows(const CandidateExecution &CE, Relation *TotOut) const {
   return isValidForSomeTot(CE, Spec, TotOut, totSolver(Solver));
 }
 
+bool JsModel::allows(const CandidateExecution &CE, const DerivedTriple &D,
+                     Relation *TotOut) const {
+  return isValidForSomeTot(CE, D, Spec, TotOut, totSolver(Solver));
+}
+
 bool JsModel::refutableForSomeTot(const CandidateExecution &CE,
                                   Relation *TotOut) const {
-  const DerivedTriple &D = CE.derived(Spec.Sw);
+  DerivedTriple D = CE.derived(Spec.Sw);
   if (!D.Hb.isIrreflexive())
     return false; // no well-formed tot exists at all (hb is closed)
   if (!checkTotIndependentAxioms(CE, D, Spec)) {

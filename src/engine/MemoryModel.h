@@ -6,11 +6,10 @@
 /// justifications × orders — and delegates every model question to the
 /// model its door takes:
 ///
-///   - JsModel wraps a core/Validity ModelSpec: tot-independent axioms are
-///     exposed as a *monotone* partial-candidate admission check (a
-///     violation on a justified prefix survives any extension, so the
-///     engine may prune the whole subtree), and full validity as the
-///     exists-a-tot decision over linear extensions of hb;
+///   - JsModel wraps a core/Validity ModelSpec: full validity is the
+///     exists-a-tot decision over linear extensions of hb (the engine's
+///     JavaScript walk checks the tot-independent axioms itself, on the
+///     derived relations it keeps along the walk);
 ///   - Armv8Model wraps the mixed-size ARMv8 axiomatic model of
 ///     armv8/ArmModel, both for complete executions (co chosen) and as the
 ///     exists-a-coherence decision the skeleton search needs.
@@ -45,18 +44,13 @@ public:
   /// Human-readable model name (for tables, JSON and CLI echo).
   const char *name() const { return Spec.Name; }
 
-  /// Monotone admission of a *partially justified* candidate: every read
-  /// that is justified at all is justified completely. \returns false when
-  /// no completion of \p CE can be valid — the tot-independent axioms
-  /// (HBC2, HBC3, Tear-Free Reads) fail on the prefix, or the prefix hb is
-  /// already cyclic (HBC1 requires tot ⊇ hb). Sound because rf, sw and hb
-  /// only grow as later reads are justified and a completed read's rf
-  /// edges are final.
-  bool admitsPartial(const CandidateExecution &CE) const;
-
   /// Full validity: some strict total order makes \p CE valid. Fills
   /// \p TotOut with the witness when non-null.
   bool allows(const CandidateExecution &CE, Relation *TotOut = nullptr) const;
+  /// The same on derived relations the caller holds: \p D must equal
+  /// CE.derived(spec().Sw).
+  bool allows(const CandidateExecution &CE, const DerivedTriple &D,
+              Relation *TotOut = nullptr) const;
 
   /// The dual the counter-example search needs: some tot makes \p CE
   /// *invalid*. Fills \p TotOut with the refuting order when non-null.

@@ -34,13 +34,13 @@ bool jsmm::isSyntacticallyDeadCounterExample(const CandidateExecution &CE,
   assert(CE.hasTot() && "syntactic deadness inspects a concrete tot");
   if (isValid(CE, Spec))
     return false;
-  return criticalEdgesAreHbForced(CE, CE.Tot, CE.derived(Spec.Sw).Hb);
+  return criticalEdgesAreHbForced(CE, CE.Tot, CE.happensBefore(Spec.Sw));
 }
 
 bool jsmm::existsSyntacticallyDeadTot(const CandidateExecution &CE,
                                       ModelSpec Spec, Relation *TotOut,
                                       const TotSolver &Solver) {
-  const DerivedTriple &D = CE.derived(Spec.Sw);
+  DerivedTriple D = CE.derived(Spec.Sw);
   // Invalidity through a tot-independent axiom is dead by definition.
   // (The derived hb is transitively closed: irreflexivity is acyclicity.)
   if (!checkTotIndependentAxioms(CE, D, Spec)) {

@@ -129,6 +129,26 @@ private:
 bool PropagationSolver::existsExtension(const TotProblem &P,
                                         Relation *TotOut) const {
   SolverQueryScope Scope(SolverKind::Propagate);
+  if (P.Forbidden.empty()) {
+    // Every linear extension of Must is a witness, so the question is
+    // whether Must is acyclic on Universe, and no closure is needed. The
+    // lex-smallest extension of Must is that of its closure (a set placed
+    // smallest-ready-first is a down-set of both), so the witness is the
+    // one the search below returns.
+    if (!TotOut) {
+      if (bits::count(P.Universe) == P.N)
+        return P.Must.isAcyclic();
+      return P.Must.restricted(P.Universe, P.Universe).isAcyclic();
+    }
+    // Kahn's order skips reflexive pairs, so a self-loop is tested apart.
+    std::vector<unsigned> Order = lexSmallestExtension(P.Must, P.Universe);
+    if (Order.size() != bits::count(P.Universe) ||
+        !bits::forEachWhile(P.Universe,
+                            [&](unsigned A) { return !P.Must.get(A, A); }))
+      return false;
+    *TotOut = totalOrderOver(Order, P.N);
+    return true;
+  }
   Search S(P, Scope.activity());
   return S.run(TotOut);
 }

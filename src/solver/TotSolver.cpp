@@ -122,8 +122,6 @@ jsmm::lexSmallestExtension(const Relation &Must, const BitSet &Universe) {
         bits::set(Ready, B);
     });
   }
-  assert(Order.size() == bits::count(Universe) &&
-         "lexSmallestExtension on a cyclic must-order");
   return Order;
 }
 

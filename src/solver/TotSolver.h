@@ -224,8 +224,10 @@ private:
 
 /// \returns the lexicographically smallest linear extension of \p Must
 /// restricted to \p Universe (smallest-index-first tie-break) — the stable
-/// witness order shared by both solvers. \p Must restricted to Universe
-/// must be acyclic.
+/// witness order shared by both solvers. Reflexive pairs are ignored.
+/// When \p Must restricted to Universe has a cycle of two or more
+/// elements, the elements on or after a cycle are left out, so the order
+/// is shorter than Universe exactly then.
 std::vector<unsigned> lexSmallestExtension(const Relation &Must,
                                            const BitSet &Universe);
 

@@ -235,6 +235,26 @@ public:
     return Closure;
   }
 
+  /// Adds <A,B> to this transitively closed relation and closes it again
+  /// in place: A and everything before it now precede B and everything
+  /// after it. That is the exact closure even when the edge closes a
+  /// cycle. \p Changing(E, Row) is called before row E gains elements,
+  /// with its old contents.
+  template <typename FnT>
+  void addClosedEdge(unsigned A, unsigned B, FnT Changing) {
+    BitSet After = row(B);
+    bits::set(After, B);
+    BitSet Before = column(A);
+    bits::set(Before, A);
+    bits::forEach(Before, [&](unsigned E) {
+      BitSet Row = row(E);
+      if (!bits::any(After & ~Row))
+        return;
+      Changing(E, Row);
+      uniteRow(E, After);
+    });
+  }
+
   /// \returns true if no element is related to itself.
   bool isIrreflexive() const {
     for (unsigned A = 0; A < N; ++A)

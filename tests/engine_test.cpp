@@ -125,8 +125,8 @@ TEST(Engine, ModelNamesAreWired) {
   EXPECT_STREQ(Armv8Model().name(), "armv8");
 }
 
-TEST(Engine, DerivedRelationCacheIsCoherent) {
-  // Mutating rbf must invalidate the memoized triple (fingerprint check).
+TEST(Engine, DerivedRelationsFollowRbf) {
+  // The derived triple is a function of rbf (with sb and asw).
   CandidateExecution CE = fig2Execution();
   Relation Hb1 = CE.derived(SwDefKind::Simplified).Hb;
   EXPECT_EQ(Hb1, CE.derived(SwDefKind::Simplified).Hb); // stable when unchanged

@@ -14,6 +14,7 @@
 
 #include "engine/ExecutionEngine.h"
 #include "search/SkeletonSearch.h"
+#include "solver/ClosedOrder.h"
 #include "solver/ScConstraints.h"
 #include "support/LinearExtensions.h"
 #include "service/LitmusService.h"
@@ -485,4 +486,104 @@ TEST(Solver, ShiftedProblemAgreesAcrossRowWidths) {
           << "round " << Round << " solver " << solverKindName(K);
     }
   }
+}
+
+namespace {
+
+/// The pre-shortcut answer to a problem without constraints: the closed
+/// must-order of the propagation search and its lex-smallest extension.
+bool closedOrderAnswer(const TotProblem &P, Relation &Tot) {
+  ClosedOrder Order;
+  if (!Order.init(P.Must, P.Universe))
+    return false;
+  Tot = totalOrderOver(lexSmallestExtension(Order.toRelation(), P.Universe),
+                       P.N);
+  return true;
+}
+
+} // namespace
+
+TEST(Solver, UnconstrainedShortcutMatchesClosedOrderAndBrute) {
+  // Must drawn as a shuffled sparse DAG, its closure, the DAG with a back
+  // edge (a cycle), with a self-loop, and with a cycle kept outside a
+  // subset universe; over the full universe and a random subset.
+  std::mt19937 Rng(0x5407);
+  auto Rand = [&](unsigned N) {
+    return std::uniform_int_distribution<unsigned>(0, N - 1)(Rng);
+  };
+  unsigned Checked = 0, Cyclic = 0;
+  for (unsigned N : {1u, 2u, 3u, 5u, 7u, 40u, 64u, 65u, 130u})
+    for (unsigned Trial = 0; Trial < 6; ++Trial) {
+      std::vector<unsigned> Perm(N);
+      for (unsigned I = 0; I < N; ++I)
+        Perm[I] = I;
+      std::shuffle(Perm.begin(), Perm.end(), Rng);
+      Relation Dag(N);
+      for (unsigned I = 0; I + 1 < N; ++I)
+        for (unsigned K = 0; K < 2; ++K) {
+          unsigned J = I + 1 + Rand(N - I - 1);
+          Dag.set(Perm[I], Perm[J]);
+        }
+      BitSet Subset = Relation::emptySet(N);
+      for (unsigned E = 0; E < N; ++E)
+        if (Rand(3))
+          bits::set(Subset, E);
+      std::vector<Relation> Musts = {Dag, Dag.transitiveClosure()};
+      if (N >= 2) {
+        // A back edge from the end of a Dag path to its start: a cycle
+        // in a Must that is not closed.
+        Relation Back = Dag;
+        unsigned End = Perm[0];
+        for (unsigned Step = 0; Step < 3 && bits::any(Dag.row(End)); ++Step)
+          bits::forEachWhile(Dag.row(End), [&](unsigned E) {
+            End = E;
+            return false;
+          });
+        Back.set(End, Perm[0]);
+        Musts.push_back(Back);
+      }
+      Relation Loop = Dag;
+      Loop.set(Perm[0], Perm[0]);
+      Musts.push_back(Loop);
+      for (const Relation &Must : Musts)
+        for (const BitSet &Universe : {Relation::fullSet(N), Subset}) {
+          TotProblem P;
+          P.N = N;
+          P.Universe = Universe;
+          P.Must = Must;
+          SCOPED_TRACE("n=" + std::to_string(N) + " trial " +
+                       std::to_string(Trial) + " pairs " +
+                       std::to_string(Must.count()));
+          Relation Ref;
+          bool Exists = closedOrderAnswer(P, Ref);
+          Cyclic += !Exists;
+
+          SolverActivitySink Sink;
+          SolverActivitySink *Saved = setCurrentSolverActivitySink(&Sink);
+          Relation Tot;
+          bool Fast = totSolver(SolverKind::Propagate).existsExtension(P, &Tot);
+          bool Bare = totSolver(SolverKind::Propagate).existsExtension(P);
+          setCurrentSolverActivitySink(Saved);
+          EXPECT_EQ(Sink.snapshot().Queries, 2u) << "each call is a query";
+          EXPECT_EQ(Fast, Exists);
+          EXPECT_EQ(Bare, Exists);
+          if (Fast && Exists) {
+            EXPECT_EQ(Tot, Ref);
+          }
+
+          // The brute oracle's walk is exponential on a cyclic must-order.
+          if (N > 7 && !Exists)
+            continue;
+          Relation BruteTot;
+          bool Brute =
+              totSolver(SolverKind::Brute).existsExtension(P, &BruteTot);
+          EXPECT_EQ(Brute, Exists);
+          if (Brute && Exists) {
+            EXPECT_EQ(BruteTot, Ref);
+          }
+          ++Checked;
+        }
+    }
+  EXPECT_GT(Cyclic, 20u);
+  EXPECT_GT(Checked, 300u);
 }

@@ -424,9 +424,11 @@ TEST(StaticValues, JsSweepMayRfCoversEveryValidCandidate) {
         for (unsigned T = 0; T < P.numThreads(); ++T)
           Paths.push_back(enumeratePaths(P.threadBody(T)));
         E.forEachAdmittedCandidate(
-            P, M, [&](const CandidateExecution &CE, const Outcome &O) {
+            P, M,
+            [&](const CandidateExecution &CE, const DerivedTriple &D,
+                const Outcome &O) {
               (void)O;
-              if (!M.allows(CE))
+              if (!M.allows(CE, D))
                 return true;
               ++Out.Valid;
               if (!someComboCovers(SV, Paths, CE))

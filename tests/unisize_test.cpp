@@ -136,7 +136,7 @@ TEST(Reduction, ValidityEquivalencePerTot) {
   // Stronger form: validity agrees for each concrete tot, not just
   // existentially.
   CandidateExecution CE = fig2Execution();
-  DerivedRelations D = DerivedRelations::compute(CE, SwDefKind::Simplified);
+  DerivedTriple D = CE.derived(SwDefKind::Simplified);
   unsigned Tots = 0;
   forEachLinearExtension(
       D.Hb, CE.allEventsMask(), [&](const std::vector<unsigned> &Seq) {

@@ -55,7 +55,7 @@ TEST(Validity, Fig2ValidUnderAllVariants) {
 
 TEST(Validity, Hbc2RejectsFutureRead) {
   CandidateExecution CE = hbc2Violation();
-  DerivedRelations D = DerivedRelations::compute(CE, SwDefKind::Simplified);
+  DerivedTriple D = CE.derived(SwDefKind::Simplified);
   EXPECT_FALSE(checkHbConsistency2(CE, D));
   EXPECT_FALSE(isValidForSomeTot(CE, ModelSpec::revised()));
   EXPECT_FALSE(isValidForSomeTot(CE, ModelSpec::original()));
@@ -63,7 +63,7 @@ TEST(Validity, Hbc2RejectsFutureRead) {
 
 TEST(Validity, Hbc3RejectsStaleRead) {
   CandidateExecution CE = hbc3Violation();
-  DerivedRelations D = DerivedRelations::compute(CE, SwDefKind::Simplified);
+  DerivedTriple D = CE.derived(SwDefKind::Simplified);
   EXPECT_TRUE(checkHbConsistency2(CE, D));
   EXPECT_FALSE(checkHbConsistency3(CE, D));
   EXPECT_FALSE(isValidForSomeTot(CE, ModelSpec::revised()));
@@ -194,7 +194,7 @@ TEST(Validity, TearFreeReadsWeakRule) {
   CandidateExecution CE(std::move(Evs));
   CE.Rbf.push_back({0, 1, 3});
   CE.Rbf.push_back({1, 2, 3});
-  DerivedRelations D = DerivedRelations::compute(CE, SwDefKind::Simplified);
+  DerivedTriple D = CE.derived(SwDefKind::Simplified);
   EXPECT_FALSE(checkTearFreeReads(CE, D, TearRuleKind::Weak));
   EXPECT_FALSE(isValidForSomeTot(CE, ModelSpec::revised()));
 }
