@@ -123,12 +123,24 @@ ArmDerived ArmDerived::computeCoPrefix(const ArmExecution &X) {
 
 bool jsmm::checkArmInternal(const ArmExecution &X) {
   // Per byte location: acyclic(po-loc ∪ co ∪ rbf ∪ fr), each restricted to
-  // that byte.
+  // that byte. A byte fewer than two events touch (such as the Init-only
+  // tail of a buffer) has no rbf or fr edge, as each has a reader and a
+  // writer of the byte, and no po edge; its co is a strict order, so the
+  // relation is acyclic. So a granule fewer than two events touch is
+  // skipped whole, and so is every such byte of the others.
   for (const CoGranule &G : X.Co) {
+    BitSet InGranule = X.eventsWhere([&](const ArmEvent &E) {
+      return E.Block == G.Block && E.isAccess() && E.begin() < G.End &&
+             G.Begin < E.end();
+    });
+    if (bits::count(InGranule) < 2)
+      continue;
     for (unsigned Loc = G.Begin; Loc < G.End; ++Loc) {
       BitSet Touchers = X.eventsWhere([&](const ArmEvent &E) {
         return E.Block == G.Block && E.touchesByte(Loc);
       });
+      if (bits::count(Touchers) < 2)
+        continue;
       Relation PerLoc = X.Po.restricted(Touchers, Touchers);
       // co on this byte is the granule order.
       for (size_t I = 0; I < G.Order.size(); ++I)

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <span>
@@ -1211,11 +1212,28 @@ struct TargetColumnSpec {
   const TargetModel *M;
 };
 
-/// The execution of a compiled form with no rf or co chosen yet; fills
-/// \p RegOfEvent with each read's destination register when non-null.
-TargetExecution
-targetExecution(const CompiledTarget &CT,
-                std::map<EventId, unsigned> *RegOfEvent = nullptr) {
+/// An execution of \p Events with po and no rf or co chosen. Each
+/// thread's events are contiguous and in program order, so an event's po
+/// row is the events of its thread after it.
+TargetExecution threadExecution(std::vector<TargetEvent> Events,
+                                unsigned NumLocs) {
+  TargetExecution X(std::move(Events), NumLocs);
+  BitSet Later;
+  for (size_t I = X.Events.size(); I-- > 0;) {
+    const TargetEvent &E = X.Events[I];
+    if (E.Thread < 0)
+      continue;
+    if (I + 1 == X.Events.size() || X.Events[I + 1].Thread != E.Thread)
+      Later = Relation::emptySet(X.numEvents());
+    X.Po.assignRow(E.Id, Later);
+    bits::set(Later, E.Id);
+  }
+  return X;
+}
+
+/// The compiled form's own execution: an init write per location, then
+/// every instruction, fences included. Only the witness doors build it.
+TargetExecution targetExecution(const CompiledTarget &CT) {
   std::vector<TargetEvent> Events;
   for (unsigned L = 0; L < CT.NumLocs; ++L) {
     TargetEvent &Init = Events.emplace_back();
@@ -1224,32 +1242,12 @@ targetExecution(const CompiledTarget &CT,
     Init.Loc = L;
     Init.IsInit = true;
   }
-  std::vector<std::vector<EventId>> ThreadEvents(CT.Threads.size());
-  for (unsigned T = 0; T < CT.Threads.size(); ++T) {
-    for (const TargetInstr &I : CT.Threads[T]) {
-      TargetEvent E;
+  for (TargetEvent &E : formEvents(CT))
+    if (E.Thread >= 0) {
       E.Id = static_cast<EventId>(Events.size());
-      E.Thread = static_cast<int>(T);
-      E.Kind = I.Kind;
-      E.Loc = I.Loc;
-      E.WriteVal = I.Value;
-      E.Acq = I.Acq;
-      E.Rel = I.Rel;
-      E.Sc = I.Sc;
-      E.Fence = I.Fence;
-      E.SourceIdx = I.SourceIdx;
-      if (E.isRead() && RegOfEvent)
-        (*RegOfEvent)[E.Id] = I.DstReg;
       Events.push_back(E);
-      ThreadEvents[T].push_back(E.Id);
     }
-  }
-  TargetExecution X(std::move(Events), CT.NumLocs);
-  for (const std::vector<EventId> &Seq : ThreadEvents)
-    for (size_t I = 0; I < Seq.size(); ++I)
-      for (size_t J = I + 1; J < Seq.size(); ++J)
-        X.Po.set(Seq[I], Seq[J]);
-  return X;
+  return threadExecution(std::move(Events), CT.NumLocs);
 }
 
 /// What uni-js derives from sb and the event kinds, built once per base:
@@ -1293,11 +1291,11 @@ bool breaksHbc(const Relation &Hb, EventId W, EventId R,
                              [&](unsigned C) { return !Hb.get(C, R); });
 }
 
-/// A compiled form inside a walk: its access-id map and what its backend
-/// derives from po and the event kinds, built once per base over the
-/// walk's numbering and shared by every work item. X, the form's own
-/// execution, is kept only where a caller sees it (witnesses and the
-/// candidate walk) and receives each such leaf through IdOf.
+/// A compiled form inside a walk: what its backend derives from po and
+/// the event kinds, built once per base over the walk's numbering and
+/// shared by every work item. X, the form's own execution, and IdOf are
+/// kept only where a caller sees it (witnesses and the candidate walk),
+/// and X receives each such leaf through IdOf.
 struct TargetColumn {
   const TargetModel *M = nullptr;
   TargetExecution X;
@@ -1315,7 +1313,7 @@ constexpr size_t NoRead = SIZE_MAX;
 ///
 /// compileUni maps each source access to exactly one access
 /// (TargetEvent::SourceIdx) and only adds fences, so every compiled form
-/// of one program has the same access view (accessView): the uni-size
+/// of one program has the same access view (formEvents): the uni-size
 /// program's events less the init writes no read touches. So the forms
 /// share their writers per read, their po-loc ∪ rf admission and their
 /// coherence permutations. The walk runs once over that view (X) and
@@ -1358,6 +1356,9 @@ struct TargetBase {
 /// form's own execution for syncColumn. The walk's execution is the access
 /// view of the first form, or with uni-js of UniJs's ImmLite form, whose
 /// scheme maps each access to itself and marks Sc exactly the SeqCst ones.
+/// Each column's statics are built from its form's events straight in the
+/// view's numbering (formEvents): no form's own execution is built unless
+/// KeepExecs asks for it.
 TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
                            const UniProgram *UniJs, bool KeepExecs) {
   assert((!Specs.empty() || UniJs) && "a target walk needs a column");
@@ -1366,37 +1367,49 @@ TargetBase buildTargetBase(const std::vector<TargetColumnSpec> &Specs,
   const CompiledTarget &First =
       UniJs ? Own.emplace(compileUni(*UniJs, TargetArch::ImmLite))
             : *Specs[0].CT;
-  std::map<EventId, unsigned> Regs;
-  TargetExecution FirstX = targetExecution(First, &Regs);
-  std::vector<EventId> Ids;
-  B.X = accessView(FirstX, Ids);
+  std::vector<TargetEvent> FirstSeq = formEvents(First, &B.RegOfEvent);
+  std::vector<TargetEvent> View;
+  std::copy_if(FirstSeq.begin(), FirstSeq.end(), std::back_inserter(View),
+               [](const TargetEvent &E) { return E.isAccess(); });
+  B.X = threadExecution(std::move(View), First.NumLocs);
   for (const TargetEvent &E : B.X.Events)
-    if (E.isRead()) {
-      B.RegOfEvent[E.Id] = Regs.at(Ids[E.Id]);
+    if (E.isRead())
       B.Reads.push_back(E.Id);
-    }
+  unsigned N = B.X.numEvents();
+  std::vector<TargetEvent> OwnSeq;
   for (const TargetColumnSpec &Spec : Specs) {
-    TargetColumn &C = B.Cols.emplace_back();
-    C.M = Spec.M;
-    C.X = !UniJs && &Spec == &Specs[0] ? std::move(FirstX)
-                                        : targetExecution(*Spec.CT);
-    C.IdOf = accessIds(C.X);
-    bool Same = C.IdOf.size() == B.X.numEvents();
-    for (size_t K = 0; Same && K < C.IdOf.size(); ++K) {
-      const TargetEvent &A = B.X.Events[K];
-      const TargetEvent &E = C.X.Events[C.IdOf[K]];
-      Same = A.Kind == E.Kind && A.Loc == E.Loc && A.Thread == E.Thread &&
-             A.WriteVal == E.WriteVal && A.SourceIdx == E.SourceIdx &&
-             A.IsInit == E.IsInit;
+    const std::vector<TargetEvent> &Seq =
+        Spec.CT == &First ? FirstSeq : (OwnSeq = formEvents(*Spec.CT));
+    bool Same = Spec.CT->NumLocs == First.NumLocs;
+    unsigned Accesses = 0;
+    for (const TargetEvent &E : Seq) {
+      if (!E.isAccess())
+        continue;
+      ++Accesses;
+      const TargetEvent *A = E.Id < N ? &B.X.Events[E.Id] : nullptr;
+      Same = Same && A && A->Kind == E.Kind && A->Loc == E.Loc &&
+             A->Thread == E.Thread && A->WriteVal == E.WriteVal &&
+             A->SourceIdx == E.SourceIdx && A->IsInit == E.IsInit;
     }
-    if (!Same)
+    if (!Same || Accesses != N)
       throw std::invalid_argument(
           "target columns compiled from different programs");
+    TargetColumn &C = B.Cols.emplace_back();
+    C.M = Spec.M;
     if (C.M)
       C.Statics = std::make_shared<const TargetStatics>(
-          targetStatics(C.X, C.M->arch(), &C.IdOf));
-    if (!KeepExecs)
-      C.X = TargetExecution();
+          targetStatics(Seq, N, C.M->arch()));
+    if (KeepExecs) {
+      // targetExecution numbers the inits by location, then every
+      // instruction in Seq's order.
+      C.X = targetExecution(*Spec.CT);
+      EventId Next = Spec.CT->NumLocs;
+      for (const TargetEvent &E : Seq) {
+        EventId Own = E.Thread < 0 ? E.Loc : Next++;
+        if (E.isAccess())
+          C.IdOf.push_back(Own);
+      }
+    }
   }
   B.PoLoc = std::make_shared<const Relation>(B.X.poLoc());
   if (UniJs)

@@ -161,6 +161,45 @@ CompiledTarget jsmm::compileUni(const UniProgram &P, TargetArch Arch) {
   return CT;
 }
 
+std::vector<TargetEvent>
+jsmm::formEvents(const CompiledTarget &CT,
+                 std::map<EventId, unsigned> *RegOfEvent) {
+  std::vector<bool> Read(CT.NumLocs, false);
+  for (const std::vector<TargetInstr> &Thread : CT.Threads)
+    for (const TargetInstr &I : Thread)
+      if (I.Kind == TKind::Read || I.Kind == TKind::Rmw)
+        Read[I.Loc] = true;
+  std::vector<TargetEvent> Seq;
+  EventId Next = 0;
+  for (unsigned L = 0; L < CT.NumLocs; ++L)
+    if (Read[L]) {
+      TargetEvent &Init = Seq.emplace_back();
+      Init.Id = Next++;
+      Init.Kind = TKind::Write;
+      Init.Loc = L;
+      Init.IsInit = true;
+    }
+  for (unsigned T = 0; T < CT.Threads.size(); ++T)
+    for (const TargetInstr &I : CT.Threads[T]) {
+      TargetEvent &E = Seq.emplace_back();
+      E.Thread = static_cast<int>(T);
+      E.Kind = I.Kind;
+      E.Loc = I.Loc;
+      E.WriteVal = I.Value;
+      E.Acq = I.Acq;
+      E.Rel = I.Rel;
+      E.Sc = I.Sc;
+      E.Fence = I.Fence;
+      E.SourceIdx = I.SourceIdx;
+      if (!E.isAccess())
+        continue;
+      E.Id = Next++;
+      if (E.isRead() && RegOfEvent)
+        (*RegOfEvent)[E.Id] = I.DstReg;
+    }
+  return Seq;
+}
+
 UniExecution jsmm::translateTargetToUni(const TargetExecution &X,
                                         const CompiledTarget &CT) {
   std::vector<int> UniOfTarget(X.numEvents(), -1);

@@ -21,6 +21,7 @@
 #include "targets/TargetModels.h"
 #include "targets/UniProgram.h"
 
+#include <map>
 #include <optional>
 
 namespace jsmm {
@@ -58,6 +59,21 @@ struct CompiledTarget {
 
 /// Compiles \p P for \p Arch with the scheme table above.
 CompiledTarget compileUni(const UniProgram &P, TargetArch Arch);
+
+/// \p CT's events as targetStatics reads them, numbered over the form's
+/// *access view*: the init writes of the locations some instruction
+/// reads, then each thread's instructions in program order, fences
+/// included (their Id is not read). An init write of a location no read
+/// touches has no incoming po, rf, co, fr or hb edge in any model, so it
+/// lies on no cycle and no axiom's verdict depends on it (ARCHITECTURE.md,
+/// "Init writes nobody reads"). compileUni maps each source access to
+/// exactly one access and only adds fences, so every compiled form of one
+/// uni-size program has the same view up to the access flags, which is
+/// what lets one walk serve all of them. Fills \p RegOfEvent with each
+/// read's destination register when non-null.
+std::vector<TargetEvent>
+formEvents(const CompiledTarget &CT,
+           std::map<EventId, unsigned> *RegOfEvent = nullptr);
 
 /// Translates a target execution back to the uni-size JavaScript candidate
 /// with the same behaviour (fences dropped; RMW events map one-to-one).

@@ -3,6 +3,7 @@
 #include "targets/TargetModels.h"
 
 #include <algorithm>
+#include <array>
 
 using namespace jsmm;
 
@@ -119,102 +120,6 @@ bool jsmm::targetAtomicity(const Relation &Co, const Relation &Fr) {
 
 namespace {
 
-struct Masks {
-  BitSet Reads, Writes, OnlyR, OnlyW, Acq, RelW, Sc;
-  BitSet fence(const TargetExecution &X, TFence F) const {
-    (void)this;
-    return X.eventsWhere([&](const TargetEvent &E) {
-      return E.Kind == TKind::Fence && E.Fence == F;
-    });
-  }
-  static Masks compute(const TargetExecution &X) {
-    Masks M;
-    M.Reads = X.eventsWhere([](const TargetEvent &E) { return E.isRead(); });
-    M.Writes = X.eventsWhere([](const TargetEvent &E) {
-      return E.isWrite();
-    });
-    M.OnlyR = X.eventsWhere([](const TargetEvent &E) {
-      return E.Kind == TKind::Read;
-    });
-    M.OnlyW = X.eventsWhere([](const TargetEvent &E) {
-      return E.Kind == TKind::Write;
-    });
-    M.Acq = X.eventsWhere([](const TargetEvent &E) {
-      return E.Acq && E.isRead();
-    });
-    M.RelW = X.eventsWhere([](const TargetEvent &E) {
-      return E.Rel && E.isWrite();
-    });
-    M.Sc = X.eventsWhere([](const TargetEvent &E) {
-      return E.Sc && E.isAccess();
-    });
-    return M;
-  }
-};
-
-/// Distinct accesses to the same location. Each access's row is its
-/// location's access mask less itself: work in the size of the output,
-/// not a pair scan over every two events.
-Relation sameLocRelation(const TargetExecution &X) {
-  std::vector<BitSet> AtLoc(X.CoPerLoc.size(),
-                            Relation::emptySet(X.numEvents()));
-  for (const TargetEvent &E : X.Events)
-    if (E.isAccess()) {
-      assert(E.Loc < AtLoc.size() && "access location out of range");
-      bits::set(AtLoc[E.Loc], E.Id);
-    }
-  Relation Out(X.numEvents());
-  for (const TargetEvent &A : X.Events)
-    if (A.isAccess())
-      bits::forEach(AtLoc[A.Loc], [&](unsigned B) {
-        if (B != A.Id)
-          Out.set(A.Id, B);
-      });
-  return Out;
-}
-
-/// po ; [F] ; po with endpoint classes \p Pred and \p Succ.
-Relation fenceEdges(const TargetExecution &X, const BitSet &FenceMask,
-                    const BitSet &Pred,
-                    const BitSet &Succ) {
-  return X.Po.restricted(Pred, FenceMask)
-      .compose(X.Po.restricted(FenceMask, Succ));
-}
-
-/// Release/acquire ordering between accesses: po from an acquire read, po
-/// to a release write, and release write to acquire read. (An acquire's
-/// po-edge into a fence reached a release write only through that fence's
-/// own po-edge, and po is transitive: both ends are ordered directly.)
-Relation acqRelEdges(const TargetExecution &X, const Masks &M) {
-  BitSet Access = M.Reads | M.Writes;
-  Relation Out = X.Po.restricted(M.Acq, Access);
-  Out.unionWith(X.Po.restricted(Access, M.RelW));
-  Out.unionWith(X.Po.restricted(M.RelW, M.Acq));
-  return Out;
-}
-
-/// \p R renumbered through \p ViewOf (event id -> view id, or -1 for an
-/// event outside the view) over a universe of \p N.
-Relation project(const Relation &R, const std::vector<int> &ViewOf,
-                 unsigned N) {
-  Relation Out(N);
-  R.forEachPair([&](unsigned A, unsigned B) {
-    if (ViewOf[A] >= 0 && ViewOf[B] >= 0)
-      Out.set(static_cast<unsigned>(ViewOf[A]),
-              static_cast<unsigned>(ViewOf[B]));
-  });
-  return Out;
-}
-
-BitSet projectSet(const BitSet &S, const std::vector<EventId> &IdOf) {
-  BitSet Out =
-      Relation::emptySet(static_cast<unsigned>(IdOf.size()));
-  for (unsigned K = 0; K < IdOf.size(); ++K)
-    if (bits::test(S, IdOf[K]))
-      bits::set(Out, K);
-  return Out;
-}
-
 /// The herding-cats Power model's final axioms (NO THIN AIR, OBSERVATION,
 /// PROPAGATION), parameterised through the statics by the full-fence
 /// flavour (Power sync vs ARMv7 dmb) and the presence of lwsync.
@@ -268,101 +173,129 @@ bool immLiteAxiom(const TargetCandidate &C, const TargetStatics &S) {
 
 } // namespace
 
-std::vector<EventId> jsmm::accessIds(const TargetExecution &X) {
-  std::vector<bool> Read(X.CoPerLoc.size(), false);
-  for (const TargetEvent &E : X.Events)
-    if (E.isRead())
-      Read[E.Loc] = true;
-  std::vector<EventId> Ids;
-  for (const TargetEvent &E : X.Events)
-    if (E.isAccess() && (!E.IsInit || Read[E.Loc]))
-      Ids.push_back(E.Id);
-  return Ids;
-}
-
-TargetExecution jsmm::accessView(const TargetExecution &X,
-                                 std::vector<EventId> &IdOf) {
-  IdOf = accessIds(X);
-  std::vector<int> ViewOf(X.numEvents(), -1);
-  std::vector<TargetEvent> Events;
-  for (EventId Id : IdOf) {
-    ViewOf[Id] = static_cast<int>(Events.size());
-    Events.push_back(X.Events[Id]);
-    Events.back().Id = static_cast<EventId>(ViewOf[Id]);
-  }
-  unsigned N = static_cast<unsigned>(Events.size());
-  TargetExecution V(std::move(Events),
-                    static_cast<unsigned>(X.CoPerLoc.size()));
-  V.Po = project(X.Po, ViewOf, N);
-  V.Rf = project(X.Rf, ViewOf, N);
-  for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
-    for (EventId W : X.CoPerLoc[L])
-      if (ViewOf[W] >= 0)
-        V.CoPerLoc[L].push_back(static_cast<EventId>(ViewOf[W]));
-  return V;
-}
-
-TargetStatics
-jsmm::targetStatics(const TargetExecution &X, TargetArch Arch,
-                    const std::vector<EventId> *IdOf) {
-  unsigned N = X.numEvents();
-  Masks M = Masks::compute(X);
-  BitSet Access = M.Reads | M.Writes;
+TargetStatics jsmm::targetStatics(const std::vector<TargetEvent> &Seq,
+                                  unsigned N, TargetArch Arch) {
   TargetStatics S;
   S.Arch = Arch;
-  S.Writes = M.Writes;
-  S.Sc = M.Sc;
-  switch (Arch) {
-  case TargetArch::X86:
-    // ppo: program order minus write->read pairs (the store buffer); RMWs
-    // are locked and never relaxed.
-    S.Ppo = X.Po.restricted(Access, Access)
-                .subtracted(Relation::product(M.OnlyW, M.OnlyR, N));
-    S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::MFence), Access, Access));
-    break;
-  case TargetArch::ArmV8:
-    S.Ppo = acqRelEdges(X, M);
-    break;
-  case TargetArch::RiscV: {
-    BitSet RW = Access;
-    // Same-address ppo: ordered when the second access is a store.
-    S.Ppo = X.poLoc().restricted(RW, M.Writes);
-    S.Ppo.unionWith(fenceEdges(X, M.fence(X, TFence::FenceRWRW), RW, RW));
-    S.Ppo.unionWith(
-        fenceEdges(X, M.fence(X, TFence::FenceRWW), RW, M.Writes));
-    S.Ppo.unionWith(
-        fenceEdges(X, M.fence(X, TFence::FenceRRW), M.Reads, RW));
-    S.Ppo.unionWith(acqRelEdges(X, M));
-    break;
+  BitSet Reads = Relation::emptySet(N), OnlyR = Reads, Acq = Reads,
+         RelW = Reads;
+  S.Writes = S.Sc = Reads;
+  bool HasLwSync = false;
+  unsigned NumLocs = 0;
+  for (const TargetEvent &E : Seq) {
+    if (!E.isAccess()) {
+      HasLwSync = HasLwSync || E.Fence == TFence::LwSync;
+      continue;
+    }
+    NumLocs = std::max(NumLocs, E.Loc + 1);
+    if (E.isRead())
+      bits::set(Reads, E.Id);
+    if (E.isWrite())
+      bits::set(S.Writes, E.Id);
+    if (E.Kind == TKind::Read)
+      bits::set(OnlyR, E.Id);
+    if (E.Acq && E.isRead())
+      bits::set(Acq, E.Id);
+    if (E.Rel && E.isWrite())
+      bits::set(RelW, E.Id);
+    if (E.Sc)
+      bits::set(S.Sc, E.Id);
   }
-  case TargetArch::Power:
-  case TargetArch::ArmV7: {
-    bool Power = Arch == TargetArch::Power;
-    S.Ffence = fenceEdges(
-        X, M.fence(X, Power ? TFence::Sync : TFence::DmbV7), Access, Access);
-    BitSet LwSync = M.fence(X, TFence::LwSync);
-    if (Power && bits::any(LwSync))
-      S.Lw = fenceEdges(X, LwSync, Access, Access)
-                 .subtracted(Relation::product(M.OnlyW, M.OnlyR, N));
-    // ctrl+isync after a load orders that load before everything po-later.
-    S.Ppo = fenceEdges(X, M.fence(X, TFence::CtrlIsync), M.Reads, Access);
-    break;
+  // RISC-V and ImmLite: the accesses of each location.
+  std::vector<BitSet> AtLoc;
+  if (Arch == TargetArch::RiscV || Arch == TargetArch::ImmLite) {
+    AtLoc.assign(NumLocs, Relation::emptySet(N));
+    for (const TargetEvent &E : Seq)
+      if (E.isAccess())
+        bits::set(AtLoc[E.Loc], E.Id);
   }
-  case TargetArch::ImmLite:
-    S.SameLoc = sameLocRelation(X);
-    break;
-  }
-  if (!IdOf)
+  if (Arch == TargetArch::ImmLite) {
+    // Distinct accesses to one location: each access's row is its
+    // location's access mask less itself.
+    S.SameLoc = Relation(N);
+    for (const TargetEvent &E : Seq)
+      if (E.isAccess()) {
+        BitSet Row = AtLoc[E.Loc];
+        bits::clear(Row, E.Id);
+        S.SameLoc.assignRow(E.Id, Row);
+      }
     return S;
-  std::vector<int> ViewOf(N, -1);
-  for (unsigned K = 0; K < IdOf->size(); ++K)
-    ViewOf[(*IdOf)[K]] = static_cast<int>(K);
-  unsigned V = static_cast<unsigned>(IdOf->size());
-  for (Relation *R : {&S.Ppo, &S.Ffence, &S.Lw, &S.SameLoc})
-    if (R->size())
-      *R = project(*R, ViewOf, V);
-  S.Writes = projectSet(S.Writes, *IdOf);
-  S.Sc = projectSet(S.Sc, *IdOf);
+  }
+  S.Ppo = Relation(N);
+  if (Arch == TargetArch::Power || Arch == TargetArch::ArmV7)
+    S.Ffence = Relation(N);
+  if (Arch == TargetArch::Power && HasLwSync)
+    S.Lw = Relation(N);
+  // One backward pass per thread: Later holds the thread's accesses
+  // po-after the current event, and After[F] those po-after the nearest
+  // fence of kind F that follows it. Each access's row of every relation
+  // is a few set operations on those: work in the size of the output.
+  BitSet Later;
+  std::array<BitSet, static_cast<size_t>(TFence::FenceRRW) + 1> After;
+  auto AfterFence = [&](TFence F) -> const BitSet & {
+    return After[static_cast<size_t>(F)];
+  };
+  for (size_t I = Seq.size(); I-- > 0;) {
+    const TargetEvent &E = Seq[I];
+    if (E.Thread < 0)
+      continue;
+    if (I + 1 == Seq.size() || Seq[I + 1].Thread != E.Thread) {
+      Later = Relation::emptySet(N);
+      After.fill(Later);
+    }
+    if (!E.isAccess()) {
+      After[static_cast<size_t>(E.Fence)] = Later;
+      continue;
+    }
+    // Release/acquire ordering: po from an acquire read, po to a release
+    // write, and release write to acquire read. (An acquire's po-edge into
+    // a fence reached a release write only through that fence's own
+    // po-edge, and po is transitive: both ends are ordered directly.)
+    BitSet AcqRel = Later & RelW;
+    if (bits::test(Acq, E.Id))
+      AcqRel |= Later;
+    if (bits::test(RelW, E.Id))
+      AcqRel |= Later & Acq;
+    bool OnlyW = E.Kind == TKind::Write;
+    switch (Arch) {
+    case TargetArch::X86:
+      // ppo: program order minus write->read pairs (the store buffer);
+      // RMWs are locked and never relaxed. Then the mfence edges.
+      S.Ppo.assignRow(E.Id, (OnlyW ? Later & ~OnlyR : Later) |
+                                AfterFence(TFence::MFence));
+      break;
+    case TargetArch::ArmV8:
+      S.Ppo.assignRow(E.Id, AcqRel);
+      break;
+    case TargetArch::RiscV: {
+      // Same-address ppo: ordered when the second access is a store.
+      BitSet Row = Later & AtLoc[E.Loc] & S.Writes;
+      Row |= AfterFence(TFence::FenceRWRW);
+      Row |= AfterFence(TFence::FenceRWW) & S.Writes;
+      if (E.isRead())
+        Row |= AfterFence(TFence::FenceRRW);
+      S.Ppo.assignRow(E.Id, Row | AcqRel);
+      break;
+    }
+    case TargetArch::Power:
+    case TargetArch::ArmV7: {
+      bool Power = Arch == TargetArch::Power;
+      S.Ffence.assignRow(E.Id,
+                         AfterFence(Power ? TFence::Sync : TFence::DmbV7));
+      const BitSet &Lw = AfterFence(TFence::LwSync);
+      if (S.Lw.size())
+        S.Lw.assignRow(E.Id, OnlyW ? Lw & ~OnlyR : Lw);
+      // ctrl+isync after a load orders that load before everything
+      // po-later.
+      if (E.isRead())
+        S.Ppo.assignRow(E.Id, AfterFence(TFence::CtrlIsync));
+      break;
+    }
+    case TargetArch::ImmLite:
+      break;
+    }
+    bits::set(Later, E.Id);
+  }
   return S;
 }
 
@@ -417,7 +350,19 @@ bool jsmm::targetFinalAxiom(const TargetCandidate &C, const TargetStatics &S) {
 }
 
 bool jsmm::isTargetConsistent(const TargetExecution &X, TargetArch Arch) {
-  TargetStatics S = targetStatics(X, Arch);
+  // X's events as targetStatics reads them: the thread-less ones, then
+  // each thread's in program order (po is a strict total order on each
+  // thread, so the earlier event has more po-successors).
+  std::vector<TargetEvent> Seq = X.Events;
+  std::vector<unsigned> Succs(X.numEvents());
+  for (const TargetEvent &E : X.Events)
+    Succs[E.Id] = bits::count(X.Po.row(E.Id));
+  std::stable_sort(Seq.begin(), Seq.end(),
+                   [&](const TargetEvent &A, const TargetEvent &B) {
+                     return A.Thread != B.Thread ? A.Thread < B.Thread
+                                                 : Succs[A.Id] > Succs[B.Id];
+                   });
+  TargetStatics S = targetStatics(Seq, X.numEvents(), Arch);
   TargetCandidate C(X);
   if (Arch != TargetArch::ImmLite &&
       !targetScPerLocation(X.poLoc(), X.Rf, C.Co, C.Fr))

@@ -92,14 +92,6 @@ public:
   unsigned numEvents() const {
     return static_cast<unsigned>(Events.size());
   }
-  BitSet allEventsMask() const { return Relation::fullSet(numEvents()); }
-  template <typename PredT> BitSet eventsWhere(PredT Pred) const {
-    BitSet Mask = Relation::emptySet(numEvents());
-    for (const TargetEvent &E : Events)
-      if (Pred(E))
-        bits::set(Mask, E.Id);
-    return Mask;
-  }
 
   Relation coherence() const;
   Relation fromReads() const;
@@ -119,28 +111,13 @@ bool isTargetConsistent(const TargetExecution &X, TargetArch Arch);
 // per candidate.
 //===----------------------------------------------------------------------===//
 
-/// The ids of \p X's *access view*, in id order: its accesses, except the
-/// init write of a location no read touches (fences dropped). Such an init
-/// has no incoming po, rf, co, fr or hb edge in any model, so it lies on
-/// no cycle and no axiom's verdict depends on it (ARCHITECTURE.md, "Init
-/// writes nobody reads"). Every compiled form of one uni-size program has
-/// the same view up to the access flags (compileUni only adds fences),
-/// which is what lets one walk serve all of them.
-std::vector<EventId> accessIds(const TargetExecution &X);
-
-/// \p X's access view, renumbered from 0, with po, rf and the coherence
-/// orders restricted to it. \p IdOf receives accessIds(X): each view id's
-/// event id in \p X.
-TargetExecution accessView(const TargetExecution &X,
-                           std::vector<EventId> &IdOf);
-
 /// What an architecture's final axiom derives from po and the event kinds
 /// alone. None of it depends on rf or co, so a walk builds it once per
 /// base (targetStatics) and reuses it at every candidate of that base.
 /// Every relation here relates accesses only (a fence contributes the
-/// edges it orders, never an edge of its own), so the statics carry over
-/// to the access view unchanged. Relations a backend does not use stay
-/// empty (size 0).
+/// edges it orders, never an edge of its own), so the statics of a
+/// compiled form are built directly over its access view. Relations a
+/// backend does not use stay empty (size 0).
 struct TargetStatics {
   TargetArch Arch = TargetArch::ImmLite;
   /// x86: ppo ∪ mfence edges. ARMv8: bob. RISC-V: ppo. Power and ARMv7:
@@ -154,12 +131,15 @@ struct TargetStatics {
   BitSet Writes, Sc;
 };
 
-/// Builds the statics of \p Arch over \p X's events and po (rf and co are
-/// not read), numbered as \p X is, or with \p IdOf as accessView's map
-/// of \p X, numbered as the view is.
-TargetStatics
-targetStatics(const TargetExecution &X, TargetArch Arch,
-              const std::vector<EventId> *IdOf = nullptr);
+/// Builds the statics of \p Arch over a universe of \p N events from a
+/// form's events \p Seq (rf and co are not read): each thread's events
+/// contiguous and in program order, fences included, and the init writes,
+/// which belong to no thread (Thread < 0) and have no po. An access's Id
+/// numbers it in the universe; a fence's Id is not read. So one builder
+/// serves a compiled form over its access view (formEvents) and an
+/// execution over its own events (isTargetConsistent).
+TargetStatics targetStatics(const std::vector<TargetEvent> &Seq, unsigned N,
+                            TargetArch Arch);
 
 /// The walk's monotone admission of a partial candidate: po-loc ∪ rf must
 /// be acyclic. A cycle there violates SC-per-location (x86, ARMv8, ARMv7,
@@ -204,8 +184,8 @@ private:
 
 /// The architecture's own axiom over the candidate \p C, given its
 /// statics (numbered as C.X is). It reads of C.X only rf, po and the event
-/// threads, so on the access view of a compiled form, with the statics
-/// built over that view, it gives the form's own verdict.
+/// threads, so on the access view of a compiled form, with the form's
+/// statics built over that view, it gives the form's own verdict.
 bool targetFinalAxiom(const TargetCandidate &C, const TargetStatics &S);
 
 } // namespace jsmm

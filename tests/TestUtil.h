@@ -4,8 +4,9 @@
 /// Test-suite convenience wrapper around the paper-figure builders that
 /// live in the library (paper/Figures.h), plus the shared random
 /// small-program generator used by the reduction and static-analysis
-/// randomized sweeps, and the brute uni-size reference the engine's uni-js
-/// column is checked against.
+/// randomized sweeps, the brute uni-size reference the engine's uni-js
+/// column is checked against, and the reference the target statics
+/// builder is checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #define JSMM_TESTS_TESTUTIL_H
 
 #include "paper/Figures.h"
+#include "targets/TargetModels.h"
 #include "targets/UniProgram.h"
 
 #include <map>
@@ -181,6 +183,170 @@ inline std::vector<Outcome> bruteUniAllowedOutcomes(const UniProgram &P) {
     if (Allowed)
       Out.push_back(O);
   return Out;
+}
+
+namespace detail {
+
+/// \p R renumbered through \p ViewOf (event id -> view id, or -1 for an
+/// event outside the view) over a universe of \p N.
+inline Relation projectRelation(const Relation &R,
+                                const std::vector<int> &ViewOf, unsigned N) {
+  Relation Out(N);
+  R.forEachPair([&](unsigned A, unsigned B) {
+    if (ViewOf[A] >= 0 && ViewOf[B] >= 0)
+      Out.set(static_cast<unsigned>(ViewOf[A]),
+              static_cast<unsigned>(ViewOf[B]));
+  });
+  return Out;
+}
+
+/// The ids of \p X's access view, in id order: its accesses, except the
+/// init write of a location no read touches.
+inline std::vector<EventId> accessIds(const TargetExecution &X) {
+  std::vector<bool> Read(X.CoPerLoc.size(), false);
+  for (const TargetEvent &E : X.Events)
+    if (E.isRead())
+      Read[E.Loc] = true;
+  std::vector<EventId> Ids;
+  for (const TargetEvent &E : X.Events)
+    if (E.isAccess() && (!E.IsInit || Read[E.Loc]))
+      Ids.push_back(E.Id);
+  return Ids;
+}
+
+/// \p X's event id -> access-view id, or -1 outside the view.
+inline std::vector<int> viewNumbering(const TargetExecution &X) {
+  std::vector<int> ViewOf(X.numEvents(), -1);
+  std::vector<EventId> Ids = accessIds(X);
+  for (unsigned K = 0; K < Ids.size(); ++K)
+    ViewOf[Ids[K]] = static_cast<int>(K);
+  return ViewOf;
+}
+
+/// The events of \p X that satisfy \p Pred.
+template <typename PredT>
+BitSet eventsWhere(const TargetExecution &X, PredT Pred) {
+  BitSet Mask = Relation::emptySet(X.numEvents());
+  for (const TargetEvent &E : X.Events)
+    if (Pred(E))
+      bits::set(Mask, E.Id);
+  return Mask;
+}
+
+/// po ; [F] ; po of \p X with endpoint classes \p Pred and \p Succ.
+inline Relation fenceEdges(const TargetExecution &X, TFence F,
+                           const BitSet &Pred, const BitSet &Succ) {
+  BitSet Fence = eventsWhere(X, [&](const TargetEvent &E) {
+    return E.Kind == TKind::Fence && E.Fence == F;
+  });
+  return X.Po.restricted(Pred, Fence).compose(X.Po.restricted(Fence, Succ));
+}
+
+} // namespace detail
+
+/// \p X's access view, renumbered from 0, with po, rf and the coherence
+/// orders restricted to it.
+inline TargetExecution referenceAccessView(const TargetExecution &X) {
+  std::vector<int> ViewOf = detail::viewNumbering(X);
+  std::vector<TargetEvent> Events;
+  for (EventId Id : detail::accessIds(X)) {
+    Events.push_back(X.Events[Id]);
+    Events.back().Id = static_cast<EventId>(ViewOf[Id]);
+  }
+  unsigned N = static_cast<unsigned>(Events.size());
+  TargetExecution V(std::move(Events),
+                    static_cast<unsigned>(X.CoPerLoc.size()));
+  V.Po = detail::projectRelation(X.Po, ViewOf, N);
+  V.Rf = detail::projectRelation(X.Rf, ViewOf, N);
+  for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
+    for (EventId W : X.CoPerLoc[L])
+      if (ViewOf[W] >= 0)
+        V.CoPerLoc[L].push_back(static_cast<EventId>(ViewOf[W]));
+  return V;
+}
+
+/// The statics of \p Arch over \p X's access view, built the way the
+/// walk built them before targetStatics read a form's events: in relation
+/// algebra over all of \p X's events (fences and unread inits included),
+/// then projected onto the view. Independent of targetStatics: the
+/// reference it is checked against.
+inline TargetStatics referenceViewStatics(const TargetExecution &X,
+                                          TargetArch Arch) {
+  unsigned N = X.numEvents();
+  auto Where = [&](auto Pred) { return detail::eventsWhere(X, Pred); };
+  BitSet Reads = Where([](const TargetEvent &E) { return E.isRead(); });
+  BitSet Writes = Where([](const TargetEvent &E) { return E.isWrite(); });
+  BitSet OnlyR =
+      Where([](const TargetEvent &E) { return E.Kind == TKind::Read; });
+  BitSet OnlyW =
+      Where([](const TargetEvent &E) { return E.Kind == TKind::Write; });
+  BitSet Acq =
+      Where([](const TargetEvent &E) { return E.Acq && E.isRead(); });
+  BitSet RelW =
+      Where([](const TargetEvent &E) { return E.Rel && E.isWrite(); });
+  BitSet Sc =
+      Where([](const TargetEvent &E) { return E.Sc && E.isAccess(); });
+  BitSet Access = Reads | Writes;
+  auto AcqRel = [&] {
+    Relation Out = X.Po.restricted(Acq, Access);
+    Out.unionWith(X.Po.restricted(Access, RelW));
+    Out.unionWith(X.Po.restricted(RelW, Acq));
+    return Out;
+  };
+  using detail::fenceEdges;
+  TargetStatics S;
+  S.Arch = Arch;
+  switch (Arch) {
+  case TargetArch::X86:
+    S.Ppo = X.Po.restricted(Access, Access)
+                .subtracted(Relation::product(OnlyW, OnlyR, N));
+    S.Ppo.unionWith(fenceEdges(X, TFence::MFence, Access, Access));
+    break;
+  case TargetArch::ArmV8:
+    S.Ppo = AcqRel();
+    break;
+  case TargetArch::RiscV:
+    S.Ppo = X.poLoc().restricted(Access, Writes);
+    S.Ppo.unionWith(fenceEdges(X, TFence::FenceRWRW, Access, Access));
+    S.Ppo.unionWith(fenceEdges(X, TFence::FenceRWW, Access, Writes));
+    S.Ppo.unionWith(fenceEdges(X, TFence::FenceRRW, Reads, Access));
+    S.Ppo.unionWith(AcqRel());
+    break;
+  case TargetArch::Power:
+  case TargetArch::ArmV7: {
+    bool Power = Arch == TargetArch::Power;
+    S.Ffence = fenceEdges(X, Power ? TFence::Sync : TFence::DmbV7, Access,
+                          Access);
+    if (Power && bits::any(Where([](const TargetEvent &E) {
+          return E.Fence == TFence::LwSync;
+        })))
+      S.Lw = fenceEdges(X, TFence::LwSync, Access, Access)
+                 .subtracted(Relation::product(OnlyW, OnlyR, N));
+    S.Ppo = fenceEdges(X, TFence::CtrlIsync, Reads, Access);
+    break;
+  }
+  case TargetArch::ImmLite:
+    S.SameLoc = Relation(N);
+    for (const TargetEvent &A : X.Events)
+      for (const TargetEvent &B : X.Events)
+        if (A.isAccess() && B.isAccess() && A.Id != B.Id && A.Loc == B.Loc)
+          S.SameLoc.set(A.Id, B.Id);
+    break;
+  }
+  std::vector<int> ViewOf = detail::viewNumbering(X);
+  unsigned V = static_cast<unsigned>(detail::accessIds(X).size());
+  for (Relation *R : {&S.Ppo, &S.Ffence, &S.Lw, &S.SameLoc})
+    if (R->size())
+      *R = detail::projectRelation(*R, ViewOf, V);
+  S.Writes = S.Sc = Relation::emptySet(V);
+  for (EventId Id = 0; Id < N; ++Id)
+    if (ViewOf[Id] >= 0) {
+      if (bits::test(Writes, Id))
+        bits::set(S.Writes, static_cast<unsigned>(ViewOf[Id]));
+      if (bits::test(Sc, Id))
+        bits::set(S.Sc, static_cast<unsigned>(ViewOf[Id]));
+    }
+  return S;
 }
 
 } // namespace testutil

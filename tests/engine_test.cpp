@@ -69,6 +69,37 @@ TEST(Engine, PruningCutsSubtreesWithoutChangingOutcomes) {
       << "pruning should reach fewer complete candidates";
 }
 
+TEST(Engine, AdmissionRechecksEveryReadAfterHbGrows) {
+  // Load buffering through a SeqCst flag. The walk takes thread 0's read
+  // of x first; it may read thread 1's x = 1, as nothing orders them yet.
+  // When thread 1's SeqCst read of the flag then reads thread 0's SeqCst
+  // write, the new sw edge puts thread 0's read hb-before its own writer
+  // (HBC2). Only the earlier read's rf edge breaks, so the admission must
+  // recheck every edge once hb grew: it cuts that subtree before thread
+  // 2's read, and the walk reaches three leaves of four.
+  std::optional<LitmusFile> File = parseLitmus("name lb-sc-flag\n"
+                                               "buffer 3\n"
+                                               "thread\n"
+                                               "  r0 = load u8 0\n"
+                                               "  store.sc u8 1 = 1\n"
+                                               "thread\n"
+                                               "  r0 = load.sc u8 1\n"
+                                               "  store u8 0 = 1\n"
+                                               "thread\n"
+                                               "  r0 = load u8 2\n");
+  ASSERT_TRUE(File.has_value());
+  for (ModelSpec Spec : allSpecs()) {
+    ExecutionEngine Pruned;
+    ExecutionEngine Unpruned(EngineConfig::seedCompatible());
+    EnumerationResult A = Pruned.enumerate(File->P, JsModel(Spec));
+    EnumerationResult B = Unpruned.enumerate(File->P, JsModel(Spec));
+    EXPECT_EQ(A.outcomeStrings(), B.outcomeStrings()) << Spec.Name;
+    EXPECT_EQ(B.CandidatesConsidered, 4u) << Spec.Name;
+    EXPECT_EQ(A.CandidatesConsidered, 3u) << Spec.Name;
+    EXPECT_EQ(Pruned.Stats.PrunedSubtrees, 1u) << Spec.Name;
+  }
+}
+
 TEST(Engine, ShardingSplitsTheSpace) {
   ExecutionEngine Engine(EngineConfig{4, true});
   Engine.enumerate(fig6Program(), JsModel(ModelSpec::original()));

@@ -1,13 +1,17 @@
 //===- tests/targets_test.cpp - Target models and Thm 6.3 checks ----------===//
 
+#include "TestUtil.h"
 #include "engine/ExecutionEngine.h"
+#include "service/LitmusService.h"
 #include "targets/Differential.h"
 #include "targets/TargetCompile.h"
+#include "tools/LitmusParser.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <random>
 
 using namespace jsmm;
 
@@ -262,8 +266,7 @@ namespace {
 /// the final axiom over \p X's access view, with statics \p S built once
 /// per base.
 bool splitCheck(const TargetExecution &X, const TargetStatics &S) {
-  std::vector<EventId> IdOf;
-  TargetExecution V = accessView(X, IdOf);
+  TargetExecution V = testutil::referenceAccessView(X);
   TargetCandidate C(V);
   if (S.Arch != TargetArch::ImmLite &&
       !targetScPerLocation(V.poLoc(), V.Rf, C.Co, C.Fr))
@@ -271,15 +274,24 @@ bool splitCheck(const TargetExecution &X, const TargetStatics &S) {
   return targetAtomicity(C.Co, C.Fr) && targetFinalAxiom(C, S);
 }
 
+/// The statics of \p CT's backend over its access view, as the walk
+/// builds them: from the form's events, numbered over the view.
+TargetStatics viewStatics(const CompiledTarget &CT) {
+  std::vector<TargetEvent> Seq = formEvents(CT);
+  unsigned N = 0;
+  for (const TargetEvent &E : Seq)
+    N += E.isAccess();
+  return targetStatics(Seq, N, CT.Arch);
+}
+
 const TargetArch AllArchs[] = {TargetArch::X86,   TargetArch::ArmV8,
                                TargetArch::ArmV7, TargetArch::Power,
                                TargetArch::RiscV, TargetArch::ImmLite};
 
-/// \p P plus a cell no read touches, written by the first thread
-/// (unordered) and the last (SeqCst): the access view leaves out its init.
-UniProgram withUnreadCell(const UniProgram &P) {
+/// \p P over one more location, which no instruction touches yet.
+UniProgram withExtraCell(const UniProgram &P, const std::string &Suffix) {
   UniProgram Out(P.numLocs() + 1);
-  Out.Name = P.Name + "+unread";
+  Out.Name = P.Name + Suffix;
   for (unsigned T = 0; T < P.numThreads(); ++T) {
     unsigned OT = Out.thread();
     for (const UniInstr &I : P.threadBody(T)) {
@@ -296,12 +308,50 @@ UniProgram withUnreadCell(const UniProgram &P) {
       }
     }
   }
+  return Out;
+}
+
+/// \p P plus a cell no read touches, written by the first thread
+/// (unordered) and the last (SeqCst): the access view leaves out its init.
+UniProgram withUnreadCell(const UniProgram &P) {
+  UniProgram Out = withExtraCell(P, "+unread");
   Out.store(0, P.numLocs(), 1, Mode::Unordered);
   Out.store(Out.numThreads() - 1, P.numLocs(), 2, Mode::SeqCst);
   return Out;
 }
 
-/// The corpus programs, each also with an unread cell.
+/// \p P plus a cell no read touches, written by the first thread between
+/// two SeqCst writes of it: every scheme but ARMv8's and ImmLite's puts
+/// fences around the middle write, and the access view leaves out the
+/// cell's init.
+UniProgram withFencedUnreadCell(const UniProgram &P) {
+  UniProgram Out = withExtraCell(P, "+fenced-unread");
+  Out.store(0, P.numLocs(), 1, Mode::SeqCst);
+  Out.store(0, P.numLocs(), 2, Mode::Unordered);
+  Out.store(0, P.numLocs(), 3, Mode::SeqCst);
+  return Out;
+}
+
+/// The programs of the large corpus (65+ uni events: relations of several
+/// words per row), each also with a fenced unread cell.
+std::vector<UniProgram> largePrograms() {
+  std::vector<UniProgram> Out;
+  for (const LitmusJob &J : largeCorpusJobs()) {
+    std::optional<LitmusFile> File = parseLitmus(J.Litmus);
+    std::optional<UniProgram> Uni =
+        File ? uniFromProgram(File->P) : std::nullopt;
+    EXPECT_TRUE(Uni.has_value()) << J.Name;
+    if (!Uni)
+      continue;
+    Out.push_back(*Uni);
+    Out.back().Name = J.Name;
+    Out.push_back(withFencedUnreadCell(Out.back()));
+  }
+  return Out;
+}
+
+/// The corpus programs, each also with an unread cell, and the large
+/// programs.
 std::vector<UniProgram> splitCheckPrograms() {
   std::vector<UniProgram> Out;
   for (const DiffCase &C : differentialCorpus()) {
@@ -309,6 +359,8 @@ std::vector<UniProgram> splitCheckPrograms() {
     Out.back().Name = C.Name;
     Out.push_back(withUnreadCell(Out.back()));
   }
+  for (UniProgram &P : largePrograms())
+    Out.push_back(std::move(P));
   return Out;
 }
 
@@ -316,34 +368,31 @@ std::vector<UniProgram> splitCheckPrograms() {
 
 TEST(Targets, SplitCheckEqualsFullPredicate) {
   // isTargetConsistent stays the full predicate. On every candidate of
-  // the corpus programs, with and without a cell no read touches, for all
-  // six architectures, it must equal the shared axioms ∧ the final axiom
-  // with the statics built once from the candidate-free base over its
-  // access view, which leaves out the init writes of unread cells.
-  uint64_t Candidates = 0, Consistent = 0, UnreadInits = 0;
+  // the corpus programs, with and without a cell no read touches, and of
+  // the large programs (over 64 events), with and without a fenced one,
+  // for all six architectures, it must equal the shared axioms ∧ the
+  // final axiom with the statics built once from the form's events over
+  // its access view, which leaves out the init writes of unread cells.
+  uint64_t Candidates = 0, Consistent = 0, UnreadInits = 0, Wide = 0;
   for (const UniProgram &P : splitCheckPrograms())
     for (TargetArch A : AllArchs) {
       CompiledTarget CT = compileUni(P, A);
-      std::optional<TargetStatics> S;
+      TargetStatics S = viewStatics(CT);
+      bool First = true;
       ExecutionEngine().forEachTargetCandidate(CT, [&](const TargetExecution &X,
                                      const Outcome &O) {
-        if (!S) {
-          TargetExecution Base = X;
-          Base.Rf = Relation(X.numEvents());
-          for (std::vector<EventId> &Order : Base.CoPerLoc)
-            Order.clear();
-          std::vector<EventId> IdOf;
-          accessView(Base, IdOf);
-          S = targetStatics(Base, A, &IdOf);
+        if (First) {
+          First = false;
           unsigned Accesses = 0;
           for (const TargetEvent &E : X.Events)
             Accesses += E.isAccess();
-          UnreadInits += Accesses - IdOf.size();
+          UnreadInits += Accesses - S.Writes.universeBits();
+          Wide += X.numEvents() > 64;
         }
         std::string At = P.Name + " " + targetArchName(A) + " " +
                          O.toString();
         bool Full = isTargetConsistent(X, A);
-        EXPECT_EQ(splitCheck(X, *S), Full) << At;
+        EXPECT_EQ(splitCheck(X, S), Full) << At;
         ++Candidates;
         Consistent += Full;
         return true;
@@ -351,7 +400,109 @@ TEST(Targets, SplitCheckEqualsFullPredicate) {
     }
   EXPECT_GT(Consistent, 0u);
   EXPECT_GT(Candidates, Consistent);
-  EXPECT_GE(UnreadInits, 17u * 6u) << "every +unread program drops an init";
+  EXPECT_GE(UnreadInits, (17u + 3u) * 6u)
+      << "every +unread and +fenced-unread program drops an init";
+  EXPECT_EQ(Wide, 6u * 6u) << "the large programs' forms exceed 64 events";
+}
+
+TEST(Targets, ViewStaticsEqualProjectedFullFormStatics) {
+  // targetStatics builds a form's statics from its events straight over
+  // the access view. Relation by relation, they must equal the reference
+  // built in relation algebra over the form's own execution (fences and
+  // unread inits included) and projected onto the view: on the corpus,
+  // the large programs and the uni-size programs among 200 random small
+  // ones, each with an unread cell, for all six architectures and a Power
+  // form with lwsync.
+  std::vector<UniProgram> Programs = splitCheckPrograms();
+  std::mt19937 Rng(0x57A7);
+  for (int I = 0; I < 200; ++I)
+    if (std::optional<UniProgram> U =
+            uniFromProgram(testutil::randomSmallProgram(Rng))) {
+      U->Name = "random-" + std::to_string(I);
+      Programs.push_back(withUnreadCell(*U));
+      Programs.push_back(std::move(*U));
+    }
+  ASSERT_GT(Programs.size(), splitCheckPrograms().size() + 20);
+  // No scheme emits lwsync: a Power form with lwsync for every sync
+  // exercises the lwsync edges.
+  auto LwSyncForm = [](const UniProgram &P) {
+    CompiledTarget CT = compileUni(P, TargetArch::Power);
+    for (std::vector<TargetInstr> &Thread : CT.Threads)
+      for (TargetInstr &I : Thread)
+        if (I.Fence == TFence::Sync)
+          I.Fence = TFence::LwSync;
+    return CT;
+  };
+  unsigned LwSyncEdges = 0;
+  for (const UniProgram &P : Programs) {
+    std::vector<CompiledTarget> Forms;
+    for (TargetArch A : AllArchs)
+      Forms.push_back(compileUni(P, A));
+    Forms.push_back(LwSyncForm(P));
+    for (const CompiledTarget &CT : Forms) {
+      std::optional<TargetStatics> Ref;
+      ExecutionEngine().forEachTargetCandidate(
+          CT, [&](const TargetExecution &X, const Outcome &) {
+            Ref = testutil::referenceViewStatics(X, CT.Arch);
+            return false;
+          });
+      ASSERT_TRUE(Ref.has_value()) << P.Name;
+      TargetStatics S = viewStatics(CT);
+      LwSyncEdges += S.Lw.count();
+      std::string At = P.Name + " " + targetArchName(CT.Arch) +
+                       (&CT == &Forms.back() ? " lwsync" : "");
+      EXPECT_EQ(S.Arch, Ref->Arch) << At;
+      EXPECT_EQ(S.Ppo, Ref->Ppo) << At << " ppo";
+      EXPECT_EQ(S.Ffence, Ref->Ffence) << At << " full fence";
+      EXPECT_EQ(S.Lw, Ref->Lw) << At << " lwsync";
+      EXPECT_EQ(S.SameLoc, Ref->SameLoc) << At << " same-loc";
+      EXPECT_EQ(S.Writes, Ref->Writes) << At << " writes";
+      EXPECT_EQ(S.Sc, Ref->Sc) << At << " sc";
+    }
+  }
+  EXPECT_GT(LwSyncEdges, 0u);
+}
+
+TEST(Targets, ConsistencyStaticsFollowProgramOrderNotIds) {
+  // isTargetConsistent reads each thread's events in program order, which
+  // need not be id order: the same execution with one thread's ids
+  // reversed gets the same statics and the same verdicts.
+  UniProgram P = uniMP(Mode::SeqCst);
+  for (TargetArch A : AllArchs) {
+    CompiledTarget CT = compileUni(P, A);
+    ExecutionEngine().forEachTargetCandidate(
+        CT, [&](const TargetExecution &X, const Outcome &O) {
+          // Renumber: thread 1's events in reverse id order.
+          std::vector<EventId> NewId(X.numEvents());
+          std::vector<EventId> T1;
+          for (const TargetEvent &E : X.Events) {
+            NewId[E.Id] = E.Id;
+            if (E.Thread == 1)
+              T1.push_back(E.Id);
+          }
+          for (size_t K = 0; K < T1.size(); ++K)
+            NewId[T1[K]] = T1[T1.size() - 1 - K];
+          std::vector<TargetEvent> Events(X.numEvents());
+          for (const TargetEvent &E : X.Events) {
+            Events[NewId[E.Id]] = E;
+            Events[NewId[E.Id]].Id = NewId[E.Id];
+          }
+          TargetExecution Y(std::move(Events),
+                            static_cast<unsigned>(X.CoPerLoc.size()));
+          X.Po.forEachPair([&](unsigned U, unsigned V) {
+            Y.Po.set(NewId[U], NewId[V]);
+          });
+          X.Rf.forEachPair([&](unsigned U, unsigned V) {
+            Y.Rf.set(NewId[U], NewId[V]);
+          });
+          for (size_t L = 0; L < X.CoPerLoc.size(); ++L)
+            for (EventId W : X.CoPerLoc[L])
+              Y.CoPerLoc[L].push_back(NewId[W]);
+          EXPECT_EQ(isTargetConsistent(Y, A), isTargetConsistent(X, A))
+              << targetArchName(A) << " " << O.toString();
+          return true;
+        });
+  }
 }
 
 TEST(Targets, WitnessesKeepUnreadInits) {
