@@ -2,8 +2,10 @@
 ///
 /// \file
 /// The pieces the footprint classifier (StaticAnalysis.cpp) and the value
-/// analysis (StaticValues.cpp) share: thread-body flattening, the per-byte
-/// footprint facts, and the diagnostic text helpers. Only litmus programs
+/// analysis (StaticValues.cpp) share: thread-body flattening, the
+/// footprint classifier that fills the flat byte table (StaticValues.h
+/// ByteTable) and sweeps the may-race pairs, and the diagnostic text
+/// helpers. Only litmus programs
 /// are analysed: a compiled form reuses its source program's facts
 /// through TargetInstr::SourceIdx. Internal to src/analysis/ — frontends
 /// include StaticAnalysis.h / StaticValues.h.
@@ -14,29 +16,15 @@
 #define JSMM_ANALYSIS_ANALYSISDETAIL_H
 
 #include "analysis/StaticAnalysis.h"
+#include "analysis/StaticValues.h"
 #include "analysis/Symmetry.h"
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace jsmm {
 namespace analysis {
 namespace detail {
-
-using ByteKey = std::pair<unsigned, unsigned>; ///< (block, absolute byte)
-
-/// Per absolute byte, the facts the footprint lints and the raw value
-/// over-approximation need.
-struct ByteInfo {
-  unsigned Writers = 0; ///< writing accesses covering this byte
-  bool Read = false;    ///< some load/RMW reads this byte
-  /// Over-approximate value set: the initial byte plus every byte any
-  /// write may leave here. Sound because a byte's dynamic value is always
-  /// the initial one or one written by some covering write.
-  std::set<uint8_t> Possible;
-};
 
 /// A branch statement collected during flattening.
 struct BranchRecord {
@@ -65,13 +53,14 @@ void flattenBody(const std::vector<Instr> &Body, unsigned Thread,
 /// The initial value of byte \p Byte of buffer \p Block of \p P.
 uint8_t initByte(const Program &P, unsigned Block, unsigned Byte);
 
-/// The footprint part of classify(): the may-race relation, the
-/// statically-DRF certificate, and the footprint lints (dead-store /
-/// uncovered-read) over \p P's already-flattened access table.
+/// The footprint part of classify() over \p P's already-flattened access
+/// table: fills the empty \p Bytes with every touched byte's facts, then
+/// the may-race relation (a sweep over the accesses sorted by (block,
+/// offset): O(A log A + overlapping pairs)), the statically-DRF
+/// certificate, and the footprint lints (dead-store / uncovered-read).
 void classifyAccesses(const Program &P,
                       const std::vector<AccessRecord> &Accesses,
-                      StaticClassification &Out,
-                      std::map<ByteKey, ByteInfo> &Bytes);
+                      StaticClassification &Out, ByteTable &Bytes);
 
 /// Appends one DuplicateThread diagnostic per symmetry class, anchored at
 /// the first duplicate (the class's second member).

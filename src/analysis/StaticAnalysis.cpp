@@ -11,6 +11,7 @@
 #include "analysis/AnalysisDetail.h"
 
 #include <algorithm>
+#include <numeric>
 
 using namespace jsmm;
 using namespace jsmm::analysis;
@@ -61,6 +62,25 @@ const char *targetFenceName(TFence F) {
   default:
     return "fence";
   }
+}
+
+/// True when accesses \p X and \p Y may race (the conservative Fig. 7
+/// mirror): distinct threads, overlapping ranges of one block, at least
+/// one write, not both SeqCst on the identical range.
+bool mayRace(const AccessRecord &X, const AccessRecord &Y) {
+  if (X.Thread == Y.Thread || X.Access.Block != Y.Access.Block)
+    return false;
+  if (!X.isWrite() && !Y.isWrite())
+    return false;
+  unsigned Begin = std::max(X.Access.Offset, Y.Access.Offset);
+  unsigned End = std::min(X.Access.Offset + X.Access.Width,
+                          Y.Access.Offset + Y.Access.Width);
+  if (Begin >= End)
+    return false;
+  bool BothScSameRange =
+      X.Access.Ord == Mode::SeqCst && Y.Access.Ord == Mode::SeqCst &&
+      X.Access.Offset == Y.Access.Offset && X.Access.Width == Y.Access.Width;
+  return !BothScSameRange;
 }
 
 } // namespace
@@ -116,54 +136,79 @@ uint8_t jsmm::analysis::detail::initByte(const Program &P, unsigned Block,
 
 void jsmm::analysis::detail::classifyAccesses(
     const Program &P, const std::vector<AccessRecord> &Accesses,
-    StaticClassification &Out, std::map<ByteKey, ByteInfo> &Bytes) {
-  for (const AccessRecord &R : Accesses) {
+    StaticClassification &Out, ByteTable &Bytes) {
+  std::vector<unsigned> ByStart(Accesses.size());
+  std::iota(ByStart.begin(), ByStart.end(), 0u);
+  auto StartOf = [&](unsigned I) {
+    const Acc &A = Accesses[I].Access;
+    return std::make_pair(A.Block, A.Offset);
+  };
+  std::sort(ByStart.begin(), ByStart.end(), [&](unsigned X, unsigned Y) {
+    return StartOf(X) < StartOf(Y);
+  });
+
+  // The byte table: the sorted ranges merge into maximal runs of touched
+  // bytes; FirstSlot[A] is the slot of access A's first byte.
+  std::vector<unsigned> FirstSlot(Accesses.size());
+  for (size_t I = 0; I < ByStart.size();) {
+    const Acc &First = Accesses[ByStart[I]].Access;
+    unsigned End = First.Offset + First.Width;
+    size_t J = I + 1;
+    for (; J < ByStart.size(); ++J) {
+      const Acc &A = Accesses[ByStart[J]].Access;
+      if (A.Block != First.Block || A.Offset > End)
+        break;
+      End = std::max(End, A.Offset + A.Width);
+    }
+    unsigned Slot = Bytes.addRun(First.Block, First.Offset, End);
+    for (unsigned Byte = First.Offset; Byte < End; ++Byte)
+      Bytes.slot(Slot + Byte - First.Offset).Init =
+          initByte(P, First.Block, Byte);
+    for (; I < J; ++I)
+      FirstSlot[ByStart[I]] =
+          Slot + Accesses[ByStart[I]].Access.Offset - First.Offset;
+  }
+  for (unsigned A = 0; A < Accesses.size(); ++A) {
+    const AccessRecord &R = Accesses[A];
     for (unsigned K = 0; K < R.Access.Width; ++K) {
-      ByteKey Key{R.Access.Block, R.Access.Offset + K};
-      auto [It, Inserted] = Bytes.emplace(Key, ByteInfo{});
-      if (Inserted)
-        It->second.Possible.insert(initByte(P, Key.first, Key.second));
+      ByteFacts &F = Bytes.slot(FirstSlot[A] + K);
       if (R.isWrite()) {
-        ++It->second.Writers;
-        It->second.Possible.insert(byteOf(R.Value, K));
+        ++F.Writers;
+        F.Class = F.Writers == 1 ? ByteClass::SingleWriter
+                                 : ByteClass::MultiWriter;
       }
       if (R.isRead())
-        It->second.Read = true;
+        F.Read = true;
     }
   }
 
-  // The conservative Fig. 7 mirror: distinct threads, overlapping ranges,
-  // at least one write, not both SeqCst on the identical range. Every
-  // dynamic race is between events generated by such a pair (events
-  // inherit range and mode from their access; Init events happen-before
-  // everything and never race), so an empty relation certifies DRF.
-  for (unsigned A = 0; A < Accesses.size(); ++A) {
-    const AccessRecord &X = Accesses[A];
-    for (unsigned B = A + 1; B < Accesses.size(); ++B) {
-      const AccessRecord &Y = Accesses[B];
-      if (X.Thread == Y.Thread || X.Access.Block != Y.Access.Block)
-        continue;
-      if (!X.isWrite() && !Y.isWrite())
-        continue;
-      unsigned Begin = std::max(X.Access.Offset, Y.Access.Offset);
-      unsigned End = std::min(X.Access.Offset + X.Access.Width,
-                              Y.Access.Offset + Y.Access.Width);
-      if (Begin >= End)
-        continue;
-      bool BothScSameRange =
-          X.Access.Ord == Mode::SeqCst && Y.Access.Ord == Mode::SeqCst &&
-          X.Access.Offset == Y.Access.Offset &&
-          X.Access.Width == Y.Access.Width;
-      if (BothScSameRange)
-        continue;
-      Out.MayRaces.push_back({A, B});
+  // Every dynamic race is between events generated by a mayRace pair
+  // (events inherit range and mode from their access; Init events
+  // happen-before everything and never race), so an empty relation
+  // certifies DRF. Overlapping pairs are found by a sweep: in
+  // (block, offset) order, the accesses overlapping one start inside
+  // its range and follow it directly.
+  for (size_t I = 0; I < ByStart.size(); ++I) {
+    const Acc &X = Accesses[ByStart[I]].Access;
+    for (size_t J = I + 1; J < ByStart.size(); ++J) {
+      const Acc &Y = Accesses[ByStart[J]].Access;
+      if (Y.Block != X.Block || Y.Offset >= X.Offset + X.Width)
+        break;
+      if (mayRace(Accesses[ByStart[I]], Accesses[ByStart[J]]))
+        Out.MayRaces.push_back({std::min(ByStart[I], ByStart[J]),
+                                std::max(ByStart[I], ByStart[J])});
     }
   }
+  std::sort(Out.MayRaces.begin(), Out.MayRaces.end(),
+            [](const MayRacePair &X, const MayRacePair &Y) {
+              return std::make_pair(X.A, X.B) < std::make_pair(Y.A, Y.B);
+            });
   Out.StaticallyDrf = Out.MayRaces.empty();
 
-  for (const AccessRecord &R : Accesses) {
-    auto ByteAt = [&](unsigned K) -> const ByteInfo & {
-      return Bytes.at({R.Access.Block, R.Access.Offset + K});
+  for (unsigned A = 0; A < Accesses.size(); ++A) {
+    const AccessRecord &R = Accesses[A];
+    auto ByteAt = [&](unsigned K) -> const ByteFacts & {
+      return Bytes.slot(FirstSlot[A] + K);
     };
     if (R.K == Instr::Kind::Store) {
       bool AnyRead = false;
@@ -183,8 +228,7 @@ void jsmm::analysis::detail::classifyAccesses(
       bool Covered = false;
       unsigned SelfWrites = R.isWrite() ? 1u : 0u;
       for (unsigned K = 0; K < R.Access.Width && !Covered; ++K)
-        Covered = ByteAt(K).Writers > SelfWrites ||
-                  initByte(P, R.Access.Block, R.Access.Offset + K) != 0;
+        Covered = ByteAt(K).Writers > SelfWrites || ByteAt(K).Init != 0;
       if (!Covered)
         Out.Lints.push_back(
             {LintKind::UncoveredRead, static_cast<int>(R.Thread),

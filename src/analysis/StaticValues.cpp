@@ -5,6 +5,9 @@
 #include "analysis/AnalysisDetail.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <string>
 
 using namespace jsmm;
 using namespace jsmm::analysis;
@@ -103,22 +106,6 @@ void computeMayRf(StaticValues &SV, const Program &P) {
   }
 }
 
-/// Fills StaticValues::Bytes from the footprint byte table.
-void computeByteFacts(StaticValues &SV, const Program &P,
-                      const std::map<ad::ByteKey, ad::ByteInfo> &Bytes) {
-  for (const auto &[Key, Info] : Bytes) {
-    ByteFacts F;
-    F.Class = Info.Writers == 0
-                  ? ByteClass::ReadOnly
-                  : (Info.Writers == 1 ? ByteClass::SingleWriter
-                                       : ByteClass::MultiWriter);
-    F.Init = ad::initByte(P, Key.first, Key.second);
-    F.Writers = Info.Writers;
-    F.Read = Info.Read;
-    SV.Bytes.emplace(Key, F);
-  }
-}
-
 /// (thread, register) constants over the refined read facts.
 void computeRegConstants(StaticValues &SV) {
   std::map<std::pair<unsigned, unsigned>, std::pair<bool, uint64_t>> Acc;
@@ -141,19 +128,19 @@ void computeRegConstants(StaticValues &SV) {
 /// raw per-byte judgment (raw sets are supersets, so anything the old
 /// lint proved dead stays dead).
 void lintValues(StaticValues &SV, const std::vector<BranchRecord> &Branches) {
-  auto HasLint = [&](LintKind K, const AccessRecord &R) {
-    for (const LintDiag &D : SV.C.Lints)
-      if (D.Kind == K && D.Thread == static_cast<int>(R.Thread) &&
-          D.PreIdx == static_cast<int>(R.PreIdx))
-        return true;
-    return false;
-  };
+  // An uncovered read is already reported as the root cause.
+  std::vector<std::pair<int, int>> Uncovered;
+  for (const LintDiag &D : SV.C.Lints)
+    if (D.Kind == LintKind::UncoveredRead)
+      Uncovered.emplace_back(D.Thread, D.PreIdx);
+  std::sort(Uncovered.begin(), Uncovered.end());
   for (const ReadMayRf &MR : SV.Reads) {
     if (!MR.Constant)
       continue;
     const AccessRecord &R = SV.C.Accesses[MR.AccessIdx];
-    // An uncovered read is already reported as the root cause.
-    if (HasLint(LintKind::UncoveredRead, R))
+    if (std::binary_search(Uncovered.begin(), Uncovered.end(),
+                           std::make_pair(static_cast<int>(R.Thread),
+                                          static_cast<int>(R.PreIdx))))
       continue;
     SV.C.Lints.push_back(
         {LintKind::ConstantRead, static_cast<int>(R.Thread),
@@ -199,7 +186,42 @@ void lintValues(StaticValues &SV, const std::vector<BranchRecord> &Branches) {
   }
 }
 
+/// The total pointer order AccessOfInstr is sorted by.
+bool instrBefore(const std::pair<const Instr *, unsigned> &X,
+                 const std::pair<const Instr *, unsigned> &Y) {
+  return std::less<const Instr *>()(X.first, Y.first);
+}
+
 } // namespace
+
+unsigned ByteTable::addRun(unsigned Block, unsigned Begin, unsigned End) {
+  unsigned Slot = static_cast<unsigned>(Facts.size());
+  Runs.push_back({Block, Begin, End, Slot});
+  Facts.resize(Facts.size() + (End - Begin));
+  return Slot;
+}
+
+const ByteFacts &ByteTable::at(std::pair<unsigned, unsigned> Key) const {
+  auto [Block, Byte] = Key;
+  // The last run starting at or before the byte.
+  auto It = std::upper_bound(Runs.begin(), Runs.end(), Key,
+                             [](std::pair<unsigned, unsigned> K, const Run &R) {
+                               return K < std::make_pair(R.Block, R.Begin);
+                             });
+  if (It == Runs.begin() || (--It)->Block != Block || Byte >= It->End)
+    throw std::out_of_range("byte " + std::to_string(Byte) + " of buffer " +
+                            std::to_string(Block) +
+                            " is touched by no access");
+  return Facts[It->Slot + (Byte - It->Begin)];
+}
+
+int StaticValues::accessOf(const Instr *I) const {
+  auto It = std::lower_bound(AccessOfInstr.begin(), AccessOfInstr.end(),
+                             std::make_pair(I, 0u), instrBefore);
+  if (It == AccessOfInstr.end() || It->first != I)
+    return -1;
+  return static_cast<int>(It->second);
+}
 
 bool StaticValues::pathFeasible(const ThreadPath &Path) const {
   if (Path.Constraints.empty())
@@ -208,10 +230,10 @@ bool StaticValues::pathFeasible(const ThreadPath &Path) const {
     for (const Instr *I : Path.Accesses) {
       if (I->K == Instr::Kind::Store || I->Dst != Ct.Reg)
         continue;
-      auto It = AccessOfInstr.find(I);
-      if (It == AccessOfInstr.end())
+      int AccessIdx = accessOf(I);
+      if (AccessIdx < 0)
         continue;
-      const ReadMayRf *MR = readMayRf(It->second);
+      const ReadMayRf *MR = readMayRf(static_cast<unsigned>(AccessIdx));
       if (!MR || !MR->Constant)
         continue;
       bool Violates = Ct.MustEqual ? MR->ConstantValue != Ct.Value
@@ -232,12 +254,12 @@ StaticValues jsmm::analysis::analyzeValues(const Program &P) {
     ad::flattenBody(P.threadBody(T), T, 0, PreIdx, SV.C.Accesses,
                         Branches, InstrOf);
   }
+  SV.AccessOfInstr.reserve(InstrOf.size());
   for (unsigned I = 0; I < InstrOf.size(); ++I)
-    SV.AccessOfInstr.emplace(InstrOf[I], I);
+    SV.AccessOfInstr.emplace_back(InstrOf[I], I);
+  std::sort(SV.AccessOfInstr.begin(), SV.AccessOfInstr.end(), instrBefore);
 
-  std::map<ad::ByteKey, ad::ByteInfo> Bytes;
-  ad::classifyAccesses(P, SV.C.Accesses, SV.C, Bytes);
-  computeByteFacts(SV, P, Bytes);
+  ad::classifyAccesses(P, SV.C.Accesses, SV.C, SV.Bytes);
   computeMayRf(SV, P);
   computeRegConstants(SV);
   lintValues(SV, Branches);

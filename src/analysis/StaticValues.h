@@ -80,12 +80,39 @@ enum class ByteClass : uint8_t {
 /// \returns "read-only" / "single-writer" / "multi-writer".
 const char *byteClassName(ByteClass C);
 
-/// Static facts about one shared byte (keyed by (block, absolute byte)).
+/// Static facts about one shared byte.
 struct ByteFacts {
   ByteClass Class = ByteClass::ReadOnly;
   uint8_t Init = 0;     ///< initial value (Program::initBytes or 0)
   unsigned Writers = 0; ///< covering writing accesses
   bool Read = false;    ///< some load/RMW reads this byte
+};
+
+/// The byte facts of a program, flat: one ByteFacts slot per touched
+/// byte. The touched bytes are kept as maximal runs in (block, offset)
+/// order, each run's slots contiguous, so every access's bytes are
+/// consecutive slots of one run and the table is as large as the
+/// program's footprint, whatever size its buffers are declared.
+class ByteTable {
+public:
+  /// Appends the run of touched bytes [\p Begin, \p End) of \p Block,
+  /// which must follow every run appended so far in (block, offset)
+  /// order; \returns the slot of its first byte.
+  unsigned addRun(unsigned Block, unsigned Begin, unsigned End);
+  ByteFacts &slot(unsigned Slot) { return Facts[Slot]; }
+
+  /// The facts of the (block, byte) \p Key; throws std::out_of_range when
+  /// no access touches it.
+  const ByteFacts &at(std::pair<unsigned, unsigned> Key) const;
+  /// The number of touched bytes.
+  size_t size() const { return Facts.size(); }
+
+private:
+  struct Run {
+    unsigned Block, Begin, End, Slot;
+  };
+  std::vector<Run> Runs;
+  std::vector<ByteFacts> Facts;
 };
 
 /// The may-rf candidate set of one byte of one read: which writes could
@@ -119,8 +146,9 @@ struct StaticValues {
   /// `classify()` returns.
   StaticClassification C;
 
-  /// Per touched shared byte, its classification.
-  std::map<std::pair<unsigned, unsigned>, ByteFacts> Bytes;
+  /// Per touched shared byte, its classification. The service drops it
+  /// after reading the summary; only jsmm-run --stats and tests read it.
+  ByteTable Bytes;
 
   /// One entry per read access, in access-table order.
   std::vector<ReadMayRf> Reads;
@@ -132,14 +160,19 @@ struct StaticValues {
   /// disagree (or the register is never assigned).
   std::map<std::pair<unsigned, unsigned>, uint64_t> RegConstants;
 
-  /// Source Instr -> access index. The engine keys its enumerated path
-  /// accesses by these pointers; a compiled form's events carry the index
-  /// itself (TargetEvent::SourceIdx).
-  std::map<const Instr *, unsigned> AccessOfInstr;
+  /// (source Instr, access index) pairs sorted by pointer; accessOf()
+  /// searches them. The engine keys its enumerated path accesses by these
+  /// pointers; a compiled form's events carry the index itself
+  /// (TargetEvent::SourceIdx).
+  std::vector<std::pair<const Instr *, unsigned>> AccessOfInstr;
 
   /// Writer candidates excluded across all reads and bytes (E1 + E2 +
   /// shadowed init writes) — the statically refuted rf edges.
   uint64_t MayRfExcluded = 0;
+
+  /// \returns the access index of \p I, or -1 when \p I is not a
+  /// load, store or exchange of the analysed program.
+  int accessOf(const Instr *I) const;
 
   /// \returns the may-rf facts of access \p AccessIdx, or nullptr when it
   /// is not a read.

@@ -3,7 +3,9 @@
 #include "analysis/Symmetry.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <unordered_map>
 
 using namespace jsmm;
 
@@ -55,8 +57,6 @@ struct TouchMap {
           I.K == Instr::Kind::Rmw) {
         const Acc &A = I.Access;
         for (unsigned B = A.Offset; B < A.Offset + A.Width; ++B) {
-          if (A.Block >= ByBlock.size() || B >= ByBlock[A.Block].size())
-            continue; // out-of-range access; capacity checks reject later
           int &Owner = ByBlock[A.Block][B];
           if (Owner == -1)
             Owner = T;
@@ -70,8 +70,7 @@ struct TouchMap {
 
   /// \returns true iff byte \p B of \p Block is touched by \p T alone.
   bool privateTo(unsigned Block, unsigned B, int T) const {
-    return Block < ByBlock.size() && B < ByBlock[Block].size() &&
-           ByBlock[Block][B] == T;
+    return ByBlock[Block][B] == T;
   }
 };
 
@@ -133,16 +132,45 @@ bool renamingIsPrivate(const std::map<ByteKey, unsigned> &Fwd,
 // Class assembly
 //===----------------------------------------------------------------------===//
 
-/// Groups threads \p NumThreads by the pairwise predicate \p Matches
-/// (candidate, representative, &ExactMatch); keeps classes of size >= 2.
+void mix(uint64_t &H, uint64_t V) {
+  H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
+}
+
+/// Hashes every field of \p Body that bodiesEqual and renamedBodiesEqual
+/// compare except byte offsets, so two threads either comparison matches
+/// share a signature.
+void mixBody(uint64_t &H, const std::vector<Instr> &Body) {
+  mix(H, Body.size());
+  for (const Instr &I : Body) {
+    const Acc &A = I.Access;
+    mix(H, static_cast<uint64_t>(I.K));
+    mix(H, I.Dst);
+    mix(H, I.Value);
+    mix(H, I.CondReg);
+    mix(H, A.Block);
+    mix(H, A.Width);
+    mix(H, static_cast<uint64_t>(A.Ord));
+    mix(H, A.TearFree);
+    mixBody(H, I.Body);
+  }
+}
+
+/// Groups the threads of \p P by the pairwise predicate \p Matches
+/// (candidate, representative, &ExactMatch), comparing a thread only with
+/// the groups of its own signature; keeps classes of size >= 2.
 template <typename MatchFn>
-ThreadSymmetry assembleClasses(unsigned NumThreads, MatchFn Matches) {
+ThreadSymmetry assembleClasses(const Program &P, MatchFn Matches) {
   ThreadSymmetry S;
   std::vector<std::vector<unsigned>> Groups;
   std::vector<char> GroupExact;
-  for (unsigned T = 0; T < NumThreads; ++T) {
+  std::unordered_map<uint64_t, std::vector<size_t>> GroupsOfSignature;
+  for (unsigned T = 0; T < P.numThreads(); ++T) {
+    uint64_t Signature = 0;
+    mixBody(Signature, P.threadBody(T));
+    std::vector<size_t> &Bucket = GroupsOfSignature[Signature];
     bool Placed = false;
-    for (size_t G = 0; G < Groups.size() && !Placed; ++G) {
+    for (size_t I = 0; I < Bucket.size() && !Placed; ++I) {
+      size_t G = Bucket[I];
       bool ExactMatch = false;
       if (Matches(T, Groups[G].front(), ExactMatch)) {
         Groups[G].push_back(T);
@@ -151,6 +179,7 @@ ThreadSymmetry assembleClasses(unsigned NumThreads, MatchFn Matches) {
       }
     }
     if (!Placed) {
+      Bucket.push_back(Groups.size());
       Groups.push_back({T});
       GroupExact.push_back(true);
     }
@@ -173,7 +202,7 @@ ThreadSymmetry jsmm::threadSymmetry(const Program &P) {
   // private renaming, so nonzero init simply limits classes to exact ones.
   bool ZeroInit = !P.hasNonZeroInit();
   return assembleClasses(
-      P.numThreads(), [&](unsigned T, unsigned Rep, bool &ExactMatch) {
+      P, [&](unsigned T, unsigned Rep, bool &ExactMatch) {
         const std::vector<Instr> &A = P.threadBody(Rep);
         const std::vector<Instr> &B = P.threadBody(T);
         if (bodiesEqual(A, B)) {

@@ -19,7 +19,9 @@
 ///
 /// Programs whose threads share a skeleton but differ in stored values or
 /// access widths are deliberately NOT merged: every field that reaches the
-/// event structure participates in the comparison.
+/// event structure participates in the comparison. A thread is compared
+/// only with the classes whose bodies hash alike over every field but the
+/// byte offsets, so threads that differ elsewhere cost no comparison.
 ///
 //===----------------------------------------------------------------------===//
 

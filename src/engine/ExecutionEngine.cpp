@@ -615,12 +615,13 @@ StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
     ++Pos;
   for (unsigned T = 0; T < B.Paths.size(); ++T)
     for (const Instr *I : B.Paths[T]->Accesses)
-      AccOf[Pos++] = static_cast<int>(SV.AccessOfInstr.at(I));
+      AccOf[Pos++] = SV.accessOf(I);
   assert(Pos == B.CE.Events.size() && "event/access replay out of sync");
 
   StaticAllowMask Allow(B.Reads.size());
   for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
     const Event &R = B.CE.Events[B.Reads[RI]];
+    assert(AccOf[R.Id] >= 0 && "read event of an unanalysed access");
     const analysis::ReadMayRf *MR =
         SV.readMayRf(static_cast<unsigned>(AccOf[R.Id]));
     assert(MR && "read event mapped to a non-read access");

@@ -3,6 +3,8 @@
 #include "litmus/Program.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace jsmm;
 
@@ -16,7 +18,21 @@ std::vector<Instr> &ThreadBuilder::body() {
   return Into ? *Into : P.Threads[ThreadIndex];
 }
 
+void ThreadBuilder::checkRange(const Acc &A) const {
+  const std::vector<unsigned> &Sizes = P.BufferSizes;
+  if (A.Block >= Sizes.size())
+    throw std::out_of_range("access to undeclared buffer " +
+                            std::to_string(A.Block));
+  if (A.Offset > Sizes[A.Block] || A.Width > Sizes[A.Block] - A.Offset)
+    throw std::out_of_range(
+        "access [" + std::to_string(A.Offset) + ", " +
+        std::to_string(static_cast<uint64_t>(A.Offset) + A.Width) +
+        ") is outside the " + std::to_string(Sizes[A.Block]) +
+        "-byte buffer " + std::to_string(A.Block));
+}
+
 Reg ThreadBuilder::load(Acc A) {
+  checkRange(A);
   Instr I;
   I.K = Instr::Kind::Load;
   I.Access = A;
@@ -26,6 +42,7 @@ Reg ThreadBuilder::load(Acc A) {
 }
 
 ThreadBuilder &ThreadBuilder::store(Acc A, uint64_t Value) {
+  checkRange(A);
   Instr I;
   I.K = Instr::Kind::Store;
   I.Access = A;
@@ -35,6 +52,7 @@ ThreadBuilder &ThreadBuilder::store(Acc A, uint64_t Value) {
 }
 
 Reg ThreadBuilder::exchange(Acc A, uint64_t Value) {
+  checkRange(A);
   Instr I;
   I.K = Instr::Kind::Rmw;
   I.Access = A.sc();

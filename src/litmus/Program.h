@@ -165,6 +165,9 @@ public:
   ThreadBuilder(Program &P, unsigned ThreadIndex)
       : P(P), ThreadIndex(ThreadIndex) {}
 
+  // load, store and exchange throw std::out_of_range when the access
+  // names an undeclared buffer or runs past its buffer's end.
+
   /// Emits a load; \returns the register receiving the value.
   Reg load(Acc A);
   /// Emits a store of \p Value.
@@ -187,6 +190,7 @@ private:
       : P(P), ThreadIndex(ThreadIndex), Into(Into) {}
 
   std::vector<Instr> &body();
+  void checkRange(const Acc &A) const;
 
   Program &P;
   unsigned ThreadIndex;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace jsmm;
 using namespace jsmm::testutil;
 
@@ -43,6 +45,35 @@ TEST(Program, ExchangeIsSeqCst) {
   const Instr &I = P.threadBody(0)[0];
   EXPECT_EQ(I.K, Instr::Kind::Rmw);
   EXPECT_EQ(I.Access.Ord, Mode::SeqCst);
+}
+
+TEST(Program, BuilderRejectsAccessesOutsideBuffers) {
+  // Every analysis and engine door indexes a buffer by an access's bytes,
+  // so an out-of-range access must not get into a Program.
+  Program P(8);
+  P.thread().load(Acc::u32(0));
+  ThreadBuilder T = P.thread();
+  EXPECT_THROW(T.store(Acc::u32(6), 1), std::out_of_range);
+  EXPECT_THROW(T.store(Acc::u32(0).block(1), 1), std::out_of_range);
+  EXPECT_THROW(T.load(Acc::u8(8)), std::out_of_range);
+  EXPECT_THROW(T.exchange(Acc::u64(1), 1), std::out_of_range);
+  EXPECT_TRUE(P.threadBody(1).empty());
+
+  // Accesses ending on the last byte of a buffer still build.
+  T.store(Acc::u32(4), 1);
+  T.load(Acc::u8(7));
+  T.exchange(Acc::u64(0), 2);
+  unsigned B1 = P.addBuffer(2);
+  T.store(Acc::u16(0).block(B1), 3);
+  EXPECT_EQ(P.threadBody(1).size(), 4u);
+
+  // Accesses in a conditional body are checked too.
+  Program Q(8);
+  ThreadBuilder U = Q.thread();
+  Reg R = U.load(Acc::u32(0));
+  EXPECT_THROW(
+      U.ifEq(R, 0, [](ThreadBuilder &B) { B.load(Acc::u32(5)); }),
+      std::out_of_range);
 }
 
 TEST(PathEnum, StraightLineHasOnePath) {

@@ -9,6 +9,8 @@
 ///     shadowed init), refined possible sets, constant reads, register
 ///     constants, and path feasibility — including the vacuous-constraint
 ///     case the engine's dynamic discharge rule imposes;
+///   - the flat-table analysis equals the map-and-all-pairs reference in
+///     TestUtil.h, field by field, over every corpus and wide programs;
 ///   - randomized may-rf soundness sweeps on both tiers: every rf edge of
 ///     every valid candidate execution lands inside the static candidate
 ///     sets, for the JS models (via a path-combination reconstruction)
@@ -42,10 +44,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <optional>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -272,6 +277,188 @@ TEST(StaticValues, UnassignedBranchRegisterTablesAgree) {
 }
 
 //===--------------------------------------------------------------------===//
+// The flat analysis against the map-and-all-pairs reference
+//===--------------------------------------------------------------------===//
+
+/// A wide program: a racy core (a SeqCst pair on one range, SeqCst pairs
+/// on different ranges, an RMW, a conditional read, a second buffer),
+/// then \p Groups groups of filler threads storing three u32 cells each.
+/// A group is one of: a lone filler followed by a gap, an exact duplicate
+/// pair, a trio
+/// whose members store the same values into their own cells (duplicates
+/// up to offset renaming), or a pair on the second buffer whose second
+/// member reuses the first's cells at a shifted offset.
+Program wideProgram(std::mt19937 &Rng, unsigned Groups, bool NonZeroInit) {
+  auto Dist = [&](unsigned Lo, unsigned Hi) {
+    return std::uniform_int_distribution<unsigned>(Lo, Hi)(Rng);
+  };
+  Program P(16 + 36 * Groups);
+  unsigned B1 = P.addBuffer(256);
+  if (NonZeroInit) {
+    P.setInitByte(0, 2, 7);
+    P.setInitByte(B1, 5, 1);
+  }
+  {
+    ThreadBuilder T = P.thread();
+    T.store(Acc::u32(0), 1);
+    T.store(Acc::u32(4).sc(), 1);
+    T.exchange(Acc::u32(8), 2);
+    T.store(Acc::u8(0).block(B1), 5);
+  }
+  {
+    ThreadBuilder T = P.thread();
+    Reg R = T.load(Acc::u32(4).sc());
+    T.ifEq(R, 1, [](ThreadBuilder &B) { B.load(Acc::u32(0)); });
+    T.load(Acc::u32(8).sc());   // SeqCst pair on the exchange's range
+    T.load(Acc::u16(10).sc());  // SeqCst pair on a different range
+    T.exchange(Acc::u16(4), 3); // overlaps the SeqCst flag store
+    T.load(Acc::u32(0).block(B1));
+  }
+  unsigned Next = 16, Next1 = 8; // the next free cell of each buffer
+  auto Filler = [&](unsigned Block, unsigned Base, uint64_t Value) {
+    ThreadBuilder T = P.thread();
+    for (unsigned L = 0; L < 3; ++L)
+      T.store(Acc::u32(Base + 4 * L).block(Block), Value + L);
+  };
+  for (unsigned G = 0; G < Groups; ++G) {
+    uint64_t Value = 1 + 3 * Dist(0, 4);
+    switch (Dist(0, 3)) {
+    case 0: // leaves an untouched gap after its cells
+      Filler(0, Next, Value);
+      Next += 16;
+      break;
+    case 1:
+      Filler(0, Next, Value);
+      Filler(0, Next, Value);
+      Next += 12;
+      break;
+    case 2:
+      for (unsigned M = 0; M < 3; ++M, Next += 12)
+        Filler(0, Next, Value);
+      break;
+    case 3:
+      if (Next1 + 16 > 256)
+        break;
+      Filler(B1, Next1, Value);
+      Filler(B1, Next1 + 4, Value);
+      Next1 += 16;
+      break;
+    }
+  }
+  return P;
+}
+
+/// The first field in which the flat analysis of \p P differs from the
+/// reference, or "" when every field agrees. \p RenamedClasses counts the
+/// reference's non-exact symmetry classes.
+std::string flatAnalysisMismatch(const Program &P, unsigned &RenamedClasses) {
+  analysis::StaticValues SV = analysis::analyzeValues(P);
+  ReferenceAnalysis Ref = referenceAnalyzeValues(P);
+  const analysis::StaticClassification &C = SV.C, &RC = Ref.C;
+  if (C.MayRaces.size() != RC.MayRaces.size())
+    return "may-race count";
+  for (size_t I = 0; I < C.MayRaces.size(); ++I)
+    if (C.MayRaces[I].A != RC.MayRaces[I].A ||
+        C.MayRaces[I].B != RC.MayRaces[I].B)
+      return "may-race " + std::to_string(I);
+  if (C.StaticallyDrf != RC.StaticallyDrf)
+    return "statically-drf";
+  if (C.Lints.size() != RC.Lints.size())
+    return "lint count";
+  for (size_t I = 0; I < C.Lints.size(); ++I)
+    if (C.Lints[I].Kind != RC.Lints[I].Kind ||
+        C.Lints[I].Thread != RC.Lints[I].Thread ||
+        C.Lints[I].PreIdx != RC.Lints[I].PreIdx ||
+        C.Lints[I].Message != RC.Lints[I].Message)
+      return "lint " + std::to_string(I);
+  if (SV.Bytes.size() != Ref.Bytes.size())
+    return "touched byte count";
+  for (const auto &[Key, F] : Ref.Bytes) {
+    std::string Where =
+        "byte " + std::to_string(Key.first) + ":" + std::to_string(Key.second);
+    analysis::ByteFacts G;
+    try {
+      G = SV.Bytes.at(Key);
+    } catch (const std::out_of_range &) {
+      return Where + " missing";
+    }
+    if (G.Class != F.Class || G.Init != F.Init || G.Writers != F.Writers ||
+        G.Read != F.Read)
+      return Where;
+  }
+  if (SV.Reads.size() != Ref.Reads.size())
+    return "read count";
+  for (size_t I = 0; I < SV.Reads.size(); ++I) {
+    const analysis::ReadMayRf &X = SV.Reads[I], &Y = Ref.Reads[I];
+    bool Same = X.AccessIdx == Y.AccessIdx && X.Possible == Y.Possible &&
+                X.Constant == Y.Constant &&
+                X.ConstantValue == Y.ConstantValue &&
+                X.Bytes.size() == Y.Bytes.size();
+    for (size_t K = 0; Same && K < X.Bytes.size(); ++K)
+      Same = X.Bytes[K].Init == Y.Bytes[K].Init &&
+             X.Bytes[K].Writers == Y.Bytes[K].Writers;
+    if (!Same)
+      return "read " + std::to_string(I);
+  }
+  if (SV.RegConstants != Ref.RegConstants)
+    return "register constants";
+  if (SV.MayRfExcluded != Ref.MayRfExcluded)
+    return "may-rf exclusions";
+  ThreadSymmetry Sym = threadSymmetry(P);
+  if (Sym.Classes != Ref.Symmetry.Classes || Sym.Exact != Ref.Symmetry.Exact)
+    return "symmetry classes";
+  for (char Exact : Ref.Symmetry.Exact)
+    RenamedClasses += Exact ? 0 : 1;
+  return "";
+}
+
+TEST(StaticValues, FlatAnalysisEqualsReference) {
+  // Every output of the flat-table analysis (byte table, may-race sweep,
+  // signature-bucketed symmetry) equals the map-and-all-pairs reference
+  // in TestUtil.h, field by field, on every corpus the service runs plus
+  // random small programs and wide programs built to exercise the sweep
+  // and the symmetry buckets.
+  std::vector<std::pair<std::string, Program>> Programs;
+  std::vector<LitmusJob> Jobs = differentialCorpusJobs();
+  for (const LitmusJob &J : largeCorpusJobs())
+    Jobs.push_back(J);
+  for (const LitmusJob &J : Jobs) {
+    std::optional<LitmusFile> File = parseLitmus(J.Litmus);
+    ASSERT_TRUE(File.has_value()) << J.Name;
+    Programs.emplace_back(J.Name, File->P);
+  }
+  std::filesystem::path Dir =
+      std::filesystem::path(__FILE__).parent_path().parent_path() /
+      "examples" / "litmus";
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    if (Entry.path().extension() != ".litmus")
+      continue;
+    std::ifstream In(Entry.path());
+    std::stringstream Text;
+    Text << In.rdbuf();
+    std::optional<LitmusFile> File = parseLitmus(Text.str());
+    ASSERT_TRUE(File.has_value()) << Entry.path();
+    Programs.emplace_back(Entry.path().filename().string(), File->P);
+  }
+  std::mt19937 Rng(0xF1A7);
+  for (unsigned I = 0; I < 300; ++I)
+    Programs.emplace_back("gen-" + std::to_string(I),
+                          randomSmallProgram(Rng));
+  for (unsigned I = 0; I < 24; ++I)
+    Programs.emplace_back("wide-" + std::to_string(I),
+                          wideProgram(Rng, 4 + 3 * I, I % 3 == 2));
+
+  unsigned RenamedClasses = 0, RacyPrograms = 0;
+  for (const auto &[Name, P] : Programs) {
+    EXPECT_EQ(flatAnalysisMismatch(P, RenamedClasses), "") << Name;
+    RacyPrograms += analysis::classify(P).StaticallyDrf ? 0 : 1;
+  }
+  // The inputs exercise what the rewrite changed.
+  EXPECT_GT(RenamedClasses, 0u);
+  EXPECT_GT(RacyPrograms, 0u);
+}
+
+//===--------------------------------------------------------------------===//
 // Randomized may-rf soundness sweeps
 //===--------------------------------------------------------------------===//
 
@@ -329,9 +516,12 @@ bool comboCoversRbf(const analysis::StaticValues &SV,
   for (const RbfEdge &Edge : CE.Rbf) {
     const Event &R = CE.Events[Edge.Reader];
     auto [RT, RPos] = PosOf[Edge.Reader];
-    unsigned RAcc = SV.AccessOfInstr.at(
+    int RAcc = SV.accessOf(
         Combo[static_cast<size_t>(RT)]->Accesses[static_cast<size_t>(RPos)]);
-    const analysis::ReadMayRf *MR = SV.readMayRf(RAcc);
+    if (RAcc < 0)
+      return false;
+    const analysis::ReadMayRf *MR =
+        SV.readMayRf(static_cast<unsigned>(RAcc));
     if (!MR)
       return false;
     const analysis::MayRfByte &MB = MR->Bytes[Edge.Loc - R.readBegin()];
@@ -342,9 +532,10 @@ bool comboCoversRbf(const analysis::StaticValues &SV,
       continue;
     }
     auto [WT, WPos] = PosOf[Edge.Writer];
-    unsigned WAcc = SV.AccessOfInstr.at(
+    int WAcc = SV.accessOf(
         Combo[static_cast<size_t>(WT)]->Accesses[static_cast<size_t>(WPos)]);
-    if (!std::binary_search(MB.Writers.begin(), MB.Writers.end(), WAcc))
+    if (WAcc < 0 || !std::binary_search(MB.Writers.begin(), MB.Writers.end(),
+                                        static_cast<unsigned>(WAcc)))
       return false;
   }
   return true;
