@@ -23,10 +23,6 @@ void put64(std::string &Out, uint64_t V) {
     Out.push_back(static_cast<char>(V >> (8 * K)));
 }
 
-//===----------------------------------------------------------------------===//
-// Program interpreter
-//===----------------------------------------------------------------------===//
-
 using ByteKey = std::pair<unsigned, unsigned>; ///< (block, absolute byte)
 
 /// Which single thread touches a byte, or Shared.
@@ -215,106 +211,6 @@ struct JsWalk {
   }
 };
 
-//===----------------------------------------------------------------------===//
-// CompiledTarget interpreter
-//===----------------------------------------------------------------------===//
-
-struct TargetWalk {
-  explicit TargetWalk(const CompiledTarget &CT)
-      : CT(CT), Owner(CT.NumLocs, -1) {
-    for (unsigned T = 0; T < CT.Threads.size(); ++T)
-      for (const TargetInstr &I : CT.Threads[T]) {
-        if (I.Kind == TKind::Fence)
-          continue;
-        if (Owner[I.Loc] == -1)
-          Owner[I.Loc] = static_cast<int>(T);
-        else if (Owner[I.Loc] != static_cast<int>(T))
-          Owner[I.Loc] = Shared;
-      }
-  }
-
-  struct State {
-    std::vector<size_t> Ip;
-    std::vector<std::map<unsigned, uint64_t>> Regs;
-    std::vector<uint64_t> Mem;
-  };
-
-  const CompiledTarget &CT;
-  std::vector<int> Owner;
-  std::set<Outcome> Outcomes;
-  std::set<std::string> Visited;
-  uint64_t States = 0;
-
-  const TargetInstr *next(const State &S, unsigned T) const {
-    const std::vector<TargetInstr> &Body = CT.Threads[T];
-    return S.Ip[T] < Body.size() ? &Body[S.Ip[T]] : nullptr;
-  }
-
-  bool invisible(const TargetInstr &I) const {
-    return I.Kind == TKind::Fence || Owner[I.Loc] != Shared;
-  }
-
-  void step(State &S, unsigned T) const {
-    const TargetInstr &I = CT.Threads[T][S.Ip[T]++];
-    switch (I.Kind) {
-    case TKind::Read:
-      S.Regs[T][I.DstReg] = S.Mem[I.Loc];
-      break;
-    case TKind::Write:
-      S.Mem[I.Loc] = I.Value;
-      break;
-    case TKind::Rmw:
-      S.Regs[T][I.DstReg] = S.Mem[I.Loc];
-      S.Mem[I.Loc] = I.Value;
-      break;
-    case TKind::Fence:
-      break; // SC needs no ordering help
-    }
-  }
-
-  std::string serialize(const State &S) const {
-    std::string Key;
-    for (unsigned T = 0; T < CT.Threads.size(); ++T) {
-      put32(Key, static_cast<uint32_t>(S.Ip[T]));
-      put32(Key, static_cast<uint32_t>(S.Regs[T].size()));
-      for (const auto &[R, V] : S.Regs[T]) {
-        put32(Key, R);
-        put64(Key, V);
-      }
-    }
-    for (uint64_t V : S.Mem)
-      put64(Key, V);
-    return Key;
-  }
-
-  void run(State S) {
-    for (unsigned T = 0; T < CT.Threads.size(); ++T)
-      for (const TargetInstr *I = next(S, T); I && invisible(*I);
-           I = next(S, T))
-        step(S, T);
-    std::vector<unsigned> Runnable;
-    for (unsigned T = 0; T < CT.Threads.size(); ++T)
-      if (next(S, T))
-        Runnable.push_back(T);
-    if (Runnable.empty()) {
-      Outcome O;
-      for (unsigned T = 0; T < CT.Threads.size(); ++T)
-        for (const auto &[R, V] : S.Regs[T])
-          O.add(static_cast<int>(T), R, V);
-      Outcomes.insert(std::move(O));
-      return;
-    }
-    if (!Visited.insert(serialize(S)).second)
-      return;
-    ++States;
-    for (unsigned T : Runnable) {
-      State Child = S;
-      step(Child, T);
-      run(std::move(Child));
-    }
-  }
-};
-
 } // namespace
 
 std::vector<Outcome>
@@ -322,20 +218,6 @@ jsmm::analysis::enumerateScOutcomes(const Program &P,
                                     uint64_t *StatesExplored) {
   JsWalk W(P);
   W.run(W.initialState());
-  if (StatesExplored)
-    *StatesExplored = W.States;
-  return {W.Outcomes.begin(), W.Outcomes.end()};
-}
-
-std::vector<Outcome>
-jsmm::analysis::enumerateScOutcomes(const CompiledTarget &CT,
-                                    uint64_t *StatesExplored) {
-  TargetWalk W(CT);
-  TargetWalk::State S;
-  S.Ip.assign(CT.Threads.size(), 0);
-  S.Regs.resize(CT.Threads.size());
-  S.Mem.assign(CT.NumLocs, 0);
-  W.run(std::move(S));
   if (StatesExplored)
     *StatesExplored = W.States;
   return {W.Outcomes.begin(), W.Outcomes.end()};

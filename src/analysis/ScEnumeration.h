@@ -1,19 +1,20 @@
 //===- analysis/ScEnumeration.h - SC interleaving enumeration -------------===//
 ///
 /// \file
-/// An operational sequentially-consistent interpreter over litmus programs
-/// and compiled targets: every outcome reachable by interleaving the
-/// threads' statements, with each access executed atomically against a
-/// single shared memory.
+/// An operational sequentially-consistent interpreter over litmus programs:
+/// every outcome reachable by interleaving the threads' statements, with
+/// each access executed atomically against a single shared memory.
 ///
-/// This is the serving half of the static DRF-SC fast path
-/// (analysis/StaticAnalysis.h): for a statically-DRF program the SC
-/// outcome set *is* the verdict table of every backend — the JS model
+/// This is the serving half of the static DRF-SC shortcut
+/// (analysis/StaticAnalysis.h). For a statically-DRF program the SC
+/// outcome set *is* the verdict table of every backend: the JS model
 /// variants by the SC-DRF theorem (§3.2/Thm 6.1; per-access atomicity is
 /// harmless because data-race-freedom makes tearing unobservable), the
 /// compiled targets by Thm 6.3 sandwiched between SC and the JS table.
-/// For racy programs it computes the SC *subset* of the table and proves
-/// nothing; callers gate on the certificate.
+/// The service (LitmusService) computes the table once per such job and
+/// answers every applicable column of it, single-model or differential,
+/// from that one table. For racy programs it computes the SC *subset* of
+/// the table and proves nothing; callers gate on the certificate.
 ///
 /// The walk is a DFS over interleavings with two reductions that keep
 /// wide corpus programs (hundreds of filler events) trivial:
@@ -31,7 +32,6 @@
 
 #include "exec/Outcome.h"
 #include "litmus/Program.h"
-#include "targets/TargetCompile.h"
 
 #include <cstdint>
 #include <vector>
@@ -44,10 +44,6 @@ namespace analysis {
 /// distinct scheduler states the walk visited (a deterministic effort
 /// measure).
 std::vector<Outcome> enumerateScOutcomes(const Program &P,
-                                         uint64_t *StatesExplored = nullptr);
-
-/// As above for a compiled target; fences are no-ops under SC.
-std::vector<Outcome> enumerateScOutcomes(const CompiledTarget &CT,
                                          uint64_t *StatesExplored = nullptr);
 
 } // namespace analysis

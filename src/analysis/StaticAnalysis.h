@@ -15,11 +15,11 @@
 ///     by the SC-DRF theorem (§3.2/Thm 6.1) and the Thm 6.3 compilation
 ///     results, the program's verdict table on every backend is the SC
 ///     interleaving table (analysis/ScEnumeration.h computes it; the
-///     engine and service use it as a fast path). The certificate is
+///     service answers such a job from it). The certificate is
 ///     deliberately stronger than dynamic race-freedom — Fig. 8's
 ///     SC-DRF counter-example is dynamically race-free but statically
 ///     flagged (SC write vs unordered guarded read), which is exactly
-///     what keeps the fast path sound on the *original* model too.
+///     what keeps that shortcut sound on the *original* model too.
 ///   - structured lint diagnostics over the same footprint, for corpus
 ///     hygiene tooling (the jsmm-lint front door).
 ///

@@ -138,9 +138,10 @@ struct ReadMayRf {
   uint64_t ConstantValue = 0;
 };
 
-/// The full value analysis of one program. Built once per job (behind
-/// EngineConfig::StaticFastPath) and consulted by the reads-from walk and
-/// the path-combination walk of every column.
+/// The full value analysis of one program. Built once per job (when the
+/// job's Static flag is on) and consulted, under
+/// EngineConfig::StaticFastPath, by the reads-from walk and the
+/// path-combination walk of every column.
 struct StaticValues {
   /// The footprint classification (accesses, may-races, lints) — what
   /// `classify()` returns.

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <tuple>
 #include <unordered_map>
 
 using namespace jsmm;
@@ -37,96 +37,135 @@ bool bodiesEqual(const std::vector<Instr> &A, const std::vector<Instr> &B) {
 // Renamed body equality (Program)
 //===----------------------------------------------------------------------===//
 
-/// Which thread touches each byte of each buffer: -1 untouched, a thread
-/// index, or -2 for more than one thread. Conditional bodies count — an
-/// access on an untaken path still shapes the candidate space of the
-/// combinations that take it.
+bool isAccess(const Instr &I) {
+  return I.K != Instr::Kind::IfEq && I.K != Instr::Kind::IfNe;
+}
+
+/// The bytes the threads touch, numbered densely: the access ranges merge
+/// into maximal runs in (block, offset) order, as the analysis's
+/// ByteTable does, so each access's bytes are consecutive slots. Per
+/// slot, which thread touches it: a thread index, or -2 for more than one
+/// thread. Conditional bodies count — an access on an untaken path still
+/// shapes the candidate space of the combinations that take it.
 struct TouchMap {
-  std::vector<std::vector<int>> ByBlock; // [block][byte]
+  /// [thread][access in pre-order] -> the slot of the access's first byte.
+  std::vector<std::vector<unsigned>> SlotOf;
+  std::vector<int> Owner;
 
-  explicit TouchMap(const Program &P) {
-    for (unsigned Size : P.bufferSizes())
-      ByBlock.emplace_back(Size, -1);
+  explicit TouchMap(const Program &P) : SlotOf(P.numThreads()) {
+    std::vector<Range> Ranges;
     for (unsigned T = 0; T < P.numThreads(); ++T)
-      record(P.threadBody(T), static_cast<int>(T));
-  }
-
-  void record(const std::vector<Instr> &Body, int T) {
-    for (const Instr &I : Body) {
-      if (I.K == Instr::Kind::Load || I.K == Instr::Kind::Store ||
-          I.K == Instr::Kind::Rmw) {
-        const Acc &A = I.Access;
-        for (unsigned B = A.Offset; B < A.Offset + A.Width; ++B) {
-          int &Owner = ByBlock[A.Block][B];
-          if (Owner == -1)
-            Owner = T;
-          else if (Owner != T)
-            Owner = -2;
-        }
+      collect(P.threadBody(T), T, Ranges);
+    std::sort(Ranges.begin(), Ranges.end(),
+              [](const Range &A, const Range &B) {
+                return std::tie(A.Block, A.Offset) <
+                       std::tie(B.Block, B.Offset);
+              });
+    unsigned Slots = 0, Block = 0, Begin = 0, End = 0;
+    for (size_t K = 0; K < Ranges.size(); ++K) {
+      const Range &R = Ranges[K];
+      if (K == 0 || R.Block != Block || R.Offset > End) {
+        Slots += End - Begin;
+        Block = R.Block;
+        Begin = End = R.Offset;
       }
-      record(I.Body, T);
+      End = std::max(End, R.Offset + R.Width);
+      SlotOf[R.Thread][R.Idx] = Slots + (R.Offset - Begin);
     }
+    Owner.assign(Slots + (End - Begin), -1);
+    for (const Range &R : Ranges)
+      for (unsigned B = 0; B < R.Width; ++B) {
+        int &O = Owner[SlotOf[R.Thread][R.Idx] + B];
+        int T = static_cast<int>(R.Thread);
+        O = (O == -1 || O == T) ? T : -2;
+      }
   }
 
-  /// \returns true iff byte \p B of \p Block is touched by \p T alone.
-  bool privateTo(unsigned Block, unsigned B, int T) const {
-    return ByBlock[Block][B] == T;
+private:
+  struct Range {
+    unsigned Block, Offset, Width, Thread, Idx;
+  };
+
+  void collect(const std::vector<Instr> &Body, unsigned T,
+               std::vector<Range> &Ranges) {
+    for (const Instr &I : Body) {
+      if (isAccess(I)) {
+        const Acc &A = I.Access;
+        Ranges.push_back({A.Block, A.Offset, A.Width, T,
+                          static_cast<unsigned>(SlotOf[T].size())});
+        SlotOf[T].push_back(0);
+      }
+      collect(I.Body, T, Ranges);
+    }
   }
 };
 
-using ByteKey = std::pair<unsigned, unsigned>; // (block, byte)
+/// Renamed body equality: a lockstep comparison of two thread bodies where
+/// accesses may differ only in their byte offset. It builds the byte
+/// renaming in flat per-slot arrays: Fwd maps a slot to its image, and
+/// Taken marks the images, which rejects non-injective renamings. An entry
+/// belongs to the current comparison when its stamp equals Epoch, so a new
+/// comparison starts from an empty renaming without clearing the arrays.
+struct Renaming {
+  const TouchMap &Touch;
+  std::vector<unsigned> Fwd, FwdStamp, TakenStamp;
+  unsigned Epoch = 0;
 
-/// Lockstep comparison of \p A against \p B where accesses may differ only
-/// in their byte offset, accumulating the forward byte map into \p Fwd
-/// (and its inverse into \p Bwd to reject non-injective renamings).
-bool renamedBodiesEqual(const std::vector<Instr> &A,
-                        const std::vector<Instr> &B,
-                        std::map<ByteKey, unsigned> &Fwd,
-                        std::map<ByteKey, unsigned> &Bwd) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I) {
-    const Instr &X = A[I], &Y = B[I];
-    if (X.K != Y.K || X.Dst != Y.Dst || X.Value != Y.Value ||
-        X.CondReg != Y.CondReg)
+  explicit Renaming(const TouchMap &Touch)
+      : Touch(Touch), Fwd(Touch.Owner.size()), FwdStamp(Touch.Owner.size()),
+        TakenStamp(Touch.Owner.size()) {}
+
+  /// \returns true if swapping threads \p TA and \p TB under the renaming
+  /// of their bodies is a program automorphism: the bodies match up to
+  /// byte offsets, and every *moved* byte is private to its thread, so
+  /// extending the renaming by the identity fixes all other threads (and
+  /// the zero-filled Init events).
+  bool matches(const Program &P, unsigned TA, unsigned TB) {
+    ++Epoch;
+    unsigned Idx = 0;
+    return equal(P.threadBody(TA), P.threadBody(TB), TA, TB, Idx);
+  }
+
+private:
+  bool equal(const std::vector<Instr> &A, const std::vector<Instr> &B,
+             unsigned TA, unsigned TB, unsigned &Idx) {
+    if (A.size() != B.size())
       return false;
-    const Acc &Ax = X.Access, &Ay = Y.Access;
-    if (Ax.Block != Ay.Block || Ax.Width != Ay.Width || Ax.Ord != Ay.Ord ||
-        Ax.TearFree != Ay.TearFree)
-      return false;
-    if (X.K != Instr::Kind::IfEq && X.K != Instr::Kind::IfNe) {
-      for (unsigned K = 0; K < Ax.Width; ++K) {
-        ByteKey From{Ax.Block, Ax.Offset + K};
-        unsigned To = Ay.Offset + K;
-        auto [FI, FNew] = Fwd.try_emplace(From, To);
-        if (!FNew && FI->second != To)
-          return false;
-        auto [BI, BNew] = Bwd.try_emplace(ByteKey{Ax.Block, To}, From.second);
-        if (!BNew && BI->second != From.second)
-          return false;
+    for (size_t I = 0; I < A.size(); ++I) {
+      const Instr &X = A[I], &Y = B[I];
+      if (X.K != Y.K || X.Dst != Y.Dst || X.Value != Y.Value ||
+          X.CondReg != Y.CondReg)
+        return false;
+      const Acc &Ax = X.Access, &Ay = Y.Access;
+      if (Ax.Block != Ay.Block || Ax.Width != Ay.Width || Ax.Ord != Ay.Ord ||
+          Ax.TearFree != Ay.TearFree)
+        return false;
+      if (isAccess(X)) {
+        unsigned From = Touch.SlotOf[TA][Idx], To = Touch.SlotOf[TB][Idx];
+        ++Idx;
+        for (unsigned K = 0; K < Ax.Width; ++K)
+          if (!map(From + K, To + K, TA, TB))
+            return false;
       }
+      if (!equal(X.Body, Y.Body, TA, TB, Idx))
+        return false;
     }
-    if (!renamedBodiesEqual(X.Body, Y.Body, Fwd, Bwd))
-      return false;
+    return true;
   }
-  return true;
-}
 
-/// \returns true if swapping threads \p T1 and \p T2 under the byte
-/// renaming \p Fwd is a program automorphism: every *moved* byte must be
-/// private to its thread, so extending the renaming by the identity fixes
-/// all other threads (and the zero-filled Init events).
-bool renamingIsPrivate(const std::map<ByteKey, unsigned> &Fwd,
-                       const TouchMap &Touch, int T1, int T2) {
-  for (const auto &[From, To] : Fwd) {
-    if (From.second == To)
-      continue;
-    if (!Touch.privateTo(From.first, From.second, T1) ||
-        !Touch.privateTo(From.first, To, T2))
+  /// Adds From -> To to the renaming; false if it contradicts an entry or
+  /// moves a byte that is not private to its thread.
+  bool map(unsigned From, unsigned To, unsigned TA, unsigned TB) {
+    if (FwdStamp[From] == Epoch)
+      return Fwd[From] == To;
+    if (TakenStamp[To] == Epoch)
       return false;
+    FwdStamp[From] = TakenStamp[To] = Epoch;
+    Fwd[From] = To;
+    return From == To || (Touch.Owner[From] == static_cast<int>(TA) &&
+                          Touch.Owner[To] == static_cast<int>(TB));
   }
-  return true;
-}
+};
 
 //===----------------------------------------------------------------------===//
 // Class assembly
@@ -197,6 +236,7 @@ ThreadSymmetry assembleClasses(const Program &P, MatchFn Matches) {
 
 ThreadSymmetry jsmm::threadSymmetry(const Program &P) {
   TouchMap Touch(P);
+  Renaming Renamed(Touch);
   // Byte renaming is only an automorphism when the renamed bytes carry
   // equal initial values; all-zero buffers (the common case) license any
   // private renaming, so nonzero init simply limits classes to exact ones.
@@ -210,11 +250,6 @@ ThreadSymmetry jsmm::threadSymmetry(const Program &P) {
           return true;
         }
         ExactMatch = false;
-        if (!ZeroInit)
-          return false;
-        std::map<ByteKey, unsigned> Fwd, Bwd;
-        return renamedBodiesEqual(A, B, Fwd, Bwd) &&
-               renamingIsPrivate(Fwd, Touch, static_cast<int>(Rep),
-                                 static_cast<int>(T));
+        return ZeroInit && Renamed.matches(P, Rep, T);
       });
 }

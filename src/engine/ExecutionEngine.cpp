@@ -2,7 +2,6 @@
 
 #include "engine/ExecutionEngine.h"
 
-#include "analysis/ScEnumeration.h"
 #include "analysis/StaticAnalysis.h"
 #include "analysis/StaticValues.h"
 #include "core/DataRace.h"
@@ -1459,7 +1458,7 @@ buildTargetStaticAllow(const analysis::StaticValues &SV, const TargetBase &B);
 /// Per-column results of one uni-size walk: the target columns in order,
 /// then uni-js when the walk judges it (its Allowed map holds empty
 /// executions: the outcome-level door keeps no uni-js witness).
-struct TargetWalkResult {
+struct TargetResults {
   std::vector<TargetEnumerationResult> Cols;
 };
 
@@ -1491,7 +1490,7 @@ Outcome outcomeOf(const TargetBase &B) {
 struct TargetCore {
   using BaseT = TargetBase;
   using EventT = TargetEvent;
-  using ResultT = TargetWalkResult;
+  using ResultT = TargetResults;
   using VisitFn = std::function<bool(TargetBase &, const Outcome &)>;
   enum Group { Targets, Uni };
 
@@ -1699,7 +1698,7 @@ bool uniAllows(TargetBase &B) {
 /// backends, SC-per-location for all but ImmLite (whose COHERENCE axiom
 /// stands in for it). Each column then checks only its final axiom, with
 /// its statics.
-void accumulate(TargetWalkResult &Into, const TargetCore &Core,
+void accumulate(TargetResults &Into, const TargetCore &Core,
                 TargetBase &B, const Outcome &O) {
   Into.Cols.resize(B.Cols.size() + (B.Uni != nullptr));
   if (B.UniLeaf) {
@@ -1744,7 +1743,7 @@ void accumulate(TargetWalkResult &Into, const TargetCore &Core,
   }
 }
 
-void mergeItem(TargetWalkResult &Into, TargetWalkResult &Item) {
+void mergeItem(TargetResults &Into, TargetResults &Item) {
   Into.Cols.resize(std::max(Into.Cols.size(), Item.Cols.size()));
   for (size_t I = 0; I < Item.Cols.size(); ++I)
     mergeItem(Into.Cols[I], Item.Cols[I]);
@@ -1776,7 +1775,7 @@ const char *selectTier(const char *Entry, unsigned Events, SolverKind Kind) {
 /// Every value is a deterministic function of the enumerated space, so
 /// all of these land in the golden-comparable Deterministic class.
 void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
-                     uint64_t ValidCandidates, const std::string &Tier) {
+                     uint64_t ValidCandidates, const char *Tier) {
   if (!obs::metricsEnabled())
     return;
   obs::MetricsRegistry &R = obs::registry();
@@ -1788,42 +1787,7 @@ void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
   R.counter("engine.valid_candidates").add(ValidCandidates);
   R.counter("engine.static_rf_pruned").add(St.StaticRfPruned);
   R.counter("engine.static_paths_pruned").add(St.StaticPathsPruned);
-  if (!Tier.empty())
-    R.counter("engine.tier." + Tier).add(1);
-}
-
-/// The static DRF-SC fast path shared by both enumerateOutcomes doors:
-/// when the precomputed classification certifies DRF, answer with the SC
-/// interleaving table under Tier "static" and report that effort to the
-/// trace and the obs registry. \returns std::nullopt for
-/// programs the certificate does not cover (the caller runs the full
-/// enumeration, with the same analysis pruning it).
-template <typename ProgT>
-std::optional<OutcomeSummary>
-tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
-                  const char *Entry, unsigned Events, SolverKind Kind) {
-  if (!C.StaticallyDrf)
-    return std::nullopt;
-  OutcomeSummary S;
-  uint64_t States = 0;
-  S.Allowed = analysis::enumerateScOutcomes(P, &States);
-  // The SC walk's scheduler states stand in for candidates: both count
-  // deterministic exploration effort, and the drf-fastpath win shows up
-  // as the drop against the full walk's candidate count.
-  S.CandidatesConsidered = States;
-  S.ValidCandidates = S.Allowed.size();
-  S.Tier = "static";
-  S.SolverUsed = Kind;
-  traceEvent("drf-fastpath", {{"entry", Entry},
-                              {"events", static_cast<double>(Events)},
-                              {"states", static_cast<double>(States)},
-                              {"outcomes",
-                               static_cast<double>(S.Allowed.size())}});
-  if (obs::metricsEnabled())
-    obs::registry().counter("engine.drf_fastpath").add(1);
-  recordEngineObs(EngineStats(), S.CandidatesConsidered, S.ValidCandidates,
-                  S.Tier);
-  return S;
+  R.counter(std::string("engine.tier.") + Tier).add(1);
 }
 
 /// The shared tail of both enumerateOutcomes doors: stamps the tier and
@@ -1906,17 +1870,6 @@ ExecutionEngine::enumerateOutcomes(const Program &P, const JsModel &M,
     SV = nullptr;
   else if (!SV)
     SV = &Own.emplace(analysis::analyzeValues(P));
-  // The fast path sits after the capacity gate (too-large programs keep
-  // their typed rejection) and before solver/tier selection (no solver
-  // runs on a statically-DRF program). When the DRF certificate does not
-  // hold, the same analysis prunes the full walk below.
-  if (SV) {
-    if (std::optional<OutcomeSummary> S =
-            tryStaticFastPath(P, SV->C, "js", Events, Kind)) {
-      Stats = EngineStats();
-      return *S;
-    }
-  }
   // A large Brute request goes to propagation. Only the solver changes:
   // the spec, and therefore the verdict table, is the model's.
   if (Events > BruteMaxEvents && Kind == SolverKind::Brute) {
@@ -2026,7 +1979,6 @@ targetOutcomes(const ExecutionEngine &E,
   }
   SolverKind Kind = defaultSolverKind();
   const analysis::StaticValues *SV = Cfg.StaticFastPath ? Source : nullptr;
-  std::vector<OutcomeSummary> Out;
   if (SV) {
     bool Mismatch =
         UniJs && SV->C.Accesses.size() !=
@@ -2037,24 +1989,14 @@ targetOutcomes(const ExecutionEngine &E,
       throw std::invalid_argument(
           "static analysis of a different program than the compiled "
           "form's source");
-    if (SV->C.StaticallyDrf) {
-      for (const TargetColumnSpec &C : Specs)
-        Out.push_back(*tryStaticFastPath(*C.CT, SV->C, "target",
-                                         targetEventBound(*C.CT), Kind));
-      if (UniJs)
-        Out.push_back(*tryStaticFastPath(mixedFromUni(*UniJs), SV->C,
-                                         "uni-js",
-                                         uniProgramEventBound(*UniJs), Kind));
-      E.Stats = EngineStats();
-      return Out;
-    }
   }
   const char *Tier = selectTier("target", Events, Kind);
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
   EngineStats Local;
   TargetCore Core{Specs, Cfg.Prune, SV, /*KeepExecs=*/false, UniJs};
-  TargetWalkResult R = enumerateCore(Core, Core, E.effectiveThreads(), Local);
+  TargetResults R = enumerateCore(Core, Core, E.effectiveThreads(), Local);
   R.Cols.resize(Specs.size() + (UniJs != nullptr));
+  std::vector<OutcomeSummary> Out;
   for (TargetEnumerationResult &C : R.Cols)
     Out.push_back(summarize(std::move(C)));
   E.Stats = Local;
@@ -2091,7 +2033,7 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
   std::vector<TargetColumnSpec> Specs = {{&CT, &M}};
   TargetCore Core{Specs, Cfg.Prune, /*SV=*/nullptr, /*KeepExecs=*/true};
   EngineStats Local;
-  TargetWalkResult R = enumerateCore(Core, Core, effectiveThreads(), Local);
+  TargetResults R = enumerateCore(Core, Core, effectiveThreads(), Local);
   Stats = Local;
   R.Cols.resize(1);
   return std::move(R.Cols[0]);

